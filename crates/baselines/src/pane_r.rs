@@ -22,9 +22,9 @@ pub struct PaneR {
 }
 
 impl PaneR {
-    /// Creates the ablation embedder.
+    /// Creates the ablation embedder. The config is validated by
+    /// [`embed`](Self::embed), which returns [`PaneError::BadConfig`].
     pub fn new(config: PaneConfig) -> Self {
-        config.validate().expect("invalid PaneConfig");
         Self { config }
     }
 
@@ -37,6 +37,7 @@ impl PaneR {
         if graph.num_attributes() == 0 || graph.num_attribute_entries() == 0 {
             return Err(PaneError::NoAttributes);
         }
+        self.config.validate()?;
         let cfg = &self.config;
         let nb = cfg.threads;
         let t = cfg.iterations();
@@ -77,11 +78,7 @@ impl PaneR {
         xf.scale_inplace(scale.sqrt());
         xb.scale_inplace(scale.sqrt());
         y.scale_inplace(scale.sqrt());
-        let mut sf = xf.matmul_transb_par(&y, nb);
-        sf.axpy_inplace(-1.0, &aff.forward);
-        let mut sb = xb.matmul_transb_par(&y, nb);
-        sb.axpy_inplace(-1.0, &aff.backward);
-        let mut state = InitState { xf, xb, y, sf, sb };
+        let mut state = InitState::new(&aff.forward, &aff.backward, xf, xb, y, nb);
         let init_secs = t1.elapsed().as_secs_f64();
 
         let t2 = Instant::now();
@@ -154,6 +151,18 @@ mod tests {
             many.objective,
             few.objective
         );
+    }
+
+    #[test]
+    fn invalid_config_is_an_error_not_a_panic() {
+        let bad = PaneConfig {
+            dimension: 7,
+            ..cfg(1)
+        };
+        assert!(matches!(
+            PaneR::new(bad).embed(&graph()),
+            Err(PaneError::BadConfig(_))
+        ));
     }
 
     #[test]

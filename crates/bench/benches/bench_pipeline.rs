@@ -2,8 +2,9 @@
 //! paper's cost model:
 //!
 //! * APMI vs PAPMI (Algorithm 2 vs 6) — `O(m·d·t)`;
-//! * GreedyInit vs SMGreedyInit vs random init (Algorithms 3 / 7);
-//! * one CCD sweep, serial vs block-parallel (Algorithms 4 / 8);
+//! * GreedyInit (one RandSVD, its products on 1 and 2 workers) vs
+//!   SMGreedyInit (Algorithms 3 / 7);
+//! * one Gram-space CCD sweep on 1 and 4 workers (Algorithms 4 / 8);
 //! * end-to-end PANE across graph sizes (the Figure 3 microcosm);
 //! * the pair scorers (Eq. 21 / Eq. 22 vs the four competitor scorers).
 
@@ -77,9 +78,11 @@ fn bench_init(c: &mut Criterion) {
     };
     let mut group = c.benchmark_group("init");
     group.sample_size(10);
-    group.bench_function("greedy_init", |b| {
-        b.iter(|| greedy_init(&aff.forward, &aff.backward, &opts, 1));
-    });
+    for nb in [1usize, 2] {
+        group.bench_with_input(BenchmarkId::new("greedy_init", nb), &nb, |b, &nb| {
+            b.iter(|| greedy_init(&aff.forward, &aff.backward, &opts, nb));
+        });
+    }
     group.bench_function("sm_greedy_init(nb=4)", |b| {
         b.iter(|| sm_greedy_init(&aff.forward, &aff.backward, &opts, 4));
     });

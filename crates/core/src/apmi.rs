@@ -25,7 +25,8 @@
 //! row-normalized, and the SPMI transform of Eqs. (2)–(3) is applied:
 //! `F' = ln(n·P̂_f + 1)`, `B' = ln(d·P̂_b + 1)`.
 
-use pane_linalg::DenseMatrix;
+use pane_linalg::{vecops, DenseMatrix};
+use pane_parallel::{even_ranges_nonempty, for_each_row_block};
 use pane_sparse::CsrMatrix;
 
 /// The pair of approximate affinity matrices returned by APMI.
@@ -71,88 +72,97 @@ impl<'a> ApmiInputs<'a> {
 
 /// Algorithm 2 (single-threaded). Returns `(F', B')`.
 pub fn apmi(inputs: &ApmiInputs<'_>) -> AffinityPair {
+    affinity(inputs, 1)
+}
+
+/// Algorithms 2 and 6 share every line: `nb` only sets how many workers
+/// share the rows of each step, never what an entry is computed from.
+pub(crate) fn affinity(inputs: &ApmiInputs<'_>, nb: usize) -> AffinityPair {
     inputs.validate();
-    let (pf, pb) = propagate(inputs, None);
-    finish(pf, pb, None)
+    let (pf, pb) = propagate(inputs, nb);
+    finish(pf, pb, nb)
 }
 
-/// The iterative propagation (Lines 2–5 of Algorithm 2). When `nb` is
-/// `Some`, the dense right-hand side is processed in that many column
-/// blocks by parallel workers (Lines 2–8 of Algorithm 6); the arithmetic
-/// per entry is identical, which is why Lemma 4.1 holds exactly.
-pub(crate) fn propagate(inputs: &ApmiInputs<'_>, nb: Option<usize>) -> (DenseMatrix, DenseMatrix) {
-    let d = inputs.rr.cols();
-    match nb {
-        None => {
-            let pf0 = inputs.rr.to_dense();
-            let pb0 = inputs.rc.to_dense();
-            let pf = iterate(inputs.p, &pf0, inputs.alpha, inputs.t);
-            let pb = iterate(inputs.pt, &pb0, inputs.alpha, inputs.t);
-            (pf, pb)
-        }
-        Some(nb) => {
-            // Column-block partition of R (Algorithm 6, lines 2–6): thread i
-            // owns attribute block R_i and iterates its own dense panel.
-            let ranges = pane_parallel::even_ranges_nonempty(d, nb);
-            let rr_dense = inputs.rr.to_dense();
-            let rc_dense = inputs.rc.to_dense();
-            let pf_blocks = pane_parallel::map_blocks(&ranges, |_, range| {
-                let pf0 = rr_dense.col_block(range);
-                iterate(inputs.p, &pf0, inputs.alpha, inputs.t)
-            });
-            let pb_blocks = pane_parallel::map_blocks(&ranges, |_, range| {
-                let pb0 = rc_dense.col_block(range);
-                iterate(inputs.pt, &pb0, inputs.alpha, inputs.t)
-            });
-            // Lines 7–8: concatenate the per-thread panels horizontally.
-            (
-                DenseMatrix::hstack(&pf_blocks),
-                DenseMatrix::hstack(&pb_blocks),
-            )
-        }
-    }
+/// The iterative propagation (Lines 2–5 of Algorithm 2 / 2–8 of Algorithm
+/// 6). The forward side is finished before the backward side starts and
+/// both use one scratch matrix, so three `n×d` matrices exist at the peak.
+pub(crate) fn propagate(inputs: &ApmiInputs<'_>, nb: usize) -> (DenseMatrix, DenseMatrix) {
+    let mut scratch = DenseMatrix::zeros(inputs.rr.rows(), inputs.rr.cols());
+    let (alpha, t) = (inputs.alpha, inputs.t);
+    let pf = iterate(inputs.p, inputs.rr, alpha, t, nb, &mut scratch);
+    let pb = iterate(inputs.pt, inputs.rc, alpha, t, nb, &mut scratch);
+    (pf, pb)
 }
 
-/// `X^{(ℓ)} = (1-α)·M·X^{(ℓ-1)} + α·X^{(0)}` for `t` steps.
-fn iterate(m: &CsrMatrix, x0: &DenseMatrix, alpha: f64, t: usize) -> DenseMatrix {
-    let mut x = x0.clone();
-    let mut scratch = DenseMatrix::zeros(x0.rows(), x0.cols());
+/// `X^{(ℓ)} = (1-α)·M·X^{(ℓ-1)} + α·R` for `t` steps from `X^{(0)} = R`.
+/// Each step writes the rows of the next iterate into `scratch` (`nb`
+/// workers, a row block each) and swaps; `α·R` is added from the sparse
+/// rows, which for the non-negative `M`, `R` of a graph gives the bits of
+/// adding a dense copy of `R`.
+fn iterate(
+    m: &CsrMatrix,
+    r: &CsrMatrix,
+    alpha: f64,
+    t: usize,
+    nb: usize,
+    scratch: &mut DenseMatrix,
+) -> DenseMatrix {
+    let (n, d) = (r.rows(), r.cols());
+    let mut x = r.to_dense();
+    let ranges = even_ranges_nonempty(n, nb);
     for _ in 0..t {
-        m.mul_dense_into(&x, &mut scratch);
-        scratch.scale_inplace(1.0 - alpha);
-        scratch.axpy_inplace(alpha, x0);
-        std::mem::swap(&mut x, &mut scratch);
+        for_each_row_block(scratch.data_mut(), n, d, &ranges, |_, range, block| {
+            for (i, out) in range.zip(block.chunks_exact_mut(d.max(1))) {
+                out.fill(0.0);
+                let (cols, vals) = m.row(i);
+                for (&c, &v) in cols.iter().zip(vals) {
+                    vecops::axpy(v, x.row(c as usize), out);
+                }
+                vecops::scale(1.0 - alpha, out);
+                let (cols, vals) = r.row(i);
+                for (&c, &v) in cols.iter().zip(vals) {
+                    out[c as usize] += alpha * v;
+                }
+            }
+        });
+        std::mem::swap(&mut x, scratch);
     }
     x
 }
 
 /// Normalization + SPMI transform (Lines 6–8 of Algorithm 2 / Lines 9–13 of
-/// Algorithm 6). `nb = Some(_)` applies the log transform in parallel node
-/// row blocks; per-entry arithmetic is unchanged.
-pub(crate) fn finish(pf: DenseMatrix, pb: DenseMatrix, nb: Option<usize>) -> AffinityPair {
-    let n = pf.rows() as f64;
-    let d = pf.cols() as f64;
-
+/// Algorithm 6), in `nb` node row blocks; per-entry arithmetic does not
+/// depend on `nb`.
+pub(crate) fn finish(
+    mut forward: DenseMatrix,
+    mut backward: DenseMatrix,
+    nb: usize,
+) -> AffinityPair {
+    let (rows, cols) = forward.shape();
+    let (n, d) = (rows as f64, cols as f64);
     // Column-normalize P_f^{(t)}; row-normalize P_b^{(t)}.
-    let col_sums = pf.col_sums();
-    let row_sums = pb.row_sums();
-    let mut forward = pf;
-    let mut backward = pb;
-
-    let transform =
-        |forward: &mut DenseMatrix, backward: &mut DenseMatrix, rows: std::ops::Range<usize>| {
-            for i in rows {
-                let frow = forward.row_mut(i);
-                for (j, v) in frow.iter_mut().enumerate() {
-                    let s = col_sums[j];
-                    *v = if s > 0.0 {
-                        (n * *v / s + 1.0).ln()
-                    } else {
-                        0.0
-                    };
-                }
+    let col_sums = forward.col_sums();
+    let row_sums = backward.row_sums();
+    let ranges = even_ranges_nonempty(rows, nb);
+    for_each_row_block(forward.data_mut(), rows, cols, &ranges, |_, _, block| {
+        for frow in block.chunks_exact_mut(cols.max(1)) {
+            for (v, &s) in frow.iter_mut().zip(&col_sums) {
+                *v = if s > 0.0 {
+                    (n * *v / s + 1.0).ln()
+                } else {
+                    0.0
+                };
+            }
+        }
+    });
+    for_each_row_block(
+        backward.data_mut(),
+        rows,
+        cols,
+        &ranges,
+        |_, range, block| {
+            for (i, brow) in range.zip(block.chunks_exact_mut(cols.max(1))) {
                 let rs = row_sums[i];
-                let brow = backward.row_mut(i);
                 for v in brow.iter_mut() {
                     *v = if rs > 0.0 {
                         (d * *v / rs + 1.0).ln()
@@ -161,88 +171,9 @@ pub(crate) fn finish(pf: DenseMatrix, pb: DenseMatrix, nb: Option<usize>) -> Aff
                     };
                 }
             }
-        };
-
-    let all_rows = 0..forward.rows();
-    match nb {
-        None => transform(&mut forward, &mut backward, all_rows),
-        Some(nb) => {
-            let rows = forward.rows();
-            let cols = forward.cols();
-            let ranges = pane_parallel::even_ranges_nonempty(rows, nb);
-            // Split both matrices into matching row blocks and transform in
-            // parallel; closures capture the shared normalizers immutably.
-            let fw = &col_sums;
-            let bw = &row_sums;
-            let mut fdat = std::mem::replace(&mut forward, DenseMatrix::zeros(0, 0)).into_vec();
-            let mut bdat = std::mem::replace(&mut backward, DenseMatrix::zeros(0, 0)).into_vec();
-            scope_rows(
-                &mut fdat,
-                &mut bdat,
-                cols,
-                &ranges,
-                |range, fblock, bblock| {
-                    for (bi, _i) in range.clone().enumerate() {
-                        let frow = &mut fblock[bi * cols..(bi + 1) * cols];
-                        for (j, v) in frow.iter_mut().enumerate() {
-                            let s = fw[j];
-                            *v = if s > 0.0 {
-                                (n * *v / s + 1.0).ln()
-                            } else {
-                                0.0
-                            };
-                        }
-                        let rs = bw[range.start + bi];
-                        let brow = &mut bblock[bi * cols..(bi + 1) * cols];
-                        for v in brow.iter_mut() {
-                            *v = if rs > 0.0 {
-                                (d * *v / rs + 1.0).ln()
-                            } else {
-                                0.0
-                            };
-                        }
-                    }
-                },
-            );
-            forward = DenseMatrix::from_vec(rows, cols, fdat);
-            backward = DenseMatrix::from_vec(rows, cols, bdat);
-        }
-    }
-
+        },
+    );
     AffinityPair { forward, backward }
-}
-
-/// Runs `f(range, forward_rows, backward_rows)` over matching row blocks of
-/// two same-shape row-major buffers, one scoped worker per block.
-fn scope_rows<F>(
-    fdat: &mut [f64],
-    bdat: &mut [f64],
-    cols: usize,
-    ranges: &[std::ops::Range<usize>],
-    f: F,
-) where
-    F: Fn(std::ops::Range<usize>, &mut [f64], &mut [f64]) + Sync,
-{
-    if ranges.len() <= 1 {
-        if let Some(r) = ranges.first() {
-            f(r.clone(), fdat, bdat);
-        }
-        return;
-    }
-    std::thread::scope(|s| {
-        let mut frest = fdat;
-        let mut brest = bdat;
-        for r in ranges {
-            let take = (r.end - r.start) * cols;
-            let (fh, ft) = frest.split_at_mut(take);
-            let (bh, bt) = brest.split_at_mut(take);
-            frest = ft;
-            brest = bt;
-            let f = &f;
-            let r = r.clone();
-            s.spawn(move || f(r, fh, bh));
-        }
-    });
 }
 
 #[cfg(test)]
@@ -308,7 +239,7 @@ mod tests {
             alpha,
             t,
         };
-        let (pf, pb) = propagate(&inputs, None);
+        let (pf, pb) = propagate(&inputs, 1);
         let (rf, rb) = dense_reference(&g, 0.15, 5);
         assert!(pf.max_abs_diff(&rf) < 1e-12);
         assert!(pb.max_abs_diff(&rb) < 1e-12);
@@ -337,7 +268,7 @@ mod tests {
             alpha,
             t,
         };
-        let (pf, _) = propagate(&inputs, None);
+        let (pf, _) = propagate(&inputs, 1);
         for s in pf.row_sums() {
             assert!((s - 1.0).abs() < 1e-12, "row sum {s}");
         }
@@ -394,7 +325,7 @@ mod tests {
                 alpha: 0.3,
                 t,
             };
-            propagate(&inputs, None).0
+            propagate(&inputs, 1).0
         };
         let d5 = make(5).max_abs_diff(&make(30));
         let d15 = make(15).max_abs_diff(&make(30));

@@ -1,268 +1,168 @@
-//! Cyclic coordinate descent with dynamically maintained residuals
-//! (Algorithm 4: SVDCCD; Algorithm 8: PSVDCCD).
+//! Cyclic coordinate descent in the Gram space (Algorithm 4: SVDCCD;
+//! Algorithm 8: PSVDCCD).
 //!
-//! Each sweep has two phases:
+//! Algorithm 4 maintains the residuals `S_f = X_f·Yᵀ − F'`, `S_b = X_b·Yᵀ −
+//! B'` and sweeps two phases over them:
 //!
 //! * **X phase** (`Y` fixed): for every node `v` and coordinate `l`,
-//!   `μ_f(v,l) = S_f[v]·Y[:,l] / ‖Y[:,l]‖²`, then `X_f[v,l] −= μ_f` and the
-//!   rank-1 residual update `S_f[v] −= μ_f·Y[:,l]ᵀ` (Eqs. 13, 16, 18);
-//!   symmetrically for `X_b`/`S_b`.
+//!   `μ = S_f[v]·Y[:,l] / ‖Y[:,l]‖²`, then `X_f[v,l] −= μ` and
+//!   `S_f[v] −= μ·Y[:,l]ᵀ` (Eqs. 13, 16, 18); the same for `X_b`/`S_b`.
 //! * **Y phase** (`X_f`, `X_b` fixed): for every attribute `r` and `l`,
-//!   `μ_y(r,l) = (X_f[:,l]·S_f[:,r] + X_b[:,l]·S_b[:,r]) /
-//!   (‖X_f[:,l]‖² + ‖X_b[:,l]‖²)`, then `Y[r,l] −= μ_y` and column updates
-//!   of both residuals (Eqs. 15, 17, 20).
+//!   `μ = (X_f[:,l]·S_f[:,r] + X_b[:,l]·S_b[:,r]) / (‖X_f[:,l]‖² +
+//!   ‖X_b[:,l]‖²)`, then `Y[r,l] −= μ` and the column updates of both
+//!   residuals (Eqs. 15, 17, 20).
 //!
-//! Implementation notes (beyond the paper's pseudocode):
+//! Row `v`'s updates read `S_f[v]` only through `g = S_f[v]·Y`, and the
+//! residual update moves `g` by `−μ·G[l,:]` with `G = YᵀY`. So the X phase
+//! is: `g = X_f[v]·G − (F'Y)[v]`, then for `l = 0..k/2`: `μ = g_l / G_ll`,
+//! `X_f[v,l] −= μ`, `g −= μ·G[l,:]`. The Y phase is the same descent on
+//! the rows of `Y` with `H = X_fᵀX_f + X_bᵀX_b` in place of `G` and
+//! `Q = F'ᵀX_f + B'ᵀX_b` in place of `F'Y`. These are Algorithm 4's
+//! iterates in exact arithmetic (rounding differs: agreement with the
+//! level-1 oracle in `ccd_oracle.rs` is ~3e-14, tested to 1e-9), at four
+//! `2·n·d·(k/2)`-flop products per sweep instead of `16·n·d·(k/2)` flops of
+//! dependent dot/axpy pairs, and without any `n×d` matrix besides `F'`, `B'`.
+//!
+//! Further notes:
 //!
 //! * each coordinate update is the **exact minimizer** of the objective in
-//!   that coordinate, so the objective `‖S_f‖² + ‖S_b‖²` is monotonically
-//!   non-increasing — property-tested;
-//! * the X phase touches only row `v` of `X_*`/`S_*` and the Y phase only
-//!   row `r` of `Y` and column `r` of `S_*`; updates are therefore
-//!   independent across nodes / across attributes, which is why PSVDCCD
-//!   (node blocks for X, attribute blocks for Y) produces **bit-identical**
-//!   results to the serial sweep — also tested;
-//! * for cache-friendliness the fixed factor is used through a transposed
-//!   copy (`Yᵀ` in the X phase, `X_fᵀ`/`X_bᵀ` in the Y phase), making every
-//!   inner loop a contiguous dot/axpy, and the Y phase gathers each residual
-//!   column into a dense buffer once instead of striding `k` times;
-//! * a zero denominator (an all-zero coordinate column) skips the update
-//!   (`μ = 0`), which is the correct minimizer of a constant function.
+//!   that coordinate, so the objective is non-increasing — property-tested;
+//! * rows are independent within a phase and the products are
+//!   thread-count-invariant, so `nb` workers return the serial sweep's bits
+//!   (Algorithm 8 ≡ Algorithm 4) — also tested;
+//! * a coordinate whose Gram diagonal is not positive (an all-zero column)
+//!   is skipped (`μ = 0`), the correct minimizer of a constant function;
+//! * after the Y phase the objective is `‖F'‖² + ‖B'‖² − 2⟨Q,Y⟩ + ⟨H,YᵀY⟩`
+//!   from matrices the phase already holds. It is a difference of terms
+//!   of size `‖F'‖² + ‖B'‖²`, so its absolute precision is
+//!   `O(ε·(‖F'‖² + ‖B'‖²))` however small the residual (clamped at 0).
 
 use crate::greedy_init::InitState;
 use pane_linalg::{vecops, DenseMatrix};
-use pane_parallel::{even_ranges_nonempty, ColumnBlocksMut};
+use pane_parallel::{even_ranges_nonempty, for_each_row_block};
 
-/// Current objective value `O = ‖S_f‖² + ‖S_b‖²` (Eq. 4 evaluated via the
-/// maintained residuals).
-pub fn objective(state: &InitState) -> f64 {
-    state.sf.frob_norm_sq() + state.sb.frob_norm_sq()
+/// Objective `O = ‖S_f‖² + ‖S_b‖²` (Eq. 4) of `state` as the constructor or
+/// the last [`ccd_sweeps`] left it. `O(1)`: see the module docs for how it
+/// is kept and how precise it is.
+pub fn objective(state: &InitState<'_>) -> f64 {
+    state.objective
 }
 
-/// Runs `sweeps` full CCD sweeps over `state`, using `nb` worker threads
-/// (`nb = 1` reproduces Algorithm 4 exactly; `nb > 1` is Algorithm 8's
-/// parallel schedule, which returns the same bits).
-pub fn ccd_sweeps(state: &mut InitState, sweeps: usize, nb: usize) {
-    let n = state.xf.rows();
-    let d = state.y.rows();
-    let k2 = state.xf.cols();
+/// Runs `sweeps` full CCD sweeps over `state`, using `nb` worker threads.
+/// The result has the same bits for every `nb`.
+pub fn ccd_sweeps(state: &mut InitState<'_>, sweeps: usize, nb: usize) {
+    let (n, d) = state.f.shape();
+    let k2 = state.y.cols();
+    assert_eq!(state.b.shape(), (n, d));
+    assert_eq!(state.xf.shape(), (n, k2));
     assert_eq!(state.xb.shape(), (n, k2));
-    assert_eq!(state.y.cols(), k2);
-    assert_eq!(state.sf.shape(), (n, d));
-    assert_eq!(state.sb.shape(), (n, d));
+    assert_eq!(state.y.rows(), d);
     if n == 0 || d == 0 || k2 == 0 {
         return;
     }
-
+    let mut gram = state.y.tr_matmul_par(&state.y, nb);
     for _ in 0..sweeps {
-        x_phase(state, nb);
-        y_phase(state, nb);
+        // X phase: lines 3–9 of Algorithm 4 / 3–10 of Algorithm 8.
+        descend_rows(&mut state.xf, &state.f.matmul_par(&state.y, nb), &gram, nb);
+        descend_rows(&mut state.xb, &state.b.matmul_par(&state.y, nb), &gram, nb);
+
+        // Y phase: lines 10–14 of Algorithm 4 / 11–16 of Algorithm 8.
+        let h = node_gram(&state.xf, &state.xb, nb);
+        let mut q = state.f.tr_matmul_par(&state.xf, nb);
+        q.axpy_inplace(1.0, &state.b.tr_matmul_par(&state.xb, nb));
+        descend_rows(&mut state.y, &q, &h, nb);
+
+        gram = state.y.tr_matmul_par(&state.y, nb);
+        let cross = vecops::dot(q.data(), state.y.data());
+        state.objective = gram_objective(state.energy, cross, &h, &gram);
     }
 }
 
-/// Lines 3–9 of Algorithm 4 / lines 3–10 of Algorithm 8.
-fn x_phase(state: &mut InitState, nb: usize) {
-    let n = state.xf.rows();
-    let d = state.sf.cols();
-    let k2 = state.xf.cols();
-    // Y is fixed for the whole phase: transpose once, precompute ‖Y[:,l]‖².
-    let yt = state.y.transpose(); // k/2 × d, row l = Y[:,l]
-    let ynorm: Vec<f64> = (0..k2).map(|l| vecops::norm2_sq(yt.row(l))).collect();
+/// `H = X_fᵀX_f + X_bᵀX_b`, the Gram matrix of the Y phase.
+pub(crate) fn node_gram(xf: &DenseMatrix, xb: &DenseMatrix, nb: usize) -> DenseMatrix {
+    let mut h = xf.tr_matmul_par(xf, nb);
+    h.axpy_inplace(1.0, &xb.tr_matmul_par(xb, nb));
+    h
+}
 
-    let ranges = even_ranges_nonempty(n, nb);
-    let update_rows = |range: std::ops::Range<usize>,
-                       xf: &mut [f64],
-                       xb: &mut [f64],
-                       sf: &mut [f64],
-                       sb: &mut [f64]| {
-        for bi in 0..(range.end - range.start) {
-            let xf_row = &mut xf[bi * k2..(bi + 1) * k2];
-            let xb_row = &mut xb[bi * k2..(bi + 1) * k2];
-            let sf_row = &mut sf[bi * d..(bi + 1) * d];
-            let sb_row = &mut sb[bi * d..(bi + 1) * d];
+/// `‖S_f‖² + ‖S_b‖² = energy − 2·cross + ⟨H, YᵀY⟩`, where `energy = ‖F'‖² +
+/// ‖B'‖²` and `cross = ⟨F', X_f·Yᵀ⟩ + ⟨B', X_b·Yᵀ⟩`; clamped at 0.
+pub(crate) fn gram_objective(energy: f64, cross: f64, h: &DenseMatrix, gram: &DenseMatrix) -> f64 {
+    (energy - 2.0 * cross + vecops::dot(h.data(), gram.data())).max(0.0)
+}
+
+/// One pass of exact coordinate minimizations over every row of `x`, for
+/// the quadratic whose gradient at row `v` is `x[v]·gram − lin[v]`.
+fn descend_rows(x: &mut DenseMatrix, lin: &DenseMatrix, gram: &DenseMatrix, nb: usize) {
+    let k2 = x.cols();
+    let mut steps = x.matmul_par(gram, nb);
+    steps.axpy_inplace(-1.0, lin);
+    let ranges = even_ranges_nonempty(x.rows(), nb);
+    // Each gradient row becomes the row of steps `μ`: coordinate `l` is read
+    // once, at its own update, so its slot then holds `μ_l`, and only the
+    // coordinates still to come need `g −= μ_l·gram[l,:]`.
+    for_each_row_block(steps.data_mut(), x.rows(), k2, &ranges, |_, _, block| {
+        for g in block.chunks_exact_mut(k2) {
             for l in 0..k2 {
-                if ynorm[l] <= 0.0 {
-                    continue;
-                }
-                let ytl = yt.row(l);
-                let mu_f = vecops::dot(sf_row, ytl) / ynorm[l];
-                xf_row[l] -= mu_f;
-                vecops::axpy(-mu_f, ytl, sf_row); // Eq. 18
-                let mu_b = vecops::dot(sb_row, ytl) / ynorm[l];
-                xb_row[l] -= mu_b;
-                vecops::axpy(-mu_b, ytl, sb_row); // Eq. 19
+                let (head, tail) = g.split_at_mut(l + 1);
+                let gll = gram.get(l, l);
+                let mu = if gll > 0.0 { head[l] / gll } else { 0.0 };
+                head[l] = mu;
+                vecops::axpy(-mu, &gram.row(l)[l + 1..], tail);
             }
         }
-    };
-
-    if ranges.len() <= 1 {
-        update_rows(
-            0..n,
-            state.xf.data_mut(),
-            state.xb.data_mut(),
-            state.sf.data_mut(),
-            state.sb.data_mut(),
-        );
-        return;
-    }
-    std::thread::scope(|s| {
-        let mut xf_rest = state.xf.data_mut();
-        let mut xb_rest = state.xb.data_mut();
-        let mut sf_rest = state.sf.data_mut();
-        let mut sb_rest = state.sb.data_mut();
-        for r in &ranges {
-            let rows = r.end - r.start;
-            let (xf_h, xf_t) = xf_rest.split_at_mut(rows * k2);
-            let (xb_h, xb_t) = xb_rest.split_at_mut(rows * k2);
-            let (sf_h, sf_t) = sf_rest.split_at_mut(rows * d);
-            let (sb_h, sb_t) = sb_rest.split_at_mut(rows * d);
-            xf_rest = xf_t;
-            xb_rest = xb_t;
-            sf_rest = sf_t;
-            sb_rest = sb_t;
-            let f = &update_rows;
-            let r = r.clone();
-            s.spawn(move || f(r, xf_h, xb_h, sf_h, sb_h));
-        }
     });
-}
-
-/// Lines 10–14 of Algorithm 4 / lines 11–16 of Algorithm 8.
-fn y_phase(state: &mut InitState, nb: usize) {
-    let n = state.xf.rows();
-    let d = state.y.rows();
-    let k2 = state.y.cols();
-    // X_f, X_b fixed for the whole phase.
-    let xft = state.xf.transpose(); // k/2 × n
-    let xbt = state.xb.transpose();
-    let xnorm: Vec<f64> = (0..k2)
-        .map(|l| vecops::norm2_sq(xft.row(l)) + vecops::norm2_sq(xbt.row(l)))
-        .collect();
-
-    let ranges = even_ranges_nonempty(d, nb);
-    let update_attrs = |range: std::ops::Range<usize>,
-                        y_rows: &mut [f64],
-                        sf_cols: &mut pane_parallel::ColumnBlockMut<'_>,
-                        sb_cols: &mut pane_parallel::ColumnBlockMut<'_>| {
-        let mut sf_col = vec![0.0; n];
-        let mut sb_col = vec![0.0; n];
-        for (bi, r) in range.clone().enumerate() {
-            sf_cols.gather_column(r, &mut sf_col);
-            sb_cols.gather_column(r, &mut sb_col);
-            let y_row = &mut y_rows[bi * k2..(bi + 1) * k2];
-            for l in 0..k2 {
-                if xnorm[l] <= 0.0 {
-                    continue;
-                }
-                let xfl = xft.row(l);
-                let xbl = xbt.row(l);
-                let mu_y = (vecops::dot(xfl, &sf_col) + vecops::dot(xbl, &sb_col)) / xnorm[l];
-                y_row[l] -= mu_y;
-                vecops::axpy(-mu_y, xfl, &mut sf_col); // Eq. 20
-                vecops::axpy(-mu_y, xbl, &mut sb_col);
-            }
-            sf_cols.scatter_column(r, &sf_col);
-            sb_cols.scatter_column(r, &sb_col);
-        }
-    };
-
-    let mut sf_owner = ColumnBlocksMut::new(state.sf.data_mut(), n, d);
-    let sf_blocks = sf_owner.split(&ranges);
-    let mut sb_owner = ColumnBlocksMut::new(state.sb.data_mut(), n, d);
-    let sb_blocks = sb_owner.split(&ranges);
-
-    if ranges.len() <= 1 {
-        if let ((Some(mut sfb), Some(mut sbb)), Some(r)) = (
-            (sf_blocks.into_iter().next(), sb_blocks.into_iter().next()),
-            ranges.first(),
-        ) {
-            update_attrs(r.clone(), state.y.data_mut(), &mut sfb, &mut sbb);
-        }
-        return;
-    }
-    std::thread::scope(|s| {
-        let mut y_rest = state.y.data_mut();
-        for ((r, mut sfb), mut sbb) in ranges.iter().zip(sf_blocks).zip(sb_blocks) {
-            let rows = r.end - r.start;
-            let (y_h, y_t) = y_rest.split_at_mut(rows * k2);
-            y_rest = y_t;
-            let f = &update_attrs;
-            let r = r.clone();
-            s.spawn(move || f(r, y_h, &mut sfb, &mut sbb));
-        }
-    });
-}
-
-/// Algorithm 4: GreedyInit (done by the caller) followed by `sweeps` CCD
-/// sweeps; returns the final objective value for convenience.
-pub fn svdccd(state: &mut InitState, sweeps: usize, nb: usize) -> f64 {
-    ccd_sweeps(state, sweeps, nb);
-    objective(state)
-}
-
-/// Workspace variant kept for API symmetry with the paper's Algorithm 4
-/// signature (`SVDCCD(F', B', k, t)`): builds the init state internally.
-pub struct CcdWorkspace;
-
-impl CcdWorkspace {
-    /// One-call driver: GreedyInit + CCD.
-    pub fn run(
-        f: &DenseMatrix,
-        b: &DenseMatrix,
-        opts: &crate::greedy_init::InitOptions,
-        sweeps: usize,
-        nb: usize,
-        split_merge: bool,
-    ) -> InitState {
-        let mut state = if split_merge && nb > 1 {
-            crate::greedy_init::sm_greedy_init(f, b, opts, nb)
-        } else {
-            crate::greedy_init::greedy_init(f, b, opts, nb)
-        };
-        ccd_sweeps(&mut state, sweeps, nb);
-        state
-    }
+    x.axpy_inplace(-1.0, &steps);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ccd_oracle::{fresh_residuals, Oracle};
     use crate::greedy_init::{greedy_init, InitOptions};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn setup(n: usize, d: usize, k2: usize, seed: u64) -> (DenseMatrix, DenseMatrix, InitState) {
+    fn affinities(n: usize, d: usize, seed: u64) -> (DenseMatrix, DenseMatrix) {
         let mut rng = StdRng::seed_from_u64(seed);
         let f = DenseMatrix::uniform(n, d, 0.0, 2.0, &mut rng);
         let b = DenseMatrix::uniform(n, d, 0.0, 2.0, &mut rng);
+        (f, b)
+    }
+
+    fn greedy<'a>(f: &'a DenseMatrix, b: &'a DenseMatrix, k2: usize, seed: u64) -> InitState<'a> {
         let opts = InitOptions {
             half_dim: k2,
             power_iters: 2,
             oversample: 4,
             seed,
         };
-        let st = greedy_init(&f, &b, &opts, 1);
-        (f, b, st)
+        greedy_init(f, b, &opts, 1)
     }
 
-    /// Random init used by the PANE-R ablation and by tests here.
-    fn random_state(f: &DenseMatrix, b: &DenseMatrix, k2: usize, seed: u64) -> InitState {
+    /// Random init as the PANE-R ablation makes it.
+    fn random_state<'a>(
+        f: &'a DenseMatrix,
+        b: &'a DenseMatrix,
+        k2: usize,
+        seed: u64,
+    ) -> InitState<'a> {
         let mut rng = StdRng::seed_from_u64(seed);
-        let n = f.rows();
-        let d = f.cols();
-        let xf = DenseMatrix::gaussian(n, k2, &mut rng);
-        let xb = DenseMatrix::gaussian(n, k2, &mut rng);
-        let y = DenseMatrix::gaussian(d, k2, &mut rng);
-        let mut sf = xf.matmul_transb(&y);
-        sf.axpy_inplace(-1.0, f);
-        let mut sb = xb.matmul_transb(&y);
-        sb.axpy_inplace(-1.0, b);
-        InitState { xf, xb, y, sf, sb }
+        let xf = DenseMatrix::gaussian(f.rows(), k2, &mut rng);
+        let xb = DenseMatrix::gaussian(f.rows(), k2, &mut rng);
+        let y = DenseMatrix::gaussian(f.cols(), k2, &mut rng);
+        InitState::new(f, b, xf, xb, y, 1)
+    }
+
+    fn explicit_objective(st: &InitState<'_>) -> f64 {
+        let (sf, sb) = fresh_residuals(st.f, st.b, &st.xf, &st.xb, &st.y);
+        sf.frob_norm_sq() + sb.frob_norm_sq()
     }
 
     #[test]
     fn objective_monotonically_non_increasing() {
-        let (_f, _b, mut st) = setup(25, 10, 4, 1);
+        let (f, b) = affinities(25, 10, 1);
+        let mut st = greedy(&f, &b, 4, 1);
         let mut prev = objective(&st);
         for _ in 0..6 {
             ccd_sweeps(&mut st, 1, 1);
@@ -272,22 +172,43 @@ mod tests {
         }
     }
 
+    /// The objective kept in Gram space is the norm of the residuals
+    /// nobody maintains any more.
     #[test]
     fn residual_invariant_maintained() {
-        let (f, b, mut st) = setup(20, 8, 3, 2);
-        ccd_sweeps(&mut st, 4, 1);
-        let (sf, sb) = st.fresh_residuals(&f, &b, 1);
-        assert!(
-            st.sf.max_abs_diff(&sf) < 1e-9,
-            "Sf drifted by {}",
-            st.sf.max_abs_diff(&sf)
-        );
-        assert!(st.sb.max_abs_diff(&sb) < 1e-9);
+        let (f, b) = affinities(20, 8, 2);
+        let mut st = greedy(&f, &b, 3, 2);
+        for sweeps in 0..4 {
+            let want = explicit_objective(&st);
+            let got = objective(&st);
+            assert!(
+                (got - want).abs() < 1e-9 * (1.0 + want),
+                "after {sweeps} sweeps: kept {got} vs explicit {want}"
+            );
+            ccd_sweeps(&mut st, 1, 1);
+        }
+    }
+
+    #[test]
+    fn gram_sweeps_follow_the_level1_oracle() {
+        let (f, b) = affinities(30, 12, 7);
+        let mut st = random_state(&f, &b, 5, 70);
+        let mut oracle = Oracle::new(&f, &b, st.xf.clone(), st.xb.clone(), st.y.clone());
+        for sweep in 1..=5 {
+            ccd_sweeps(&mut st, 1, 2);
+            oracle.sweep();
+            assert!(st.xf.max_abs_diff(&oracle.xf) < 1e-9, "sweep {sweep}: Xf");
+            assert!(st.xb.max_abs_diff(&oracle.xb) < 1e-9, "sweep {sweep}: Xb");
+            assert!(st.y.max_abs_diff(&oracle.y) < 1e-9, "sweep {sweep}: Y");
+            let (got, want) = (objective(&st), oracle.objective());
+            assert!((got - want).abs() < 1e-9 * (1.0 + want), "sweep {sweep}");
+        }
     }
 
     #[test]
     fn parallel_sweeps_bit_identical() {
-        let (_f, _b, st0) = setup(33, 13, 5, 3);
+        let (f, b) = affinities(33, 13, 3);
+        let st0 = greedy(&f, &b, 5, 3);
         let mut serial = st0.clone();
         ccd_sweeps(&mut serial, 3, 1);
         for nb in [2, 4, 7] {
@@ -296,7 +217,11 @@ mod tests {
             assert_eq!(serial.xf.data(), par.xf.data(), "nb={nb}: Xf differs");
             assert_eq!(serial.xb.data(), par.xb.data(), "nb={nb}: Xb differs");
             assert_eq!(serial.y.data(), par.y.data(), "nb={nb}: Y differs");
-            assert_eq!(serial.sf.data(), par.sf.data(), "nb={nb}: Sf differs");
+            assert_eq!(
+                objective(&serial).to_bits(),
+                objective(&par).to_bits(),
+                "nb={nb}: objective differs"
+            );
         }
     }
 
@@ -308,32 +233,24 @@ mod tests {
         let xf = DenseMatrix::gaussian(15, 3, &mut rng);
         let y = DenseMatrix::gaussian(6, 3, &mut rng);
         let f = xf.matmul_transb(&y);
-        let b = f.clone();
-        let mut st = InitState {
-            xf: xf.clone(),
-            xb: xf.clone(),
-            y: y.clone(),
-            sf: DenseMatrix::zeros(15, 6),
-            sb: DenseMatrix::zeros(15, 6),
-        };
-        // Perturb.
-        st.xf.add_at(0, 0, 5.0);
-        let (sf, sb) = st.fresh_residuals(&f, &b, 1);
-        st.sf = sf;
-        st.sb = sb;
+        let mut perturbed = xf.clone();
+        perturbed.add_at(0, 0, 5.0);
+        let mut st = InitState::new(&f, &f, perturbed, xf, y, 1);
         assert!(objective(&st) > 1.0);
         ccd_sweeps(&mut st, 8, 1);
         assert!(
-            objective(&st) < 1e-6,
+            explicit_objective(&st) < 1e-6,
             "objective after repair: {}",
-            objective(&st)
+            explicit_objective(&st)
         );
+        // The kept value is exact only to ε·(‖F'‖² + ‖B'‖²).
+        assert!(objective(&st) < 1e-6 + 1e-12 * st.energy);
     }
 
     #[test]
     fn greedy_init_converges_faster_than_random() {
-        let (f, b, greedy) = setup(40, 16, 4, 5);
-        let mut g = greedy;
+        let (f, b) = affinities(40, 16, 5);
+        let mut g = greedy(&f, &b, 4, 5);
         let mut r = random_state(&f, &b, 4, 55);
         // Same number of sweeps from both starts.
         ccd_sweeps(&mut g, 2, 1);
@@ -348,31 +265,30 @@ mod tests {
 
     #[test]
     fn zero_coordinate_columns_are_skipped() {
-        let (f, b, mut st) = setup(10, 5, 3, 6);
-        // Zero out one Y column and its X counterparts: the sweep must not
-        // produce NaNs from 0/0.
-        for i in 0..st.y.rows() {
-            st.y.set(i, 1, 0.0);
+        let (f, b) = affinities(10, 5, 6);
+        let st = greedy(&f, &b, 3, 6);
+        // Zero out one Y column and its X counterparts: the sweep must
+        // leave them alone and produce no NaN from 0/0.
+        let (mut xf, mut xb, mut y) = (st.xf, st.xb, st.y);
+        for m in [&mut xf, &mut xb, &mut y] {
+            for i in 0..m.rows() {
+                m.set(i, 1, 0.0);
+            }
         }
-        let (sf, sb) = st.fresh_residuals(&f, &b, 1);
-        st.sf = sf;
-        st.sb = sb;
+        let mut st = InitState::new(&f, &b, xf, xb, y, 1);
         ccd_sweeps(&mut st, 2, 1);
-        assert!(st.xf.data().iter().all(|v| v.is_finite()));
-        assert!(st.y.data().iter().all(|v| v.is_finite()));
+        for m in [&st.xf, &st.xb, &st.y] {
+            assert!(m.data().iter().all(|v| v.is_finite()));
+            assert!(m.col(1).iter().all(|&v| v == 0.0), "dead coordinate moved");
+        }
     }
 
     #[test]
     fn empty_dimensions_are_noops() {
         let f = DenseMatrix::zeros(0, 0);
-        let mut st = InitState {
-            xf: DenseMatrix::zeros(0, 2),
-            xb: DenseMatrix::zeros(0, 2),
-            y: DenseMatrix::zeros(0, 2),
-            sf: DenseMatrix::zeros(0, 0),
-            sb: DenseMatrix::zeros(0, 0),
-        };
+        let empty = || DenseMatrix::zeros(0, 2);
+        let mut st = InitState::new(&f, &f, empty(), empty(), empty(), 2);
         ccd_sweeps(&mut st, 3, 2);
-        let _ = f;
+        assert_eq!(objective(&st), 0.0);
     }
 }

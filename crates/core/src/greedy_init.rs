@@ -15,42 +15,78 @@
 //! factorizes each block independently, and merges the per-block right
 //! factors with a second small SVD (Lemma 4.2: at `t = ∞` the result still
 //! satisfies `X_f·Yᵀ = F'`, `YᵀY = I`, `S_f = 0`, `S_b·Y = 0`).
+//!
+//! GreedyInit runs its one RandSVD's `n·d·ℓ` products on all `nb` workers;
+//! their bits do not depend on `nb` (see `pane_linalg::dense`), so neither
+//! does the state it returns.
 
-use pane_linalg::{rand_svd, DenseMatrix, RandSvdConfig};
+use crate::ccd::{gram_objective, node_gram};
+use pane_linalg::{rand_svd, rand_svd_par, vecops, DenseMatrix, RandSvdConfig};
 use pane_parallel::{even_ranges_nonempty, map_blocks};
 
-/// Embeddings plus the dynamically-maintained residuals.
+/// Embeddings, the affinity matrices they are fitted to, and the objective.
 ///
-/// Invariant (maintained by every CCD update): `S_f = X_f·Yᵀ − F'` and
-/// `S_b = X_b·Yᵀ − B'`.
+/// The residuals `S_f = X_f·Yᵀ − F'`, `S_b = X_b·Yᵀ − B'` are never formed:
+/// CCD works on their Gram-space images (see [`crate::ccd`]), so besides the
+/// borrowed `F'`, `B'` the state is `O((n+d)·k)`.
 #[derive(Debug, Clone)]
-pub struct InitState {
+pub struct InitState<'a> {
     /// Forward node embeddings `X_f ∈ R^{n×k/2}`.
     pub xf: DenseMatrix,
     /// Backward node embeddings `X_b ∈ R^{n×k/2}`.
     pub xb: DenseMatrix,
     /// Attribute embeddings `Y ∈ R^{d×k/2}`.
     pub y: DenseMatrix,
-    /// Forward residual `S_f = X_f·Yᵀ − F' ∈ R^{n×d}`.
-    pub sf: DenseMatrix,
-    /// Backward residual `S_b = X_b·Yᵀ − B' ∈ R^{n×d}`.
-    pub sb: DenseMatrix,
+    /// Forward affinity `F' ∈ R^{n×d}`.
+    pub f: &'a DenseMatrix,
+    /// Backward affinity `B' ∈ R^{n×d}`.
+    pub b: &'a DenseMatrix,
+    /// `‖F'‖² + ‖B'‖²`, the constant term of the objective.
+    pub(crate) energy: f64,
+    /// `‖S_f‖² + ‖S_b‖²` of the embeddings as [`crate::ccd_sweeps`] (or the
+    /// constructor) left them; stale after a direct write to `xf`/`xb`/`y`.
+    pub(crate) objective: f64,
 }
 
-impl InitState {
-    /// Recomputes both residuals from scratch (`O(ndk)`); used by tests to
-    /// check the maintained residuals never drift.
-    pub fn fresh_residuals(
-        &self,
-        f: &DenseMatrix,
-        b: &DenseMatrix,
+impl<'a> InitState<'a> {
+    /// State around embeddings of any origin (an initializer, random, a
+    /// previous run), with its objective evaluated by two `n·d·k/2`
+    /// products on `nb` workers.
+    ///
+    /// # Panics
+    /// Panics on any shape mismatch.
+    pub fn new(
+        f: &'a DenseMatrix,
+        b: &'a DenseMatrix,
+        xf: DenseMatrix,
+        xb: DenseMatrix,
+        y: DenseMatrix,
         nb: usize,
-    ) -> (DenseMatrix, DenseMatrix) {
-        let mut sf = self.xf.matmul_transb_par(&self.y, nb);
-        sf.axpy_inplace(-1.0, f);
-        let mut sb = self.xb.matmul_transb_par(&self.y, nb);
-        sb.axpy_inplace(-1.0, b);
-        (sf, sb)
+    ) -> Self {
+        let (n, d, k2) = (f.rows(), f.cols(), y.cols());
+        assert_eq!(b.shape(), (n, d), "F'/B' shape mismatch");
+        assert_eq!(xf.shape(), (n, k2), "X_f shape mismatch");
+        assert_eq!(xb.shape(), (n, k2), "X_b shape mismatch");
+        assert_eq!(y.rows(), d, "Y shape mismatch");
+        let energy = f.frob_norm_sq() + b.frob_norm_sq();
+        // ⟨F', X_f·Yᵀ⟩ + ⟨B', X_b·Yᵀ⟩ = ⟨F'Y, X_f⟩ + ⟨B'Y, X_b⟩.
+        let cross = vecops::dot(f.matmul_par(&y, nb).data(), xf.data())
+            + vecops::dot(b.matmul_par(&y, nb).data(), xb.data());
+        let objective = gram_objective(
+            energy,
+            cross,
+            &node_gram(&xf, &xb, nb),
+            &y.tr_matmul_par(&y, nb),
+        );
+        Self {
+            xf,
+            xb,
+            y,
+            f,
+            b,
+            energy,
+            objective,
+        }
     }
 }
 
@@ -67,54 +103,48 @@ pub struct InitOptions {
     pub seed: u64,
 }
 
-/// Algorithm 3 (single-threaded). `nb` only parallelizes the dense products
-/// used to form the residuals (the factorization itself is one RandSVD).
-pub fn greedy_init(f: &DenseMatrix, b: &DenseMatrix, opts: &InitOptions, nb: usize) -> InitState {
-    assert_eq!(f.shape(), b.shape(), "F'/B' shape mismatch");
-    let cfg = RandSvdConfig {
-        rank: opts.half_dim,
-        power_iters: opts.power_iters,
-        oversample: opts.oversample,
-        seed: opts.seed,
-    };
-    let svd = rand_svd(f, &cfg);
-    let xf = svd.u_sigma();
-    let y = svd.v;
-    let xb = b.matmul_par(&y, nb);
-    let mut sf = xf.matmul_transb_par(&y, nb);
-    sf.axpy_inplace(-1.0, f);
-    let mut sb = xb.matmul_transb_par(&y, nb);
-    sb.axpy_inplace(-1.0, b);
-    InitState { xf, xb, y, sf, sb }
+impl InitOptions {
+    fn svd_config(&self, seed: u64) -> RandSvdConfig {
+        RandSvdConfig {
+            rank: self.half_dim,
+            power_iters: self.power_iters,
+            oversample: self.oversample,
+            seed,
+        }
+    }
+}
+
+/// Algorithm 3: one RandSVD of `F'`, its products run by `nb` workers. The
+/// result has the same bits for every `nb`.
+pub fn greedy_init<'a>(
+    f: &'a DenseMatrix,
+    b: &'a DenseMatrix,
+    opts: &InitOptions,
+    nb: usize,
+) -> InitState<'a> {
+    let svd = rand_svd_par(f, &opts.svd_config(opts.seed), nb);
+    let xb = b.matmul_par(&svd.v, nb);
+    InitState::new(f, b, svd.u_sigma(), xb, svd.v, nb)
 }
 
 /// Algorithm 7 (split–merge, `nb` workers).
-pub fn sm_greedy_init(
-    f: &DenseMatrix,
-    b: &DenseMatrix,
+pub fn sm_greedy_init<'a>(
+    f: &'a DenseMatrix,
+    b: &'a DenseMatrix,
     opts: &InitOptions,
     nb: usize,
-) -> InitState {
-    assert_eq!(f.shape(), b.shape(), "F'/B' shape mismatch");
-    let n = f.rows();
-    let d = f.cols();
+) -> InitState<'a> {
     let k2 = opts.half_dim;
-    let ranges = even_ranges_nonempty(n, nb);
+    let ranges = even_ranges_nonempty(f.rows(), nb);
     if ranges.len() <= 1 {
         return greedy_init(f, b, opts, nb);
     }
 
     // Lines 1–3: per-block RandSVD of F'[V_i]; keep U_i = Φ·Σ and V_i.
+    // Distinct seeds per block: the sketches are independent.
     let blocks = map_blocks(&ranges, |i, range| {
-        let cfg = RandSvdConfig {
-            rank: k2,
-            power_iters: opts.power_iters,
-            oversample: opts.oversample,
-            // Distinct seeds per block: the sketches are independent.
-            seed: opts.seed.wrapping_add(i as u64 + 1),
-        };
-        let fb = f.row_block(range);
-        let svd = rand_svd(&fb, &cfg);
+        let cfg = opts.svd_config(opts.seed.wrapping_add(i as u64 + 1));
+        let svd = rand_svd(&f.row_block(range), &cfg);
         (svd.u_sigma(), svd.v)
     });
 
@@ -125,43 +155,26 @@ pub fn sm_greedy_init(
             .map(|(_, v)| v.transpose())
             .collect::<Vec<_>>(),
     );
-    let cfg = RandSvdConfig {
-        rank: k2,
-        power_iters: opts.power_iters,
-        oversample: opts.oversample,
-        seed: opts.seed,
-    };
-    let merge = rand_svd(&stacked, &cfg);
+    let merge = rand_svd(&stacked, &opts.svd_config(opts.seed));
     let w = merge.u_sigma(); // (nb·k/2) × k/2
-    let y = merge.v; // d × k/2
 
-    // Lines 7–11: per-block assembly of X_f, X_b and the residuals.
-    let parts = map_blocks(&ranges, |i, range| {
-        let (ui, _) = &blocks[i];
-        let wi = w.row_block(i * k2..(i + 1) * k2); // k/2 × k/2
-        let xf_i = ui.matmul(&wi);
-        let fb = f.row_block(range.clone());
-        let bb = b.row_block(range);
-        let xb_i = bb.matmul(&y);
-        let mut sf_i = xf_i.matmul_transb(&y);
-        sf_i.axpy_inplace(-1.0, &fb);
-        let mut sb_i = xb_i.matmul_transb(&y);
-        sb_i.axpy_inplace(-1.0, &bb);
-        (xf_i, xb_i, sf_i, sb_i)
-    });
-
-    let xf = DenseMatrix::vstack(&parts.iter().map(|p| p.0.clone()).collect::<Vec<_>>());
-    let xb = DenseMatrix::vstack(&parts.iter().map(|p| p.1.clone()).collect::<Vec<_>>());
-    let sf = DenseMatrix::vstack(&parts.iter().map(|p| p.2.clone()).collect::<Vec<_>>());
-    let sb = DenseMatrix::vstack(&parts.iter().map(|p| p.3.clone()).collect::<Vec<_>>());
-    debug_assert_eq!(xf.shape(), (n, k2));
-    debug_assert_eq!(sf.shape(), (n, d));
-    InitState { xf, xb, y, sf, sb }
+    // Lines 7–11: X_f[V_i] = U_i·W_i; X_b = B'·Y as in Algorithm 3.
+    let xf = DenseMatrix::vstack(
+        &blocks
+            .iter()
+            .enumerate()
+            .map(|(i, (ui, _))| ui.matmul(&w.row_block(i * k2..(i + 1) * k2)))
+            .collect::<Vec<_>>(),
+    );
+    let xb = b.matmul_par(&merge.v, nb);
+    InitState::new(f, b, xf, xb, merge.v, nb)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ccd::objective;
+    use crate::ccd_oracle::fresh_residuals;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -176,6 +189,18 @@ mod tests {
         (f, b)
     }
 
+    /// The objective the initializer reports against the residuals formed
+    /// explicitly.
+    fn assert_objective_consistent(st: &InitState<'_>) {
+        let (sf, sb) = fresh_residuals(st.f, st.b, &st.xf, &st.xb, &st.y);
+        let want = sf.frob_norm_sq() + sb.frob_norm_sq();
+        let got = objective(st);
+        assert!(
+            (got - want).abs() < 1e-10 * (1.0 + st.energy),
+            "reported {got} vs explicit {want}"
+        );
+    }
+
     #[test]
     fn greedy_init_residuals_consistent() {
         let (f, b) = affinity_like(40, 12, 6, 1);
@@ -185,10 +210,7 @@ mod tests {
             oversample: 4,
             seed: 9,
         };
-        let st = greedy_init(&f, &b, &opts, 1);
-        let (sf, sb) = st.fresh_residuals(&f, &b, 1);
-        assert!(st.sf.max_abs_diff(&sf) < 1e-10);
-        assert!(st.sb.max_abs_diff(&sb) < 1e-10);
+        assert_objective_consistent(&greedy_init(&f, &b, &opts, 1));
     }
 
     #[test]
@@ -200,8 +222,7 @@ mod tests {
             oversample: 6,
             seed: 3,
         };
-        let st = greedy_init(&f, &b, &opts, 1);
-        let obj = st.sf.frob_norm_sq() + st.sb.frob_norm_sq();
+        let obj = objective(&greedy_init(&f, &b, &opts, 1));
         // Random init: Xf, Xb, Y gaussian — objective near ||F||² + ||B||²
         // plus noise energy; greedy must be far below that.
         let baseline = f.frob_norm_sq() + b.frob_norm_sq();
@@ -232,8 +253,9 @@ mod tests {
             let recon = st.xf.matmul_transb(&st.y);
             assert!(recon.max_abs_diff(&f) < 1e-8, "{name}: XfYᵀ != F'");
             assert!(st.y.is_orthonormal(1e-8), "{name}: Y not orthonormal");
-            assert!(st.sf.frob_norm() < 1e-8, "{name}: Sf != 0");
-            let sby = st.sb.matmul(&st.y);
+            let (sf, sb) = fresh_residuals(&f, &b, &st.xf, &st.xb, &st.y);
+            assert!(sf.frob_norm() < 1e-8, "{name}: Sf != 0");
+            let sby = sb.matmul(&st.y);
             assert!(
                 sby.frob_norm() < 1e-7,
                 "{name}: SbY != 0 ({})",
@@ -255,8 +277,8 @@ mod tests {
         let par = sm_greedy_init(&f, &b, &opts, 4);
         // Embeddings differ (basis rotation), but the *objective value*
         // should be comparable: split-merge loses little.
-        let o_serial = serial.sf.frob_norm_sq() + serial.sb.frob_norm_sq();
-        let o_par = par.sf.frob_norm_sq() + par.sb.frob_norm_sq();
+        let o_serial = objective(&serial);
+        let o_par = objective(&par);
         let scale = f.frob_norm_sq() + b.frob_norm_sq();
         assert!(
             (o_par - o_serial) / scale < 0.05,
@@ -273,10 +295,7 @@ mod tests {
             oversample: 4,
             seed: 1,
         };
-        let st = sm_greedy_init(&f, &b, &opts, 3);
-        let (sf, sb) = st.fresh_residuals(&f, &b, 2);
-        assert!(st.sf.max_abs_diff(&sf) < 1e-10);
-        assert!(st.sb.max_abs_diff(&sb) < 1e-10);
+        assert_objective_consistent(&sm_greedy_init(&f, &b, &opts, 3));
     }
 
     #[test]
@@ -292,5 +311,24 @@ mod tests {
         let c = sm_greedy_init(&f, &b, &opts, 1);
         assert_eq!(a.xf, c.xf);
         assert_eq!(a.y, c.y);
+    }
+
+    #[test]
+    fn greedy_init_is_bitwise_worker_invariant() {
+        let (f, b) = affinity_like(70, 30, 6, 9);
+        let opts = InitOptions {
+            half_dim: 5,
+            power_iters: 3,
+            oversample: 4,
+            seed: 13,
+        };
+        let one = greedy_init(&f, &b, &opts, 1);
+        for nb in [2, 3, 7] {
+            let par = greedy_init(&f, &b, &opts, nb);
+            assert_eq!(one.xf, par.xf, "nb={nb}");
+            assert_eq!(one.xb, par.xb, "nb={nb}");
+            assert_eq!(one.y, par.y, "nb={nb}");
+            assert_eq!(objective(&one).to_bits(), objective(&par).to_bits());
+        }
     }
 }

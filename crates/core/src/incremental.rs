@@ -5,9 +5,8 @@
 //! When a graph receives a batch of edge/attribute updates, the affinity
 //! matrices change smoothly (APMI is a contraction in the updates), so the
 //! previous embeddings are an excellent warm start: recompute `F'`, `B'`
-//! on the updated graph, rebuild the residuals around the *old* `X_f`,
-//! `X_b`, `Y`, and run a few CCD sweeps — skipping the RandSVD
-//! initialization entirely.
+//! on the updated graph, keep the *old* `X_f`, `X_b`, `Y`, and run a few
+//! CCD sweeps — skipping the RandSVD initialization entirely.
 //!
 //! The ablation benchmark (`bench_ablations`, group `init_ablation`) and
 //! the tests below quantify the trade: warm restarts reach the cold-start
@@ -74,14 +73,14 @@ pub fn reembed_warm(
     let affinity_secs = t0.elapsed().as_secs_f64();
 
     let t1 = Instant::now();
-    let xf = previous.forward.clone();
-    let xb = previous.backward.clone();
-    let y = previous.attribute.clone();
-    let mut sf = xf.matmul_transb_par(&y, nb);
-    sf.axpy_inplace(-1.0, &aff.forward);
-    let mut sb = xb.matmul_transb_par(&y, nb);
-    sb.axpy_inplace(-1.0, &aff.backward);
-    let mut state = InitState { xf, xb, y, sf, sb };
+    let mut state = InitState::new(
+        &aff.forward,
+        &aff.backward,
+        previous.forward.clone(),
+        previous.backward.clone(),
+        previous.attribute.clone(),
+        nb,
+    );
     let init_secs = t1.elapsed().as_secs_f64();
 
     let t2 = Instant::now();

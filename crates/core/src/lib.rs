@@ -15,9 +15,10 @@
 //!   output as [`apmi`](mod@apmi), verified bit-for-bit in tests);
 //! * [`greedy_init`](mod@greedy_init) — Algorithms 3 and 7: SVD seeding of the embeddings
 //!   (`X_f = UΣ, Y = V, X_b = B'·Y`) and its split–merge parallel variant;
-//! * [`ccd`] — the cyclic-coordinate-descent sweeps of Algorithm 4 with
-//!   dynamically maintained residuals `S_f = X_f·Yᵀ − F'`, `S_b = X_b·Yᵀ − B'`
-//!   (Equations 13–20), shared by the serial and parallel drivers;
+//! * [`ccd`] — the cyclic-coordinate-descent sweeps of Algorithm 4
+//!   (Equations 13–20) carried out in the Gram space, so the residuals
+//!   `S_f = X_f·Yᵀ − F'`, `S_b = X_b·Yᵀ − B'` are never formed; one code
+//!   path for every thread count;
 //! * [`pane`] — the user-facing [`Pane`] / [`PaneConfig`] /
 //!   [`PaneEmbedding`] API tying everything together.
 
@@ -26,6 +27,8 @@
 #![allow(clippy::needless_range_loop)]
 pub mod apmi;
 pub mod ccd;
+#[cfg(test)]
+mod ccd_oracle;
 pub mod config;
 pub mod greedy_init;
 pub mod incremental;
@@ -37,7 +40,7 @@ mod proptests;
 pub mod query;
 
 pub use apmi::{apmi, AffinityPair, ApmiInputs};
-pub use ccd::{ccd_sweeps, objective, svdccd, CcdWorkspace};
+pub use ccd::{ccd_sweeps, objective};
 pub use config::{InitStrategy, PaneConfig, PaneConfigBuilder, PaneError};
 pub use greedy_init::{greedy_init, sm_greedy_init, InitOptions, InitState};
 pub use incremental::{grow_embedding, reembed_warm};

@@ -4,7 +4,7 @@
 use crate::apmi::{AffinityPair, ApmiInputs};
 use crate::ccd::ccd_sweeps;
 use crate::config::{InitStrategy, PaneConfig, PaneError};
-use crate::greedy_init::{greedy_init, sm_greedy_init, InitOptions, InitState};
+use crate::greedy_init::{greedy_init, sm_greedy_init, InitOptions};
 use crate::papmi::papmi;
 use pane_graph::AttributedGraph;
 use pane_linalg::DenseMatrix;
@@ -138,9 +138,9 @@ pub struct Pane {
 }
 
 impl Pane {
-    /// Creates an embedder (validating the config).
+    /// Creates an embedder. The config is validated by
+    /// [`embed`](Self::embed), which returns [`PaneError::BadConfig`].
     pub fn new(config: PaneConfig) -> Self {
-        config.validate().expect("invalid PaneConfig");
         Self { config }
     }
 
@@ -197,7 +197,7 @@ impl Pane {
             oversample: cfg.svd_oversample,
             seed: cfg.seed,
         };
-        let mut state: InitState = match cfg.init {
+        let mut state = match cfg.init {
             InitStrategy::SplitMerge if nb > 1 => {
                 sm_greedy_init(&aff.forward, &aff.backward, &opts, nb)
             }
@@ -380,6 +380,26 @@ mod tests {
             Pane::new(cfg(4)).embed(&no_attrs),
             Err(PaneError::NoAttributes)
         ));
+        // An invalid config is an error from `embed`, not a panic in `new`.
+        for bad in [
+            PaneConfig {
+                dimension: 5,
+                ..cfg(4)
+            },
+            PaneConfig {
+                threads: 0,
+                ..cfg(4)
+            },
+            PaneConfig {
+                error_threshold: 1.5,
+                ..cfg(4)
+            },
+        ] {
+            assert!(matches!(
+                Pane::new(bad).embed(&toy::figure1_graph()),
+                Err(PaneError::BadConfig(_))
+            ));
+        }
     }
 
     #[test]

@@ -1,27 +1,26 @@
 //! PAPMI — the block-parallel affinity approximation (Algorithm 6).
 //!
-//! The dense panels `P_f`, `P_b` are split into `nb` **attribute column
-//! blocks**; worker `i` owns `P_{f,i}^{(0)} = R_r[:, R_i]` and iterates it
-//! independently (the sparse operator `P` is shared read-only). The main
-//! thread then concatenates the panels, computes the global normalizers and
-//! applies the SPMI transform in **node row blocks**.
+//! Algorithm 6 gives worker `i` an **attribute column block** of the dense
+//! panels and lets it iterate alone. On a row-major `n×d` matrix a column
+//! block is a strided view, and serving it costs a dense copy of `R_r` and
+//! `R_c`, a private panel pair per worker and a concatenating copy — six
+//! `n×d` matrices at the peak. Here the workers share each step by **node
+//! row blocks** of the one next iterate instead (the sparse operator and
+//! the previous iterate are shared read-only; one join per step, `t` of
+//! them per side), and the normalizers and the SPMI transform also run in
+//! node row blocks: three `n×d` matrices at the peak.
 //!
 //! Lemma 4.1: PAPMI returns *exactly* the same `F'`, `B'` as APMI — not just
 //! up to rounding. That holds here because the per-entry arithmetic
 //! (accumulation order over a node's neighbors in CSR order, normalization,
-//! `ln`) is identical in the blocked and unblocked paths; the tests assert
-//! bit-equality.
+//! `ln`) does not depend on which worker computes the entry; the tests
+//! assert bit-equality.
 
-use crate::apmi::{finish, propagate, AffinityPair, ApmiInputs};
+use crate::apmi::{affinity, AffinityPair, ApmiInputs};
 
-/// Algorithm 6. With `nb == 1` this degenerates to [`crate::apmi::apmi`].
+/// Algorithm 6. With `nb == 1` this is [`crate::apmi::apmi`].
 pub fn papmi(inputs: &ApmiInputs<'_>, nb: usize) -> AffinityPair {
-    let nb = nb.max(1);
-    if nb == 1 {
-        return crate::apmi::apmi(inputs);
-    }
-    let (pf, pb) = propagate(inputs, Some(nb));
-    finish(pf, pb, Some(nb))
+    affinity(inputs, nb.max(1))
 }
 
 #[cfg(test)]

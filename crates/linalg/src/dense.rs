@@ -3,21 +3,34 @@
 //! [`DenseMatrix`] stores `rows × cols` values contiguously, row by row.
 //! Rows are the unit of parallelism throughout the reproduction (nodes are
 //! rows of the affinity/embedding matrices), so row access is free and the
-//! three product kernels are chosen so that the innermost loop is always a
+//! product kernels are chosen so that the innermost loop is always a
 //! contiguous traversal:
 //!
-//! * [`matmul`](DenseMatrix::matmul) — `C = A·B` in i-l-j order (`C`'s and
-//!   `B`'s rows stream);
+//! * [`matmul_par`](DenseMatrix::matmul_par) — `C = A·B`, `PANEL` rows of
+//!   `A` per pass over `B`;
+//! * [`tr_matmul_par`](DenseMatrix::tr_matmul_par) — `C = Aᵀ·B`, `PANEL`
+//!   matching rows of `A` and `B` per pass over `C`;
 //! * [`matmul_transb`](DenseMatrix::matmul_transb) — `C = A·Bᵀ` as row·row
-//!   dot products;
-//! * [`tr_matmul`](DenseMatrix::tr_matmul) — `C = Aᵀ·B` as a sum of outer
-//!   products of matching rows.
+//!   dot products (tests and small reconstructions only).
+//!
+//! **Determinism contract of the two panel products.** Every output entry
+//! is `((0 + t₀) + t₁) + …` over the inner index in ascending order, one
+//! rounded multiply and one rounded add per term; a term whose factor from
+//! `A` is an exact zero is skipped, which changes no bit for finite
+//! operands and keeps a sparse-in-content `A` at `O(nnz)` axpys. Workers
+//! own disjoint output rows and the panel height only decides which rows
+//! share a pass, so the bits depend on neither the thread count nor `PANEL`.
 
 use crate::rng::NormalSampler;
 use crate::vecops;
 use pane_parallel::{even_ranges_nonempty, for_each_row_block};
 use rand::Rng;
 use std::fmt;
+
+/// Rows handled per pass by the two panel products: enough to amortize
+/// the pass over the other operand, few enough that the panel's output
+/// rows stay in L1. Never changes a bit of any result (see the module docs).
+const PANEL: usize = 4;
 
 /// A row-major dense `f64` matrix.
 #[derive(Clone, PartialEq)]
@@ -230,17 +243,6 @@ impl DenseMatrix {
         DenseMatrix::from_vec(range.end - range.start, self.cols, data)
     }
 
-    /// Returns a new matrix made of the columns `range.start..range.end`.
-    pub fn col_block(&self, range: std::ops::Range<usize>) -> DenseMatrix {
-        assert!(range.end <= self.cols);
-        let w = range.end - range.start;
-        let mut out = DenseMatrix::zeros(self.rows, w);
-        for i in 0..self.rows {
-            out.row_mut(i).copy_from_slice(&self.row(i)[range.clone()]);
-        }
-        out
-    }
-
     /// Stacks matrices vertically (all must share `cols`).
     pub fn vstack(blocks: &[DenseMatrix]) -> DenseMatrix {
         assert!(!blocks.is_empty(), "vstack of zero blocks");
@@ -290,54 +292,29 @@ impl DenseMatrix {
 
     /// `C = self · other` (shapes `(n×m)·(m×p) → n×p`).
     pub fn matmul(&self, other: &DenseMatrix) -> DenseMatrix {
-        let mut c = DenseMatrix::zeros(self.rows, other.cols);
-        self.matmul_into(other, &mut c);
-        c
+        self.matmul_par(other, 1)
     }
 
-    /// `C = self · other`, writing into a pre-allocated `out`.
-    ///
-    /// # Panics
-    /// Panics on any shape mismatch.
-    pub fn matmul_into(&self, other: &DenseMatrix, out: &mut DenseMatrix) {
-        assert_eq!(self.cols, other.rows, "matmul: inner dimension mismatch");
-        assert_eq!(
-            out.shape(),
-            (self.rows, other.cols),
-            "matmul: output shape mismatch"
-        );
-        out.data.iter_mut().for_each(|v| *v = 0.0);
-        for i in 0..self.rows {
-            let arow = self.row(i);
-            let crow = &mut out.data[i * other.cols..(i + 1) * other.cols];
-            for (l, &a) in arow.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                vecops::axpy(a, other.row(l), crow);
-            }
-        }
-    }
-
-    /// Block-parallel `C = self · other` with `nb` workers over row blocks.
+    /// `C = self · other` with `nb` workers over row blocks of `C`; the same
+    /// bits for every `nb` (see the module docs).
     pub fn matmul_par(&self, other: &DenseMatrix, nb: usize) -> DenseMatrix {
-        assert_eq!(
-            self.cols, other.rows,
-            "matmul_par: inner dimension mismatch"
-        );
-        let mut c = DenseMatrix::zeros(self.rows, other.cols);
+        assert_eq!(self.cols, other.rows, "matmul: inner dimension mismatch");
+        let (m, p) = (self.cols, other.cols);
+        let mut c = DenseMatrix::zeros(self.rows, p);
+        if m == 0 || p == 0 {
+            return c;
+        }
         let ranges = even_ranges_nonempty(self.rows, nb);
-        let (rows, cols) = (self.rows, other.cols);
-        let a = self;
-        for_each_row_block(&mut c.data, rows, cols, &ranges, |_, range, block| {
-            for (bi, i) in range.clone().enumerate() {
-                let arow = a.row(i);
-                let crow = &mut block[bi * cols..(bi + 1) * cols];
-                for (l, &av) in arow.iter().enumerate() {
-                    if av == 0.0 {
-                        continue;
+        for_each_row_block(&mut c.data, self.rows, p, &ranges, |_, range, block| {
+            // One pass over `other` per PANEL rows of `self`.
+            let arows = &self.data[range.start * m..range.end * m];
+            for (apanel, cpanel) in arows.chunks(PANEL * m).zip(block.chunks_mut(PANEL * p)) {
+                for (l, brow) in other.data.chunks_exact(p).enumerate() {
+                    for (arow, crow) in apanel.chunks_exact(m).zip(cpanel.chunks_exact_mut(p)) {
+                        if arow[l] != 0.0 {
+                            vecops::axpy(arow[l], brow, crow);
+                        }
                     }
-                    vecops::axpy(av, other.row(l), crow);
                 }
             }
         });
@@ -360,44 +337,38 @@ impl DenseMatrix {
         c
     }
 
-    /// Block-parallel `C = self · otherᵀ`.
-    pub fn matmul_transb_par(&self, other: &DenseMatrix, nb: usize) -> DenseMatrix {
-        assert_eq!(
-            self.cols, other.cols,
-            "matmul_transb_par: inner dimension mismatch"
-        );
-        let mut c = DenseMatrix::zeros(self.rows, other.rows);
-        let ranges = even_ranges_nonempty(self.rows, nb);
-        let cols = other.rows;
-        let a = self;
-        for_each_row_block(&mut c.data, self.rows, cols, &ranges, |_, range, block| {
-            for (bi, i) in range.clone().enumerate() {
-                let arow = a.row(i);
-                let crow = &mut block[bi * cols..(bi + 1) * cols];
-                for (j, slot) in crow.iter_mut().enumerate() {
-                    *slot = vecops::dot(arow, other.row(j));
+    /// `C = selfᵀ · other` (shapes `(n×m)ᵀ·(n×p) → m×p`).
+    pub fn tr_matmul(&self, other: &DenseMatrix) -> DenseMatrix {
+        self.tr_matmul_par(other, 1)
+    }
+
+    /// `C = selfᵀ · other` with `nb` workers over row blocks of `C` (column
+    /// blocks of `self`); the same bits for every `nb` (see the module docs).
+    pub fn tr_matmul_par(&self, other: &DenseMatrix, nb: usize) -> DenseMatrix {
+        assert_eq!(self.rows, other.rows, "tr_matmul: row count mismatch");
+        let (m, p) = (self.cols, other.cols);
+        let mut c = DenseMatrix::zeros(m, p);
+        if m == 0 || p == 0 {
+            return c;
+        }
+        let ranges = even_ranges_nonempty(m, nb);
+        for_each_row_block(&mut c.data, m, p, &ranges, |_, range, block| {
+            // One pass over this worker's rows of `C` per PANEL matching
+            // rows of `self` and `other`.
+            for (apanel, bpanel) in self
+                .data
+                .chunks(PANEL * m)
+                .zip(other.data.chunks(PANEL * p))
+            {
+                for (l, crow) in range.clone().zip(block.chunks_exact_mut(p)) {
+                    for (arow, brow) in apanel.chunks_exact(m).zip(bpanel.chunks_exact(p)) {
+                        if arow[l] != 0.0 {
+                            vecops::axpy(arow[l], brow, crow);
+                        }
+                    }
                 }
             }
         });
-        c
-    }
-
-    /// `C = selfᵀ · other` (shapes `(n×m)ᵀ·(n×p) → m×p`), as a sum of outer
-    /// products of matching rows; the innermost loop streams `other`'s rows.
-    pub fn tr_matmul(&self, other: &DenseMatrix) -> DenseMatrix {
-        assert_eq!(self.rows, other.rows, "tr_matmul: row count mismatch");
-        let mut c = DenseMatrix::zeros(self.cols, other.cols);
-        for i in 0..self.rows {
-            let arow = self.row(i);
-            let brow = other.row(i);
-            for (l, &a) in arow.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let crow = &mut c.data[l * other.cols..(l + 1) * other.cols];
-                vecops::axpy(a, brow, crow);
-            }
-        }
         c
     }
 
@@ -529,8 +500,7 @@ mod tests {
         let b = DenseMatrix::gaussian(11, 17, &mut rng);
         let c1 = a.matmul(&b);
         for nb in [1, 2, 5, 8] {
-            let c2 = a.matmul_par(&b, nb);
-            assert!(c1.max_abs_diff(&c2) < 1e-12, "nb={nb}");
+            assert_eq!(c1, a.matmul_par(&b, nb), "nb={nb}");
         }
     }
 
@@ -542,8 +512,6 @@ mod tests {
         let c1 = a.matmul_transb(&b);
         let c2 = a.matmul(&b.transpose());
         assert!(c1.max_abs_diff(&c2) < 1e-12);
-        let c3 = a.matmul_transb_par(&b, 3);
-        assert!(c1.max_abs_diff(&c3) < 1e-12);
     }
 
     #[test]
@@ -569,8 +537,8 @@ mod tests {
         let top = a.row_block(0..1);
         let bot = a.row_block(1..3);
         assert_eq!(DenseMatrix::vstack(&[top, bot]), a);
-        let left = a.col_block(0..1);
-        let right = a.col_block(1..2);
+        let left = DenseMatrix::from_vec(3, 1, a.col(0));
+        let right = DenseMatrix::from_vec(3, 1, a.col(1));
         assert_eq!(DenseMatrix::hstack(&[left, right]), a);
     }
 
@@ -622,8 +590,61 @@ mod tests {
         assert_eq!(buf, vec![1.0, 3.0, 5.0]);
     }
 
+    /// Gaussian `n × m` matrix with about a third of the entries set to an
+    /// exact zero (which the panel products skip).
+    fn ragged(n: usize, m: usize, rng: &mut StdRng) -> DenseMatrix {
+        let mut a = DenseMatrix::gaussian(n, m, rng);
+        a.map_inplace(|v| if v.abs() < 0.43 { 0.0 } else { v });
+        a
+    }
+
+    fn bits(m: &DenseMatrix) -> Vec<u64> {
+        m.data().iter().map(|v| v.to_bits()).collect()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Both panel products equal the naive triple loop (inner index
+        /// ascending, one accumulator per entry) bit for bit: for row
+        /// counts around multiples of the panel height, empty and
+        /// one-row operands, zeros in `A`, and every thread count.
+        #[test]
+        fn prop_panel_products_equal_ordered_triple_loop(
+            seed in 0u64..10_000,
+            n in 0usize..14,
+            m in 0usize..11,
+            p in 0usize..10,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let a = ragged(n, m, &mut rng);
+            let b = DenseMatrix::gaussian(m, p, &mut rng);
+            let mut want = DenseMatrix::zeros(n, p);
+            for i in 0..n {
+                for j in 0..p {
+                    let mut acc = 0.0;
+                    for l in 0..m {
+                        acc += a.get(i, l) * b.get(l, j);
+                    }
+                    want.set(i, j, acc);
+                }
+            }
+            let bt = DenseMatrix::gaussian(n, p, &mut rng);
+            let mut want_t = DenseMatrix::zeros(m, p);
+            for l in 0..m {
+                for j in 0..p {
+                    let mut acc = 0.0;
+                    for i in 0..n {
+                        acc += a.get(i, l) * bt.get(i, j);
+                    }
+                    want_t.set(l, j, acc);
+                }
+            }
+            for nb in [1usize, 2, 3, 7] {
+                prop_assert_eq!(bits(&a.matmul_par(&b, nb)), bits(&want), "A·B, nb={}", nb);
+                prop_assert_eq!(bits(&a.tr_matmul_par(&bt, nb)), bits(&want_t), "Aᵀ·B, nb={}", nb);
+            }
+        }
 
         #[test]
         fn prop_matmul_associative(seed in 0u64..500) {

@@ -4,9 +4,9 @@
 //! The PANE solver (Algorithms 3, 4, 7) needs a small but carefully chosen
 //! set of dense kernels:
 //!
-//! * a row-major [`DenseMatrix`] with cache-friendly products
-//!   ([`DenseMatrix::matmul`], [`DenseMatrix::matmul_transb`],
-//!   [`DenseMatrix::tr_matmul`]) and block-parallel variants;
+//! * a row-major [`DenseMatrix`] with two row-panel products
+//!   ([`DenseMatrix::matmul_par`], [`DenseMatrix::tr_matmul_par`]) whose
+//!   bits depend on neither thread count nor panel height;
 //! * thin QR factorization ([`qr::thin_qr`]) via modified Gram–Schmidt with
 //!   re-orthogonalization;
 //! * an exact SVD for small/tall matrices via one-sided Jacobi rotations
@@ -33,6 +33,6 @@ pub mod vecops;
 pub use dense::DenseMatrix;
 pub use jacobi::jacobi_svd;
 pub use qr::thin_qr;
-pub use randsvd::{rand_svd, svd_exact, RandSvdConfig, Svd};
+pub use randsvd::{rand_svd, rand_svd_par, svd_exact, RandSvdConfig, Svd};
 pub use rng::NormalSampler;
 pub use solve::{lstsq, pinv};

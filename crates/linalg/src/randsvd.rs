@@ -76,11 +76,23 @@ impl RandSvdConfig {
     }
 }
 
-/// Randomized truncated SVD of `a` (`n × d`).
+/// Randomized truncated SVD of `a` (`n × d`): [`rand_svd_par`] with one
+/// worker.
 ///
 /// # Panics
 /// Panics if `rank == 0`.
 pub fn rand_svd(a: &DenseMatrix, cfg: &RandSvdConfig) -> Svd {
+    rand_svd_par(a, cfg, 1)
+}
+
+/// Randomized truncated SVD of `a` (`n × d`) with the `n·d·ℓ` products run
+/// by `nb` workers. The products are thread-count-invariant (see
+/// [`crate::dense`]) and everything else is serial, so the result has the
+/// same bits for every `nb`.
+///
+/// # Panics
+/// Panics if `rank == 0`.
+pub fn rand_svd_par(a: &DenseMatrix, cfg: &RandSvdConfig, nb: usize) -> Svd {
     assert!(cfg.rank > 0, "rand_svd: rank must be positive");
     let n = a.rows();
     let d = a.cols();
@@ -101,14 +113,14 @@ pub fn rand_svd(a: &DenseMatrix, cfg: &RandSvdConfig) -> Svd {
 
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let omega = DenseMatrix::gaussian(d, sketch, &mut rng);
-    let mut q = thin_qr(&a.matmul(&omega)).q; // n × ℓ
+    let mut q = thin_qr(&a.matmul_par(&omega, nb)).q; // n × ℓ
     for _ in 0..cfg.power_iters {
-        let z = thin_qr(&a.tr_matmul(&q)).q; // d × ℓ
-        q = thin_qr(&a.matmul(&z)).q;
+        let z = thin_qr(&a.tr_matmul_par(&q, nb)).q; // d × ℓ
+        q = thin_qr(&a.matmul_par(&z, nb)).q;
     }
-    let b = q.tr_matmul(a); // ℓ × d
+    let b = q.tr_matmul_par(a, nb); // ℓ × d
     let small = jacobi_svd(&b);
-    let u = q.matmul(&small.u); // n × ℓ
+    let u = q.matmul_par(&small.u, nb); // n × ℓ
     truncate(
         Svd {
             u,
@@ -216,6 +228,19 @@ mod tests {
         let s2 = rand_svd(&a, &RandSvdConfig::new(3, 2, 9));
         assert_eq!(s1.u, s2.u);
         assert_eq!(s1.v, s2.v);
+    }
+
+    #[test]
+    fn worker_count_does_not_change_a_bit() {
+        let a = low_rank_plus_noise(45, 33, 5, 0.2, 36);
+        let cfg = RandSvdConfig::new(4, 3, 11);
+        let one = rand_svd(&a, &cfg);
+        for nb in [2, 3, 7] {
+            let par = rand_svd_par(&a, &cfg, nb);
+            assert_eq!(one.u, par.u, "nb={nb}");
+            assert_eq!(one.s, par.s, "nb={nb}");
+            assert_eq!(one.v, par.v, "nb={nb}");
+        }
     }
 
     #[test]

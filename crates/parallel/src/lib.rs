@@ -15,16 +15,11 @@
 //!   of equal size" (Algorithm 5, lines 1–2);
 //! * [`run_on_blocks`] / [`map_blocks`] — fan a closure out over the blocks;
 //! * [`for_each_row_block`] — mutate disjoint *row* blocks of a row-major
-//!   matrix in parallel (used by the X-phase of PSVDCCD and by PAPMI's
-//!   log-transform loop);
-//! * [`columns::ColumnBlocksMut`] — hand out disjoint *column* block views of
-//!   a row-major matrix (used by the Y-phase of PSVDCCD, which updates
-//!   `S_f[:, R_h]` for disjoint attribute blocks `R_h`).
+//!   matrix in parallel (the dense products, every PAPMI step and both
+//!   phases of PSVDCCD).
 
-pub mod columns;
 pub mod partition;
 
-pub use columns::{ColumnBlockMut, ColumnBlocksMut};
 pub use partition::{block_of, even_ranges, even_ranges_nonempty};
 
 use std::ops::Range;

@@ -165,8 +165,8 @@ fn apmi_matches_monte_carlo_on_zoo_graph() {
     );
 }
 
-/// The objective is identical whether evaluated through the maintained
-/// residuals or recomputed from the embeddings (Eq. 4 == ‖S_f‖²+‖S_b‖²).
+/// The objective is identical whether kept in Gram space by the sweeps or
+/// recomputed from the embeddings (Eq. 4 == ‖S_f‖²+‖S_b‖²).
 #[test]
 fn objective_consistency_through_pipeline() {
     let g = DatasetZoo::CoraLike.generate_scaled(0.05, 5).graph;
@@ -215,4 +215,171 @@ fn scoring_formulas_match_raw_algebra() {
             "link score mismatch: {api} vs {brute}"
         );
     }
+}
+
+// ---- Gram-space CCD against Algorithm 4 as printed ------------------------
+
+#[path = "../crates/core/src/ccd_oracle.rs"]
+mod ccd_oracle;
+
+use ccd_oracle::{fresh_residuals, Oracle};
+use pane::pane_core::{ccd_sweeps, greedy_init, objective, sm_greedy_init, InitOptions, InitState};
+use pane::pane_linalg::DenseMatrix;
+
+fn affinity_like(n: usize, d: usize, seed: u64) -> (DenseMatrix, DenseMatrix) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let f = DenseMatrix::uniform(n, d, 0.0, 2.0, &mut rng);
+    let b = DenseMatrix::uniform(n, d, 0.0, 2.0, &mut rng);
+    (f, b)
+}
+
+fn random_state<'a>(f: &'a DenseMatrix, b: &'a DenseMatrix, k2: usize, seed: u64) -> InitState<'a> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let xf = DenseMatrix::gaussian(f.rows(), k2, &mut rng);
+    let xb = DenseMatrix::gaussian(f.rows(), k2, &mut rng);
+    let y = DenseMatrix::gaussian(f.cols(), k2, &mut rng);
+    InitState::new(f, b, xf, xb, y, 1)
+}
+
+fn explicit_objective(st: &InitState<'_>) -> f64 {
+    let (sf, sb) = fresh_residuals(st.f, st.b, &st.xf, &st.xb, &st.y);
+    sf.frob_norm_sq() + sb.frob_norm_sq()
+}
+
+fn assert_close(what: &str, got: &DenseMatrix, want: &DenseMatrix) {
+    let scale = 1.0 + want.data().iter().fold(0.0_f64, |m, v| m.max(v.abs()));
+    let diff = got.max_abs_diff(want);
+    assert!(
+        diff <= 1e-9 * scale,
+        "{what}: off by {diff} at scale {scale}"
+    );
+}
+
+/// The Gram-space sweep computes Algorithm 4's iterates: sweep by sweep it
+/// stays within rounding of the level-1 oracle that maintains the residuals,
+/// its objective never rises and equals `‖X_fYᵀ−F'‖² + ‖X_bYᵀ−B'‖²` formed
+/// explicitly, and (Algorithm 8 ≡ Algorithm 4) every worker count returns
+/// the serial bits — on a shape with fewer attributes than coordinates
+/// (`YᵀY` singular), a square one, and one far wider than tall.
+#[test]
+fn gram_ccd_equals_algorithm_4_on_three_shapes() {
+    for (name, n, d, k2) in [
+        ("d < k/2", 40, 5, 8),
+        ("d ≈ n", 24, 25, 4),
+        ("d ≫ n", 6, 90, 3),
+    ] {
+        let (f, b) = affinity_like(n, d, 17);
+        let start = random_state(&f, &b, k2, 18);
+        let mut oracle = Oracle::new(&f, &b, start.xf.clone(), start.xb.clone(), start.y.clone());
+        let mut states: Vec<_> = [1usize, 2, 3, 7].map(|nb| (nb, start.clone())).into();
+        let mut prev = objective(&start);
+        for sweep in 1..=6 {
+            oracle.sweep();
+            for (nb, st) in states.iter_mut() {
+                ccd_sweeps(st, 1, *nb);
+            }
+            let (_, serial) = &states[0];
+            let at = format!("{name}, sweep {sweep}");
+            assert_close(&format!("{at}: X_f"), &serial.xf, &oracle.xf);
+            assert_close(&format!("{at}: X_b"), &serial.xb, &oracle.xb);
+            assert_close(&format!("{at}: Y"), &serial.y, &oracle.y);
+
+            let cur = objective(serial);
+            let explicit = explicit_objective(serial);
+            assert!(cur <= prev * (1.0 + 1e-12), "{at}: {prev} -> {cur}");
+            assert!(
+                (cur - explicit).abs() <= 1e-9 * explicit,
+                "{at}: kept {cur} vs explicit {explicit}"
+            );
+            assert!(
+                (cur - oracle.objective()).abs() <= 1e-9 * explicit,
+                "{at}: kept {cur} vs maintained {}",
+                oracle.objective()
+            );
+            prev = cur;
+
+            for (nb, st) in &states[1..] {
+                assert_eq!(serial.xf, st.xf, "{at}: X_f, nb={nb}");
+                assert_eq!(serial.xb, st.xb, "{at}: X_b, nb={nb}");
+                assert_eq!(serial.y, st.y, "{at}: Y, nb={nb}");
+                assert_eq!(cur.to_bits(), objective(st).to_bits(), "{at}: nb={nb}");
+            }
+        }
+    }
+}
+
+/// A coordinate whose column is all zero on both sides of a phase has a
+/// constant objective; the oracle skips it and so must the Gram sweep — no
+/// `0/0`, and the column stays zero. A rank request above `d` makes
+/// GreedyInit pad `Y` with such columns.
+#[test]
+fn gram_ccd_skips_zero_columns_like_the_oracle() {
+    let (f, b) = affinity_like(30, 4, 23);
+    let opts = InitOptions {
+        half_dim: 6,
+        power_iters: 2,
+        oversample: 2,
+        seed: 5,
+    };
+    let mut st = greedy_init(&f, &b, &opts, 2);
+    let dead: Vec<usize> = (0..6)
+        .filter(|&l| st.y.col(l).iter().all(|&v| v == 0.0))
+        .collect();
+    assert!(!dead.is_empty(), "expected padded columns in Y");
+    let mut oracle = Oracle::new(&f, &b, st.xf.clone(), st.xb.clone(), st.y.clone());
+    for _ in 0..3 {
+        ccd_sweeps(&mut st, 1, 2);
+        oracle.sweep();
+    }
+    for m in [&st.xf, &st.xb, &st.y] {
+        assert!(m.data().iter().all(|v| v.is_finite()));
+    }
+    for &l in &dead {
+        assert!(st.y.col(l).iter().all(|&v| v == 0.0), "Y[:,{l}] moved");
+    }
+    assert_close("X_f", &st.xf, &oracle.xf);
+    assert_close("X_b", &st.xb, &oracle.xb);
+    assert_close("Y", &st.y, &oracle.y);
+}
+
+/// SMGreedyInit (Algorithm 7) hands CCD the same kind of state GreedyInit
+/// does: its reported objective is the explicit one, and sweeps from it
+/// descend and track the oracle.
+#[test]
+fn split_merge_init_feeds_gram_ccd() {
+    let g = DatasetZoo::CoraLike.generate_scaled(0.04, 8).graph;
+    let (p, pt, rr, rc) = inputs(&g);
+    let aff = papmi(
+        &ApmiInputs {
+            p: &p,
+            pt: &pt,
+            rr: &rr,
+            rc: &rc,
+            alpha: 0.5,
+            t: 5,
+        },
+        3,
+    );
+    let opts = InitOptions {
+        half_dim: 8,
+        power_iters: 3,
+        oversample: 4,
+        seed: 2,
+    };
+    let mut st = sm_greedy_init(&aff.forward, &aff.backward, &opts, 3);
+    let start = objective(&st);
+    let explicit = explicit_objective(&st);
+    assert!((start - explicit).abs() <= 1e-9 * explicit);
+    let mut oracle = Oracle::new(
+        &aff.forward,
+        &aff.backward,
+        st.xf.clone(),
+        st.xb.clone(),
+        st.y.clone(),
+    );
+    ccd_sweeps(&mut st, 3, 3);
+    (0..3).for_each(|_| oracle.sweep());
+    assert!(objective(&st) < start, "no descent from split-merge init");
+    assert_close("X_f", &st.xf, &oracle.xf);
+    assert_close("Y", &st.y, &oracle.y);
 }

@@ -80,6 +80,69 @@ fn thread_count_is_bitwise_invariant() {
         bits(parallel.attribute.data()),
         "Y differs"
     );
+    assert_eq!(
+        serial.objective.to_bits(),
+        parallel.objective.to_bits(),
+        "objective differs"
+    );
+}
+
+/// The contract the benchmark's traced run holds the library to: the
+/// pipeline walked stage by stage through the public functions — `papmi` →
+/// `greedy_init` → `ccd_sweeps` → `objective` — is `Pane::embed`, bit for
+/// bit, the objective included. A faster path inside `embed` that the
+/// public stages do not take would break it.
+#[test]
+fn staged_public_functions_equal_embed_bitwise() {
+    use pane::pane_core::{ccd_sweeps, greedy_init, objective, papmi, ApmiInputs, InitOptions};
+    let g = DatasetZoo::CoraLike.generate_scaled(0.05, 12).graph;
+    let bits = |xs: &[f64]| xs.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+    for threads in [1usize, 2] {
+        let cfg = PaneConfig::builder()
+            .dimension(16)
+            .seed(21)
+            .threads(threads)
+            .build();
+        let whole = Pane::new(cfg.clone()).embed(&g).unwrap();
+
+        let p = g.random_walk_matrix(cfg.dangling);
+        let pt = p.transpose();
+        let (rr, rc) = (g.attr_row_normalized(), g.attr_col_normalized());
+        let inputs = ApmiInputs {
+            p: &p,
+            pt: &pt,
+            rr: &rr,
+            rc: &rc,
+            alpha: cfg.alpha,
+            t: cfg.iterations(),
+        };
+        let aff = papmi(&inputs, threads);
+        let opts = InitOptions {
+            half_dim: cfg.half_dim(),
+            power_iters: cfg.power_iters(),
+            oversample: cfg.svd_oversample,
+            seed: cfg.seed,
+        };
+        let mut state = greedy_init(&aff.forward, &aff.backward, &opts, threads);
+        ccd_sweeps(&mut state, cfg.sweeps(), threads);
+
+        assert_eq!(
+            objective(&state).to_bits(),
+            whole.objective.to_bits(),
+            "threads={threads}: objective differs"
+        );
+        for (name, staged, embedded) in [
+            ("X_f", &state.xf, &whole.forward),
+            ("X_b", &state.xb, &whole.backward),
+            ("Y", &state.y, &whole.attribute),
+        ] {
+            assert_eq!(
+                bits(staged.data()),
+                bits(embedded.data()),
+                "threads={threads}: {name} differs"
+            );
+        }
+    }
 }
 
 #[test]
