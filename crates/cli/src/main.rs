@@ -41,6 +41,12 @@
 //! pane store migrate  --dir DIR
 //! ```
 //!
+//! `embed` writes `EMB` as a `PANECOL1` container (`--text`: the
+//! line-oriented text form). Every `--embedding` reader sniffs the magic,
+//! so a `PANEEMB1` file from an older build still loads; an index file in
+//! the removed `PANEIDX1` stream format is refused by name — regenerate
+//! it with `pane index build`.
+//!
 //! Graph-loading commands (`embed`, `stats`, `evaluate`, `convert`)
 //! accept `--two-pass` to re-parse the input files through the two-pass
 //! counting sort instead of the chunked merge — bit-identical graphs,
@@ -96,7 +102,7 @@ fn print_help() {
     println!(
         "pane — scalable attributed network embedding (PANE, VLDB 2020 reproduction)\n\n\
          commands:\n\
-           embed     embed a graph given as text files, write the embedding\n\
+           embed     embed a graph given as text files, write the embedding (PANECOL1 or --text)\n\
            generate  generate a synthetic dataset from the zoo\n\
            stats     print Table-3-style statistics of a graph\n\
            topk      query a saved embedding (top attributes / links / similar nodes)\n\
@@ -170,7 +176,7 @@ fn cmd_embed(raw: Vec<String>) -> CliResult {
     if a.flag("text") {
         pane_core::save_text(&emb, &output)?;
     } else {
-        pane_core::save_binary(&emb, &output)?;
+        pane_core::save_columns(&emb, &output)?;
     }
     eprintln!("wrote {}", output.display());
     Ok(())
@@ -688,7 +694,7 @@ fn cmd_serve(raw: Vec<String>) -> CliResult {
     let emb = load_embedding_from_args(&a)?;
     let engine = match (a.get("node-index"), a.get("link-index")) {
         (Some(node), Some(link)) => {
-            // Serve prebuilt PANEIDX1 files — the shared-index path: the
+            // Serve prebuilt index files — the shared-index path: the
             // daemon loads them once, every client shares the load cost.
             let node_base = pane_index::load_index(std::path::Path::new(node))?;
             let link_base = pane_index::load_index(std::path::Path::new(link))?;

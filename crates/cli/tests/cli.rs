@@ -79,7 +79,7 @@ fn full_workflow() {
         emb.to_str().unwrap(),
     ]);
     assert!(ok, "embed failed: {err}");
-    assert!(emb.exists());
+    assert!(std::fs::read(&emb).unwrap().starts_with(b"PANECOL1"));
     assert!(err.contains("objective"), "embed stderr: {err}");
 
     // topk over the saved embedding
@@ -300,6 +300,60 @@ fn errors_are_reported() {
     let (ok, _, err) = run(&["stats", "--edges", "/definitely/not/here.txt"]);
     assert!(!ok);
     assert!(err.contains("error"));
+
+    // Untrusted headers are refused from the file length, before anything
+    // is allocated from them: a 32-byte PANEEMB1 header declaring 2³³ rows
+    // must not reach its 64 GiB allocation, and an index in the removed
+    // PANEIDX1 stream format is refused by name, with the remedy.
+    let dir = workdir("badheaders");
+    let emb = dir.join("absurd.bin");
+    let mut bytes = b"PANEEMB1".to_vec();
+    for dim in [1u64 << 33, 4, 1] {
+        bytes.extend_from_slice(&dim.to_le_bytes());
+    }
+    std::fs::write(&emb, bytes).unwrap();
+    let idx = dir.join("stream.idx");
+    std::fs::write(&idx, b"PANEIDX1junk").unwrap();
+    let (emb_s, idx_s) = (emb.to_str().unwrap(), idx.to_str().unwrap());
+    let store = dir.join("store");
+    for (args, names) in [
+        (
+            vec![
+                "store",
+                "init",
+                "--embedding",
+                emb_s,
+                "--dir",
+                store.to_str().unwrap(),
+            ],
+            "header declares",
+        ),
+        (
+            vec![
+                "index",
+                "search",
+                "--index",
+                idx_s,
+                "--embedding",
+                emb_s,
+                "--node",
+                "0",
+            ],
+            "PANEIDX1",
+        ),
+    ] {
+        let (ok, _, err) = run(&args);
+        assert!(!ok, "{args:?} succeeded");
+        assert!(
+            err.starts_with("error:") && err.contains(names),
+            "{args:?}: {err}"
+        );
+        assert!(
+            !err.contains("panicked") && !err.contains("allocation"),
+            "{err}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Regression: a corrupt binary graph (absurd declared node count, or a

@@ -8,7 +8,8 @@
 //! layout (`magic ‖ n ‖ d ‖ k/2 ‖ X_f ‖ X_b ‖ Y`, decoded value by
 //! value) is still readable: [`load_binary`] sniffs the magic and
 //! dispatches, so stores written before the columnar migration keep
-//! opening. The text format is line-oriented (`node: values…`) for
+//! opening — after the header's implied length has been checked against
+//! the real file length. The text format is line-oriented (`node: values…`) for
 //! inspection and interop with the Python tooling the original
 //! evaluation used.
 
@@ -137,8 +138,10 @@ pub fn load_columns(path: &Path) -> Result<PaneEmbedding, PersistError> {
 /// Writes the embedding in the legacy `PANEEMB1` binary format.
 ///
 /// Kept as a writer so compatibility fixtures (tests, the CI
-/// migrate-then-serve smoke) can produce pre-`PANECOL1` stores; new
-/// artifacts use [`save_columns`].
+/// migrate-then-serve smoke) can produce pre-`PANECOL1` stores; its only
+/// product caller is the legacy arm of `pane-store`'s generation writer
+/// (`pane store init --format legacy`). Everything else — `pane embed`
+/// included — writes [`save_columns`].
 pub fn save_binary(emb: &PaneEmbedding, path: &Path) -> Result<(), PersistError> {
     let mut w = BufWriter::new(File::create(path)?);
     w.write_all(BINARY_MAGIC)?;
@@ -164,7 +167,9 @@ pub fn load_binary(path: &Path) -> Result<PaneEmbedding, PersistError> {
     if pane_format::is_columnar(path)? {
         return load_columns(path);
     }
-    let mut r = BufReader::new(File::open(path)?);
+    let file = File::open(path)?;
+    let file_len = file.metadata()?.len();
+    let mut r = BufReader::new(file);
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
     if &magic != BINARY_MAGIC {
@@ -181,13 +186,22 @@ pub fn load_binary(path: &Path) -> Result<PaneEmbedding, PersistError> {
         r.read_exact(&mut buf)?;
         *d = u64::from_le_bytes(buf);
     }
-    let (n, d, k2) = (dims[0] as usize, dims[1] as usize, dims[2] as usize);
-    // Sanity cap: refuse absurd headers instead of OOM-ing on corruption.
-    let total = n
-        .checked_mul(k2)
-        .and_then(|x| x.checked_mul(2))
-        .and_then(|x| x.checked_add(d.checked_mul(k2)?))
-        .ok_or_else(|| PersistError::Format("dimension overflow".into()))?;
+    // The header is untrusted: nothing is allocated from it until the
+    // length it implies equals the length the OS reports (the same
+    // declared-vs-actual rule `PANECOL1` applies; trailing bytes fail too).
+    let [n, d, k2] = dims;
+    let declared = n
+        .checked_mul(2)
+        .and_then(|rows| rows.checked_add(d))
+        .and_then(|rows| rows.checked_mul(k2))
+        .and_then(|values| values.checked_mul(8))
+        .and_then(|bytes| bytes.checked_add(32));
+    if declared != Some(file_len) {
+        return Err(PersistError::Format(format!(
+            "header declares n = {n}, d = {d}, k/2 = {k2} but the file is {file_len} bytes"
+        )));
+    }
+    let (n, d, k2) = (n as usize, d as usize, k2 as usize);
     let mut read_matrix = |rows: usize, cols: usize| -> Result<DenseMatrix, PersistError> {
         let mut data = vec![0.0f64; rows * cols];
         for v in data.iter_mut() {
@@ -200,7 +214,6 @@ pub fn load_binary(path: &Path) -> Result<PaneEmbedding, PersistError> {
     let forward = read_matrix(n, k2)?;
     let backward = read_matrix(n, k2)?;
     let attribute = read_matrix(d, k2)?;
-    let _ = total;
     Ok(PaneEmbedding {
         forward,
         backward,
@@ -404,8 +417,21 @@ mod tests {
         let p = tmp("trunc.bin");
         save_binary(&emb, &p).unwrap();
         let bytes = std::fs::read(&p).unwrap();
-        std::fs::write(&p, &bytes[..bytes.len() / 2]).unwrap();
-        assert!(matches!(load_binary(&p), Err(PersistError::Io(_))));
+        // A 32-byte header declaring 2³³ × 1 rows: must be refused from
+        // the file length, not by attempting a 64 GiB allocation.
+        let mut absurd = BINARY_MAGIC.to_vec();
+        for dim in [1u64 << 33, 4, 1] {
+            absurd.extend_from_slice(&dim.to_le_bytes());
+        }
+        let trailing = [&bytes[..], &[0u8]].concat();
+        for bad in [&bytes[..bytes.len() / 2], &absurd, &trailing] {
+            std::fs::write(&p, bad).unwrap();
+            assert!(
+                matches!(load_binary(&p), Err(PersistError::Format(_))),
+                "{} bytes accepted",
+                bad.len()
+            );
+        }
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! generation artifact (embedding columns, index payloads) is stored in.
 //!
 //! PR 5–7 left the serving tier booting by *parsing*: the legacy
-//! `PANEEMB1`/`PANEIDX1` readers walk their files value-by-value through
-//! a `BufReader`, so restart cost scales with a per-`f64` decode loop.
+//! `PANEEMB1` reader walks its file value-by-value through a
+//! `BufReader` (as the since-removed `PANEIDX1` index reader did), so
+//! restart cost scales with a per-`f64` decode loop.
 //! `PANECOL1` is the map-don't-parse replacement: a sectioned,
 //! 64-byte-aligned, per-section-checksummed layout that loads with **one
 //! bulk read** into an aligned buffer followed by header + checksum
@@ -301,8 +302,9 @@ pub fn checksum(bytes: &[u8]) -> u64 {
 
 /// Reads a file's first 8 bytes (its magic), or `None` if it is shorter.
 ///
-/// Loaders that accept both the legacy containers and `PANECOL1` sniff
-/// with this before dispatching.
+/// The embedding loader, which still accepts the legacy `PANEEMB1`
+/// stream beside `PANECOL1`, sniffs with this before dispatching; the
+/// index loader uses it to reject the removed `PANEIDX1` stream by name.
 pub fn peek_magic(path: &Path) -> Result<Option<[u8; 8]>, std::io::Error> {
     let mut f = File::open(path)?;
     let mut magic = [0u8; 8];

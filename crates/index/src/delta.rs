@@ -2,7 +2,7 @@
 //!
 //! IVF and HNSW builds are batch algorithms — appending a vector means
 //! either an O(n) structural edit (IVF cell splice) or a graph insertion
-//! whose determinism depends on build-time state the `PANEIDX1` file does
+//! whose determinism depends on build-time state the index file does
 //! not carry (the HNSW level seed). A serving daemon needs neither: it
 //! needs fresh vectors to be *queryable now* and folded into the optimized
 //! structure *eventually*. [`DeltaIndex`] provides exactly that split:

@@ -1,6 +1,6 @@
 //! Exact full-scan index — the recall baseline.
 
-use crate::persist::{columnar_matrix, columnar_meta, open_index_columns, FileReader, FileWriter};
+use crate::persist::{columnar_matrix, columnar_meta, open_index_columns};
 use crate::{scan, topk, IndexError, IndexKind, Metric, Neighbor, VectorIndex};
 use pane_format::{section, Artifact, ColumnData, ColumnSpec};
 use pane_linalg::DenseMatrix;
@@ -32,24 +32,14 @@ impl FlatIndex {
         }
     }
 
-    /// Reads an index written by [`VectorIndex::save`] (`PANECOL1`) or by
-    /// [`FlatIndex::save_legacy`] (`PANEIDX1`), sniffing the magic.
+    /// Reads an index written by [`VectorIndex::save`].
     ///
     /// Fails with a structured [`IndexError`] on any corruption: `build`
     /// never produces an empty index, so `n = 0` or `dim = 0` is rejected
     /// at load time rather than surprising the first search.
     pub fn load(path: &Path) -> Result<Self, IndexError> {
-        if pane_format::is_columnar(path)? {
-            let (c, metric) = open_index_columns(path, IndexKind::Flat)?;
-            return Self::from_columns(&c, metric);
-        }
-        let mut r = FileReader::open(path, IndexKind::Flat)?;
-        let metric = r.metric();
-        let n = r.read_dim_nonzero(u32::MAX as usize, "n")?;
-        let dim = r.read_dim_nonzero(1 << 24, "dim")?;
-        let data = r.read_matrix(n, dim)?;
-        r.finish()?;
-        Ok(Self { metric, data })
+        let (c, metric) = open_index_columns(path, IndexKind::Flat)?;
+        Self::from_columns(&c, metric)
     }
 
     /// Reconstructs the index from an already-validated container.
@@ -66,16 +56,6 @@ impl FlatIndex {
             )));
         }
         Ok(Self { metric, data })
-    }
-
-    /// Writes the legacy `PANEIDX1` form (fixture/migration-test writer;
-    /// [`VectorIndex::save`] writes `PANECOL1`).
-    pub fn save_legacy(&self, path: &Path) -> Result<(), IndexError> {
-        let mut w = FileWriter::create(path, IndexKind::Flat, self.metric)?;
-        w.write_u64(self.data.rows() as u64)?;
-        w.write_u64(self.data.cols() as u64)?;
-        w.write_matrix(&self.data)?;
-        w.finish()
     }
 
     /// The stored (metric-prepared) vectors.
@@ -191,30 +171,6 @@ mod tests {
             assert_eq!(hits[0].index, v);
             assert!((hits[0].score - 1.0).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn columnar_and_legacy_dumps_load_identically() {
-        let dir = std::env::temp_dir().join(format!("pane_flat_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let data = clustered_vectors(60, 12, 3, 0.2);
-        let idx = FlatIndex::build(&data, Metric::Cosine);
-        let col = dir.join("flat.col.idx");
-        let leg = dir.join("flat.leg.idx");
-        idx.save(&col).unwrap();
-        idx.save_legacy(&leg).unwrap();
-        let from_col = FlatIndex::load(&col).unwrap();
-        let from_leg = FlatIndex::load(&leg).unwrap();
-        assert_eq!(from_col.vectors().data(), from_leg.vectors().data());
-        assert_eq!(from_col.metric(), Metric::Cosine);
-        for q in [0, 30] {
-            assert_eq!(
-                from_col.search(data.row(q), 5),
-                from_leg.search(data.row(q), 5)
-            );
-        }
-        std::fs::remove_file(&col).ok();
-        std::fs::remove_file(&leg).ok();
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! sequential insertion order this makes every build bit-identical, the
 //! same reproducibility contract the embedding pipeline guarantees.
 
-use crate::persist::{columnar_matrix, columnar_meta, open_index_columns, FileReader, FileWriter};
+use crate::persist::{columnar_matrix, columnar_meta, open_index_columns};
 use crate::{topk, unit_open, IndexError, IndexKind, Metric, Neighbor, VectorIndex};
 use pane_format::{section, Artifact, ColumnData, ColumnSpec};
 use pane_linalg::{kernels, vecops, DenseMatrix};
@@ -326,8 +326,7 @@ impl HnswIndex {
         self.ef_search = ef.max(1);
     }
 
-    /// Reads an index written by [`VectorIndex::save`] (`PANECOL1`) or by
-    /// [`HnswIndex::save_legacy`] (`PANEIDX1`), sniffing the magic.
+    /// Reads an index written by [`VectorIndex::save`].
     ///
     /// Every graph invariant a search relies on is re-validated here so a
     /// corrupted file fails the *load* with a structured [`IndexError`]
@@ -338,74 +337,8 @@ impl HnswIndex {
     /// `max_level`, and every edge must point at an in-range node of
     /// sufficient level.
     pub fn load(path: &Path) -> Result<Self, IndexError> {
-        if pane_format::is_columnar(path)? {
-            let (c, metric) = open_index_columns(path, IndexKind::Hnsw)?;
-            return Self::from_columns(&c, metric);
-        }
-        let mut r = FileReader::open(path, IndexKind::Hnsw)?;
-        let metric = r.metric();
-        let n = r.read_dim_nonzero(u32::MAX as usize, "n")?;
-        let dim = r.read_dim_nonzero(1 << 24, "dim")?;
-        let m = r.read_dim(1 << 20, "m")?;
-        let ef_construction = r.read_dim(1 << 20, "ef_construction")?;
-        let ef_search = r.read_dim(1 << 20, "ef_search")?;
-        let entry = r.read_dim(n - 1, "entry point")? as u32;
-        let max_level = r.read_dim(MAX_LEVEL_CAP, "max level")? as u32;
-        let levels = r.read_u32_slice()?;
-        if levels.len() != n {
-            return Err(IndexError::Format(format!(
-                "level array has {} entries, expected {n}",
-                levels.len()
-            )));
-        }
-        if levels[entry as usize] != max_level {
-            return Err(IndexError::Format(format!(
-                "entry point {entry} has level {} but the graph claims max level {max_level}",
-                levels[entry as usize]
-            )));
-        }
-        let mut links = Vec::with_capacity(n);
-        for (node, &l) in levels.iter().enumerate() {
-            if l > max_level {
-                return Err(IndexError::Format(format!(
-                    "node level {l} exceeds max level {max_level}"
-                )));
-            }
-            let mut per_level = Vec::with_capacity(l as usize + 1);
-            for lev in 0..=l {
-                let nbrs = r.read_u32_slice()?;
-                // A corrupted edge must fail the load, not panic the
-                // first search that walks it.
-                for &nb in &nbrs {
-                    if nb as usize >= n {
-                        return Err(IndexError::Format(format!(
-                            "node {node} level {lev}: neighbor id {nb} out of range {n}"
-                        )));
-                    }
-                    if levels[nb as usize] < lev {
-                        return Err(IndexError::Format(format!(
-                            "node {node} level {lev}: neighbor {nb} only reaches level {}",
-                            levels[nb as usize]
-                        )));
-                    }
-                }
-                per_level.push(nbrs);
-            }
-            links.push(per_level);
-        }
-        let data = r.read_matrix(n, dim)?;
-        r.finish()?;
-        Ok(Self {
-            metric,
-            m: m.max(2),
-            ef_construction: ef_construction.max(1),
-            ef_search: ef_search.max(1),
-            data,
-            levels,
-            links,
-            entry,
-            max_level,
-        })
+        let (c, metric) = open_index_columns(path, IndexKind::Hnsw)?;
+        Self::from_columns(&c, metric)
     }
 
     /// Reconstructs the index from an already-validated container.
@@ -413,8 +346,8 @@ impl HnswIndex {
     /// The container stores the neighbor lists *flattened*: one `u32`
     /// links section plus a `u64` offsets section with one entry per
     /// list (node-major, then level `0..=levels[node]`) and a final
-    /// end sentinel. Every graph invariant the legacy loader checks is
-    /// re-checked here.
+    /// end sentinel. This is the one place the graph invariants listed
+    /// on [`HnswIndex::load`] are checked.
     pub(crate) fn from_columns(
         c: &pane_format::Columns,
         metric: Metric,
@@ -540,27 +473,6 @@ impl HnswIndex {
             entry,
             max_level,
         })
-    }
-
-    /// Writes the legacy `PANEIDX1` form (fixture/migration-test writer;
-    /// [`VectorIndex::save`] writes `PANECOL1`).
-    pub fn save_legacy(&self, path: &Path) -> Result<(), IndexError> {
-        let mut w = FileWriter::create(path, IndexKind::Hnsw, self.metric)?;
-        w.write_u64(self.data.rows() as u64)?;
-        w.write_u64(self.data.cols() as u64)?;
-        w.write_u64(self.m as u64)?;
-        w.write_u64(self.ef_construction as u64)?;
-        w.write_u64(self.ef_search as u64)?;
-        w.write_u64(self.entry as u64)?;
-        w.write_u64(self.max_level as u64)?;
-        w.write_u32_slice(&self.levels)?;
-        for per_level in &self.links {
-            for nbrs in per_level {
-                w.write_u32_slice(nbrs)?;
-            }
-        }
-        w.write_matrix(&self.data)?;
-        w.finish()
     }
 }
 
@@ -717,25 +629,29 @@ mod tests {
         }
     }
 
+    /// Saves `idx` (a checksum-valid container, whatever `idx` holds)
+    /// and expects `from_columns` to refuse it with a message containing
+    /// `want`; `lie` may first patch the saved file.
+    fn assert_load_rejects(idx: &HnswIndex, lie: &dyn Fn(&Path), want: &str) {
+        let dir = std::env::temp_dir().join(format!("pane_hnsw_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let p = dir.join(format!("{}.idx", want.replace(' ', "_")));
+        idx.save(&p).unwrap();
+        lie(&p);
+        match HnswIndex::load(&p) {
+            Err(IndexError::Format(m)) => assert!(m.contains(want), "{want}: {m}"),
+            other => panic!("{want}: expected format error, got {other:?}"),
+        }
+        std::fs::remove_file(&p).ok();
+    }
+
     #[test]
     fn corrupted_neighbor_id_fails_load_cleanly() {
         let data = clustered_vectors(40, 6, 2, 0.2);
-        let idx = HnswIndex::build(&data, Metric::Cosine, &HnswConfig::default());
+        let mut idx = HnswIndex::build(&data, Metric::Cosine, &HnswConfig::default());
         assert!(!idx.links[0][0].is_empty(), "fixture node 0 has no links");
-        let dir = std::env::temp_dir().join(format!("pane_hnsw_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let p = dir.join("bad_link.idx");
-        idx.save_legacy(&p).unwrap();
-        // Layout: magic(8) + tags(2) + 7×u64(56) + levels slice (8 + 4n)
-        // + node 0 / level 0 slice length (8) + first neighbor id.
-        let first_id_at = 8 + 2 + 56 + 8 + 4 * idx.len() + 8;
-        let mut bytes = std::fs::read(&p).unwrap();
-        bytes[first_id_at..first_id_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        std::fs::write(&p, &bytes).unwrap();
-        match HnswIndex::load(&p) {
-            Err(IndexError::Format(m)) => assert!(m.contains("out of range"), "{m}"),
-            other => panic!("expected format error, got {other:?}"),
-        }
+        idx.links[0][0][0] = u32::MAX;
+        assert_load_rejects(&idx, &|_| (), "out of range");
     }
 
     #[test]
@@ -743,49 +659,34 @@ mod tests {
         // The descent indexes links[entry][max_level]; a file whose entry
         // point does not reach the claimed max level used to panic there.
         let data = clustered_vectors(40, 6, 2, 0.2);
-        let idx = HnswIndex::build(&data, Metric::Cosine, &HnswConfig::default());
-        let dir = std::env::temp_dir().join(format!("pane_hnsw_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let p = dir.join("bad_entry_level.idx");
-        idx.save_legacy(&p).unwrap();
-        // max_level is the 7th u64 after the 10-byte header.
-        let max_level_at = 8 + 2 + 6 * 8;
-        let mut bytes = std::fs::read(&p).unwrap();
-        let claimed = (idx.max_level + 1) as u64;
-        bytes[max_level_at..max_level_at + 8].copy_from_slice(&claimed.to_le_bytes());
-        std::fs::write(&p, &bytes).unwrap();
-        match HnswIndex::load(&p) {
-            Err(IndexError::Format(m)) => assert!(m.contains("entry point"), "{m}"),
-            other => panic!("expected format error, got {other:?}"),
-        }
+        let mut idx = HnswIndex::build(&data, Metric::Cosine, &HnswConfig::default());
+        idx.max_level += 1;
+        assert_load_rejects(&idx, &|_| (), "entry point");
     }
 
     #[test]
-    fn columnar_and_legacy_dumps_load_identically() {
-        let data = clustered_vectors(80, 8, 3, 0.2);
+    fn inconsistent_link_lists_fail_load_cleanly() {
+        use crate::testutil::patch_section;
+        let data = clustered_vectors(250, 12, 5, 0.15);
         let idx = HnswIndex::build(&data, Metric::Cosine, &HnswConfig::default());
-        let dir = std::env::temp_dir().join(format!("pane_hnsw_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let col = dir.join("hnsw.col.idx");
-        let leg = dir.join("hnsw.leg.idx");
-        idx.save(&col).unwrap();
-        idx.save_legacy(&leg).unwrap();
-        let a = HnswIndex::load(&col).unwrap();
-        let b = HnswIndex::load(&leg).unwrap();
-        assert_eq!(a.levels, b.levels);
-        assert_eq!(a.links, b.links);
-        assert_eq!(a.entry, b.entry);
-        assert_eq!(a.max_level, b.max_level);
-        assert_eq!(a.data.data(), b.data.data());
-        assert_eq!(
-            (a.m, a.ef_construction, a.ef_search),
-            (b.m, b.ef_construction, b.ef_search)
+        // Offsets that run one id past the links section.
+        let last = 8 * idx
+            .links
+            .iter()
+            .map(|per_level| per_level.len())
+            .sum::<usize>();
+        assert_load_rejects(
+            &idx,
+            &|p| patch_section(p, section::HNSW_LINK_OFFSETS, |b| b[last] ^= 1),
+            "link offsets end at",
         );
-        for q in [0, 40] {
-            assert_eq!(a.search(data.row(q), 5), b.search(data.row(q), 5));
-        }
-        std::fs::remove_file(&col).ok();
-        std::fs::remove_file(&leg).ok();
+        // An upper-level edge to a node that only lives on level 0: the
+        // search would index links[nb][1] out of bounds.
+        assert!(idx.max_level >= 1, "fixture graph has a single level");
+        let ground = idx.levels.iter().position(|&l| l == 0).unwrap() as u32;
+        let mut bad = idx.clone();
+        bad.links[idx.entry as usize][1].push(ground);
+        assert_load_rejects(&bad, &|_| (), "only reaches level 0");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! parameter.
 
 use crate::kmeans::kmeans;
-use crate::persist::{columnar_matrix, columnar_meta, open_index_columns, FileReader, FileWriter};
+use crate::persist::{columnar_matrix, columnar_meta, open_index_columns};
 use crate::{scan, topk, IndexError, IndexKind, Metric, Neighbor, VectorIndex};
 use pane_format::{section, Artifact, ColumnData, ColumnSpec};
 use pane_linalg::{vecops, DenseMatrix};
@@ -139,67 +139,18 @@ impl IvfIndex {
         self.nprobe = nprobe.clamp(1, self.nlist());
     }
 
-    /// Reads an index written by [`VectorIndex::save`] (`PANECOL1`) or by
-    /// [`IvfIndex::save_legacy`] (`PANEIDX1`), sniffing the magic.
+    /// Reads an index written by [`VectorIndex::save`].
     ///
     /// Fails with a structured [`IndexError`] on any corruption: empty
     /// dimensions, a zero `nlist`, cell sizes that do not sum to `n`, or
-    /// declared lengths the file cannot supply are all load-time errors.
+    /// arrays whose lengths disagree are all load-time errors.
     pub fn load(path: &Path) -> Result<Self, IndexError> {
-        if pane_format::is_columnar(path)? {
-            let (c, metric) = open_index_columns(path, IndexKind::Ivf)?;
-            return Self::from_columns(&c, metric);
-        }
-        let mut r = FileReader::open(path, IndexKind::Ivf)?;
-        let metric = r.metric();
-        let n = r.read_dim_nonzero(u32::MAX as usize, "n")?;
-        let dim = r.read_dim_nonzero(1 << 24, "dim")?;
-        let nlist = r.read_dim_nonzero(n, "nlist")?;
-        let nprobe = r.read_dim_nonzero(nlist, "nprobe")?;
-        let centroids = r.read_matrix(nlist, dim)?;
-        let sizes = r.read_u32_slice()?;
-        if sizes.len() != nlist {
-            return Err(IndexError::Format(format!(
-                "cell-size array has {} entries, expected {nlist}",
-                sizes.len()
-            )));
-        }
-        let mut offsets = Vec::with_capacity(nlist + 1);
-        offsets.push(0usize);
-        for &s in &sizes {
-            offsets.push(offsets.last().unwrap() + s as usize);
-        }
-        if *offsets.last().unwrap() != n {
-            return Err(IndexError::Format(format!(
-                "cell sizes sum to {}, expected {n}",
-                offsets.last().unwrap()
-            )));
-        }
-        let ids = r.read_u32_slice()?;
-        if ids.len() != n {
-            return Err(IndexError::Format(format!(
-                "id array has {} entries, expected {n}",
-                ids.len()
-            )));
-        }
-        let vectors = r.read_matrix(n, dim)?;
-        r.finish()?;
-        let cnorms = (0..nlist)
-            .map(|c| vecops::norm2_sq(centroids.row(c)))
-            .collect();
-        Ok(Self {
-            metric,
-            nprobe: nprobe.max(1),
-            centroids,
-            cnorms,
-            offsets,
-            ids,
-            vectors,
-        })
+        let (c, metric) = open_index_columns(path, IndexKind::Ivf)?;
+        Self::from_columns(&c, metric)
     }
 
     /// Reconstructs the index from an already-validated container,
-    /// re-checking every structural invariant the legacy loader checks.
+    /// checking every structural invariant a search relies on.
     pub(crate) fn from_columns(
         c: &pane_format::Columns,
         metric: Metric,
@@ -268,26 +219,6 @@ impl IvfIndex {
             ids: ids.to_vec(),
             vectors,
         })
-    }
-
-    /// Writes the legacy `PANEIDX1` form (fixture/migration-test writer;
-    /// [`VectorIndex::save`] writes `PANECOL1`).
-    pub fn save_legacy(&self, path: &Path) -> Result<(), IndexError> {
-        let mut w = FileWriter::create(path, IndexKind::Ivf, self.metric)?;
-        w.write_u64(self.ids.len() as u64)?;
-        w.write_u64(self.vectors.cols() as u64)?;
-        w.write_u64(self.nlist() as u64)?;
-        w.write_u64(self.nprobe as u64)?;
-        w.write_matrix(&self.centroids)?;
-        let sizes: Vec<u32> = self
-            .offsets
-            .windows(2)
-            .map(|w| (w[1] - w[0]) as u32)
-            .collect();
-        w.write_u32_slice(&sizes)?;
-        w.write_u32_slice(&self.ids)?;
-        w.write_matrix(&self.vectors)?;
-        w.finish()
     }
 }
 
@@ -431,36 +362,48 @@ mod tests {
         assert_eq!(a.vectors.data(), b.vectors.data());
     }
 
+    /// Checksum-valid containers that lie about the structure: the
+    /// container cannot see these, so `from_columns` has to.
     #[test]
-    fn columnar_and_legacy_dumps_load_identically() {
+    fn structural_lies_fail_load_cleanly() {
+        use crate::testutil::patch_section;
         let dir = std::env::temp_dir().join(format!("pane_ivf_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
+        let p = dir.join("lie.idx");
         let data = clustered_vectors(120, 10, 4, 0.2);
-        let idx = IvfIndex::build(
-            &data,
-            Metric::Cosine,
-            &IvfConfig {
-                nlist: 6,
-                nprobe: 3,
-                ..Default::default()
-            },
+        let cfg = IvfConfig {
+            nlist: 6,
+            nprobe: 3,
+            ..Default::default()
+        };
+        let idx = IvfIndex::build(&data, Metric::Cosine, &cfg);
+        let check = |idx: &IvfIndex, lie: &dyn Fn(&Path), want: &str| {
+            idx.save(&p).unwrap();
+            lie(&p);
+            match IvfIndex::load(&p) {
+                Err(IndexError::Format(m)) => assert!(m.contains(want), "{want}: {m}"),
+                other => panic!("{want}: expected format error, got {other:?}"),
+            }
+        };
+        check(
+            &idx,
+            &|p| patch_section(p, section::IVF_SIZES, |b| b[0] += 1),
+            "cell sizes sum to 121",
         );
-        let col = dir.join("ivf.col.idx");
-        let leg = dir.join("ivf.leg.idx");
-        idx.save(&col).unwrap();
-        idx.save_legacy(&leg).unwrap();
-        let a = IvfIndex::load(&col).unwrap();
-        let b = IvfIndex::load(&leg).unwrap();
-        assert_eq!(a.ids, b.ids);
-        assert_eq!(a.offsets, b.offsets);
-        assert_eq!(a.nprobe(), 3);
-        assert_eq!(a.centroids.data(), b.centroids.data());
-        assert_eq!(a.vectors.data(), b.vectors.data());
-        for q in [0, 60] {
-            assert_eq!(a.search(data.row(q), 5), b.search(data.row(q), 5));
-        }
-        std::fs::remove_file(&col).ok();
-        std::fs::remove_file(&leg).ok();
+        check(
+            &idx,
+            &|p| patch_section(p, section::IVF_META, |b| b[0] += 1),
+            "disagrees with nlist = 6",
+        );
+        check(
+            &idx,
+            &|p| patch_section(p, section::IVF_META, |b| b[8] = 7),
+            "nprobe 7 outside",
+        );
+        let mut short = idx.clone();
+        short.ids.pop();
+        check(&short, &|_| (), "id array has 119 entries");
+        std::fs::remove_file(&p).ok();
     }
 
     #[test]

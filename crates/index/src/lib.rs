@@ -26,9 +26,9 @@
 //!   nodes are queryable without a rebuild.
 //!
 //! All structures implement [`VectorIndex`] (`search` / `batch_search` /
-//! `insert` / `save`, plus per-type `build` / `load`), share one compact
-//! binary persistence format (see [`persist`] for the field-by-field
-//! `PANEIDX1` layout), and score with a dot product: [`Metric::Cosine`]
+//! `insert` / `save`, plus per-type `build` / `load`), persist as one
+//! `PANECOL1` container each (see [`persist`]; sections are listed in
+//! `pane_format::section`), and score with a dot product: [`Metric::Cosine`]
 //! L2-normalizes stored and query vectors first (so the dot *is* the
 //! cosine), [`Metric::InnerProduct`] ranks by the raw dot — both what
 //! Eq. 22 link scores and the unified similar-node scale (see
@@ -298,7 +298,9 @@ pub trait VectorIndex: Send + Sync {
         )))
     }
 
-    /// Writes the index in the `PANEIDX1` binary format.
+    /// Writes the index as a `PANECOL1` container (one typed,
+    /// checksummed section per array; see [`persist`]). The bytes are a
+    /// pure function of the index, so equal builds save byte-identically.
     fn save(&self, path: &Path) -> Result<(), IndexError>;
 }
 
@@ -327,5 +329,37 @@ pub(crate) mod testutil {
             pane_linalg::vecops::normalize(row, 1e-300);
         }
         m
+    }
+
+    /// Re-stamps the header checksum of a `PANECOL1` image holding
+    /// `sections` table entries, after a test patched a header or table
+    /// word — so the patch reaches the length/shape guards instead of
+    /// being intercepted as a checksum mismatch.
+    pub fn reseal_header(bytes: &mut [u8], sections: usize) {
+        use pane_format::{checksum, HEADER_LEN, TABLE_ENTRY_LEN};
+        let table_end = HEADER_LEN + TABLE_ENTRY_LEN * sections;
+        let covered = [&bytes[..24], &bytes[HEADER_LEN..table_end]].concat();
+        bytes[24..HEADER_LEN].copy_from_slice(&checksum(&covered).to_le_bytes());
+    }
+
+    /// Lets `edit` rewrite the payload of section `id` in a saved index
+    /// file, then re-stamps that section's checksum and the header's: the
+    /// container stays valid, so the lie is `from_columns`' to catch.
+    pub fn patch_section(path: &std::path::Path, id: u32, edit: impl FnOnce(&mut [u8])) {
+        use pane_format::{checksum, HEADER_LEN, TABLE_ENTRY_LEN};
+        let mut bytes = std::fs::read(path).unwrap();
+        let word = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
+        let sections = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+        let entry = (0..sections)
+            .map(|i| HEADER_LEN + TABLE_ENTRY_LEN * i)
+            .find(|&e| bytes[e..e + 4] == id.to_le_bytes())
+            .expect("section present");
+        let (offset, len) = (word(&bytes, entry + 24), word(&bytes, entry + 32));
+        let payload = offset as usize..(offset + len) as usize;
+        edit(&mut bytes[payload.clone()]);
+        let sum = checksum(&bytes[payload]);
+        bytes[entry + 40..entry + 48].copy_from_slice(&sum.to_le_bytes());
+        reseal_header(&mut bytes, sections);
+        std::fs::write(path, bytes).unwrap();
     }
 }

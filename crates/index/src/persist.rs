@@ -1,73 +1,28 @@
-//! Index persistence: the columnar `PANECOL1` container and the legacy
-//! `PANEIDX1` stream format.
+//! Index persistence: every index is one `PANECOL1` container.
 //!
-//! New indexes save as `PANECOL1` containers (see `pane-format`): each
+//! Indexes save as `PANECOL1` containers (see `pane-format`): each
 //! structure's arrays become typed, aligned, checksummed sections, the
 //! meta word packs `kind | metric << 8`, and loading is a single bulk
-//! read plus zero-copy views. [`load_index`] sniffs the first 8 bytes
-//! and dispatches to the columnar or legacy reader, so files written by
-//! either format stay loadable through the same entry point; per-type
-//! `save_legacy` writers remain for fixtures and migration tests.
+//! read plus zero-copy views. The container vouches for the *bytes*
+//! (declared-vs-actual length before any allocation, header and
+//! per-section checksums); each structure's `from_columns` then vouches
+//! for the *structure* — shapes that agree, ids in range, a graph whose
+//! entry point reaches its top level — and is the only place those
+//! invariants are written down. Loaders must *fail the load* on any
+//! inconsistency — never panic on the first search.
 //!
-//! # Legacy format layout (`PANEIDX1`)
+//! # The removed `PANEIDX1` stream format
 //!
-//! All integers are little-endian. A `u32[]` is a `u64` length followed by
-//! that many `u32` words; an `f64[r×c]` is `r·c` packed doubles (row-major,
-//! no length prefix — the dimensions come from earlier fields). The file
-//! ends exactly after the payload; trailing bytes fail the load.
-//!
-//! Common 10-byte header:
-//!
-//! | offset | size | field | meaning |
-//! |--------|------|-------|---------|
-//! | 0 | 8 | magic | `b"PANEIDX1"` |
-//! | 8 | 1 | kind | [`IndexKind::tag`]: 0 = flat, 1 = ivf, 2 = hnsw |
-//! | 9 | 1 | metric | [`Metric::tag`]: 0 = cosine, 1 = inner product |
-//!
-//! `flat` payload:
-//!
-//! | field | type | meaning |
-//! |-------|------|---------|
-//! | `n` | `u64` | number of stored vectors (> 0) |
-//! | `dim` | `u64` | vector dimensionality (> 0) |
-//! | `data` | `f64[n×dim]` | metric-prepared vectors |
-//!
-//! `ivf` payload:
-//!
-//! | field | type | meaning |
-//! |-------|------|---------|
-//! | `n` | `u64` | number of stored vectors (> 0) |
-//! | `dim` | `u64` | vector dimensionality (> 0) |
-//! | `nlist` | `u64` | number of k-means cells (`1..=n`) |
-//! | `nprobe` | `u64` | default probed cells (`1..=nlist`) |
-//! | `centroids` | `f64[nlist×dim]` | cell centroids |
-//! | `sizes` | `u32[]` | per-cell vector counts (`nlist` entries, summing to `n`) |
-//! | `ids` | `u32[]` | original row ids, cell-major (`n` entries) |
-//! | `vectors` | `f64[n×dim]` | metric-prepared vectors, cell-major |
-//!
-//! `hnsw` payload:
-//!
-//! | field | type | meaning |
-//! |-------|------|---------|
-//! | `n` | `u64` | number of stored vectors (> 0) |
-//! | `dim` | `u64` | vector dimensionality (> 0) |
-//! | `m` | `u64` | max neighbors per upper-level node |
-//! | `ef_construction` | `u64` | build-time beam width |
-//! | `ef_search` | `u64` | default query beam width |
-//! | `entry` | `u64` | entry-point node id (`< n`, must reach `max_level`) |
-//! | `max_level` | `u64` | top level of the graph (`<= 24`) |
-//! | `levels` | `u32[]` | per-node level (`n` entries, each `<= max_level`) |
-//! | `links` | `u32[]` × Σ(levels+1) | neighbor lists, node-major then level 0..=levels\[node\] |
-//! | `data` | `f64[n×dim]` | metric-prepared vectors |
-//!
-//! # Corruption handling
-//!
-//! Loaders must *fail the load* on any inconsistency — never panic on the
-//! first search, and never allocate from an unvalidated declared length.
-//! The crate-private `FileReader` therefore tracks the file length and
-//! checks every declared count against the bytes that actually remain
-//! (`ensure_available`, the same pattern as `pane-graph`'s binary
-//! loader) before any allocation happens.
+//! Builds before the columnar migration wrote a value-by-value stream
+//! under the magic `PANEIDX1`. That reader and writer are gone: an index
+//! is *derived data*, rebuilt deterministically (and thread-invariantly)
+//! from its vectors and build recipe, so there is nothing in such a file
+//! worth a second parser. A file that still carries the magic is
+//! rejected by name — a structured [`IndexError::Format`] that says how
+//! to regenerate it, decided from the first 8 bytes alone — and a store
+//! generation whose manifest says `format legacy` never has its index
+//! files read at all: `pane-store` rebuilds the pair from the manifest's
+//! recipe.
 
 use crate::{
     FlatIndex, HnswIndex, IndexError, IndexKind, IvfIndex, Metric, Neighbor, SqFlatIndex,
@@ -75,16 +30,11 @@ use crate::{
 };
 use pane_format::{Artifact, Columns, FormatError};
 use pane_linalg::DenseMatrix;
-use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
-
-/// Magic bytes of the legacy index format (version 1).
-pub const INDEX_MAGIC: &[u8; 8] = b"PANEIDX1";
 
 /// Refuse headers implying more than this many `f64`s in one matrix
 /// (~8 GiB) — corrupted dimensions should error, not OOM.
-pub(crate) const MAX_MATRIX_ELEMS: usize = 1 << 30;
+const MAX_MATRIX_ELEMS: usize = 1 << 30;
 
 impl From<FormatError> for IndexError {
     fn from(e: FormatError) -> Self {
@@ -117,12 +67,26 @@ pub(crate) fn columnar_kind_metric(c: &Columns) -> Result<(IndexKind, Metric), I
     Ok((kind, metric))
 }
 
+/// Opens an index file as a validated container, turning the removed
+/// stream format into a named error instead of a generic bad-magic one.
+fn open_columns(path: &Path) -> Result<Columns, IndexError> {
+    if pane_format::peek_magic(path)? == Some(*b"PANEIDX1") {
+        return Err(IndexError::Format(format!(
+            "{} is a PANEIDX1 stream, a format this build no longer reads; index files are \
+             derived data — regenerate it with `pane index build` (for a store directory, run \
+             `pane store migrate`)",
+            path.display()
+        )));
+    }
+    Ok(Columns::open(path)?)
+}
+
 /// Opens a `PANECOL1` index container, checking the stored kind.
 pub(crate) fn open_index_columns(
     path: &Path,
     expect: IndexKind,
 ) -> Result<(Columns, Metric), IndexError> {
-    let c = Columns::open(path)?;
+    let c = open_columns(path)?;
     let (kind, metric) = columnar_kind_metric(&c)?;
     if kind != expect {
         return Err(IndexError::Format(format!(
@@ -141,197 +105,6 @@ pub(crate) fn columnar_matrix(c: &Columns, id: u32) -> Result<DenseMatrix, Index
         .filter(|&t| t <= MAX_MATRIX_ELEMS)
         .ok_or_else(|| IndexError::Format(format!("matrix {rows}×{cols} overflows cap")))?;
     Ok(DenseMatrix::from_vec(rows, cols, c.f64s(id)?.to_vec()))
-}
-
-/// Buffered little-endian writer for the index format.
-pub(crate) struct FileWriter {
-    w: BufWriter<File>,
-}
-
-impl FileWriter {
-    /// Creates `path` and writes the `magic ‖ kind ‖ metric` header.
-    pub fn create(path: &Path, kind: IndexKind, metric: Metric) -> Result<Self, IndexError> {
-        let mut w = BufWriter::new(File::create(path)?);
-        w.write_all(INDEX_MAGIC)?;
-        w.write_all(&[kind.tag(), metric.tag()])?;
-        Ok(Self { w })
-    }
-
-    pub fn write_u64(&mut self, v: u64) -> Result<(), IndexError> {
-        self.w.write_all(&v.to_le_bytes())?;
-        Ok(())
-    }
-
-    pub fn write_u32_slice(&mut self, vs: &[u32]) -> Result<(), IndexError> {
-        self.write_u64(vs.len() as u64)?;
-        for &v in vs {
-            self.w.write_all(&v.to_le_bytes())?;
-        }
-        Ok(())
-    }
-
-    pub fn write_matrix(&mut self, m: &DenseMatrix) -> Result<(), IndexError> {
-        for &v in m.data() {
-            self.w.write_all(&v.to_le_bytes())?;
-        }
-        Ok(())
-    }
-
-    pub fn finish(mut self) -> Result<(), IndexError> {
-        self.w.flush()?;
-        Ok(())
-    }
-}
-
-/// Buffered little-endian reader for the index format.
-///
-/// Tracks how many bytes have been consumed against the total file length,
-/// so every declared count can be validated *before* allocating for it —
-/// a corrupt header must produce a clean [`IndexError`], not an OOM.
-pub(crate) struct FileReader {
-    r: BufReader<File>,
-    metric: Metric,
-    consumed: u64,
-    file_len: u64,
-}
-
-impl FileReader {
-    /// Opens `path`, validates the magic, and checks the kind tag.
-    pub fn open(path: &Path, expect: IndexKind) -> Result<Self, IndexError> {
-        let (kind, reader) = Self::open_any(path)?;
-        if kind != expect {
-            return Err(IndexError::Format(format!(
-                "index kind mismatch: file holds '{kind}', expected '{expect}'"
-            )));
-        }
-        Ok(reader)
-    }
-
-    /// Opens `path`, validates the magic, and returns the stored kind.
-    pub fn open_any(path: &Path) -> Result<(IndexKind, Self), IndexError> {
-        let file = File::open(path)?;
-        let file_len = file.metadata()?.len();
-        let mut reader = Self {
-            r: BufReader::new(file),
-            metric: Metric::Cosine, // placeholder until the header is read
-            consumed: 0,
-            file_len,
-        };
-        let mut magic = [0u8; 8];
-        reader.read_exact(&mut magic)?;
-        if &magic != INDEX_MAGIC {
-            return Err(IndexError::Format(format!(
-                "bad magic {magic:?} (expected {INDEX_MAGIC:?})"
-            )));
-        }
-        let mut tags = [0u8; 2];
-        reader.read_exact(&mut tags)?;
-        let kind = IndexKind::from_tag(tags[0])
-            .ok_or_else(|| IndexError::Format(format!("unknown index kind tag {}", tags[0])))?;
-        reader.metric = Metric::from_tag(tags[1])
-            .ok_or_else(|| IndexError::Format(format!("unknown metric tag {}", tags[1])))?;
-        Ok((kind, reader))
-    }
-
-    /// Metric recorded in the header.
-    pub fn metric(&self) -> Metric {
-        self.metric
-    }
-
-    fn read_exact(&mut self, buf: &mut [u8]) -> Result<(), IndexError> {
-        self.r.read_exact(buf).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                IndexError::Format(format!(
-                    "truncated file: unexpected end after {} bytes",
-                    self.consumed
-                ))
-            } else {
-                IndexError::Io(e)
-            }
-        })?;
-        self.consumed += buf.len() as u64;
-        Ok(())
-    }
-
-    /// Rejects a declared `count` of `item_bytes`-sized items that the
-    /// remaining file bytes cannot possibly contain — **before** the
-    /// caller allocates for them. Checked arithmetic: a hostile count
-    /// near `u64::MAX` must not wrap into a small allocation.
-    fn ensure_available(&self, count: u64, item_bytes: u64, what: &str) -> Result<(), IndexError> {
-        let need = count.checked_mul(item_bytes).ok_or_else(|| {
-            IndexError::Format(format!("declared {what} count {count} overflows"))
-        })?;
-        let remaining = self.file_len.saturating_sub(self.consumed);
-        if need > remaining {
-            return Err(IndexError::Format(format!(
-                "declared {what} count {count} needs {need} bytes but only {remaining} remain"
-            )));
-        }
-        Ok(())
-    }
-
-    pub fn read_u64(&mut self) -> Result<u64, IndexError> {
-        let mut buf = [0u8; 8];
-        self.read_exact(&mut buf)?;
-        Ok(u64::from_le_bytes(buf))
-    }
-
-    /// Reads a `u64`, erroring if it exceeds `cap` (corruption guard).
-    pub fn read_dim(&mut self, cap: usize, what: &str) -> Result<usize, IndexError> {
-        let v = self.read_u64()?;
-        if v > cap as u64 {
-            return Err(IndexError::Format(format!(
-                "{what} = {v} exceeds sanity cap {cap}"
-            )));
-        }
-        Ok(v as usize)
-    }
-
-    /// Like [`Self::read_dim`] but additionally rejects zero — for
-    /// dimensions a valid index can never store as 0 (`n`, `dim`).
-    pub fn read_dim_nonzero(&mut self, cap: usize, what: &str) -> Result<usize, IndexError> {
-        let v = self.read_dim(cap, what)?;
-        if v == 0 {
-            return Err(IndexError::Format(format!("{what} must be positive")));
-        }
-        Ok(v)
-    }
-
-    pub fn read_u32_slice(&mut self) -> Result<Vec<u32>, IndexError> {
-        let len = self.read_dim(MAX_MATRIX_ELEMS, "u32 array length")?;
-        self.ensure_available(len as u64, 4, "u32 array")?;
-        let mut out = vec![0u32; len];
-        for v in out.iter_mut() {
-            let mut buf = [0u8; 4];
-            self.read_exact(&mut buf)?;
-            *v = u32::from_le_bytes(buf);
-        }
-        Ok(out)
-    }
-
-    pub fn read_matrix(&mut self, rows: usize, cols: usize) -> Result<DenseMatrix, IndexError> {
-        let total = rows
-            .checked_mul(cols)
-            .filter(|&t| t <= MAX_MATRIX_ELEMS)
-            .ok_or_else(|| IndexError::Format(format!("matrix {rows}×{cols} overflows cap")))?;
-        self.ensure_available(total as u64, 8, "matrix element")?;
-        let mut data = vec![0.0f64; total];
-        for v in data.iter_mut() {
-            let mut buf = [0u8; 8];
-            self.read_exact(&mut buf)?;
-            *v = f64::from_le_bytes(buf);
-        }
-        Ok(DenseMatrix::from_vec(rows, cols, data))
-    }
-
-    /// Verifies the payload was consumed exactly (no trailing garbage).
-    pub fn finish(mut self) -> Result<(), IndexError> {
-        let mut buf = [0u8; 1];
-        match self.r.read(&mut buf)? {
-            0 => Ok(()),
-            _ => Err(IndexError::Format("trailing bytes after payload".into())),
-        }
-    }
 }
 
 /// An index of any kind, loaded from disk. Dispatches [`VectorIndex`]
@@ -416,29 +189,16 @@ impl VectorIndex for AnyIndex {
     }
 }
 
-/// Loads any index file — `PANECOL1` or legacy `PANEIDX1` — dispatching
-/// on the magic, then on the stored kind.
+/// Loads any index file, dispatching on the kind stored in its
+/// container's meta word.
 pub fn load_index(path: &Path) -> Result<AnyIndex, IndexError> {
-    if pane_format::is_columnar(path)? {
-        let c = Columns::open(path)?;
-        let (kind, metric) = columnar_kind_metric(&c)?;
-        return Ok(match kind {
-            IndexKind::Flat => AnyIndex::Flat(FlatIndex::from_columns(&c, metric)?),
-            IndexKind::Ivf => AnyIndex::Ivf(IvfIndex::from_columns(&c, metric)?),
-            IndexKind::Hnsw => AnyIndex::Hnsw(HnswIndex::from_columns(&c, metric)?),
-            IndexKind::SqFlat => AnyIndex::SqFlat(SqFlatIndex::from_columns(&c, metric)?),
-        });
-    }
-    let (kind, _probe) = FileReader::open_any(path)?;
+    let c = open_columns(path)?;
+    let (kind, metric) = columnar_kind_metric(&c)?;
     Ok(match kind {
-        IndexKind::Flat => AnyIndex::Flat(FlatIndex::load(path)?),
-        IndexKind::Ivf => AnyIndex::Ivf(IvfIndex::load(path)?),
-        IndexKind::Hnsw => AnyIndex::Hnsw(HnswIndex::load(path)?),
-        IndexKind::SqFlat => {
-            return Err(IndexError::Format(
-                "sqflat indexes exist only in PANECOL1 containers".into(),
-            ))
-        }
+        IndexKind::Flat => AnyIndex::Flat(FlatIndex::from_columns(&c, metric)?),
+        IndexKind::Ivf => AnyIndex::Ivf(IvfIndex::from_columns(&c, metric)?),
+        IndexKind::Hnsw => AnyIndex::Hnsw(HnswIndex::from_columns(&c, metric)?),
+        IndexKind::SqFlat => AnyIndex::SqFlat(SqFlatIndex::from_columns(&c, metric)?),
     })
 }
 
@@ -455,21 +215,47 @@ mod tests {
     #[test]
     fn bad_magic_rejected() {
         let p = tmp("bad_magic.idx");
-        std::fs::write(&p, b"NOTANIDXxx").unwrap();
+        std::fs::write(&p, [&b"NOTANIDX"[..], &[0u8; 32]].concat()).unwrap();
         match load_index(&p) {
             Err(IndexError::Format(m)) => assert!(m.contains("magic")),
             other => panic!("expected format error, got {other:?}"),
         }
     }
 
+    /// The removed stream format is refused by name, with the remedy —
+    /// through the self-describing entry point and every typed loader —
+    /// and only its first 8 bytes are ever looked at.
+    #[test]
+    fn removed_stream_format_is_rejected_by_name() {
+        let p = tmp("stream.idx");
+        std::fs::write(&p, b"PANEIDX1\x02\x00 whatever a pre-columnar build wrote").unwrap();
+        let errors = [
+            load_index(&p).err(),
+            FlatIndex::load(&p).err(),
+            IvfIndex::load(&p).err(),
+            HnswIndex::load(&p).err(),
+            SqFlatIndex::load(&p).err(),
+        ];
+        for e in errors {
+            match e {
+                Some(IndexError::Format(m)) => {
+                    assert!(
+                        m.contains("PANEIDX1") && m.contains("pane index build"),
+                        "{m}"
+                    )
+                }
+                other => panic!("expected the named format error, got {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn unknown_kind_rejected() {
         let p = tmp("bad_kind.idx");
-        let mut bytes = INDEX_MAGIC.to_vec();
-        bytes.extend_from_slice(&[9, 0]);
-        std::fs::write(&p, bytes).unwrap();
+        let meta = 9 | ((Metric::Cosine.tag() as u16) << 8);
+        pane_format::write_columns(&p, Artifact::Index, meta, &[]).unwrap();
         match load_index(&p) {
-            Err(IndexError::Format(m)) => assert!(m.contains("kind")),
+            Err(IndexError::Format(m)) => assert!(m.contains("kind"), "{m}"),
             other => panic!("expected format error, got {other:?}"),
         }
     }
@@ -490,22 +276,10 @@ mod tests {
     fn truncated_payload_rejected() {
         use crate::testutil::clustered_vectors;
         let data = clustered_vectors(10, 4, 2, 0.1);
-        let idx = FlatIndex::build(&data, Metric::Cosine);
-        // Legacy stream: the reader notices mid-payload.
-        let p = tmp("trunc.leg.idx");
-        idx.save_legacy(&p).unwrap();
-        let bytes = std::fs::read(&p).unwrap();
-        std::fs::write(&p, &bytes[..bytes.len() - 7]).unwrap();
-        match load_index(&p) {
-            Err(IndexError::Format(m)) => {
-                assert!(m.contains("truncated") || m.contains("remain"), "{m}")
-            }
-            other => panic!("expected format error, got {other:?}"),
-        }
-        // Columnar container: the declared-vs-actual length check fires
-        // before any section is even read.
-        let p = tmp("trunc.col.idx");
-        idx.save(&p).unwrap();
+        // The declared-vs-actual length check fires before any section
+        // is even read.
+        let p = tmp("trunc.idx");
+        FlatIndex::build(&data, Metric::Cosine).save(&p).unwrap();
         let bytes = std::fs::read(&p).unwrap();
         std::fs::write(&p, &bytes[..bytes.len() - 7]).unwrap();
         match load_index(&p) {
@@ -516,18 +290,24 @@ mod tests {
 
     #[test]
     fn absurd_declared_count_fails_before_allocating() {
-        // A flat header declaring a near-cap matrix over a tiny payload
-        // must fail via the remaining-bytes check (ensure_available), not
-        // by allocating gigabytes and then hitting EOF.
+        // A flat container whose table declares a 2²⁷-row (16 GiB)
+        // vectors section over a 320-byte payload, with a *valid* header
+        // checksum: the table's layout arithmetic must refuse it — the
+        // sections would end past the file — before any payload-sized
+        // allocation.
+        use crate::testutil::{clustered_vectors, reseal_header};
         let p = tmp("absurd.idx");
-        let mut bytes = INDEX_MAGIC.to_vec();
-        bytes.extend_from_slice(&[IndexKind::Flat.tag(), Metric::Cosine.tag()]);
-        bytes.extend_from_slice(&(1u64 << 27).to_le_bytes()); // n
-        bytes.extend_from_slice(&8u64.to_le_bytes()); // dim ⇒ 8 GiB declared
-        bytes.extend_from_slice(&[0u8; 64]); // a sliver of payload
+        let data = clustered_vectors(10, 4, 2, 0.1);
+        FlatIndex::build(&data, Metric::Cosine).save(&p).unwrap();
+        let mut bytes = std::fs::read(&p).unwrap();
+        let entry = pane_format::HEADER_LEN;
+        let rows = 1u64 << 27;
+        bytes[entry + 8..entry + 16].copy_from_slice(&rows.to_le_bytes());
+        bytes[entry + 32..entry + 40].copy_from_slice(&(rows * 4 * 8).to_le_bytes());
+        reseal_header(&mut bytes, 1);
         std::fs::write(&p, bytes).unwrap();
         match FlatIndex::load(&p) {
-            Err(IndexError::Format(m)) => assert!(m.contains("remain"), "{m}"),
+            Err(IndexError::Format(m)) => assert!(m.contains("sections end at"), "{m}"),
             other => panic!("expected format error, got {other:?}"),
         }
     }
@@ -584,16 +364,24 @@ mod tests {
 
     #[test]
     fn empty_index_rejected_at_load() {
-        // build() asserts non-empty data, so n = 0 in a file is corruption;
-        // it must fail the load instead of panicking the first search.
+        // build() asserts non-empty data, so a 0-row vectors section is
+        // corruption the container cannot see; it must fail the load
+        // instead of panicking the first search.
         let p = tmp("empty.idx");
-        let mut bytes = INDEX_MAGIC.to_vec();
-        bytes.extend_from_slice(&[IndexKind::Flat.tag(), Metric::Cosine.tag()]);
-        bytes.extend_from_slice(&0u64.to_le_bytes()); // n = 0
-        bytes.extend_from_slice(&4u64.to_le_bytes()); // dim
-        std::fs::write(&p, bytes).unwrap();
+        pane_format::write_columns(
+            &p,
+            Artifact::Index,
+            columnar_meta(IndexKind::Flat, Metric::Cosine),
+            &[pane_format::ColumnSpec {
+                id: pane_format::section::INDEX_VECTORS,
+                rows: 0,
+                cols: 4,
+                data: pane_format::ColumnData::F64(&[]),
+            }],
+        )
+        .unwrap();
         match FlatIndex::load(&p) {
-            Err(IndexError::Format(m)) => assert!(m.contains("positive"), "{m}"),
+            Err(IndexError::Format(m)) => assert!(m.contains("valid range"), "{m}"),
             other => panic!("expected format error, got {other:?}"),
         }
     }

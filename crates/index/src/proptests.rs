@@ -1,4 +1,4 @@
-//! Fuzz-style corruption properties for the `PANEIDX1` loaders, plus
+//! Fuzz-style corruption properties for the `PANECOL1` index loaders, plus
 //! the kernel-equivalence and thread-invariance properties of the fused
 //! scan paths.
 //!
@@ -14,8 +14,8 @@
 //! batched search must be bit-identical to single search at every thread
 //! count.
 
-use crate::persist::{load_index, INDEX_MAGIC};
-use crate::testutil::clustered_vectors;
+use crate::persist::load_index;
+use crate::testutil::{clustered_vectors, reseal_header};
 use crate::{
     topk, DeltaIndex, FlatIndex, HnswConfig, HnswIndex, IndexError, IvfConfig, IvfIndex, Metric,
     SqConfig, SqFlatIndex, VectorIndex,
@@ -66,15 +66,12 @@ fn load_mutated(name: &str, bytes: &[u8]) -> Result<crate::AnyIndex, IndexError>
     load_index(&p)
 }
 
-/// Number of leading `u64` header words (after magic + tags) per kind.
-const HEADER_WORDS: [usize; 3] = [2, 4, 7];
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Any strict truncation fails the load with a structured error: the
-    /// format has no slack bytes, so a shorter file either hits EOF or
-    /// fails a count-vs-remaining check.
+    /// header declares the file's exact length, so a shorter file fails
+    /// the declared-vs-actual check (or is too short to hold a header).
     #[test]
     fn truncation_always_fails_structured(kind in 0usize..3, frac in 0.0f64..1.0) {
         let full = &fixture_bytes()[kind];
@@ -86,22 +83,38 @@ proptest! {
         }
     }
 
-    /// Overwriting any header word with a huge value fails cleanly —
-    /// via a sanity cap or the remaining-bytes check — before any
-    /// allocation sized by that value.
+    /// Overwriting any length-bearing header or table word — section
+    /// count, declared length, or one section's rows / cols / offset /
+    /// byte length — with a huge value fails cleanly before any
+    /// allocation sized by it. The header checksum is recomputed after
+    /// the patch, so it is the section cap, the declared-vs-actual
+    /// length check and the table's layout arithmetic that refuse the
+    /// file, not a checksum mismatch.
     #[test]
     fn huge_header_word_fails_before_allocating(
         kind in 0usize..3,
-        word in 0usize..7,
+        section in 0usize..5,
+        word in 0usize..6,
         bump in 0u64..1_000_000,
     ) {
-        let word = word % HEADER_WORDS[kind];
         let mut bytes = fixture_bytes()[kind].clone();
-        let at = INDEX_MAGIC.len() + 2 + 8 * word;
+        let sections = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
         let huge = (1u64 << 33) + bump;
-        bytes[at..at + 8].copy_from_slice(&huge.to_le_bytes());
+        match word {
+            0 => bytes[12..16].copy_from_slice(&(u32::MAX - bump as u32).to_le_bytes()),
+            1 => bytes[16..24].copy_from_slice(&huge.to_le_bytes()),
+            _ => {
+                // Table entry: id u32, dtype u32, then rows, cols,
+                // offset, byte_len (words 2..=5 here), checksum.
+                let entry = pane_format::HEADER_LEN
+                    + pane_format::TABLE_ENTRY_LEN * (section % sections);
+                let at = entry + 8 * (word - 1);
+                bytes[at..at + 8].copy_from_slice(&huge.to_le_bytes());
+            }
+        }
+        reseal_header(&mut bytes, sections);
         match load_mutated("huge_word.idx", &bytes) {
-            Err(IndexError::Format(_)) => {}
+            Err(IndexError::Format(m)) => prop_assert!(!m.contains("checksum"), "{}", m),
             other => panic!(
                 "huge header word must be a format error, got {:?}",
                 other.map(|i| i.kind())

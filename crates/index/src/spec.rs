@@ -45,11 +45,12 @@ impl IndexSpec {
         }
     }
 
-    /// Recovers the spec of an existing index. Parameters the `PANEIDX1`
-    /// file does not carry (IVF training iterations, seeds) fall back to
+    /// Recovers the spec of an existing index. Parameters an index file
+    /// does not carry (IVF training iterations, seeds) fall back to
     /// their defaults, so a compaction of a *loaded* index is
     /// deterministic but not necessarily byte-identical to the original
-    /// build.
+    /// build — which is why a store records the full recipe in its
+    /// manifest instead of recovering it this way.
     pub fn of(index: &AnyIndex) -> IndexSpec {
         match index {
             AnyIndex::Flat(_) => IndexSpec::Flat,
@@ -97,8 +98,10 @@ impl IndexSpec {
     }
 
     /// Inverse of [`Self::to_manifest`]. Unknown kinds, malformed or
-    /// unknown `key=value` pairs are structured [`IndexError::Format`]s
-    /// (a store manifest is untrusted input like any other file).
+    /// unknown `key=value` pairs, and parameters [`Self::build`] would
+    /// panic on are structured [`IndexError::Format`]s (a store manifest
+    /// is untrusted input like any other file, and opening a legacy
+    /// generation builds straight from it).
     pub fn from_manifest(line: &str) -> Result<IndexSpec, IndexError> {
         let mut toks = line.split_whitespace();
         let kind = toks
@@ -123,6 +126,14 @@ impl IndexSpec {
                 ))),
             }
         };
+        let at_least = |key: &str, value: u64, min: u64| -> Result<usize, IndexError> {
+            if value < min {
+                return Err(IndexError::Format(format!(
+                    "index spec '{key}' must be at least {min}"
+                )));
+            }
+            Ok(value as usize)
+        };
         let known = |allowed: &[&str]| -> Result<(), IndexError> {
             for (k, _) in &pairs {
                 if !allowed.contains(k) {
@@ -142,7 +153,7 @@ impl IndexSpec {
                 known(&["nlist", "nprobe", "iters", "seed"])?;
                 let d = IvfConfig::default();
                 Ok(IndexSpec::Ivf(IvfConfig {
-                    nlist: take(&pairs, "nlist", d.nlist as u64)? as usize,
+                    nlist: at_least("nlist", take(&pairs, "nlist", d.nlist as u64)?, 1)?,
                     nprobe: take(&pairs, "nprobe", d.nprobe as u64)? as usize,
                     train_iters: take(&pairs, "iters", d.train_iters as u64)? as usize,
                     seed: take(&pairs, "seed", d.seed)?,
@@ -153,8 +164,12 @@ impl IndexSpec {
                 known(&["m", "efc", "ef", "seed"])?;
                 let d = HnswConfig::default();
                 Ok(IndexSpec::Hnsw(HnswConfig {
-                    m: take(&pairs, "m", d.m as u64)? as usize,
-                    ef_construction: take(&pairs, "efc", d.ef_construction as u64)? as usize,
+                    m: at_least("m", take(&pairs, "m", d.m as u64)?, 2)?,
+                    ef_construction: at_least(
+                        "efc",
+                        take(&pairs, "efc", d.ef_construction as u64)?,
+                        1,
+                    )?,
                     ef_search: take(&pairs, "ef", d.ef_search as u64)? as usize,
                     seed: take(&pairs, "seed", d.seed)?,
                 }))
@@ -162,12 +177,7 @@ impl IndexSpec {
             "sqflat" => {
                 known(&["rerank"])?;
                 let d = SqConfig::default();
-                let rerank = take(&pairs, "rerank", d.rerank as u64)? as usize;
-                if rerank == 0 {
-                    return Err(IndexError::Format(
-                        "index spec 'rerank' must be positive".into(),
-                    ));
-                }
+                let rerank = at_least("rerank", take(&pairs, "rerank", d.rerank as u64)?, 1)?;
                 Ok(IndexSpec::SqFlat(SqConfig { rerank }))
             }
             other => Err(IndexError::Format(format!(
@@ -232,6 +242,9 @@ mod tests {
             "flat nlist=4",
             "sqflat rerank=0",
             "sqflat nlist=4",
+            "ivf nlist=0",
+            "hnsw m=1",
+            "hnsw efc=0",
         ] {
             assert!(
                 matches!(IndexSpec::from_manifest(bad), Err(IndexError::Format(_))),

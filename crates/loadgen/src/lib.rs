@@ -19,8 +19,9 @@
 //! * **Saturation search** — [`find_knee`] steps the offered rate until
 //!   achieved throughput stops tracking offered load, locating the
 //!   capacity knee of a deployment.
-//! * **Measurement reuse** — client-side latency lands in a
-//!   [`pane_obs::Histogram`] (exact-from-bucket p50/p95/p99), and
+//! * **Measurement reuse** — client-side p50/p95/p99 are nearest-rank
+//!   percentiles of the raw per-request latencies the report retains
+//!   (the benchmark's definition, not bucket edges), and
 //!   [`flatten_wire_metrics`] + [`pane_obs::snapshot_delta`] turn two
 //!   scrapes of the daemon's `metrics` op into server-side deltas for
 //!   free. Reports serialize through the `PANE_BENCH_JSON` contract

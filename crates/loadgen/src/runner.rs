@@ -10,9 +10,7 @@
 
 use crate::endpoint::Endpoint;
 use crate::workload::{OpKind, Request};
-use pane_obs::{latency_buckets, Histogram};
 use pane_serve::{parse, Json};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How to drive one run: the offered rate and the connection fan-out.
@@ -62,7 +60,8 @@ pub struct RunReport {
     pub errors: usize,
     /// Ok responses that were `"degraded":true`.
     pub degraded: usize,
-    /// Client-side p50 latency in seconds (exact-from-bucket).
+    /// Client-side p50 latency in seconds — like p95/p99 below, the
+    /// nearest-rank percentile of the ok outcomes' raw latencies.
     pub p50_s: f64,
     /// Client-side p95 latency in seconds.
     pub p95_s: f64,
@@ -93,7 +92,6 @@ pub fn run(
         ));
     }
     let conns = plan.connections.min(requests.len().max(1));
-    let hist = Arc::new(Histogram::new(&latency_buckets()));
     // A small lead so every worker is spawned and parked before the
     // first request is due — the schedule starts clean.
     let start = Instant::now() + Duration::from_millis(5);
@@ -101,7 +99,6 @@ pub fn run(
     let mut all: Vec<RequestOutcome> = std::thread::scope(|scope| {
         let workers: Vec<_> = (0..conns)
             .map(|w| {
-                let hist = Arc::clone(&hist);
                 scope.spawn(move || {
                     let mut endpoint: Option<Box<dyn Endpoint>> = None;
                     let mut outcomes = Vec::new();
@@ -126,13 +123,7 @@ pub fn run(
                             .roundtrip(&request.line);
                         let latency = due.elapsed();
                         match result {
-                            Ok(resp) => {
-                                let outcome = judge(index, request.op, &resp, latency);
-                                if outcome.ok {
-                                    hist.observe(latency.as_secs_f64());
-                                }
-                                outcomes.push(outcome);
-                            }
+                            Ok(resp) => outcomes.push(judge(index, request.op, &resp, latency)),
                             Err(e) => {
                                 // The connection is suspect either way;
                                 // the next request reconnects.
@@ -154,6 +145,7 @@ pub fn run(
     let wall = start.elapsed().max(Duration::from_micros(1));
 
     let ok = all.iter().filter(|o| o.ok).count();
+    let [p50_s, p95_s, p99_s] = latency_percentiles(&all, [0.50, 0.95, 0.99]);
     Ok(RunReport {
         offered_qps: plan.qps,
         achieved_qps: ok as f64 / wall.as_secs_f64(),
@@ -161,11 +153,28 @@ pub fn run(
         ok,
         errors: all.iter().filter(|o| !o.ok).count(),
         degraded: all.iter().filter(|o| o.degraded).count(),
-        p50_s: hist.quantile(0.50),
-        p95_s: hist.quantile(0.95),
-        p99_s: hist.quantile(0.99),
+        p50_s,
+        p95_s,
+        p99_s,
         wall,
         outcomes: all,
+    })
+}
+
+/// Nearest-rank percentiles, in seconds, of the ok outcomes' latencies:
+/// for each `q` the sample at 1-based rank `⌈q·N⌉` of the sorted
+/// latencies — the definition the repo benchmark's driver uses, so the
+/// two agree. All zero when nothing succeeded.
+fn latency_percentiles<const K: usize>(outcomes: &[RequestOutcome], qs: [f64; K]) -> [f64; K] {
+    let mut ok: Vec<Duration> = outcomes
+        .iter()
+        .filter(|o| o.ok)
+        .map(|o| o.latency)
+        .collect();
+    ok.sort_unstable();
+    qs.map(|q| {
+        let rank = (q * ok.len() as f64).ceil() as usize;
+        ok.get(rank.max(1) - 1).map_or(0.0, Duration::as_secs_f64)
     })
 }
 
@@ -302,6 +311,7 @@ mod tests {
     use crate::endpoint::HandlerEndpoint;
     use crate::workload::generate_requests;
     use pane_serve::LineHandler;
+    use std::sync::Arc;
 
     /// A handler that answers instantly, echoing the request op; every
     /// `fail_every`-th request (1-based) gets a remote error instead.
@@ -369,6 +379,29 @@ mod tests {
         assert_eq!(report.ok, 40);
         let failed = report.outcomes.iter().find(|o| !o.ok).unwrap();
         assert_eq!(failed.error.as_deref(), Some("synthetic"));
+    }
+
+    /// Percentiles are sample values, not histogram bucket edges: for
+    /// 200 latencies strictly inside the (2.048 ms, 4.096 ms] log bucket
+    /// a bucketed quantile would answer 4.096 ms three times.
+    #[test]
+    fn percentiles_are_nearest_rank_sample_values() {
+        let at = |i: u64| Duration::from_micros(3000 + i);
+        let ok = |i: u64| RequestOutcome {
+            ok: true,
+            ..failed(i as usize, OpKind::SimilarNodes, String::new(), at(i))
+        };
+        let mut outcomes: Vec<_> = (0..200).rev().map(ok).collect();
+        // A failed request's latency (a timeout, say) is not a sample.
+        let timeout = Duration::from_secs(5);
+        outcomes.push(failed(200, OpKind::Insert, "timeout".into(), timeout));
+        let [p50, p95, p99, max] = latency_percentiles(&outcomes, [0.50, 0.95, 0.99, 1.0]);
+        assert_eq!(p50, at(99).as_secs_f64());
+        assert_eq!(p95, at(189).as_secs_f64());
+        assert_eq!(p99, at(197).as_secs_f64());
+        assert_eq!(max, at(199).as_secs_f64());
+        assert!(p50 <= p95 && p95 <= p99 && p99 <= max);
+        assert_eq!(latency_percentiles(&outcomes[200..], [0.5]), [0.0]);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! `pane-serve` — the shared-index serving daemon behind `pane serve`.
 //!
 //! PR 2 gave every *caller* an ANN index; this crate gives **traffic** a
-//! daemon: one process loads the embedding store and one `PANEIDX1` index
+//! daemon: one process loads the embedding store and one index
 //! pair, then answers `similar-nodes` / `recommend-links` requests over a
 //! JSON-lines protocol (TCP or stdio) with batched, parallel search —
 //! instead of every client paying the load cost per invocation (the

@@ -11,9 +11,11 @@
 //! * **immutable base artifacts** per generation — the embedding plus
 //!   the node/link index pair, all in `gen-<g>/`, never modified after
 //!   the manifest commits to them. New generations are written as
-//!   columnar `PANECOL1` containers (`pane-format`); stores created by
-//!   older builds hold legacy `PANEEMB1`/`PANEIDX1` streams, which every
-//!   reader still accepts and [`migrate`] rewrites forward in place;
+//!   columnar `PANECOL1` containers (`pane-format`); a generation the
+//!   manifest calls legacy keeps its `PANEEMB1` embedding readable and
+//!   has its index pair — derived data — rebuilt from the manifest's
+//!   recipe rather than read, until [`migrate`] or a snapshot rewrites
+//!   it forward;
 //! * the **insert-ahead log** ([`wal`], `PANEWAL1`) — length-prefixed,
 //!   checksummed records of new `X_f`/`X_b` row pairs, synced *before*
 //!   an insert is acknowledged, replayed into delta segments at

@@ -41,14 +41,16 @@ pub const MANIFEST_FILE: &str = "MANIFEST";
 /// On-disk format of a generation's artifacts.
 ///
 /// Recorded in the manifest (`format` line) so operators and `status`
-/// reports can tell what a store holds without sniffing files; the
-/// artifact *readers* dispatch on magic bytes regardless, so a wrong or
-/// missing line never misloads data. Manifests written before the
-/// columnar container existed have no `format` line and parse as
-/// [`ArtifactFormat::Legacy`].
+/// reports can tell what a store holds without sniffing files. The
+/// embedding readers dispatch on magic bytes regardless, and for the
+/// index pair `legacy` only means *rebuild from the recipe* instead of
+/// *load the files* — so a wrong or missing line never misloads data.
+/// Manifests written before the columnar container existed have no
+/// `format` line and parse as [`ArtifactFormat::Legacy`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArtifactFormat {
-    /// Original stream formats (`PANEEMB1` embeddings, `PANEIDX1` indexes).
+    /// A generation from a pre-columnar build: a `PANEEMB1` embedding
+    /// stream, and index files that are rebuilt from the recipe, not read.
     Legacy,
     /// Columnar `PANECOL1` containers (sectioned, aligned, checksummed).
     Columnar,

@@ -10,9 +10,13 @@
 //!     link.idx        PANECOL1 link index over X_b
 //! ```
 //!
-//! New generations are columnar `PANECOL1` containers; stores written by
-//! older builds hold legacy `PANEEMB1`/`PANEIDX1` streams, which every
-//! loader still reads and [`migrate`] (or any snapshot) rewrites forward.
+//! New generations are columnar `PANECOL1` containers. A generation whose
+//! manifest says `format legacy` (or nothing) was written by an older
+//! build: its `PANEEMB1` embedding still loads, while its two index files
+//! — derived data in a stream format no reader exists for any more — are
+//! never opened; the pair is rebuilt from the manifest's recipe instead
+//! (see [`base_indexes`]). [`migrate`] (or any snapshot) rewrites such a
+//! store forward.
 //!
 //! The life cycle mirrors a log-structured store (LogBase, PAPERS.md):
 //! [`Store::open`] loads the base generation and **replays** the WAL into
@@ -85,10 +89,12 @@ fn sync_dir(path: &Path) {
     }
 }
 
-/// Writes one generation's three artifacts into `gdir` in the requested
-/// format and fsyncs them. The columnar path is what `init`, `snapshot`,
-/// and `migrate` all use; the legacy path exists so tests and CI can
-/// create pre-columnar fixtures (`pane store init --format legacy`).
+/// Writes one generation's three artifacts into `gdir` and fsyncs them.
+/// `format` names the embedding container: columnar is what `init`,
+/// `snapshot`, and `migrate` all write; legacy (`PANEEMB1`) exists so
+/// tests and CI can create pre-columnar fixtures (`pane store init
+/// --format legacy`). The index files are `PANECOL1` either way — a
+/// legacy generation's are never read back (see [`base_indexes`]).
 fn write_generation(
     gdir: &Path,
     emb: &PaneEmbedding,
@@ -97,32 +103,59 @@ fn write_generation(
     format: ArtifactFormat,
 ) -> Result<(), StoreError> {
     match format {
-        ArtifactFormat::Columnar => {
-            pane_core::save_columns(emb, &gdir.join(EMBEDDING_FILE))?;
-            node.save(&gdir.join(NODE_INDEX_FILE))?;
-            link.save(&gdir.join(LINK_INDEX_FILE))?;
-        }
-        ArtifactFormat::Legacy => {
-            pane_core::save_binary(emb, &gdir.join(EMBEDDING_FILE))?;
-            for (idx, file) in [(node, NODE_INDEX_FILE), (link, LINK_INDEX_FILE)] {
-                match idx {
-                    AnyIndex::Flat(x) => x.save_legacy(&gdir.join(file))?,
-                    AnyIndex::Ivf(x) => x.save_legacy(&gdir.join(file))?,
-                    AnyIndex::Hnsw(x) => x.save_legacy(&gdir.join(file))?,
-                    AnyIndex::SqFlat(_) => {
-                        return Err(StoreError::Format(
-                            "sqflat indexes have no legacy form; use the columnar format".into(),
-                        ))
-                    }
-                }
-            }
-        }
+        ArtifactFormat::Columnar => pane_core::save_columns(emb, &gdir.join(EMBEDDING_FILE))?,
+        ArtifactFormat::Legacy => pane_core::save_binary(emb, &gdir.join(EMBEDDING_FILE))?,
     }
+    node.save(&gdir.join(NODE_INDEX_FILE))?;
+    link.save(&gdir.join(LINK_INDEX_FILE))?;
     for f in [EMBEDDING_FILE, NODE_INDEX_FILE, LINK_INDEX_FILE] {
         sync_file(&gdir.join(f))?;
     }
     sync_dir(gdir);
     Ok(())
+}
+
+/// Commits `emb` and its two bases as generation `current + 1`: writes
+/// `gen-<current+1>/` completely, atomically swings the manifest to it
+/// (recording `format columnar`), and removes the previous generation
+/// directory (best-effort — a leftover directory is garbage, not
+/// corruption). The shared tail of [`Store::snapshot`] and [`migrate`];
+/// the WAL is the caller's business. Returns the new generation number.
+fn commit_next_generation(
+    dir: &Path,
+    current: u64,
+    node_spec: IndexSpec,
+    link_spec: IndexSpec,
+    emb: &PaneEmbedding,
+    node: &AnyIndex,
+    link: &AnyIndex,
+) -> Result<u64, StoreError> {
+    let next = current + 1;
+    let gdir = gen_dir(dir, next);
+    // A leftover directory from a crashed attempt is stale garbage the
+    // manifest never committed to; clear it.
+    if gdir.exists() {
+        std::fs::remove_dir_all(&gdir)?;
+    }
+    std::fs::create_dir_all(&gdir)?;
+    // The generation must be fully ON DISK before the manifest can name
+    // it (write_generation fsyncs every artifact and the directory
+    // entry), or a power loss after the rename could commit to unwritten
+    // pages while the WAL (the only other copy of the inserts) is about
+    // to be truncated.
+    write_generation(&gdir, emb, node, link, ArtifactFormat::Columnar)?;
+    sync_dir(dir);
+    // Commit point: the manifest rename. Before it, the old generation
+    // is current; after it, the new one is.
+    Manifest::Single {
+        generation: next,
+        node_spec,
+        link_spec,
+        format: ArtifactFormat::Columnar,
+    }
+    .write(dir)?;
+    let _ = std::fs::remove_dir_all(gen_dir(dir, current));
+    Ok(next)
 }
 
 /// Builds the canonical serving index pair for an embedding: the node
@@ -143,6 +176,38 @@ pub fn build_bases(
     );
     let link = link_spec.build(&emb.backward, Metric::InnerProduct, threads);
     (node, link)
+}
+
+/// The base index pair of generation directory `gdir` over its (already
+/// loaded, not yet WAL-grown) embedding. A columnar generation's index
+/// files are loaded. A legacy generation's are not even opened: indexes
+/// are derived data, and [`build_bases`] over the base embedding with
+/// the manifest's recipe reproduces, bit for bit and at any thread
+/// count, the pair `init` built when it wrote those files.
+fn base_indexes(
+    gdir: &Path,
+    emb: &PaneEmbedding,
+    node_spec: &IndexSpec,
+    link_spec: &IndexSpec,
+    format: ArtifactFormat,
+) -> Result<(AnyIndex, AnyIndex), StoreError> {
+    match format {
+        ArtifactFormat::Columnar => Ok((
+            pane_index::load_index(&gdir.join(NODE_INDEX_FILE))?,
+            pane_index::load_index(&gdir.join(LINK_INDEX_FILE))?,
+        )),
+        ArtifactFormat::Legacy => {
+            // `init` refuses an empty embedding and the builders assert
+            // on one; a file that claims it is corruption, not a panic.
+            if emb.forward.rows() == 0 || emb.forward.cols() == 0 {
+                return Err(StoreError::Format(format!(
+                    "{}: legacy embedding is empty; no index can be rebuilt over it",
+                    gdir.display()
+                )));
+            }
+            Ok(build_bases(emb, node_spec, link_spec, 1))
+        }
+    }
 }
 
 /// Durable-store handle: the persistence side of a serving engine. The
@@ -273,8 +338,8 @@ impl Store {
         };
         let gdir = gen_dir(dir, generation);
         let mut embedding = pane_core::load_binary(&gdir.join(EMBEDDING_FILE))?;
-        let node_base = pane_index::load_index(&gdir.join(NODE_INDEX_FILE))?;
-        let link_base = pane_index::load_index(&gdir.join(LINK_INDEX_FILE))?;
+        let (node_base, link_base) =
+            base_indexes(&gdir, &embedding, &node_spec, &link_spec, format)?;
         let n = embedding.forward.rows();
         let k2 = embedding.forward.cols();
         for (what, idx, want_dim) in [("node", &node_base, 2 * k2), ("link", &link_base, k2)] {
@@ -384,8 +449,7 @@ impl Store {
 
     /// Commits a new base generation: writes `emb` and the two compacted
     /// bases into `gen-<g+1>/`, atomically swings the manifest to it,
-    /// truncates the WAL, and removes the previous generation directory
-    /// (best-effort — a leftover directory is garbage, not corruption).
+    /// removes the previous generation directory, and truncates the WAL.
     /// Returns the new generation number.
     ///
     /// Snapshots always write the columnar format — snapshotting is how
@@ -408,33 +472,16 @@ impl Store {
                 )));
             }
         }
-        let next = self.generation + 1;
-        let gdir = gen_dir(&self.dir, next);
-        // A leftover directory from a crashed snapshot attempt is stale
-        // garbage the manifest never committed to; clear it.
-        if gdir.exists() {
-            std::fs::remove_dir_all(&gdir)?;
-        }
-        std::fs::create_dir_all(&gdir)?;
-        // The generation must be fully ON DISK before the manifest can
-        // name it (write_generation fsyncs every artifact and the
-        // directory entry), or a power loss after the rename could
-        // commit to unwritten pages while the WAL (the only other copy
-        // of the inserts) is about to be truncated.
-        write_generation(&gdir, emb, node_base, link_base, ArtifactFormat::Columnar)?;
-        sync_dir(&self.dir);
-        // Commit point: the manifest rename. Before it, the old
-        // generation is current; after it, the new one is.
-        Manifest::Single {
-            generation: next,
-            node_spec: self.node_spec,
-            link_spec: self.link_spec,
-            format: ArtifactFormat::Columnar,
-        }
-        .write(&self.dir)?;
+        let next = commit_next_generation(
+            &self.dir,
+            self.generation,
+            self.node_spec,
+            self.link_spec,
+            emb,
+            node_base,
+            link_base,
+        )?;
         self.wal.truncate()?;
-        let old = gen_dir(&self.dir, self.generation);
-        let _ = std::fs::remove_dir_all(old);
         self.generation = next;
         self.format = ArtifactFormat::Columnar;
         self.wal_records = 0;
@@ -514,15 +561,16 @@ pub struct MigrateReport {
 /// Rewrites a legacy store's current generation as columnar `PANECOL1`
 /// artifacts, in place.
 ///
-/// The rewrite is a restricted snapshot: the base artifacts are loaded,
-/// re-saved into `gen-<g+1>/` in the columnar format, the manifest is
-/// atomically swung to the new generation (now recording
-/// `format columnar`), and the old generation directory is removed. The
-/// WAL is **left untouched** — migration changes the container bytes,
-/// not the logical base (same `n` rows), so the replay contract holds
-/// verbatim and un-snapshotted inserts survive. Serving results are
-/// bit-identical before and after: the matrices and index structures
-/// round-trip exactly, only their envelope changes.
+/// The rewrite is a restricted snapshot: the base embedding is loaded,
+/// its index pair rebuilt from the manifest's recipe (exactly what
+/// [`Store::open`] serves a legacy generation from), both are saved into
+/// `gen-<g+1>/` in the columnar format, the manifest is atomically swung
+/// to the new generation (now recording `format columnar`), and the old
+/// generation directory is removed. The WAL is **left untouched** —
+/// migration changes the container bytes, not the logical base (same
+/// `n` rows), so the replay contract holds verbatim and un-snapshotted
+/// inserts survive. Serving results are bit-identical before and after:
+/// the matrices round-trip exactly and the index build is deterministic.
 ///
 /// Takes the store's exclusive lock; fails fast if a daemon is live.
 /// A store that is already columnar is a successful no-op.
@@ -551,24 +599,8 @@ pub fn migrate(dir: &Path) -> Result<MigrateReport, StoreError> {
     }
     let gdir = gen_dir(dir, generation);
     let emb = pane_core::load_binary(&gdir.join(EMBEDDING_FILE))?;
-    let node = pane_index::load_index(&gdir.join(NODE_INDEX_FILE))?;
-    let link = pane_index::load_index(&gdir.join(LINK_INDEX_FILE))?;
-    let next = generation + 1;
-    let ndir = gen_dir(dir, next);
-    if ndir.exists() {
-        std::fs::remove_dir_all(&ndir)?;
-    }
-    std::fs::create_dir_all(&ndir)?;
-    write_generation(&ndir, &emb, &node, &link, ArtifactFormat::Columnar)?;
-    sync_dir(dir);
-    Manifest::Single {
-        generation: next,
-        node_spec,
-        link_spec,
-        format: ArtifactFormat::Columnar,
-    }
-    .write(dir)?;
-    let _ = std::fs::remove_dir_all(&gdir);
+    let (node, link) = base_indexes(&gdir, &emb, &node_spec, &link_spec, format)?;
+    let next = commit_next_generation(dir, generation, node_spec, link_spec, &emb, &node, &link)?;
     Ok(MigrateReport {
         from_format: format,
         generation: next,
@@ -1049,5 +1081,63 @@ mod tests {
         drop(opened);
         assert_eq!(read_status(&dir).unwrap().format, ArtifactFormat::Columnar);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A legacy generation's index files are never read, whatever they
+    /// hold: open rebuilds the pair from the manifest recipe, answers
+    /// exactly like a columnar store of the same embedding, and
+    /// `migrate` writes loadable index files while the WAL rides along.
+    #[test]
+    fn legacy_generation_rebuilds_its_indexes_from_the_recipe() {
+        let hnsw = IndexSpec::Hnsw(pane_index::HnswConfig {
+            m: 6,
+            ef_construction: 40,
+            ef_search: 24,
+            seed: 5,
+        });
+        for (tag, spec) in [("flat", IndexSpec::Flat), ("hnsw", hnsw)] {
+            let emb = fixture(70, 17);
+            let k2 = emb.forward.cols();
+            let reference = tmpdir(&format!("rebuild_ref_{tag}"));
+            Store::init(&reference, &emb, &spec, &spec, 2).unwrap();
+            let dir = tmpdir(&format!("rebuild_{tag}"));
+            Store::init_with_format(&dir, &emb, &spec, &spec, 2, ArtifactFormat::Legacy).unwrap();
+            for f in [NODE_INDEX_FILE, LINK_INDEX_FILE] {
+                std::fs::write(gen_dir(&dir, 1).join(f), b"PANEIDX1 + garbage").unwrap();
+            }
+
+            let row: Vec<f64> = (0..k2).map(|i| 0.07 * (i + 1) as f64).collect();
+            {
+                let want = Store::open(&reference).unwrap();
+                let mut got = Store::open(&dir).unwrap();
+                assert_eq!(got.store.format(), ArtifactFormat::Legacy);
+                for v in [0, 33, 69] {
+                    let q = emb.classifier_features(v);
+                    assert_eq!(got.node_index.search(&q, 6), want.node_index.search(&q, 6));
+                    let q = emb.backward.row(v);
+                    assert_eq!(got.link_index.search(q, 6), want.link_index.search(q, 6));
+                }
+                got.store.append(70, &row, &row).unwrap();
+            }
+
+            assert!(migrate(&dir).unwrap().migrated);
+            let status = read_status(&dir).unwrap();
+            assert_eq!(status.format, ArtifactFormat::Columnar);
+            assert_eq!(status.wal_records, 1, "migration must not touch the WAL");
+            for f in [NODE_INDEX_FILE, LINK_INDEX_FILE] {
+                assert_eq!(
+                    pane_index::load_index(&gen_dir(&dir, 2).join(f))
+                        .unwrap()
+                        .len(),
+                    70
+                );
+            }
+            let reopened = Store::open(&dir).unwrap();
+            assert_eq!(reopened.store.replayed(), 1);
+            assert_eq!(reopened.embedding.forward.row(70), &row[..]);
+            for d in [dir, reference] {
+                std::fs::remove_dir_all(&d).ok();
+            }
+        }
     }
 }
