@@ -21,8 +21,7 @@
 //!                    [--m 16] [--efc 100] [--ef 64] [--seed 0])
 //!                   (--stdio | --listen ADDR) [--threads 1]
 //!                   [--log-json PATH] [--log-level warn] [--slow-query-ms N]
-//! pane route        (--shards ADDR,ADDR,… | --store ROOT [--threads 1])
-//!                   (--stdio | --listen ADDR)
+//! pane route        --shards ADDR,ADDR,… (--stdio | --listen ADDR)
 //!                   [--connect-timeout-ms 1000] [--request-timeout-ms 10000]
 //!                   [--retries 2] [--probe-interval-ms 2000]
 //!                   [--log-json PATH] [--log-level warn] [--slow-query-ms N]
@@ -38,14 +37,14 @@
 //!                     [--format columnar|legacy] [--threads 1]
 //! pane store snapshot --dir DIR [--threads 1]
 //! pane store status   --dir DIR
-//! pane store migrate  --dir DIR
 //! ```
 //!
 //! `embed` writes `EMB` as a `PANECOL1` container (`--text`: the
 //! line-oriented text form). Every `--embedding` reader sniffs the magic,
 //! so a `PANEEMB1` file from an older build still loads; an index file in
 //! the removed `PANEIDX1` stream format is refused by name — regenerate
-//! it with `pane index build`.
+//! it with `pane index build`. A store written by an older build becomes
+//! columnar at its next `snapshot`.
 //!
 //! Graph-loading commands (`embed`, `stats`, `evaluate`, `convert`)
 //! accept `--two-pass` to re-parse the input files through the two-pass
@@ -55,12 +54,10 @@
 mod args;
 
 use args::{ArgError, Args};
-use pane_core::{EmbeddingQuery, Pane, PaneConfig};
+use pane_core::{top_k_filter, EmbeddingQuery, Pane, PaneConfig, QuerySpace};
 use pane_datasets::DatasetZoo;
 use pane_graph::io::{load_graph_with, LoadMode};
-use pane_index::{
-    AnyIndex, FlatIndex, HnswConfig, HnswIndex, IvfConfig, IvfIndex, Metric, VectorIndex,
-};
+use pane_index::{HnswConfig, IndexSpec, IvfConfig, Neighbor, SqConfig, VectorIndex};
 use pane_linalg::DenseMatrix;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -111,7 +108,7 @@ fn print_help() {
            route     run the merging query router over shard daemons (same protocol)\n\
            metrics   scrape a live serve/route endpoint's metrics (Prometheus text or JSON)\n\
            bench     drive a live serve/route endpoint with open-loop load (saturation search)\n\
-           store     manage durable store directories (init / snapshot / status / migrate)\n\
+           store     manage durable store directories (init / snapshot / status)\n\
            evaluate  run the three-task quality report on a graph\n\
            convert   convert a text graph to the fast binary format (or back)\n\n\
          run `pane <command>` with no options to see its usage in the error message."
@@ -359,21 +356,9 @@ fn cmd_index(mut raw: Vec<String>) -> CliResult {
     }
 }
 
-/// The vectors an index serves for a given query space: classifier
-/// features for `similar` (their dot is the unified `cos_f + cos_b`
-/// score — the halves are unit or zero), raw `X_b` rows for `links`
-/// (Eq. 22 scores are `q · X_b[dst]`). Both are max-inner-product
-/// searches; the spaces are distinguished by dimensionality (`k` vs
-/// `k/2`), not metric.
-fn space_vectors(
-    emb: &pane_core::PaneEmbedding,
-    space: &str,
-) -> Result<(DenseMatrix, Metric), Box<dyn std::error::Error>> {
-    match space {
-        "similar" => Ok((emb.classifier_feature_matrix(), Metric::InnerProduct)),
-        "links" => Ok((emb.backward.clone(), Metric::InnerProduct)),
-        other => Err(format!("unknown space '{other}' (similar|links)").into()),
-    }
+fn space_from_arg(name: &str) -> Result<QuerySpace, ArgError> {
+    QuerySpace::parse(name)
+        .ok_or_else(|| ArgError(format!("unknown space '{name}' (similar|links)")))
 }
 
 fn cmd_index_build(raw: Vec<String>) -> CliResult {
@@ -396,46 +381,17 @@ fn cmd_index_build(raw: Vec<String>) -> CliResult {
     ])?;
     let emb = load_embedding_from_args(&a)?;
     let output = PathBuf::from(a.require("output")?);
-    let space = a.get("space").unwrap_or("similar");
-    let (vectors, metric) = space_vectors(&emb, space)?;
-    let kind = a.get("kind").unwrap_or("hnsw");
+    let space = space_from_arg(a.get("space").unwrap_or("similar"))?;
+    let spec = spec_from_args(&a)?;
+    let threads: usize = a.get_parsed("threads", 1usize)?;
     let t0 = std::time::Instant::now();
-    let index: AnyIndex = match kind {
-        "flat" => AnyIndex::Flat(FlatIndex::build(&vectors, metric)),
-        "ivf" => AnyIndex::Ivf(IvfIndex::build(
-            &vectors,
-            metric,
-            &IvfConfig {
-                nlist: a.get_parsed("lists", 64usize)?,
-                nprobe: a.get_parsed("nprobe", 8usize)?,
-                train_iters: a.get_parsed("iters", 10usize)?,
-                seed: a.get_parsed("seed", 0u64)?,
-                threads: a.get_parsed("threads", 1usize)?,
-            },
-        )),
-        "hnsw" => AnyIndex::Hnsw(HnswIndex::build(
-            &vectors,
-            metric,
-            &HnswConfig {
-                m: a.get_parsed("m", 16usize)?,
-                ef_construction: a.get_parsed("efc", 100usize)?,
-                ef_search: a.get_parsed("ef", 64usize)?,
-                seed: a.get_parsed("seed", 0u64)?,
-            },
-        )),
-        "sqflat" => AnyIndex::SqFlat(pane_index::SqFlatIndex::build(
-            &vectors,
-            metric,
-            pane_index::SqConfig {
-                rerank: a.get_parsed("rerank", pane_index::SqConfig::default().rerank)?,
-            },
-        )),
-        other => return Err(format!("unknown index kind '{other}' (flat|ivf|hnsw|sqflat)").into()),
-    };
+    let index = space.build_index(&emb, &spec, threads);
     index.save(&output)?;
     eprintln!(
-        "built {kind} index over {} {space}-space vectors (dim {}) in {:.2}s",
+        "built {} index over {} {}-space vectors (dim {}) in {:.2}s",
+        spec.kind_name(),
         index.len(),
+        space.name(),
         index.dim(),
         t0.elapsed().as_secs_f64()
     );
@@ -491,78 +447,79 @@ fn cmd_index_search(raw: Vec<String>) -> CliResult {
     let k: usize = a.get_parsed("k", 10usize)?;
     let threads: usize = a.get_parsed("threads", 1usize)?;
 
-    // The index dimensionality tells us which query space it was built
-    // for: similar-space indexes hold the k-dim `[X_f ‖ X_b]` features,
-    // link-space indexes the k/2-dim `X_b` rows — queries are classifier
-    // features vs link query vectors q = X_f[v]·YᵀY (only that arm pays
-    // for the Gram matrix behind EmbeddingQuery). Both spaces serve
-    // max-inner-product, so the metric cannot distinguish them; an
-    // explicit --space overrides the inference (dim agreement is then
-    // *checked*, catching an index built from a different embedding).
+    // The index dimensionality tells which query space it was built for
+    // (both spaces serve max-inner-product, so the metric cannot); an
+    // explicit --space overrides the inference, and dim agreement is then
+    // *checked*, catching an index built from a different embedding.
     let k2 = emb.forward.cols();
     let space = match a.get("space") {
-        Some(s @ ("similar" | "links")) => s,
-        Some(other) => return Err(format!("unknown space '{other}' (similar|links)").into()),
-        None if index.dim() == 2 * k2 => "similar",
-        None if index.dim() == k2 => "links",
-        None => {
-            return Err(format!(
-                "embedding/index mismatch: index holds dim {}, embedding implies {} (similar) or {} (links)",
-                index.dim(),
-                2 * k2,
-                k2
-            )
-            .into())
-        }
+        Some(name) => space_from_arg(name)?,
+        None => [QuerySpace::Similar, QuerySpace::Links]
+            .into_iter()
+            .find(|s| s.dim(k2) == index.dim())
+            .ok_or_else(|| {
+                format!(
+                    "embedding/index mismatch: index holds dim {}, embedding implies {} (similar) or {} (links)",
+                    index.dim(),
+                    QuerySpace::Similar.dim(k2),
+                    QuerySpace::Links.dim(k2)
+                )
+            })?,
     };
-    let want_dim = if space == "similar" { 2 * k2 } else { k2 };
-    if index.dim() != want_dim {
+    if index.dim() != space.dim(k2) {
         return Err(format!(
-            "embedding/index mismatch: {space}-space queries have dim {want_dim}, index holds dim {}",
+            "embedding/index mismatch: {}-space queries have dim {}, index holds dim {}",
+            space.name(),
+            space.dim(k2),
             index.dim()
         )
         .into());
     }
-    let queries: Vec<Vec<f64>> = if space == "similar" {
-        nodes.iter().map(|&v| emb.classifier_features(v)).collect()
-    } else {
-        let query = EmbeddingQuery::new(&emb);
-        nodes.iter().map(|&v| query.link_query_vector(v)).collect()
-    };
-    let qmat = DenseMatrix::from_rows(&queries);
-    // Oversample by one so the self-hit can be dropped.
-    let batched = index.batch_search(&qmat, k + 1, threads);
-    for (&v, hits) in nodes.iter().zip(&batched) {
-        println!("top-{k} {space} for node {v} ({} index):", index.kind());
-        for h in hits.iter().filter(|h| h.index != v).take(k) {
+    let gram = emb.link_gram();
+    let queries: Vec<Vec<f64>> = nodes
+        .iter()
+        .map(|&v| space.query_vector(&emb, &gram, v))
+        .collect();
+    let (fetch, keep) = top_k_filter(k, &[], |h: &Neighbor| h.index);
+    let batched = index.batch_search(&DenseMatrix::from_rows(&queries), fetch, threads);
+    for (&v, hits) in nodes.iter().zip(batched) {
+        println!(
+            "top-{k} {} for node {v} ({} index):",
+            space.name(),
+            index.kind()
+        );
+        for h in keep(v, hits) {
             println!("  {} {:.4}", h.index, h.score);
         }
     }
     Ok(())
 }
 
-/// Parses `--kind` + build parameters into a `pane_index::IndexSpec` recipe.
-fn spec_from_args(a: &Args) -> Result<pane_index::IndexSpec, Box<dyn std::error::Error>> {
-    Ok(match a.get("kind").unwrap_or("hnsw") {
-        "flat" => pane_index::IndexSpec::Flat,
-        "ivf" => pane_index::IndexSpec::Ivf(IvfConfig {
+/// Parses `--kind` + build parameters into a validated [`IndexSpec`] — the
+/// only flags → recipe code (`index build`, `serve --embedding`, `store init`).
+fn spec_from_args(a: &Args) -> Result<IndexSpec, Box<dyn std::error::Error>> {
+    let spec = match a.get("kind").unwrap_or("hnsw") {
+        "flat" => IndexSpec::Flat,
+        "ivf" => IndexSpec::Ivf(IvfConfig {
             nlist: a.get_parsed("lists", 64usize)?,
             nprobe: a.get_parsed("nprobe", 8usize)?,
             train_iters: a.get_parsed("iters", 10usize)?,
             seed: a.get_parsed("seed", 0u64)?,
             threads: 1,
         }),
-        "hnsw" => pane_index::IndexSpec::Hnsw(HnswConfig {
+        "hnsw" => IndexSpec::Hnsw(HnswConfig {
             m: a.get_parsed("m", 16usize)?,
             ef_construction: a.get_parsed("efc", 100usize)?,
             ef_search: a.get_parsed("ef", 64usize)?,
             seed: a.get_parsed("seed", 0u64)?,
         }),
-        "sqflat" => pane_index::IndexSpec::SqFlat(pane_index::SqConfig {
-            rerank: a.get_parsed("rerank", pane_index::SqConfig::default().rerank)?,
+        "sqflat" => IndexSpec::SqFlat(SqConfig {
+            rerank: a.get_parsed("rerank", SqConfig::default().rerank)?,
         }),
         other => return Err(format!("unknown index kind '{other}' (flat|ivf|hnsw|sqflat)").into()),
-    })
+    };
+    spec.validate()?;
+    Ok(spec)
 }
 
 /// Builds the structured tracer shared by `pane serve` and `pane route`
@@ -625,8 +582,24 @@ fn run_serve_transport<B: pane_serve::ServeBackend + 'static>(engine: B, a: &Arg
     run_transport(pane_serve::ObservedHandler::new(engine, obs), a)
 }
 
+/// Serves an engine opened over a store directory (single or sharded).
+fn serve_store<B: pane_serve::ServeBackend + 'static>(engine: B, a: &Args) -> CliResult {
+    let st = engine.status();
+    let store = st.store.expect("an engine opened over a store reports it");
+    eprintln!(
+        "serving {} nodes{} (k/2 = {}, {} threads; generation {}, replayed {} WAL records)",
+        st.nodes,
+        st.shards
+            .map_or(String::new(), |n| format!(" across {n} shards")),
+        st.half_dim,
+        st.threads,
+        store.generation,
+        store.replayed,
+    );
+    run_serve_transport(engine, a)
+}
+
 fn cmd_serve(raw: Vec<String>) -> CliResult {
-    use pane_serve::ServeBackend;
     let a = Args::parse(raw, &["text", "stdio"])?;
     reject_positionals(&a)?;
     a.reject_unknown(&[
@@ -660,34 +633,8 @@ fn cmd_serve(raw: Vec<String>) -> CliResult {
         }
         let dir = std::path::Path::new(store_dir);
         return match pane_store::ShardedStore::shard_count(dir)? {
-            Some(shards) => {
-                let engine = pane_serve::ShardedEngine::open(dir, threads)?;
-                let st = engine.status();
-                eprintln!(
-                    "serving {} nodes across {shards} shards (k/2 = {}, {} threads; \
-                     generation {}, replayed {} WAL records)",
-                    st.nodes,
-                    st.half_dim,
-                    threads,
-                    st.store.map(|s| s.generation).unwrap_or(0),
-                    st.store.map(|s| s.replayed).unwrap_or(0),
-                );
-                run_serve_transport(engine, &a)
-            }
-            None => {
-                let engine = pane_serve::ServeEngine::open(dir, threads)?;
-                let st = engine.status();
-                eprintln!(
-                    "serving {} nodes (k/2 = {}, {} threads; generation {}, \
-                     replayed {} WAL records)",
-                    st.nodes,
-                    st.half_dim,
-                    threads,
-                    st.store.map(|s| s.generation).unwrap_or(0),
-                    st.store.map(|s| s.replayed).unwrap_or(0),
-                );
-                run_serve_transport(engine, &a)
-            }
+            Some(_) => serve_store(pane_serve::ShardedEngine::open(dir, threads)?, &a),
+            None => serve_store(pane_serve::ServeEngine::open(dir, threads)?, &a),
         };
     }
 
@@ -729,8 +676,6 @@ fn cmd_route(raw: Vec<String>) -> CliResult {
     reject_positionals(&a)?;
     a.reject_unknown(&[
         "shards",
-        "store",
-        "threads",
         "listen",
         "connect-timeout-ms",
         "request-timeout-ms",
@@ -740,59 +685,32 @@ fn cmd_route(raw: Vec<String>) -> CliResult {
         "log-level",
         "slow-query-ms",
     ])?;
-    match (a.get("shards"), a.get("store")) {
-        (Some(_), Some(_)) => Err("give --shards or --store, not both".into()),
-        (Some(list), None) => {
-            // Multi-daemon mode: one `pane serve --store shard-<s>/`
-            // daemon per address, in shard order.
-            let addrs: Vec<String> = list
-                .split(',')
-                .map(|s| s.trim().to_string())
-                .filter(|s| !s.is_empty())
-                .collect();
-            if addrs.is_empty() {
-                return Err("--shards needs at least one address".into());
-            }
-            let ms = std::time::Duration::from_millis;
-            let config = pane_serve::ClientConfig {
-                connect_timeout: ms(a.get_parsed("connect-timeout-ms", 1_000u64)?),
-                request_timeout: ms(a.get_parsed("request-timeout-ms", 10_000u64)?),
-                retries: a.get_parsed("retries", 2usize)?,
-                probe_interval: ms(a.get_parsed("probe-interval-ms", 2_000u64)?),
-                ..Default::default()
-            };
-            let obs = std::sync::Arc::new(pane_serve::ServeObs::for_router(tracer_from_args(&a)?));
-            let router = pane_serve::Router::connect_with(&addrs, config, obs)?;
-            eprintln!(
-                "routing over {} shard daemons: {}",
-                router.num_shards(),
-                addrs.join(", ")
-            );
-            run_transport(router, &a)
-        }
-        (None, Some(dir)) => {
-            // Spawn-less mode: serve the sharded root in-process — same
-            // protocol and results, no daemons to manage. The scale-out
-            // path later replaces this with --shards without touching
-            // clients.
-            use pane_serve::ServeBackend;
-            let threads: usize = a.get_parsed("threads", 1usize)?;
-            let dir = std::path::Path::new(dir);
-            let Some(shards) = pane_store::ShardedStore::shard_count(dir)? else {
-                return Err("--store must point at a sharded root (shard-000/, …); \
-                     use `pane serve --store` for a single store"
-                    .into());
-            };
-            let engine = pane_serve::ShardedEngine::open(dir, threads)?;
-            eprintln!(
-                "routing in-process over {shards} shards ({} nodes, {} threads)",
-                engine.status().nodes,
-                threads
-            );
-            run_serve_transport(engine, &a)
-        }
-        (None, None) => Err("give --shards ADDR,ADDR,… or --store ROOT".into()),
+    // One `pane serve --store shard-<s>/` daemon per address, in shard order.
+    let addrs: Vec<String> = a
+        .require("shards")?
+        .split(',')
+        .map(|s| s.trim().to_string())
+        .filter(|s| !s.is_empty())
+        .collect();
+    if addrs.is_empty() {
+        return Err("--shards needs at least one address".into());
     }
+    let ms = std::time::Duration::from_millis;
+    let config = pane_serve::ClientConfig {
+        connect_timeout: ms(a.get_parsed("connect-timeout-ms", 1_000u64)?),
+        request_timeout: ms(a.get_parsed("request-timeout-ms", 10_000u64)?),
+        retries: a.get_parsed("retries", 2usize)?,
+        probe_interval: ms(a.get_parsed("probe-interval-ms", 2_000u64)?),
+        ..Default::default()
+    };
+    let obs = std::sync::Arc::new(pane_serve::ServeObs::for_router(tracer_from_args(&a)?));
+    let router = pane_serve::Router::connect_with(&addrs, config, obs)?;
+    eprintln!(
+        "routing over {} shard daemons: {}",
+        router.num_shards(),
+        addrs.join(", ")
+    );
+    run_transport(router, &a)
 }
 
 fn cmd_metrics(raw: Vec<String>) -> CliResult {
@@ -1014,17 +932,14 @@ fn cmd_bench_serve(raw: Vec<String>) -> CliResult {
 
 fn cmd_store(mut raw: Vec<String>) -> CliResult {
     if raw.is_empty() {
-        return Err("store requires a subcommand: init | snapshot | status | migrate".into());
+        return Err("store requires a subcommand: init | snapshot | status".into());
     }
     let sub = raw.remove(0);
     match sub.as_str() {
         "init" => cmd_store_init(raw),
         "snapshot" => cmd_store_snapshot(raw),
         "status" => cmd_store_status(raw),
-        "migrate" => cmd_store_migrate(raw),
-        other => {
-            Err(format!("unknown store subcommand '{other}' (init|snapshot|status|migrate)").into())
-        }
+        other => Err(format!("unknown store subcommand '{other}' (init|snapshot|status)").into()),
     }
 }
 
@@ -1052,6 +967,9 @@ fn cmd_store_init(raw: Vec<String>) -> CliResult {
     let spec = spec_from_args(&a)?;
     let threads: usize = a.get_parsed("threads", 1usize)?;
     let shards: usize = a.get_parsed("shards", 1usize)?;
+    if shards == 0 {
+        return Err("--shards must be at least 1".into());
+    }
     let format_arg = a.get("format").unwrap_or("columnar");
     let format = pane_store::ArtifactFormat::parse(format_arg)
         .ok_or_else(|| format!("unknown artifact format '{format_arg}' (columnar|legacy)"))?;
@@ -1077,31 +995,6 @@ fn cmd_store_init(raw: Vec<String>) -> CliResult {
         );
     }
     eprintln!("wrote {}", dir.display());
-    Ok(())
-}
-
-/// `pane store migrate --dir DIR` — rewrite a legacy store (or every
-/// shard of a sharded root) as columnar `PANECOL1` artifacts, in place.
-fn cmd_store_migrate(raw: Vec<String>) -> CliResult {
-    let a = Args::parse(raw, &[])?;
-    reject_positionals(&a)?;
-    a.reject_unknown(&["dir"])?;
-    let dir = PathBuf::from(a.require("dir")?);
-    let t0 = std::time::Instant::now();
-    let reports = match pane_store::ShardedStore::shard_count(&dir)? {
-        Some(_) => pane_store::ShardedStore::migrate(&dir)?,
-        None => vec![pane_store::migrate(&dir)?],
-    };
-    let rewritten = reports.iter().filter(|r| r.migrated).count();
-    if rewritten == 0 {
-        eprintln!("already columnar: nothing to migrate");
-    } else {
-        eprintln!(
-            "migrated {rewritten}/{} store(s) to columnar artifacts in {:.2}s",
-            reports.len(),
-            t0.elapsed().as_secs_f64()
-        );
-    }
     Ok(())
 }
 

@@ -353,6 +353,48 @@ fn errors_are_reported() {
             "{err}"
         );
     }
+
+    // Build parameters no reader accepts are refused where they enter —
+    // before a builder can assert on them and before `store init` writes
+    // anything — and so is a shard count of zero.
+    let tiny = dir.join("tiny.txt");
+    let rows = "0 1 0\n1 0 1\n2 1 1\n3 0.5 0.25\n";
+    std::fs::write(
+        &tiny,
+        format!("4 2 2\n# forward\n{rows}# backward\n{rows}# attribute\n0 1 0\n1 0 1\n"),
+    )
+    .unwrap();
+    let tiny_s = tiny.to_str().unwrap();
+    let out = dir.join("refused");
+    let out_s = out.to_str().unwrap();
+    let refused = |command: [&str; 4], flags: &[&str], names: &str| {
+        let args = [&command[..], &["--text", "--embedding", tiny_s], flags].concat();
+        let (ok, _, err) = run(&args);
+        assert!(!ok, "{args:?} succeeded");
+        assert!(
+            err.starts_with("error:") && err.contains(names),
+            "{args:?}: {err}"
+        );
+        assert!(!err.contains("panicked"), "{err}");
+        assert!(!out.exists(), "{args:?} left {out_s} behind");
+    };
+    let init = ["store", "init", "--dir", out_s];
+    for (flags, names) in [
+        (
+            ["--kind", "ivf", "--lists", "0"],
+            "'nlist' must be at least 1",
+        ),
+        (["--kind", "hnsw", "--m", "1"], "'m' must be at least 2"),
+        (["--kind", "hnsw", "--efc", "0"], "'efc' must be at least 1"),
+        (
+            ["--kind", "sqflat", "--rerank", "0"],
+            "'rerank' must be at least 1",
+        ),
+    ] {
+        refused(["index", "build", "--output", out_s], &flags, names);
+        refused(init, &flags, names);
+    }
+    refused(init, &["--shards", "0"], "--shards must be at least 1");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -885,8 +927,8 @@ fn sharded_store_serves_through_the_binary() {
 
 /// The multi-daemon topology through the binary: one `pane serve`
 /// daemon per shard directory behind `pane route --shards`, checked
-/// against `pane route --store` (the spawn-less in-process mode) for
-/// identical results.
+/// against `pane serve --store` over the sharded root (the in-process
+/// merge) for identical results.
 #[test]
 fn route_merges_shard_daemons_through_the_binary() {
     use std::io::{BufRead, BufReader, Write};
@@ -920,15 +962,15 @@ fn route_merges_shard_daemons_through_the_binary() {
             .to_string()
     }
 
-    // Spawn-less mode first: it takes the store locks the shard daemons
+    // In-process mode first: it takes the store locks the shard daemons
     // will need, so this session must finish before they start.
     let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_pane"))
-        .args(["route", "--store", store_s, "--stdio"])
+        .args(["serve", "--store", store_s, "--stdio"])
         .stdin(std::process::Stdio::piped())
         .stdout(std::process::Stdio::piped())
         .stderr(std::process::Stdio::piped())
         .spawn()
-        .expect("spawn pane route --store");
+        .expect("spawn pane serve --store");
     child
         .stdin
         .take()
@@ -938,7 +980,7 @@ fn route_merges_shard_daemons_through_the_binary() {
     let out = child.wait_with_output().unwrap();
     assert!(
         out.status.success(),
-        "route --store failed: {}",
+        "serve --store failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
     let stdout = String::from_utf8_lossy(&out.stdout);

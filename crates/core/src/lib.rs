@@ -50,7 +50,9 @@ pub use persist::{
     load_binary, load_columns, load_text, save_binary, save_columns, save_text, PersistError,
     BINARY_MAGIC,
 };
-pub use query::{EmbeddingQuery, QueryBackend, Scored};
+pub use query::{
+    build_bases, check_bases, top_k_filter, EmbeddingQuery, QueryBackend, QuerySpace, Scored,
+};
 
 /// Number of APMI/CCD iterations implied by an error threshold:
 /// `t = ⌈log(ε)/log(1−α)⌉ − 1`, clamped to at least 1 (Algorithm 1, line 1).

@@ -36,32 +36,147 @@
 //!   across all backends by construction.
 
 use crate::pane::PaneEmbedding;
-use pane_index::{
-    topk, AnyIndex, FlatIndex, HnswConfig, HnswIndex, IvfConfig, IvfIndex, Metric, VectorIndex,
-};
+use pane_index::topk::select as top_k;
+use pane_index::{AnyIndex, HnswConfig, IndexSpec, IvfConfig, Metric, VectorIndex};
 use pane_linalg::{vecops, DenseMatrix};
 use pane_parallel::{even_ranges_nonempty, map_blocks};
+use std::borrow::Cow;
 
-/// A scored item (index + score), ordered by descending score.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Scored {
-    /// Item index (node or attribute id).
-    pub index: usize,
-    /// Score (larger = better).
-    pub score: f64,
+/// A scored item (index + score; larger = better) — `pane-index`'s hit
+/// type, so the exact scans and the indexed paths return the same thing.
+/// Lists are ranked by `pane_index::topk`: descending score, NaN last (a
+/// degenerate embedding degrades instead of panicking), ties by ascending
+/// index.
+pub type Scored = pane_index::Neighbor;
+
+/// The two query spaces PANE's output is read through, and the only code
+/// that knows what each one indexes and how a node queries it. Similar-node
+/// search runs over the `k`-dim `[X_f ‖ X_b]` classifier features, link
+/// recommendation over the `k/2`-dim `X_b` rows; both rank by inner product
+/// (see the module docs), so the space is named explicitly, never inferred
+/// from a metric.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum QuerySpace {
+    /// Similar-node search (`cos_f + cos_b` over classifier features).
+    Similar,
+    /// Link recommendation (raw Eq. 22 inner products over `X_b`).
+    Links,
 }
 
-/// Bounded-heap top-k over a score stream: `O(n log k)`, NaN-safe (a
-/// degenerate embedding ranks NaN scores last instead of panicking), ties
-/// broken by ascending index.
-fn top_k(scores: impl Iterator<Item = (usize, f64)>, k: usize) -> Vec<Scored> {
-    topk::select(scores, k)
-        .into_iter()
-        .map(|n| Scored {
-            index: n.index,
-            score: n.score,
-        })
-        .collect()
+impl QuerySpace {
+    /// Wire and command-line name (`similar` / `links`).
+    pub fn name(self) -> &'static str {
+        match self {
+            QuerySpace::Similar => "similar",
+            QuerySpace::Links => "links",
+        }
+    }
+
+    /// Inverse of [`Self::name`].
+    pub fn parse(s: &str) -> Option<Self> {
+        match s {
+            "similar" => Some(QuerySpace::Similar),
+            "links" => Some(QuerySpace::Links),
+            _ => None,
+        }
+    }
+
+    /// Dimensionality of this space's vectors for half-width `k/2`.
+    pub fn dim(self, half_dim: usize) -> usize {
+        match self {
+            QuerySpace::Similar => 2 * half_dim,
+            QuerySpace::Links => half_dim,
+        }
+    }
+
+    /// The matrix an index of this space is built over; row `v` is
+    /// [`Self::row`]`(emb, v)`.
+    fn matrix(self, emb: &PaneEmbedding) -> Cow<'_, DenseMatrix> {
+        match self {
+            QuerySpace::Similar => Cow::Owned(emb.classifier_feature_matrix()),
+            QuerySpace::Links => Cow::Borrowed(&emb.backward),
+        }
+    }
+
+    /// The vector node `v` is stored under — what an insert appends to an
+    /// index of this space.
+    pub fn row(self, emb: &PaneEmbedding, v: usize) -> Cow<'_, [f64]> {
+        match self {
+            QuerySpace::Similar => Cow::Owned(emb.classifier_features(v)),
+            QuerySpace::Links => Cow::Borrowed(emb.backward.row(v)),
+        }
+    }
+
+    /// The vector node `v` queries with: its own classifier features, or
+    /// `q = X_f[v]·YᵀY` so that `q · X_b[dst]` is the Eq. 22 score. `gram`
+    /// is the embedding's precomputed [`PaneEmbedding::link_gram`].
+    pub fn query_vector(self, emb: &PaneEmbedding, gram: &DenseMatrix, v: usize) -> Vec<f64> {
+        match self {
+            QuerySpace::Similar => emb.classifier_features(v),
+            QuerySpace::Links => emb.link_query_vector_with(gram, v),
+        }
+    }
+
+    /// Builds this space's index over `emb` from a recipe.
+    pub fn build_index(self, emb: &PaneEmbedding, spec: &IndexSpec, threads: usize) -> AnyIndex {
+        spec.build(&self.matrix(emb), Metric::InnerProduct, threads)
+    }
+
+    /// Whether `index` holds exactly `emb`'s rows of this space; the error
+    /// names both shapes.
+    fn check_index(self, emb: &PaneEmbedding, index: &AnyIndex) -> Result<(), String> {
+        let (n, dim) = (emb.forward.rows(), self.dim(emb.forward.cols()));
+        if index.len() != n || index.dim() != dim {
+            return Err(format!(
+                "{}-space index holds {}×{} but the embedding implies {n}×{dim}",
+                self.name(),
+                index.len(),
+                index.dim()
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// The serving index pair of an embedding, `(similar, links)`, each built
+/// from its recipe — the one construction behind `EmbeddingQuery`, store
+/// generations, engine compactions and `pane index build`.
+pub fn build_bases(
+    emb: &PaneEmbedding,
+    node_spec: &IndexSpec,
+    link_spec: &IndexSpec,
+    threads: usize,
+) -> (AnyIndex, AnyIndex) {
+    (
+        QuerySpace::Similar.build_index(emb, node_spec, threads),
+        QuerySpace::Links.build_index(emb, link_spec, threads),
+    )
+}
+
+/// Whether `node` and `link` are shaped like [`build_bases`]`(emb, …)`: each
+/// holds exactly `emb`'s rows of its space. Prebuilt or loaded index files
+/// are checked with this before they serve or are committed beside `emb`.
+pub fn check_bases(emb: &PaneEmbedding, node: &AnyIndex, link: &AnyIndex) -> Result<(), String> {
+    QuerySpace::Similar.check_index(emb, node)?;
+    QuerySpace::Links.check_index(emb, link)
+}
+
+/// The filtered top-`k` of a read, as `(fetch, keep)`: ask an unfiltered
+/// search for `fetch` hits — oversampled so that dropping the source itself
+/// and every id in `exclude` cannot starve the result — then `keep(src,
+/// hits)` drops those and keeps the first `k`. `id` names a hit's node.
+pub fn top_k_filter<'a, H>(
+    k: usize,
+    exclude: &'a [usize],
+    id: impl Fn(&H) -> usize + 'a,
+) -> (usize, impl Fn(usize, Vec<H>) -> Vec<H> + 'a) {
+    let keep = move |src: usize, hits: Vec<H>| {
+        hits.into_iter()
+            .filter(|h| id(h) != src && !exclude.contains(&id(h)))
+            .take(k)
+            .collect()
+    };
+    (k + exclude.len() + 1, keep)
 }
 
 /// How an [`EmbeddingQuery`] serves `similar_nodes` / `recommend_links`.
@@ -104,52 +219,15 @@ impl<'a> EmbeddingQuery<'a> {
     /// and a max-inner-product index over `X_b` for
     /// [`recommend_links`](Self::recommend_links).
     pub fn with_backend(emb: &'a PaneEmbedding, backend: &QueryBackend) -> Self {
-        let (node_index, link_index) = match backend {
-            QueryBackend::Exact => (None, None),
-            QueryBackend::Flat => {
-                let features = emb.classifier_feature_matrix();
-                (
-                    Some(AnyIndex::Flat(FlatIndex::build(
-                        &features,
-                        Metric::InnerProduct,
-                    ))),
-                    Some(AnyIndex::Flat(FlatIndex::build(
-                        &emb.backward,
-                        Metric::InnerProduct,
-                    ))),
-                )
-            }
-            QueryBackend::Ivf(cfg) => {
-                let features = emb.classifier_feature_matrix();
-                (
-                    Some(AnyIndex::Ivf(IvfIndex::build(
-                        &features,
-                        Metric::InnerProduct,
-                        cfg,
-                    ))),
-                    Some(AnyIndex::Ivf(IvfIndex::build(
-                        &emb.backward,
-                        Metric::InnerProduct,
-                        cfg,
-                    ))),
-                )
-            }
-            QueryBackend::Hnsw(cfg) => {
-                let features = emb.classifier_feature_matrix();
-                (
-                    Some(AnyIndex::Hnsw(HnswIndex::build(
-                        &features,
-                        Metric::InnerProduct,
-                        cfg,
-                    ))),
-                    Some(AnyIndex::Hnsw(HnswIndex::build(
-                        &emb.backward,
-                        Metric::InnerProduct,
-                        cfg,
-                    ))),
-                )
-            }
+        let (spec, threads) = match backend {
+            QueryBackend::Exact => (None, 1),
+            QueryBackend::Flat => (Some(IndexSpec::Flat), 1),
+            QueryBackend::Ivf(cfg) => (Some(IndexSpec::Ivf(*cfg)), cfg.threads),
+            QueryBackend::Hnsw(cfg) => (Some(IndexSpec::Hnsw(*cfg)), 1),
         };
+        let (node_index, link_index) = spec
+            .map(|spec| build_bases(emb, &spec, &spec, threads))
+            .unzip();
         Self {
             gram: emb.link_gram(),
             emb,
@@ -199,18 +277,9 @@ impl<'a> EmbeddingQuery<'a> {
     pub fn recommend_links(&self, src: usize, k: usize, exclude: &[u32]) -> Vec<Scored> {
         let q = self.link_query_vector(src);
         if let Some(idx) = &self.link_index {
-            // Oversample so the post-filter can drop src and exclusions
-            // without starving the result.
-            let hits = idx.search(&q, k + exclude.len() + 1);
-            return hits
-                .into_iter()
-                .filter(|h| h.index != src && !exclude.contains(&(h.index as u32)))
-                .take(k)
-                .map(|h| Scored {
-                    index: h.index,
-                    score: h.score,
-                })
-                .collect();
+            let exclude: Vec<usize> = exclude.iter().map(|&e| e as usize).collect();
+            let (fetch, keep) = top_k_filter(k, &exclude, |h: &Scored| h.index);
+            return keep(src, idx.search(&q, fetch));
         }
         let n = self.emb.forward.rows();
         top_k(
@@ -230,16 +299,8 @@ impl<'a> EmbeddingQuery<'a> {
     pub fn similar_nodes(&self, v: usize, k: usize) -> Vec<Scored> {
         let target = self.emb.classifier_features(v);
         if let Some(idx) = &self.node_index {
-            let hits = idx.search(&target, k + 1);
-            return hits
-                .into_iter()
-                .filter(|h| h.index != v)
-                .take(k)
-                .map(|h| Scored {
-                    index: h.index,
-                    score: h.score,
-                })
-                .collect();
+            let (fetch, keep) = top_k_filter(k, &[], |h: &Scored| h.index);
+            return keep(v, idx.search(&target, fetch));
         }
         let n = self.emb.forward.rows();
         top_k(

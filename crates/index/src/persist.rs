@@ -74,7 +74,7 @@ fn open_columns(path: &Path) -> Result<Columns, IndexError> {
         return Err(IndexError::Format(format!(
             "{} is a PANEIDX1 stream, a format this build no longer reads; index files are \
              derived data — regenerate it with `pane index build` (for a store directory, run \
-             `pane store migrate`)",
+             `pane store snapshot`)",
             path.display()
         )));
     }

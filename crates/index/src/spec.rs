@@ -45,6 +45,30 @@ impl IndexSpec {
         }
     }
 
+    /// Refuses the parameters [`Self::build`] would panic on. Everything
+    /// that takes a recipe from outside — a manifest line, command-line
+    /// flags, a store about to record it — calls this first, so a manifest
+    /// that was written is a manifest that can be read.
+    pub fn validate(&self) -> Result<(), IndexError> {
+        let at_least = |key: &str, value: usize, min: usize| {
+            if value < min {
+                return Err(IndexError::Format(format!(
+                    "index spec '{key}' must be at least {min}"
+                )));
+            }
+            Ok(())
+        };
+        match self {
+            IndexSpec::Flat => Ok(()),
+            IndexSpec::Ivf(c) => at_least("nlist", c.nlist, 1),
+            IndexSpec::Hnsw(c) => {
+                at_least("m", c.m, 2)?;
+                at_least("efc", c.ef_construction, 1)
+            }
+            IndexSpec::SqFlat(c) => at_least("rerank", c.rerank, 1),
+        }
+    }
+
     /// Recovers the spec of an existing index. Parameters an index file
     /// does not carry (IVF training iterations, seeds) fall back to
     /// their defaults, so a compaction of a *loaded* index is
@@ -126,14 +150,6 @@ impl IndexSpec {
                 ))),
             }
         };
-        let at_least = |key: &str, value: u64, min: u64| -> Result<usize, IndexError> {
-            if value < min {
-                return Err(IndexError::Format(format!(
-                    "index spec '{key}' must be at least {min}"
-                )));
-            }
-            Ok(value as usize)
-        };
         let known = |allowed: &[&str]| -> Result<(), IndexError> {
             for (k, _) in &pairs {
                 if !allowed.contains(k) {
@@ -144,46 +160,47 @@ impl IndexSpec {
             }
             Ok(())
         };
-        match kind {
+        let spec = match kind {
             "flat" => {
                 known(&[])?;
-                Ok(IndexSpec::Flat)
+                IndexSpec::Flat
             }
             "ivf" => {
                 known(&["nlist", "nprobe", "iters", "seed"])?;
                 let d = IvfConfig::default();
-                Ok(IndexSpec::Ivf(IvfConfig {
-                    nlist: at_least("nlist", take(&pairs, "nlist", d.nlist as u64)?, 1)?,
+                IndexSpec::Ivf(IvfConfig {
+                    nlist: take(&pairs, "nlist", d.nlist as u64)? as usize,
                     nprobe: take(&pairs, "nprobe", d.nprobe as u64)? as usize,
                     train_iters: take(&pairs, "iters", d.train_iters as u64)? as usize,
                     seed: take(&pairs, "seed", d.seed)?,
                     threads: 1,
-                }))
+                })
             }
             "hnsw" => {
                 known(&["m", "efc", "ef", "seed"])?;
                 let d = HnswConfig::default();
-                Ok(IndexSpec::Hnsw(HnswConfig {
-                    m: at_least("m", take(&pairs, "m", d.m as u64)?, 2)?,
-                    ef_construction: at_least(
-                        "efc",
-                        take(&pairs, "efc", d.ef_construction as u64)?,
-                        1,
-                    )?,
+                IndexSpec::Hnsw(HnswConfig {
+                    m: take(&pairs, "m", d.m as u64)? as usize,
+                    ef_construction: take(&pairs, "efc", d.ef_construction as u64)? as usize,
                     ef_search: take(&pairs, "ef", d.ef_search as u64)? as usize,
                     seed: take(&pairs, "seed", d.seed)?,
-                }))
+                })
             }
             "sqflat" => {
                 known(&["rerank"])?;
                 let d = SqConfig::default();
-                let rerank = at_least("rerank", take(&pairs, "rerank", d.rerank as u64)?, 1)?;
-                Ok(IndexSpec::SqFlat(SqConfig { rerank }))
+                IndexSpec::SqFlat(SqConfig {
+                    rerank: take(&pairs, "rerank", d.rerank as u64)? as usize,
+                })
             }
-            other => Err(IndexError::Format(format!(
-                "unknown index spec kind '{other}' (flat|ivf|hnsw|sqflat)"
-            ))),
-        }
+            other => {
+                return Err(IndexError::Format(format!(
+                    "unknown index spec kind '{other}' (flat|ivf|hnsw|sqflat)"
+                )))
+            }
+        };
+        spec.validate()?;
+        Ok(spec)
     }
 }
 
@@ -249,6 +266,27 @@ mod tests {
             assert!(
                 matches!(IndexSpec::from_manifest(bad), Err(IndexError::Format(_))),
                 "accepted: '{bad}'"
+            );
+        }
+        // The same rules hold for a spec that never was a manifest line.
+        for bad in [
+            IndexSpec::Ivf(IvfConfig {
+                nlist: 0,
+                ..Default::default()
+            }),
+            IndexSpec::Hnsw(HnswConfig {
+                m: 1,
+                ..Default::default()
+            }),
+            IndexSpec::Hnsw(HnswConfig {
+                ef_construction: 0,
+                ..Default::default()
+            }),
+            IndexSpec::SqFlat(SqConfig { rerank: 0 }),
+        ] {
+            assert!(
+                matches!(bad.validate(), Err(IndexError::Format(_))),
+                "accepted: {bad:?}"
             );
         }
     }

@@ -39,8 +39,8 @@
 //! refresh is a restart with the new embedding file).
 
 use crate::obs::{EngineObs, ServeObs};
-use pane_core::PaneEmbedding;
-use pane_index::{AnyIndex, DeltaIndex, IndexError, IndexSpec, VectorIndex};
+use pane_core::{build_bases, check_bases, top_k_filter, PaneEmbedding, QuerySpace};
+use pane_index::{AnyIndex, DeltaIndex, IndexError, IndexSpec, Neighbor, VectorIndex};
 use pane_linalg::DenseMatrix;
 use pane_obs::Level;
 use pane_store::{OpenStore, Store, StoreError};
@@ -89,6 +89,15 @@ pub struct Hit {
     pub node: usize,
     /// Score on the unified scale (see `pane-core`'s `query` docs).
     pub score: f64,
+}
+
+impl From<Neighbor> for Hit {
+    fn from(n: Neighbor) -> Self {
+        Hit {
+            node: n.index,
+            score: n.score,
+        }
+    }
 }
 
 /// Point-in-time view of one serving index (for `stats` responses).
@@ -151,59 +160,27 @@ pub struct SnapshotOutcome {
     pub folded: usize,
 }
 
-/// The two query spaces a daemon serves (see `pane-core`'s `query` docs):
-/// similar-node search runs over the `k`-dim `[X_f ‖ X_b]` classifier
-/// features, link recommendation over the `k/2`-dim `X_b` rows. Both are
-/// max-inner-product, so the space is selected explicitly, not inferred
-/// from a metric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QuerySpace {
-    /// Similar-node search (`cos_f + cos_b` over classifier features).
-    Similar,
-    /// Link recommendation (raw Eq. 22 inner products over `X_b`).
-    Links,
-}
-
-impl QuerySpace {
-    /// Wire name used by the `search` / `query-vectors` protocol ops.
-    pub fn name(self) -> &'static str {
-        match self {
-            QuerySpace::Similar => "similar",
-            QuerySpace::Links => "links",
-        }
-    }
-
-    /// Parses a wire name (`similar` / `links`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "similar" => Some(QuerySpace::Similar),
-            "links" => Some(QuerySpace::Links),
-            _ => None,
-        }
-    }
-
-    /// Query-vector dimensionality in this space for half-width `k/2`.
-    pub fn dim(self, half_dim: usize) -> usize {
-        match self {
-            QuerySpace::Similar => 2 * half_dim,
-            QuerySpace::Links => half_dim,
-        }
-    }
-}
-
 /// What a serving transport needs from an engine — implemented by
 /// [`ServeEngine`] (one store) and `ShardedEngine` (N stores routed by
 /// `node_id % N`), so `serve_lines` / `serve_tcp` run either unchanged.
 pub trait ServeBackend: Send + Sync {
-    /// Batched similar-node search (see [`ServeEngine::similar_nodes`]).
-    fn similar_nodes(&self, nodes: &[usize], k: usize) -> Result<Vec<Vec<Hit>>, ServeError>;
-    /// Batched link recommendation (see [`ServeEngine::recommend_links`]).
+    /// Batched similar-node search: for each query node, its top-`k`
+    /// most similar nodes (self excluded) on the unified
+    /// `cos_f + cos_b ∈ [-2, 2]` scale; output order matches `nodes`.
+    fn similar_nodes(&self, nodes: &[usize], k: usize) -> Result<Vec<Vec<Hit>>, ServeError> {
+        filtered_read(self, QuerySpace::Similar, nodes, k, &[])
+    }
+    /// Batched link recommendation: for each source node, the top-`k`
+    /// destinations by the raw Eq. 22 score, excluding the source itself
+    /// and every id in `exclude` (typically known out-neighbors).
     fn recommend_links(
         &self,
         nodes: &[usize],
         k: usize,
         exclude: &[usize],
-    ) -> Result<Vec<Vec<Hit>>, ServeError>;
+    ) -> Result<Vec<Vec<Hit>>, ServeError> {
+        filtered_read(self, QuerySpace::Links, nodes, k, exclude)
+    }
     /// The raw query vector of each node in `space`: classifier features
     /// for [`QuerySpace::Similar`], `q = X_f·YᵀY` link query vectors for
     /// [`QuerySpace::Links`]. This is the owner-shard half of a
@@ -243,8 +220,27 @@ pub trait ServeBackend: Send + Sync {
     fn attach_obs(&mut self, _obs: &ServeObs) {}
 }
 
-/// Validates a query's node-id list against the engine's id space —
-/// shared by the single and sharded engines so the errors cannot drift.
+/// Both read ops, on any backend: the sources' query vectors, one
+/// unfiltered search oversampled by the filter, the filter.
+fn filtered_read<B: ServeBackend + ?Sized>(
+    backend: &B,
+    space: QuerySpace,
+    nodes: &[usize],
+    k: usize,
+    exclude: &[usize],
+) -> Result<Vec<Vec<Hit>>, ServeError> {
+    let queries = DenseMatrix::from_rows(&backend.query_vectors(space, nodes)?);
+    let (fetch, keep) = top_k_filter(k, exclude, |h: &Hit| h.node);
+    let raw = backend.search_raw(space, &queries, fetch)?;
+    Ok(nodes
+        .iter()
+        .zip(raw)
+        .map(|(&v, hits)| keep(v, hits))
+        .collect())
+}
+
+/// Validates a query's node-id list against the served id space — shared
+/// by both engines and the router so the errors cannot drift.
 pub(crate) fn check_nodes(n: usize, nodes: &[usize]) -> Result<(), ServeError> {
     if nodes.is_empty() {
         return Err(ServeError::BadRequest("empty node list".into()));
@@ -252,6 +248,26 @@ pub(crate) fn check_nodes(n: usize, nodes: &[usize]) -> Result<(), ServeError> {
     if let Some(&bad) = nodes.iter().find(|&&v| v >= n) {
         return Err(ServeError::BadRequest(format!(
             "node {bad} out of range (n = {n})"
+        )));
+    }
+    Ok(())
+}
+
+/// Validates a raw query batch against `space`'s shape for `half_dim`.
+pub(crate) fn check_queries(
+    space: QuerySpace,
+    half_dim: usize,
+    queries: &DenseMatrix,
+) -> Result<(), ServeError> {
+    if queries.rows() == 0 {
+        return Err(ServeError::BadRequest("empty query batch".into()));
+    }
+    let want = space.dim(half_dim);
+    if queries.cols() != want {
+        return Err(ServeError::BadRequest(format!(
+            "{}-space queries must have {want} entries (got {})",
+            space.name(),
+            queries.cols()
         )));
     }
     Ok(())
@@ -286,17 +302,7 @@ impl ServeEngine {
         link_base: AnyIndex,
         threads: usize,
     ) -> Result<Self, ServeError> {
-        let n = emb.forward.rows();
-        let k2 = emb.forward.cols();
-        for (what, idx, want_dim) in [("node", &node_base, 2 * k2), ("link", &link_base, k2)] {
-            if idx.len() != n || idx.dim() != want_dim {
-                return Err(ServeError::BadRequest(format!(
-                    "{what} index holds {}×{} but the embedding implies {n}×{want_dim}",
-                    idx.len(),
-                    idx.dim()
-                )));
-            }
-        }
+        check_bases(&emb, &node_base, &link_base).map_err(ServeError::BadRequest)?;
         Ok(Self {
             gram: emb.link_gram(),
             node_spec: IndexSpec::of(&node_base),
@@ -310,13 +316,11 @@ impl ServeEngine {
         })
     }
 
-    /// Builds both base indexes from `emb` according to `spec`, then
-    /// wraps them in an ephemeral engine. The node index is built over
-    /// the classifier features, the link index over `X_b`, both
-    /// max-inner-product (the unified score scale).
+    /// Builds both base indexes from `emb` according to `spec` (see
+    /// [`build_bases`]), then wraps them in an ephemeral engine.
     pub fn build(emb: PaneEmbedding, spec: &IndexSpec, threads: usize) -> Self {
         let threads = threads.max(1);
-        let (node_base, link_base) = pane_store::build_bases(&emb, spec, spec, threads);
+        let (node_base, link_base) = build_bases(&emb, spec, spec, threads);
         Self::new(emb, node_base, link_base, threads).expect("freshly built indexes always match")
     }
 
@@ -397,24 +401,18 @@ impl ServeEngine {
         self.threads
     }
 
-    /// The embedding store (shard-local rows for a sharded engine).
-    pub(crate) fn embedding(&self) -> &PaneEmbedding {
-        &self.emb
+    /// The index (base + delta) serving `space`.
+    pub(crate) fn index(&self, space: QuerySpace) -> &DeltaIndex {
+        match space {
+            QuerySpace::Similar => &self.node_index,
+            QuerySpace::Links => &self.link_index,
+        }
     }
 
-    /// The precomputed `YᵀY` Gram matrix.
-    pub(crate) fn gram(&self) -> &DenseMatrix {
-        &self.gram
-    }
-
-    /// The similar-nodes index (base + delta).
-    pub(crate) fn node_index(&self) -> &DeltaIndex {
-        &self.node_index
-    }
-
-    /// The link index (base + delta).
-    pub(crate) fn link_index(&self) -> &DeltaIndex {
-        &self.link_index
+    /// Query vector of local node `v` in `space`, through the one shared
+    /// kernel in `pane-core` (so scores cannot drift from `EmbeddingQuery`'s).
+    pub(crate) fn query_vector(&self, space: QuerySpace, v: usize) -> Vec<f64> {
+        space.query_vector(&self.emb, &self.gram, v)
     }
 
     /// Stats of the node (similar-nodes) index.
@@ -446,129 +444,32 @@ impl ServeEngine {
             artifact_bytes: s.artifact_bytes(),
         })
     }
+}
 
-    fn check_nodes(&self, nodes: &[usize]) -> Result<(), ServeError> {
-        check_nodes(self.num_nodes(), nodes)
-    }
-
-    /// Batched similar-node search: for each query node, its top-`k`
-    /// most similar nodes (self excluded) on the unified
-    /// `cos_f + cos_b ∈ [-2, 2]` scale. Queries fan out over the
-    /// engine's worker threads; output order matches `nodes`.
-    pub fn similar_nodes(&self, nodes: &[usize], k: usize) -> Result<Vec<Vec<Hit>>, ServeError> {
-        self.check_nodes(nodes)?;
-        let rows: Vec<Vec<f64>> = nodes
-            .iter()
-            .map(|&v| self.emb.classifier_features(v))
-            .collect();
-        let queries = DenseMatrix::from_rows(&rows);
-        let batched = self.node_index.batch_search(&queries, k + 1, self.threads);
-        Ok(nodes
-            .iter()
-            .zip(batched)
-            .map(|(&v, hits)| {
-                hits.into_iter()
-                    .filter(|h| h.index != v)
-                    .take(k)
-                    .map(|h| Hit {
-                        node: h.index,
-                        score: h.score,
-                    })
-                    .collect()
-            })
-            .collect())
-    }
-
-    /// Batched link recommendation: for each source node, the top-`k`
-    /// destinations by the raw Eq. 22 score, excluding the source itself
-    /// and every id in `exclude` (typically known out-neighbors).
-    pub fn recommend_links(
-        &self,
-        nodes: &[usize],
-        k: usize,
-        exclude: &[usize],
-    ) -> Result<Vec<Vec<Hit>>, ServeError> {
-        self.check_nodes(nodes)?;
-        let rows: Vec<Vec<f64>> = nodes.iter().map(|&v| self.link_query_vector(v)).collect();
-        let queries = DenseMatrix::from_rows(&rows);
-        // Oversample so the post-filter cannot starve the result.
-        let fetch = k + exclude.len() + 1;
-        let batched = self.link_index.batch_search(&queries, fetch, self.threads);
-        Ok(nodes
-            .iter()
-            .zip(batched)
-            .map(|(&src, hits)| {
-                hits.into_iter()
-                    .filter(|h| h.index != src && !exclude.contains(&h.index))
-                    .take(k)
-                    .map(|h| Hit {
-                        node: h.index,
-                        score: h.score,
-                    })
-                    .collect()
-            })
-            .collect())
-    }
-
-    /// The per-query link vector `q = X_f[src]·YᵀY` (Eq. 22 reduces the
-    /// link score to `q · X_b[dst]`) — the one shared kernel in
-    /// `pane-core`, so daemon scores cannot drift from `EmbeddingQuery`'s.
-    pub(crate) fn link_query_vector(&self, src: usize) -> Vec<f64> {
-        self.emb.link_query_vector_with(&self.gram, src)
-    }
-
-    /// Query vectors of `nodes` in `space` (see
-    /// [`ServeBackend::query_vectors`]).
-    pub fn query_vectors(
+impl ServeBackend for ServeEngine {
+    fn query_vectors(
         &self,
         space: QuerySpace,
         nodes: &[usize],
     ) -> Result<Vec<Vec<f64>>, ServeError> {
-        self.check_nodes(nodes)?;
-        Ok(match space {
-            QuerySpace::Similar => nodes
-                .iter()
-                .map(|&v| self.emb.classifier_features(v))
-                .collect(),
-            QuerySpace::Links => nodes.iter().map(|&v| self.link_query_vector(v)).collect(),
-        })
+        check_nodes(self.num_nodes(), nodes)?;
+        Ok(nodes.iter().map(|&v| self.query_vector(space, v)).collect())
     }
 
-    /// Unfiltered top-`fetch` search with caller-supplied query vectors
-    /// (see [`ServeBackend::search_raw`]). Hit ids are this engine's own
-    /// (local) ids.
-    pub fn search_raw(
+    /// Hit ids are this engine's own (local) ids; queries fan out over
+    /// the engine's worker threads.
+    fn search_raw(
         &self,
         space: QuerySpace,
         queries: &DenseMatrix,
         fetch: usize,
     ) -> Result<Vec<Vec<Hit>>, ServeError> {
-        if queries.rows() == 0 {
-            return Err(ServeError::BadRequest("empty query batch".into()));
-        }
-        let want = space.dim(self.half_dim());
-        if queries.cols() != want {
-            return Err(ServeError::BadRequest(format!(
-                "{}-space queries must have {want} entries (got {})",
-                space.name(),
-                queries.cols()
-            )));
-        }
-        let index = match space {
-            QuerySpace::Similar => &self.node_index,
-            QuerySpace::Links => &self.link_index,
-        };
-        Ok(index
+        check_queries(space, self.half_dim(), queries)?;
+        Ok(self
+            .index(space)
             .batch_search(queries, fetch, self.threads)
             .into_iter()
-            .map(|hits| {
-                hits.into_iter()
-                    .map(|h| Hit {
-                        node: h.index,
-                        score: h.score,
-                    })
-                    .collect()
-            })
+            .map(|hits| hits.into_iter().map(Hit::from).collect())
             .collect())
     }
 
@@ -581,7 +482,7 @@ impl ServeEngine {
     /// the insert-ahead log **before** any in-memory state changes — an
     /// acknowledged insert survives a hard kill. The very next query can
     /// return the node; no rebuild happens here.
-    pub fn insert(&mut self, forward: &[f64], backward: &[f64]) -> Result<usize, ServeError> {
+    fn insert(&mut self, forward: &[f64], backward: &[f64]) -> Result<usize, ServeError> {
         let k2 = self.half_dim();
         if forward.len() != k2 || backward.len() != k2 {
             return Err(ServeError::BadRequest(format!(
@@ -606,9 +507,10 @@ impl ServeEngine {
         self.obs.inserts.inc();
         self.emb.forward.push_row(forward);
         self.emb.backward.push_row(backward);
-        let features = self.emb.classifier_features(id);
-        self.node_index.insert(&features)?;
-        self.link_index.insert(backward)?;
+        self.node_index
+            .insert(&QuerySpace::Similar.row(&self.emb, id))?;
+        self.link_index
+            .insert(&QuerySpace::Links.row(&self.emb, id))?;
         Ok(id)
     }
 
@@ -619,10 +521,10 @@ impl ServeEngine {
     /// In-memory only: with a store attached the WAL keeps its records,
     /// so a restart still replays them over the unchanged on-disk base —
     /// use [`Self::snapshot`] to make the compaction durable.
-    pub fn compact(&mut self) -> usize {
+    fn compact(&mut self) -> usize {
         let folded = self.node_index.delta_len();
         let (node_base, link_base) =
-            pane_store::build_bases(&self.emb, &self.node_spec, &self.link_spec, self.threads);
+            build_bases(&self.emb, &self.node_spec, &self.link_spec, self.threads);
         self.node_index = DeltaIndex::new(node_base);
         self.link_index = DeltaIndex::new(link_base);
         folded
@@ -634,7 +536,7 @@ impl ServeEngine {
     /// manifest, and truncates the insert-ahead log. The next
     /// [`ServeEngine::open`] boots from the new generation with an empty
     /// WAL and identical query results.
-    pub fn snapshot(&mut self) -> Result<SnapshotOutcome, ServeError> {
+    fn snapshot(&mut self) -> Result<SnapshotOutcome, ServeError> {
         if self.store.is_none() {
             return Err(ServeError::BadRequest(
                 "this daemon has no store directory (started from a bare embedding); \
@@ -645,7 +547,7 @@ impl ServeEngine {
         let started = Instant::now();
         let folded = self.node_index.delta_len();
         let (node_base, link_base) =
-            pane_store::build_bases(&self.emb, &self.node_spec, &self.link_spec, self.threads);
+            build_bases(&self.emb, &self.node_spec, &self.link_spec, self.threads);
         let store = self.store.as_mut().expect("checked above");
         let generation = store.snapshot(&self.emb, &node_base, &link_base)?;
         self.node_index = DeltaIndex::new(node_base);
@@ -664,8 +566,7 @@ impl ServeEngine {
         Ok(SnapshotOutcome { generation, folded })
     }
 
-    /// Point-in-time status (the `stats` response).
-    pub fn status(&self) -> StatusReport {
+    fn status(&self) -> StatusReport {
         StatusReport {
             nodes: self.num_nodes(),
             half_dim: self.half_dim(),
@@ -676,47 +577,7 @@ impl ServeEngine {
             shards: None,
         }
     }
-}
 
-impl ServeBackend for ServeEngine {
-    fn similar_nodes(&self, nodes: &[usize], k: usize) -> Result<Vec<Vec<Hit>>, ServeError> {
-        ServeEngine::similar_nodes(self, nodes, k)
-    }
-    fn recommend_links(
-        &self,
-        nodes: &[usize],
-        k: usize,
-        exclude: &[usize],
-    ) -> Result<Vec<Vec<Hit>>, ServeError> {
-        ServeEngine::recommend_links(self, nodes, k, exclude)
-    }
-    fn query_vectors(
-        &self,
-        space: QuerySpace,
-        nodes: &[usize],
-    ) -> Result<Vec<Vec<f64>>, ServeError> {
-        ServeEngine::query_vectors(self, space, nodes)
-    }
-    fn search_raw(
-        &self,
-        space: QuerySpace,
-        queries: &DenseMatrix,
-        fetch: usize,
-    ) -> Result<Vec<Vec<Hit>>, ServeError> {
-        ServeEngine::search_raw(self, space, queries, fetch)
-    }
-    fn insert(&mut self, forward: &[f64], backward: &[f64]) -> Result<usize, ServeError> {
-        ServeEngine::insert(self, forward, backward)
-    }
-    fn compact(&mut self) -> usize {
-        ServeEngine::compact(self)
-    }
-    fn snapshot(&mut self) -> Result<SnapshotOutcome, ServeError> {
-        ServeEngine::snapshot(self)
-    }
-    fn status(&self) -> StatusReport {
-        ServeEngine::status(self)
-    }
     fn attach_obs(&mut self, obs: &ServeObs) {
         self.set_engine_obs(obs.engine_obs(None));
     }

@@ -70,10 +70,14 @@ pub mod sharded;
 
 pub use client::{ClientConfig, ClientError, ShardClient, SleepFn};
 pub use engine::{
-    Hit, IndexStats, QuerySpace, ServeBackend, ServeEngine, ServeError, SnapshotOutcome,
-    StatusReport, StoreReport,
+    Hit, IndexStats, ServeBackend, ServeEngine, ServeError, SnapshotOutcome, StatusReport,
+    StoreReport,
 };
 pub use obs::ServeObs;
+// Re-exported for compatibility: the query spaces moved down to
+// `pane-core`, beside `EmbeddingQuery`, when they began owning what each
+// space indexes and how a node queries it.
+pub use pane_core::QuerySpace;
 // Re-exported for compatibility: the spec type moved down to
 // `pane-index` when the store layer began recording it in manifests.
 pub use pane_index::IndexSpec;

@@ -42,17 +42,18 @@
 //! sharded root, in order.
 
 use crate::client::{ClientConfig, ClientError, ShardClient};
-use crate::engine::{Hit, QuerySpace};
+use crate::engine::{check_nodes, Hit, ServeError};
 use crate::obs::ServeObs;
-use crate::protocol::{parse, Json};
-use crate::server::{batch_size, error_line, hits_json, metrics_fields, LineHandler};
-use pane_index::topk;
+use crate::protocol::Json;
+use crate::server::{answer, hits_json, metrics_fields, LineHandler, ReadRequest};
+use crate::sharded::merge_shard_hits;
+use pane_core::top_k_filter;
 use pane_obs::{Counter, Gauge, Tracer};
 use pane_store::{expected_shard_len, global_of, local_of, shard_of};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A router-level failure, rendered as the `error` field of an
 /// `{"ok":false,…}` response.
@@ -66,6 +67,13 @@ impl std::fmt::Display for RouterError {
 }
 
 impl std::error::Error for RouterError {}
+
+/// A client mistake reads the same from the router as from a daemon.
+impl From<ServeError> for RouterError {
+    fn from(e: ServeError) -> Self {
+        RouterError(e.to_string())
+    }
+}
 
 fn bad(msg: impl Into<String>) -> RouterError {
     RouterError(msg.into())
@@ -293,17 +301,12 @@ impl Router {
         c.total
     }
 
-    fn dispatch(&self, req: &Json, raw: &str) -> Result<(Json, bool), RouterError> {
-        let op = req
-            .get("op")
-            .and_then(Json::as_str)
-            .ok_or_else(|| bad("request needs a string 'op' field"))?
-            .to_string();
-        match op.as_str() {
-            "similar-nodes" | "recommend-links" => self.query(req, &op).map(|r| (r, false)),
+    fn dispatch(&self, op: &str, req: &Json, raw: &str) -> Result<(Json, bool), RouterError> {
+        match op {
+            "similar-nodes" | "recommend-links" => self.query(op, req).map(|r| (r, false)),
             "insert" => self.insert(raw).map(|r| (r, false)),
             "stats" => self.stats().map(|r| (r, false)),
-            "compact" | "snapshot" => self.fan_out_write(&op).map(|r| (r, false)),
+            "compact" | "snapshot" => self.fan_out_write(op).map(|r| (r, false)),
             "metrics" => {
                 let mut pairs = vec![("ok", Json::Bool(true)), ("op", Json::str("metrics"))];
                 pairs.extend(metrics_fields(&self.inner.obs));
@@ -316,10 +319,11 @@ impl Router {
                 ]),
                 true,
             )),
-            other => Err(bad(format!(
+            other => Err(ServeError::BadRequest(format!(
                 "unknown op '{other}' (similar-nodes | recommend-links | insert | compact | \
                  snapshot | stats | metrics | shutdown)"
-            ))),
+            ))
+            .into()),
         }
     }
 
@@ -340,45 +344,15 @@ impl Router {
         Json::obj(pairs)
     }
 
-    fn query(&self, req: &Json, op: &str) -> Result<Json, RouterError> {
-        let nodes = req
-            .get("nodes")
-            .and_then(Json::as_index_array)
-            .ok_or_else(|| bad("'nodes' must be an array of node ids"))?;
-        let k = match req.get("k") {
-            None => 10,
-            Some(v) => v
-                .as_index()
-                .ok_or_else(|| bad("'k' must be a non-negative integer"))?,
-        };
-        let (space, exclude) = if op == "similar-nodes" {
-            (QuerySpace::Similar, Vec::new())
-        } else {
-            let exclude = match req.get("exclude") {
-                None => Vec::new(),
-                Some(v) => v
-                    .as_index_array()
-                    .ok_or_else(|| bad("'exclude' must be an array of node ids"))?,
-            };
-            (QuerySpace::Links, exclude)
-        };
-        let fetch = match space {
-            QuerySpace::Similar => k + 1,
-            QuerySpace::Links => k + exclude.len() + 1,
-        };
-        let total = self.read_total();
-        if let Some(&out) = nodes.iter().find(|&&v| v >= total) {
-            return Err(bad(format!(
-                "node {out} out of range (serving {total} nodes)"
-            )));
-        }
-        if nodes.is_empty() {
-            return Ok(self.response(
-                op,
-                vec![("results", Json::Arr(Vec::new()))],
-                &BTreeSet::new(),
-            ));
-        }
+    fn query(&self, op: &str, req: &Json) -> Result<Json, RouterError> {
+        let ReadRequest {
+            space,
+            nodes,
+            k,
+            exclude,
+        } = ReadRequest::decode(op, req)?;
+        check_nodes(self.read_total(), &nodes)?;
+        let (fetch, keep) = top_k_filter(k, &exclude, |h: &Hit| h.node);
         let n = self.inner.clients.len();
         let mut down = BTreeSet::new();
 
@@ -482,23 +456,14 @@ impl Router {
             }
         }
 
-        // Phase 3: the in-process merge — shard order, shared comparator,
-        // then the same self/exclude filtering as the engines.
+        // Phase 3: the in-process merge and filter — shard order, shared
+        // comparator, then the same self/exclude filtering as the engines.
         let mut merged_of: Vec<Vec<Hit>> = vec![Vec::new(); nodes.len()];
         for (qi, &pos) in live.iter().enumerate() {
-            let src = nodes[pos];
             let candidates = answered
                 .iter()
                 .flat_map(|batches| batches[qi].iter().copied());
-            merged_of[pos] = topk::select(candidates, fetch)
-                .into_iter()
-                .map(|h| Hit {
-                    node: h.index,
-                    score: h.score,
-                })
-                .filter(|h| h.node != src && !exclude.contains(&h.node))
-                .take(k)
-                .collect();
+            merged_of[pos] = keep(nodes[pos], merge_shard_hits(candidates, fetch));
         }
         Ok(self.response(op, vec![("results", hits_json(merged_of))], &down))
     }
@@ -648,30 +613,9 @@ impl Router {
 
 impl LineHandler for Router {
     fn handle(&self, line: &str) -> (String, bool) {
-        let started = Instant::now();
-        let req = match parse(line) {
-            Ok(v) => v,
-            Err(e) => {
-                self.inner
-                    .obs
-                    .record("unknown", false, None, started.elapsed());
-                return (error_line(&e.to_string()), false);
-            }
-        };
-        let op = req
-            .get("op")
-            .and_then(Json::as_str)
-            .unwrap_or("unknown")
-            .to_string();
-        let batch = batch_size(&req);
-        let out = self.dispatch(&req, line);
-        let ok = out.is_ok();
-        let (resp, shutdown) = match out {
-            Ok((resp, shutdown)) => (resp.to_line(), shutdown),
-            Err(e) => (error_line(&e.0), false),
-        };
-        self.inner.obs.record(&op, ok, batch, started.elapsed());
-        (resp, shutdown)
+        answer(line, Some(&self.inner.obs), |op, req| {
+            self.dispatch(op, req, line)
+        })
     }
 }
 
@@ -727,6 +671,7 @@ fn parse_shard_hits(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::parse;
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpListener;
     use std::time::Duration;

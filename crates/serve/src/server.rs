@@ -18,9 +18,10 @@
 //! streaming bytes without a newline cannot grow daemon memory without
 //! bound.
 
-use crate::engine::{Hit, QuerySpace, ServeBackend, ServeError, StatusReport};
+use crate::engine::{Hit, ServeBackend, ServeError, StatusReport};
 use crate::obs::ServeObs;
 use crate::protocol::{parse, Json};
+use pane_core::QuerySpace;
 use pane_linalg::DenseMatrix;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -122,6 +123,39 @@ fn optional_index(req: &Json, key: &str, default: usize) -> Result<usize, ServeE
     }
 }
 
+/// A decoded `similar-nodes` / `recommend-links` request. Decoding — the
+/// defaults and every error text — is the same for a daemon and the
+/// router; the node ids are checked against the served id space by
+/// `check_nodes` where the read runs.
+pub(crate) struct ReadRequest {
+    pub(crate) space: QuerySpace,
+    pub(crate) nodes: Vec<usize>,
+    pub(crate) k: usize,
+    pub(crate) exclude: Vec<usize>,
+}
+
+impl ReadRequest {
+    /// Decodes the fields of read op `op` (one of the two names above).
+    pub(crate) fn decode(op: &str, req: &Json) -> Result<Self, ServeError> {
+        let space = match op {
+            "similar-nodes" => QuerySpace::Similar,
+            _ => QuerySpace::Links,
+        };
+        let nodes = require_index_array(req, "nodes")?;
+        let k = optional_index(req, "k", 10)?;
+        let exclude = match (space, req.get("exclude")) {
+            (QuerySpace::Links, Some(_)) => require_index_array(req, "exclude")?,
+            _ => Vec::new(),
+        };
+        Ok(Self {
+            space,
+            nodes,
+            k,
+            exclude,
+        })
+    }
+}
+
 fn require_f64_array(req: &Json, key: &str) -> Result<Vec<f64>, ServeError> {
     req.get(key)
         .and_then(Json::as_f64_array)
@@ -174,36 +208,26 @@ pub(crate) fn batch_size(req: &Json) -> Option<usize> {
 
 fn dispatch<B: ServeBackend>(
     engine: &RwLock<B>,
+    op: &str,
     req: &Json,
     obs: Option<&ServeObs>,
 ) -> Result<(Json, bool), ServeError> {
-    let op = req
-        .get("op")
-        .and_then(Json::as_str)
-        .ok_or_else(|| ServeError::BadRequest("request needs a string 'op' field".into()))?
-        .to_string();
     let ok = |mut fields: Vec<(&str, Json)>| {
-        let mut pairs = vec![("ok", Json::Bool(true)), ("op", Json::str(&op))];
+        let mut pairs = vec![("ok", Json::Bool(true)), ("op", Json::str(op))];
         pairs.append(&mut fields);
         Json::obj(pairs)
     };
-    match op.as_str() {
-        "similar-nodes" => {
-            let nodes = require_index_array(req, "nodes")?;
-            let k = optional_index(req, "k", 10)?;
-            let results = read_engine(engine).similar_nodes(&nodes, k)?;
-            Ok((ok(vec![("results", hits_json(results))]), false))
-        }
-        "recommend-links" => {
-            let nodes = require_index_array(req, "nodes")?;
-            let k = optional_index(req, "k", 10)?;
-            let exclude = match req.get("exclude") {
-                None => Vec::new(),
-                Some(v) => v.as_index_array().ok_or_else(|| {
-                    ServeError::BadRequest("'exclude' must be an array of node ids".into())
-                })?,
-            };
-            let results = read_engine(engine).recommend_links(&nodes, k, &exclude)?;
+    match op {
+        "similar-nodes" | "recommend-links" => {
+            let read = ReadRequest::decode(op, req)?;
+            // The read lock covers the search only, not rendering the reply.
+            let results = {
+                let engine = read_engine(engine);
+                match read.space {
+                    QuerySpace::Similar => engine.similar_nodes(&read.nodes, read.k),
+                    QuerySpace::Links => engine.recommend_links(&read.nodes, read.k, &read.exclude),
+                }
+            }?;
             Ok((ok(vec![("results", hits_json(results))]), false))
         }
         "insert" => {
@@ -293,18 +317,47 @@ pub(crate) fn metrics_fields(obs: &ServeObs) -> Vec<(&'static str, Json)> {
     ]
 }
 
-/// Handles one request line, returning the response line and whether the
-/// daemon should shut down. Never panics on malformed input — every
-/// failure is an `{"ok":false,…}` response.
-pub fn handle_line<B: ServeBackend>(engine: &RwLock<B>, line: &str) -> (String, bool) {
-    let req = match parse(line) {
-        Ok(v) => v,
-        Err(e) => return (error_line(&e.to_string()), false),
+/// Answers one request line through `dispatch(op, request)`: the one
+/// `parse → op → dispatch → record` skeleton under every endpoint (bare
+/// engine, observed engine, router). Never panics on malformed input —
+/// every failure is an `{"ok":false,…}` line — and with `obs` the request
+/// is timed and recorded under its op (`unknown` when it names none).
+pub(crate) fn answer<E: std::fmt::Display>(
+    line: &str,
+    obs: Option<&ServeObs>,
+    dispatch: impl FnOnce(&str, &Json) -> Result<(Json, bool), E>,
+) -> (String, bool) {
+    let timed = obs.map(|obs| (obs, Instant::now()));
+    let req = parse(line);
+    let op = req
+        .as_ref()
+        .ok()
+        .and_then(|req| req.get("op"))
+        .and_then(Json::as_str);
+    let out = match (&req, op) {
+        (Err(e), _) => Err(e.to_string()),
+        (Ok(_), None) => {
+            Err(ServeError::BadRequest("request needs a string 'op' field".into()).to_string())
+        }
+        (Ok(req), Some(op)) => dispatch(op, req).map_err(|e| e.to_string()),
     };
-    match dispatch(engine, &req, None) {
+    let ok = out.is_ok();
+    let reply = match out {
         Ok((resp, shutdown)) => (resp.to_line(), shutdown),
-        Err(e) => (error_line(&e.to_string()), false),
+        Err(e) => (error_line(&e), false),
+    };
+    if let Some((obs, started)) = timed {
+        let batch = req.as_ref().ok().and_then(batch_size);
+        obs.record(op.unwrap_or("unknown"), ok, batch, started.elapsed());
     }
+    reply
+}
+
+/// Handles one request line against a bare engine, returning the response
+/// line and whether the daemon should shut down. Never panics on malformed
+/// input — every failure is an `{"ok":false,…}` response.
+pub fn handle_line<B: ServeBackend>(engine: &RwLock<B>, line: &str) -> (String, bool) {
+    answer(line, None, |op, req| dispatch(engine, op, req, None))
 }
 
 /// A [`ServeBackend`] behind a lock **with observability attached**: what
@@ -337,28 +390,8 @@ impl<B: ServeBackend> ObservedHandler<B> {
 
 impl<B: ServeBackend> LineHandler for ObservedHandler<B> {
     fn handle(&self, line: &str) -> (String, bool) {
-        let started = Instant::now();
-        let req = match parse(line) {
-            Ok(v) => v,
-            Err(e) => {
-                self.obs.record("unknown", false, None, started.elapsed());
-                return (error_line(&e.to_string()), false);
-            }
-        };
-        let op = req
-            .get("op")
-            .and_then(Json::as_str)
-            .unwrap_or("unknown")
-            .to_string();
-        let batch = batch_size(&req);
-        let out = dispatch(&self.engine, &req, Some(&self.obs));
-        let ok = out.is_ok();
-        let (resp, shutdown) = match out {
-            Ok((resp, shutdown)) => (resp.to_line(), shutdown),
-            Err(e) => (error_line(&e.to_string()), false),
-        };
-        self.obs.record(&op, ok, batch, started.elapsed());
-        (resp, shutdown)
+        let obs = Some(&*self.obs);
+        answer(line, obs, |op, req| dispatch(&self.engine, op, req, obs))
     }
 }
 

@@ -28,12 +28,12 @@
 //! directory and merges in a thin proxy with the same comparator.
 
 use crate::engine::{
-    Hit, IndexStats, QuerySpace, ServeBackend, ServeEngine, ServeError, SnapshotOutcome,
-    StatusReport, StoreReport,
+    check_nodes, check_queries, Hit, IndexStats, ServeBackend, ServeEngine, ServeError,
+    SnapshotOutcome, StatusReport, StoreReport,
 };
 use crate::obs::ServeObs;
-use pane_index::topk;
-use pane_index::VectorIndex;
+use pane_core::QuerySpace;
+use pane_index::{topk, VectorIndex};
 use pane_linalg::DenseMatrix;
 use pane_obs::{latency_buckets, Histogram};
 use pane_parallel::{even_ranges_nonempty, map_blocks};
@@ -41,6 +41,20 @@ use pane_store::{global_of, local_of, shard_of, ShardedStore};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// The shard merge: one query's per-shard candidates, as `(global id,
+/// score)` in shard order, ranked under the total order every index uses
+/// and cut to `fetch` — shared by [`ShardedEngine`] and the router, so a
+/// routed answer cannot rank differently from an in-process one.
+pub(crate) fn merge_shard_hits(
+    candidates: impl Iterator<Item = (usize, f64)>,
+    fetch: usize,
+) -> Vec<Hit> {
+    topk::select(candidates, fetch)
+        .into_iter()
+        .map(Hit::from)
+        .collect()
+}
 
 /// N shard engines behind one global id space. See the [module docs](self).
 pub struct ShardedEngine {
@@ -80,12 +94,8 @@ impl ShardedEngine {
         self.shards[0].half_dim()
     }
 
-    fn check_nodes(&self, nodes: &[usize]) -> Result<(), ServeError> {
-        crate::engine::check_nodes(self.num_nodes(), nodes)
-    }
-
-    /// Runs `queries` against one index of every shard and merges each
-    /// query's per-shard hit lists (local ids mapped to global) under
+    /// Runs `queries` against `space`'s index of every shard and merges
+    /// each query's per-shard hit lists (local ids mapped to global) under
     /// the shared total order.
     ///
     /// Shards are searched **concurrently** under the engine's thread
@@ -98,9 +108,9 @@ impl ShardedEngine {
     /// order, so the result is bit-identical to the old sequential scan.
     fn fan_out_merge(
         &self,
+        space: QuerySpace,
         queries: &DenseMatrix,
         fetch: usize,
-        pick: impl Sync + Fn(&ServeEngine) -> &dyn VectorIndex,
     ) -> Vec<Vec<Hit>> {
         let started = Instant::now();
         let n_shards = self.shards.len();
@@ -108,7 +118,11 @@ impl ShardedEngine {
         let inner_threads = (self.threads / groups.len()).max(1);
         let per_shard: Vec<Vec<Vec<pane_index::Neighbor>>> = map_blocks(&groups, |_, range| {
             range
-                .map(|s| pick(&self.shards[s]).batch_search(queries, fetch, inner_threads))
+                .map(|s| {
+                    self.shards[s]
+                        .index(space)
+                        .batch_search(queries, fetch, inner_threads)
+                })
                 .collect::<Vec<_>>()
         })
         .into_iter()
@@ -116,7 +130,7 @@ impl ShardedEngine {
         .collect();
         let merged = (0..queries.rows())
             .map(|qi| {
-                topk::select(
+                merge_shard_hits(
                     per_shard.iter().enumerate().flat_map(|(s, batched)| {
                         batched[qi]
                             .iter()
@@ -124,12 +138,6 @@ impl ShardedEngine {
                     }),
                     fetch,
                 )
-                .into_iter()
-                .map(|h| Hit {
-                    node: h.index,
-                    score: h.score,
-                })
-                .collect()
             })
             .collect();
         self.fanout.observe_duration(started.elapsed());
@@ -138,58 +146,18 @@ impl ShardedEngine {
 }
 
 impl ServeBackend for ShardedEngine {
-    fn similar_nodes(&self, nodes: &[usize], k: usize) -> Result<Vec<Vec<Hit>>, ServeError> {
-        let rows = self.query_vectors(QuerySpace::Similar, nodes)?;
-        let queries = DenseMatrix::from_rows(&rows);
-        let merged = self.fan_out_merge(&queries, k + 1, |e| e.node_index());
-        Ok(nodes
-            .iter()
-            .zip(merged)
-            .map(|(&v, hits)| hits.into_iter().filter(|h| h.node != v).take(k).collect())
-            .collect())
-    }
-
-    fn recommend_links(
-        &self,
-        nodes: &[usize],
-        k: usize,
-        exclude: &[usize],
-    ) -> Result<Vec<Vec<Hit>>, ServeError> {
-        let rows = self.query_vectors(QuerySpace::Links, nodes)?;
-        let queries = DenseMatrix::from_rows(&rows);
-        let fetch = k + exclude.len() + 1;
-        let merged = self.fan_out_merge(&queries, fetch, |e| e.link_index());
-        Ok(nodes
-            .iter()
-            .zip(merged)
-            .map(|(&src, hits)| {
-                hits.into_iter()
-                    .filter(|h| h.node != src && !exclude.contains(&h.node))
-                    .take(k)
-                    .collect()
-            })
-            .collect())
-    }
-
+    /// The owner shard supplies each node's vector (every shard holds the
+    /// full `Y`, so link query vectors do not depend on the owner).
     fn query_vectors(
         &self,
         space: QuerySpace,
         nodes: &[usize],
     ) -> Result<Vec<Vec<f64>>, ServeError> {
-        self.check_nodes(nodes)?;
+        check_nodes(self.num_nodes(), nodes)?;
         let n_shards = self.shards.len();
         Ok(nodes
             .iter()
-            .map(|&v| {
-                let owner = &self.shards[shard_of(v, n_shards)];
-                let local = local_of(v, n_shards);
-                match space {
-                    QuerySpace::Similar => owner.embedding().classifier_features(local),
-                    QuerySpace::Links => owner
-                        .embedding()
-                        .link_query_vector_with(owner.gram(), local),
-                }
-            })
+            .map(|&v| self.shards[shard_of(v, n_shards)].query_vector(space, local_of(v, n_shards)))
             .collect())
     }
 
@@ -199,21 +167,8 @@ impl ServeBackend for ShardedEngine {
         queries: &DenseMatrix,
         fetch: usize,
     ) -> Result<Vec<Vec<Hit>>, ServeError> {
-        if queries.rows() == 0 {
-            return Err(ServeError::BadRequest("empty query batch".into()));
-        }
-        let want = space.dim(self.half_dim());
-        if queries.cols() != want {
-            return Err(ServeError::BadRequest(format!(
-                "{}-space queries must have {want} entries (got {})",
-                space.name(),
-                queries.cols()
-            )));
-        }
-        Ok(match space {
-            QuerySpace::Similar => self.fan_out_merge(queries, fetch, |e| e.node_index()),
-            QuerySpace::Links => self.fan_out_merge(queries, fetch, |e| e.link_index()),
-        })
+        check_queries(space, self.half_dim(), queries)?;
+        Ok(self.fan_out_merge(space, queries, fetch))
     }
 
     fn insert(&mut self, forward: &[f64], backward: &[f64]) -> Result<usize, ServeError> {

@@ -14,8 +14,8 @@
 //!   columnar `PANECOL1` containers (`pane-format`); a generation the
 //!   manifest calls legacy keeps its `PANEEMB1` embedding readable and
 //!   has its index pair — derived data — rebuilt from the manifest's
-//!   recipe rather than read, until [`migrate`] or a snapshot rewrites
-//!   it forward;
+//!   recipe rather than read, until its next snapshot rewrites it
+//!   forward;
 //! * the **insert-ahead log** ([`wal`], `PANEWAL1`) — length-prefixed,
 //!   checksummed records of new `X_f`/`X_b` row pairs, synced *before*
 //!   an insert is acknowledged, replayed into delta segments at
@@ -42,8 +42,8 @@ mod proptests;
 pub use manifest::{ArtifactFormat, Manifest, MANIFEST_FILE};
 pub use shard::{expected_shard_len, global_of, local_of, shard_dir, shard_of, ShardedStore};
 pub use store::{
-    build_bases, migrate, read_status, MigrateReport, OpenStore, Store, StoreStatus,
-    EMBEDDING_FILE, LINK_INDEX_FILE, NODE_INDEX_FILE, WAL_FILE,
+    read_status, OpenStore, Store, StoreStatus, EMBEDDING_FILE, LINK_INDEX_FILE, NODE_INDEX_FILE,
+    WAL_FILE,
 };
 pub use wal::{replay as replay_wal, Wal, WalAppend, WalRecord, WalReplay, WAL_MAGIC};
 

@@ -110,6 +110,7 @@ impl ShardedStore {
                 "cannot split {n} nodes across {shards} shards (every shard needs a node)"
             )));
         }
+        crate::store::check_recipe(node_spec, link_spec)?;
         std::fs::create_dir_all(root)?;
         if root.join(MANIFEST_FILE).exists() {
             return Err(StoreError::Format(format!(
@@ -194,24 +195,6 @@ impl ShardedStore {
         Ok(opened)
     }
 
-    /// Migrates every shard of a sharded root to the columnar format
-    /// (see [`crate::migrate`]); shards already columnar are no-ops, so
-    /// an interrupted run is safely resumable.
-    pub fn migrate(root: &Path) -> Result<Vec<crate::MigrateReport>, StoreError> {
-        let shards = match Manifest::read(root)? {
-            Manifest::Sharded { shards } => shards,
-            Manifest::Single { .. } => {
-                return Err(StoreError::Format(format!(
-                    "{} is a single store, not a sharded root",
-                    root.display()
-                )))
-            }
-        };
-        (0..shards)
-            .map(|s| crate::migrate(&shard_dir(root, s)))
-            .collect()
-    }
-
     /// Offline status of every shard (see [`crate::read_status`]).
     pub fn read_status(root: &Path) -> Result<Vec<StoreStatus>, StoreError> {
         let shards = match Manifest::read(root)? {
@@ -282,43 +265,6 @@ mod tests {
         match ShardedStore::open(&root) {
             Err(StoreError::Format(m)) => assert!(m.contains("round-robin"), "{m}"),
             other => panic!("expected balance error, got {other:?}"),
-        }
-        std::fs::remove_dir_all(&root).ok();
-    }
-
-    #[test]
-    fn sharded_migrate_rewrites_every_shard() {
-        let root = tmpdir("shard_migrate");
-        let emb = fixture(30, 12);
-        let shards = 2;
-        ShardedStore::init_with_format(
-            &root,
-            &emb,
-            &IndexSpec::Flat,
-            &IndexSpec::Flat,
-            shards,
-            1,
-            crate::ArtifactFormat::Legacy,
-        )
-        .unwrap();
-        for s in ShardedStore::read_status(&root).unwrap() {
-            assert_eq!(s.format, crate::ArtifactFormat::Legacy);
-        }
-
-        let reports = ShardedStore::migrate(&root).unwrap();
-        assert_eq!(reports.len(), 2);
-        assert!(reports.iter().all(|r| r.migrated));
-        for s in ShardedStore::read_status(&root).unwrap() {
-            assert_eq!(s.format, crate::ArtifactFormat::Columnar);
-        }
-        // The partition still opens and routes identically.
-        let opened = ShardedStore::open(&root).unwrap();
-        assert_eq!(opened.len(), 2);
-        for (s, o) in opened.iter().enumerate() {
-            for local in 0..o.embedding.forward.rows() {
-                let g = global_of(s, local, shards);
-                assert_eq!(o.embedding.forward.row(local), emb.forward.row(g));
-            }
         }
         std::fs::remove_dir_all(&root).ok();
     }

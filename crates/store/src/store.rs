@@ -15,8 +15,7 @@
 //! build: its `PANEEMB1` embedding still loads, while its two index files
 //! — derived data in a stream format no reader exists for any more — are
 //! never opened; the pair is rebuilt from the manifest's recipe instead
-//! (see [`base_indexes`]). [`migrate`] (or any snapshot) rewrites such a
-//! store forward.
+//! (see [`base_indexes`]). Its next snapshot rewrites such a store forward.
 //!
 //! The life cycle mirrors a log-structured store (LogBase, PAPERS.md):
 //! [`Store::open`] loads the base generation and **replays** the WAL into
@@ -31,8 +30,8 @@
 use crate::manifest::{ArtifactFormat, Manifest, MANIFEST_FILE};
 use crate::wal::{self, Wal};
 use crate::StoreError;
-use pane_core::PaneEmbedding;
-use pane_index::{AnyIndex, DeltaIndex, IndexSpec, Metric, VectorIndex};
+use pane_core::{build_bases, check_bases, PaneEmbedding, QuerySpace};
+use pane_index::{AnyIndex, DeltaIndex, IndexSpec, VectorIndex};
 use std::fs::File;
 use std::io::Read;
 use std::path::{Path, PathBuf};
@@ -90,11 +89,11 @@ fn sync_dir(path: &Path) {
 }
 
 /// Writes one generation's three artifacts into `gdir` and fsyncs them.
-/// `format` names the embedding container: columnar is what `init`,
-/// `snapshot`, and `migrate` all write; legacy (`PANEEMB1`) exists so
-/// tests and CI can create pre-columnar fixtures (`pane store init
-/// --format legacy`). The index files are `PANECOL1` either way — a
-/// legacy generation's are never read back (see [`base_indexes`]).
+/// `format` names the embedding container: columnar is what `init` and
+/// `snapshot` write; legacy (`PANEEMB1`) exists so tests and CI can create
+/// pre-columnar fixtures (`pane store init --format legacy`). The index
+/// files are `PANECOL1` either way — a legacy generation's are never read
+/// back (see [`base_indexes`]).
 fn write_generation(
     gdir: &Path,
     emb: &PaneEmbedding,
@@ -115,67 +114,14 @@ fn write_generation(
     Ok(())
 }
 
-/// Commits `emb` and its two bases as generation `current + 1`: writes
-/// `gen-<current+1>/` completely, atomically swings the manifest to it
-/// (recording `format columnar`), and removes the previous generation
-/// directory (best-effort — a leftover directory is garbage, not
-/// corruption). The shared tail of [`Store::snapshot`] and [`migrate`];
-/// the WAL is the caller's business. Returns the new generation number.
-fn commit_next_generation(
-    dir: &Path,
-    current: u64,
-    node_spec: IndexSpec,
-    link_spec: IndexSpec,
-    emb: &PaneEmbedding,
-    node: &AnyIndex,
-    link: &AnyIndex,
-) -> Result<u64, StoreError> {
-    let next = current + 1;
-    let gdir = gen_dir(dir, next);
-    // A leftover directory from a crashed attempt is stale garbage the
-    // manifest never committed to; clear it.
-    if gdir.exists() {
-        std::fs::remove_dir_all(&gdir)?;
+/// Refuses a recipe [`Manifest::read`] would refuse, before anything is
+/// written under it: a manifest we write is a manifest we can read.
+pub(crate) fn check_recipe(node_spec: &IndexSpec, link_spec: &IndexSpec) -> Result<(), StoreError> {
+    for (what, spec) in [("node_index", node_spec), ("link_index", link_spec)] {
+        spec.validate()
+            .map_err(|e| StoreError::Format(format!("{what}: {e}")))?;
     }
-    std::fs::create_dir_all(&gdir)?;
-    // The generation must be fully ON DISK before the manifest can name
-    // it (write_generation fsyncs every artifact and the directory
-    // entry), or a power loss after the rename could commit to unwritten
-    // pages while the WAL (the only other copy of the inserts) is about
-    // to be truncated.
-    write_generation(&gdir, emb, node, link, ArtifactFormat::Columnar)?;
-    sync_dir(dir);
-    // Commit point: the manifest rename. Before it, the old generation
-    // is current; after it, the new one is.
-    Manifest::Single {
-        generation: next,
-        node_spec,
-        link_spec,
-        format: ArtifactFormat::Columnar,
-    }
-    .write(dir)?;
-    let _ = std::fs::remove_dir_all(gen_dir(dir, current));
-    Ok(next)
-}
-
-/// Builds the canonical serving index pair for an embedding: the node
-/// index over the `[X_f ‖ X_b]` classifier features and the link index
-/// over `X_b`, both max-inner-product (the unified score scale). The one
-/// shared recipe `Store::init`, snapshots, and `ServeEngine` compactions
-/// all use, so bases can never drift between layers.
-pub fn build_bases(
-    emb: &PaneEmbedding,
-    node_spec: &IndexSpec,
-    link_spec: &IndexSpec,
-    threads: usize,
-) -> (AnyIndex, AnyIndex) {
-    let node = node_spec.build(
-        &emb.classifier_feature_matrix(),
-        Metric::InnerProduct,
-        threads,
-    );
-    let link = link_spec.build(&emb.backward, Metric::InnerProduct, threads);
-    (node, link)
+    Ok(())
 }
 
 /// The base index pair of generation directory `gdir` over its (already
@@ -280,6 +226,7 @@ impl Store {
                 "cannot init a store from an empty embedding".into(),
             ));
         }
+        check_recipe(node_spec, link_spec)?;
         std::fs::create_dir_all(dir)?;
         if dir.join(MANIFEST_FILE).exists() {
             return Err(StoreError::Format(format!(
@@ -340,18 +287,10 @@ impl Store {
         let mut embedding = pane_core::load_binary(&gdir.join(EMBEDDING_FILE))?;
         let (node_base, link_base) =
             base_indexes(&gdir, &embedding, &node_spec, &link_spec, format)?;
+        check_bases(&embedding, &node_base, &link_base)
+            .map_err(|m| StoreError::Format(format!("{}: {m}", gdir.display())))?;
         let n = embedding.forward.rows();
         let k2 = embedding.forward.cols();
-        for (what, idx, want_dim) in [("node", &node_base, 2 * k2), ("link", &link_base, k2)] {
-            if idx.len() != n || idx.dim() != want_dim {
-                return Err(StoreError::Format(format!(
-                    "{}: {what} index holds {}×{} but the embedding implies {n}×{want_dim}",
-                    gdir.display(),
-                    idx.len(),
-                    idx.dim()
-                )));
-            }
-        }
         let lock = take_lock(dir)?;
         let mut node_index = DeltaIndex::new(node_base);
         let mut link_index = DeltaIndex::new(link_base);
@@ -396,9 +335,9 @@ impl Store {
             }
             embedding.forward.push_row(&rec.forward);
             embedding.backward.push_row(&rec.backward);
-            let features = embedding.classifier_features(rec.node_id as usize);
-            node_index.insert(&features)?;
-            link_index.insert(&rec.backward)?;
+            let id = rec.node_id as usize;
+            node_index.insert(&QuerySpace::Similar.row(&embedding, id))?;
+            link_index.insert(&QuerySpace::Links.row(&embedding, id))?;
             applied.push(rec);
         }
         let wal_records = applied.len();
@@ -452,35 +391,43 @@ impl Store {
     /// removes the previous generation directory, and truncates the WAL.
     /// Returns the new generation number.
     ///
-    /// Snapshots always write the columnar format — snapshotting is how
-    /// a legacy store migrates forward as a side effect of normal
-    /// operation (and [`migrate`] is the explicit path).
+    /// Snapshots always write the columnar format — a snapshot is how a
+    /// legacy generation is rewritten forward, as a side effect of normal
+    /// operation.
     pub fn snapshot(
         &mut self,
         emb: &PaneEmbedding,
         node_base: &AnyIndex,
         link_base: &AnyIndex,
     ) -> Result<u64, StoreError> {
-        let n = emb.forward.rows();
-        let k2 = emb.forward.cols();
-        for (what, idx, want_dim) in [("node", node_base, 2 * k2), ("link", link_base, k2)] {
-            if idx.len() != n || idx.dim() != want_dim {
-                return Err(StoreError::Format(format!(
-                    "snapshot {what} base holds {}×{} but the embedding implies {n}×{want_dim}",
-                    idx.len(),
-                    idx.dim()
-                )));
-            }
+        check_bases(emb, node_base, link_base)
+            .map_err(|m| StoreError::Format(format!("snapshot: {m}")))?;
+        let next = self.generation + 1;
+        let gdir = gen_dir(&self.dir, next);
+        // A leftover directory from a crashed attempt is stale garbage the
+        // manifest never committed to; clear it.
+        if gdir.exists() {
+            std::fs::remove_dir_all(&gdir)?;
         }
-        let next = commit_next_generation(
-            &self.dir,
-            self.generation,
-            self.node_spec,
-            self.link_spec,
-            emb,
-            node_base,
-            link_base,
-        )?;
+        std::fs::create_dir_all(&gdir)?;
+        // The generation must be fully ON DISK before the manifest can name
+        // it (write_generation fsyncs every artifact and the directory
+        // entry), or a power loss after the rename could commit to unwritten
+        // pages while the WAL (the only other copy of the inserts) is about
+        // to be truncated.
+        write_generation(&gdir, emb, node_base, link_base, ArtifactFormat::Columnar)?;
+        sync_dir(&self.dir);
+        // Commit point: the manifest rename. Before it, the old generation
+        // is current; after it, the new one is.
+        Manifest::Single {
+            generation: next,
+            node_spec: self.node_spec,
+            link_spec: self.link_spec,
+            format: ArtifactFormat::Columnar,
+        }
+        .write(&self.dir)?;
+        // Best-effort: a leftover directory is garbage, not corruption.
+        let _ = std::fs::remove_dir_all(gen_dir(&self.dir, self.generation));
         self.wal.truncate()?;
         self.generation = next;
         self.format = ArtifactFormat::Columnar;
@@ -544,68 +491,6 @@ impl Store {
             .map(|m| m.len())
             .sum()
     }
-}
-
-/// Outcome of [`migrate`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MigrateReport {
-    /// Format the store held before the call.
-    pub from_format: ArtifactFormat,
-    /// Current generation after the call (bumped when a rewrite ran).
-    pub generation: u64,
-    /// Whether artifacts were actually rewritten (`false` when the store
-    /// was already columnar — the call is then a no-op).
-    pub migrated: bool,
-}
-
-/// Rewrites a legacy store's current generation as columnar `PANECOL1`
-/// artifacts, in place.
-///
-/// The rewrite is a restricted snapshot: the base embedding is loaded,
-/// its index pair rebuilt from the manifest's recipe (exactly what
-/// [`Store::open`] serves a legacy generation from), both are saved into
-/// `gen-<g+1>/` in the columnar format, the manifest is atomically swung
-/// to the new generation (now recording `format columnar`), and the old
-/// generation directory is removed. The WAL is **left untouched** —
-/// migration changes the container bytes, not the logical base (same
-/// `n` rows), so the replay contract holds verbatim and un-snapshotted
-/// inserts survive. Serving results are bit-identical before and after:
-/// the matrices round-trip exactly and the index build is deterministic.
-///
-/// Takes the store's exclusive lock; fails fast if a daemon is live.
-/// A store that is already columnar is a successful no-op.
-pub fn migrate(dir: &Path) -> Result<MigrateReport, StoreError> {
-    let (generation, node_spec, link_spec, format) = match Manifest::read(dir)? {
-        Manifest::Single {
-            generation,
-            node_spec,
-            link_spec,
-            format,
-        } => (generation, node_spec, link_spec, format),
-        Manifest::Sharded { shards } => {
-            return Err(StoreError::Format(format!(
-                "{} is a sharded root ({shards} shards); migrate each shard-NNN/ directory",
-                dir.display()
-            )))
-        }
-    };
-    let _lock = take_lock(dir)?;
-    if format == ArtifactFormat::Columnar {
-        return Ok(MigrateReport {
-            from_format: format,
-            generation,
-            migrated: false,
-        });
-    }
-    let gdir = gen_dir(dir, generation);
-    let emb = pane_core::load_binary(&gdir.join(EMBEDDING_FILE))?;
-    let (node, link) = base_indexes(&gdir, &emb, &node_spec, &link_spec, format)?;
-    let next = commit_next_generation(dir, generation, node_spec, link_spec, &emb, &node, &link)?;
-    Ok(MigrateReport {
-        from_format: format,
-        generation: next,
-        migrated: true,
-    })
 }
 
 /// Offline status of a store directory, read without loading any matrix.
@@ -779,6 +664,23 @@ mod tests {
             other => panic!("expected refusal, got {other:?}"),
         }
         std::fs::remove_dir_all(&dir).ok();
+        // A recipe `Manifest::read` would refuse is refused before the
+        // directory exists: no unopenable store, nothing to clean up.
+        let bad = IndexSpec::SqFlat(pane_index::SqConfig { rerank: 0 });
+        for refused in [
+            Store::init(&dir, &emb, &IndexSpec::Flat, &bad, 1),
+            crate::ShardedStore::init(&dir, &emb, &bad, &IndexSpec::Flat, 2, 1),
+        ] {
+            match refused {
+                Err(StoreError::Format(m)) => assert!(m.contains("'rerank'"), "{m}"),
+                other => panic!("expected a format error, got {other:?}"),
+            }
+            assert!(
+                !dir.exists(),
+                "a refused init left {} behind",
+                dir.display()
+            );
+        }
     }
 
     #[test]
@@ -994,68 +896,6 @@ mod tests {
         }
     }
 
-    /// The tentpole's in-place migration: a legacy store is rewritten as
-    /// columnar artifacts while the WAL — and therefore every
-    /// acknowledged-but-unsnapshotted insert — survives verbatim.
-    #[test]
-    fn migrate_rewrites_legacy_in_place_and_preserves_wal() {
-        let dir = tmpdir("migrate");
-        let emb = fixture(45, 6);
-        let k2 = emb.forward.cols();
-        Store::init_with_format(
-            &dir,
-            &emb,
-            &IndexSpec::Flat,
-            &IndexSpec::Flat,
-            1,
-            ArtifactFormat::Legacy,
-        )
-        .unwrap();
-        {
-            let mut opened = Store::open(&dir).unwrap();
-            assert_eq!(opened.store.format(), ArtifactFormat::Legacy);
-            let row: Vec<f64> = (0..k2).map(|i| 0.3 * (i + 1) as f64).collect();
-            opened.store.append(45, &row, &row).unwrap();
-        }
-        let report = migrate(&dir).unwrap();
-        assert_eq!(report.from_format, ArtifactFormat::Legacy);
-        assert_eq!(report.generation, 2);
-        assert!(report.migrated);
-        assert!(!gen_dir(&dir, 1).exists(), "old generation not removed");
-
-        let s = read_status(&dir).unwrap();
-        assert_eq!(s.format, ArtifactFormat::Columnar);
-        assert_eq!(s.base_nodes, 45, "migration must not fold the WAL");
-        assert_eq!(s.wal_records, 1, "migration must not touch the WAL");
-
-        let opened = Store::open(&dir).unwrap();
-        assert_eq!(opened.store.format(), ArtifactFormat::Columnar);
-        assert_eq!(opened.store.replayed(), 1);
-        assert_eq!(opened.embedding.forward.rows(), 46);
-        assert_eq!(
-            &opened.embedding.forward.data()[..45 * k2],
-            emb.forward.data(),
-            "migrated base rows must be bit-identical"
-        );
-        assert_eq!(
-            opened.embedding.backward.data()[..45 * k2],
-            *emb.backward.data()
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn migrate_is_a_noop_on_a_columnar_store() {
-        let dir = tmpdir("migrate_noop");
-        let emb = fixture(25, 8);
-        Store::init(&dir, &emb, &IndexSpec::Flat, &IndexSpec::Flat, 1).unwrap();
-        let report = migrate(&dir).unwrap();
-        assert_eq!(report.from_format, ArtifactFormat::Columnar);
-        assert_eq!(report.generation, 1);
-        assert!(!report.migrated);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
     /// Snapshots always write columnar — normal operation migrates a
     /// legacy store forward without an explicit `migrate` call.
     #[test]
@@ -1085,8 +925,8 @@ mod tests {
 
     /// A legacy generation's index files are never read, whatever they
     /// hold: open rebuilds the pair from the manifest recipe, answers
-    /// exactly like a columnar store of the same embedding, and
-    /// `migrate` writes loadable index files while the WAL rides along.
+    /// exactly like a columnar store of the same embedding, and the next
+    /// snapshot writes loadable index files with the WAL row folded in.
     #[test]
     fn legacy_generation_rebuilds_its_indexes_from_the_recipe() {
         let hnsw = IndexSpec::Hnsw(pane_index::HnswConfig {
@@ -1120,20 +960,26 @@ mod tests {
                 got.store.append(70, &row, &row).unwrap();
             }
 
-            assert!(migrate(&dir).unwrap().migrated);
+            let mut opened = Store::open(&dir).unwrap();
+            let (node, link) = build_bases(&opened.embedding, &spec, &spec, 2);
+            opened
+                .store
+                .snapshot(&opened.embedding, &node, &link)
+                .unwrap();
+            drop(opened);
             let status = read_status(&dir).unwrap();
             assert_eq!(status.format, ArtifactFormat::Columnar);
-            assert_eq!(status.wal_records, 1, "migration must not touch the WAL");
+            assert_eq!(status.wal_records, 0, "the snapshot folds the WAL");
             for f in [NODE_INDEX_FILE, LINK_INDEX_FILE] {
                 assert_eq!(
                     pane_index::load_index(&gen_dir(&dir, 2).join(f))
                         .unwrap()
                         .len(),
-                    70
+                    71
                 );
             }
             let reopened = Store::open(&dir).unwrap();
-            assert_eq!(reopened.store.replayed(), 1);
+            assert_eq!(reopened.store.replayed(), 0);
             assert_eq!(reopened.embedding.forward.row(70), &row[..]);
             for d in [dir, reference] {
                 std::fs::remove_dir_all(&d).ok();

@@ -157,8 +157,31 @@ fn routed_top_k_is_bit_identical_to_in_process_engines() {
     let root = tmp_root("bitident");
     ShardedStore::init(&root, &emb, &IndexSpec::Flat, &IndexSpec::Flat, SHARDS, 2).unwrap();
 
+    // Every rung answers the identical protocol, error replies included:
+    // these lines must draw byte-identical replies from an unsharded
+    // engine, a sharded engine and the router (whose `degraded` field is
+    // the one thing it adds).
+    let table = [
+        (r#"{"op":"similar-nodes","nodes":[]}"#, false),
+        (r#"{"op":"similar-nodes","nodes":[999]}"#, false),
+        (r#"{"op":"recommend-links","k":3}"#, false),
+        (r#"{"op":"similar-nodes","nodes":[1],"k":"ten"}"#, false),
+        (r#"{"op":"recommend-links","nodes":[1],"exclude":7}"#, false),
+        (r#"{"op":"similar-nodes","nodes":[0,5,120],"k":4}"#, true),
+        (
+            r#"{"op":"recommend-links","nodes":[2,60],"k":3,"exclude":[3,11]}"#,
+            true,
+        ),
+    ];
+    let replies = |h: &dyn LineHandler| -> Vec<String> {
+        table
+            .iter()
+            .map(|(line, _)| h.handle(line).0.replace(r#","degraded":false"#, ""))
+            .collect()
+    };
+
     let nodes: Vec<usize> = (0..N).step_by(7).collect();
-    let (want_sim, want_links) = {
+    let (want_sim, want_links, sharded_replies) = {
         // The store layer holds exclusive file locks, so compute the
         // in-process expectation first and drop it before the daemons
         // open the same directories.
@@ -166,6 +189,7 @@ fn routed_top_k_is_bit_identical_to_in_process_engines() {
         (
             eng.similar_nodes(&nodes, 10).unwrap(),
             eng.recommend_links(&nodes, 8, &[3, 11]).unwrap(),
+            replies(&RwLock::new(eng)),
         )
     };
     // Transitivity check against the unsharded exact scan as well.
@@ -174,6 +198,11 @@ fn routed_top_k_is_bit_identical_to_in_process_engines() {
         pairs(&unsharded.similar_nodes(&nodes, 10).unwrap()),
         pairs(&want_sim)
     );
+    let unsharded_replies = replies(&RwLock::new(unsharded));
+    assert_eq!(sharded_replies, unsharded_replies);
+    for ((line, ok), reply) in table.iter().zip(&unsharded_replies) {
+        assert_eq!(reply.starts_with(r#"{"ok":true"#), *ok, "{line}: {reply}");
+    }
 
     let mut daemons: Vec<ShardDaemon> = (0..SHARDS)
         .map(|s| start_daemon(&shard_dir(&root, s), None))
@@ -217,6 +246,7 @@ fn routed_top_k_is_bit_identical_to_in_process_engines() {
         pairs(&want_links),
         "recommend-links diverged over the wire"
     );
+    assert_eq!(replies(&router), unsharded_replies);
 
     drop(router);
     for d in &mut daemons {

@@ -282,17 +282,16 @@ fn open_loop_mixed_load_survives_a_hard_restart() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Acceptance path of the columnar migration (PR 8's tentpole): a store
-/// initialized with legacy `PANEEMB1`/`PANEIDX1` artifacts serves, is
-/// migrated in place to `PANECOL1`, and serves **bit-identical**
-/// similar-nodes and recommend-links answers afterwards — including an
-/// insert acknowledged before the migration, carried across it by the
-/// untouched WAL.
+/// Acceptance path of the columnar migration: a store initialized with
+/// a legacy `PANEEMB1` generation serves, becomes `PANECOL1` at its next
+/// snapshot, and serves **bit-identical** similar-nodes and
+/// recommend-links answers afterwards — including an insert acknowledged
+/// before the rewrite, carried into it by the WAL the snapshot folds.
 #[test]
-fn migrate_then_serve_is_bit_identical_to_legacy() {
+fn snapshot_then_serve_is_bit_identical_to_legacy() {
     use pane_store::ArtifactFormat;
 
-    let dir = tmpdir("migrate_identical");
+    let dir = tmpdir("snapshot_identical");
     let g = sbm(180, 21);
     let emb = Pane::new(cfg()).embed(&g).unwrap();
     let n = g.num_nodes();
@@ -320,31 +319,23 @@ fn migrate_then_serve_is_bit_identical_to_legacy() {
         )
     }; // hard stop — the insert lives only in the WAL
 
-    // Migrate in place: container bytes change, nothing logical does.
-    let report = pane_store::migrate(&dir).unwrap();
-    assert_eq!(report.from_format, ArtifactFormat::Legacy);
-    assert!(report.migrated);
-    let status = pane_store::read_status(&dir).unwrap();
-    assert_eq!(status.format, ArtifactFormat::Columnar);
-    assert_eq!(status.base_nodes, n, "migration must not fold the WAL");
-    assert_eq!(status.wal_records, 1, "migration must not touch the WAL");
-
-    // Session 2 (columnar artifacts): every answer is bit-identical.
+    // The rewrite is a snapshot of the reopened legacy store: container
+    // bytes change and the WAL row moves into the base, nothing else.
     let mut engine = ServeEngine::open(&dir, 2).unwrap();
     let store = engine.status().store.unwrap();
-    assert_eq!(store.format, "columnar");
-    assert_eq!(store.replayed, 1, "the pre-migration insert survived");
+    assert_eq!(store.format, "legacy");
+    assert_eq!(store.replayed, 1, "the pre-rewrite insert survived");
     assert_eq!(engine.similar_nodes(&nodes, 9).unwrap(), sim_before);
-    assert_eq!(
-        engine.recommend_links(&nodes, 7, &[1, 30]).unwrap(),
-        links_before
-    );
-
-    // Snapshot on top of the migrated store still works and stays
-    // columnar; the answers hold across one more restart.
     let out = engine.snapshot().unwrap();
     assert_eq!(out.folded, 1);
+    assert_eq!(engine.status().store.unwrap().format, "columnar");
     drop(engine);
+    let status = pane_store::read_status(&dir).unwrap();
+    assert_eq!(status.format, ArtifactFormat::Columnar);
+    assert_eq!(status.base_nodes, n + 1, "the snapshot folds the WAL");
+    assert_eq!(status.wal_records, 0);
+
+    // Session 2 (columnar artifacts): every answer is bit-identical.
     let engine = ServeEngine::open(&dir, 2).unwrap();
     assert_eq!(engine.status().store.unwrap().format, "columnar");
     assert_eq!(engine.similar_nodes(&nodes, 9).unwrap(), sim_before);
