@@ -12,6 +12,8 @@
 //! re-rank) and with exact re-rank against the resident `f64` rows,
 //! alongside the ~8× resident-byte saving.
 //!
+//! `scan_curve` is the curve behind the block scan (flat and sqflat at
+//! the serving shape, queries per pass and dim varied one at a time).
 //! Two further groups cover the storage layer: `store_boot` times
 //! loading a ≥100k-row embedding generation written as a legacy
 //! `PANEEMB1` stream vs a columnar `PANECOL1` container (the zero-parse
@@ -326,13 +328,53 @@ fn bench_batch(c: &mut Criterion) {
     }
     let mut group = c.benchmark_group(format!("index_batch/n={}", f.data.rows()));
     group.sample_size(10);
-    for threads in [1usize, 4] {
-        group.bench_function(format!("hnsw_t{threads}_100q"), |b| {
-            b.iter(|| f.hnsw.batch_search(&queries, K, threads))
-        });
-        group.bench_function(format!("flat_blocked_t{threads}_100q"), |b| {
-            b.iter(|| f.flat.batch_search(&queries, K, threads))
-        });
+    group.bench_function("hnsw_t1_100q", |b| {
+        b.iter(|| f.hnsw.batch_search(&queries, K, 1))
+    });
+    group.bench_function("flat_t1_100q", |b| {
+        b.iter(|| f.flat.batch_search(&queries, K, 1))
+    });
+    group.finish();
+}
+
+/// The curve behind the block scan: one dimension varied at a time, on
+/// the serving shape (12 000 rows, one thread). Every case answers the
+/// same 8 queries, as `8 / q` passes of `q` queries each, so the rows of
+/// one index are directly comparable: `flat` falls with queries per pass
+/// (the store is streamed once per pass, and queries are scored two per
+/// row load at dims 32/64/128), `sqflat` answers a block as a loop and
+/// stays flat — its curve is the i8 kernel's bytes-per-row cost alone.
+fn bench_scan_curve(c: &mut Criterion) {
+    const ROWS: usize = 12_000;
+    const QUERIES: usize = 8;
+    let mut rng = StdRng::seed_from_u64(4242);
+    let mut sampler = NormalSampler::new();
+    let mut group = c.benchmark_group(format!("scan_curve/n={ROWS}"));
+    group.sample_size(30);
+    for dim in [32usize, 64, 128] {
+        let mut data = DenseMatrix::zeros(ROWS, dim);
+        for v in data.data_mut() {
+            *v = sampler.sample(&mut rng);
+        }
+        let flat = FlatIndex::build(&data, Metric::Cosine);
+        let sq = SqFlatIndex::build(&data, Metric::Cosine, SqConfig::default());
+        let kinds: [(&str, &dyn VectorIndex); 2] = [("flat", &flat), ("sqflat", &sq)];
+        for (name, index) in kinds {
+            for per_pass in [1usize, 2, 4, 8] {
+                let passes: Vec<DenseMatrix> = (0..QUERIES)
+                    .step_by(per_pass)
+                    .map(|at| data.row_block(at * 100..at * 100 + per_pass))
+                    .collect();
+                group.bench_function(format!("{name}_d{dim}_{QUERIES}q_by{per_pass}"), |b| {
+                    b.iter(|| {
+                        passes
+                            .iter()
+                            .map(|q| index.batch_search(q, K, 1).len())
+                            .sum::<usize>()
+                    })
+                });
+            }
+        }
     }
     group.finish();
 }
@@ -356,10 +398,11 @@ fn bench_kernels(c: &mut Criterion) {
     use pane_linalg::kernels;
     use std::hint::black_box;
 
-    // Compile-time SIMD surface of this run: the committed numbers are
-    // generated with RUSTFLAGS="-C target-cpu=native" (value-safe — the
-    // fixed-lane contract pins the summation order at any vector width,
-    // and CI re-runs the bitwise equivalence suites under native).
+    // Compile-time SIMD surface of this run. The committed numbers come
+    // from the shipped baseline-x86-64 build (all three `false`);
+    // RUSTFLAGS="-C target-cpu=native" is value-safe — the fixed-lane
+    // contract pins the summation order at any vector width, and CI
+    // re-runs the bitwise equivalence suites under it.
     note(
         "kernel_bench_target_features",
         format!(
@@ -413,12 +456,6 @@ fn bench_kernels(c: &mut Criterion) {
             kernels::dot1xn(&q, rows.data(), dim, &mut out);
             out[n_rows - 1]
         });
-        // The interleaved 4-row variant: measured so the decision to
-        // ship dot1xn as a per-row loop stays pinned to data.
-        let blocked_rps = measure(&mut || {
-            kernels::dot1xn_blocked(&q, rows.data(), dim, &mut out);
-            out[n_rows - 1]
-        });
         note(
             format!("kernel_rows_per_s_dim{dim}_scalar"),
             format!("{scalar_rps:.0}"),
@@ -439,16 +476,11 @@ fn bench_kernels(c: &mut Criterion) {
             format!("kernel_speedup_dim{dim}_panel_vs_scalar"),
             format!("{:.2}", panel_rps / scalar_rps),
         );
-        note(
-            format!("kernel_rows_per_s_dim{dim}_blocked4"),
-            format!("{blocked_rps:.0}"),
-        );
         eprintln!(
             "kernels dim={dim}: scalar {scalar_rps:.3e} rows/s, unrolled {unrolled_rps:.3e} \
-             ({:.2}x), panel {panel_rps:.3e} ({:.2}x), blocked4 {blocked_rps:.3e} ({:.2}x)",
+             ({:.2}x), panel {panel_rps:.3e} ({:.2}x)",
             unrolled_rps / scalar_rps,
-            panel_rps / scalar_rps,
-            blocked_rps / scalar_rps
+            panel_rps / scalar_rps
         );
 
         let mut group = c.benchmark_group(format!("kernels/dim={dim}"));
@@ -482,6 +514,7 @@ criterion_group!(
     bench_kernels,
     bench_search,
     bench_batch,
+    bench_scan_curve,
     bench_boot,
     bench_init_crossover
 );

@@ -11,7 +11,7 @@
 //!   a flat **delta segment** in amortized O(dim);
 //! * [`search`](VectorIndex::search) merges the base structure's top-k
 //!   with an exact scan of the delta segment under one total order
-//!   ([`topk::cmp_ranked`]), so a fresh vector is returned by the very
+//!   ([`crate::topk::cmp_ranked`]), so a fresh vector is returned by the very
 //!   next query — no rebuild, and exact-by-construction for the delta;
 //! * a **compaction** (rebuilding the base over all vectors and wrapping
 //!   the result in a fresh `DeltaIndex`) bounds the linear delta-scan
@@ -23,7 +23,8 @@
 //! `base.len() + s`, matching how `pane-core`'s `grow_embedding` assigns
 //! ids to newly arrived nodes.
 
-use crate::{scan, topk, AnyIndex, IndexError, IndexKind, Metric, Neighbor, VectorIndex};
+use crate::topk::TopK;
+use crate::{scan, AnyIndex, IndexError, IndexKind, Metric, Neighbor, VectorIndex};
 use pane_linalg::DenseMatrix;
 use std::path::Path;
 
@@ -90,32 +91,29 @@ impl VectorIndex for DeltaIndex {
         self.base.dim()
     }
 
-    fn search_prepared(&self, prepared: &[f64], k: usize) -> Vec<Neighbor> {
-        assert_eq!(
-            prepared.len(),
-            self.dim(),
-            "DeltaIndex::search_prepared: dim mismatch"
-        );
-        // One prepared query feeds both the base structure and the delta
-        // scan (the inherited `search` prepares exactly once before
-        // dispatching here — previously cosine queries were normalized
-        // twice, once per sub-scan).
-        let base_hits = self.base.search_prepared(prepared, k);
+    /// The base's answers for the block, then **one** pass over the
+    /// delta panel for the whole block. Delta vectors are already
+    /// metric-prepared, so the scan is a raw dot against the prepared
+    /// queries — the same score the base produces for its own vectors.
+    fn search_block(&self, queries: &[f64], k: usize) -> Vec<Vec<Neighbor>> {
+        let base_hits = self.base.search_block(queries, k);
         if self.delta.rows() == 0 {
             return base_hits;
         }
-        // Delta vectors are already metric-prepared, so the scan is a raw
-        // dot against the prepared query — the same score the base
-        // produces for its own vectors.
         let offset = self.base.len();
-        let mut acc = topk::TopK::new(k);
-        for h in base_hits {
-            acc.push(h.index, h.score);
-        }
-        scan::scan_topk(&mut acc, prepared, self.delta.data(), self.dim(), |s| {
-            offset + s
-        });
-        acc.into_sorted()
+        let mut accs: Vec<_> = base_hits
+            .into_iter()
+            .map(|hits| {
+                let mut acc = TopK::new(k);
+                for h in hits {
+                    acc.push(h.index, h.score);
+                }
+                acc
+            })
+            .collect();
+        let delta = self.delta.data();
+        scan::scan_block(&mut accs, queries, delta, self.dim(), |s| offset + s);
+        accs.into_iter().map(TopK::into_sorted).collect()
     }
 
     fn insert(&mut self, vector: &[f64]) -> Result<usize, IndexError> {
@@ -148,7 +146,7 @@ impl VectorIndex for DeltaIndex {
 mod tests {
     use super::*;
     use crate::testutil::clustered_vectors;
-    use crate::{FlatIndex, HnswConfig, HnswIndex, IvfConfig, IvfIndex};
+    use crate::{FlatIndex, HnswConfig, HnswIndex, IvfConfig, IvfIndex, SqConfig, SqFlatIndex};
 
     fn split(data: &DenseMatrix, at: usize) -> (DenseMatrix, Vec<Vec<f64>>) {
         let head = data.row_block(0..at);
@@ -212,6 +210,44 @@ mod tests {
                     "{kind}: inserted vector not returned as its own nearest neighbor"
                 );
                 assert!((hits[0].score - 1.0).abs() < 1e-9);
+            }
+        }
+    }
+
+    /// The block path (the base's block, then one delta pass for all
+    /// queries) answers each query exactly as a block of one does — on
+    /// every base kind, odd block size, delta non-empty.
+    #[test]
+    fn block_search_with_pending_delta_matches_single_searches() {
+        let data = clustered_vectors(230, 32, 4, 0.2);
+        let (head, tail) = split(&data, 200);
+        for metric in [Metric::Cosine, Metric::InnerProduct] {
+            let bases = [
+                AnyIndex::Flat(FlatIndex::build(&head, metric)),
+                AnyIndex::Ivf(IvfIndex::build(&head, metric, &IvfConfig::default())),
+                AnyIndex::Hnsw(HnswIndex::build(&head, metric, &HnswConfig::default())),
+                AnyIndex::SqFlat(SqFlatIndex::build(&head, metric, SqConfig::default())),
+            ];
+            for base in bases {
+                let mut idx = DeltaIndex::new(base);
+                for v in &tail {
+                    idx.insert(v).unwrap();
+                }
+                let queries = data.row_block(195..200);
+                let single: Vec<_> = (0..5).map(|i| idx.search(queries.row(i), 12)).collect();
+                assert!(
+                    single.iter().flatten().any(|h| h.index >= 200),
+                    "{}: no delta row among the hits — the test lost its point",
+                    idx.kind()
+                );
+                for threads in [1, 2] {
+                    assert_eq!(
+                        idx.batch_search(&queries, 12, threads),
+                        single,
+                        "{} block diverged from single searches",
+                        idx.kind()
+                    );
+                }
             }
         }
     }

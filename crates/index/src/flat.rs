@@ -1,10 +1,10 @@
 //! Exact full-scan index — the recall baseline.
 
 use crate::persist::{columnar_matrix, columnar_meta, open_index_columns};
-use crate::{scan, topk, IndexError, IndexKind, Metric, Neighbor, VectorIndex};
+use crate::topk::TopK;
+use crate::{scan, IndexError, IndexKind, Metric, Neighbor, VectorIndex};
 use pane_format::{section, Artifact, ColumnData, ColumnSpec};
 use pane_linalg::DenseMatrix;
-use pane_parallel::{even_ranges_nonempty, map_blocks};
 use std::path::Path;
 
 /// Brute-force index: scans every stored vector, keeping the top-k with a
@@ -81,50 +81,15 @@ impl VectorIndex for FlatIndex {
         self.data.cols()
     }
 
-    fn search_prepared(&self, prepared: &[f64], k: usize) -> Vec<Neighbor> {
-        assert_eq!(
-            prepared.len(),
-            self.dim(),
-            "FlatIndex::search_prepared: dim mismatch"
-        );
-        let mut acc = topk::TopK::new(k);
-        scan::scan_topk(&mut acc, prepared, self.data.data(), self.dim(), |r| r);
-        acc.into_sorted()
-    }
-
-    /// Cache-blocked batch scan: instead of re-streaming the whole store
-    /// once per query, each worker walks the store in row panels sized to
-    /// stay cache-resident (~32 KiB) and scores *all* of its queries
-    /// against each panel before moving on. Per-query row order is
-    /// unchanged, so every result is bit-identical to
-    /// [`search`](VectorIndex::search) — and therefore to any thread
-    /// count (queries are partitioned, never split).
-    fn batch_search(&self, queries: &DenseMatrix, k: usize, threads: usize) -> Vec<Vec<Neighbor>> {
+    /// The panel walk: the store is streamed **once** for the whole
+    /// block, every query scored against each cache-hot row panel
+    /// (`scan::scan_block`). Per-query row order is unchanged, so each
+    /// answer is bit-identical to a block of that query alone.
+    fn search_block(&self, queries: &[f64], k: usize) -> Vec<Vec<Neighbor>> {
         let dim = self.dim();
-        let rows_per_panel = (32 * 1024 / (dim * 8)).clamp(8, 512);
-        let data = self.data.data();
-        let n = self.data.rows();
-        let ranges = even_ranges_nonempty(queries.rows(), threads.max(1));
-        let per_block = map_blocks(&ranges, |_, range| {
-            let qs: Vec<Vec<f64>> = range
-                .clone()
-                .map(|i| self.metric.prepare_query(queries.row(i)))
-                .collect();
-            let mut accs: Vec<topk::TopK> = (0..qs.len()).map(|_| topk::TopK::new(k)).collect();
-            let mut start = 0;
-            while start < n {
-                let pr = rows_per_panel.min(n - start);
-                let panel = &data[start * dim..(start + pr) * dim];
-                for (q, acc) in qs.iter().zip(accs.iter_mut()) {
-                    scan::scan_topk(acc, q, panel, dim, |r| start + r);
-                }
-                start += pr;
-            }
-            accs.into_iter()
-                .map(|a| a.into_sorted())
-                .collect::<Vec<_>>()
-        });
-        per_block.into_iter().flatten().collect()
+        let mut accs: Vec<_> = (0..queries.len() / dim).map(|_| TopK::new(k)).collect();
+        scan::scan_block(&mut accs, queries, self.data.data(), dim, |r| r);
+        accs.into_iter().map(TopK::into_sorted).collect()
     }
 
     fn insert(&mut self, vector: &[f64]) -> Result<usize, IndexError> {

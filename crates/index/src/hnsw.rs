@@ -12,7 +12,7 @@
 //! same reproducibility contract the embedding pipeline guarantees.
 
 use crate::persist::{columnar_matrix, columnar_meta, open_index_columns};
-use crate::{topk, unit_open, IndexError, IndexKind, Metric, Neighbor, VectorIndex};
+use crate::{block_rows, topk, unit_open, IndexError, IndexKind, Metric, Neighbor, VectorIndex};
 use pane_format::{section, Artifact, ColumnData, ColumnSpec};
 use pane_linalg::{kernels, vecops, DenseMatrix};
 use std::cmp::Ordering;
@@ -493,25 +493,26 @@ impl VectorIndex for HnswIndex {
         self.data.cols()
     }
 
-    fn search_prepared(&self, prepared: &[f64], k: usize) -> Vec<Neighbor> {
-        assert_eq!(
-            prepared.len(),
-            self.dim(),
-            "HnswIndex::search_prepared: dim mismatch"
-        );
-        if k == 0 {
-            return Vec::new();
-        }
-        let mut visited = HashSet::new();
-        let ep = Neighbor {
-            index: self.entry as usize,
-            score: self.score(prepared, self.entry),
-        };
-        let ep = self.descend(prepared, ep, self.max_level, 0, &mut visited);
-        let ef = self.ef_search.max(k);
-        let mut out = self.search_layer(prepared, &[ep], ef, 0, &mut visited);
-        out.truncate(k);
-        out
+    /// A loop over the block: graph walks from different queries share
+    /// no rows, so there is nothing for a panel form to reuse.
+    fn search_block(&self, queries: &[f64], k: usize) -> Vec<Vec<Neighbor>> {
+        block_rows(queries, self.dim())
+            .map(|q| {
+                if k == 0 {
+                    return Vec::new();
+                }
+                let mut visited = HashSet::new();
+                let ep = Neighbor {
+                    index: self.entry as usize,
+                    score: self.score(q, self.entry),
+                };
+                let ep = self.descend(q, ep, self.max_level, 0, &mut visited);
+                let ef = self.ef_search.max(k);
+                let mut out = self.search_layer(q, &[ep], ef, 0, &mut visited);
+                out.truncate(k);
+                out
+            })
+            .collect()
     }
 
     fn save(&self, path: &Path) -> Result<(), IndexError> {

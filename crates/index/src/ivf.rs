@@ -13,7 +13,7 @@
 
 use crate::kmeans::kmeans;
 use crate::persist::{columnar_matrix, columnar_meta, open_index_columns};
-use crate::{scan, topk, IndexError, IndexKind, Metric, Neighbor, VectorIndex};
+use crate::{block_rows, scan, topk, IndexError, IndexKind, Metric, Neighbor, VectorIndex};
 use pane_format::{section, Artifact, ColumnData, ColumnSpec};
 use pane_linalg::{vecops, DenseMatrix};
 use std::path::Path;
@@ -239,36 +239,37 @@ impl VectorIndex for IvfIndex {
         self.vectors.cols()
     }
 
-    fn search_prepared(&self, prepared: &[f64], k: usize) -> Vec<Neighbor> {
-        assert_eq!(
-            prepared.len(),
-            self.dim(),
-            "IvfIndex::search_prepared: dim mismatch"
-        );
+    /// A loop over the block: different queries probe different cells,
+    /// so there are no rows for a panel form to share.
+    fn search_block(&self, queries: &[f64], k: usize) -> Vec<Vec<Neighbor>> {
         let dim = self.dim();
-        // Rank cells by squared Euclidean distance to the centroid
-        // (‖q‖² is constant, so −(‖c‖² − 2q·c) orders descending-best).
-        // Centroids are one contiguous row-major block, so the panel
-        // kernel scores them all in one pass.
         let nlist = self.nlist();
-        let mut cdots = vec![0.0f64; nlist];
-        pane_linalg::kernels::dot1xn(prepared, self.centroids.data(), dim, &mut cdots);
-        let probes = topk::select(
-            (0..nlist).map(|c| (c, 2.0 * cdots[c] - self.cnorms[c])),
-            self.nprobe,
-        );
-        // Each probed cell is a contiguous row block — the same fused
-        // panel scan the flat index uses, just restricted to the cell
-        // and mapped through the cell-major id permutation.
-        let mut acc = topk::TopK::new(k);
         let data = self.vectors.data();
-        for p in probes {
-            let (lo, hi) = (self.offsets[p.index], self.offsets[p.index + 1]);
-            scan::scan_topk(&mut acc, prepared, &data[lo * dim..hi * dim], dim, |r| {
-                self.ids[lo + r] as usize
-            });
-        }
-        acc.into_sorted()
+        let mut cdots = vec![0.0f64; nlist];
+        block_rows(queries, dim)
+            .map(|q| {
+                // Rank cells by squared Euclidean distance to the centroid
+                // (‖q‖² is constant, so −(‖c‖² − 2q·c) orders
+                // descending-best). Centroids are one contiguous row-major
+                // block, so the panel kernel scores them all in one pass.
+                pane_linalg::kernels::dot1xn(q, self.centroids.data(), dim, &mut cdots);
+                let probes = topk::select(
+                    (0..nlist).map(|c| (c, 2.0 * cdots[c] - self.cnorms[c])),
+                    self.nprobe,
+                );
+                // Each probed cell is a contiguous row block — the same
+                // fused panel scan the flat index uses, just restricted to
+                // the cell and mapped through the cell-major id permutation.
+                let mut acc = topk::TopK::new(k);
+                for p in probes {
+                    let (lo, hi) = (self.offsets[p.index], self.offsets[p.index + 1]);
+                    scan::scan_topk(&mut acc, q, &data[lo * dim..hi * dim], dim, |r| {
+                        self.ids[lo + r] as usize
+                    });
+                }
+                acc.into_sorted()
+            })
+            .collect()
     }
 
     fn save(&self, path: &Path) -> Result<(), IndexError> {

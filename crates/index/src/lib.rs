@@ -25,8 +25,11 @@
 //!   ingest path a serving daemon (`pane serve`) uses so freshly arrived
 //!   nodes are queryable without a rebuild.
 //!
-//! All structures implement [`VectorIndex`] (`search` / `batch_search` /
-//! `insert` / `save`, plus per-type `build` / `load`), persist as one
+//! All structures implement [`VectorIndex`] — one required search method,
+//! `search_block` (a block of prepared queries in, hits out), on which
+//! `search` (a block of one) and `batch_search` (the block split over
+//! threads) are written once, plus `insert` / `save` and per-type
+//! `build` / `load` — persist as one
 //! `PANECOL1` container each (see [`persist`]; sections are listed in
 //! `pane_format::section`), and score with a dot product: [`Metric::Cosine`]
 //! L2-normalizes stored and query vectors first (so the dot *is* the
@@ -78,6 +81,13 @@ pub(crate) fn splitmix64(x: u64) -> u64 {
 #[inline]
 pub(crate) fn unit_open(x: u64) -> f64 {
     (((splitmix64(x) >> 11) + 1) as f64) * (1.0 / (1u64 << 53) as f64)
+}
+
+/// The prepared query rows of a [`VectorIndex::search_block`] block;
+/// panics if `queries.len()` is not a multiple of `dim`.
+pub(crate) fn block_rows(queries: &[f64], dim: usize) -> std::slice::ChunksExact<'_, f64> {
+    assert_eq!(queries.len() % dim, 0, "ragged query block");
+    queries.chunks_exact(dim)
 }
 
 /// One search hit: an item id and its similarity score (larger = better).
@@ -222,7 +232,7 @@ impl From<io::Error> for IndexError {
     }
 }
 
-/// Uniform interface over the three index structures.
+/// Uniform interface over the index structures.
 ///
 /// `build` and `load` are inherent per-type (their configurations differ);
 /// everything a *serving* path needs is object-safe here.
@@ -240,7 +250,19 @@ pub trait VectorIndex: Send + Sync {
     /// Dimensionality of the indexed vectors.
     fn dim(&self) -> usize;
 
-    /// Top-`k` neighbors of `query`, best first.
+    /// The one search primitive: top-`k` neighbors, best first, of every
+    /// query in a **block** — `queries` is row-major, `queries.len() /
+    /// dim()` rows, each *already metric-prepared* (cosine-normalized
+    /// exactly once, by the two provided methods below). Single-threaded.
+    /// Each answer is what a block of that query alone gives; structures
+    /// whose scans share rows across queries (flat, a [`DeltaIndex`]'s
+    /// delta segment) walk them once per block, the others loop.
+    ///
+    /// # Panics
+    /// Panics if `queries.len()` is not a multiple of `dim()`.
+    fn search_block(&self, queries: &[f64], k: usize) -> Vec<Vec<Neighbor>>;
+
+    /// Top-`k` neighbors of `query`, best first: a block of one.
     ///
     /// # Panics
     /// Panics if `query.len() != self.dim()`.
@@ -252,32 +274,27 @@ pub trait VectorIndex: Send + Sync {
             self.kind()
         );
         let q = self.metric().prepare_query(query);
-        self.search_prepared(&q, k)
+        self.search_block(&q, k).pop().unwrap_or_default()
     }
 
-    /// Top-`k` neighbors of an *already metric-prepared* query (the
-    /// caller has applied the metric's query preparation — cosine
-    /// normalization — exactly once), best first.
-    ///
-    /// [`search`](VectorIndex::search) is `prepare_query` + this.
-    /// Structures that merge several scans over one query (e.g.
-    /// [`delta::DeltaIndex`] merging its base search with the delta
-    /// segment) call this so the query is prepared once, not once per
-    /// sub-scan.
+    /// Top-`k` neighbors for each query row: the rows are prepared once
+    /// and split into `threads` contiguous blocks, one scoped worker each.
+    /// Queries are partitioned, never split, so the result is identical
+    /// for every thread count.
     ///
     /// # Panics
-    /// Panics if `prepared.len() != self.dim()`.
-    fn search_prepared(&self, prepared: &[f64], k: usize) -> Vec<Neighbor>;
-
-    /// Top-`k` neighbors for each query row, fanned out over `threads`
-    /// scoped workers. Queries are independent, so the result is identical
-    /// for every thread count.
+    /// Panics if a non-empty `queries` has `cols() != self.dim()`.
     fn batch_search(&self, queries: &DenseMatrix, k: usize, threads: usize) -> Vec<Vec<Neighbor>> {
+        let dim = self.dim();
+        assert!(
+            queries.rows() == 0 || queries.cols() == dim,
+            "{}::batch_search: dim mismatch",
+            self.kind()
+        );
+        let prepared = self.metric().prepare(queries);
         let ranges = even_ranges_nonempty(queries.rows(), threads.max(1));
         let per_block = map_blocks(&ranges, |_, range| {
-            range
-                .map(|i| self.search(queries.row(i), k))
-                .collect::<Vec<_>>()
+            self.search_block(&prepared.data()[range.start * dim..range.end * dim], k)
         });
         per_block.into_iter().flatten().collect()
     }

@@ -167,14 +167,8 @@ impl VectorIndex for AnyIndex {
     fn dim(&self) -> usize {
         self.inner().dim()
     }
-    fn search(&self, query: &[f64], k: usize) -> Vec<Neighbor> {
-        self.inner().search(query, k)
-    }
-    fn search_prepared(&self, prepared: &[f64], k: usize) -> Vec<Neighbor> {
-        self.inner().search_prepared(prepared, k)
-    }
-    fn batch_search(&self, queries: &DenseMatrix, k: usize, threads: usize) -> Vec<Vec<Neighbor>> {
-        self.inner().batch_search(queries, k, threads)
+    fn search_block(&self, queries: &[f64], k: usize) -> Vec<Vec<Neighbor>> {
+        self.inner().search_block(queries, k)
     }
     fn insert(&mut self, vector: &[f64]) -> Result<usize, IndexError> {
         match self {

@@ -26,7 +26,7 @@
 //! produces identical rankings on every run and thread count.
 
 use crate::persist::{columnar_meta, open_index_columns};
-use crate::{scan, topk, IndexError, IndexKind, Metric, Neighbor, VectorIndex};
+use crate::{block_rows, scan, topk, IndexError, IndexKind, Metric, Neighbor, VectorIndex};
 use pane_format::{section, Artifact, ColumnData, ColumnSpec};
 use pane_linalg::{kernels, vecops, DenseMatrix};
 use std::path::Path;
@@ -61,6 +61,10 @@ pub struct SqFlatIndex {
     rerank: usize,
 }
 
+/// Largest dimension an sqflat index holds: [`kernels::dot_i8`] sums `dim`
+/// products of magnitude ≤ 127² in an `i32`, and `(1 << 17) · 127² < 2³¹`.
+const MAX_DIM: usize = 1 << 17;
+
 /// Quantizes one prepared row: symmetric max-abs scaling to `[-127, 127]`.
 fn quantize_row(row: &[f64], codes: &mut Vec<i8>) -> f64 {
     let mut maxabs = 0.0f64;
@@ -85,11 +89,16 @@ impl SqFlatIndex {
     /// cosine, like every other index).
     ///
     /// # Panics
-    /// Panics if `data` has no rows or no columns.
+    /// Panics if `data` has no rows or no columns, or more than `1 << 17`
+    /// columns (past that an `i32` code dot can wrap).
     pub fn build(data: &DenseMatrix, metric: Metric, config: SqConfig) -> Self {
         assert!(
             data.rows() > 0 && data.cols() > 0,
             "SqFlatIndex::build: empty data"
+        );
+        assert!(
+            data.cols() <= MAX_DIM,
+            "SqFlatIndex::build: dim exceeds the i32 code-dot cap"
         );
         let prepared = metric.prepare(data);
         let mut codes = Vec::with_capacity(prepared.rows() * prepared.cols());
@@ -123,8 +132,10 @@ impl SqFlatIndex {
                 "sqflat codes section is {n}×{dim}; an index is never empty"
             )));
         }
-        if dim > 1 << 24 {
-            return Err(IndexError::Format(format!("dim {dim} exceeds cap")));
+        if dim > MAX_DIM {
+            return Err(IndexError::Format(format!(
+                "sqflat dim {dim} exceeds {MAX_DIM}, past which an i32 code dot can wrap"
+            )));
         }
         let (sn, sc) = c.dims(section::SQ_SCALES)?;
         if sn != n || sc != 1 {
@@ -183,14 +194,14 @@ impl SqFlatIndex {
     /// panel scan over the contiguous code rows ([`scan::scan_topk_i8`]);
     /// the integer dots are exact under any unroll, so the scores are
     /// identical to the one-row-at-a-time loop.
-    fn scan(&self, q: &[f64], k: usize) -> (Vec<i8>, f64, Vec<Neighbor>) {
+    fn scan(&self, q: &[f64], k: usize) -> Vec<Neighbor> {
         let mut qcodes = Vec::with_capacity(self.dim);
         let qscale = quantize_row(q, &mut qcodes);
         let mut acc = topk::TopK::new(self.shortlist(k));
         scan::scan_topk_i8(&mut acc, &qcodes, &self.codes, self.dim, |i, d| {
             qscale * self.scales[i] * d as f64
         });
-        (qcodes, qscale, acc.into_sorted())
+        acc.into_sorted()
     }
 
     /// Top-`k` neighbors re-ranked against caller-provided
@@ -213,7 +224,7 @@ impl SqFlatIndex {
             "SqFlatIndex::search_rerank: exact matrix shape mismatch"
         );
         let q = self.metric.prepare_query(query);
-        let (_, _, short) = self.scan(&q, k);
+        let short = self.scan(&q, k);
         topk::select(
             short.into_iter().map(|cand| {
                 let row = self.metric.prepare_query(exact.row(cand.index));
@@ -248,24 +259,25 @@ impl VectorIndex for SqFlatIndex {
         self.dim
     }
 
-    fn search_prepared(&self, prepared: &[f64], k: usize) -> Vec<Neighbor> {
-        assert_eq!(
-            prepared.len(),
-            self.dim,
-            "SqFlatIndex::search_prepared: dim mismatch"
-        );
-        let (_, _, short) = self.scan(prepared, k);
-        // Self-contained re-rank: f64 query against dequantized rows,
-        // with the per-row scale hoisted out of the sum
-        // (`scale · Σ q[j]·code[j]` via the mixed f64×i8 kernel).
-        topk::select(
-            short.into_iter().map(|cand| {
-                let s = self.scales[cand.index]
-                    * kernels::dot_f64_i8(prepared, self.code_row(cand.index));
-                (cand.index, s)
-            }),
-            k,
-        )
+    /// A loop over the block: the whole code array is L2-resident at
+    /// serving sizes, so a panel form would buy nothing here.
+    fn search_block(&self, queries: &[f64], k: usize) -> Vec<Vec<Neighbor>> {
+        block_rows(queries, self.dim)
+            .map(|q| {
+                let short = self.scan(q, k);
+                // Self-contained re-rank: f64 query against dequantized
+                // rows, with the per-row scale hoisted out of the sum
+                // (`scale · Σ q[j]·code[j]` via the mixed f64×i8 kernel).
+                topk::select(
+                    short.into_iter().map(|cand| {
+                        let s = self.scales[cand.index]
+                            * kernels::dot_f64_i8(q, self.code_row(cand.index));
+                        (cand.index, s)
+                    }),
+                    k,
+                )
+            })
+            .collect()
     }
 
     fn insert(&mut self, vector: &[f64]) -> Result<usize, IndexError> {
@@ -402,6 +414,55 @@ mod tests {
             assert_eq!(back.search(data.row(q), 7), idx.search(data.row(q), 7));
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    /// The dim cap is where the `i32` code dot stops being exact: a
+    /// container one past it is a `Format` error (never a search), one
+    /// at it loads and scores a saturated row without wrapping.
+    #[test]
+    fn dim_past_the_i32_dot_cap_is_a_format_error() {
+        let dir = std::env::temp_dir().join(format!("pane_sq_cap_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cap.idx");
+        let write = |dim: usize| {
+            let (codes, scales, meta) = (vec![127i8; dim], [1.0 / 127.0], [1u64]);
+            let specs = [
+                ColumnSpec {
+                    id: section::SQ_CODES,
+                    rows: 1,
+                    cols: dim,
+                    data: ColumnData::I8(&codes),
+                },
+                ColumnSpec {
+                    id: section::SQ_SCALES,
+                    rows: 1,
+                    cols: 1,
+                    data: ColumnData::F64(&scales),
+                },
+                ColumnSpec {
+                    id: section::SQ_META,
+                    rows: 1,
+                    cols: 1,
+                    data: ColumnData::U64(&meta),
+                },
+            ];
+            let meta_word = columnar_meta(IndexKind::SqFlat, Metric::InnerProduct);
+            pane_format::write_columns(&path, Artifact::Index, meta_word, &specs).unwrap();
+        };
+        write(MAX_DIM + 1);
+        match SqFlatIndex::load(&path) {
+            Err(IndexError::Format(m)) => assert!(m.contains("exceeds"), "{m}"),
+            other => panic!("expected a format error, got {other:?}"),
+        }
+        assert!(matches!(
+            crate::load_index(&path),
+            Err(IndexError::Format(_))
+        ));
+        write(MAX_DIM);
+        let idx = SqFlatIndex::load(&path).unwrap();
+        let hits = idx.search(&vec![1.0; MAX_DIM], 1);
+        assert!((hits[0].score - MAX_DIM as f64).abs() < 1e-6, "{hits:?}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -15,17 +15,19 @@
 //!
 //! The lane count is a *semantic constant*, not a tuning knob: results
 //! are a pure function of the input slices — independent of thread
-//! count, platform, target CPU, or whether the panel ([`dot1xn`]) or
-//! single-row ([`dot`]) entry point computed them. Concretely:
+//! count, platform, target CPU, or whether the single-row ([`dot`]),
+//! panel ([`dot1xn`]) or two-query panel ([`dot2xn`]) entry point
+//! computed them. Concretely:
 //!
 //! * [`dot`] ≡ the reference in this module's tests: lane `j` sums the
 //!   products at positions `≡ j (mod 8)` in index order, then the lanes
 //!   reduce as `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))`;
-//! * [`dot1xn`] (and the interleaved [`dot1xn_blocked`] variant)
-//!   produces, for every row, *bit-identical* output to [`dot`] on that
-//!   row — how rows are blocked never changes a score;
+//! * [`dot1xn`] and [`dot2xn`] produce, for every (query, row) pair,
+//!   *bit-identical* output to [`dot`] on that pair — how rows or
+//!   queries are blocked never changes a score;
 //! * the integer kernels ([`dot_i8`], [`dot1xn_i8`]) are exact: integer
-//!   addition is associative, so any unroll factor yields the same sum.
+//!   addition is associative, so any unroll factor — and the SSE2
+//!   `pmaddwd` body x86-64 builds use — yields the same sum.
 //!
 //! Changing [`LANES`] is a format-level break (every stored score
 //! golden would shift) and must be treated like a file-format bump.
@@ -45,12 +47,6 @@ pub const LANES: usize = 8;
 /// Fixed pairwise reduction of the 8 accumulator lanes.
 #[inline(always)]
 fn reduce8(acc: [f64; LANES]) -> f64 {
-    ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-}
-
-/// Fixed pairwise reduction of the 8 `f32` accumulator lanes.
-#[inline(always)]
-fn reduce8_f32(acc: [f32; LANES]) -> f32 {
     ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
 }
 
@@ -77,48 +73,15 @@ pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     reduce8(acc)
 }
 
-/// Multi-accumulator `f32` dot product — same 8-lane semantics as
-/// [`dot`], for half-precision storage tiers (PQ codebooks, future
-/// f32 columns).
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-#[inline]
-pub fn dot_f32(x: &[f32], y: &[f32]) -> f32 {
-    assert_eq!(x.len(), y.len(), "kernels::dot_f32: length mismatch");
-    let split = x.len() - x.len() % LANES;
-    let (xb, xt) = x.split_at(split);
-    let (yb, yt) = y.split_at(split);
-    let mut acc = [0.0f32; LANES];
-    for (cx, cy) in xb.chunks_exact(LANES).zip(yb.chunks_exact(LANES)) {
-        for j in 0..LANES {
-            acc[j] += cx[j] * cy[j];
-        }
-    }
-    for (j, (&a, &b)) in xt.iter().zip(yt.iter()).enumerate() {
-        acc[j] += a * b;
-    }
-    reduce8_f32(acc)
-}
-
-/// How many rows the panel kernels process per blocked step. Four rows
-/// share every query load and keep 4×8 accumulator lanes live — enough
-/// ILP to saturate the FMA ports without spilling vector registers.
-const PANEL_ROWS: usize = 4;
-
 /// Panel kernel: dot of one query against `out.len()` contiguous
 /// row-major rows ("dot1xN"). Row `r` occupies
 /// `rows[r*dim .. (r+1)*dim]`; `out[r]` receives a score bit-identical
 /// to `dot(q, row_r)`.
 ///
-/// Implemented as a per-row [`dot`] loop: on AVX2/AVX-512 hosts the
-/// interleaved multi-row variant ([`dot1xn_blocked`]) measures 2–3×
-/// *slower* than this — the query is L1-resident at serving dims, so
-/// amortizing its loads buys nothing, while interleaving four rows'
-/// accumulators spoils the clean single-row FMA vectorization. The
-/// `kernels` bench group in `bench_index` pins that comparison; a
-/// future blocked or explicit-SIMD implementation must beat it there
-/// before taking over this entry point.
+/// A per-row [`dot`] loop: the query is L1-resident at serving dims, so
+/// sharing its loads across several rows buys nothing, and interleaving
+/// rows' accumulators spills the vector registers. What *does* pay is
+/// sharing each row's loads across two queries — [`dot2xn`].
 ///
 /// # Panics
 /// Panics if `q.len() != dim` or `rows.len() != out.len() * dim`.
@@ -135,90 +98,136 @@ pub fn dot1xn(q: &[f64], rows: &[f64], dim: usize, out: &mut [f64]) {
     }
 }
 
-/// The interleaved four-row variant of [`dot1xn`]: shares
-/// each query load across four rows' accumulators. Bit-identical to
-/// `dot` per row (each row owns a private 8-lane accumulator set), but
-/// measured slower than the per-row loop on AVX2/AVX-512 hosts — kept
-/// as the comparison point the `kernels` bench group publishes, and as
-/// the seam for a future explicit-SIMD blocked kernel.
+/// Two-query panel kernel: `out0[r] = dot(q0, row_r)` and
+/// `out1[r] = dot(q1, row_r)`, bit for bit, from **one** pass over the
+/// rows. The flat scan is load-bound (two 16-byte loads per mul+add
+/// pair on baseline x86-64); a second query reuses each row chunk from
+/// a register. Each (query, row) pair keeps its own 8-lane accumulator
+/// and the fixed pairwise reduction — all the lane contract asks for.
+///
+/// The shared-load body exists only for the dims instantiated below
+/// (`k/2` and `k` of the `k` ∈ {64, 128, 256} PANE serves): measured, it
+/// pays only with the dim a compile-time constant, so any other dim is
+/// two [`dot1xn`] passes. Two queries is the limit — a third
+/// accumulator set spills the 16 baseline xmm registers.
 ///
 /// # Panics
-/// Panics if `q.len() != dim` or `rows.len() != out.len() * dim`.
-#[inline]
-pub fn dot1xn_blocked(q: &[f64], rows: &[f64], dim: usize, out: &mut [f64]) {
-    assert_eq!(q.len(), dim, "kernels::dot1xn_blocked: query length != dim");
-    assert_eq!(
-        rows.len(),
-        out.len() * dim,
-        "kernels::dot1xn_blocked: rows buffer is not out.len() × dim"
-    );
-    let n = out.len();
-    let split = dim - dim % LANES;
-    let mut r = 0;
-    while r + PANEL_ROWS <= n {
-        let base = r * dim;
-        let r0 = &rows[base..base + dim];
-        let r1 = &rows[base + dim..base + 2 * dim];
-        let r2 = &rows[base + 2 * dim..base + 3 * dim];
-        let r3 = &rows[base + 3 * dim..base + 4 * dim];
-        let mut a0 = [0.0f64; LANES];
-        let mut a1 = [0.0f64; LANES];
-        let mut a2 = [0.0f64; LANES];
-        let mut a3 = [0.0f64; LANES];
-        let mut c = 0;
-        while c < split {
-            for j in 0..LANES {
-                let qv = q[c + j];
-                a0[j] += qv * r0[c + j];
-                a1[j] += qv * r1[c + j];
-                a2[j] += qv * r2[c + j];
-                a3[j] += qv * r3[c + j];
-            }
-            c += LANES;
+/// Panics if a query's length is not `dim`, or `rows` / `out1` disagree
+/// with `out0.len()` rows.
+pub fn dot2xn(
+    q0: &[f64],
+    q1: &[f64],
+    rows: &[f64],
+    dim: usize,
+    out0: &mut [f64],
+    out1: &mut [f64],
+) {
+    assert_eq!(q1.len(), dim, "kernels::dot2xn: query length != dim");
+    assert_eq!(out1.len(), out0.len(), "kernels::dot2xn: output lengths");
+    match dim {
+        32 => dot2xn_fixed::<32>(q0, q1, rows, out0, out1),
+        64 => dot2xn_fixed::<64>(q0, q1, rows, out0, out1),
+        128 => dot2xn_fixed::<128>(q0, q1, rows, out0, out1),
+        256 => dot2xn_fixed::<256>(q0, q1, rows, out0, out1),
+        _ => {
+            dot1xn(q0, rows, dim, out0);
+            dot1xn(q1, rows, dim, out1);
         }
-        for j in 0..dim - split {
-            let qv = q[split + j];
-            a0[j] += qv * r0[split + j];
-            a1[j] += qv * r1[split + j];
-            a2[j] += qv * r2[split + j];
-            a3[j] += qv * r3[split + j];
-        }
-        out[r] = reduce8(a0);
-        out[r + 1] = reduce8(a1);
-        out[r + 2] = reduce8(a2);
-        out[r + 3] = reduce8(a3);
-        r += PANEL_ROWS;
-    }
-    while r < n {
-        out[r] = dot(q, &rows[r * dim..(r + 1) * dim]);
-        r += 1;
     }
 }
 
-/// Integer dot of two `i8` code rows, accumulated in `i32`. Exact for
-/// any `dim` below ~133k (`dim · 127² < i32::MAX`), far above the
-/// `1 << 24` dimension cap the index loaders enforce. Unrolled into 8
-/// independent `i32` lanes — integer addition is associative, so the
-/// unroll is invisible in the result.
+/// [`dot2xn`] at a compile-time dim `D` (a multiple of [`LANES`]). Out
+/// of line: inlined into the scan it is re-vectorized with the caller's
+/// loop and measures ~10 % slower.
+#[inline(never)]
+fn dot2xn_fixed<const D: usize>(
+    q0: &[f64],
+    q1: &[f64],
+    rows: &[f64],
+    out0: &mut [f64],
+    out1: &mut [f64],
+) {
+    const { assert!(D.is_multiple_of(LANES)) };
+    let q0: &[f64; D] = q0.try_into().expect("kernels::dot2xn: query length != dim");
+    let q1: &[f64; D] = q1.try_into().expect("kernels::dot2xn: query length != dim");
+    let (rows, rest) = rows.as_chunks::<D>();
+    assert!(
+        rest.is_empty() && rows.len() == out0.len(),
+        "kernels::dot2xn: rows buffer is not out.len() × dim"
+    );
+    for ((row, o0), o1) in rows.iter().zip(out0).zip(out1) {
+        let mut a0 = [0.0f64; LANES];
+        let mut a1 = [0.0f64; LANES];
+        for c in (0..D).step_by(LANES) {
+            for j in 0..LANES {
+                a0[j] += q0[c + j] * row[c + j];
+                a1[j] += q1[c + j] * row[c + j];
+            }
+        }
+        // The barrier pins each accumulator in memory in lane order
+        // before it is reduced. Without it LLVM's SLP pass lays the lanes
+        // out to suit `reduce8`'s tree and pays two shuffles per load in
+        // the loop above — 1.7× slower at dim 64. Only speed rests on it.
+        *o0 = reduce8(std::hint::black_box(a0));
+        *o1 = reduce8(std::hint::black_box(a1));
+    }
+}
+
+/// Integer dot of two `i8` code rows, accumulated in `i32`: exact while
+/// `dim · 127² ≤ i32::MAX`, i.e. for `dim ≤ 133 144` — which is why
+/// `pane-index` caps sqflat at `1 << 17` dims (the loaders' general
+/// `1 << 24` cap is 126× too loose for this kernel). Integer addition is
+/// associative, so the vector body and the scalar loop give the same sum.
+///
+/// i8 → i32 widening does not vectorize on baseline x86-64, so that
+/// target multiplies through `pmaddwd`. SSE2 is part of the x86-64
+/// baseline: no runtime detection, one body per target.
 ///
 /// # Panics
 /// Panics if the slices have different lengths.
 #[inline]
 pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
     assert_eq!(a.len(), b.len(), "kernels::dot_i8: length mismatch");
-    let split = a.len() - a.len() % LANES;
-    let (ab, at) = a.split_at(split);
-    let (bb, bt) = b.split_at(split);
-    let mut acc = [0i32; LANES];
-    for (ca, cb) in ab.chunks_exact(LANES).zip(bb.chunks_exact(LANES)) {
-        for j in 0..LANES {
-            acc[j] += ca[j] as i32 * cb[j] as i32;
-        }
-    }
-    for (j, (&x, &y)) in at.iter().zip(bt.iter()).enumerate() {
-        acc[j] += x as i32 * y as i32;
-    }
-    acc.iter().sum()
+    #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+    let (done, head) = {
+        use core::arch::x86_64::*;
+        let done = a.len() - a.len() % 16;
+        // SAFETY: the `cfg` above means this compilation has SSE2 enabled
+        // (it is in the x86-64 baseline). Each unaligned 16-byte load
+        // reads `[c, c + 16)` of a slice of length `a.len() == b.len() >=
+        // done`, with `c + 16 <= done`.
+        let lanes: [i32; 4] = unsafe {
+            let mut acc = _mm_setzero_si128();
+            for c in (0..done).step_by(16) {
+                let va = _mm_loadu_si128(a.as_ptr().add(c).cast());
+                let vb = _mm_loadu_si128(b.as_ptr().add(c).cast());
+                // Interleaving a register with itself puts byte `i` in
+                // the high half of 16-bit lane `i`; the arithmetic
+                // shift sign-extends it. `pmaddwd` then multiplies the
+                // lanes and adds adjacent pairs into four `i32`s.
+                let lo = _mm_madd_epi16(
+                    _mm_srai_epi16(_mm_unpacklo_epi8(va, va), 8),
+                    _mm_srai_epi16(_mm_unpacklo_epi8(vb, vb), 8),
+                );
+                let hi = _mm_madd_epi16(
+                    _mm_srai_epi16(_mm_unpackhi_epi8(va, va), 8),
+                    _mm_srai_epi16(_mm_unpackhi_epi8(vb, vb), 8),
+                );
+                acc = _mm_add_epi32(acc, _mm_add_epi32(lo, hi));
+            }
+            std::mem::transmute(acc)
+        };
+        (done, lanes.iter().sum::<i32>())
+    };
+    #[cfg(not(all(target_arch = "x86_64", target_feature = "sse2")))]
+    let (done, head) = (0, 0i32);
+    head + dot_i8_scalar(&a[done..], &b[done..])
+}
+
+/// The portable body of [`dot_i8`] (and its tail, and its test oracle).
+#[inline]
+fn dot_i8_scalar(a: &[i8], b: &[i8]) -> i32 {
+    a.iter().zip(b).map(|(&x, &y)| x as i32 * y as i32).sum()
 }
 
 /// Integer panel kernel: [`dot_i8`] of one query code row against
@@ -235,18 +244,8 @@ pub fn dot1xn_i8(q: &[i8], rows: &[i8], dim: usize, out: &mut [i32]) {
         out.len() * dim,
         "kernels::dot1xn_i8: rows buffer is not out.len() × dim"
     );
-    let n = out.len();
-    let mut r = 0;
-    while r + PANEL_ROWS <= n {
-        let base = r * dim;
-        for p in 0..PANEL_ROWS {
-            out[r + p] = dot_i8(q, &rows[base + p * dim..base + (p + 1) * dim]);
-        }
-        r += PANEL_ROWS;
-    }
-    while r < n {
-        out[r] = dot_i8(q, &rows[r * dim..(r + 1) * dim]);
-        r += 1;
+    for (r, o) in out.iter_mut().enumerate() {
+        *o = dot_i8(q, &rows[r * dim..(r + 1) * dim]);
     }
 }
 
@@ -318,22 +317,10 @@ mod tests {
         reduce8(acc)
     }
 
-    fn dot_ref_lanes_f32(x: &[f32], y: &[f32]) -> f32 {
-        let mut acc = [0.0f32; LANES];
-        for i in 0..x.len() {
-            acc[i % LANES] += x[i] * y[i];
-        }
-        reduce8_f32(acc)
-    }
-
     /// Plain left-to-right scalar dot — the pre-kernel baseline, used
     /// for tolerance (not bitwise) comparison.
     fn dot_ref_scalar(x: &[f64], y: &[f64]) -> f64 {
         x.iter().zip(y).map(|(a, b)| a * b).sum()
-    }
-
-    fn dot_i8_ref(a: &[i8], b: &[i8]) -> i32 {
-        a.iter().zip(b).map(|(&x, &y)| x as i32 * y as i32).sum()
     }
 
     /// Deterministic pseudo-random f64 in [-1, 1).
@@ -366,22 +353,6 @@ mod tests {
     }
 
     #[test]
-    fn dot_f32_matches_lane_reference_all_lengths() {
-        let x: Vec<f32> = (0..260).map(|i| splat(3, i) as f32).collect();
-        let y: Vec<f32> = (0..260).map(|i| splat(4, i) as f32).collect();
-        for off in 0..3 {
-            for len in 0..257 {
-                let (a, b) = (&x[off..off + len], &y[off..off + len]);
-                assert_eq!(
-                    dot_f32(a, b).to_bits(),
-                    dot_ref_lanes_f32(a, b).to_bits(),
-                    "len {len} off {off}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn dot1xn_bit_identical_to_per_row_dot() {
         for dim in [1usize, 7, 8, 31, 64, 129] {
             for n in [0usize, 1, 3, 4, 5, 17] {
@@ -389,19 +360,58 @@ mod tests {
                 let rows: Vec<f64> = (0..n * dim).map(|i| splat(6, i)).collect();
                 let mut out = vec![0.0; n];
                 dot1xn(&q, &rows, dim, &mut out);
-                let mut blocked = vec![0.0; n];
-                dot1xn_blocked(&q, &rows, dim, &mut blocked);
                 for r in 0..n {
                     let want = dot(&q, &rows[r * dim..(r + 1) * dim]).to_bits();
                     assert_eq!(out[r].to_bits(), want, "dim {dim} n {n} row {r}");
-                    assert_eq!(
-                        blocked[r].to_bits(),
-                        want,
-                        "blocked dim {dim} n {n} row {r}"
-                    );
                 }
             }
         }
+    }
+
+    /// `dot2xn` against `dot` for one (dim, n) shape: every score of
+    /// both queries must carry `dot`'s bits.
+    fn assert_dot2xn_is_dot(dim: usize, n: usize, seed: u64) -> Result<(), String> {
+        let q0: Vec<f64> = (0..dim).map(|i| splat(seed, i)).collect();
+        let q1: Vec<f64> = (0..dim).map(|i| splat(seed ^ 0x51, i)).collect();
+        let rows: Vec<f64> = (0..n * dim).map(|i| splat(seed ^ 0xABCD, i)).collect();
+        let (mut o0, mut o1) = (vec![0.0; n], vec![0.0; n]);
+        dot2xn(&q0, &q1, &rows, dim, &mut o0, &mut o1);
+        for r in 0..n {
+            let row = &rows[r * dim..(r + 1) * dim];
+            for (which, (q, o)) in [(&q0, &o0), (&q1, &o1)].into_iter().enumerate() {
+                if o[r].to_bits() != dot(q, row).to_bits() {
+                    return Err(format!("dim {dim} n {n} row {r} query {which}"));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn dot2xn_bit_identical_to_per_pair_dot() {
+        // 32/64/128 take the compile-time-dim body, the rest the two
+        // `dot1xn` passes; n straddles the index crate's 64-row panel.
+        for dim in [1usize, 7, 8, 31, 32, 64, 65, 128, 129, 256] {
+            for n in [0usize, 1, 3, 64, 65] {
+                assert_dot2xn_is_dot(dim, n, 9).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn dot_i8_exact_at_the_extremes_of_the_dim_cap() {
+        // The largest dim sqflat accepts, all codes at ±127: the sum is
+        // within 2% of i32::MAX and must not wrap in either body.
+        let dim = 1usize << 17;
+        let (hi, lo) = (vec![127i8; dim], vec![-127i8; dim]);
+        let peak = (dim as i32) * 127 * 127;
+        assert_eq!(dot_i8(&hi, &hi), peak);
+        assert_eq!(dot_i8(&lo, &lo), peak);
+        assert_eq!(dot_i8(&hi, &lo), -peak);
+        assert_eq!(
+            dot_i8(&hi[3..], &lo[3..]),
+            dot_i8_scalar(&hi[3..], &lo[3..])
+        );
     }
 
     #[test]
@@ -411,7 +421,7 @@ mod tests {
         for off in 0..3 {
             for len in 0..257 {
                 let (x, y) = (&a[off..off + len], &b[off..off + len]);
-                assert_eq!(dot_i8(x, y), dot_i8_ref(x, y), "len {len} off {off}");
+                assert_eq!(dot_i8(x, y), dot_i8_scalar(x, y), "len {len} off {off}");
             }
         }
     }
@@ -425,7 +435,7 @@ mod tests {
         let mut out = vec![0i32; n];
         dot1xn_i8(&q, &rows, dim, &mut out);
         for r in 0..n {
-            assert_eq!(out[r], dot_i8_ref(&q, &rows[r * dim..(r + 1) * dim]));
+            assert_eq!(out[r], dot_i8_scalar(&q, &rows[r * dim..(r + 1) * dim]));
         }
     }
 
@@ -446,7 +456,6 @@ mod tests {
         assert!(dot(&[f64::NAN, 1.0], &[1.0, 1.0]).is_nan());
         // Empty is exactly zero.
         assert_eq!(dot(&[], &[]), 0.0);
-        assert_eq!(dot_f32(&[], &[]), 0.0);
         assert_eq!(dot_i8(&[], &[]), 0);
     }
 
@@ -504,6 +513,17 @@ mod tests {
         }
 
         #[test]
+        fn prop_dot2xn_equals_per_pair(
+            pick in 1usize..44,
+            n in 0usize..12,
+            seed in 0u64..1000,
+        ) {
+            // Small general dims, plus the four compile-time ones.
+            let dim = [32, 64, 128, 256].get(pick.wrapping_sub(40)).copied().unwrap_or(pick);
+            prop_assert_eq!(assert_dot2xn_is_dot(dim, n, seed), Ok(()));
+        }
+
+        #[test]
         fn prop_dot_i8_exact(
             a in proptest::collection::vec(-127i32..128, 0..257),
             b in proptest::collection::vec(-127i32..128, 0..257),
@@ -511,7 +531,7 @@ mod tests {
             let a: Vec<i8> = a.iter().map(|&v| v as i8).collect();
             let b: Vec<i8> = b.iter().map(|&v| v as i8).collect();
             let n = a.len().min(b.len());
-            prop_assert_eq!(dot_i8(&a[..n], &b[..n]), dot_i8_ref(&a[..n], &b[..n]));
+            prop_assert_eq!(dot_i8(&a[..n], &b[..n]), dot_i8_scalar(&a[..n], &b[..n]));
         }
     }
 }

@@ -186,12 +186,9 @@ pub trait ServeBackend: Send + Sync {
     /// [`QuerySpace::Links`]. This is the owner-shard half of a
     /// distributed query — a router fetches vectors from each node's
     /// owner daemon and fans them out to every shard's
-    /// [`ServeBackend::search_raw`].
-    fn query_vectors(
-        &self,
-        space: QuerySpace,
-        nodes: &[usize],
-    ) -> Result<Vec<Vec<f64>>, ServeError>;
+    /// [`ServeBackend::search_raw`], which takes the matrix as returned
+    /// (one row per node, in `nodes` order).
+    fn query_vectors(&self, space: QuerySpace, nodes: &[usize]) -> Result<DenseMatrix, ServeError>;
     /// Unfiltered top-`fetch` search of one index with caller-supplied
     /// query vectors. Hit ids are in this backend's own id space (local
     /// ids for a single shard daemon, global ids for a sharded engine);
@@ -229,7 +226,7 @@ fn filtered_read<B: ServeBackend + ?Sized>(
     k: usize,
     exclude: &[usize],
 ) -> Result<Vec<Vec<Hit>>, ServeError> {
-    let queries = DenseMatrix::from_rows(&backend.query_vectors(space, nodes)?);
+    let queries = backend.query_vectors(space, nodes)?;
     let (fetch, keep) = top_k_filter(k, exclude, |h: &Hit| h.node);
     let raw = backend.search_raw(space, &queries, fetch)?;
     Ok(nodes
@@ -447,13 +444,13 @@ impl ServeEngine {
 }
 
 impl ServeBackend for ServeEngine {
-    fn query_vectors(
-        &self,
-        space: QuerySpace,
-        nodes: &[usize],
-    ) -> Result<Vec<Vec<f64>>, ServeError> {
+    fn query_vectors(&self, space: QuerySpace, nodes: &[usize]) -> Result<DenseMatrix, ServeError> {
         check_nodes(self.num_nodes(), nodes)?;
-        Ok(nodes.iter().map(|&v| self.query_vector(space, v)).collect())
+        let mut queries = DenseMatrix::zeros(0, space.dim(self.half_dim()));
+        for &v in nodes {
+            queries.push_row(&self.query_vector(space, v));
+        }
+        Ok(queries)
     }
 
     /// Hit ids are this engine's own (local) ids; queries fan out over
@@ -609,29 +606,27 @@ mod tests {
     fn flat_engine_matches_embedding_query_exactly() {
         let emb = fixture();
         let q = EmbeddingQuery::new(&emb);
-        let engine = ServeEngine::build(emb.clone(), &IndexSpec::Flat, 2);
-        let nodes: Vec<usize> = (0..150).step_by(13).collect();
-        let sim = engine.similar_nodes(&nodes, 5).unwrap();
-        let links = engine.recommend_links(&nodes, 5, &[]).unwrap();
-        for (i, &v) in nodes.iter().enumerate() {
-            let want: Vec<Hit> = q
-                .similar_nodes(v, 5)
-                .into_iter()
-                .map(|s| Hit {
-                    node: s.index,
-                    score: s.score,
-                })
-                .collect();
-            assert_eq!(sim[i], want, "similar diverged at {v}");
-            let want: Vec<Hit> = q
-                .recommend_links(v, 5, &[])
-                .into_iter()
-                .map(|s| Hit {
-                    node: s.index,
-                    score: s.score,
-                })
-                .collect();
-            assert_eq!(links[i], want, "links diverged at {v}");
+        let want = |hits: Vec<Neighbor>| hits.into_iter().map(Hit::from).collect::<Vec<_>>();
+        // Twelve nodes over two workers (two blocks of six), then one
+        // request of seven on one worker: three query pairs and a
+        // trailing single through the block scan.
+        let twelve: Vec<usize> = (0..150).step_by(13).collect();
+        for (threads, nodes) in [(2, &twelve[..]), (1, &[3, 149, 77, 20, 21, 98, 5][..])] {
+            let engine = ServeEngine::build(emb.clone(), &IndexSpec::Flat, threads);
+            let sim = engine.similar_nodes(nodes, 5).unwrap();
+            let links = engine.recommend_links(nodes, 5, &[]).unwrap();
+            for (i, &v) in nodes.iter().enumerate() {
+                assert_eq!(
+                    sim[i],
+                    want(q.similar_nodes(v, 5)),
+                    "similar diverged at {v}"
+                );
+                assert_eq!(
+                    links[i],
+                    want(q.recommend_links(v, 5, &[])),
+                    "links diverged at {v}"
+                );
+            }
         }
     }
 
@@ -794,9 +789,7 @@ mod tests {
         let k = 6;
 
         let qv = engine.query_vectors(QuerySpace::Similar, &nodes).unwrap();
-        let raw = engine
-            .search_raw(QuerySpace::Similar, &DenseMatrix::from_rows(&qv), k + 1)
-            .unwrap();
+        let raw = engine.search_raw(QuerySpace::Similar, &qv, k + 1).unwrap();
         let composed: Vec<Vec<Hit>> = nodes
             .iter()
             .zip(raw)
@@ -807,11 +800,7 @@ mod tests {
         let exclude = [3usize, 17];
         let qv = engine.query_vectors(QuerySpace::Links, &nodes).unwrap();
         let raw = engine
-            .search_raw(
-                QuerySpace::Links,
-                &DenseMatrix::from_rows(&qv),
-                k + exclude.len() + 1,
-            )
+            .search_raw(QuerySpace::Links, &qv, k + exclude.len() + 1)
             .unwrap();
         let composed: Vec<Vec<Hit>> = nodes
             .iter()

@@ -265,9 +265,8 @@ fn dispatch<B: ServeBackend>(
             let space = require_space(req)?;
             let nodes = require_index_array(req, "nodes")?;
             let vectors = read_engine(engine).query_vectors(space, &nodes)?;
-            let rows = vectors
-                .into_iter()
-                .map(|v| Json::Arr(v.into_iter().map(Json::Num).collect()))
+            let rows = (0..vectors.rows())
+                .map(|i| Json::Arr(vectors.row(i).iter().copied().map(Json::Num).collect()))
                 .collect();
             Ok((ok(vec![("vectors", Json::Arr(rows))]), false))
         }

@@ -148,17 +148,15 @@ impl ShardedEngine {
 impl ServeBackend for ShardedEngine {
     /// The owner shard supplies each node's vector (every shard holds the
     /// full `Y`, so link query vectors do not depend on the owner).
-    fn query_vectors(
-        &self,
-        space: QuerySpace,
-        nodes: &[usize],
-    ) -> Result<Vec<Vec<f64>>, ServeError> {
+    fn query_vectors(&self, space: QuerySpace, nodes: &[usize]) -> Result<DenseMatrix, ServeError> {
         check_nodes(self.num_nodes(), nodes)?;
         let n_shards = self.shards.len();
-        Ok(nodes
-            .iter()
-            .map(|&v| self.shards[shard_of(v, n_shards)].query_vector(space, local_of(v, n_shards)))
-            .collect())
+        let mut queries = DenseMatrix::zeros(0, space.dim(self.half_dim()));
+        for &v in nodes {
+            let owner = &self.shards[shard_of(v, n_shards)];
+            queries.push_row(&owner.query_vector(space, local_of(v, n_shards)));
+        }
+        Ok(queries)
     }
 
     fn search_raw(
@@ -376,9 +374,7 @@ mod tests {
         let nodes: Vec<usize> = (0..61).step_by(9).collect();
         let k = 5;
         let qv = eng.query_vectors(QuerySpace::Similar, &nodes).unwrap();
-        let raw = eng
-            .search_raw(QuerySpace::Similar, &DenseMatrix::from_rows(&qv), k + 1)
-            .unwrap();
+        let raw = eng.search_raw(QuerySpace::Similar, &qv, k + 1).unwrap();
         let composed: Vec<Vec<Hit>> = nodes
             .iter()
             .zip(raw)
