@@ -213,6 +213,26 @@ fn bench_search(c: &mut Criterion) {
         })
     });
     group.finish();
+
+    // The size `serve-mixed` serves (two shards of 2 500 rows): where a
+    // graph walk and a flat scan of the same rows cross over is what a
+    // cost-based index choice per shard would read.
+    const SHARD_ROWS: usize = 2_500;
+    let shard = graph_features(SHARD_ROWS);
+    let flat = FlatIndex::build(&shard, Metric::Cosine);
+    let hnsw = HnswIndex::build(&shard, Metric::Cosine, &HnswConfig::default());
+    let queries: Vec<usize> = (0..NUM_QUERIES)
+        .map(|i| i * SHARD_ROWS / NUM_QUERIES)
+        .collect();
+    let mut group = c.benchmark_group(format!("index_search/n={SHARD_ROWS}"));
+    group.sample_size(10);
+    group.bench_function("flat_100q", |b| {
+        b.iter(|| search_all(&flat, &shard, &queries))
+    });
+    group.bench_function("hnsw_ef64_100q", |b| {
+        b.iter(|| search_all(&hnsw, &shard, &queries))
+    });
+    group.finish();
 }
 
 /// Generation boot time: a ≥100k-row embedding artifact written as a

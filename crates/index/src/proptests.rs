@@ -153,11 +153,24 @@ fn scan_fixture() -> &'static DenseMatrix {
 }
 
 /// One prebuilt index per kind over the scan fixture (IVF probes 3 of 8
-/// cells, so its approximation — not just the exact paths — is pinned).
-fn scan_indexes() -> &'static [Box<dyn VectorIndex>; 4] {
-    static IDX: OnceLock<[Box<dyn VectorIndex>; 4]> = OnceLock::new();
+/// cells, so its approximation — not just the exact paths — is pinned),
+/// and an HNSW base under a non-empty delta: its pooled scratch is then
+/// reused by every query of a block and across blocks.
+fn scan_indexes() -> &'static [Box<dyn VectorIndex>; 5] {
+    static IDX: OnceLock<[Box<dyn VectorIndex>; 5]> = OnceLock::new();
     IDX.get_or_init(|| {
         let data = scan_fixture();
+        let hnsw = |rows| {
+            HnswIndex::build(
+                &data.row_block(0..rows),
+                Metric::Cosine,
+                &HnswConfig::default(),
+            )
+        };
+        let mut delta = DeltaIndex::new(crate::AnyIndex::Hnsw(hnsw(280)));
+        for i in 280..data.rows() {
+            delta.insert(data.row(i)).unwrap();
+        }
         let mut ivf = IvfIndex::build(
             data,
             Metric::Cosine,
@@ -170,16 +183,13 @@ fn scan_indexes() -> &'static [Box<dyn VectorIndex>; 4] {
         [
             Box::new(FlatIndex::build(data, Metric::Cosine)),
             Box::new(ivf),
-            Box::new(HnswIndex::build(
-                data,
-                Metric::Cosine,
-                &HnswConfig::default(),
-            )),
+            Box::new(hnsw(data.rows())),
             Box::new(SqFlatIndex::build(
                 data,
                 Metric::Cosine,
                 SqConfig::default(),
             )),
+            Box::new(delta),
         ]
     })
 }
@@ -226,14 +236,14 @@ proptest! {
 
     /// Batched search ≡ single search, bitwise, at every thread count —
     /// for the blocked flat path and the default per-query fan-out of
-    /// the other index kinds.
+    /// the other index kinds. 42 queries: six threads get blocks of 7.
     #[test]
     fn batch_search_thread_invariant_all_kinds(
-        threads in 1usize..6,
+        threads in 1usize..7,
         k in 1usize..12,
     ) {
         let data = scan_fixture();
-        let queries = data.row_block(0..40);
+        let queries = data.row_block(0..42);
         for idx in scan_indexes() {
             let single: Vec<_> = (0..queries.rows())
                 .map(|i| idx.search(queries.row(i), k))
