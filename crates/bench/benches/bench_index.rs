@@ -17,9 +17,10 @@
 //! Two further groups cover the storage layer: `store_boot` times
 //! loading a ≥100k-row embedding generation written as a legacy
 //! `PANEEMB1` stream vs a columnar `PANECOL1` container (the zero-parse
-//! bulk read), and `init_crossover` times GreedyInit (Algorithm 3) vs
-//! SMGreedyInit (Algorithm 7) on a tall affinity matrix, where the
-//! split–merge factorization overtakes the single global RandSVD.
+//! bulk read), and `init_crossover` times GreedyInit (Algorithm 3) plus six
+//! CCD sweeps as the attribute dimension grows — the curve the exact
+//! Gram-path and attribute-space selectors are checked against — with
+//! SMGreedyInit (Algorithm 7) beside GreedyInit at one small `d`.
 
 use criterion::{criterion_group, criterion_main, note, Criterion};
 use pane_graph::gen::{generate_sbm, SbmConfig};
@@ -289,54 +290,61 @@ fn bench_boot(c: &mut Criterion) {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// GreedyInit (Algorithm 3) vs SMGreedyInit (Algorithm 7) on a tall
-/// affinity matrix (`n ≫ d`): one global RandSVD sketches an `n×d`
-/// matrix, while split–merge factorizes `nb` short blocks and merges the
-/// right factors with one small SVD — the crossover the paper's §4.4
-/// claims for multi-core tall inputs. Both algorithms run at 1 and 4
-/// threads so the recorded numbers separate the two effects: serially,
-/// split–merge pays its merge overhead (it should trail by a few
-/// percent); with real cores the independent blocks scale and it
-/// overtakes. On a single-core runner the t4 rows equal the t1 rows.
+/// The curve the two path selectors are checked against: GreedyInit
+/// (Algorithm 3) plus six CCD sweeps (Algorithm 4) at the benchmark's `n`,
+/// `k/2 = 32` and `t = 6`, as the attribute dimension `d` grows. Where `d`
+/// is small, RandSVD takes the exact Gram path and CCD sweeps in the
+/// attribute space (cost `≈ n·d²`); where it is large, both stay on the
+/// sketch and the node rows (cost `≈ n·d·k`), so the curve should bend
+/// from quadratic to linear in `d` without a step where either selector
+/// flips. `2000×1000` is `embed-wide`'s shape, on the sketch and the node
+/// rows. SMGreedyInit (Algorithm 7) runs beside GreedyInit at `d = 48`:
+/// it pays off only while one global RandSVD is slower than `nb` block
+/// SVDs plus a merge.
 fn bench_init_crossover(c: &mut Criterion) {
-    use pane_core::{greedy_init, sm_greedy_init, InitOptions};
+    use pane_core::{ccd_sweeps, greedy_init, sm_greedy_init, InitOptions};
 
-    const TALL_N: usize = 24_000;
-    const TALL_D: usize = 48;
-    let mut rng = StdRng::seed_from_u64(31);
-    let mut sampler = NormalSampler::new();
-    let mut fill = |rows: usize, cols: usize| {
-        let mut m = DenseMatrix::zeros(rows, cols);
-        for v in m.data_mut() {
-            *v = sampler.sample(&mut rng);
-        }
-        m
-    };
-    let f = fill(TALL_N, TALL_D);
-    let b_aff = fill(TALL_N, TALL_D);
+    const THREADS: usize = 2;
     let opts = InitOptions {
-        half_dim: 16,
-        power_iters: 3,
+        half_dim: 32,
+        power_iters: 6,
         oversample: 8,
         seed: 5,
     };
-    note("crossover_rows", TALL_N);
-    note("crossover_cols", TALL_D);
+    let mut rng = StdRng::seed_from_u64(31);
+    let mut affinity = |n: usize, d: usize| {
+        let f = DenseMatrix::uniform(n, d, 0.0, 2.0, &mut rng);
+        (f, DenseMatrix::uniform(n, d, 0.0, 2.0, &mut rng))
+    };
+    note("crossover_half_dim", opts.half_dim);
+    note("crossover_power_iters", opts.power_iters);
+    note("crossover_sweeps", 6);
+    note("crossover_threads", THREADS);
     note(
         "crossover_host_cpus",
         std::thread::available_parallelism().map_or(0, |n| n.get()),
     );
 
-    let mut group = c.benchmark_group(format!("init_crossover/n={TALL_N}x{TALL_D}"));
+    let mut group = c.benchmark_group("init_crossover");
     group.sample_size(10);
-    for threads in [1usize, 4] {
-        group.bench_function(format!("greedy_t{threads}"), |bch| {
-            bch.iter(|| greedy_init(&f, &b_aff, &opts, threads))
-        });
-        group.bench_function(format!("sm_greedy_t{threads}"), |bch| {
-            bch.iter(|| sm_greedy_init(&f, &b_aff, &opts, threads))
+    let shapes = [32, 64, 96, 128, 192, 256, 384].map(|d| (12_000, d));
+    for (n, d) in shapes.into_iter().chain([(2_000, 1_000)]) {
+        let (f, b) = affinity(n, d);
+        group.bench_function(format!("n={n},d={d}/greedy_ccd6_t{THREADS}"), |bch| {
+            bch.iter(|| {
+                let mut st = greedy_init(&f, &b, &opts, THREADS);
+                ccd_sweeps(&mut st, 6, THREADS);
+                st.xf
+            })
         });
     }
+    let (f, b) = affinity(12_000, 48);
+    group.bench_function(format!("n=12000,d=48/greedy_t{THREADS}"), |bch| {
+        bch.iter(|| greedy_init(&f, &b, &opts, THREADS).xf)
+    });
+    group.bench_function(format!("n=12000,d=48/sm_greedy_t{THREADS}"), |bch| {
+        bch.iter(|| sm_greedy_init(&f, &b, &opts, THREADS).xf)
+    });
     group.finish();
 }
 

@@ -23,6 +23,14 @@
 //! `2·n·d·(k/2)`-flop products per sweep instead of `16·n·d·(k/2)` flops of
 //! dependent dot/axpy pairs, and without any `n×d` matrix besides `F'`, `B'`.
 //!
+//! Where `d` is small against `n`, a call of several sweeps runs in the
+//! attribute space. An X phase maps every gradient row by one fixed linear
+//! map, so from the start `X⁰` every iterate is `X_f = [X⁰_f | F']·Z_f`
+//! (`Z_f = [I; 0]` at first): the X phase is the same descent on the `k/2+d`
+//! rows of `Z_f` with `[0; Y]` for `F'Y`, and with `K_f = [X⁰_f|F']ᵀ[X⁰_f|F']`
+//! the Y phase reads `X_fᵀX_f = Z_fᵀK_fZ_f`, `F'ᵀX_f = (K_fZ_f)[k/2..]` (`X_b`
+//! likewise with `B'`). The lift `X⁰_f·Z_f[..k/2] + F'·Z_f[k/2..]` ends it.
+//!
 //! Further notes:
 //!
 //! * each coordinate update is the **exact minimizer** of the objective in
@@ -48,8 +56,8 @@ pub fn objective(state: &InitState<'_>) -> f64 {
     state.objective
 }
 
-/// Runs `sweeps` full CCD sweeps over `state`, using `nb` worker threads.
-/// The result has the same bits for every `nb`.
+/// Runs `sweeps` full CCD sweeps over `state` on `nb` worker threads, on the
+/// node rows or in the attribute space (module docs); same bits for any `nb`.
 pub fn ccd_sweeps(state: &mut InitState<'_>, sweeps: usize, nb: usize) {
     let (n, d) = state.f.shape();
     let k2 = state.y.cols();
@@ -59,6 +67,9 @@ pub fn ccd_sweeps(state: &mut InitState<'_>, sweeps: usize, nb: usize) {
     assert_eq!(state.y.rows(), d);
     if n == 0 || d == 0 || k2 == 0 {
         return;
+    }
+    if in_attribute_space(n, d, k2, sweeps) {
+        return attribute_space_sweeps(state, sweeps, nb);
     }
     let mut gram = state.y.tr_matmul_par(&state.y, nb);
     for _ in 0..sweeps {
@@ -75,6 +86,53 @@ pub fn ccd_sweeps(state: &mut InitState<'_>, sweeps: usize, nb: usize) {
         gram = state.y.tr_matmul_par(&state.y, nb);
         let cross = vecops::dot(q.data(), state.y.data());
         state.objective = gram_objective(state.energy, cross, &h, &gram);
+    }
+}
+
+/// Whether `sweeps` sweeps cost less in the attribute space, in two-worker
+/// multiply–adds (the Grams' `n·d²` at 0.8, the serial small work at 2; see
+/// ARCHITECTURE.md). Free of `nb`, so it cannot change the bits; at `n` =
+/// 12 000, `k/2` = 32 and 6 sweeps it flips at `d` ≈ 415.
+fn in_attribute_space(n: usize, d: usize, k2: usize, sweeps: usize) -> bool {
+    let (n, d, k2, s) = (n as f64, d as f64, k2 as f64, sweeps as f64);
+    let w = d + k2;
+    let grams = 0.8 * 2.0 * n * d * d + 2.0 * n * (d * k2 + k2 * k2);
+    let lifts_and_small = 2.0 * n * w * k2 + 2.0 * s * 2.0 * (w * w * k2 + 2.0 * w * k2 * k2);
+    sweeps > 1 && grams + lifts_and_small < s * (4.0 * n * d * k2 + 5.0 * n * k2 * k2)
+}
+
+/// [`ccd_sweeps`] on the `(k/2+d) × k/2` coefficients `Z` of `X = [X⁰ | A]·Z`
+/// (`A` = `F'` or `B'`, module docs): only the Grams and the lifts touch `n`.
+fn attribute_space_sweeps(state: &mut InitState<'_>, sweeps: usize, nb: usize) {
+    let (k2, d) = (state.y.cols(), state.y.rows());
+    let mut sides = [(&state.xf, state.f), (&state.xb, state.b)].map(|(x0, a)| {
+        let xa = a.tr_matmul_par(x0, nb);
+        let top = DenseMatrix::hstack(&[x0.tr_matmul_par(x0, nb), xa.transpose()]);
+        let k = DenseMatrix::vstack(&[top, DenseMatrix::hstack(&[xa, a.tr_matmul_par(a, nb)])]);
+        let z = DenseMatrix::vstack(&[DenseMatrix::identity(k2), DenseMatrix::zeros(d, k2)]);
+        (k, z)
+    });
+    let mut gram = state.y.tr_matmul_par(&state.y, nb);
+    for _ in 0..sweeps {
+        let lin = DenseMatrix::vstack(&[DenseMatrix::zeros(k2, k2), state.y.clone()]);
+        let (mut h, mut q) = (DenseMatrix::zeros(k2, k2), DenseMatrix::zeros(d, k2));
+        for (k, z) in sides.iter_mut() {
+            descend_rows(z, &lin, &gram, nb);
+            let kz = k.matmul_par(z, nb);
+            h.axpy_inplace(1.0, &z.tr_matmul_par(&kz, nb));
+            q.axpy_inplace(1.0, &kz.row_block(k2..k2 + d));
+        }
+        descend_rows(&mut state.y, &q, &h, nb);
+
+        gram = state.y.tr_matmul_par(&state.y, nb);
+        let cross = vecops::dot(q.data(), state.y.data());
+        state.objective = gram_objective(state.energy, cross, &h, &gram);
+    }
+    // One side at a time, so that only one start is alive beside a lift.
+    let starts = [(&mut state.xf, state.f), (&mut state.xb, state.b)];
+    for ((x, a), (_, z)) in starts.into_iter().zip(sides) {
+        *x = x.matmul_par(&z.row_block(0..k2), nb);
+        x.axpy_inplace(1.0, &a.matmul_par(&z.row_block(k2..k2 + d), nb));
     }
 }
 
@@ -281,6 +339,29 @@ mod tests {
             assert!(m.data().iter().all(|v| v.is_finite()));
             assert!(m.col(1).iter().all(|&v| v == 0.0), "dead coordinate moved");
         }
+    }
+
+    /// The four benchmark shapes at `k/2 = 32` and 6 sweeps: the three with
+    /// `d ≤ 96` sweep in the attribute space, `embed-wide` (2 000 × 1 000)
+    /// on the node rows; so do the shapes `tests/paper_lemmas.rs` runs as
+    /// attribute-space referees, and a single sweep never moves. CI's
+    /// embed-determinism smoke embeds one graph on each side at `--dim 32`
+    /// (`tweibo-like` and `citeseer-like` at scales 0.05 and 0.15).
+    #[test]
+    fn cost_model_picks_the_attribute_space_where_d_is_small() {
+        for (n, d, k2) in [
+            (12_000, 64, 32),
+            (12_000, 96, 32),
+            (5_000, 64, 32),
+            (600, 12, 8),
+            (200, 5, 8),
+            (2_000, 67, 16),
+        ] {
+            assert!(in_attribute_space(n, d, k2, 6), "{n}x{d}, k/2 = {k2}");
+            assert!(!in_attribute_space(n, d, k2, 1), "{n}x{d}: one sweep");
+        }
+        assert!(!in_attribute_space(2_000, 1_000, 32, 6));
+        assert!(!in_attribute_space(495, 465, 16, 6));
     }
 
     #[test]

@@ -82,11 +82,15 @@ pub struct PaneConfig {
     pub ccd_sweeps: Option<usize>,
     /// Treatment of out-degree-0 nodes in `P = D⁻¹A`.
     pub dangling: DanglingPolicy,
-    /// Seed for the randomized SVD sketch.
+    /// Seed for the randomized SVD sketch. In GreedyInit it acts, like the
+    /// two `svd_*` fields, only where RandSVD sketches: where the attribute
+    /// dimension is small enough that the SVD is exact (through the `d×d`
+    /// Gram, see `pane_linalg::randsvd`), all three are inert.
     pub seed: u64,
-    /// Oversampling columns for RandSVD.
+    /// Oversampling columns for RandSVD (sketch path only).
     pub svd_oversample: usize,
-    /// Power iterations for RandSVD; `None` couples it to `t`.
+    /// Power iterations for RandSVD; `None` couples it to `t` (sketch path
+    /// only).
     pub svd_power_iters: Option<usize>,
 }
 
@@ -217,13 +221,13 @@ impl PaneConfigBuilder {
         self
     }
 
-    /// Sets RandSVD oversampling.
+    /// Sets RandSVD oversampling (sketch path only, see the field).
     pub fn svd_oversample(mut self, cols: usize) -> Self {
         self.cfg.svd_oversample = cols;
         self
     }
 
-    /// Overrides the RandSVD power-iteration count.
+    /// Overrides the RandSVD power-iteration count (sketch path only).
     pub fn svd_power_iters(mut self, iters: usize) -> Self {
         self.cfg.svd_power_iters = Some(iters);
         self

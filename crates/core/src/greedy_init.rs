@@ -16,9 +16,9 @@
 //! factors with a second small SVD (Lemma 4.2: at `t = ∞` the result still
 //! satisfies `X_f·Yᵀ = F'`, `YᵀY = I`, `S_f = 0`, `S_b·Y = 0`).
 //!
-//! GreedyInit runs its one RandSVD's `n·d·ℓ` products on all `nb` workers;
-//! their bits do not depend on `nb` (see `pane_linalg::dense`), so neither
-//! does the state it returns.
+//! GreedyInit's one RandSVD (exact through the `d×d` Gram where `d` is
+//! small: `pane_linalg::randsvd`) runs its `n`-sized products on all `nb`
+//! workers; their bits do not depend on `nb`, so neither does the state.
 
 use crate::ccd::{gram_objective, node_gram};
 use pane_linalg::{rand_svd, rand_svd_par, vecops, DenseMatrix, RandSvdConfig};
@@ -95,11 +95,11 @@ impl<'a> InitState<'a> {
 pub struct InitOptions {
     /// Per-side dimension `k/2`.
     pub half_dim: usize,
-    /// RandSVD power iterations (the paper's `t`).
+    /// RandSVD power iterations (the paper's `t`); inert where it is exact.
     pub power_iters: usize,
-    /// RandSVD oversampling.
+    /// RandSVD oversampling; inert where the SVD is exact.
     pub oversample: usize,
-    /// Sketch seed.
+    /// Sketch seed; inert where the SVD is exact.
     pub seed: u64,
 }
 
@@ -232,14 +232,16 @@ mod tests {
         );
     }
 
-    /// Lemma 4.2 at t = ∞ (exact SVD path): X_f·Yᵀ = F', YᵀY = I, S_f = 0,
-    /// S_b·Y = 0 — for both GreedyInit and SMGreedyInit.
+    /// Lemma 4.2 at t = ∞ (the exact Gram path): X_f·Yᵀ = F', YᵀY = I,
+    /// S_f = 0, S_b·Y = 0 — for both GreedyInit and SMGreedyInit; and where
+    /// `k/2 < rank(F')`, Y spans the exact top right singular subspace and
+    /// S_f is the Eckart–Young tail, with no power rounds at all.
     #[test]
     fn lemma_4_2_exact_svd() {
         let n = 30;
         let d = 6;
         let (f, b) = affinity_like(n, d, 6, 4);
-        // half_dim = d forces the exact-SVD fallback inside rand_svd.
+        // half_dim = d leaves no room for a sketch: the Gram path.
         let opts = InitOptions {
             half_dim: d,
             power_iters: 0,
@@ -262,6 +264,48 @@ mod tests {
                 sby.frob_norm()
             );
         }
+
+        // A shape with room for a sketch (ℓ = 6 < d = 12) that the cost
+        // model still sends to the Gram path. With no power rounds a sketch
+        // would miss the subspace by far more than the tolerances below.
+        let (n, d, k2) = (2000, 12, 4);
+        let (f, b) = affinity_like(n, d, d, 14);
+        let opts = InitOptions {
+            half_dim: k2,
+            power_iters: 0,
+            oversample: 2,
+            seed: 5,
+        };
+        let st = greedy_init(&f, &b, &opts, 2);
+        let exact = pane_linalg::svd_exact(&f);
+        let top = DenseMatrix::from_vec(
+            d,
+            k2,
+            exact
+                .v
+                .data()
+                .chunks_exact(d)
+                .flat_map(|r| &r[..k2])
+                .copied()
+                .collect(),
+        );
+        let projector = |m: &DenseMatrix| m.matmul_transb(m);
+        assert!(
+            projector(&st.y).max_abs_diff(&projector(&top)) < 1e-9,
+            "Y misses the top subspace"
+        );
+        assert!(st.y.is_orthonormal(1e-10));
+        let (sf, sb) = fresh_residuals(&f, &b, &st.xf, &st.xb, &st.y);
+        let tail: f64 = exact.s[k2..].iter().map(|x| x * x).sum();
+        assert!((sf.frob_norm() - tail.sqrt()).abs() < 1e-9 * f.frob_norm());
+        assert!(
+            sf.matmul(&st.y).frob_norm() < 1e-8 * f.frob_norm(),
+            "SfY != 0"
+        );
+        assert!(
+            sb.matmul(&st.y).frob_norm() < 1e-8 * b.frob_norm(),
+            "SbY != 0"
+        );
     }
 
     #[test]

@@ -1,19 +1,20 @@
-//! Randomized truncated SVD ("RandSVD" in the paper).
+//! Truncated SVD for GreedyInit (`U, Σ, V ← RandSVD(F', k/2, t)`,
+//! Algorithm 3), on one of two paths picked by a cost model in `(n, d, ℓ, t)`:
 //!
-//! GreedyInit (Algorithm 3) seeds the CCD solver with
-//! `U, Σ, V ← RandSVD(F', k/2, t)`. The cited method \[30\] is Musco & Musco's
-//! randomized block Krylov / power iteration; we implement the
-//! power-iteration variant, which is the one used by practical systems:
+//! * **Gram**, the exact truncated SVD (the `t = ∞` case of Lemma 4.2): for
+//!   a tall `A`, a Jacobi SVD of `C = AᵀA` gives `V` by descending
+//!   eigenvalue, and column `j` of `A·V[:, :rank]` is `σ_j·u_j` (its norm is
+//!   `σ_j` to `ε·σ₁`, where `√λ_j` is only good to `√ε·σ₁`); a wide `A` is
+//!   the `n×n` mirror. Its `n`-sized work is two products.
+//! * **Sketch**, the power-iteration variant of Musco & Musco \[30\]:
+//!   `Y = A·Ω` with Gaussian `Ω ∈ R^{d×ℓ}`, `ℓ = rank + oversample`; `t`
+//!   rounds `Y ← A·qr(Aᵀ·qr(Y).Q).Q`; the Jacobi SVD of `B = Qᵀ·A`, lifted
+//!   by `U = Q·U_B`. Its `2t + 1` MGS2 `thin_qr`s are serial.
 //!
-//! 1. sketch `Y = A·Ω` with Gaussian `Ω ∈ R^{d×ℓ}`, `ℓ = rank + oversample`;
-//! 2. orthonormalize; run `q` power rounds `Y ← A·qr(Aᵀ·Q).Q` to sharpen the
-//!    spectrum (every round re-orthonormalizes for stability);
-//! 3. project `B = Qᵀ·A` (`ℓ × d`) and take its exact (Jacobi) SVD;
-//! 4. lift: `U = Q·U_B`, truncate everything to `rank`.
-//!
-//! The returned `V` has orthonormal columns — the property Lemma 4.2 relies
-//! on (`YᵀY = I`) — and `U·diag(s)·Vᵀ` is a near-best rank-`rank`
-//! approximation of `A` with the usual `(1+ε)`-type guarantees.
+//! A `d×d` Jacobi is serial and cubic, so a wide attribute side (`d` in the
+//! hundreds) stays on the sketch. Either way `V` has orthonormal columns —
+//! the property Lemma 4.2 relies on (`YᵀY = I`) — and `U·diag(s)·Vᵀ` is
+//! the best (Gram) or a near-best (sketch) rank-`rank` approximation.
 
 use crate::dense::DenseMatrix;
 use crate::jacobi::jacobi_svd;
@@ -51,16 +52,16 @@ impl Svd {
     }
 }
 
-/// Configuration for [`rand_svd`].
+/// Configuration for [`rand_svd`]. The exact Gram path reads only `rank`.
 #[derive(Debug, Clone, Copy)]
 pub struct RandSvdConfig {
     /// Target rank `r` (the paper uses `k/2`).
     pub rank: usize,
-    /// Number of power iterations (the paper passes its global `t` here).
+    /// Power iterations (the paper's `t`); inert on the Gram path.
     pub power_iters: usize,
-    /// Column oversampling added to the sketch width.
+    /// Column oversampling of the sketch; inert on the Gram path.
     pub oversample: usize,
-    /// RNG seed for the Gaussian test matrix.
+    /// RNG seed for the Gaussian test matrix; inert on the Gram path.
     pub seed: u64,
 }
 
@@ -85,10 +86,10 @@ pub fn rand_svd(a: &DenseMatrix, cfg: &RandSvdConfig) -> Svd {
     rand_svd_par(a, cfg, 1)
 }
 
-/// Randomized truncated SVD of `a` (`n × d`) with the `n·d·ℓ` products run
-/// by `nb` workers. The products are thread-count-invariant (see
-/// [`crate::dense`]) and everything else is serial, so the result has the
-/// same bits for every `nb`.
+/// Truncated SVD of `a` (`n × d`) on the path the module docs describe, its
+/// `n`-sized products run by `nb` workers. The path depends on the shape
+/// and `cfg` only and the products are thread-count-invariant (see
+/// [`crate::dense`]), so the result has the same bits for every `nb`.
 ///
 /// # Panics
 /// Panics if `rank == 0`.
@@ -104,11 +105,9 @@ pub fn rand_svd_par(a: &DenseMatrix, cfg: &RandSvdConfig, nb: usize) -> Svd {
             v: DenseMatrix::zeros(d, cfg.rank),
         };
     }
-    // If the matrix is already small, fall back to the exact SVD: cheaper
-    // and exact (this also makes t = ∞ semantics of Lemma 4.2 testable).
     let sketch = (cfg.rank + cfg.oversample).min(min_dim);
-    if min_dim <= sketch || min_dim <= cfg.rank {
-        return truncate(svd_exact(a), cfg.rank, n, d);
+    if min_dim <= sketch || gram_is_cheaper(n, d, sketch, cfg.power_iters) {
+        return truncate(gram_svd(a, cfg.rank, nb), cfg.rank, n, d);
     }
 
     let mut rng = StdRng::seed_from_u64(cfg.seed);
@@ -133,7 +132,49 @@ pub fn rand_svd_par(a: &DenseMatrix, cfg: &RandSvdConfig, nb: usize) -> Svd {
     )
 }
 
-/// Exact SVD via one-sided Jacobi (use only for small or thin matrices).
+// Nanoseconds per unit on a 2-vCPU host, baseline build (ARCHITECTURE.md,
+// "The embed pipeline", has the anchors): a multiply–add of a two-worker
+// `AᵀA` / `ℓ`-wide product, a `rows·ℓ²` of a serial `thin_qr`, an `m³` of
+// a serial `m×m` Jacobi.
+const GRAM_NS: f64 = 0.12;
+const PRODUCT_NS: f64 = 0.15;
+const QR_NS: f64 = 0.85;
+const JACOBI_NS: f64 = 6.8;
+
+/// Whether the Gram path is cheaper for an `n × d` input, a sketch `ℓ`
+/// wide and `t` power rounds; free of the worker count, so that it cannot
+/// change the bits. At `n` = 12 000, `ℓ` = 40, `t` = 6 it flips at `d` ≈ 345.
+fn gram_is_cheaper(n: usize, d: usize, l: usize, t: usize) -> bool {
+    let (n, d, l, t) = (n as f64, d as f64, l as f64, t as f64);
+    let (long, short) = (n.max(d), n.min(d));
+    let gram = (GRAM_NS * short + PRODUCT_NS * l) * long * short + JACOBI_NS * short.powi(3);
+    gram < PRODUCT_NS * (2.0 * t + 2.0) * n * d * l
+        + QR_NS * ((t + 1.0) * n + t * d) * l * l
+        + JACOBI_NS * d * l * l
+}
+
+/// The exact SVD through the Gram matrix of the short side, `rank` columns
+/// (fewer when the short side is shorter; [`truncate`] pads).
+fn gram_svd(a: &DenseMatrix, rank: usize, nb: usize) -> Svd {
+    if a.rows() < a.cols() {
+        // A = U Σ Vᵀ  ⇔  Aᵀ = V Σ Uᵀ
+        let Svd { u, s, v } = gram_svd(&a.transpose(), rank, nb);
+        return Svd { u: v, s, v: u };
+    }
+    let (d, keep) = (a.cols(), rank.min(a.cols()));
+    // The eigenvectors of AᵀA with the `keep` largest eigenvalues.
+    let v = truncate(svd_exact(&a.tr_matmul_par(a, nb)), keep, d, d).v;
+    let mut u = a.matmul_par(&v, nb); // columns σ_j·u_j
+    let s: Vec<f64> = u.col_norms_sq().iter().map(|x| x.sqrt()).collect();
+    for row in u.data_mut().chunks_exact_mut(keep) {
+        for (x, &sj) in row.iter_mut().zip(&s) {
+            *x = if sj > 0.0 { *x / sj } else { 0.0 };
+        }
+    }
+    Svd { u, s, v }
+}
+
+/// Exact SVD via one-sided Jacobi on `a` itself (small matrices; tests).
 pub fn svd_exact(a: &DenseMatrix) -> Svd {
     let j = jacobi_svd(a);
     Svd {
@@ -259,6 +300,100 @@ mod tests {
         let svd = rand_svd(&a, &RandSvdConfig::new(3, 1, 0));
         assert_eq!(svd.u.shape(), (0, 3));
         assert_eq!(svd.v.shape(), (5, 3));
+    }
+
+    /// The shapes of the four benchmark workloads at `k/2 = 32`, `ℓ = 40`,
+    /// `t = 6`: the three with `d ≤ 96` take the Gram path, `embed-wide`
+    /// (2 000 × 1 000, where a `d×d` Jacobi alone would cost seconds) keeps
+    /// the sketch. The two graphs of CI's embed-determinism smoke (`--dim
+    /// 32`, so `ℓ = 24`) fall one on each side.
+    #[test]
+    fn cost_model_picks_gram_only_where_d_is_small() {
+        for (n, d, l) in [
+            (12_000, 64, 40),
+            (12_000, 96, 40),
+            (5_000, 64, 40),
+            (2_000, 67, 24),
+        ] {
+            assert!(
+                gram_is_cheaper(n, d, l, 6),
+                "{n}x{d} should take the Gram path"
+            );
+        }
+        for (n, d, l) in [(2_000, 1_000, 40), (495, 465, 24)] {
+            assert!(!gram_is_cheaper(n, d, l, 6), "{n}x{d} must keep the sketch");
+        }
+    }
+
+    /// The Gram path against one-sided Jacobi on `A` itself: singular values
+    /// to `1e-10·σ₁`, the reconstruction error equal to the Eckart–Young
+    /// tail, `V` (and the live columns of `U`) orthonormal, the same bits
+    /// for every worker count — on a tall, a rank-deficient, a padded
+    /// (`d < rank`) and two wide inputs.
+    #[test]
+    fn gram_path_is_the_exact_truncated_svd() {
+        for (name, n, d, true_rank, rank, over) in [
+            ("tall", 2000, 30, 30, 4, 4),
+            ("rank-deficient", 80, 10, 3, 5, 2),
+            ("d < rank", 50, 4, 4, 6, 8),
+            ("wide", 8, 40, 8, 5, 8),
+            ("wide, rank-deficient", 12, 60, 2, 4, 8),
+        ] {
+            let a = low_rank_plus_noise(n, d, true_rank, 0.0, 41);
+            let cfg = RandSvdConfig {
+                rank,
+                power_iters: 2,
+                oversample: over,
+                seed: 3,
+            };
+            let min_dim = n.min(d);
+            let sketch = (rank + over).min(min_dim);
+            assert!(
+                min_dim <= sketch || gram_is_cheaper(n, d, sketch, cfg.power_iters),
+                "{name}: expected the Gram path"
+            );
+            let got = rand_svd(&a, &cfg);
+            let exact = svd_exact(&a);
+            let s1 = exact.s[0];
+            for (j, &s) in got.s.iter().enumerate() {
+                let want = exact.s.get(j).copied().unwrap_or(0.0);
+                assert!(
+                    (s - want).abs() <= 1e-10 * s1,
+                    "{name}: σ_{j} {s} vs {want}"
+                );
+            }
+            let tail: f64 = exact.s[rank.min(min_dim)..].iter().map(|x| x * x).sum();
+            let err = got.reconstruct().sub(&a).frob_norm();
+            assert!(
+                (err - tail.sqrt()).abs() <= 1e-9 * a.frob_norm(),
+                "{name}: error {err} vs Eckart–Young {}",
+                tail.sqrt()
+            );
+            // The eigenvector side is orthonormal; the lifted side (`A·v/σ`)
+            // is where σ is above rounding level.
+            let live = truncate(got.clone(), rank.min(min_dim), n, d);
+            let nonzero = got.s.iter().filter(|&&s| s > 1e-6 * s1).count();
+            let above = truncate(got.clone(), nonzero, n, d);
+            let (eig, lifted) = if n >= d {
+                (&live.v, &above.u)
+            } else {
+                (&live.u, &above.v)
+            };
+            assert!(eig.is_orthonormal(1e-9), "{name}: eigenvectors");
+            assert!(lifted.is_orthonormal(1e-9), "{name}: lifted");
+            assert!(
+                got.s[live.s.len()..].iter().all(|&s| s == 0.0),
+                "{name}: padding"
+            );
+            for nb in [2, 3, 7] {
+                let par = rand_svd_par(&a, &cfg, nb);
+                assert_eq!(
+                    (&got.u, &got.s, &got.v),
+                    (&par.u, &par.s, &par.v),
+                    "{name}: nb={nb}"
+                );
+            }
+        }
     }
 
     proptest! {

@@ -260,9 +260,69 @@ fn assert_close(what: &str, got: &DenseMatrix, want: &DenseMatrix) {
 /// its objective never rises and equals `‖X_fYᵀ−F'‖² + ‖X_bYᵀ−B'‖²` formed
 /// explicitly, and (Algorithm 8 ≡ Algorithm 4) every worker count returns
 /// the serial bits — on a shape with fewer attributes than coordinates
-/// (`YᵀY` singular), a square one, and one far wider than tall.
+/// (`YᵀY` singular), a square one, and one far wider than tall. Then the
+/// same on shapes whose six-sweep calls run in the attribute space
+/// (`ccd::tests::cost_model_picks_the_attribute_space_where_d_is_small`
+/// pins that they do): one `ccd_sweeps(·, 6, nb)` call against six oracle
+/// sweeps, from a random, a greedy and a warm start.
 #[test]
 fn gram_ccd_equals_algorithm_4_on_three_shapes() {
+    for (name, n, d, k2) in [("d < k/2", 200, 5, 8), ("n ≫ d", 600, 12, 8)] {
+        let (f, b) = affinity_like(n, d, 31);
+        let opts = InitOptions {
+            half_dim: k2,
+            power_iters: 2,
+            oversample: 4,
+            seed: 9,
+        };
+        // Warm: the embeddings a previous run left on other affinities.
+        let (f0, b0) = affinity_like(n, d, 32);
+        let mut prev = greedy_init(&f0, &b0, &opts, 1);
+        ccd_sweeps(&mut prev, 6, 1);
+        let warm = InitState::new(&f, &b, prev.xf, prev.xb, prev.y, 1);
+        for (start_name, start) in [
+            ("random", random_state(&f, &b, k2, 33)),
+            ("greedy", greedy_init(&f, &b, &opts, 1)),
+            ("warm", warm),
+        ] {
+            let at = format!("{name}, {start_name} start");
+            let mut oracle =
+                Oracle::new(&f, &b, start.xf.clone(), start.xb.clone(), start.y.clone());
+            (0..6).for_each(|_| oracle.sweep());
+            let runs: Vec<_> = [1usize, 2, 3, 7]
+                .map(|nb| {
+                    let mut st = start.clone();
+                    ccd_sweeps(&mut st, 6, nb);
+                    (nb, st)
+                })
+                .into();
+            let (_, serial) = &runs[0];
+            assert_close(&format!("{at}: X_f"), &serial.xf, &oracle.xf);
+            assert_close(&format!("{at}: X_b"), &serial.xb, &oracle.xb);
+            assert_close(&format!("{at}: Y"), &serial.y, &oracle.y);
+            let (cur, explicit) = (objective(serial), explicit_objective(serial));
+            // The kept objective is exact to ε·(‖F'‖² + ‖B'‖²) (a greedy
+            // start with d < k/2 fits exactly).
+            let tol = 1e-9 * explicit + 1e-12 * (f.frob_norm_sq() + b.frob_norm_sq());
+            assert!(cur <= objective(&start) + tol, "{at}: objective rose");
+            assert!(
+                (cur - explicit).abs() <= tol,
+                "{at}: kept {cur} vs explicit {explicit}"
+            );
+            assert!(
+                (cur - oracle.objective()).abs() <= tol,
+                "{at}: kept {cur} vs maintained {}",
+                oracle.objective()
+            );
+            for (nb, st) in &runs[1..] {
+                assert_eq!(serial.xf, st.xf, "{at}: X_f, nb={nb}");
+                assert_eq!(serial.xb, st.xb, "{at}: X_b, nb={nb}");
+                assert_eq!(serial.y, st.y, "{at}: Y, nb={nb}");
+                assert_eq!(cur.to_bits(), objective(st).to_bits(), "{at}: nb={nb}");
+            }
+        }
+    }
+
     for (name, n, d, k2) in [
         ("d < k/2", 40, 5, 8),
         ("d ≈ n", 24, 25, 4),
