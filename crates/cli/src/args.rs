@@ -79,6 +79,15 @@ impl Args {
         }
     }
 
+    /// A count option (`--threads`, `--shards`) with default: 0 is refused
+    /// here, with one message for every subcommand.
+    pub fn get_count(&self, key: &str, default: usize) -> Result<usize, ArgError> {
+        match self.get_parsed(key, default)? {
+            0 => Err(ArgError(format!("--{key} must be at least 1"))),
+            n => Ok(n),
+        }
+    }
+
     /// Whether a flag was given.
     pub fn flag(&self, key: &str) -> bool {
         self.flags.iter().any(|f| f == key)

@@ -149,6 +149,7 @@ fn cmd_embed(raw: Vec<String>) -> CliResult {
     a.reject_unknown(&[
         "edges", "attrs", "labels", "dim", "alpha", "eps", "threads", "seed", "output",
     ])?;
+    let threads = a.get_count("threads", 1)?;
     let g = load_from_args(&a)?;
     eprintln!("loaded graph: {}", g.stats());
 
@@ -156,7 +157,7 @@ fn cmd_embed(raw: Vec<String>) -> CliResult {
         .dimension(a.get_parsed("dim", 128usize)?)
         .alpha(a.get_parsed("alpha", 0.5f64)?)
         .error_threshold(a.get_parsed("eps", 0.015f64)?)
-        .threads(a.get_parsed("threads", 1usize)?)
+        .threads(threads)
         .seed(a.get_parsed("seed", 0u64)?)
         .try_build()?;
     let output = PathBuf::from(a.require("output")?);
@@ -261,6 +262,7 @@ fn cmd_evaluate(raw: Vec<String>) -> CliResult {
     a.reject_unknown(&[
         "edges", "attrs", "labels", "dim", "alpha", "eps", "threads", "seed", "binary",
     ])?;
+    let threads = a.get_count("threads", 1)?;
     let g = if let Some(bin) = a.get("binary") {
         pane_graph::io_binary::load_graph_binary(std::path::Path::new(bin))?
     } else {
@@ -271,7 +273,7 @@ fn cmd_evaluate(raw: Vec<String>) -> CliResult {
         .dimension(a.get_parsed("dim", 64usize)?)
         .alpha(a.get_parsed("alpha", 0.5f64)?)
         .error_threshold(a.get_parsed("eps", 0.015f64)?)
-        .threads(a.get_parsed("threads", 1usize)?)
+        .threads(threads)
         .seed(a.get_parsed("seed", 0u64)?)
         .try_build()?;
     let card = pane_eval::report_card(&g, &pane_eval::ReportOptions::default(), |residual| {
@@ -379,11 +381,11 @@ fn cmd_index_build(raw: Vec<String>) -> CliResult {
         "threads",
         "output",
     ])?;
+    let threads = a.get_count("threads", 1)?;
     let emb = load_embedding_from_args(&a)?;
     let output = PathBuf::from(a.require("output")?);
     let space = space_from_arg(a.get("space").unwrap_or("similar"))?;
     let spec = spec_from_args(&a)?;
-    let threads: usize = a.get_parsed("threads", 1usize)?;
     let t0 = std::time::Instant::now();
     let index = space.build_index(&emb, &spec, threads);
     index.save(&output)?;
@@ -413,6 +415,7 @@ fn cmd_index_search(raw: Vec<String>) -> CliResult {
         "ef",
         "threads",
     ])?;
+    let threads = a.get_count("threads", 1)?;
     let mut index = pane_index::load_index(std::path::Path::new(a.require("index")?))?;
     if let Some(np) = a.get("nprobe") {
         let np: usize = np.parse().map_err(|e| format!("--nprobe: {e}"))?;
@@ -445,7 +448,6 @@ fn cmd_index_search(raw: Vec<String>) -> CliResult {
         return Err(format!("node {bad} out of range (n = {n})").into());
     }
     let k: usize = a.get_parsed("k", 10usize)?;
-    let threads: usize = a.get_parsed("threads", 1usize)?;
 
     // The index dimensionality tells which query space it was built for
     // (both spaces serve max-inner-product, so the metric cannot); an
@@ -622,7 +624,7 @@ fn cmd_serve(raw: Vec<String>) -> CliResult {
         "log-level",
         "slow-query-ms",
     ])?;
-    let threads: usize = a.get_parsed("threads", 1usize)?;
+    let threads = a.get_count("threads", 1)?;
 
     // Durable mode: a store directory (single or sharded) created by
     // `pane store init`. Inserts are WAL-backed, `snapshot` works, and a
@@ -962,14 +964,11 @@ fn cmd_store_init(raw: Vec<String>) -> CliResult {
         "threads",
         "format",
     ])?;
+    let threads = a.get_count("threads", 1)?;
+    let shards = a.get_count("shards", 1)?;
     let emb = load_embedding_from_args(&a)?;
     let dir = PathBuf::from(a.require("dir")?);
     let spec = spec_from_args(&a)?;
-    let threads: usize = a.get_parsed("threads", 1usize)?;
-    let shards: usize = a.get_parsed("shards", 1usize)?;
-    if shards == 0 {
-        return Err("--shards must be at least 1".into());
-    }
     let format_arg = a.get("format").unwrap_or("columnar");
     let format = pane_store::ArtifactFormat::parse(format_arg)
         .ok_or_else(|| format!("unknown artifact format '{format_arg}' (columnar|legacy)"))?;
@@ -1004,7 +1003,7 @@ fn cmd_store_snapshot(raw: Vec<String>) -> CliResult {
     reject_positionals(&a)?;
     a.reject_unknown(&["dir", "threads"])?;
     let dir = PathBuf::from(a.require("dir")?);
-    let threads: usize = a.get_parsed("threads", 1usize)?;
+    let threads = a.get_count("threads", 1)?;
     let t0 = std::time::Instant::now();
     let out = match pane_store::ShardedStore::shard_count(&dir)? {
         Some(_) => pane_serve::ShardedEngine::open(&dir, threads)?.snapshot()?,

@@ -395,6 +395,53 @@ fn errors_are_reported() {
         refused(init, &flags, names);
     }
     refused(init, &["--shards", "0"], "--shards must be at least 1");
+
+    // `--threads 0` draws one line from every subcommand that takes it,
+    // before any input is read or output written.
+    for command in [
+        &["embed", "--edges", tiny_s, "--output", out_s][..],
+        &["evaluate", "--edges", tiny_s],
+        &[
+            "index",
+            "build",
+            "--text",
+            "--embedding",
+            tiny_s,
+            "--output",
+            out_s,
+        ],
+        &[
+            "index",
+            "search",
+            "--index",
+            out_s,
+            "--text",
+            "--embedding",
+            tiny_s,
+            "--node",
+            "0",
+        ],
+        &["serve", "--text", "--embedding", tiny_s, "--stdio"],
+        &[
+            "store",
+            "init",
+            "--text",
+            "--embedding",
+            tiny_s,
+            "--dir",
+            out_s,
+        ],
+        &["store", "snapshot", "--dir", out_s],
+    ] {
+        let args = [command, &["--threads", "0"]].concat();
+        let (ok, _, err) = run(&args);
+        assert!(!ok, "{args:?} succeeded");
+        assert_eq!(
+            err, "error: argument error: --threads must be at least 1\n",
+            "{args:?}"
+        );
+        assert!(!out.exists(), "{args:?} left {out_s} behind");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

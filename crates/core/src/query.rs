@@ -119,7 +119,7 @@ impl QuerySpace {
 
     /// Builds this space's index over `emb` from a recipe.
     pub fn build_index(self, emb: &PaneEmbedding, spec: &IndexSpec, threads: usize) -> AnyIndex {
-        spec.build(&self.matrix(emb), Metric::InnerProduct, threads)
+        spec.build(self.matrix(emb), Metric::InnerProduct, threads)
     }
 
     /// Whether `index` holds exactly `emb`'s rows of this space; the error

@@ -5,7 +5,7 @@ use crate::topk::TopK;
 use crate::{scan, IndexError, IndexKind, Metric, Neighbor, VectorIndex};
 use pane_format::{section, Artifact, ColumnData, ColumnSpec};
 use pane_linalg::DenseMatrix;
-use std::path::Path;
+use std::{borrow::Cow, path::Path};
 
 /// Brute-force index: scans every stored vector, keeping the top-k with a
 /// bounded heap (`O(n log k)` per query). Exact by construction — the
@@ -17,19 +17,17 @@ pub struct FlatIndex {
 }
 
 impl FlatIndex {
-    /// Indexes the rows of `data` (copied; normalized if cosine).
+    /// Indexes the rows of `data` (moved in or copied; normalized if cosine).
     ///
     /// # Panics
     /// Panics if `data` has no rows or no columns.
-    pub fn build(data: &DenseMatrix, metric: Metric) -> Self {
+    pub fn build<'a>(data: impl Into<Cow<'a, DenseMatrix>>, metric: Metric) -> Self {
+        let data = metric.prepare(data.into().into_owned());
         assert!(
             data.rows() > 0 && data.cols() > 0,
             "FlatIndex::build: empty data"
         );
-        Self {
-            metric,
-            data: metric.prepare(data),
-        }
+        Self { metric, data }
     }
 
     /// Reads an index written by [`VectorIndex::save`].

@@ -25,8 +25,8 @@ use pane_format::{section, Artifact, ColumnData, ColumnSpec};
 use pane_linalg::{kernels, vecops, DenseMatrix};
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
-use std::path::Path;
 use std::sync::Mutex;
+use std::{borrow::Cow, path::Path};
 
 /// Hard ceiling on levels (a node above level 24 would need `> m^24`
 /// points; this only guards degenerate seeds).
@@ -257,12 +257,17 @@ fn bad<T>(message: String) -> Result<T, IndexError> {
 }
 
 impl HnswIndex {
-    /// Builds the graph by sequential insertion of the rows of `data`.
-    /// Bit-identical for a fixed `(data, metric, config)`.
+    /// Builds the graph by sequential insertion of the rows of `data`
+    /// (moved in or copied). Bit-identical for a fixed `(data, metric, config)`.
     ///
     /// # Panics
     /// Panics if `data` is empty or `config.m < 2` / `ef_construction == 0`.
-    pub fn build(data: &DenseMatrix, metric: Metric, config: &HnswConfig) -> Self {
+    pub fn build<'a>(
+        data: impl Into<Cow<'a, DenseMatrix>>,
+        metric: Metric,
+        config: &HnswConfig,
+    ) -> Self {
+        let data = metric.prepare(data.into().into_owned());
         assert!(
             data.rows() > 0 && data.cols() > 0,
             "HnswIndex::build: empty data"
@@ -286,7 +291,7 @@ impl HnswIndex {
             metric,
             ef_construction: config.ef_construction,
             ef_search: config.ef_search.max(1),
-            data: metric.prepare(data),
+            data,
             links: Links::new(&levels, config.m),
             max_level: levels[0],
             levels,

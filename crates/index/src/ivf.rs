@@ -16,7 +16,7 @@ use crate::persist::{columnar_matrix, columnar_meta, open_index_columns};
 use crate::{block_rows, scan, topk, IndexError, IndexKind, Metric, Neighbor, VectorIndex};
 use pane_format::{section, Artifact, ColumnData, ColumnSpec};
 use pane_linalg::{vecops, DenseMatrix};
-use std::path::Path;
+use std::{borrow::Cow, path::Path};
 
 /// Build-time parameters for [`IvfIndex`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,7 +63,7 @@ pub struct IvfIndex {
 }
 
 impl IvfIndex {
-    /// Builds the index over the rows of `data`.
+    /// Builds the index over the rows of `data`, moved in or borrowed.
     ///
     /// Bit-identical for every `config.threads` value: the parallel phase
     /// (cell assignment) is per-point independent, and all floating-point
@@ -71,13 +71,17 @@ impl IvfIndex {
     ///
     /// # Panics
     /// Panics if `data` is empty or `config.nlist == 0`.
-    pub fn build(data: &DenseMatrix, metric: Metric, config: &IvfConfig) -> Self {
+    pub fn build<'a>(
+        data: impl Into<Cow<'a, DenseMatrix>>,
+        metric: Metric,
+        config: &IvfConfig,
+    ) -> Self {
+        let prepared = metric.prepare(data.into().into_owned());
         assert!(
-            data.rows() > 0 && data.cols() > 0,
+            prepared.rows() > 0 && prepared.cols() > 0,
             "IvfIndex::build: empty data"
         );
         assert!(config.nlist > 0, "IvfIndex::build: nlist must be positive");
-        let prepared = metric.prepare(data);
         let km = kmeans(
             &prepared,
             config.nlist,

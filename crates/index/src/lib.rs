@@ -129,15 +129,15 @@ impl Metric {
         }
     }
 
-    /// Copies `data`, L2-normalizing each row when the metric is cosine.
-    pub(crate) fn prepare(self, data: &DenseMatrix) -> DenseMatrix {
-        let mut out = data.clone();
+    /// L2-normalizes each row of `data` in place when the metric is cosine;
+    /// taken by value, so an owned matrix becomes index storage uncopied.
+    pub(crate) fn prepare(self, mut data: DenseMatrix) -> DenseMatrix {
         if self == Metric::Cosine {
-            for i in 0..out.rows() {
-                vecops::normalize(out.row_mut(i), 1e-300);
+            for i in 0..data.rows() {
+                vecops::normalize(data.row_mut(i), 1e-300);
             }
         }
-        out
+        data
     }
 
     /// Copies `query`, L2-normalizing it when the metric is cosine.
@@ -291,7 +291,7 @@ pub trait VectorIndex: Send + Sync {
             "{}::batch_search: dim mismatch",
             self.kind()
         );
-        let prepared = self.metric().prepare(queries);
+        let prepared = self.metric().prepare(queries.clone());
         let ranges = even_ranges_nonempty(queries.rows(), threads.max(1));
         let per_block = map_blocks(&ranges, |_, range| {
             self.search_block(&prepared.data()[range.start * dim..range.end * dim], k)

@@ -162,7 +162,7 @@ fn scan_indexes() -> &'static [Box<dyn VectorIndex>; 5] {
         let data = scan_fixture();
         let hnsw = |rows| {
             HnswIndex::build(
-                &data.row_block(0..rows),
+                data.row_block(0..rows),
                 Metric::Cosine,
                 &HnswConfig::default(),
             )

@@ -15,6 +15,7 @@ use crate::{
     SqFlatIndex,
 };
 use pane_linalg::DenseMatrix;
+use std::borrow::Cow;
 
 /// A buildable description of an index structure.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -31,8 +32,14 @@ pub enum IndexSpec {
 
 impl IndexSpec {
     /// Builds an index of this spec over `data` (using `threads` workers
-    /// where the structure supports it; results are thread-invariant).
-    pub fn build(&self, data: &DenseMatrix, metric: Metric, threads: usize) -> AnyIndex {
+    /// where the structure supports it; results are thread-invariant). An
+    /// owned `data` moves into the index; a `&DenseMatrix` is copied.
+    pub fn build<'a>(
+        &self,
+        data: impl Into<Cow<'a, DenseMatrix>>,
+        metric: Metric,
+        threads: usize,
+    ) -> AnyIndex {
         match self {
             IndexSpec::Flat => AnyIndex::Flat(FlatIndex::build(data, metric)),
             IndexSpec::Ivf(cfg) => AnyIndex::Ivf(IvfIndex::build(

@@ -29,7 +29,7 @@ use crate::persist::{columnar_meta, open_index_columns};
 use crate::{block_rows, scan, topk, IndexError, IndexKind, Metric, Neighbor, VectorIndex};
 use pane_format::{section, Artifact, ColumnData, ColumnSpec};
 use pane_linalg::{kernels, vecops, DenseMatrix};
-use std::path::Path;
+use std::{borrow::Cow, path::Path};
 
 /// Build-time options for [`SqFlatIndex`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,22 +85,26 @@ fn quantize_row(row: &[f64], codes: &mut Vec<i8>) -> f64 {
 }
 
 impl SqFlatIndex {
-    /// Quantizes and indexes the rows of `data` (normalized first if
-    /// cosine, like every other index).
+    /// Quantizes and indexes the rows of `data`, owned or borrowed
+    /// (normalized first if cosine, like every other index).
     ///
     /// # Panics
     /// Panics if `data` has no rows or no columns, or more than `1 << 17`
     /// columns (past that an `i32` code dot can wrap).
-    pub fn build(data: &DenseMatrix, metric: Metric, config: SqConfig) -> Self {
+    pub fn build<'a>(
+        data: impl Into<Cow<'a, DenseMatrix>>,
+        metric: Metric,
+        config: SqConfig,
+    ) -> Self {
+        let prepared = metric.prepare(data.into().into_owned());
         assert!(
-            data.rows() > 0 && data.cols() > 0,
+            prepared.rows() > 0 && prepared.cols() > 0,
             "SqFlatIndex::build: empty data"
         );
         assert!(
-            data.cols() <= MAX_DIM,
+            prepared.cols() <= MAX_DIM,
             "SqFlatIndex::build: dim exceeds the i32 code-dot cap"
         );
-        let prepared = metric.prepare(data);
         let mut codes = Vec::with_capacity(prepared.rows() * prepared.cols());
         let mut scales = Vec::with_capacity(prepared.rows());
         for i in 0..prepared.rows() {

@@ -468,6 +468,19 @@ impl DenseMatrix {
     }
 }
 
+/// Lets a consumer take either an owned matrix or a borrowed one.
+impl From<DenseMatrix> for std::borrow::Cow<'_, DenseMatrix> {
+    fn from(m: DenseMatrix) -> Self {
+        Self::Owned(m)
+    }
+}
+
+impl<'a> From<&'a DenseMatrix> for std::borrow::Cow<'a, DenseMatrix> {
+    fn from(m: &'a DenseMatrix) -> Self {
+        Self::Borrowed(m)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

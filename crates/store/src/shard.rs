@@ -27,6 +27,7 @@ use pane_core::{PaneEmbedding, PaneTimings};
 use pane_index::IndexSpec;
 use pane_linalg::DenseMatrix;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Shard that owns global node id `g` under an `N`-way store.
 pub fn shard_of(global: usize, shards: usize) -> usize {
@@ -68,6 +69,10 @@ impl ShardedStore {
     /// The attribute matrix `Y` is replicated into every shard — link
     /// queries need the full `YᵀY` Gram regardless of which shard owns
     /// the source node, and `Y` is `d × k/2`, not per-node state.
+    ///
+    /// `min(shards, threads)` workers, the caller among them, build the
+    /// shards at once, byte-identically at any `threads`. On failure the
+    /// lowest failing shard's error is returned and no manifest written.
     pub fn init(
         root: &Path,
         emb: &PaneEmbedding,
@@ -119,7 +124,16 @@ impl ShardedStore {
             )));
         }
         let k2 = emb.forward.cols();
-        for s in 0..shards {
+        // Ids are pulled in ascending order; a failure stops the pulls. The
+        // counter publishes no data (results return through the joins), so
+        // `Relaxed`. The caller is a worker ("Memory of a build", ARCHITECTURE).
+        let workers = shards.min(threads.max(1));
+        let next = AtomicUsize::new(0);
+        let work = || loop {
+            let s = next.fetch_add(1, Ordering::Relaxed);
+            if s >= shards {
+                return None;
+            }
             let rows = expected_shard_len(n, s, shards);
             let mut forward = DenseMatrix::zeros(rows, k2);
             let mut backward = DenseMatrix::zeros(rows, k2);
@@ -135,15 +149,29 @@ impl ShardedStore {
                 timings: PaneTimings::default(),
                 objective: f64::NAN,
             };
-            Store::init_with_format(
+            if let Err(e) = Store::init_with_format(
                 &shard_dir(root, s),
                 &shard_emb,
                 node_spec,
                 link_spec,
-                threads,
+                (threads / workers).max(1),
                 format,
-            )?;
-        }
+            ) {
+                next.store(shards, Ordering::Relaxed);
+                return Some((s, e));
+            }
+        };
+        let failure = std::thread::scope(|scope| {
+            let spawned: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+            let mine = work();
+            spawned
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .chain([mine])
+                .flatten()
+                .min_by_key(|(s, _)| *s)
+        });
+        failure.map_or(Ok(()), |(_, e)| Err(e))?;
         Manifest::Sharded { shards }.write(root)?;
         Ok(())
     }
@@ -250,6 +278,76 @@ mod tests {
             assert_eq!(o.embedding.attribute.data(), emb.attribute.data());
         }
         std::fs::remove_dir_all(&root).ok();
+    }
+
+    /// `(relative path, checksum)` of every file under `root`, path-sorted.
+    fn tree(root: &Path) -> Vec<(PathBuf, u64)> {
+        let mut files = Vec::new();
+        let mut dirs = vec![root.to_path_buf()];
+        while let Some(dir) = dirs.pop() {
+            for entry in std::fs::read_dir(&dir).unwrap() {
+                let path = entry.unwrap().path();
+                if path.is_dir() {
+                    dirs.push(path);
+                } else {
+                    let sum = pane_format::checksum(&std::fs::read(&path).unwrap());
+                    files.push((path.strip_prefix(root).unwrap().to_path_buf(), sum));
+                }
+            }
+        }
+        files.sort();
+        files
+    }
+
+    #[test]
+    fn sharded_init_is_thread_count_invariant() {
+        use pane_index::{HnswConfig, IvfConfig};
+        let emb = fixture(60, 4);
+        let node = IndexSpec::Hnsw(HnswConfig {
+            m: 4,
+            ef_construction: 16,
+            ef_search: 16,
+            seed: 3,
+        });
+        let link = IndexSpec::Ivf(IvfConfig {
+            nlist: 4,
+            ..Default::default()
+        });
+        for shards in [2, 3, 5] {
+            let mut want = None;
+            for threads in [1, 2, 4] {
+                let root = tmpdir(&format!("shard_inv_{shards}_{threads}"));
+                ShardedStore::init(&root, &emb, &node, &link, shards, threads).unwrap();
+                let got = tree(&root);
+                assert_eq!(got.len(), 1 + 6 * shards, "MANIFEST + 6 files a shard");
+                assert_eq!(
+                    got,
+                    *want.get_or_insert_with(|| got.clone()),
+                    "{shards} shards at {threads} threads"
+                );
+                std::fs::remove_dir_all(&root).ok();
+            }
+        }
+    }
+
+    #[test]
+    fn a_failed_shard_reports_the_lowest_and_commits_no_root() {
+        let emb = fixture(30, 5);
+        for threads in [1, 3] {
+            let root = tmpdir(&format!("shard_fail_{threads}"));
+            // Shards 1 and 2 both refuse (each already holds a store);
+            // shard 1's error is the one reported, at every thread count.
+            for s in [1, 2] {
+                std::fs::create_dir_all(shard_dir(&root, s)).unwrap();
+                std::fs::write(shard_dir(&root, s).join(MANIFEST_FILE), "taken").unwrap();
+            }
+            match ShardedStore::init(&root, &emb, &IndexSpec::Flat, &IndexSpec::Flat, 3, threads) {
+                Err(StoreError::Format(m)) => assert!(m.contains("shard-001"), "{m}"),
+                other => panic!("expected shard 1's refusal, got {other:?}"),
+            }
+            assert!(!root.join(MANIFEST_FILE).exists(), "threads = {threads}");
+            std::fs::remove_dir_all(&root).ok();
+        }
     }
 
     #[test]

@@ -43,7 +43,7 @@ fn daemon_serves_shared_index_with_incremental_inserts() {
     let node_path = dir.join("node.idx");
     let link_path = dir.join("link.idx");
     HnswIndex::build(
-        &emb.classifier_feature_matrix(),
+        emb.classifier_feature_matrix(),
         Metric::InnerProduct,
         &HnswConfig::default(),
     )

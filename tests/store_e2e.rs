@@ -5,7 +5,8 @@
 //! hard stop are served after a restart's WAL replay — bit-for-bit; (2)
 //! a post-snapshot restart boots a fresh generation with an empty WAL
 //! and identical query results; (3) sharded top-k over 2+ shards is
-//! bit-identical to the unsharded exact scan on the same data.
+//! bit-identical to the unsharded exact scan on the same data. A sharded
+//! root's bytes are pinned at every thread count as well.
 
 use pane::prelude::*;
 use pane_core::{grow_embedding, reembed_warm};
@@ -344,4 +345,69 @@ fn snapshot_then_serve_is_bit_identical_to_legacy() {
         links_before
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every file under `root`, relative path then bytes, in path order,
+/// folded into one checksum.
+fn tree_hash(root: &std::path::Path) -> u64 {
+    let mut files = Vec::new();
+    let mut dirs = vec![root.to_path_buf()];
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else {
+                files.push(path);
+            }
+        }
+    }
+    files.sort();
+    let mut bytes = Vec::new();
+    for f in &files {
+        bytes.extend_from_slice(f.strip_prefix(root).unwrap().to_str().unwrap().as_bytes());
+        bytes.extend(std::fs::read(f).unwrap());
+    }
+    pane_format::checksum(&bytes)
+}
+
+/// A sharded HNSW store's bytes are pinned: the tree hash below was taken
+/// from the sequential shard build, and the concurrent one must reproduce
+/// it at every thread count. The embedding is integer-hashed values, so
+/// the pin covers only the split, the index builds and the persist path.
+#[test]
+fn sharded_hnsw_init_is_byte_pinned() {
+    let value = |i: u64| {
+        let mut z = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 31)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        ((z >> 11) as f64) / (1u64 << 52) as f64 - 1.0
+    };
+    let matrix = |rows: usize, cols: usize, salt: u64| {
+        let data = (0..rows * cols).map(|i| value(i as u64 + salt)).collect();
+        DenseMatrix::from_vec(rows, cols, data)
+    };
+    let emb = PaneEmbedding {
+        forward: matrix(301, 8, 0),
+        backward: matrix(301, 8, 1 << 20),
+        attribute: matrix(12, 8, 1 << 21),
+        timings: Default::default(),
+        objective: f64::NAN,
+    };
+    let node = IndexSpec::Hnsw(HnswConfig {
+        m: 8,
+        ef_construction: 40,
+        ef_search: 32,
+        seed: 5,
+    });
+    let link = IndexSpec::Ivf(IvfConfig {
+        nlist: 8,
+        ..Default::default()
+    });
+    let root = tmpdir("pinned_tree");
+    for threads in [1, 2, 4] {
+        std::fs::remove_dir_all(&root).ok();
+        ShardedStore::init(&root, &emb, &node, &link, 3, threads).unwrap();
+        assert_eq!(tree_hash(&root), 8706102863288644089, "threads = {threads}");
+    }
+    std::fs::remove_dir_all(&root).ok();
 }
