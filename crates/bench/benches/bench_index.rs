@@ -368,10 +368,10 @@ fn bench_batch(c: &mut Criterion) {
 /// The curve behind the block scan: one dimension varied at a time, on
 /// the serving shape (12 000 rows, one thread). Every case answers the
 /// same 8 queries, as `8 / q` passes of `q` queries each, so the rows of
-/// one index are directly comparable: `flat` falls with queries per pass
-/// (the store is streamed once per pass, and queries are scored two per
-/// row load at dims 32/64/128), `sqflat` answers a block as a loop and
-/// stays flat — its curve is the i8 kernel's bytes-per-row cost alone.
+/// one index are directly comparable. Both kinds stream their rows once
+/// per pass and score the queries two per row load — `flat` its f32
+/// screen copy (each surviving row then re-scored in f64), `sqflat` its
+/// i8 codes — so both fall from `by1` to `by2` and level off after.
 fn bench_scan_curve(c: &mut Criterion) {
     const ROWS: usize = 12_000;
     const QUERIES: usize = 8;

@@ -24,7 +24,7 @@
 //! ids to newly arrived nodes.
 
 use crate::topk::TopK;
-use crate::{scan, AnyIndex, IndexError, IndexKind, Metric, Neighbor, VectorIndex};
+use crate::{scan::ScanRows, AnyIndex, IndexError, IndexKind, Metric, Neighbor, VectorIndex};
 use pane_linalg::DenseMatrix;
 use std::path::Path;
 
@@ -34,7 +34,7 @@ use std::path::Path;
 pub struct DeltaIndex {
     base: AnyIndex,
     /// Metric-prepared inserted vectors; row `s` has id `base.len() + s`.
-    delta: DenseMatrix,
+    delta: ScanRows,
 }
 
 impl DeltaIndex {
@@ -43,7 +43,7 @@ impl DeltaIndex {
         let dim = base.dim();
         Self {
             base,
-            delta: DenseMatrix::zeros(0, dim),
+            delta: ScanRows::new(DenseMatrix::zeros(0, dim)),
         }
     }
 
@@ -60,7 +60,7 @@ impl DeltaIndex {
     /// Number of vectors accumulated in the delta segment since the last
     /// compaction.
     pub fn delta_len(&self) -> usize {
-        self.delta.rows()
+        self.delta.matrix().rows()
     }
 
     /// Runtime search knob pass-through (IVF bases only).
@@ -84,7 +84,7 @@ impl VectorIndex for DeltaIndex {
     }
 
     fn len(&self) -> usize {
-        self.base.len() + self.delta.rows()
+        self.base.len() + self.delta_len()
     }
 
     fn dim(&self) -> usize {
@@ -97,7 +97,7 @@ impl VectorIndex for DeltaIndex {
     /// queries — the same score the base produces for its own vectors.
     fn search_block(&self, queries: &[f64], k: usize) -> Vec<Vec<Neighbor>> {
         let base_hits = self.base.search_block(queries, k);
-        if self.delta.rows() == 0 {
+        if self.delta_len() == 0 {
             return base_hits;
         }
         let offset = self.base.len();
@@ -111,8 +111,9 @@ impl VectorIndex for DeltaIndex {
                 acc
             })
             .collect();
-        let delta = self.delta.data();
-        scan::scan_block(&mut accs, queries, delta, self.dim(), |s| offset + s);
+        let rows = std::iter::once(0..self.delta_len());
+        self.delta
+            .scan_block(&mut accs, queries, rows, |s| offset + s);
         accs.into_iter().map(TopK::into_sorted).collect()
     }
 
@@ -130,12 +131,12 @@ impl VectorIndex for DeltaIndex {
     }
 
     fn save(&self, path: &Path) -> Result<(), IndexError> {
-        if self.delta.rows() > 0 {
+        if self.delta_len() > 0 {
             return Err(IndexError::Unsupported(format!(
                 "DeltaIndex holds {} uncompacted delta vectors; fold them into a fresh base \
                  first — take a store snapshot (`pane store snapshot` / the daemon's \
                  `snapshot` op) or issue a `compact` — then save",
-                self.delta.rows()
+                self.delta_len()
             )));
         }
         self.base.save(path)

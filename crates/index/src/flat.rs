@@ -2,7 +2,7 @@
 
 use crate::persist::{columnar_matrix, columnar_meta, open_index_columns};
 use crate::topk::TopK;
-use crate::{scan, IndexError, IndexKind, Metric, Neighbor, VectorIndex};
+use crate::{scan::ScanRows, IndexError, IndexKind, Metric, Neighbor, VectorIndex};
 use pane_format::{section, Artifact, ColumnData, ColumnSpec};
 use pane_linalg::DenseMatrix;
 use std::{borrow::Cow, path::Path};
@@ -13,7 +13,7 @@ use std::{borrow::Cow, path::Path};
 #[derive(Debug, Clone)]
 pub struct FlatIndex {
     metric: Metric,
-    data: DenseMatrix,
+    data: ScanRows,
 }
 
 impl FlatIndex {
@@ -27,6 +27,7 @@ impl FlatIndex {
             data.rows() > 0 && data.cols() > 0,
             "FlatIndex::build: empty data"
         );
+        let data = ScanRows::new(data);
         Self { metric, data }
     }
 
@@ -53,12 +54,13 @@ impl FlatIndex {
                 data.cols()
             )));
         }
+        let data = ScanRows::new(data);
         Ok(Self { metric, data })
     }
 
     /// The stored (metric-prepared) vectors.
     pub fn vectors(&self) -> &DenseMatrix {
-        &self.data
+        self.data.matrix()
     }
 }
 
@@ -72,21 +74,24 @@ impl VectorIndex for FlatIndex {
     }
 
     fn len(&self) -> usize {
-        self.data.rows()
+        self.vectors().rows()
     }
 
     fn dim(&self) -> usize {
-        self.data.cols()
+        self.vectors().cols()
     }
 
     /// The panel walk: the store is streamed **once** for the whole
     /// block, every query scored against each cache-hot row panel
-    /// (`scan::scan_block`). Per-query row order is unchanged, so each
-    /// answer is bit-identical to a block of that query alone.
+    /// (`ScanRows::scan_block`, screened). Per-query row order is
+    /// unchanged, so each answer is bit-identical to a block of that
+    /// query alone.
     fn search_block(&self, queries: &[f64], k: usize) -> Vec<Vec<Neighbor>> {
-        let dim = self.dim();
-        let mut accs: Vec<_> = (0..queries.len() / dim).map(|_| TopK::new(k)).collect();
-        scan::scan_block(&mut accs, queries, self.data.data(), dim, |r| r);
+        let mut accs: Vec<_> = (0..queries.len() / self.dim())
+            .map(|_| TopK::new(k))
+            .collect();
+        self.data
+            .scan_block(&mut accs, queries, std::iter::once(0..self.len()), |r| r);
         accs.into_iter().map(TopK::into_sorted).collect()
     }
 
@@ -100,15 +105,15 @@ impl VectorIndex for FlatIndex {
         }
         let prepared = self.metric.prepare_query(vector);
         self.data.push_row(&prepared);
-        Ok(self.data.rows() - 1)
+        Ok(self.len() - 1)
     }
 
     fn save(&self, path: &Path) -> Result<(), IndexError> {
         let specs = [ColumnSpec {
             id: section::INDEX_VECTORS,
-            rows: self.data.rows(),
-            cols: self.data.cols(),
-            data: ColumnData::F64(self.data.data()),
+            rows: self.len(),
+            cols: self.dim(),
+            data: ColumnData::F64(self.vectors().data()),
         }];
         pane_format::write_columns(
             path,

@@ -13,7 +13,8 @@
 
 use crate::kmeans::kmeans;
 use crate::persist::{columnar_matrix, columnar_meta, open_index_columns};
-use crate::{block_rows, scan, topk, IndexError, IndexKind, Metric, Neighbor, VectorIndex};
+use crate::VectorIndex;
+use crate::{block_rows, scan::ScanRows, topk, IndexError, IndexKind, Metric, Neighbor};
 use pane_format::{section, Artifact, ColumnData, ColumnSpec};
 use pane_linalg::{vecops, DenseMatrix};
 use std::{borrow::Cow, path::Path};
@@ -59,7 +60,7 @@ pub struct IvfIndex {
     /// Original row ids, cell-major (ascending id within a cell).
     ids: Vec<u32>,
     /// Metric-prepared vectors, laid out cell-major.
-    vectors: DenseMatrix,
+    vectors: ScanRows,
 }
 
 impl IvfIndex {
@@ -113,6 +114,7 @@ impl IvfIndex {
             ids[slot] = i as u32;
             vectors.row_mut(slot).copy_from_slice(prepared.row(i));
         }
+        drop(prepared); // before the screen's f32 copy is made
 
         let cnorms = (0..nlist)
             .map(|c| vecops::norm2_sq(km.centroids.row(c)))
@@ -124,7 +126,7 @@ impl IvfIndex {
             cnorms,
             offsets,
             ids,
-            vectors,
+            vectors: ScanRows::new(vectors),
         }
     }
 
@@ -221,7 +223,7 @@ impl IvfIndex {
             cnorms,
             offsets,
             ids: ids.to_vec(),
-            vectors,
+            vectors: ScanRows::new(vectors),
         })
     }
 }
@@ -240,7 +242,7 @@ impl VectorIndex for IvfIndex {
     }
 
     fn dim(&self) -> usize {
-        self.vectors.cols()
+        self.centroids.cols()
     }
 
     /// A loop over the block: different queries probe different cells,
@@ -248,7 +250,6 @@ impl VectorIndex for IvfIndex {
     fn search_block(&self, queries: &[f64], k: usize) -> Vec<Vec<Neighbor>> {
         let dim = self.dim();
         let nlist = self.nlist();
-        let data = self.vectors.data();
         let mut cdots = vec![0.0f64; nlist];
         block_rows(queries, dim)
             .map(|q| {
@@ -262,15 +263,16 @@ impl VectorIndex for IvfIndex {
                     self.nprobe,
                 );
                 // Each probed cell is a contiguous row block — the same
-                // fused panel scan the flat index uses, just restricted to
-                // the cell and mapped through the cell-major id permutation.
-                let mut acc = topk::TopK::new(k);
-                for p in probes {
-                    let (lo, hi) = (self.offsets[p.index], self.offsets[p.index + 1]);
-                    scan::scan_topk(&mut acc, q, &data[lo * dim..hi * dim], dim, |r| {
-                        self.ids[lo + r] as usize
-                    });
-                }
+                // screened panel scan the flat index uses, just restricted
+                // to the probed cells and mapped through the cell-major id
+                // permutation.
+                let mut acc = [topk::TopK::new(k)];
+                let cells = probes
+                    .iter()
+                    .map(|p| self.offsets[p.index]..self.offsets[p.index + 1]);
+                self.vectors
+                    .scan_block(&mut acc, q, cells, |r| self.ids[r] as usize);
+                let [acc] = acc;
                 acc.into_sorted()
             })
             .collect()
@@ -310,9 +312,9 @@ impl VectorIndex for IvfIndex {
             },
             ColumnSpec {
                 id: section::IVF_VECTORS,
-                rows: self.vectors.rows(),
-                cols: self.vectors.cols(),
-                data: ColumnData::F64(self.vectors.data()),
+                rows: self.vectors.matrix().rows(),
+                cols: self.vectors.matrix().cols(),
+                data: ColumnData::F64(self.vectors.matrix().data()),
             },
         ];
         pane_format::write_columns(
@@ -364,7 +366,7 @@ mod tests {
         assert_eq!(a.ids, b.ids);
         assert_eq!(a.offsets, b.offsets);
         assert_eq!(a.centroids.data(), b.centroids.data());
-        assert_eq!(a.vectors.data(), b.vectors.data());
+        assert_eq!(a.vectors.matrix().data(), b.vectors.matrix().data());
     }
 
     /// Checksum-valid containers that lie about the structure: the

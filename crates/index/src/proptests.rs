@@ -279,3 +279,211 @@ proptest! {
         prop_assert!(same_hits(&a, &b));
     }
 }
+
+/// A uniform `f64` in `[-1, 1)` from `(seed, i)`.
+fn unit(seed: u64, i: u64) -> f64 {
+    (crate::splitmix64(seed ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15)) >> 11) as f64
+        / (1u64 << 52) as f64
+        - 1.0
+}
+
+/// Entries the screen has to survive: zeros, subnormals of either width
+/// and 1e-30 always; by `seed % 4` also 1e30 (2) or values past f32's
+/// range — 1e39, 1e300, 1e308 — NaN and ±inf (3).
+fn hostile(seed: u64, i: u64) -> f64 {
+    let base = unit(seed, i);
+    let pick = crate::splitmix64(seed.wrapping_add(i) ^ 0xA5A5) % 16;
+    match (seed % 4, pick) {
+        (_, 0) => 0.0,
+        (_, 1) => base * 1e-310,
+        (_, 2) => base * 1e-40,
+        (_, 3) => base * 1e-30,
+        (2, 4) => base * 1e30,
+        (3, 4) => base * 1e39,
+        (3, 5) => base * 1e300,
+        (3, 6) => base * 1e308,
+        (3, 7) => f64::NAN,
+        (3, 8) => f64::INFINITY.copysign(base),
+        _ => base,
+    }
+}
+
+/// `n` rows of `hostile` entries, among them duplicates (exact ties),
+/// rows one f32 ulp from their predecessor in one entry, rows jittered
+/// below f32's resolution (one f32 image, distinct f64 scores — only the
+/// slack stands between them and a wrong skip) and zero rows. With
+/// `tight`, every row after the first is a copy, a nudge or a jitter of
+/// it: all `n` scores then sit within the f32 screen's error.
+fn hostile_rows(n: usize, dim: usize, seed: u64, tight: bool) -> DenseMatrix {
+    let mut m = DenseMatrix::zeros(n, dim);
+    for r in 0..n {
+        let (head, tail) = m.data_mut().split_at_mut(r * dim);
+        let from = if tight {
+            0
+        } else {
+            head.len().saturating_sub(dim)
+        };
+        let (prev, row) = (&head[from..from + dim.min(head.len())], &mut tail[..dim]);
+        let at = (r * dim) as u64;
+        let pick = crate::splitmix64(seed ^ r as u64) % if tight { 6 } else { 8 };
+        match (pick, r > 0) {
+            (0, true) => row.copy_from_slice(prev),
+            (1, true) => {
+                row.copy_from_slice(prev);
+                let j = r % dim;
+                row[j] = f64::from(f32::from_bits((row[j] as f32).to_bits() ^ 1));
+            }
+            (2..=5, true) => row
+                .iter_mut()
+                .zip(prev)
+                .enumerate()
+                .for_each(|(j, (v, p))| *v = p * (1.0 + 1e-9 * unit(seed, at + j as u64))),
+            (6, _) => {}
+            _ => row
+                .iter_mut()
+                .enumerate()
+                .for_each(|(j, v)| *v = hostile(seed, at + j as u64)),
+        }
+    }
+    m
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The screened scans — flat, a delta segment behind a flat base, IVF
+    /// probing every cell — return what pushing every `(id,
+    /// kernels::dot(q, row))` in row order returns, ids and score bits,
+    /// on rows and queries built to break an f32 screen: ties, scores an
+    /// f32 ulp apart, zero rows, subnormals, 1e±30, values past f32's
+    /// range, NaN and ±inf, at dims on and off the compiled kernels and
+    /// k from 0 to past `n`.
+    #[test]
+    fn screened_scan_equals_the_exact_push_loop(
+        pick_dim in 0usize..5,
+        n in 1usize..160,
+        pick_k in 0usize..5,
+        block in 1usize..6,
+        seed in 0u64..1_000_000,
+        metric_ip in 0usize..2,
+    ) {
+        let dim = [1, 7, 32, 64, 100][pick_dim];
+        let k = [0, 1, 10, n, n + 5][pick_k];
+        let metric = if metric_ip == 1 { Metric::InnerProduct } else { Metric::Cosine };
+        let data = hostile_rows(n, dim, seed, seed % 3 == 0);
+        // Queries: stored rows (their own best matches) and fresh ones.
+        let mut queries = hostile_rows(block, dim, seed ^ 0xF00D, false);
+        for i in (0..block).step_by(2) {
+            queries.row_mut(i).copy_from_slice(data.row((i * 31) % n));
+        }
+        let flat = FlatIndex::build(&data, metric);
+        let prepared = metric.prepare(queries.clone());
+        let want: Vec<_> = (0..block)
+            .map(|i| {
+                let q = prepared.row(i);
+                topk::select((0..n).map(|r| (r, kernels::dot(q, flat.vectors().row(r)))), k)
+            })
+            .collect();
+        let split = n / 2 + 1;
+        let mut delta = DeltaIndex::new(crate::AnyIndex::Flat(FlatIndex::build(
+            data.row_block(0..split),
+            metric,
+        )));
+        for r in split..n {
+            delta.insert(data.row(r)).unwrap();
+        }
+        let mut ivf = IvfIndex::build(
+            &data,
+            metric,
+            &IvfConfig {
+                nlist: 4,
+                seed,
+                ..Default::default()
+            },
+        );
+        ivf.set_nprobe(ivf.nlist());
+        let targets: [(&str, &dyn VectorIndex); 3] =
+            [("flat", &flat), ("delta", &delta), ("ivf", &ivf)];
+        for (name, idx) in targets {
+            let got = idx.batch_search(&queries, k, 1);
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                prop_assert!(same_hits(g, w), "{} query {}: {:?} != {:?}", name, i, g, w);
+            }
+        }
+    }
+}
+
+/// FNV-1a over every answer's `(id, score bits)`, in answer order.
+fn answers_hash(answers: &[Vec<crate::Neighbor>]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for hit in answers.iter().flatten() {
+        for b in (hit.index as u64)
+            .to_le_bytes()
+            .into_iter()
+            .chain(hit.score.to_bits().to_le_bytes())
+        {
+            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// The answers of every scanning index, hashed as (id, score bits) and
+/// pinned to a constant taken before the scans were last rewritten:
+/// flat (cosine), IVF (inner product, 4 of 16 cells), sqflat (inner
+/// product) and a flat base under a 200-row delta, at dims 32 and 64
+/// over 2 000 rows, for blocks of 1–8 queries at k = 10 and k = 25.
+/// A changed constant is a changed answer, never a test to update.
+#[test]
+fn scan_answers_are_pinned() {
+    let mut answers = Vec::new();
+    for dim in [32usize, 64] {
+        let cos = clustered_vectors(2000, dim, 12, 0.35);
+        let mut ip = cos.clone();
+        for i in 0..ip.rows() {
+            let w = 1.0 + (i % 7) as f64 * 0.3;
+            ip.row_mut(i).iter_mut().for_each(|v| *v *= w);
+        }
+        let mut ivf = IvfIndex::build(
+            &ip,
+            Metric::InnerProduct,
+            &IvfConfig {
+                nlist: 16,
+                seed: 5,
+                ..Default::default()
+            },
+        );
+        ivf.set_nprobe(4);
+        let mut delta = DeltaIndex::new(crate::AnyIndex::Flat(FlatIndex::build(
+            cos.row_block(0..1800),
+            Metric::Cosine,
+        )));
+        for i in 1800..cos.rows() {
+            delta.insert(cos.row(i)).unwrap();
+        }
+        let indexes: [(Box<dyn VectorIndex>, &DenseMatrix); 4] = [
+            (Box::new(FlatIndex::build(&cos, Metric::Cosine)), &cos),
+            (Box::new(ivf), &ip),
+            (
+                Box::new(SqFlatIndex::build(
+                    &ip,
+                    Metric::InnerProduct,
+                    SqConfig::default(),
+                )),
+                &ip,
+            ),
+            (Box::new(delta), &cos),
+        ];
+        for (idx, data) in &indexes {
+            for block in 1..=8usize {
+                let start = block * 211 + dim;
+                let queries = data.row_block(start..start + block);
+                for k in [10, 25] {
+                    answers.extend(idx.batch_search(&queries, k, 1));
+                }
+            }
+        }
+    }
+    assert_eq!(answers.len(), 2 * 4 * 36 * 2);
+    assert_eq!(answers_hash(&answers), 12_464_759_234_824_396_802);
+}

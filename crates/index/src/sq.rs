@@ -1,4 +1,4 @@
-//! Scalar-quantized flat index — the low-RAM exact-rerank baseline.
+//! Scalar-quantized flat index — the low-RAM shortlist-and-re-rank baseline.
 //!
 //! [`SqFlatIndex`] stores each metric-prepared vector as `dim` signed
 //! bytes plus one `f64` scale: `code[j] = round(v[j] / scale · 127)`
@@ -12,14 +12,17 @@
 //! candidates, then re-scores only those before returning the top `k`.
 //! Two re-rank sources are available:
 //!
-//! * [`VectorIndex::search`] — self-contained: re-scores the shortlist
-//!   against *dequantized* rows (`code[j] · scale`). No extra memory,
-//!   recall limited by the quantization noise floor;
+//! * [`VectorIndex::search_block`] — self-contained: re-scores against
+//!   *dequantized* rows (`code[j] · scale`); no extra memory, recall
+//!   limited by the quantization noise floor. The serving tier's engines
+//!   run this (through `batch_search`), so a served sqflat answer — and
+//!   the benchmark's `index.recall_link_at_10` — is the dequantized one;
 //! * [`SqFlatIndex::search_rerank`] — re-scores against caller-provided
-//!   full-precision rows. The serving tier keeps the embedding matrix
-//!   resident anyway (for attribute inference and link scores), so exact
-//!   re-ranking is free at the system level and recall is bounded only
-//!   by shortlist coverage.
+//!   full-precision rows, so recall is bounded only by shortlist
+//!   coverage. Nothing in the serving tier calls it: an exact re-rank
+//!   there would change served answers.
+//!
+//! Both run the same code scan (a `search_rerank` call is a block of one).
 //!
 //! Quantization, scan order, and tie-breaking are all deterministic:
 //! the same build inputs produce bit-identical codes, and the same query
@@ -61,7 +64,7 @@ pub struct SqFlatIndex {
     rerank: usize,
 }
 
-/// Largest dimension an sqflat index holds: [`kernels::dot_i8`] sums `dim`
+/// Largest dimension an sqflat index holds: [`kernels::dot2xn_i8`] sums `dim`
 /// products of magnitude ≤ 127² in an `i32`, and `(1 << 17) · 127² < 2³¹`.
 const MAX_DIM: usize = 1 << 17;
 
@@ -193,19 +196,23 @@ impl SqFlatIndex {
         k.saturating_mul(self.rerank).max(k).min(self.len())
     }
 
-    /// Quantized scan: top `shortlist(k)` candidates under the
-    /// approximate (code-domain) score, best first. Runs as a fused
-    /// panel scan over the contiguous code rows ([`scan::scan_topk_i8`]);
-    /// the integer dots are exact under any unroll, so the scores are
-    /// identical to the one-row-at-a-time loop.
-    fn scan(&self, q: &[f64], k: usize) -> Vec<Neighbor> {
-        let mut qcodes = Vec::with_capacity(self.dim);
-        let qscale = quantize_row(q, &mut qcodes);
-        let mut acc = topk::TopK::new(self.shortlist(k));
-        scan::scan_topk_i8(&mut acc, &qcodes, &self.codes, self.dim, |i, d| {
-            qscale * self.scales[i] * d as f64
+    /// Quantized scan of a block of prepared queries: each one's top
+    /// `shortlist(k)` under the code-domain score, best first, from one
+    /// pass over the codes ([`scan::scan_block_i8`], exact integer dots).
+    fn scan(&self, queries: &[f64], k: usize) -> Vec<Vec<Neighbor>> {
+        let mut qcodes = Vec::with_capacity(queries.len());
+        let qscales: Vec<f64> = block_rows(queries, self.dim)
+            .map(|q| quantize_row(q, &mut qcodes))
+            .collect();
+        let wide: Vec<i16> = qcodes.into_iter().map(i16::from).collect();
+        let mut accs: Vec<_> = qscales
+            .iter()
+            .map(|_| topk::TopK::new(self.shortlist(k)))
+            .collect();
+        scan::scan_block_i8(&mut accs, &wide, &self.codes, self.dim, |i, r, d| {
+            qscales[i] * self.scales[r] * d as f64
         });
-        acc.into_sorted()
+        accs.into_iter().map(topk::TopK::into_sorted).collect()
     }
 
     /// Top-`k` neighbors re-ranked against caller-provided
@@ -213,9 +220,9 @@ impl SqFlatIndex {
     ///
     /// `exact` must hold the *same rows in the same order* as the data
     /// the index was built from (un-prepared: this method applies the
-    /// metric's normalization itself). The serving tier passes the
-    /// resident embedding matrix, making recall a pure function of
-    /// shortlist coverage.
+    /// metric's normalization itself). Recall is then a pure function of
+    /// shortlist coverage. The serving tier does not call it (see the
+    /// module docs).
     ///
     /// # Panics
     /// Panics if `query.len() != self.dim()` or `exact` disagrees with
@@ -228,7 +235,7 @@ impl SqFlatIndex {
             "SqFlatIndex::search_rerank: exact matrix shape mismatch"
         );
         let q = self.metric.prepare_query(query);
-        let short = self.scan(&q, k);
+        let short = self.scan(&q, k).pop().unwrap_or_default();
         topk::select(
             short.into_iter().map(|cand| {
                 let row = self.metric.prepare_query(exact.row(cand.index));
@@ -263,12 +270,13 @@ impl VectorIndex for SqFlatIndex {
         self.dim
     }
 
-    /// A loop over the block: the whole code array is L2-resident at
-    /// serving sizes, so a panel form would buy nothing here.
+    /// One code scan for the whole block, then each query's shortlist
+    /// re-ranked on its own.
     fn search_block(&self, queries: &[f64], k: usize) -> Vec<Vec<Neighbor>> {
+        let shortlists = self.scan(queries, k);
         block_rows(queries, self.dim)
-            .map(|q| {
-                let short = self.scan(q, k);
+            .zip(shortlists)
+            .map(|(q, short)| {
                 // Self-contained re-rank: f64 query against dequantized
                 // rows, with the per-row scale hoisted out of the sum
                 // (`scale · Σ q[j]·code[j]` via the mixed f64×i8 kernel).

@@ -15,27 +15,31 @@
 //!
 //! The lane count is a *semantic constant*, not a tuning knob: results
 //! are a pure function of the input slices — independent of thread
-//! count, platform, target CPU, or whether the single-row ([`dot`]),
-//! panel ([`dot1xn`]) or two-query panel ([`dot2xn`]) entry point
-//! computed them. Concretely:
+//! count, platform, target CPU, or whether the single-row ([`dot`]) or
+//! panel ([`dot1xn`]) entry point computed them. Concretely:
 //!
 //! * [`dot`] ≡ the reference in this module's tests: lane `j` sums the
 //!   products at positions `≡ j (mod 8)` in index order, then the lanes
 //!   reduce as `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))`;
-//! * [`dot1xn`] and [`dot2xn`] produce, for every (query, row) pair,
-//!   *bit-identical* output to [`dot`] on that pair — how rows or
-//!   queries are blocked never changes a score;
-//! * the integer kernels ([`dot_i8`], [`dot1xn_i8`]) are exact: integer
-//!   addition is associative, so any unroll factor — and the SSE2
-//!   `pmaddwd` body x86-64 builds use — yields the same sum.
+//! * [`dot1xn`] produces, for every row, *bit-identical* output to
+//!   [`dot`] on that pair — how rows are blocked never changes a score;
+//! * the integer kernel ([`dot2xn_i8`]) is exact: integer addition is
+//!   associative, so any unroll factor — and the SSE2 `pmaddwd` body
+//!   x86-64 builds use — yields the same sum.
 //!
 //! Changing [`LANES`] is a format-level break (every stored score
 //! golden would shift) and must be treated like a file-format bump.
 //!
+//! The f32 kernel ([`dot2xn_f32`]) is outside this contract on purpose:
+//! it is a screen. Its scores only decide which rows get an exact [`dot`],
+//! [`screen_slack`] bounds their error for every summation order, and no
+//! f32 number reaches an answer.
+//!
 //! The scan sites in `pane-index` (flat/delta full scans, IVF cluster
 //! scans, the sqflat integer scan, HNSW neighbor expansion) and the
-//! exact scans in `pane-core`'s query layer all route through these
-//! kernels via [`vecops::dot`](crate::vecops::dot), which keeps every
+//! exact scans in `pane-core`'s query layer all score through these
+//! kernels — the f64 ones through [`dot`] itself or
+//! [`vecops::dot`](crate::vecops::dot) — which keeps every
 //! exact-vs-indexed bit-identity contract in the test suite intact by
 //! construction.
 
@@ -80,8 +84,8 @@ pub fn dot(x: &[f64], y: &[f64]) -> f64 {
 ///
 /// A per-row [`dot`] loop: the query is L1-resident at serving dims, so
 /// sharing its loads across several rows buys nothing, and interleaving
-/// rows' accumulators spills the vector registers. What *does* pay is
-/// sharing each row's loads across two queries — [`dot2xn`].
+/// rows' accumulators spills the vector registers. The exact scans share
+/// each row's loads across two queries instead, in f32 ([`dot2xn_f32`]).
 ///
 /// # Panics
 /// Panics if `q.len() != dim` or `rows.len() != out.len() * dim`.
@@ -98,155 +102,210 @@ pub fn dot1xn(q: &[f64], rows: &[f64], dim: usize, out: &mut [f64]) {
     }
 }
 
-/// Two-query panel kernel: `out0[r] = dot(q0, row_r)` and
-/// `out1[r] = dot(q1, row_r)`, bit for bit, from **one** pass over the
-/// rows. The flat scan is load-bound (two 16-byte loads per mul+add
-/// pair on baseline x86-64); a second query reuses each row chunk from
-/// a register. Each (query, row) pair keeps its own 8-lane accumulator
-/// and the fixed pairwise reduction — all the lane contract asks for.
-///
-/// The shared-load body exists only for the dims instantiated below
-/// (`k/2` and `k` of the `k` ∈ {64, 128, 256} PANE serves): measured, it
-/// pays only with the dim a compile-time constant, so any other dim is
-/// two [`dot1xn`] passes. Two queries is the limit — a third
-/// accumulator set spills the 16 baseline xmm registers.
+/// Two-query f32 panel kernel, the screen in front of the exact scans:
+/// for one or two row-major `queries`, `out[r][i]` is `query_i · row_r`
+/// summed in f32 (four lanes per SSE2 op where f64 has two), each row
+/// chunk loaded once for both. Its scores only decide which rows get an
+/// exact [`dot`]; [`screen_slack`] bounds their error. The body is
+/// compiled for dims 32/64/128/256 (`k/2` and `k` of the `k` ∈ {64, 128,
+/// 256} PANE serves); other dims run it with a runtime dim, ≈2× slower,
+/// still no slower than the f64 scan.
 ///
 /// # Panics
-/// Panics if a query's length is not `dim`, or `rows` / `out1` disagree
-/// with `out0.len()` rows.
-pub fn dot2xn(
-    q0: &[f64],
-    q1: &[f64],
-    rows: &[f64],
-    dim: usize,
-    out0: &mut [f64],
-    out1: &mut [f64],
-) {
-    assert_eq!(q1.len(), dim, "kernels::dot2xn: query length != dim");
-    assert_eq!(out1.len(), out0.len(), "kernels::dot2xn: output lengths");
-    match dim {
-        32 => dot2xn_fixed::<32>(q0, q1, rows, out0, out1),
-        64 => dot2xn_fixed::<64>(q0, q1, rows, out0, out1),
-        128 => dot2xn_fixed::<128>(q0, q1, rows, out0, out1),
-        256 => dot2xn_fixed::<256>(q0, q1, rows, out0, out1),
-        _ => {
-            dot1xn(q0, rows, dim, out0);
-            dot1xn(q1, rows, dim, out1);
-        }
+/// Panics unless `queries.len()` is `dim` or `2 · dim` and
+/// `rows.len() == out.len() * dim`.
+pub fn dot2xn_f32(queries: &[f32], rows: &[f32], dim: usize, out: &mut [[f32; 2]]) {
+    match (panel_shape(queries.len(), rows.len(), dim, out.len()), dim) {
+        (_, 0) => out.fill([0.0; 2]),
+        (true, _) => f32_dims::<true>(queries, rows, dim, out),
+        (false, _) => f32_dims::<false>(queries, rows, dim, out),
     }
 }
 
-/// [`dot2xn`] at a compile-time dim `D` (a multiple of [`LANES`]). Out
-/// of line: inlined into the scan it is re-vectorized with the caller's
-/// loop and measures ~10 % slower.
-#[inline(never)]
-fn dot2xn_fixed<const D: usize>(
-    q0: &[f64],
-    q1: &[f64],
-    rows: &[f64],
-    out0: &mut [f64],
-    out1: &mut [f64],
-) {
-    const { assert!(D.is_multiple_of(LANES)) };
-    let q0: &[f64; D] = q0.try_into().expect("kernels::dot2xn: query length != dim");
-    let q1: &[f64; D] = q1.try_into().expect("kernels::dot2xn: query length != dim");
-    let (rows, rest) = rows.as_chunks::<D>();
-    assert!(
-        rest.is_empty() && rows.len() == out0.len(),
-        "kernels::dot2xn: rows buffer is not out.len() × dim"
-    );
-    for ((row, o0), o1) in rows.iter().zip(out0).zip(out1) {
-        let mut a0 = [0.0f64; LANES];
-        let mut a1 = [0.0f64; LANES];
-        for c in (0..D).step_by(LANES) {
+/// Checks a panel kernel's shapes (`queries` one or two rows of `dim`,
+/// `n` rows) and says whether the queries are a pair.
+fn panel_shape(queries: usize, rows: usize, dim: usize, n: usize) -> bool {
+    assert!(queries == dim || queries == 2 * dim, "not 1 or 2 queries");
+    assert_eq!(rows, n * dim, "rows are not out.len() × dim");
+    queries == 2 * dim
+}
+
+/// [`dot2xn_f32`] at a compile-time dim where there is one, out of line:
+/// inlined into the scan, LLVM re-vectorizes it with the caller's loop.
+fn f32_dims<const PAIR: bool>(queries: &[f32], rows: &[f32], dim: usize, out: &mut [[f32; 2]]) {
+    #[inline(never)]
+    fn fixed<const P: bool, const D: usize>(q: &[f32], rows: &[f32], out: &mut [[f32; 2]]) {
+        f32_body::<P>(q, rows, D, out);
+    }
+    match dim {
+        32 => fixed::<PAIR, 32>(queries, rows, out),
+        64 => fixed::<PAIR, 64>(queries, rows, out),
+        128 => fixed::<PAIR, 128>(queries, rows, out),
+        256 => fixed::<PAIR, 256>(queries, rows, out),
+        _ => f32_body::<PAIR>(queries, rows, dim, out),
+    }
+}
+
+/// The loop of [`dot2xn_f32`] (`dim > 0`): 8 lanes per query.
+#[inline(always)]
+fn f32_body<const PAIR: bool>(queries: &[f32], rows: &[f32], dim: usize, out: &mut [[f32; 2]]) {
+    let q0 = &queries[..dim];
+    let q1 = if PAIR { &queries[dim..2 * dim] } else { q0 };
+    for (row, o) in rows.chunks_exact(dim).zip(out) {
+        let (mut a0, mut a1) = ([0.0f32; LANES], [0.0f32; LANES]);
+        let (r, rt) = row.as_chunks::<LANES>();
+        let ((x0, t0), (x1, t1)) = (q0.as_chunks::<LANES>(), q1.as_chunks::<LANES>());
+        for ((r, x0), x1) in r.iter().zip(x0).zip(x1) {
             for j in 0..LANES {
-                a0[j] += q0[c + j] * row[c + j];
-                a1[j] += q1[c + j] * row[c + j];
+                a0[j] += x0[j] * r[j];
+                a1[j] += if PAIR { x1[j] * r[j] } else { 0.0 };
             }
         }
-        // The barrier pins each accumulator in memory in lane order
-        // before it is reduced. Without it LLVM's SLP pass lays the lanes
-        // out to suit `reduce8`'s tree and pays two shuffles per load in
-        // the loop above — 1.7× slower at dim 64. Only speed rests on it.
-        *o0 = reduce8(std::hint::black_box(a0));
-        *o1 = reduce8(std::hint::black_box(a1));
+        for (j, ((r, x0), x1)) in rt.iter().zip(t0).zip(t1).enumerate() {
+            a0[j] += x0 * r;
+            a1[j] += if PAIR { x1 * r } else { 0.0 };
+        }
+        // Lanes folded to four, both queries side by side, behind a barrier:
+        // without it LLVM shuffles inside the loop above to suit the tree.
+        let mut h = [0.0f32; LANES];
+        for j in 0..LANES / 2 {
+            h[j] = a0[j] + a0[j + LANES / 2];
+            h[j + LANES / 2] = a1[j] + a1[j + LANES / 2];
+        }
+        let h = std::hint::black_box(h);
+        *o = [(h[0] + h[2]) + (h[1] + h[3]), (h[4] + h[6]) + (h[5] + h[7])];
     }
 }
 
-/// Integer dot of two `i8` code rows, accumulated in `i32`: exact while
-/// `dim · 127² ≤ i32::MAX`, i.e. for `dim ≤ 133 144` — which is why
-/// `pane-index` caps sqflat at `1 << 17` dims (the loaders' general
-/// `1 << 24` cap is 126× too loose for this kernel). Integer addition is
-/// associative, so the vector body and the scalar loop give the same sum.
+/// A bound on `|s − dot(q, r)|`, where `s` is [`dot2xn_f32`]'s score of
+/// the f32-rounded `q` and `r`, for every `r` with `‖r‖ ≤ max_row_norm`;
+/// `qnorm` is `‖q‖`, and both norms are as [`vecops::norm2`](crate::vecops::norm2) computes
+/// them. `+∞` — every row scored exactly — where no finite bound is
+/// proved: a norm above 2¹⁰⁰ or not a number, or `dim > 2²⁰`.
+///
+/// **Derivation.** Write `n = dim`, `u = 2⁻²⁴` (f32's unit roundoff),
+/// `u' = 2⁻⁵³`, `γₙ = nu/(1 − nu)`, `N = ‖q‖`, `R = ‖r‖`, and `q̃`, `r̃` for
+/// the f32-rounded vectors. An f32 rounding of an entry or a product is
+/// off by at most `u·|x|` in the normal range and by at most `2⁻¹⁵⁰`
+/// below it; an addition that underflows is exact.
+///
+/// 1. *Inputs.* `|q̃ⱼr̃ⱼ − qⱼrⱼ| ≤ (2u + u²)|qⱼrⱼ| + 2⁻¹⁵⁰(1 + u)(|qⱼ| + |rⱼ|)
+///    + 2⁻³⁰⁰`; summed with Cauchy–Schwarz and `‖x‖₁ ≤ √n‖x‖`,
+///    `|q̃·r̃ − q·r| ≤ (2u + u²)NR + 2⁻¹⁵⁰(1 + u)√n(N + R) + n2⁻³⁰⁰`.
+/// 2. *The f32 sum.* Each of the `n` products passes through at most `n`
+///    roundings in any summation order, so `|s − q̃·r̃| ≤ γₙΣ|q̃ⱼr̃ⱼ| +
+///    (1 + γₙ)n2⁻¹⁵⁰`, with `Σ|q̃ⱼr̃ⱼ| ≤ (1 + u)²NR + (1 + u)2⁻¹⁵⁰√n(N + R)
+///    + n2⁻³⁰⁰`.
+/// 3. *The f64 dot* is off from `q·r` by at most `γ'ₙNR + (1 + γ'ₙ)n2⁻¹⁰⁷⁵`
+///    (`γ'` with `u'`).
+///
+/// With `nu ≤ 2⁻⁴`, `γₙ ≤ nu(1 + 2nu)`: the relative terms stay below
+/// `(n(1 + 2nu) + 4)u·NR`, whose `+4` leaves `≥ 1.8u` for `γ'ₙ`, the
+/// norms' own f64 error and this function's rounding; the absolute ones
+/// below `2⁻¹⁴⁸n(1 + N + R)`, which also covers a norm whose squares
+/// underflowed (short by `≤ √n·2⁻⁵³⁷`). `N, R ≤ 2¹⁰⁰` keep every f32
+/// entry, product and partial sum finite. A caller skips a row when
+/// `s + slack < w` for an f64 score `w`: rounding is monotone and
+/// `dot(q, r) ≤ s + slack` exactly, so a skipped row scores below `w`.
+pub fn screen_slack(dim: usize, qnorm: f64, max_row_norm: f64) -> f64 {
+    const LIMIT: f64 = (1u128 << 100) as f64;
+    let u = f64::from(f32::EPSILON) / 2.0;
+    let n = dim as f64;
+    let nu = n * u;
+    let bounded = qnorm <= LIMIT && max_row_norm <= LIMIT && qnorm * max_row_norm <= LIMIT;
+    if !bounded || nu > 1.0 / 16.0 {
+        return f64::INFINITY;
+    }
+    (n * (1.0 + 2.0 * nu) + 4.0) * u * qnorm * max_row_norm
+        + 2f64.powi(-148) * n * (1.0 + qnorm + max_row_norm)
+}
+
+/// Two-query integer panel kernel for the sqflat code scan: for one or
+/// two row-major query code rows, `out[r][i] = Σⱼ query_i[j] · row_r[j]`,
+/// exactly, in `i32`. The query codes come widened to `i16` once per
+/// block, so each row chunk is loaded and widened once for both.
+///
+/// Exact while `dim · 127² ≤ i32::MAX`, i.e. for `dim ≤ 133 144` — which
+/// is why `pane-index` caps sqflat at `1 << 17` dims (the loaders'
+/// general `1 << 24` cap is 126× too loose for this kernel); query codes
+/// must lie in `[-127, 127]`. Integer addition is associative, so the
+/// vector body and the scalar loop give the same sum.
 ///
 /// i8 → i32 widening does not vectorize on baseline x86-64, so that
 /// target multiplies through `pmaddwd`. SSE2 is part of the x86-64
 /// baseline: no runtime detection, one body per target.
 ///
 /// # Panics
-/// Panics if the slices have different lengths.
-#[inline]
-pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-    assert_eq!(a.len(), b.len(), "kernels::dot_i8: length mismatch");
-    #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
-    let (done, head) = {
-        use core::arch::x86_64::*;
-        let done = a.len() - a.len() % 16;
-        // SAFETY: the `cfg` above means this compilation has SSE2 enabled
-        // (it is in the x86-64 baseline). Each unaligned 16-byte load
-        // reads `[c, c + 16)` of a slice of length `a.len() == b.len() >=
-        // done`, with `c + 16 <= done`.
-        let lanes: [i32; 4] = unsafe {
-            let mut acc = _mm_setzero_si128();
-            for c in (0..done).step_by(16) {
-                let va = _mm_loadu_si128(a.as_ptr().add(c).cast());
-                let vb = _mm_loadu_si128(b.as_ptr().add(c).cast());
-                // Interleaving a register with itself puts byte `i` in
-                // the high half of 16-bit lane `i`; the arithmetic
-                // shift sign-extends it. `pmaddwd` then multiplies the
-                // lanes and adds adjacent pairs into four `i32`s.
-                let lo = _mm_madd_epi16(
-                    _mm_srai_epi16(_mm_unpacklo_epi8(va, va), 8),
-                    _mm_srai_epi16(_mm_unpacklo_epi8(vb, vb), 8),
-                );
-                let hi = _mm_madd_epi16(
-                    _mm_srai_epi16(_mm_unpackhi_epi8(va, va), 8),
-                    _mm_srai_epi16(_mm_unpackhi_epi8(vb, vb), 8),
-                );
-                acc = _mm_add_epi32(acc, _mm_add_epi32(lo, hi));
-            }
-            std::mem::transmute(acc)
-        };
-        (done, lanes.iter().sum::<i32>())
-    };
-    #[cfg(not(all(target_arch = "x86_64", target_feature = "sse2")))]
-    let (done, head) = (0, 0i32);
-    head + dot_i8_scalar(&a[done..], &b[done..])
-}
-
-/// The portable body of [`dot_i8`] (and its tail, and its test oracle).
-#[inline]
-fn dot_i8_scalar(a: &[i8], b: &[i8]) -> i32 {
-    a.iter().zip(b).map(|(&x, &y)| x as i32 * y as i32).sum()
-}
-
-/// Integer panel kernel: [`dot_i8`] of one query code row against
-/// `out.len()` contiguous code rows. `out[r]` is exactly
-/// `dot_i8(q, row_r)`.
-///
-/// # Panics
-/// Panics if `q.len() != dim` or `rows.len() != out.len() * dim`.
-#[inline]
-pub fn dot1xn_i8(q: &[i8], rows: &[i8], dim: usize, out: &mut [i32]) {
-    assert_eq!(q.len(), dim, "kernels::dot1xn_i8: query length != dim");
-    assert_eq!(
-        rows.len(),
-        out.len() * dim,
-        "kernels::dot1xn_i8: rows buffer is not out.len() × dim"
-    );
-    for (r, o) in out.iter_mut().enumerate() {
-        *o = dot_i8(q, &rows[r * dim..(r + 1) * dim]);
+/// Panics unless `queries.len()` is `dim` or `2 · dim` and
+/// `rows.len() == out.len() * dim`.
+pub fn dot2xn_i8(queries: &[i16], rows: &[i8], dim: usize, out: &mut [[i32; 2]]) {
+    match (panel_shape(queries.len(), rows.len(), dim, out.len()), dim) {
+        (_, 0) => out.fill([0; 2]),
+        (true, _) => i8_body::<true>(queries, rows, dim, out),
+        (false, _) => i8_body::<false>(queries, rows, dim, out),
     }
+}
+
+/// The loop of [`dot2xn_i8`] (`dim > 0`).
+fn i8_body<const PAIR: bool>(queries: &[i16], rows: &[i8], dim: usize, out: &mut [[i32; 2]]) {
+    let q0 = &queries[..dim];
+    let q1 = if PAIR { &queries[dim..2 * dim] } else { q0 };
+    for (row, o) in rows.chunks_exact(dim).zip(out) {
+        #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+        let (done, head) = {
+            use core::arch::x86_64::*;
+            let done = dim - dim % 16;
+            // SAFETY: the `cfg` above means SSE2 is enabled (it is in the
+            // x86-64 baseline). With `c + 16 <= done <= dim`, each
+            // unaligned load reads `row[c..c + 16]` or a query's `[c..c +
+            // 8]` / `[c + 8..c + 16]` (both of length `dim`, checked).
+            let head: [i32; 2] = unsafe {
+                let (mut acc0, mut acc1) = (_mm_setzero_si128(), _mm_setzero_si128());
+                let madd = |lo, hi, q: &[i16], c: usize| {
+                    let p = q.as_ptr().add(c);
+                    _mm_add_epi32(
+                        _mm_madd_epi16(lo, _mm_loadu_si128(p.cast())),
+                        _mm_madd_epi16(hi, _mm_loadu_si128(p.add(8).cast())),
+                    )
+                };
+                for c in (0..done).step_by(16) {
+                    let v = _mm_loadu_si128(row.as_ptr().add(c).cast());
+                    // Interleaving a register with itself puts byte `i` in
+                    // the high half of 16-bit lane `i`; the arithmetic
+                    // shift sign-extends it. `pmaddwd` then multiplies the
+                    // lanes and adds adjacent pairs into four `i32`s.
+                    let lo = _mm_srai_epi16(_mm_unpacklo_epi8(v, v), 8);
+                    let hi = _mm_srai_epi16(_mm_unpackhi_epi8(v, v), 8);
+                    acc0 = _mm_add_epi32(acc0, madd(lo, hi, q0, c));
+                    if PAIR {
+                        acc1 = _mm_add_epi32(acc1, madd(lo, hi, q1, c));
+                    }
+                }
+                // Both queries' four lanes summed in registers: lanes
+                // 0 and 1 end up holding query 0's and query 1's sums.
+                let z = _mm_add_epi32(
+                    _mm_unpacklo_epi32(acc0, acc1),
+                    _mm_unpackhi_epi32(acc0, acc1),
+                );
+                let sums = _mm_add_epi32(z, _mm_unpackhi_epi64(z, z));
+                std::mem::transmute::<i64, [i32; 2]>(_mm_cvtsi128_si64(sums))
+            };
+            (done, head)
+        };
+        #[cfg(not(all(target_arch = "x86_64", target_feature = "sse2")))]
+        let (done, head) = (0, [0i32; 2]);
+        let tail = |q: &[i16]| dot_i8_scalar(&q[done..], &row[done..]);
+        *o = [
+            head[0] + tail(q0),
+            head[1] + if PAIR { tail(q1) } else { 0 },
+        ];
+    }
+}
+
+/// The portable body of [`dot2xn_i8`] (and its tail, and its test oracle).
+#[inline]
+fn dot_i8_scalar(q: &[i16], row: &[i8]) -> i32 {
+    q.iter().zip(row).map(|(&x, &y)| x as i32 * y as i32).sum()
 }
 
 /// Mixed dot of an `f64` query against an `i8` code row: `Σ q[j]·code[j]`
@@ -368,34 +427,117 @@ mod tests {
         }
     }
 
-    /// `dot2xn` against `dot` for one (dim, n) shape: every score of
-    /// both queries must carry `dot`'s bits.
-    fn assert_dot2xn_is_dot(dim: usize, n: usize, seed: u64) -> Result<(), String> {
-        let q0: Vec<f64> = (0..dim).map(|i| splat(seed, i)).collect();
-        let q1: Vec<f64> = (0..dim).map(|i| splat(seed ^ 0x51, i)).collect();
-        let rows: Vec<f64> = (0..n * dim).map(|i| splat(seed ^ 0xABCD, i)).collect();
-        let (mut o0, mut o1) = (vec![0.0; n], vec![0.0; n]);
-        dot2xn(&q0, &q1, &rows, dim, &mut o0, &mut o1);
-        for r in 0..n {
-            let row = &rows[r * dim..(r + 1) * dim];
-            for (which, (q, o)) in [(&q0, &o0), (&q1, &o1)].into_iter().enumerate() {
-                if o[r].to_bits() != dot(q, row).to_bits() {
-                    return Err(format!("dim {dim} n {n} row {r} query {which}"));
+    /// Entries the screen has to survive: near ties one f32 ulp apart,
+    /// zeros, subnormals of either width, 1e-30, and by `mode` (the seed
+    /// mod 4) also 1e30 (2) or values past f32's range — 1e39, 1e300 —
+    /// NaN and ±inf (3).
+    fn screen_entry(seed: u64, i: usize) -> f64 {
+        let base = splat(seed, i);
+        let pick = ((splat(seed ^ 0x77, i) + 1.0) * 1e6) as u64 % 16;
+        match (seed % 4, pick) {
+            (_, 0) => 0.0,
+            (_, 1) => base * 1e-310,
+            (_, 2) => base * 1e-40,
+            (_, 3) => base * 1e-30,
+            (_, 4) => f64::from(f32::from_bits((base as f32).to_bits() + 1)),
+            (2, 5) => base * 1e30,
+            (3, 5) => base * 1e39,
+            (3, 6) => base * 1e300,
+            (3, 7) => f64::NAN,
+            (3, 8) => f64::INFINITY.copysign(base),
+            _ => base,
+        }
+    }
+
+    /// The largest row norm as the scans keep it: NaN counts as `+∞`.
+    fn max_norm(rows: &[f64], dim: usize) -> f64 {
+        rows.chunks_exact(dim)
+            .map(|r| dot(r, r).sqrt())
+            .fold(
+                0.0,
+                |m, x| if x.is_nan() { f64::INFINITY } else { m.max(x) },
+            )
+    }
+
+    /// `|f32 score − dot| ≤ screen_slack` on every input the slack calls
+    /// finite; an entry past 2¹⁰⁰ or not finite makes it infinite. Rows
+    /// one f32 ulp from the query, duplicates and zero rows included; a
+    /// query's f32 score is the same alone and in either slot of a pair.
+    #[test]
+    fn dot2xn_f32_stays_within_the_screen_slack() {
+        let mut screened = 0;
+        for dim in [1usize, 7, 32, 64, 100, 128, 256] {
+            for seed in 0..48u64 {
+                let q: Vec<f64> = (0..dim).map(|i| screen_entry(seed, i)).collect();
+                let mut rows: Vec<f64> = (0..9 * dim)
+                    .map(|i| screen_entry(seed ^ 0x5EED0, i))
+                    .collect();
+                rows[..dim].copy_from_slice(&q);
+                rows[dim..2 * dim].iter_mut().zip(&q).for_each(|(r, &x)| {
+                    *r = f64::from(f32::from_bits((x as f32).to_bits() ^ 1));
+                });
+                rows[2 * dim..3 * dim].fill(0.0);
+                let slack = screen_slack(dim, dot(&q, &q).sqrt(), max_norm(&rows, dim));
+                let tame = |x: &f64| x.abs() <= 2f64.powi(100);
+                if !(q.iter().all(tame) && rows.iter().all(tame)) {
+                    assert_eq!(slack, f64::INFINITY, "dim {dim} seed {seed}");
+                    continue;
+                }
+                let q32: Vec<f32> = q.iter().map(|&x| x as f32).collect();
+                let r32: Vec<f32> = rows.iter().map(|&x| x as f32).collect();
+                let rev: Vec<f32> = q32.iter().rev().copied().collect();
+                let mut outs = [[[0f32; 2]; 9]; 3];
+                dot2xn_f32(&q32, &r32, dim, &mut outs[0]);
+                dot2xn_f32(&[&q32[..], &rev].concat(), &r32, dim, &mut outs[1]);
+                dot2xn_f32(&[&rev[..], &q32].concat(), &r32, dim, &mut outs[2]);
+                for (r, row) in rows.chunks_exact(dim).enumerate() {
+                    let s = outs[0][r][0];
+                    assert_eq!(
+                        [outs[1][r][0], outs[2][r][1]].map(f32::to_bits),
+                        [s.to_bits(); 2]
+                    );
+                    if slack.is_finite() {
+                        let err = (f64::from(s) - dot(&q, row)).abs();
+                        assert!(
+                            err <= slack,
+                            "dim {dim} seed {seed} row {r}: {err} > {slack}"
+                        );
+                        screened += 1;
+                    }
                 }
             }
         }
-        Ok(())
+        assert!(screened > 1000, "{screened} rows screened");
     }
 
     #[test]
-    fn dot2xn_bit_identical_to_per_pair_dot() {
-        // 32/64/128 take the compile-time-dim body, the rest the two
-        // `dot1xn` passes; n straddles the index crate's 64-row panel.
-        for dim in [1usize, 7, 8, 31, 32, 64, 65, 128, 129, 256] {
-            for n in [0usize, 1, 3, 64, 65] {
-                assert_dot2xn_is_dot(dim, n, 9).unwrap();
-            }
+    fn screen_slack_is_infinite_without_a_bound() {
+        assert!(screen_slack(64, 1.0, 1.0) < 5e-6);
+        for (n, r) in [
+            (f64::NAN, 1.0),
+            (1.0, f64::INFINITY),
+            (1e20, 1e20),
+            (1e31, 0.0),
+        ] {
+            assert_eq!(screen_slack(64, n, r), f64::INFINITY, "{n} {r}");
         }
+        assert_eq!(screen_slack(1 << 21, 1.0, 1.0), f64::INFINITY);
+    }
+
+    /// [`dot2xn_i8`] of `a` against the one row `b`: a lone query, and
+    /// both queries of a pair.
+    fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
+        let wide: Vec<i16> = a.iter().map(|&v| v.into()).collect();
+        let (mut one, mut two) = ([[0i32; 2]], [[0i32; 2]]);
+        dot2xn_i8(&wide, b, a.len(), &mut one);
+        dot2xn_i8(&[&wide[..], &wide].concat(), b, a.len(), &mut two);
+        assert_eq!(two[0], [one[0][0]; 2]);
+        one[0][0]
+    }
+
+    fn dot_i8_ref(a: &[i8], b: &[i8]) -> i32 {
+        let wide: Vec<i16> = a.iter().map(|&v| v.into()).collect();
+        dot_i8_scalar(&wide, b)
     }
 
     #[test]
@@ -408,10 +550,7 @@ mod tests {
         assert_eq!(dot_i8(&hi, &hi), peak);
         assert_eq!(dot_i8(&lo, &lo), peak);
         assert_eq!(dot_i8(&hi, &lo), -peak);
-        assert_eq!(
-            dot_i8(&hi[3..], &lo[3..]),
-            dot_i8_scalar(&hi[3..], &lo[3..])
-        );
+        assert_eq!(dot_i8(&hi[3..], &lo[3..]), dot_i8_ref(&hi[3..], &lo[3..]));
     }
 
     #[test]
@@ -421,21 +560,27 @@ mod tests {
         for off in 0..3 {
             for len in 0..257 {
                 let (x, y) = (&a[off..off + len], &b[off..off + len]);
-                assert_eq!(dot_i8(x, y), dot_i8_scalar(x, y), "len {len} off {off}");
+                assert_eq!(dot_i8(x, y), dot_i8_ref(x, y), "len {len} off {off}");
             }
         }
     }
 
     #[test]
-    fn dot1xn_i8_matches_per_row() {
-        let dim = 48;
-        let n = 11;
-        let q: Vec<i8> = (0..dim).map(|i| ((i * 19) % 255) as i8).collect();
-        let rows: Vec<i8> = (0..n * dim).map(|i| ((i * 7 + 3) % 255) as i8).collect();
-        let mut out = vec![0i32; n];
-        dot1xn_i8(&q, &rows, dim, &mut out);
-        for r in 0..n {
-            assert_eq!(out[r], dot_i8_scalar(&q, &rows[r * dim..(r + 1) * dim]));
+    fn dot2xn_i8_matches_per_row() {
+        for dim in [1usize, 15, 16, 48, 64, 100] {
+            let n = 11;
+            let q0: Vec<i16> = (0..dim).map(|i| ((i * 19) % 255) as i8 as i16).collect();
+            let q1: Vec<i16> = (0..dim)
+                .map(|i| ((i * 29 + 1) % 255) as i8 as i16)
+                .collect();
+            let rows: Vec<i8> = (0..n * dim).map(|i| ((i * 7 + 3) % 255) as i8).collect();
+            let mut out = vec![[0i32; 2]; n];
+            dot2xn_i8(&[&q0[..], &q1].concat(), &rows, dim, &mut out);
+            for r in 0..n {
+                let row = &rows[r * dim..(r + 1) * dim];
+                let want = [dot_i8_scalar(&q0, row), dot_i8_scalar(&q1, row)];
+                assert_eq!(out[r], want, "dim {dim} row {r}");
+            }
         }
     }
 
@@ -513,17 +658,6 @@ mod tests {
         }
 
         #[test]
-        fn prop_dot2xn_equals_per_pair(
-            pick in 1usize..44,
-            n in 0usize..12,
-            seed in 0u64..1000,
-        ) {
-            // Small general dims, plus the four compile-time ones.
-            let dim = [32, 64, 128, 256].get(pick.wrapping_sub(40)).copied().unwrap_or(pick);
-            prop_assert_eq!(assert_dot2xn_is_dot(dim, n, seed), Ok(()));
-        }
-
-        #[test]
         fn prop_dot_i8_exact(
             a in proptest::collection::vec(-127i32..128, 0..257),
             b in proptest::collection::vec(-127i32..128, 0..257),
@@ -531,7 +665,7 @@ mod tests {
             let a: Vec<i8> = a.iter().map(|&v| v as i8).collect();
             let b: Vec<i8> = b.iter().map(|&v| v as i8).collect();
             let n = a.len().min(b.len());
-            prop_assert_eq!(dot_i8(&a[..n], &b[..n]), dot_i8_scalar(&a[..n], &b[..n]));
+            prop_assert_eq!(dot_i8(&a[..n], &b[..n]), dot_i8_ref(&a[..n], &b[..n]));
         }
     }
 }
