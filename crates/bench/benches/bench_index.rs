@@ -14,10 +14,7 @@
 //!
 //! `scan_curve` is the curve behind the block scan (flat and sqflat at
 //! the serving shape, queries per pass and dim varied one at a time).
-//! Two further groups cover the storage layer: `store_boot` times
-//! loading a ≥100k-row embedding generation written as a legacy
-//! `PANEEMB1` stream vs a columnar `PANECOL1` container (the zero-parse
-//! bulk read), and `init_crossover` times GreedyInit (Algorithm 3) plus six
+//! `init_crossover` times GreedyInit (Algorithm 3) plus six
 //! CCD sweeps as the attribute dimension grows — the curve the exact
 //! Gram-path and attribute-space selectors are checked against — with
 //! SMGreedyInit (Algorithm 7) beside GreedyInit at one small `d`.
@@ -234,60 +231,6 @@ fn bench_search(c: &mut Criterion) {
         b.iter(|| search_all(&hnsw, &shard, &queries))
     });
     group.finish();
-}
-
-/// Generation boot time: a ≥100k-row embedding artifact written as a
-/// legacy `PANEEMB1` stream vs a columnar `PANECOL1` container. The
-/// columnar path validates the section table against the file length,
-/// then does one bulk read into aligned memory — no per-element parse.
-fn bench_boot(c: &mut Criterion) {
-    use pane_core::{PaneEmbedding, PaneTimings};
-
-    const BOOT_ROWS: usize = 100_000;
-    const BOOT_K2: usize = 32;
-    let mut rng = StdRng::seed_from_u64(77);
-    let mut sampler = NormalSampler::new();
-    let mut fill = |rows: usize, cols: usize| {
-        let mut m = DenseMatrix::zeros(rows, cols);
-        for v in m.data_mut() {
-            *v = sampler.sample(&mut rng);
-        }
-        m
-    };
-    let emb = PaneEmbedding {
-        forward: fill(BOOT_ROWS, BOOT_K2),
-        backward: fill(BOOT_ROWS, BOOT_K2),
-        attribute: fill(64, BOOT_K2),
-        timings: PaneTimings::default(),
-        objective: f64::NAN,
-    };
-    let dir = std::env::temp_dir().join(format!("pane_bench_boot_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let legacy = dir.join("emb_legacy.bin");
-    let columnar = dir.join("emb_columnar.bin");
-    pane_core::save_binary(&emb, &legacy).unwrap();
-    pane_core::save_columns(&emb, &columnar).unwrap();
-    note("boot_rows", BOOT_ROWS);
-    note("boot_half_dim", BOOT_K2);
-    note(
-        "boot_legacy_bytes",
-        std::fs::metadata(&legacy).unwrap().len(),
-    );
-    note(
-        "boot_columnar_bytes",
-        std::fs::metadata(&columnar).unwrap().len(),
-    );
-
-    let mut group = c.benchmark_group(format!("store_boot/n={BOOT_ROWS}"));
-    group.sample_size(10);
-    group.bench_function("legacy_parse", |b| {
-        b.iter(|| pane_core::load_binary(&legacy).unwrap())
-    });
-    group.bench_function("columnar_bulk", |b| {
-        b.iter(|| pane_core::load_binary(&columnar).unwrap())
-    });
-    group.finish();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The curve the two path selectors are checked against: GreedyInit
@@ -543,7 +486,6 @@ criterion_group!(
     bench_search,
     bench_batch,
     bench_scan_curve,
-    bench_boot,
     bench_init_crossover
 );
 criterion_main!(index_benches);

@@ -33,18 +33,16 @@
 //!                   [--knee] [--knee-factor 2] [--knee-steps 6]
 //!                   [--knee-threshold 0.9]
 //! pane store init     --embedding EMB [--text] --dir DIR [--shards N]
-//!                     [--kind flat|ivf|hnsw|sqflat + build params]
-//!                     [--format columnar|legacy] [--threads 1]
+//!                     [--kind flat|ivf|hnsw|sqflat + build params] [--threads 1]
 //! pane store snapshot --dir DIR [--threads 1]
 //! pane store status   --dir DIR
 //! ```
 //!
 //! `embed` writes `EMB` as a `PANECOL1` container (`--text`: the
-//! line-oriented text form). Every `--embedding` reader sniffs the magic,
-//! so a `PANEEMB1` file from an older build still loads; an index file in
-//! the removed `PANEIDX1` stream format is refused by name — regenerate
-//! it with `pane index build`. A store written by an older build becomes
-//! columnar at its next `snapshot`.
+//! line-oriented text form), the one binary container every reader
+//! takes. A file in a removed stream format — a `PANEEMB1` embedding, a
+//! `PANEIDX1` index — is refused by name, with the remedy, and so is a
+//! store whose manifest names a `PANEEMB1` generation.
 //!
 //! Graph-loading commands (`embed`, `stats`, `evaluate`, `convert`)
 //! accept `--two-pass` to re-parse the input files through the two-pass
@@ -342,7 +340,7 @@ fn load_embedding_from_args(
     Ok(if a.flag("text") {
         pane_core::load_text(&path)?
     } else {
-        pane_core::load_binary(&path)?
+        pane_core::load_columns(&path)?
     })
 }
 
@@ -962,32 +960,25 @@ fn cmd_store_init(raw: Vec<String>) -> CliResult {
         "rerank",
         "seed",
         "threads",
-        "format",
     ])?;
     let threads = a.get_count("threads", 1)?;
     let shards = a.get_count("shards", 1)?;
     let emb = load_embedding_from_args(&a)?;
     let dir = PathBuf::from(a.require("dir")?);
     let spec = spec_from_args(&a)?;
-    let format_arg = a.get("format").unwrap_or("columnar");
-    let format = pane_store::ArtifactFormat::parse(format_arg)
-        .ok_or_else(|| format!("unknown artifact format '{format_arg}' (columnar|legacy)"))?;
     let t0 = std::time::Instant::now();
     if shards > 1 {
-        pane_store::ShardedStore::init_with_format(
-            &dir, &emb, &spec, &spec, shards, threads, format,
-        )?;
+        pane_store::ShardedStore::init(&dir, &emb, &spec, &spec, shards, threads)?;
         eprintln!(
-            "initialized {shards}-way sharded store over {} nodes ({} indexes, {format} \
-             artifacts) in {:.2}s",
+            "initialized {shards}-way sharded store over {} nodes ({} indexes) in {:.2}s",
             emb.forward.rows(),
             spec.kind_name(),
             t0.elapsed().as_secs_f64()
         );
     } else {
-        pane_store::Store::init_with_format(&dir, &emb, &spec, &spec, threads, format)?;
+        pane_store::Store::init(&dir, &emb, &spec, &spec, threads)?;
         eprintln!(
-            "initialized store over {} nodes ({} indexes, {format} artifacts) in {:.2}s",
+            "initialized store over {} nodes ({} indexes) in {:.2}s",
             emb.forward.rows(),
             spec.kind_name(),
             t0.elapsed().as_secs_f64()
@@ -1020,10 +1011,9 @@ fn cmd_store_snapshot(raw: Vec<String>) -> CliResult {
 
 fn print_store_status(label: &str, s: &pane_store::StoreStatus) {
     println!(
-        "{label}generation {} | format {} | base nodes {} | k/2 {} | wal records {} | \
-         node index {} | link index {}",
+        "{label}generation {} | base nodes {} | k/2 {} | wal records {} | node index {} | \
+         link index {}",
         s.generation,
-        s.format,
         s.base_nodes,
         s.half_dim,
         s.wal_records,

@@ -301,10 +301,10 @@ fn errors_are_reported() {
     assert!(!ok);
     assert!(err.contains("error"));
 
-    // Untrusted headers are refused from the file length, before anything
-    // is allocated from them: a 32-byte PANEEMB1 header declaring 2³³ rows
-    // must not reach its 64 GiB allocation, and an index in the removed
-    // PANEIDX1 stream format is refused by name, with the remedy.
+    // Files in the removed stream formats are refused by name, with the
+    // remedy, before anything is allocated from their headers: a 32-byte
+    // PANEEMB1 header declaring 2³³ rows must not reach its 64 GiB
+    // allocation, and a 12-byte PANEIDX1 stub is named too.
     let dir = workdir("badheaders");
     let emb = dir.join("absurd.bin");
     let mut bytes = b"PANEEMB1".to_vec();
@@ -316,6 +316,7 @@ fn errors_are_reported() {
     std::fs::write(&idx, b"PANEIDX1junk").unwrap();
     let (emb_s, idx_s) = (emb.to_str().unwrap(), idx.to_str().unwrap());
     let store = dir.join("store");
+    let built = dir.join("built.idx");
     for (args, names) in [
         (
             vec![
@@ -326,7 +327,18 @@ fn errors_are_reported() {
                 "--dir",
                 store.to_str().unwrap(),
             ],
-            "header declares",
+            "PANEEMB1",
+        ),
+        (
+            vec![
+                "index",
+                "build",
+                "--embedding",
+                emb_s,
+                "--output",
+                built.to_str().unwrap(),
+            ],
+            "PANEEMB1",
         ),
         (
             vec![
@@ -353,6 +365,10 @@ fn errors_are_reported() {
             "{err}"
         );
     }
+    assert!(
+        !store.exists() && !built.exists(),
+        "a refused input wrote output"
+    );
 
     // Build parameters no reader accepts are refused where they enter —
     // before a builder can assert on them and before `store init` writes

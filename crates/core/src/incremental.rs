@@ -8,8 +8,7 @@
 //! on the updated graph, keep the *old* `X_f`, `X_b`, `Y`, and run a few
 //! CCD sweeps — skipping the RandSVD initialization entirely.
 //!
-//! The ablation benchmark (`bench_ablations`, group `init_ablation`) and
-//! the tests below quantify the trade: warm restarts reach the cold-start
+//! The tests below quantify the trade: warm restarts reach the cold-start
 //! objective with 1–2 sweeps instead of init + t sweeps.
 
 use crate::apmi::ApmiInputs;

@@ -46,10 +46,7 @@ pub use greedy_init::{greedy_init, sm_greedy_init, InitOptions, InitState};
 pub use incremental::{grow_embedding, reembed_warm};
 pub use pane::{Pane, PaneEmbedding, PaneTimings};
 pub use papmi::papmi;
-pub use persist::{
-    load_binary, load_columns, load_text, save_binary, save_columns, save_text, PersistError,
-    BINARY_MAGIC,
-};
+pub use persist::{load_columns, load_text, save_columns, save_text, PersistError};
 pub use query::{
     build_bases, check_bases, top_k_filter, EmbeddingQuery, QueryBackend, QuerySpace, Scored,
 };

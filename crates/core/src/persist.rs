@@ -1,27 +1,21 @@
-//! Embedding persistence: save/load `X_f`, `X_b`, `Y` in a text and two
-//! binary formats.
+//! Embedding persistence: save/load `X_f`, `X_b`, `Y` in a binary and a
+//! text format.
 //!
-//! The current binary format is the shared `PANECOL1` column container
+//! The binary format is the shared `PANECOL1` column container
 //! (`pane-format`): one section per matrix, 64-byte aligned and
 //! checksummed, loaded with a single bulk read and three `memcpy`s —
-//! see [`save_columns`] / [`load_columns`]. The legacy `PANEEMB1`
-//! layout (`magic ‖ n ‖ d ‖ k/2 ‖ X_f ‖ X_b ‖ Y`, decoded value by
-//! value) is still readable: [`load_binary`] sniffs the magic and
-//! dispatches, so stores written before the columnar migration keep
-//! opening — after the header's implied length has been checked against
-//! the real file length. The text format is line-oriented (`node: values…`) for
-//! inspection and interop with the Python tooling the original
-//! evaluation used.
+//! see [`save_columns`] / [`load_columns`]. A file in the removed
+//! pre-columnar `PANEEMB1` stream is refused by name, with the remedy,
+//! by `pane-format` itself. The text format is line-oriented
+//! (`node: values…`) for inspection and interop with the Python tooling
+//! the original evaluation used.
 
 use crate::pane::{PaneEmbedding, PaneTimings};
 use pane_format::{section, Artifact, ColumnData, ColumnSpec, FormatError};
 use pane_linalg::DenseMatrix;
 use std::fs::File;
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
-
-/// Magic bytes of the legacy binary format (version 1).
-pub const BINARY_MAGIC: &[u8; 8] = b"PANEEMB1";
 
 /// Errors from loading an embedding.
 #[derive(Debug)]
@@ -126,94 +120,6 @@ pub fn load_columns(path: &Path) -> Result<PaneEmbedding, PersistError> {
             attribute.shape()
         )));
     }
-    Ok(PaneEmbedding {
-        forward,
-        backward,
-        attribute,
-        timings: PaneTimings::default(),
-        objective: f64::NAN, // not stored; recompute against F'/B' if needed
-    })
-}
-
-/// Writes the embedding in the legacy `PANEEMB1` binary format.
-///
-/// Kept as a writer so compatibility fixtures (tests, the CI
-/// migrate-then-serve smoke) can produce pre-`PANECOL1` stores; its only
-/// product caller is the legacy arm of `pane-store`'s generation writer
-/// (`pane store init --format legacy`). Everything else — `pane embed`
-/// included — writes [`save_columns`].
-pub fn save_binary(emb: &PaneEmbedding, path: &Path) -> Result<(), PersistError> {
-    let mut w = BufWriter::new(File::create(path)?);
-    w.write_all(BINARY_MAGIC)?;
-    let (n, k2) = emb.forward.shape();
-    let d = emb.attribute.rows();
-    for dim in [n as u64, d as u64, k2 as u64] {
-        w.write_all(&dim.to_le_bytes())?;
-    }
-    for m in [&emb.forward, &emb.backward, &emb.attribute] {
-        for &v in m.data() {
-            w.write_all(&v.to_le_bytes())?;
-        }
-    }
-    w.flush()?;
-    Ok(())
-}
-
-/// Reads a binary embedding, whichever container it is in: sniffs the
-/// magic and dispatches to the `PANECOL1` bulk path ([`load_columns`])
-/// or the legacy `PANEEMB1` per-value decode loop. Every pre-migration
-/// store keeps opening through this one entry point.
-pub fn load_binary(path: &Path) -> Result<PaneEmbedding, PersistError> {
-    if pane_format::is_columnar(path)? {
-        return load_columns(path);
-    }
-    let file = File::open(path)?;
-    let file_len = file.metadata()?.len();
-    let mut r = BufReader::new(file);
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != BINARY_MAGIC {
-        return Err(PersistError::Format(format!(
-            "bad magic {:?} (expected {:?} or {:?})",
-            magic,
-            BINARY_MAGIC,
-            pane_format::MAGIC
-        )));
-    }
-    let mut dims = [0u64; 3];
-    for d in dims.iter_mut() {
-        let mut buf = [0u8; 8];
-        r.read_exact(&mut buf)?;
-        *d = u64::from_le_bytes(buf);
-    }
-    // The header is untrusted: nothing is allocated from it until the
-    // length it implies equals the length the OS reports (the same
-    // declared-vs-actual rule `PANECOL1` applies; trailing bytes fail too).
-    let [n, d, k2] = dims;
-    let declared = n
-        .checked_mul(2)
-        .and_then(|rows| rows.checked_add(d))
-        .and_then(|rows| rows.checked_mul(k2))
-        .and_then(|values| values.checked_mul(8))
-        .and_then(|bytes| bytes.checked_add(32));
-    if declared != Some(file_len) {
-        return Err(PersistError::Format(format!(
-            "header declares n = {n}, d = {d}, k/2 = {k2} but the file is {file_len} bytes"
-        )));
-    }
-    let (n, d, k2) = (n as usize, d as usize, k2 as usize);
-    let mut read_matrix = |rows: usize, cols: usize| -> Result<DenseMatrix, PersistError> {
-        let mut data = vec![0.0f64; rows * cols];
-        for v in data.iter_mut() {
-            let mut buf = [0u8; 8];
-            r.read_exact(&mut buf)?;
-            *v = f64::from_le_bytes(buf);
-        }
-        Ok(DenseMatrix::from_vec(rows, cols, data))
-    };
-    let forward = read_matrix(n, k2)?;
-    let backward = read_matrix(n, k2)?;
-    let attribute = read_matrix(d, k2)?;
     Ok(PaneEmbedding {
         forward,
         backward,
@@ -335,17 +241,6 @@ mod tests {
     }
 
     #[test]
-    fn binary_roundtrip_is_bit_exact() {
-        let emb = example_embedding();
-        let p = tmp("emb.bin");
-        save_binary(&emb, &p).unwrap();
-        let back = load_binary(&p).unwrap();
-        assert_eq!(emb.forward.data(), back.forward.data());
-        assert_eq!(emb.backward.data(), back.backward.data());
-        assert_eq!(emb.attribute.data(), back.attribute.data());
-    }
-
-    #[test]
     fn text_roundtrip_is_bit_exact() {
         // %.17e prints f64 losslessly.
         let emb = example_embedding();
@@ -368,20 +263,6 @@ mod tests {
     }
 
     #[test]
-    fn load_binary_sniffs_both_containers() {
-        let emb = example_embedding();
-        let legacy = tmp("sniff_legacy.bin");
-        let columnar = tmp("sniff_columnar.bin");
-        save_binary(&emb, &legacy).unwrap();
-        save_columns(&emb, &columnar).unwrap();
-        let a = load_binary(&legacy).unwrap();
-        let b = load_binary(&columnar).unwrap();
-        assert_eq!(a.forward.data(), b.forward.data());
-        assert_eq!(a.backward.data(), b.backward.data());
-        assert_eq!(a.attribute.data(), b.attribute.data());
-    }
-
-    #[test]
     fn columnar_index_artifact_is_not_an_embedding() {
         let p = tmp("wrong_artifact.col");
         let v = [0.0f64; 4];
@@ -398,39 +279,15 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(load_columns(&p), Err(PersistError::Format(_))));
-        assert!(matches!(load_binary(&p), Err(PersistError::Format(_))));
     }
 
     #[test]
     fn bad_magic_rejected() {
         let p = tmp("bad.bin");
         std::fs::write(&p, b"NOTPANE!").unwrap();
-        match load_binary(&p) {
+        match load_columns(&p) {
             Err(PersistError::Format(m)) => assert!(m.contains("magic")),
             other => panic!("expected format error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn truncated_binary_rejected() {
-        let emb = example_embedding();
-        let p = tmp("trunc.bin");
-        save_binary(&emb, &p).unwrap();
-        let bytes = std::fs::read(&p).unwrap();
-        // A 32-byte header declaring 2³³ × 1 rows: must be refused from
-        // the file length, not by attempting a 64 GiB allocation.
-        let mut absurd = BINARY_MAGIC.to_vec();
-        for dim in [1u64 << 33, 4, 1] {
-            absurd.extend_from_slice(&dim.to_le_bytes());
-        }
-        let trailing = [&bytes[..], &[0u8]].concat();
-        for bad in [&bytes[..bytes.len() / 2], &absurd, &trailing] {
-            std::fs::write(&p, bad).unwrap();
-            assert!(
-                matches!(load_binary(&p), Err(PersistError::Format(_))),
-                "{} bytes accepted",
-                bad.len()
-            );
         }
     }
 

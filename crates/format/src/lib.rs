@@ -1,10 +1,11 @@
 //! `PANECOL1` — the one column-oriented artifact container every
 //! generation artifact (embedding columns, index payloads) is stored in.
 //!
-//! PR 5–7 left the serving tier booting by *parsing*: the legacy
-//! `PANEEMB1` reader walks its file value-by-value through a
-//! `BufReader` (as the since-removed `PANEIDX1` index reader did), so
-//! restart cost scales with a per-`f64` decode loop.
+//! The pre-columnar stream formats, `PANEEMB1` (embeddings) and
+//! `PANEIDX1` (indexes), were decoded value by value through a
+//! `BufReader`, so restart cost scaled with a per-`f64` decode loop.
+//! Both readers are gone; every reader here refuses those two magics by
+//! name, with the remedy, before anything else about the file is read.
 //! `PANECOL1` is the map-don't-parse replacement: a sectioned,
 //! 64-byte-aligned, per-section-checksummed layout that loads with **one
 //! bulk read** into an aligned buffer followed by header + checksum
@@ -40,10 +41,12 @@
 //!
 //! # Validation order (untrusted input)
 //!
-//! [`Columns::open`] reads the 32-byte fixed header first and compares
-//! the declared length against the *actual* file length **before any
-//! allocation** — a lying header can never trigger an oversized
-//! allocation, because the buffer is sized by a value the OS confirms.
+//! [`Columns::open`] reads the magic first (a removed stream format is
+//! named whatever the file's length), then the 32-byte fixed header, and
+//! compares the declared length against the *actual* file length
+//! **before any allocation** — a lying header can never trigger an
+//! oversized allocation, because the buffer is sized by a value the OS
+//! confirms.
 //! Only then is the aligned buffer allocated, the whole file bulk-read,
 //! and the header checksum, table layout, and per-section checksums
 //! verified. Every failure is a structured [`FormatError`]; no input
@@ -66,6 +69,21 @@ use std::path::Path;
 
 /// The 8-byte container magic.
 pub const MAGIC: &[u8; 8] = b"PANECOL1";
+
+/// Magics of the pre-columnar stream formats, each with the way to get
+/// a `PANECOL1` file instead. Every reader refuses them by name.
+const REMOVED_FORMATS: [(&str, &str); 2] = [
+    (
+        "PANEEMB1",
+        "re-run `pane embed` to write a PANECOL1 embedding (a store holding one: run \
+         `pane store snapshot` on it with a build from before PANEEMB1 was removed)",
+    ),
+    (
+        "PANEIDX1",
+        "index files are derived data — regenerate it with `pane index build` (for a \
+         store directory, run `pane store snapshot`)",
+    ),
+];
 
 /// Size of the fixed header that precedes the section table.
 pub const HEADER_LEN: usize = 32;
@@ -300,29 +318,6 @@ pub fn checksum(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Reads a file's first 8 bytes (its magic), or `None` if it is shorter.
-///
-/// The embedding loader, which still accepts the legacy `PANEEMB1`
-/// stream beside `PANECOL1`, sniffs with this before dispatching; the
-/// index loader uses it to reject the removed `PANEIDX1` stream by name.
-pub fn peek_magic(path: &Path) -> Result<Option<[u8; 8]>, std::io::Error> {
-    let mut f = File::open(path)?;
-    let mut magic = [0u8; 8];
-    let mut read = 0;
-    while read < 8 {
-        match f.read(&mut magic[read..])? {
-            0 => return Ok(None),
-            n => read += n,
-        }
-    }
-    Ok(Some(magic))
-}
-
-/// `true` when the file starts with the `PANECOL1` magic.
-pub fn is_columnar(path: &Path) -> Result<bool, std::io::Error> {
-    Ok(peek_magic(path)? == Some(*MAGIC))
-}
-
 /// Reads a container's header and section table *only* — no payload
 /// bytes are read or allocated, so status tools can report shapes of
 /// arbitrarily large artifacts cheaply.
@@ -333,7 +328,7 @@ pub fn is_columnar(path: &Path) -> Result<bool, std::io::Error> {
 /// require reading the payloads this function exists to skip).
 pub fn peek_table(path: &Path) -> Result<(Artifact, u16, Vec<Section>), FormatError> {
     let mut f = File::open(path)?;
-    let t = read_validated_table(&mut f)?;
+    let t = read_validated_table(&mut f, path)?;
     Ok((t.artifact, t.meta, t.sections))
 }
 
@@ -360,17 +355,29 @@ struct ValidatedTable {
 /// gaps beyond alignment padding), unique IDs, and no trailing bytes.
 /// Section *payload* checksums are the caller's job — they are stored
 /// in the returned [`Section`]s.
-fn read_validated_table(f: &mut File) -> Result<ValidatedTable, FormatError> {
+///
+/// The magic is tested before the length, so a file in one of the
+/// [`REMOVED_FORMATS`] is refused by name and remedy whatever its size;
+/// only a file too short to hold a magic gets the length error.
+fn read_validated_table(f: &mut File, path: &Path) -> Result<ValidatedTable, FormatError> {
     let actual = f.metadata()?.len();
     let mut header = [0u8; HEADER_LEN];
+    let head_len = actual.min(HEADER_LEN as u64) as usize;
+    f.read_exact(&mut header[..head_len])?;
+    if head_len >= 8 && &header[..8] != MAGIC {
+        let magic = &header[..8];
+        if let Some((name, remedy)) = REMOVED_FORMATS.iter().find(|(m, _)| m.as_bytes() == magic) {
+            return format_err(format!(
+                "{} is a {name} stream, a format this build no longer reads; {remedy}",
+                path.display()
+            ));
+        }
+        return format_err("bad magic (not a PANECOL1 container)");
+    }
     if actual < HEADER_LEN as u64 {
         return format_err(format!(
             "file is {actual} bytes, shorter than the {HEADER_LEN}-byte header"
         ));
-    }
-    f.read_exact(&mut header)?;
-    if &header[..8] != MAGIC {
-        return format_err("bad magic (not a PANECOL1 container)");
     }
     let artifact_tag = u16::from_le_bytes(header[8..10].try_into().unwrap());
     let artifact = Artifact::from_tag(artifact_tag)
@@ -497,7 +504,7 @@ pub fn read_f64_sections(
 ) -> Result<(Artifact, u16, Vec<OwnedF64Section>), FormatError> {
     use std::io::Seek;
     let mut f = File::open(path)?;
-    let t = read_validated_table(&mut f)?;
+    let t = read_validated_table(&mut f, path)?;
     let mut out = Vec::with_capacity(ids.len());
     for &id in ids {
         let s = t
@@ -699,7 +706,7 @@ pub struct ColumnSpec<'a> {
 
 /// Writes a `PANECOL1` container. Sections land in declaration order;
 /// the caller is responsible for fsync (the store layer owns durability
-/// ordering, exactly as with the legacy writers).
+/// ordering).
 ///
 /// Fails with [`FormatError::Format`] if a spec's `rows * cols`
 /// disagrees with its data length, an ID repeats, or more than
@@ -834,7 +841,7 @@ impl Columns {
         // (declared-vs-actual length before any payload-sized
         // allocation, deterministic layout, unique IDs, no trailing
         // bytes) — see [`read_validated_table`].
-        let t = read_validated_table(&mut f)?;
+        let t = read_validated_table(&mut f, path)?;
         let ValidatedTable {
             artifact,
             meta,
@@ -1259,22 +1266,44 @@ mod tests {
         ));
     }
 
+    /// The two pre-columnar stream magics are named, with a remedy, by
+    /// every reader, whether the file is a full-size stream or a 12-byte
+    /// stub shorter than a header; a file too short for any magic keeps
+    /// its length error.
     #[test]
-    fn magic_sniffing_dispatches() {
+    fn removed_stream_formats_are_rejected_by_name() {
         let dir = tmpdir();
-        let col = dir.join("sniff.col");
-        write_sample(&col);
-        assert!(is_columnar(&col).unwrap());
-        let other = dir.join("sniff.other");
-        std::fs::write(&other, b"PANEEMB1 and then some").unwrap();
-        assert!(!is_columnar(&other).unwrap());
-        assert_eq!(peek_magic(&other).unwrap(), Some(*b"PANEEMB1"));
-        let short = dir.join("sniff.short");
-        std::fs::write(&short, b"abc").unwrap();
-        assert_eq!(peek_magic(&short).unwrap(), None);
-        assert!(!is_columnar(&short).unwrap());
-        for p in [col, other, short] {
-            std::fs::remove_file(p).unwrap();
+        let full: Vec<u8> = (0..4096u32).map(|i| (i % 251) as u8).collect();
+        for (magic, remedy) in [
+            (b"PANEEMB1", "pane embed"),
+            (b"PANEIDX1", "pane index build"),
+        ] {
+            for tail in [&b"junk"[..], &full[..]] {
+                let p = dir.join("removed.bin");
+                std::fs::write(&p, [&magic[..], tail].concat()).unwrap();
+                let errors = [
+                    peek_table(&p).err(),
+                    Columns::open(&p).err(),
+                    read_f64_sections(&p, &[section::EMB_FORWARD]).err(),
+                ];
+                for e in errors {
+                    match e {
+                        Some(FormatError::Format(m)) => assert!(
+                            m.contains(std::str::from_utf8(magic).unwrap()) && m.contains(remedy),
+                            "{m}"
+                        ),
+                        other => panic!("expected the named error, got {other:?}"),
+                    }
+                }
+                std::fs::remove_file(p).unwrap();
+            }
         }
+        let short = dir.join("removed.short");
+        std::fs::write(&short, b"PANE").unwrap();
+        match Columns::open(&short) {
+            Err(FormatError::Format(m)) => assert!(m.contains("shorter than"), "{m}"),
+            other => panic!("expected the length error, got {other:?}"),
+        }
+        std::fs::remove_file(short).unwrap();
     }
 }

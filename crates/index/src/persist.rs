@@ -17,12 +17,9 @@
 //! under the magic `PANEIDX1`. That reader and writer are gone: an index
 //! is *derived data*, rebuilt deterministically (and thread-invariantly)
 //! from its vectors and build recipe, so there is nothing in such a file
-//! worth a second parser. A file that still carries the magic is
-//! rejected by name — a structured [`IndexError::Format`] that says how
-//! to regenerate it, decided from the first 8 bytes alone — and a store
-//! generation whose manifest says `format legacy` never has its index
-//! files read at all: `pane-store` rebuilds the pair from the manifest's
-//! recipe.
+//! worth a second parser. `pane-format` refuses the magic by name, with
+//! the remedy, before it reads anything else, so every loader here
+//! reports it as an [`IndexError::Format`].
 
 use crate::{
     FlatIndex, HnswIndex, IndexError, IndexKind, IvfIndex, Metric, Neighbor, SqFlatIndex,
@@ -67,26 +64,12 @@ pub(crate) fn columnar_kind_metric(c: &Columns) -> Result<(IndexKind, Metric), I
     Ok((kind, metric))
 }
 
-/// Opens an index file as a validated container, turning the removed
-/// stream format into a named error instead of a generic bad-magic one.
-fn open_columns(path: &Path) -> Result<Columns, IndexError> {
-    if pane_format::peek_magic(path)? == Some(*b"PANEIDX1") {
-        return Err(IndexError::Format(format!(
-            "{} is a PANEIDX1 stream, a format this build no longer reads; index files are \
-             derived data — regenerate it with `pane index build` (for a store directory, run \
-             `pane store snapshot`)",
-            path.display()
-        )));
-    }
-    Ok(Columns::open(path)?)
-}
-
 /// Opens a `PANECOL1` index container, checking the stored kind.
 pub(crate) fn open_index_columns(
     path: &Path,
     expect: IndexKind,
 ) -> Result<(Columns, Metric), IndexError> {
-    let c = open_columns(path)?;
+    let c = Columns::open(path)?;
     let (kind, metric) = columnar_kind_metric(&c)?;
     if kind != expect {
         return Err(IndexError::Format(format!(
@@ -186,7 +169,7 @@ impl VectorIndex for AnyIndex {
 /// Loads any index file, dispatching on the kind stored in its
 /// container's meta word.
 pub fn load_index(path: &Path) -> Result<AnyIndex, IndexError> {
-    let c = open_columns(path)?;
+    let c = Columns::open(path)?;
     let (kind, metric) = columnar_kind_metric(&c)?;
     Ok(match kind {
         IndexKind::Flat => AnyIndex::Flat(FlatIndex::from_columns(&c, metric)?),

@@ -131,8 +131,8 @@ impl IndexSpec {
     /// Inverse of [`Self::to_manifest`]. Unknown kinds, malformed or
     /// unknown `key=value` pairs, and parameters [`Self::build`] would
     /// panic on are structured [`IndexError::Format`]s (a store manifest
-    /// is untrusted input like any other file, and opening a legacy
-    /// generation builds straight from it).
+    /// is untrusted input like any other file, and `compact` and
+    /// `snapshot` build straight from it).
     pub fn from_manifest(line: &str) -> Result<IndexSpec, IndexError> {
         let mut toks = line.split_whitespace();
         let kind = toks

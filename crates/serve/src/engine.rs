@@ -124,9 +124,6 @@ pub struct StoreReport {
     pub wal_bytes: u64,
     /// Records replayed from the WAL when the engine booted.
     pub replayed: usize,
-    /// Artifact format of the base generation (`legacy` / `columnar`;
-    /// `mixed` when shards disagree mid-migration).
-    pub format: &'static str,
     /// Total on-disk bytes of the base generation's artifacts (summed
     /// across shards when sharded).
     pub artifact_bytes: u64,
@@ -437,7 +434,6 @@ impl ServeEngine {
             wal_records: s.wal_records(),
             wal_bytes: s.wal_bytes(),
             replayed: s.replayed(),
-            format: s.format().as_str(),
             artifact_bytes: s.artifact_bytes(),
         })
     }

@@ -85,7 +85,6 @@ fn status_json(s: &StatusReport) -> Vec<(&'static str, Json)> {
                 ("wal_records", Json::num(store.wal_records)),
                 ("wal_bytes", Json::num(store.wal_bytes as usize)),
                 ("replayed", Json::num(store.replayed)),
-                ("format", Json::Str(store.format.to_string())),
                 ("artifact_bytes", Json::num(store.artifact_bytes as usize)),
             ]),
         ));
@@ -812,10 +811,6 @@ mod tests {
         let store = stats.get("store").expect("store block present");
         // Empty WAL: just the 8-byte magic header.
         assert_eq!(store.get("wal_bytes").unwrap().as_index(), Some(8));
-        assert_eq!(
-            store.get("format"),
-            Some(&Json::Str("columnar".to_string()))
-        );
         assert!(
             store.get("artifact_bytes").unwrap().as_index().unwrap() > 0,
             "artifact bytes must be reported"

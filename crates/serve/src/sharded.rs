@@ -242,18 +242,6 @@ impl ServeBackend for ShardedEngine {
                 .filter_map(|s| s.store_report())
                 .map(|r| r.replayed)
                 .sum(),
-            // One format when the shards agree; "mixed" surfaces a
-            // partially migrated root instead of masking it.
-            format: if self
-                .shards
-                .iter()
-                .filter_map(|s| s.store_report())
-                .all(|r| r.format == first.format)
-            {
-                first.format
-            } else {
-                "mixed"
-            },
             artifact_bytes: self
                 .shards
                 .iter()

@@ -10,12 +10,9 @@
 //!
 //! * **immutable base artifacts** per generation — the embedding plus
 //!   the node/link index pair, all in `gen-<g>/`, never modified after
-//!   the manifest commits to them. New generations are written as
-//!   columnar `PANECOL1` containers (`pane-format`); a generation the
-//!   manifest calls legacy keeps its `PANEEMB1` embedding readable and
-//!   has its index pair — derived data — rebuilt from the manifest's
-//!   recipe rather than read, until its next snapshot rewrites it
-//!   forward;
+//!   the manifest commits to them, each a columnar `PANECOL1` container
+//!   (`pane-format`). A manifest that names a generation in the removed
+//!   `PANEEMB1` format is refused when it is read;
 //! * the **insert-ahead log** ([`wal`], `PANEWAL1`) — length-prefixed,
 //!   checksummed records of new `X_f`/`X_b` row pairs, synced *before*
 //!   an insert is acknowledged, replayed into delta segments at
@@ -39,7 +36,7 @@ pub mod wal;
 #[cfg(test)]
 mod proptests;
 
-pub use manifest::{ArtifactFormat, Manifest, MANIFEST_FILE};
+pub use manifest::{Manifest, MANIFEST_FILE};
 pub use shard::{expected_shard_len, global_of, local_of, shard_dir, shard_of, ShardedStore};
 pub use store::{
     read_status, OpenStore, Store, StoreStatus, EMBEDDING_FILE, LINK_INDEX_FILE, NODE_INDEX_FILE,

@@ -9,6 +9,7 @@
 //! generation 3                              shards 4
 //! node_index hnsw m=16 efc=100 ef=64 seed=0
 //! link_index flat
+//! format columnar
 //! ```
 //!
 //! The left shape names a **single store**: base artifacts live in
@@ -38,48 +39,12 @@ pub const MANIFEST_MAGIC: &str = "PANESTR1";
 /// File name of the manifest inside a store directory.
 pub const MANIFEST_FILE: &str = "MANIFEST";
 
-/// On-disk format of a generation's artifacts.
-///
-/// Recorded in the manifest (`format` line) so operators and `status`
-/// reports can tell what a store holds without sniffing files. The
-/// embedding readers dispatch on magic bytes regardless, and for the
-/// index pair `legacy` only means *rebuild from the recipe* instead of
-/// *load the files* — so a wrong or missing line never misloads data.
-/// Manifests written before the columnar container existed have no
-/// `format` line and parse as [`ArtifactFormat::Legacy`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ArtifactFormat {
-    /// A generation from a pre-columnar build: a `PANEEMB1` embedding
-    /// stream, and index files that are rebuilt from the recipe, not read.
-    Legacy,
-    /// Columnar `PANECOL1` containers (sectioned, aligned, checksummed).
-    Columnar,
-}
-
-impl ArtifactFormat {
-    /// Stable manifest token.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ArtifactFormat::Legacy => "legacy",
-            ArtifactFormat::Columnar => "columnar",
-        }
-    }
-
-    /// Inverse of [`ArtifactFormat::as_str`].
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "legacy" => Some(ArtifactFormat::Legacy),
-            "columnar" => Some(ArtifactFormat::Columnar),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for ArtifactFormat {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
+/// The `format` line every single-store manifest carries. `PANECOL1`
+/// is the one artifact container, so the line is a constant; reading
+/// requires it, which is how a generation from a build that wrote the
+/// removed `PANEEMB1` embedding (`format legacy`, or a manifest from
+/// before the line existed) is refused before any artifact is opened.
+const FORMAT_LINE: &str = "format columnar";
 
 /// Parsed contents of a store manifest.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,8 +57,6 @@ pub enum Manifest {
         node_spec: IndexSpec,
         /// Build recipe of the link-recommendation index.
         link_spec: IndexSpec,
-        /// Artifact format of the current generation.
-        format: ArtifactFormat,
     },
     /// A sharded root holding `shards` single stores.
     Sharded {
@@ -109,9 +72,8 @@ impl Manifest {
                 generation,
                 node_spec,
                 link_spec,
-                format,
             } => format!(
-                "{MANIFEST_MAGIC}\ngeneration {generation}\nnode_index {}\nlink_index {}\nformat {format}\n",
+                "{MANIFEST_MAGIC}\ngeneration {generation}\nnode_index {}\nlink_index {}\n{FORMAT_LINE}\n",
                 node_spec.to_manifest(),
                 link_spec.to_manifest()
             ),
@@ -210,13 +172,7 @@ impl Manifest {
                     }
                 }
                 "format" => {
-                    let f = ArtifactFormat::parse(rest).ok_or_else(|| {
-                        StoreError::Format(format!(
-                            "{}: unknown artifact format '{rest}' (legacy|columnar)",
-                            path.display()
-                        ))
-                    })?;
-                    if format.replace(f).is_some() {
+                    if format.replace(rest).is_some() {
                         return Err(dup("format"));
                     }
                 }
@@ -229,13 +185,28 @@ impl Manifest {
             }
         }
         match (generation, shards, node_spec, link_spec) {
-            (Some(generation), None, Some(node_spec), Some(link_spec)) => Ok(Manifest::Single {
-                generation,
-                node_spec,
-                link_spec,
-                // Pre-columnar manifests carry no format line.
-                format: format.unwrap_or(ArtifactFormat::Legacy),
-            }),
+            (Some(generation), None, Some(node_spec), Some(link_spec)) => match format {
+                Some("columnar") => Ok(Manifest::Single {
+                    generation,
+                    node_spec,
+                    link_spec,
+                }),
+                Some("legacy") | None => Err(StoreError::Format(format!(
+                    "{}: {} — a legacy generation, a format this build no longer reads; run \
+                     `pane store snapshot` on the store with a build from before legacy stores \
+                     were removed",
+                    path.display(),
+                    if format.is_some() {
+                        "'format legacy'"
+                    } else {
+                        "no format line"
+                    }
+                ))),
+                Some(other) => Err(StoreError::Format(format!(
+                    "{}: unknown artifact format '{other}' (expected '{FORMAT_LINE}')",
+                    path.display()
+                ))),
+            },
             (None, Some(shards), None, None) => {
                 if format.is_some() {
                     return Err(StoreError::Format(format!(
@@ -283,23 +254,40 @@ mod tests {
                 nlist: 32,
                 ..Default::default()
             }),
-            format: ArtifactFormat::Columnar,
         };
         m.write(&dir).unwrap();
         assert_eq!(Manifest::read(&dir).unwrap(), m);
     }
 
+    /// A manifest from a build that wrote `PANEEMB1` generations —
+    /// `format legacy`, or no format line at all — is a named error that
+    /// gives the remedy, raised while the manifest is read: the store
+    /// has no `gen-00002/`, so an open or a status that reached for an
+    /// artifact would fail with an I/O error instead, and no lock file
+    /// is created.
     #[test]
-    fn manifest_without_format_line_parses_as_legacy() {
+    fn manifest_without_a_columnar_format_line_is_refused() {
         let dir = tmp("noformat");
-        std::fs::write(
-            dir.join(MANIFEST_FILE),
-            "PANESTR1\ngeneration 2\nnode_index flat\nlink_index flat\n",
-        )
-        .unwrap();
-        match Manifest::read(&dir).unwrap() {
-            Manifest::Single { format, .. } => assert_eq!(format, ArtifactFormat::Legacy),
-            other => panic!("wrong shape: {other:?}"),
+        for tail in ["", "format legacy\n"] {
+            std::fs::write(
+                dir.join(MANIFEST_FILE),
+                format!("PANESTR1\ngeneration 2\nnode_index flat\nlink_index flat\n{tail}"),
+            )
+            .unwrap();
+            let errors = [
+                Manifest::read(&dir).err(),
+                crate::Store::open(&dir).err(),
+                crate::read_status(&dir).err(),
+            ];
+            for e in errors {
+                match e {
+                    Some(StoreError::Format(m)) => {
+                        assert!(m.contains("legacy") && m.contains("store snapshot"), "{m}")
+                    }
+                    other => panic!("expected the named refusal, got {other:?}"),
+                }
+            }
+            assert!(!dir.join(crate::store::LOCK_FILE).exists());
         }
     }
 

@@ -81,29 +81,6 @@ impl ShardedStore {
         shards: usize,
         threads: usize,
     ) -> Result<(), StoreError> {
-        Self::init_with_format(
-            root,
-            emb,
-            node_spec,
-            link_spec,
-            shards,
-            threads,
-            crate::ArtifactFormat::Columnar,
-        )
-    }
-
-    /// [`ShardedStore::init`] with an explicit artifact format for every
-    /// shard (see [`Store::init_with_format`]).
-    #[allow(clippy::too_many_arguments)]
-    pub fn init_with_format(
-        root: &Path,
-        emb: &PaneEmbedding,
-        node_spec: &IndexSpec,
-        link_spec: &IndexSpec,
-        shards: usize,
-        threads: usize,
-        format: crate::ArtifactFormat,
-    ) -> Result<(), StoreError> {
         let n = emb.forward.rows();
         if shards < 2 {
             return Err(StoreError::Format(format!(
@@ -149,13 +126,12 @@ impl ShardedStore {
                 timings: PaneTimings::default(),
                 objective: f64::NAN,
             };
-            if let Err(e) = Store::init_with_format(
+            if let Err(e) = Store::init(
                 &shard_dir(root, s),
                 &shard_emb,
                 node_spec,
                 link_spec,
                 (threads / workers).max(1),
-                format,
             ) {
                 next.store(shards, Ordering::Relaxed);
                 return Some((s, e));

@@ -10,12 +10,10 @@
 //!     link.idx        PANECOL1 link index over X_b
 //! ```
 //!
-//! New generations are columnar `PANECOL1` containers. A generation whose
-//! manifest says `format legacy` (or nothing) was written by an older
-//! build: its `PANEEMB1` embedding still loads, while its two index files
-//! — derived data in a stream format no reader exists for any more — are
-//! never opened; the pair is rebuilt from the manifest's recipe instead
-//! (see [`base_indexes`]). Its next snapshot rewrites such a store forward.
+//! Every generation is three `PANECOL1` containers, written by one
+//! writer ([`write_generation`]) and read back by `load_columns` and
+//! `load_index`. A manifest whose generation is in the removed
+//! `PANEEMB1` format is refused when it is read (see [`Manifest::read`]).
 //!
 //! The life cycle mirrors a log-structured store (LogBase, PAPERS.md):
 //! [`Store::open`] loads the base generation and **replays** the WAL into
@@ -27,13 +25,12 @@
 //! manifest naming one complete generation plus a WAL whose clean prefix
 //! re-creates the acknowledged inserts.
 
-use crate::manifest::{ArtifactFormat, Manifest, MANIFEST_FILE};
+use crate::manifest::{Manifest, MANIFEST_FILE};
 use crate::wal::{self, Wal};
 use crate::StoreError;
 use pane_core::{build_bases, check_bases, PaneEmbedding, QuerySpace};
 use pane_index::{AnyIndex, DeltaIndex, IndexSpec, VectorIndex};
 use std::fs::File;
-use std::io::Read;
 use std::path::{Path, PathBuf};
 
 /// File name of the insert-ahead log inside a store directory.
@@ -88,23 +85,15 @@ fn sync_dir(path: &Path) {
     }
 }
 
-/// Writes one generation's three artifacts into `gdir` and fsyncs them.
-/// `format` names the embedding container: columnar is what `init` and
-/// `snapshot` write; legacy (`PANEEMB1`) exists so tests and CI can create
-/// pre-columnar fixtures (`pane store init --format legacy`). The index
-/// files are `PANECOL1` either way — a legacy generation's are never read
-/// back (see [`base_indexes`]).
+/// Writes one generation's three artifacts into `gdir` and fsyncs them:
+/// what `init` and `snapshot` both commit to.
 fn write_generation(
     gdir: &Path,
     emb: &PaneEmbedding,
     node: &AnyIndex,
     link: &AnyIndex,
-    format: ArtifactFormat,
 ) -> Result<(), StoreError> {
-    match format {
-        ArtifactFormat::Columnar => pane_core::save_columns(emb, &gdir.join(EMBEDDING_FILE))?,
-        ArtifactFormat::Legacy => pane_core::save_binary(emb, &gdir.join(EMBEDDING_FILE))?,
-    }
+    pane_core::save_columns(emb, &gdir.join(EMBEDDING_FILE))?;
     node.save(&gdir.join(NODE_INDEX_FILE))?;
     link.save(&gdir.join(LINK_INDEX_FILE))?;
     for f in [EMBEDDING_FILE, NODE_INDEX_FILE, LINK_INDEX_FILE] {
@@ -124,38 +113,6 @@ pub(crate) fn check_recipe(node_spec: &IndexSpec, link_spec: &IndexSpec) -> Resu
     Ok(())
 }
 
-/// The base index pair of generation directory `gdir` over its (already
-/// loaded, not yet WAL-grown) embedding. A columnar generation's index
-/// files are loaded. A legacy generation's are not even opened: indexes
-/// are derived data, and [`build_bases`] over the base embedding with
-/// the manifest's recipe reproduces, bit for bit and at any thread
-/// count, the pair `init` built when it wrote those files.
-fn base_indexes(
-    gdir: &Path,
-    emb: &PaneEmbedding,
-    node_spec: &IndexSpec,
-    link_spec: &IndexSpec,
-    format: ArtifactFormat,
-) -> Result<(AnyIndex, AnyIndex), StoreError> {
-    match format {
-        ArtifactFormat::Columnar => Ok((
-            pane_index::load_index(&gdir.join(NODE_INDEX_FILE))?,
-            pane_index::load_index(&gdir.join(LINK_INDEX_FILE))?,
-        )),
-        ArtifactFormat::Legacy => {
-            // `init` refuses an empty embedding and the builders assert
-            // on one; a file that claims it is corruption, not a panic.
-            if emb.forward.rows() == 0 || emb.forward.cols() == 0 {
-                return Err(StoreError::Format(format!(
-                    "{}: legacy embedding is empty; no index can be rebuilt over it",
-                    gdir.display()
-                )));
-            }
-            Ok(build_bases(emb, node_spec, link_spec, 1))
-        }
-    }
-}
-
 /// Durable-store handle: the persistence side of a serving engine. The
 /// in-memory state it re-creates at open lives in [`OpenStore`].
 #[derive(Debug)]
@@ -164,7 +121,6 @@ pub struct Store {
     generation: u64,
     node_spec: IndexSpec,
     link_spec: IndexSpec,
-    format: ArtifactFormat,
     wal: Wal,
     wal_records: usize,
     replayed: usize,
@@ -199,28 +155,6 @@ impl Store {
         link_spec: &IndexSpec,
         threads: usize,
     ) -> Result<(), StoreError> {
-        Self::init_with_format(
-            dir,
-            emb,
-            node_spec,
-            link_spec,
-            threads,
-            ArtifactFormat::Columnar,
-        )
-    }
-
-    /// [`Store::init`] with an explicit artifact format. The legacy
-    /// format exists for migration fixtures and compatibility tests
-    /// (`pane store init --format legacy`); new stores should take the
-    /// columnar default.
-    pub fn init_with_format(
-        dir: &Path,
-        emb: &PaneEmbedding,
-        node_spec: &IndexSpec,
-        link_spec: &IndexSpec,
-        threads: usize,
-        format: ArtifactFormat,
-    ) -> Result<(), StoreError> {
         if emb.forward.rows() == 0 || emb.forward.cols() == 0 {
             return Err(StoreError::Format(
                 "cannot init a store from an empty embedding".into(),
@@ -239,13 +173,12 @@ impl Store {
         let gdir = gen_dir(dir, generation);
         std::fs::create_dir_all(&gdir)?;
         let (node, link) = build_bases(emb, node_spec, link_spec, threads);
-        write_generation(&gdir, emb, &node, &link, format)?;
+        write_generation(&gdir, emb, &node, &link)?;
         Wal::create(&dir.join(WAL_FILE))?;
         Manifest::Single {
             generation,
             node_spec: *node_spec,
             link_spec: *link_spec,
-            format,
         }
         .write(dir)?;
         Ok(())
@@ -268,13 +201,12 @@ impl Store {
     /// snapshot` on a live store fails fast instead of corrupting the
     /// log. The kernel drops the lock on any exit, `kill -9` included.
     pub fn open(dir: &Path) -> Result<OpenStore, StoreError> {
-        let (generation, node_spec, link_spec, format) = match Manifest::read(dir)? {
+        let (generation, node_spec, link_spec) = match Manifest::read(dir)? {
             Manifest::Single {
                 generation,
                 node_spec,
                 link_spec,
-                format,
-            } => (generation, node_spec, link_spec, format),
+            } => (generation, node_spec, link_spec),
             Manifest::Sharded { shards } => {
                 return Err(StoreError::Format(format!(
                     "{} is a sharded root ({shards} shards); open it with ShardedStore / \
@@ -284,9 +216,9 @@ impl Store {
             }
         };
         let gdir = gen_dir(dir, generation);
-        let mut embedding = pane_core::load_binary(&gdir.join(EMBEDDING_FILE))?;
-        let (node_base, link_base) =
-            base_indexes(&gdir, &embedding, &node_spec, &link_spec, format)?;
+        let mut embedding = pane_core::load_columns(&gdir.join(EMBEDDING_FILE))?;
+        let node_base = pane_index::load_index(&gdir.join(NODE_INDEX_FILE))?;
+        let link_base = pane_index::load_index(&gdir.join(LINK_INDEX_FILE))?;
         check_bases(&embedding, &node_base, &link_base)
             .map_err(|m| StoreError::Format(format!("{}: {m}", gdir.display())))?;
         let n = embedding.forward.rows();
@@ -358,7 +290,6 @@ impl Store {
                 generation,
                 node_spec,
                 link_spec,
-                format,
                 wal,
                 wal_records,
                 replayed: wal_records,
@@ -390,10 +321,6 @@ impl Store {
     /// bases into `gen-<g+1>/`, atomically swings the manifest to it,
     /// removes the previous generation directory, and truncates the WAL.
     /// Returns the new generation number.
-    ///
-    /// Snapshots always write the columnar format — a snapshot is how a
-    /// legacy generation is rewritten forward, as a side effect of normal
-    /// operation.
     pub fn snapshot(
         &mut self,
         emb: &PaneEmbedding,
@@ -415,7 +342,7 @@ impl Store {
         // entry), or a power loss after the rename could commit to unwritten
         // pages while the WAL (the only other copy of the inserts) is about
         // to be truncated.
-        write_generation(&gdir, emb, node_base, link_base, ArtifactFormat::Columnar)?;
+        write_generation(&gdir, emb, node_base, link_base)?;
         sync_dir(&self.dir);
         // Commit point: the manifest rename. Before it, the old generation
         // is current; after it, the new one is.
@@ -423,14 +350,12 @@ impl Store {
             generation: next,
             node_spec: self.node_spec,
             link_spec: self.link_spec,
-            format: ArtifactFormat::Columnar,
         }
         .write(&self.dir)?;
         // Best-effort: a leftover directory is garbage, not corruption.
         let _ = std::fs::remove_dir_all(gen_dir(&self.dir, self.generation));
         self.wal.truncate()?;
         self.generation = next;
-        self.format = ArtifactFormat::Columnar;
         self.wal_records = 0;
         Ok(next)
     }
@@ -475,11 +400,6 @@ impl Store {
         self.link_spec
     }
 
-    /// Artifact format of the current base generation.
-    pub fn format(&self) -> ArtifactFormat {
-        self.format
-    }
-
     /// Total on-disk bytes of the current generation's three artifacts
     /// (best-effort stat; a vanished file counts as 0 rather than
     /// failing a stats report).
@@ -510,8 +430,6 @@ pub struct StoreStatus {
     pub node_spec: IndexSpec,
     /// Build recipe of the link index.
     pub link_spec: IndexSpec,
-    /// Artifact format of the base generation (manifest `format` line).
-    pub format: ArtifactFormat,
     /// On-disk size of the embedding artifact.
     pub embedding_bytes: u64,
     /// On-disk size of the node index artifact.
@@ -528,16 +446,14 @@ impl StoreStatus {
 }
 
 /// Reads a single store's status: manifest, WAL scan, artifact file
-/// sizes, and the embedding header/section table — no matrix data is
-/// loaded in either format.
+/// sizes, and the embedding's section table — no matrix data is loaded.
 pub fn read_status(dir: &Path) -> Result<StoreStatus, StoreError> {
-    let (generation, node_spec, link_spec, format) = match Manifest::read(dir)? {
+    let (generation, node_spec, link_spec) = match Manifest::read(dir)? {
         Manifest::Single {
             generation,
             node_spec,
             link_spec,
-            format,
-        } => (generation, node_spec, link_spec, format),
+        } => (generation, node_spec, link_spec),
         Manifest::Sharded { shards } => {
             return Err(StoreError::Format(format!(
                 "{} is a sharded root ({shards} shards); status each shard or use \
@@ -548,43 +464,23 @@ pub fn read_status(dir: &Path) -> Result<StoreStatus, StoreError> {
     };
     let gdir = gen_dir(dir, generation);
     let emb_path = gdir.join(EMBEDDING_FILE);
-    let (base_nodes, half_dim) = if pane_format::is_columnar(&emb_path)? {
-        let (artifact, _, sections) = pane_format::peek_table(&emb_path)?;
-        if artifact != pane_format::Artifact::Embedding {
-            return Err(StoreError::Format(format!(
-                "{}: {artifact:?} artifact where an embedding was expected",
-                emb_path.display()
-            )));
-        }
-        let fwd = sections
-            .iter()
-            .find(|s| s.id == pane_format::section::EMB_FORWARD)
-            .ok_or_else(|| {
-                StoreError::Format(format!(
-                    "{}: container has no forward-embedding section",
-                    emb_path.display()
-                ))
-            })?;
-        (fwd.rows, fwd.cols)
-    } else {
-        let mut f = std::fs::File::open(&emb_path)?;
-        let mut header = [0u8; 32];
-        f.read_exact(&mut header).map_err(|_| {
+    let (artifact, _, sections) = pane_format::peek_table(&emb_path)?;
+    if artifact != pane_format::Artifact::Embedding {
+        return Err(StoreError::Format(format!(
+            "{}: {artifact:?} artifact where an embedding was expected",
+            emb_path.display()
+        )));
+    }
+    let fwd = sections
+        .iter()
+        .find(|s| s.id == pane_format::section::EMB_FORWARD)
+        .ok_or_else(|| {
             StoreError::Format(format!(
-                "{}: truncated embedding header",
+                "{}: container has no forward-embedding section",
                 emb_path.display()
             ))
         })?;
-        if &header[..8] != pane_core::BINARY_MAGIC {
-            return Err(StoreError::Format(format!(
-                "{}: neither a PANECOL1 nor a PANEEMB1 embedding",
-                emb_path.display()
-            )));
-        }
-        let n = u64::from_le_bytes(header[8..16].try_into().unwrap()) as usize;
-        let k2 = u64::from_le_bytes(header[24..32].try_into().unwrap()) as usize;
-        (n, k2)
-    };
+    let (base_nodes, half_dim) = (fwd.rows, fwd.cols);
     let file_len =
         |name: &str| -> Result<u64, StoreError> { Ok(std::fs::metadata(gdir.join(name))?.len()) };
     let replayed = wal::replay(&dir.join(WAL_FILE))?;
@@ -596,7 +492,6 @@ pub fn read_status(dir: &Path) -> Result<StoreStatus, StoreError> {
         wal_dropped_bytes: replayed.dropped_bytes,
         node_spec,
         link_spec,
-        format,
         embedding_bytes: file_len(EMBEDDING_FILE)?,
         node_index_bytes: file_len(NODE_INDEX_FILE)?,
         link_index_bytes: file_len(LINK_INDEX_FILE)?,
@@ -861,7 +756,6 @@ mod tests {
         assert_eq!(s.wal_records, 1);
         assert_eq!(s.wal_dropped_bytes, 0);
         assert_eq!(s.node_spec, IndexSpec::Flat);
-        assert_eq!(s.format, ArtifactFormat::Columnar);
         let gdir = gen_dir(&dir, 1);
         for (have, file) in [
             (s.embedding_bytes, EMBEDDING_FILE),
@@ -876,114 +770,5 @@ mod tests {
             s.embedding_bytes + s.node_index_bytes + s.link_index_bytes
         );
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// Both container generations answer `status` identically — the
-    /// legacy path parses the `PANEEMB1` header, the columnar path peeks
-    /// the `PANECOL1` section table; neither loads matrix data.
-    #[test]
-    fn status_reads_both_formats() {
-        for format in [ArtifactFormat::Legacy, ArtifactFormat::Columnar] {
-            let dir = tmpdir(&format!("status_{format}"));
-            let emb = fixture(35, 11);
-            Store::init_with_format(&dir, &emb, &IndexSpec::Flat, &IndexSpec::Flat, 1, format)
-                .unwrap();
-            let s = read_status(&dir).unwrap();
-            assert_eq!(s.format, format);
-            assert_eq!(s.base_nodes, 35);
-            assert_eq!(s.half_dim, emb.forward.cols());
-            std::fs::remove_dir_all(&dir).ok();
-        }
-    }
-
-    /// Snapshots always write columnar — normal operation migrates a
-    /// legacy store forward without an explicit `migrate` call.
-    #[test]
-    fn snapshot_of_a_legacy_store_migrates_it() {
-        let dir = tmpdir("snap_migrates");
-        let emb = fixture(30, 13);
-        Store::init_with_format(
-            &dir,
-            &emb,
-            &IndexSpec::Flat,
-            &IndexSpec::Flat,
-            1,
-            ArtifactFormat::Legacy,
-        )
-        .unwrap();
-        let mut opened = Store::open(&dir).unwrap();
-        let (node, link) = build_bases(&opened.embedding, &IndexSpec::Flat, &IndexSpec::Flat, 1);
-        opened
-            .store
-            .snapshot(&opened.embedding, &node, &link)
-            .unwrap();
-        assert_eq!(opened.store.format(), ArtifactFormat::Columnar);
-        drop(opened);
-        assert_eq!(read_status(&dir).unwrap().format, ArtifactFormat::Columnar);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// A legacy generation's index files are never read, whatever they
-    /// hold: open rebuilds the pair from the manifest recipe, answers
-    /// exactly like a columnar store of the same embedding, and the next
-    /// snapshot writes loadable index files with the WAL row folded in.
-    #[test]
-    fn legacy_generation_rebuilds_its_indexes_from_the_recipe() {
-        let hnsw = IndexSpec::Hnsw(pane_index::HnswConfig {
-            m: 6,
-            ef_construction: 40,
-            ef_search: 24,
-            seed: 5,
-        });
-        for (tag, spec) in [("flat", IndexSpec::Flat), ("hnsw", hnsw)] {
-            let emb = fixture(70, 17);
-            let k2 = emb.forward.cols();
-            let reference = tmpdir(&format!("rebuild_ref_{tag}"));
-            Store::init(&reference, &emb, &spec, &spec, 2).unwrap();
-            let dir = tmpdir(&format!("rebuild_{tag}"));
-            Store::init_with_format(&dir, &emb, &spec, &spec, 2, ArtifactFormat::Legacy).unwrap();
-            for f in [NODE_INDEX_FILE, LINK_INDEX_FILE] {
-                std::fs::write(gen_dir(&dir, 1).join(f), b"PANEIDX1 + garbage").unwrap();
-            }
-
-            let row: Vec<f64> = (0..k2).map(|i| 0.07 * (i + 1) as f64).collect();
-            {
-                let want = Store::open(&reference).unwrap();
-                let mut got = Store::open(&dir).unwrap();
-                assert_eq!(got.store.format(), ArtifactFormat::Legacy);
-                for v in [0, 33, 69] {
-                    let q = emb.classifier_features(v);
-                    assert_eq!(got.node_index.search(&q, 6), want.node_index.search(&q, 6));
-                    let q = emb.backward.row(v);
-                    assert_eq!(got.link_index.search(q, 6), want.link_index.search(q, 6));
-                }
-                got.store.append(70, &row, &row).unwrap();
-            }
-
-            let mut opened = Store::open(&dir).unwrap();
-            let (node, link) = build_bases(&opened.embedding, &spec, &spec, 2);
-            opened
-                .store
-                .snapshot(&opened.embedding, &node, &link)
-                .unwrap();
-            drop(opened);
-            let status = read_status(&dir).unwrap();
-            assert_eq!(status.format, ArtifactFormat::Columnar);
-            assert_eq!(status.wal_records, 0, "the snapshot folds the WAL");
-            for f in [NODE_INDEX_FILE, LINK_INDEX_FILE] {
-                assert_eq!(
-                    pane_index::load_index(&gen_dir(&dir, 2).join(f))
-                        .unwrap()
-                        .len(),
-                    71
-                );
-            }
-            let reopened = Store::open(&dir).unwrap();
-            assert_eq!(reopened.store.replayed(), 0);
-            assert_eq!(reopened.embedding.forward.row(70), &row[..]);
-            for d in [dir, reference] {
-                std::fs::remove_dir_all(&d).ok();
-            }
-        }
     }
 }

@@ -348,7 +348,7 @@ mod tests {
     #[test]
     fn non_wal_files_are_structured_errors() {
         let p = tmp("notwal.wal");
-        std::fs::write(&p, b"PANEEMB1junkjunk").unwrap();
+        std::fs::write(&p, b"PANECOL1junkjunk").unwrap();
         assert!(matches!(replay(&p), Err(StoreError::Format(_))));
         std::fs::write(&p, b"PAN").unwrap();
         assert!(matches!(replay(&p), Err(StoreError::Format(_))));

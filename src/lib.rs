@@ -71,9 +71,7 @@ pub use pane_store;
 
 /// Most-used items, re-exported for `use pane::prelude::*`.
 pub mod prelude {
-    pub use pane_core::{
-        load_binary as load_embedding_binary, save_binary as save_embedding_binary,
-    };
+    pub use pane_core::{load_columns, save_columns};
     pub use pane_core::{
         EmbeddingQuery, InitStrategy, Pane, PaneConfig, PaneEmbedding, QueryBackend,
     };

@@ -3,7 +3,7 @@
 //! together through the facade, the way a downstream user would.
 
 use pane::pane_core::incremental::reembed_warm;
-use pane::pane_core::{load_binary, save_binary, EmbeddingQuery};
+use pane::pane_core::{load_columns, save_columns, EmbeddingQuery};
 use pane::pane_eval::{report_card, ReportOptions};
 use pane::prelude::*;
 
@@ -23,8 +23,8 @@ fn persist_then_query_pipeline() {
     let dir = std::env::temp_dir().join(format!("pane_ext_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("emb.bin");
-    save_binary(&emb, &path).unwrap();
-    let loaded = load_binary(&path).unwrap();
+    save_columns(&emb, &path).unwrap();
+    let loaded = load_columns(&path).unwrap();
 
     // Queries over the loaded embedding equal queries over the original.
     let q1 = EmbeddingQuery::new(&emb);

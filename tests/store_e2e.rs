@@ -283,70 +283,6 @@ fn open_loop_mixed_load_survives_a_hard_restart() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Acceptance path of the columnar migration: a store initialized with
-/// a legacy `PANEEMB1` generation serves, becomes `PANECOL1` at its next
-/// snapshot, and serves **bit-identical** similar-nodes and
-/// recommend-links answers afterwards — including an insert acknowledged
-/// before the rewrite, carried into it by the WAL the snapshot folds.
-#[test]
-fn snapshot_then_serve_is_bit_identical_to_legacy() {
-    use pane_store::ArtifactFormat;
-
-    let dir = tmpdir("snapshot_identical");
-    let g = sbm(180, 21);
-    let emb = Pane::new(cfg()).embed(&g).unwrap();
-    let n = g.num_nodes();
-    let k2 = emb.forward.cols();
-    Store::init_with_format(
-        &dir,
-        &emb,
-        &IndexSpec::Flat,
-        &IndexSpec::Flat,
-        2,
-        ArtifactFormat::Legacy,
-    )
-    .unwrap();
-
-    // Session 1 (legacy artifacts): insert one node, record the answers.
-    let nodes: Vec<usize> = (0..n).step_by(13).chain([n]).collect();
-    let probe: Vec<f64> = (0..k2).map(|i| 0.05 * (i + 1) as f64).collect();
-    let (sim_before, links_before) = {
-        let mut engine = ServeEngine::open(&dir, 2).unwrap();
-        assert_eq!(engine.status().store.unwrap().format, "legacy");
-        assert_eq!(engine.insert(&probe, &probe).unwrap(), n);
-        (
-            engine.similar_nodes(&nodes, 9).unwrap(),
-            engine.recommend_links(&nodes, 7, &[1, 30]).unwrap(),
-        )
-    }; // hard stop — the insert lives only in the WAL
-
-    // The rewrite is a snapshot of the reopened legacy store: container
-    // bytes change and the WAL row moves into the base, nothing else.
-    let mut engine = ServeEngine::open(&dir, 2).unwrap();
-    let store = engine.status().store.unwrap();
-    assert_eq!(store.format, "legacy");
-    assert_eq!(store.replayed, 1, "the pre-rewrite insert survived");
-    assert_eq!(engine.similar_nodes(&nodes, 9).unwrap(), sim_before);
-    let out = engine.snapshot().unwrap();
-    assert_eq!(out.folded, 1);
-    assert_eq!(engine.status().store.unwrap().format, "columnar");
-    drop(engine);
-    let status = pane_store::read_status(&dir).unwrap();
-    assert_eq!(status.format, ArtifactFormat::Columnar);
-    assert_eq!(status.base_nodes, n + 1, "the snapshot folds the WAL");
-    assert_eq!(status.wal_records, 0);
-
-    // Session 2 (columnar artifacts): every answer is bit-identical.
-    let engine = ServeEngine::open(&dir, 2).unwrap();
-    assert_eq!(engine.status().store.unwrap().format, "columnar");
-    assert_eq!(engine.similar_nodes(&nodes, 9).unwrap(), sim_before);
-    assert_eq!(
-        engine.recommend_links(&nodes, 7, &[1, 30]).unwrap(),
-        links_before
-    );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
 /// Every file under `root`, relative path then bytes, in path order,
 /// folded into one checksum.
 fn tree_hash(root: &std::path::Path) -> u64 {
