@@ -43,18 +43,13 @@
 //! takes. A file in a removed stream format — a `PANEEMB1` embedding, a
 //! `PANEIDX1` index — is refused by name, with the remedy, and so is a
 //! store whose manifest names a `PANEEMB1` generation.
-//!
-//! Graph-loading commands (`embed`, `stats`, `evaluate`, `convert`)
-//! accept `--two-pass` to re-parse the input files through the two-pass
-//! counting sort instead of the chunked merge — bit-identical graphs,
-//! lower peak memory on near-unique edge lists.
 
 mod args;
 
 use args::{ArgError, Args};
 use pane_core::{top_k_filter, EmbeddingQuery, Pane, PaneConfig, QuerySpace};
 use pane_datasets::DatasetZoo;
-use pane_graph::io::{load_graph_with, LoadMode};
+use pane_graph::io::load_graph;
 use pane_index::{HnswConfig, IndexSpec, IvfConfig, Neighbor, SqConfig, VectorIndex};
 use pane_linalg::DenseMatrix;
 use std::path::PathBuf;
@@ -117,19 +112,13 @@ fn load_from_args(a: &Args) -> Result<pane_graph::AttributedGraph, Box<dyn std::
     let edges = PathBuf::from(a.require("edges")?);
     let attrs = a.get("attrs").map(PathBuf::from);
     let labels = a.get("labels").map(PathBuf::from);
-    let mode = if a.flag("two-pass") {
-        LoadMode::TwoPass
-    } else {
-        LoadMode::Chunked
-    };
-    let g = load_graph_with(
+    let g = load_graph(
         &edges,
         attrs.as_deref(),
         labels.as_deref(),
         None,
         None,
         a.flag("undirected"),
-        mode,
     )?;
     Ok(g)
 }
@@ -142,7 +131,7 @@ fn reject_positionals(a: &Args) -> Result<(), ArgError> {
 }
 
 fn cmd_embed(raw: Vec<String>) -> CliResult {
-    let a = Args::parse(raw, &["undirected", "text", "two-pass"])?;
+    let a = Args::parse(raw, &["undirected", "text"])?;
     reject_positionals(&a)?;
     a.reject_unknown(&[
         "edges", "attrs", "labels", "dim", "alpha", "eps", "threads", "seed", "output",
@@ -214,7 +203,7 @@ fn cmd_generate(raw: Vec<String>) -> CliResult {
 }
 
 fn cmd_stats(raw: Vec<String>) -> CliResult {
-    let a = Args::parse(raw, &["undirected", "two-pass"])?;
+    let a = Args::parse(raw, &["undirected"])?;
     reject_positionals(&a)?;
     a.reject_unknown(&["edges", "attrs", "labels"])?;
     let g = load_from_args(&a)?;
@@ -255,7 +244,7 @@ fn cmd_stats(raw: Vec<String>) -> CliResult {
 }
 
 fn cmd_evaluate(raw: Vec<String>) -> CliResult {
-    let a = Args::parse(raw, &["undirected", "two-pass"])?;
+    let a = Args::parse(raw, &["undirected"])?;
     reject_positionals(&a)?;
     a.reject_unknown(&[
         "edges", "attrs", "labels", "dim", "alpha", "eps", "threads", "seed", "binary",
@@ -284,7 +273,7 @@ fn cmd_evaluate(raw: Vec<String>) -> CliResult {
 }
 
 fn cmd_convert(raw: Vec<String>) -> CliResult {
-    let a = Args::parse(raw, &["undirected", "two-pass"])?;
+    let a = Args::parse(raw, &["undirected"])?;
     reject_positionals(&a)?;
     a.reject_unknown(&["edges", "attrs", "labels", "output", "binary"])?;
     let out = PathBuf::from(a.require("output")?);

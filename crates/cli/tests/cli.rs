@@ -811,7 +811,7 @@ fn serve_tcp_daemon_shares_prebuilt_indexes() {
 /// The durable store lifecycle through the binary: init → serve with a
 /// WAL-backed insert → hard stop (no shutdown, no snapshot) → restart
 /// serves the insert → offline snapshot → restart boots generation 2
-/// with an empty WAL. Also covers `store status` and `--two-pass`.
+/// with an empty WAL. Also covers `store status`.
 #[test]
 fn store_lifecycle_survives_a_hard_stop() {
     use std::io::Write;
@@ -1254,44 +1254,5 @@ fn serve_metrics_scrape_and_structured_log() {
     let (ok, _, err) = run(&["metrics", "--addr", &addr, "--connect-timeout-ms", "200"]);
     assert!(!ok);
     assert!(err.contains("error:"), "{err}");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// `--two-pass` loads are accepted and bit-identical: embedding the same
-/// graph in both modes produces byte-identical output files.
-#[test]
-fn two_pass_embed_matches_chunked() {
-    let dir = workdir("two_pass");
-    let dir_s = dir.to_str().unwrap();
-    run(&[
-        "generate",
-        "--zoo",
-        "cora-like",
-        "--scale",
-        "0.05",
-        "--seed",
-        "3",
-        "--out-dir",
-        dir_s,
-    ]);
-    let mut outs = Vec::new();
-    for (name, extra) in [("a.bin", None), ("b.bin", Some("--two-pass"))] {
-        let out = dir.join(name);
-        let mut args = vec!["embed", "--edges"];
-        let edges = dir.join("edges.txt");
-        let attrs = dir.join("attributes.txt");
-        args.push(edges.to_str().unwrap());
-        args.push("--attrs");
-        args.push(attrs.to_str().unwrap());
-        args.extend(["--dim", "16", "--output"]);
-        args.push(out.to_str().unwrap());
-        if let Some(flag) = extra {
-            args.push(flag);
-        }
-        let (ok, _, err) = run(&args);
-        assert!(ok, "embed failed: {err}");
-        outs.push(std::fs::read(&out).unwrap());
-    }
-    assert_eq!(outs[0], outs[1], "two-pass load changed the embedding");
     std::fs::remove_dir_all(&dir).ok();
 }

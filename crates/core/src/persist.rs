@@ -3,15 +3,15 @@
 //!
 //! The binary format is the shared `PANECOL1` column container
 //! (`pane-format`): one section per matrix, 64-byte aligned and
-//! checksummed, loaded with a single bulk read and three `memcpy`s —
-//! see [`save_columns`] / [`load_columns`]. A file in the removed
+//! checksummed, each read once into the matrix that owns it — see
+//! [`save_columns`] / [`load_columns`]. A file in the removed
 //! pre-columnar `PANEEMB1` stream is refused by name, with the remedy,
 //! by `pane-format` itself. The text format is line-oriented
 //! (`node: values…`) for inspection and interop with the Python tooling
 //! the original evaluation used.
 
 use crate::pane::{PaneEmbedding, PaneTimings};
-use pane_format::{section, Artifact, ColumnData, ColumnSpec, FormatError};
+use pane_format::{section, Artifact, ColumnData, ColumnSpec, Columns, FormatError};
 use pane_linalg::DenseMatrix;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
@@ -85,33 +85,25 @@ pub fn save_columns(emb: &PaneEmbedding, path: &Path) -> Result<(), PersistError
     Ok(())
 }
 
-/// Reads an embedding written by [`save_columns`] via the streaming
-/// section loader: after header + table validation, each matrix's
-/// payload is read once, directly into the `Vec<f64>` it will own, and
-/// checksummed there — no per-value decode loop and no intermediate
-/// whole-file buffer to copy out of.
+/// Reads an embedding written by [`save_columns`]. `Columns::open`
+/// reads each matrix's payload once, straight into the `Vec<f64>` the
+/// matrix then owns, and checksums it there — no per-value decode loop
+/// and no whole-file buffer to copy out of.
 pub fn load_columns(path: &Path) -> Result<PaneEmbedding, PersistError> {
-    let (artifact, _meta, sections) = pane_format::read_f64_sections(
-        path,
-        &[
-            section::EMB_FORWARD,
-            section::EMB_BACKWARD,
-            section::EMB_ATTRIBUTE,
-        ],
-    )?;
-    if artifact != Artifact::Embedding {
+    let mut c = Columns::open(path)?;
+    if c.artifact() != Artifact::Embedding {
         return Err(PersistError::Format(format!(
-            "{artifact:?} artifact where an embedding was expected"
+            "{:?} artifact where an embedding was expected",
+            c.artifact()
         )));
     }
-    let mut it = sections.into_iter();
-    let mut matrix = || -> DenseMatrix {
-        let s = it.next().expect("three sections were requested");
-        DenseMatrix::from_vec(s.rows, s.cols, s.values)
+    let mut matrix = |id| -> Result<DenseMatrix, FormatError> {
+        let (rows, cols) = c.dims(id)?;
+        Ok(DenseMatrix::from_vec(rows, cols, c.take(id)?))
     };
-    let forward = matrix();
-    let backward = matrix();
-    let attribute = matrix();
+    let forward = matrix(section::EMB_FORWARD)?;
+    let backward = matrix(section::EMB_BACKWARD)?;
+    let attribute = matrix(section::EMB_ATTRIBUTE)?;
     if forward.shape() != backward.shape() || forward.cols() != attribute.cols() {
         return Err(PersistError::Format(format!(
             "inconsistent embedding sections: X_f {:?}, X_b {:?}, Y {:?}",

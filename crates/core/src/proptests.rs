@@ -6,10 +6,12 @@
 use crate::apmi::{apmi, ApmiInputs};
 use crate::ccd::{ccd_sweeps, objective};
 use crate::greedy_init::{greedy_init, InitOptions};
-use crate::{Pane, PaneConfig};
+use crate::persist::{load_columns, save_columns, PersistError};
+use crate::{Pane, PaneConfig, PaneEmbedding};
 use pane_graph::gen::{generate_sbm, SbmConfig};
 use pane_graph::DanglingPolicy;
 use proptest::prelude::*;
+use std::sync::OnceLock;
 
 fn random_graph(seed: u64, nodes: usize) -> pane_graph::AttributedGraph {
     generate_sbm(&SbmConfig {
@@ -118,5 +120,74 @@ proptest! {
         }
         prop_assert!(trials > 0);
         prop_assert!(wins * 10 >= trials * 8, "owned attrs beat mean on only {wins}/{trials} nodes");
+    }
+}
+
+/// An embedding and its saved `PANECOL1` container's bytes, for the
+/// corruption properties of the shared reader behind `load_columns`.
+fn embedding_fixture() -> &'static (PaneEmbedding, Vec<u8>) {
+    static FIXTURE: OnceLock<(PaneEmbedding, Vec<u8>)> = OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let emb = Pane::new(PaneConfig::builder().dimension(8).seed(3).build())
+            .embed(&random_graph(5, 40))
+            .unwrap();
+        let p = scratch_file("fixture.col");
+        save_columns(&emb, &p).unwrap();
+        (emb, std::fs::read(&p).unwrap())
+    })
+}
+
+fn scratch_file(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("pane_core_prop_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir.join(name)
+}
+
+/// Writes `bytes` to a scratch file and loads it through `load_columns`.
+fn load_mutated(name: &str, bytes: &[u8]) -> Result<PaneEmbedding, PersistError> {
+    let p = scratch_file(name);
+    std::fs::write(&p, bytes).unwrap();
+    load_columns(&p)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Any strict truncation of an embedding container fails the load
+    /// with a structured error: the header declares the file's exact
+    /// length.
+    #[test]
+    fn embedding_truncation_always_fails_structured(frac in 0.0f64..1.0) {
+        let full = &embedding_fixture().1;
+        let keep = (frac * (full.len() - 1) as f64) as usize;
+        match load_mutated("trunc.col", &full[..keep]) {
+            Err(PersistError::Format(_)) | Err(PersistError::Io(_)) => {}
+            Ok(_) => panic!("an embedding container cut at {keep} loaded"),
+        }
+    }
+
+    /// A single-byte mutation of an embedding container never panics: the
+    /// load fails with a structured error, or — for a flip in the zero
+    /// padding before a section, which holds no value and no checksum
+    /// covers — yields the saved embedding bit for bit.
+    #[test]
+    fn embedding_byte_mutations_never_panic(offset_frac in 0.0f64..1.0, xor in 1u32..256) {
+        let (emb, bytes) = embedding_fixture();
+        let mut bytes = bytes.clone();
+        let at = (offset_frac * (bytes.len() - 1) as f64) as usize;
+        bytes[at] ^= xor as u8;
+        if let Ok(back) = load_mutated("bitflip.col", &bytes) {
+            for (a, b) in [
+                (&emb.forward, &back.forward),
+                (&emb.backward, &back.backward),
+                (&emb.attribute, &back.attribute),
+            ] {
+                prop_assert!(a.shape() == b.shape(), "flip at byte {at} changed a shape");
+                let bits = |m: &pane_linalg::DenseMatrix| -> Vec<u64> {
+                    m.data().iter().map(|x| x.to_bits()).collect()
+                };
+                prop_assert!(bits(a) == bits(b), "flip at byte {at} changed a value");
+            }
+        }
     }
 }

@@ -6,12 +6,14 @@
 //! `BufReader`, so restart cost scaled with a per-`f64` decode loop.
 //! Both readers are gone; every reader here refuses those two magics by
 //! name, with the remedy, before anything else about the file is read.
-//! `PANECOL1` is the map-don't-parse replacement: a sectioned,
-//! 64-byte-aligned, per-section-checksummed layout that loads with **one
-//! bulk read** into an aligned buffer followed by header + checksum
-//! validation — after which every column is a typed zero-copy view
-//! (`&[f64]` / `&[f32]` / `&[i8]` / `&[u32]` / `&[u64]`) straight into
-//! that buffer. No per-value decode, no per-row `Vec`.
+//! `PANECOL1` replaces them with a sectioned, 64-byte-aligned,
+//! per-section-checksummed layout. [`Columns::open`] is its one full
+//! reader: it reads each section once, straight into the `Vec` of the
+//! section's element type that will own the values, and verifies the
+//! section's checksum there. Loaders [`Columns::take`] those vectors by
+//! value and move them into their structures — no per-value decode, and
+//! no second copy of the file. [`peek_table`] is the table-only read for
+//! status tools.
 //!
 //! # Container layout
 //!
@@ -45,12 +47,12 @@
 //! named whatever the file's length), then the 32-byte fixed header, and
 //! compares the declared length against the *actual* file length
 //! **before any allocation** — a lying header can never trigger an
-//! oversized allocation, because the buffer is sized by a value the OS
-//! confirms.
-//! Only then is the aligned buffer allocated, the whole file bulk-read,
-//! and the header checksum, table layout, and per-section checksums
-//! verified. Every failure is a structured [`FormatError`]; no input
-//! byte pattern panics.
+//! oversized allocation, because every section must then fit inside a
+//! length the OS confirms. Only then are the header checksum and the
+//! table layout verified, and each section read into its vector and its
+//! checksum verified — every section, taken or not, before `open`
+//! returns. Every failure is a structured [`FormatError`]; no input byte
+//! pattern panics.
 //!
 //! # Section ID registry
 //!
@@ -61,10 +63,11 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_op_in_unsafe_fn)]
 
+use std::any::Any;
 use std::borrow::Cow;
 use std::fmt;
 use std::fs::File;
-use std::io::{Read, Write};
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 /// The 8-byte container magic.
@@ -91,8 +94,7 @@ pub const HEADER_LEN: usize = 32;
 /// Size of one section-table entry.
 pub const TABLE_ENTRY_LEN: usize = 48;
 
-/// Every section starts on a multiple of this (cache-line friendly, and
-/// more than enough for any typed view's alignment).
+/// Every section starts on a multiple of this (cache-line friendly).
 pub const SECTION_ALIGN: usize = 64;
 
 /// Hard ceiling on the section count — far above any real artifact
@@ -180,16 +182,12 @@ impl Artifact {
 pub enum DType {
     /// 64-bit IEEE float.
     F64,
-    /// 32-bit IEEE float.
-    F32,
     /// Signed 8-bit integer (scalar-quantized codes).
     I8,
     /// Unsigned 32-bit integer (ids, levels, sizes).
     U32,
     /// Unsigned 64-bit integer (offsets, scalar parameter blocks).
     U64,
-    /// Raw bytes.
-    U8,
 }
 
 impl DType {
@@ -197,11 +195,9 @@ impl DType {
     pub fn tag(self) -> u32 {
         match self {
             DType::F64 => 1,
-            DType::F32 => 2,
             DType::I8 => 3,
             DType::U32 => 4,
             DType::U64 => 5,
-            DType::U8 => 6,
         }
     }
 
@@ -209,11 +205,9 @@ impl DType {
     pub fn from_tag(tag: u32) -> Option<Self> {
         match tag {
             1 => Some(DType::F64),
-            2 => Some(DType::F32),
             3 => Some(DType::I8),
             4 => Some(DType::U32),
             5 => Some(DType::U64),
-            6 => Some(DType::U8),
             _ => None,
         }
     }
@@ -222,8 +216,8 @@ impl DType {
     pub fn size(self) -> usize {
         match self {
             DType::F64 | DType::U64 => 8,
-            DType::F32 | DType::U32 => 4,
-            DType::I8 | DType::U8 => 1,
+            DType::U32 => 4,
+            DType::I8 => 1,
         }
     }
 }
@@ -232,13 +226,51 @@ impl fmt::Display for DType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let name = match self {
             DType::F64 => "f64",
-            DType::F32 => "f32",
             DType::I8 => "i8",
             DType::U32 => "u32",
             DType::U64 => "u64",
-            DType::U8 => "u8",
         };
         f.write_str(name)
+    }
+}
+
+mod sealed {
+    pub trait Sealed {}
+}
+
+/// A Rust type a section's values are held in. Each is plain old data —
+/// no padding, every bit pattern a value — so a slice of them is read
+/// and written through its bytes; the trait is sealed because those
+/// byte views rely on it.
+pub trait Element: Copy + Default + Send + 'static + sealed::Sealed {
+    /// The section dtype whose values this type holds.
+    const DTYPE: DType;
+}
+
+macro_rules! element {
+    ($($t:ty => $dtype:ident),*) => {$(
+        impl sealed::Sealed for $t {}
+        impl Element for $t {
+            const DTYPE: DType = DType::$dtype;
+        }
+    )*};
+}
+
+element!(f64 => F64, i8 => I8, u32 => U32, u64 => U64);
+
+/// A slice of elements as its host-order bytes.
+fn bytes_of<T: Element>(values: &[T]) -> &[u8] {
+    // SAFETY: `Element` types are plain old data without padding, so
+    // every byte is initialized, and `u8` has no alignment requirement.
+    unsafe { std::slice::from_raw_parts(values.as_ptr().cast(), std::mem::size_of_val(values)) }
+}
+
+/// A mutable slice of elements as its bytes.
+fn bytes_of_mut<T: Element>(values: &mut [T]) -> &mut [u8] {
+    // SAFETY: as for `bytes_of`; and every bit pattern is a valid
+    // `Element`, so whatever is written through the view is a value.
+    unsafe {
+        std::slice::from_raw_parts_mut(values.as_mut_ptr().cast(), std::mem::size_of_val(values))
     }
 }
 
@@ -327,39 +359,27 @@ pub fn checksum(bytes: &[u8]) -> u64 {
 /// [`Columns::open`]; section *payload* checksums are not (that would
 /// require reading the payloads this function exists to skip).
 pub fn peek_table(path: &Path) -> Result<(Artifact, u16, Vec<Section>), FormatError> {
-    let mut f = File::open(path)?;
-    let t = read_validated_table(&mut f, path)?;
-    Ok((t.artifact, t.meta, t.sections))
-}
-
-/// The header and section table of a container, read and validated by
-/// [`read_validated_table`]; the underlying file cursor is left at the
-/// end of the table (the first payload byte, modulo alignment padding).
-struct ValidatedTable {
-    artifact: Artifact,
-    meta: u16,
-    sections: Vec<Section>,
-    /// Declared (== actual) file length in bytes.
-    declared: usize,
-    /// The raw header + table bytes, `HEADER_LEN + 48 × count` long.
-    head: Vec<u8>,
+    read_validated_table(&mut File::open(path)?, path)
 }
 
 /// Reads and validates the fixed header and section table from `f`
-/// (positioned at byte 0). This is the shared front half of every
-/// reader — [`peek_table`], [`Columns::open`], [`read_f64_sections`] —
-/// so they all enforce the same contract: magic, artifact tag, section
-/// cap, declared-vs-actual length *before any payload-sized
-/// allocation*, header checksum over the table, per-section shape
-/// arithmetic without overflow, deterministic offsets (no overlaps, no
-/// gaps beyond alignment padding), unique IDs, and no trailing bytes.
-/// Section *payload* checksums are the caller's job — they are stored
-/// in the returned [`Section`]s.
+/// (positioned at byte 0). This is the shared front half of both
+/// readers — [`peek_table`] and [`Columns::open`] — so they enforce the
+/// same contract: magic, artifact tag, section cap, declared-vs-actual
+/// length *before any payload-sized allocation*, header checksum over
+/// the table, per-section shape arithmetic without overflow,
+/// deterministic offsets (no overlaps, no gaps beyond alignment
+/// padding), unique IDs, and no trailing bytes. Section *payload*
+/// checksums are the caller's job — they are stored in the returned
+/// [`Section`]s. The file is left positioned at the end of the table.
 ///
 /// The magic is tested before the length, so a file in one of the
 /// [`REMOVED_FORMATS`] is refused by name and remedy whatever its size;
 /// only a file too short to hold a magic gets the length error.
-fn read_validated_table(f: &mut File, path: &Path) -> Result<ValidatedTable, FormatError> {
+fn read_validated_table(
+    f: &mut File,
+    path: &Path,
+) -> Result<(Artifact, u16, Vec<Section>), FormatError> {
     let actual = f.metadata()?.len();
     let mut header = [0u8; HEADER_LEN];
     let head_len = actual.min(HEADER_LEN as u64) as usize;
@@ -404,20 +424,15 @@ fn read_validated_table(f: &mut File, path: &Path) -> Result<ValidatedTable, For
             "file length {declared} cannot hold a {count}-section table"
         ));
     }
-    let mut head = vec![0u8; table_end];
-    head[..HEADER_LEN].copy_from_slice(&header);
-    f.read_exact(&mut head[HEADER_LEN..])?;
+    let mut table = vec![0u8; table_end - HEADER_LEN];
+    f.read_exact(&mut table)?;
     let stored_hsum = u64::from_le_bytes(header[24..32].try_into().unwrap());
-    let mut hsum = Vec::with_capacity(24 + table_end - HEADER_LEN);
-    hsum.extend_from_slice(&header[..24]);
-    hsum.extend_from_slice(&head[HEADER_LEN..]);
-    if checksum(&hsum) != stored_hsum {
+    if checksum(&[&header[..24], &table[..]].concat()) != stored_hsum {
         return format_err("header checksum mismatch");
     }
     let mut sections = Vec::with_capacity(count);
     let mut cursor = table_end;
-    for i in 0..count {
-        let e = &head[HEADER_LEN + i * TABLE_ENTRY_LEN..HEADER_LEN + (i + 1) * TABLE_ENTRY_LEN];
+    for (i, e) in table.chunks_exact(TABLE_ENTRY_LEN).enumerate() {
         let id = u32::from_le_bytes(e[0..4].try_into().unwrap());
         let dtype_tag = u32::from_le_bytes(e[4..8].try_into().unwrap());
         let dtype = DType::from_tag(dtype_tag).ok_or_else(|| {
@@ -453,7 +468,7 @@ fn read_validated_table(f: &mut File, path: &Path) -> Result<ValidatedTable, For
             dtype,
             rows: rows as usize,
             cols: cols as usize,
-            range: offset as usize..cursor,
+            offset,
             sum,
         });
     }
@@ -462,154 +477,19 @@ fn read_validated_table(f: &mut File, path: &Path) -> Result<ValidatedTable, For
             "sections end at byte {cursor} but the file declares {declared} (trailing garbage?)"
         ));
     }
-    Ok(ValidatedTable {
-        artifact,
-        meta,
-        sections,
-        declared: declared as usize,
-        head,
-    })
-}
-
-/// One `f64` section materialized into its own heap buffer by
-/// [`read_f64_sections`].
-#[derive(Debug)]
-pub struct OwnedF64Section {
-    /// Section ID (see [`section`]).
-    pub id: u32,
-    /// Logical row count.
-    pub rows: usize,
-    /// Logical column count.
-    pub cols: usize,
-    /// Row-major values, `rows × cols` long.
-    pub values: Vec<f64>,
-}
-
-/// Streaming bulk loader for `f64` sections: validates the header and
-/// table exactly like [`Columns::open`], then reads each *requested*
-/// payload once, straight into the `Vec<f64>` that will be handed to
-/// the caller, and verifies its checksum there. Skipping the
-/// intermediate whole-file buffer (and the copy out of it) is what the
-/// embedding boot path wants: it owns its matrices, so the zero-copy
-/// views of [`Columns`] would only add a pass over the data.
-///
-/// Sections not named in `ids` are skipped unread, and their payload
-/// checksums are *not* verified — callers that need every section
-/// vouched for should open the full container. A requested ID that is
-/// missing, or typed other than `f64`, is a format error. The returned
-/// sections are in `ids` order.
-pub fn read_f64_sections(
-    path: &Path,
-    ids: &[u32],
-) -> Result<(Artifact, u16, Vec<OwnedF64Section>), FormatError> {
-    use std::io::Seek;
-    let mut f = File::open(path)?;
-    let t = read_validated_table(&mut f, path)?;
-    let mut out = Vec::with_capacity(ids.len());
-    for &id in ids {
-        let s = t
-            .sections
-            .iter()
-            .find(|s| s.id == id)
-            .ok_or_else(|| FormatError::Format(format!("missing section id {id}")))?;
-        if s.dtype != DType::F64 {
-            return format_err(format!(
-                "section id {id} holds {} values, f64 requested",
-                s.dtype
-            ));
-        }
-        let mut values = vec![0.0f64; s.rows * s.cols];
-        // SAFETY: a zeroed Vec<f64> is fully initialized; f64 has no
-        // padding or invalid bit patterns, so writing raw bytes through
-        // this view is sound, and u8 alignment is never stricter.
-        let bytes = unsafe {
-            std::slice::from_raw_parts_mut(values.as_mut_ptr() as *mut u8, values.len() * 8)
-        };
-        f.seek(std::io::SeekFrom::Start(s.range.start as u64))?;
-        f.read_exact(bytes)?;
-        if checksum(bytes) != s.sum {
-            return format_err(format!("section id {id}: payload checksum mismatch"));
-        }
-        // Wire order is little-endian; the checksum above ran over the
-        // wire bytes, so big-endian hosts swap afterwards.
-        #[cfg(target_endian = "big")]
-        for v in values.iter_mut() {
-            *v = f64::from_bits(v.to_bits().swap_bytes());
-        }
-        out.push(OwnedF64Section {
-            id,
-            rows: s.rows,
-            cols: s.cols,
-            values,
-        });
-    }
-    Ok((t.artifact, t.meta, out))
-}
-
-// ---------------------------------------------------------------------------
-// Aligned buffer
-
-/// A heap buffer whose start is 64-byte aligned, so any section offset
-/// (itself a multiple of 64) yields correctly-aligned typed views.
-struct AlignedBuf {
-    ptr: std::ptr::NonNull<u8>,
-    len: usize,
-}
-
-// SAFETY: the buffer is a plain owned allocation of bytes; &self access
-// hands out shared slices only.
-unsafe impl Send for AlignedBuf {}
-unsafe impl Sync for AlignedBuf {}
-
-impl AlignedBuf {
-    fn new_zeroed(len: usize) -> Self {
-        if len == 0 {
-            return Self {
-                ptr: std::ptr::NonNull::dangling(),
-                len: 0,
-            };
-        }
-        let layout = std::alloc::Layout::from_size_align(len, SECTION_ALIGN)
-            .expect("section-aligned layout");
-        // SAFETY: len > 0, layout is valid; alloc failure aborts via
-        // handle_alloc_error.
-        let raw = unsafe { std::alloc::alloc_zeroed(layout) };
-        let Some(ptr) = std::ptr::NonNull::new(raw) else {
-            std::alloc::handle_alloc_error(layout);
-        };
-        Self { ptr, len }
-    }
-
-    fn as_slice(&self) -> &[u8] {
-        // SAFETY: ptr covers len initialized (zeroed or read-into) bytes.
-        unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
-    }
-
-    fn as_mut_slice(&mut self) -> &mut [u8] {
-        // SAFETY: as above, and we hold &mut self.
-        unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), self.len) }
-    }
-}
-
-impl Drop for AlignedBuf {
-    fn drop(&mut self) {
-        if self.len > 0 {
-            let layout = std::alloc::Layout::from_size_align(self.len, SECTION_ALIGN)
-                .expect("section-aligned layout");
-            // SAFETY: allocated in new_zeroed with this exact layout.
-            unsafe { std::alloc::dealloc(self.ptr.as_ptr(), layout) };
-        }
-    }
-}
-
-impl fmt::Debug for AlignedBuf {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "AlignedBuf({} bytes)", self.len)
-    }
+    Ok((artifact, meta, sections))
 }
 
 fn align64(x: usize) -> usize {
     x.div_ceil(SECTION_ALIGN) * SECTION_ALIGN
+}
+
+/// Converts `width`-byte elements between little-endian wire order and
+/// host order, in place — a no-op on little-endian hosts.
+fn swap_wire_order(bytes: &mut [u8], width: usize) {
+    if cfg!(target_endian = "big") {
+        bytes.chunks_exact_mut(width).for_each(<[u8]>::reverse);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -621,73 +501,31 @@ fn align64(x: usize) -> usize {
 pub enum ColumnData<'a> {
     /// 64-bit floats.
     F64(&'a [f64]),
-    /// 32-bit floats.
-    F32(&'a [f32]),
     /// Signed bytes.
     I8(&'a [i8]),
     /// 32-bit unsigned integers.
     U32(&'a [u32]),
     /// 64-bit unsigned integers.
     U64(&'a [u64]),
-    /// Raw bytes.
-    U8(&'a [u8]),
 }
 
-impl ColumnData<'_> {
-    fn dtype(&self) -> DType {
-        match self {
-            ColumnData::F64(_) => DType::F64,
-            ColumnData::F32(_) => DType::F32,
-            ColumnData::I8(_) => DType::I8,
-            ColumnData::U32(_) => DType::U32,
-            ColumnData::U64(_) => DType::U64,
-            ColumnData::U8(_) => DType::U8,
+impl<'a> ColumnData<'a> {
+    /// The dtype and the wire (little-endian) bytes of the values:
+    /// borrowed on little-endian hosts, one swapped copy on big-endian
+    /// ones.
+    fn wire(self) -> (DType, Cow<'a, [u8]>) {
+        let (dtype, bytes) = match self {
+            ColumnData::F64(v) => (DType::F64, bytes_of(v)),
+            ColumnData::I8(v) => (DType::I8, bytes_of(v)),
+            ColumnData::U32(v) => (DType::U32, bytes_of(v)),
+            ColumnData::U64(v) => (DType::U64, bytes_of(v)),
+        };
+        if cfg!(target_endian = "little") {
+            return (dtype, Cow::Borrowed(bytes));
         }
-    }
-
-    fn elems(&self) -> usize {
-        match self {
-            ColumnData::F64(v) => v.len(),
-            ColumnData::F32(v) => v.len(),
-            ColumnData::I8(v) => v.len(),
-            ColumnData::U32(v) => v.len(),
-            ColumnData::U64(v) => v.len(),
-            ColumnData::U8(v) => v.len(),
-        }
-    }
-
-    /// The section's on-disk bytes. On little-endian hosts every variant
-    /// is a free reinterpretation of the slice (all six element types
-    /// are plain-old-data with no padding); big-endian hosts pay one
-    /// converting copy.
-    fn le_bytes(&self) -> Cow<'_, [u8]> {
-        #[cfg(target_endian = "little")]
-        {
-            let (ptr, len) = match self {
-                ColumnData::F64(v) => (v.as_ptr().cast::<u8>(), std::mem::size_of_val(*v)),
-                ColumnData::F32(v) => (v.as_ptr().cast::<u8>(), std::mem::size_of_val(*v)),
-                ColumnData::I8(v) => (v.as_ptr().cast::<u8>(), v.len()),
-                ColumnData::U32(v) => (v.as_ptr().cast::<u8>(), std::mem::size_of_val(*v)),
-                ColumnData::U64(v) => (v.as_ptr().cast::<u8>(), std::mem::size_of_val(*v)),
-                ColumnData::U8(v) => (v.as_ptr().cast::<u8>(), v.len()),
-            };
-            // SAFETY: ptr/len cover the source slice exactly; every
-            // element type here may be viewed as initialized bytes.
-            Cow::Borrowed(unsafe { std::slice::from_raw_parts(ptr, len) })
-        }
-        #[cfg(target_endian = "big")]
-        {
-            let mut out = Vec::with_capacity(self.elems() * self.dtype().size());
-            match self {
-                ColumnData::F64(v) => v.iter().for_each(|x| out.extend(x.to_le_bytes())),
-                ColumnData::F32(v) => v.iter().for_each(|x| out.extend(x.to_le_bytes())),
-                ColumnData::I8(v) => v.iter().for_each(|x| out.extend(x.to_le_bytes())),
-                ColumnData::U32(v) => v.iter().for_each(|x| out.extend(x.to_le_bytes())),
-                ColumnData::U64(v) => v.iter().for_each(|x| out.extend(x.to_le_bytes())),
-                ColumnData::U8(v) => out.extend_from_slice(v),
-            }
-            Cow::Owned(out)
-        }
+        let mut owned = bytes.to_vec();
+        swap_wire_order(&mut owned, dtype.size());
+        (dtype, Cow::Owned(owned))
     }
 }
 
@@ -708,9 +546,9 @@ pub struct ColumnSpec<'a> {
 /// the caller is responsible for fsync (the store layer owns durability
 /// ordering).
 ///
-/// Fails with [`FormatError::Format`] if a spec's `rows * cols`
-/// disagrees with its data length, an ID repeats, or more than
-/// [`MAX_SECTIONS`] sections are declared.
+/// Fails with [`FormatError::Format`], before the file is created, if a
+/// spec's `rows * cols` disagrees with its data length, an ID repeats,
+/// or more than [`MAX_SECTIONS`] sections are declared.
 pub fn write_columns(
     path: &Path,
     artifact: Artifact,
@@ -723,75 +561,58 @@ pub fn write_columns(
             specs.len()
         ));
     }
+    // Lay out the table and the payloads: each section at the next
+    // 64-byte boundary after the previous one (the first after the table).
+    let table_end = HEADER_LEN + TABLE_ENTRY_LEN * specs.len();
+    let mut table = Vec::with_capacity(table_end - HEADER_LEN);
+    let mut payloads = Vec::with_capacity(specs.len());
+    let mut cursor = table_end;
     for (i, s) in specs.iter().enumerate() {
-        let elems = s
-            .rows
-            .checked_mul(s.cols)
-            .ok_or_else(|| FormatError::Format("rows × cols overflows".into()))?;
-        if elems != s.data.elems() {
+        let (dtype, bytes) = s.data.wire();
+        let elems = bytes.len() / dtype.size();
+        if s.rows.checked_mul(s.cols) != Some(elems) {
             return format_err(format!(
-                "section {} (id {}): {} × {} declared but {} values supplied",
-                i,
-                s.id,
-                s.rows,
-                s.cols,
-                s.data.elems()
+                "section {i} (id {}): {} × {} declared but {elems} values supplied",
+                s.id, s.rows, s.cols
             ));
         }
         if specs[..i].iter().any(|p| p.id == s.id) {
             return format_err(format!("section id {} repeats", s.id));
         }
+        let offset = align64(cursor);
+        table.extend_from_slice(&s.id.to_le_bytes());
+        table.extend_from_slice(&dtype.tag().to_le_bytes());
+        for word in [
+            s.rows as u64,
+            s.cols as u64,
+            offset as u64,
+            bytes.len() as u64,
+        ] {
+            table.extend_from_slice(&word.to_le_bytes());
+        }
+        table.extend_from_slice(&checksum(&bytes).to_le_bytes());
+        cursor = offset + bytes.len();
+        payloads.push((offset, bytes));
     }
 
-    // Lay out: table end, then each section at the next 64-byte boundary.
-    let table_end = HEADER_LEN + TABLE_ENTRY_LEN * specs.len();
-    let mut offsets = Vec::with_capacity(specs.len());
-    let mut cursor = table_end;
-    for s in specs {
-        let off = align64(cursor);
-        offsets.push(off);
-        cursor = off + s.data.elems() * s.data.dtype().size();
-    }
-    let declared = cursor as u64;
-
-    // Header + table in memory (small), then checksum and splice.
+    // The fixed header; its checksum covers bytes 0..24 and the table.
     let mut head = Vec::with_capacity(table_end);
     head.extend_from_slice(MAGIC);
     head.extend_from_slice(&artifact.tag().to_le_bytes());
     head.extend_from_slice(&meta.to_le_bytes());
     head.extend_from_slice(&(specs.len() as u32).to_le_bytes());
-    head.extend_from_slice(&declared.to_le_bytes());
-    head.extend_from_slice(&[0u8; 8]); // header checksum placeholder
-    let mut payload_sums = Vec::with_capacity(specs.len());
-    for (s, &off) in specs.iter().zip(&offsets) {
-        let bytes = s.data.le_bytes();
-        let sum = checksum(&bytes);
-        payload_sums.push(sum);
-        head.extend_from_slice(&s.id.to_le_bytes());
-        head.extend_from_slice(&s.data.dtype().tag().to_le_bytes());
-        head.extend_from_slice(&(s.rows as u64).to_le_bytes());
-        head.extend_from_slice(&(s.cols as u64).to_le_bytes());
-        head.extend_from_slice(&(off as u64).to_le_bytes());
-        head.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
-        head.extend_from_slice(&sum.to_le_bytes());
-    }
-    let mut hsum = Vec::with_capacity(head.len() - 8);
-    hsum.extend_from_slice(&head[..24]);
-    hsum.extend_from_slice(&head[HEADER_LEN..]);
-    let hsum = checksum(&hsum);
-    head[24..32].copy_from_slice(&hsum.to_le_bytes());
+    head.extend_from_slice(&(cursor as u64).to_le_bytes());
+    let hsum = checksum(&[&head[..], &table[..]].concat());
+    head.extend_from_slice(&hsum.to_le_bytes());
+    head.extend_from_slice(&table);
 
     let mut w = std::io::BufWriter::new(File::create(path)?);
     w.write_all(&head)?;
     let mut written = table_end;
-    for (s, &off) in specs.iter().zip(&offsets) {
-        if off > written {
-            const ZEROS: [u8; SECTION_ALIGN] = [0u8; SECTION_ALIGN];
-            w.write_all(&ZEROS[..off - written])?;
-        }
-        let bytes = s.data.le_bytes();
-        w.write_all(&bytes)?;
-        written = off + bytes.len();
+    for (offset, bytes) in &payloads {
+        w.write_all(&[0u8; SECTION_ALIGN][..offset - written])?;
+        w.write_all(bytes)?;
+        written = offset + bytes.len();
     }
     w.flush()?;
     Ok(())
@@ -800,7 +621,7 @@ pub fn write_columns(
 // ---------------------------------------------------------------------------
 // Reader
 
-/// One validated section of an opened container.
+/// One validated entry of a container's section table.
 #[derive(Debug, Clone)]
 pub struct Section {
     /// Section ID (see [`section`]).
@@ -811,90 +632,51 @@ pub struct Section {
     pub rows: usize,
     /// Logical column count.
     pub cols: usize,
-    /// Byte range inside the file buffer.
-    range: std::ops::Range<usize>,
+    /// Byte offset of the payload inside the file.
+    offset: u64,
     /// Stored payload checksum from the table entry.
     sum: u64,
 }
 
-/// An opened, fully-validated `PANECOL1` container: the whole file in
-/// one aligned buffer plus the parsed section table. All column
-/// accessors are zero-copy views into that buffer.
+/// An opened, fully validated `PANECOL1` container: the parsed section
+/// table and every section's values, each read once into the vector
+/// that owns it. Loaders [`take`](Self::take) the vectors by value.
 #[derive(Debug)]
 pub struct Columns {
     artifact: Artifact,
     meta: u16,
-    buf: AlignedBuf,
     sections: Vec<Section>,
+    /// Section `i`'s values — a `Vec` of its dtype's [`Element`] — until
+    /// taken.
+    values: Vec<Option<Box<dyn Any + Send>>>,
 }
 
 impl Columns {
     /// Opens and validates a container. See the module docs for the
     /// validation order; the headline property is that the declared
     /// length is checked against the OS-reported file length *before*
-    /// the (single) allocation, so corrupt headers cannot drive an
-    /// oversized allocation, and every section checksum is verified
-    /// before any view is handed out.
+    /// any allocation, so corrupt headers cannot drive an oversized
+    /// allocation, and every section's checksum is verified before
+    /// `open` returns — sections no loader takes included.
     pub fn open(path: &Path) -> Result<Self, FormatError> {
         let mut f = File::open(path)?;
-        // Shared front half: header + table read and fully validated
-        // (declared-vs-actual length before any payload-sized
-        // allocation, deterministic layout, unique IDs, no trailing
-        // bytes) — see [`read_validated_table`].
-        let t = read_validated_table(&mut f, path)?;
-        let ValidatedTable {
+        let (artifact, meta, sections) = read_validated_table(&mut f, path)?;
+        let values = sections
+            .iter()
+            .map(|s| match s.dtype {
+                DType::F64 => read_section::<f64>(&mut f, s),
+                DType::I8 => read_section::<i8>(&mut f, s),
+                DType::U32 => read_section::<u32>(&mut f, s),
+                DType::U64 => read_section::<u64>(&mut f, s),
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(Self {
             artifact,
             meta,
             sections,
-            declared,
-            head,
-        } = t;
-
-        // One bulk read of the payload into the aligned buffer, behind
-        // the already-read header + table bytes, so section ranges
-        // index the buffer exactly as they index the file.
-        let mut buf = AlignedBuf::new_zeroed(declared);
-        let slice = buf.as_mut_slice();
-        slice[..head.len()].copy_from_slice(&head);
-        f.read_exact(&mut slice[head.len()..])?;
-        // Every payload checksum is verified before any view is handed
-        // out; the stored sums came from the validated table entries.
-        let bytes = buf.as_slice();
-        for s in &sections {
-            if checksum(&bytes[s.range.clone()]) != s.sum {
-                return format_err(format!("section id {}: payload checksum mismatch", s.id));
-            }
-        }
-
-        let mut columns = Self {
-            artifact,
-            meta,
-            buf,
-            sections,
-        };
-        columns.fix_endianness();
-        Ok(columns)
+            values,
+        })
     }
-
-    /// Sections are little-endian on disk; big-endian hosts byte-swap
-    /// each section in place (after checksum validation, which runs over
-    /// the wire bytes) so the typed views stay zero-copy everywhere.
-    #[cfg(target_endian = "big")]
-    fn fix_endianness(&mut self) {
-        let sections = self.sections.clone();
-        let buf = self.buf.as_mut_slice();
-        for s in &sections {
-            let width = s.dtype.size();
-            if width > 1 {
-                for chunk in buf[s.range.clone()].chunks_exact_mut(width) {
-                    chunk.reverse();
-                }
-            }
-        }
-    }
-
-    #[cfg(target_endian = "little")]
-    fn fix_endianness(&mut self) {}
 
     /// The artifact kind from the header.
     pub fn artifact(&self) -> Artifact {
@@ -911,61 +693,58 @@ impl Columns {
         &self.sections
     }
 
-    /// Looks up a section by ID; a missing section is a structured
-    /// format error (artifacts declare fixed schemas).
-    pub fn section(&self, id: u32) -> Result<&Section, FormatError> {
+    /// Index of section `id`; a missing section is a structured format
+    /// error (artifacts declare fixed schemas).
+    fn position(&self, id: u32) -> Result<usize, FormatError> {
         self.sections
             .iter()
-            .find(|s| s.id == id)
+            .position(|s| s.id == id)
             .ok_or_else(|| FormatError::Format(format!("missing section id {id}")))
     }
 
     /// `(rows, cols)` of a section.
     pub fn dims(&self, id: u32) -> Result<(usize, usize), FormatError> {
-        let s = self.section(id)?;
+        let s = &self.sections[self.position(id)?];
         Ok((s.rows, s.cols))
     }
 
-    fn typed_bytes(&self, id: u32, dtype: DType) -> Result<&[u8], FormatError> {
-        let s = self.section(id)?;
-        if s.dtype != dtype {
+    /// Hands out a section's values by value, `rows × cols` row-major,
+    /// for the caller to move into its structure. A missing section, a
+    /// dtype other than `T`'s, or a second take of one section is a
+    /// format error.
+    pub fn take<T: Element>(&mut self, id: u32) -> Result<Vec<T>, FormatError> {
+        let i = self.position(id)?;
+        let dtype = self.sections[i].dtype;
+        if dtype != T::DTYPE {
             return format_err(format!(
-                "section id {id} holds {} values, {dtype} requested",
-                s.dtype
+                "section id {id} holds {dtype} values, {} requested",
+                T::DTYPE
             ));
         }
-        Ok(&self.buf.as_slice()[s.range.clone()])
+        match self.values[i].take().map(|v| v.downcast::<Vec<T>>()) {
+            Some(Ok(values)) => Ok(*values),
+            _ => format_err(format!("section id {id} was already taken")),
+        }
     }
 }
 
-macro_rules! typed_view {
-    ($name:ident, $ty:ty, $dtype:expr, $doc:literal) => {
-        impl Columns {
-            #[doc = $doc]
-            ///
-            /// Zero-copy: the returned slice borrows the file buffer
-            /// (sections are 64-byte aligned, so the cast never copies).
-            pub fn $name(&self, id: u32) -> Result<&[$ty], FormatError> {
-                let bytes = self.typed_bytes(id, $dtype)?;
-                // Alignment is guaranteed by construction; a misaligned
-                // prefix would mean a bug in this crate, not bad input.
-                let (prefix, values, suffix) = unsafe { bytes.align_to::<$ty>() };
-                debug_assert!(prefix.is_empty() && suffix.is_empty());
-                if !prefix.is_empty() || !suffix.is_empty() {
-                    return format_err(format!("section id {id}: misaligned view"));
-                }
-                Ok(values)
-            }
-        }
-    };
+/// Reads one section's payload straight into the `Vec<T>` that will own
+/// it, verifies its checksum over the wire bytes, then puts the values
+/// in host order.
+fn read_section<T: Element>(
+    f: &mut File,
+    s: &Section,
+) -> Result<Option<Box<dyn Any + Send>>, FormatError> {
+    let mut values = vec![T::default(); s.rows * s.cols];
+    let bytes = bytes_of_mut(&mut values);
+    f.seek(SeekFrom::Start(s.offset))?;
+    f.read_exact(bytes)?;
+    if checksum(bytes) != s.sum {
+        return format_err(format!("section id {}: payload checksum mismatch", s.id));
+    }
+    swap_wire_order(bytes, T::DTYPE.size());
+    Ok(Some(Box::new(values)))
 }
-
-typed_view!(f64s, f64, DType::F64, "The section's values as `&[f64]`.");
-typed_view!(f32s, f32, DType::F32, "The section's values as `&[f32]`.");
-typed_view!(i8s, i8, DType::I8, "The section's values as `&[i8]`.");
-typed_view!(u32s, u32, DType::U32, "The section's values as `&[u32]`.");
-typed_view!(u64s, u64, DType::U64, "The section's values as `&[u64]`.");
-typed_view!(u8s, u8, DType::U8, "The section's raw bytes.");
 
 #[cfg(test)]
 mod proptests;
@@ -1026,26 +805,19 @@ mod tests {
         let p = tmpdir().join("roundtrip.col");
         write_sample(&p);
         let (f, u, q) = sample_specs();
-        let c = Columns::open(&p).unwrap();
+        let mut c = Columns::open(&p).unwrap();
         assert_eq!(c.artifact(), Artifact::Index);
         assert_eq!(c.meta(), 0x0203);
         assert_eq!(c.dims(section::INDEX_VECTORS).unwrap(), (3, 4));
-        assert_eq!(c.f64s(section::INDEX_VECTORS).unwrap(), &f[..]);
-        assert_eq!(c.u32s(section::IVF_SIZES).unwrap(), &u[..]);
-        assert_eq!(c.i8s(section::SQ_CODES).unwrap(), &q[..]);
-        std::fs::remove_file(&p).unwrap();
-    }
-
-    #[test]
-    fn views_are_section_aligned() {
-        let p = tmpdir().join("aligned.col");
-        write_sample(&p);
-        let c = Columns::open(&p).unwrap();
-        let v = c.f64s(section::INDEX_VECTORS).unwrap();
-        assert_eq!(v.as_ptr() as usize % SECTION_ALIGN, 0);
-        for s in c.sections() {
-            assert_eq!(s.range.start % SECTION_ALIGN, 0, "section {}", s.id);
-        }
+        assert_eq!(c.take::<f64>(section::INDEX_VECTORS).unwrap(), f);
+        assert_eq!(c.take::<u32>(section::IVF_SIZES).unwrap(), u);
+        assert_eq!(c.take::<i8>(section::SQ_CODES).unwrap(), q);
+        // A section is handed out once; its table entry stays.
+        assert!(matches!(
+            c.take::<f64>(section::INDEX_VECTORS),
+            Err(FormatError::Format(m)) if m.contains("already taken")
+        ));
+        assert_eq!(c.dims(section::INDEX_VECTORS).unwrap(), (3, 4));
         std::fs::remove_file(&p).unwrap();
     }
 
@@ -1126,47 +898,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_reader_loads_requested_sections_only() {
-        let p = tmpdir().join("stream.col");
-        write_sample(&p);
-        let (f, _, _) = sample_specs();
-        let (artifact, meta, got) = read_f64_sections(&p, &[section::INDEX_VECTORS]).unwrap();
-        assert_eq!(artifact, Artifact::Index);
-        assert_eq!(meta, 0x0203);
-        assert_eq!(got.len(), 1);
-        assert_eq!((got[0].rows, got[0].cols), (3, 4));
-        assert_eq!(got[0].values, f);
-        // Missing and wrongly-typed requests are structured errors.
-        assert!(matches!(
-            read_f64_sections(&p, &[section::EMB_FORWARD]),
-            Err(FormatError::Format(_))
-        ));
-        assert!(matches!(
-            read_f64_sections(&p, &[section::IVF_SIZES]),
-            Err(FormatError::Format(_))
-        ));
-        // Corrupting an *unrequested* payload is invisible (it is never
-        // read), but corrupting the requested one trips its checksum.
-        let clean = std::fs::read(&p).unwrap();
-        let c = Columns::open(&p).unwrap();
-        let codes = c.section(section::SQ_CODES).unwrap().range.clone();
-        let vectors = c.section(section::INDEX_VECTORS).unwrap().range.clone();
-        drop(c);
-        let mut bytes = clean.clone();
-        bytes[codes.start] ^= 0xFF;
-        std::fs::write(&p, &bytes).unwrap();
-        assert!(read_f64_sections(&p, &[section::INDEX_VECTORS]).is_ok());
-        let mut bytes = clean.clone();
-        bytes[vectors.start] ^= 0xFF;
-        std::fs::write(&p, &bytes).unwrap();
-        assert!(matches!(
-            read_f64_sections(&p, &[section::INDEX_VECTORS]),
-            Err(FormatError::Format(_))
-        ));
-        std::fs::remove_file(&p).unwrap();
-    }
-
-    #[test]
     fn peek_table_reports_shapes_without_payload_reads() {
         let p = tmpdir().join("peek.col");
         let f: Vec<f64> = (0..12).map(|i| i as f64).collect();
@@ -1212,7 +943,7 @@ mod tests {
         let c = Columns::open(&p).unwrap();
         assert!(c.sections().is_empty());
         assert!(matches!(
-            c.section(section::EMB_FORWARD),
+            c.dims(section::EMB_FORWARD),
             Err(FormatError::Format(_))
         ));
         std::fs::remove_file(&p).unwrap();
@@ -1222,11 +953,13 @@ mod tests {
     fn wrong_dtype_request_is_a_structured_error() {
         let p = tmpdir().join("dtype.col");
         write_sample(&p);
-        let c = Columns::open(&p).unwrap();
+        let mut c = Columns::open(&p).unwrap();
         assert!(matches!(
-            c.f64s(section::IVF_SIZES),
+            c.take::<f64>(section::IVF_SIZES),
             Err(FormatError::Format(_))
         ));
+        // The refused request leaves the section to a request of its type.
+        assert!(c.take::<u32>(section::IVF_SIZES).is_ok());
         std::fs::remove_file(&p).unwrap();
     }
 
@@ -1267,7 +1000,7 @@ mod tests {
     }
 
     /// The two pre-columnar stream magics are named, with a remedy, by
-    /// every reader, whether the file is a full-size stream or a 12-byte
+    /// both readers, whether the file is a full-size stream or a 12-byte
     /// stub shorter than a header; a file too short for any magic keeps
     /// its length error.
     #[test]
@@ -1281,11 +1014,7 @@ mod tests {
             for tail in [&b"junk"[..], &full[..]] {
                 let p = dir.join("removed.bin");
                 std::fs::write(&p, [&magic[..], tail].concat()).unwrap();
-                let errors = [
-                    peek_table(&p).err(),
-                    Columns::open(&p).err(),
-                    read_f64_sections(&p, &[section::EMB_FORWARD]).err(),
-                ];
+                let errors = [peek_table(&p).err(), Columns::open(&p).err()];
                 for e in errors {
                     match e {
                         Some(FormatError::Format(m)) => assert!(

@@ -13,12 +13,9 @@
 //! directly into a chunked [`pane_sparse::CsrBuilder`], so peak memory is
 //! the output CSR plus one bounded chunk — never a `Vec` of all parsed
 //! records (these files reach hundreds of millions of lines for MAG-scale
-//! data). [`load_graph_with`] additionally offers [`LoadMode::TwoPass`],
-//! which re-parses each file through the two-pass counting sort instead
-//! of chunk-merging — bit-identical output, lower peak memory on
-//! near-unique edge lists. The `for_each_*` functions expose the same
-//! streaming parse to callers; the `parse_*` functions are thin
-//! collecting wrappers for small inputs.
+//! data). The `for_each_*` functions expose the same streaming parse to
+//! callers; the `parse_*` functions are thin collecting wrappers for
+//! small inputs.
 //!
 //! Untrusted input never panics: malformed lines, out-of-range ids (when
 //! explicit dimensions are given) and invalid weights all surface as
@@ -251,28 +248,6 @@ fn open(path: &Path) -> Result<BufReader<File>, IoError> {
     Ok(BufReader::new(File::open(path)?))
 }
 
-/// How [`load_graph_with`] materializes the CSR matrices from the files.
-///
-/// Both modes produce **bit-identical** graphs (same entry order, same
-/// duplicate folding — pinned by the `pane-sparse` equivalence property
-/// tests plus the mode-equivalence test below); they differ only in what
-/// is held in memory on the way there.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LoadMode {
-    /// Stream each file **once** into a chunked [`CsrBuilder`]: peak
-    /// auxiliary memory is `O(nnz_out + chunk)`. The default — it never
-    /// re-reads, and its bound does not grow with duplicate records.
-    #[default]
-    Chunked,
-    /// Parse each file **twice** through the two-pass counting sort
-    /// (`CsrBuilder::try_from_source`: a count pass sizes the final
-    /// arrays, a fill pass scatters into them). No chunk merging at all —
-    /// auxiliary memory is the `rows + 1` offset table plus the scatter
-    /// slack for duplicates, which beats the chunked bound on
-    /// near-unique edge lists at the cost of a second read of the file.
-    TwoPass,
-}
-
 /// Rejects out-of-range edge endpoints with a structured error.
 fn check_edge(line: usize, s: usize, t: usize, n: usize) -> Result<(), IoError> {
     if s >= n {
@@ -329,30 +304,9 @@ fn check_attribute(
     Ok(())
 }
 
-/// Loads an attributed graph from separate files with the default
-/// [`LoadMode::Chunked`] streaming build (no intermediate record
-/// vectors). See [`load_graph_with`].
-pub fn load_graph(
-    edges_path: &Path,
-    attrs_path: Option<&Path>,
-    labels_path: Option<&Path>,
-    num_nodes: Option<usize>,
-    num_attributes: Option<usize>,
-    undirected: bool,
-) -> Result<AttributedGraph, IoError> {
-    load_graph_with(
-        edges_path,
-        attrs_path,
-        labels_path,
-        num_nodes,
-        num_attributes,
-        undirected,
-        LoadMode::Chunked,
-    )
-}
-
-/// Loads an attributed graph from separate files, materializing the CSR
-/// matrices per `mode` (see [`LoadMode`] for the memory trade-off).
+/// Loads an attributed graph from separate files, streaming each file
+/// once into a chunked [`CsrBuilder`] (no intermediate record vectors;
+/// peak auxiliary memory is `O(nnz_out + chunk)`).
 ///
 /// `num_nodes`/`num_attributes` may be `None`, in which case they are
 /// inferred as `1 + max index` seen across the files (one extra streaming
@@ -360,15 +314,13 @@ pub fn load_graph(
 /// at or past it is a structured [`IoError::IdOutOfRange`] — never a
 /// panic — so a serving-adjacent load of an inconsistent dataset degrades
 /// into a clean error.
-#[allow(clippy::too_many_arguments)]
-pub fn load_graph_with(
+pub fn load_graph(
     edges_path: &Path,
     attrs_path: Option<&Path>,
     labels_path: Option<&Path>,
     num_nodes: Option<usize>,
     num_attributes: Option<usize>,
     undirected: bool,
-    mode: LoadMode,
 ) -> Result<AttributedGraph, IoError> {
     // Dimension scan — only the files a missing dimension depends on.
     let (n, d) = match (num_nodes, num_attributes) {
@@ -413,60 +365,27 @@ pub fn load_graph_with(
         }
     }
 
-    // Build pass(es): stream records straight into the selected builder.
-    // Duplicate edges collapse to weight 1 (binary adjacency, §2.1);
-    // duplicate node–attribute associations sum their weights. Both
-    // modes emit the identical triplet sequence, so the results are
-    // bit-identical (the builders share one merge semantics).
-    let (adjacency, attributes) = match mode {
-        LoadMode::Chunked => {
-            let mut adj = CsrBuilder::new(n, n).merge_rule(MergeRule::KeepFirst);
-            for_each_edge(open(edges_path)?, |line, s, t| {
-                check_edge(line, s, t, n)?;
-                adj.push(s, t, 1.0);
-                if undirected {
-                    adj.push(t, s, 1.0);
-                }
-                Ok(())
-            })?;
-            let mut attrs = CsrBuilder::new(n, d).merge_rule(MergeRule::Sum);
-            if let Some(p) = attrs_path {
-                for_each_attribute(open(p)?, |line, v, r, w| {
-                    check_attribute(line, v, r, w, n, d)?;
-                    attrs.push(v, r, w);
-                    Ok(())
-                })?;
-            }
-            (adj.finish(), attrs.finish())
+    // Build pass: stream records straight into the builders. Duplicate
+    // edges collapse to weight 1 (binary adjacency, §2.1); duplicate
+    // node–attribute associations sum their weights.
+    let mut adjacency = CsrBuilder::new(n, n).merge_rule(MergeRule::KeepFirst);
+    for_each_edge(open(edges_path)?, |line, s, t| {
+        check_edge(line, s, t, n)?;
+        adjacency.push(s, t, 1.0);
+        if undirected {
+            adjacency.push(t, s, 1.0);
         }
-        LoadMode::TwoPass => {
-            // Each closure call re-opens and re-parses the file — the
-            // "replayable source" the two-pass counting sort requires
-            // (count pass + fill pass). Parse and range errors propagate
-            // through `try_from_source` from either pass.
-            let adj = CsrBuilder::try_from_source(n, n, MergeRule::KeepFirst, |emit| {
-                for_each_edge(open(edges_path)?, |line, s, t| {
-                    check_edge(line, s, t, n)?;
-                    emit(s, t, 1.0);
-                    if undirected {
-                        emit(t, s, 1.0);
-                    }
-                    Ok(())
-                })
-            })?;
-            let attrs = match attrs_path {
-                Some(p) => CsrBuilder::try_from_source(n, d, MergeRule::Sum, |emit| {
-                    for_each_attribute(open(p)?, |line, v, r, w| {
-                        check_attribute(line, v, r, w, n, d)?;
-                        emit(v, r, w);
-                        Ok(())
-                    })
-                })?,
-                None => CsrBuilder::new(n, d).merge_rule(MergeRule::Sum).finish(),
-            };
-            (adj, attrs)
-        }
-    };
+        Ok(())
+    })?;
+    let mut attributes = CsrBuilder::new(n, d).merge_rule(MergeRule::Sum);
+    if let Some(p) = attrs_path {
+        for_each_attribute(open(p)?, |line, v, r, w| {
+            check_attribute(line, v, r, w, n, d)?;
+            attributes.push(v, r, w);
+            Ok(())
+        })?;
+    }
+    let (adjacency, attributes) = (adjacency.finish(), attributes.finish());
 
     let mut labels: Vec<Vec<u32>> = vec![Vec::new(); n];
     let mut num_labels = 0usize;
@@ -673,79 +592,6 @@ mod tests {
             assert_eq!(got.labels(), want.labels());
             assert_eq!(got.num_labels(), want.num_labels());
         }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// The two-pass file mode must reproduce the chunked load
-    /// bit-for-bit — duplicate edges, duplicate summed attributes,
-    /// undirected mirroring, inference, everything.
-    #[test]
-    fn two_pass_load_is_bit_identical_to_chunked() {
-        let dir = tmpdir("twopass");
-        write_files(
-            &dir,
-            "0 1\n1 2\n0 1\n2 2\n1 0\n0 1\n",
-            "0 0 0.5\n1 2 2.0\n0 0 0.25\n2 1\n0 0 0.125\n",
-            "0 1\n2 0 1\n",
-        );
-        for undirected in [false, true] {
-            for dims in [(Some(3), Some(3)), (None, None)] {
-                let load = |mode| {
-                    load_graph_with(
-                        &dir.join("e.txt"),
-                        Some(&dir.join("a.txt")),
-                        Some(&dir.join("l.txt")),
-                        dims.0,
-                        dims.1,
-                        undirected,
-                        mode,
-                    )
-                    .unwrap()
-                };
-                let chunked = load(LoadMode::Chunked);
-                let two_pass = load(LoadMode::TwoPass);
-                assert_eq!(chunked.adjacency(), two_pass.adjacency());
-                assert_eq!(chunked.attributes(), two_pass.attributes());
-                assert_eq!(chunked.labels(), two_pass.labels());
-                assert_eq!(chunked.num_labels(), two_pass.num_labels());
-            }
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// Two-pass mode surfaces the same structured errors as chunked —
-    /// from either pass, never a panic.
-    #[test]
-    fn two_pass_load_propagates_structured_errors() {
-        let dir = tmpdir("twopass_err");
-        write_files(&dir, "0 1\n1 7\n", "0 0\n", "");
-        let err = load_graph_with(
-            &dir.join("e.txt"),
-            Some(&dir.join("a.txt")),
-            None,
-            Some(3),
-            Some(2),
-            false,
-            LoadMode::TwoPass,
-        )
-        .unwrap_err();
-        let msg = format!("{err}");
-        assert!(
-            msg.contains("edge target node id 7") && msg.contains("line 2"),
-            "{msg}"
-        );
-        write_files(&dir, "0 1\n", "0 0 -1.0\n", "");
-        let err = load_graph_with(
-            &dir.join("e.txt"),
-            Some(&dir.join("a.txt")),
-            None,
-            Some(2),
-            Some(2),
-            false,
-            LoadMode::TwoPass,
-        )
-        .unwrap_err();
-        assert!(format!("{err}").contains("finite and positive"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,6 +1,6 @@
 //! Exact full-scan index — the recall baseline.
 
-use crate::persist::{columnar_matrix, columnar_meta, open_index_columns};
+use crate::persist::{columnar_matrix, columnar_meta};
 use crate::topk::TopK;
 use crate::{scan::ScanRows, IndexError, IndexKind, Metric, Neighbor, VectorIndex};
 use pane_format::{section, Artifact, ColumnData, ColumnSpec};
@@ -31,19 +31,13 @@ impl FlatIndex {
         Self { metric, data }
     }
 
-    /// Reads an index written by [`VectorIndex::save`].
-    ///
-    /// Fails with a structured [`IndexError`] on any corruption: `build`
-    /// never produces an empty index, so `n = 0` or `dim = 0` is rejected
-    /// at load time rather than surprising the first search.
-    pub fn load(path: &Path) -> Result<Self, IndexError> {
-        let (c, metric) = open_index_columns(path, IndexKind::Flat)?;
-        Self::from_columns(&c, metric)
-    }
-
     /// Reconstructs the index from an already-validated container.
+    ///
+    /// `build` never produces an empty index, so `n = 0` or `dim = 0` is
+    /// a structured [`IndexError`] at load time rather than a surprise
+    /// for the first search.
     pub(crate) fn from_columns(
-        c: &pane_format::Columns,
+        c: &mut pane_format::Columns,
         metric: Metric,
     ) -> Result<Self, IndexError> {
         let data = columnar_matrix(c, section::INDEX_VECTORS)?;

@@ -19,7 +19,7 @@
 //! arena of fixed-capacity lists, the same for a built and a loaded
 //! index; the file keeps the packed lists, so the arena is not a format.
 
-use crate::persist::{columnar_matrix, columnar_meta, open_index_columns};
+use crate::persist::{columnar_matrix, columnar_meta};
 use crate::{block_rows, topk, unit_open, IndexError, IndexKind, Metric, Neighbor, VectorIndex};
 use pane_format::{section, Artifact, ColumnData, ColumnSpec};
 use pane_linalg::{kernels, vecops, DenseMatrix};
@@ -426,9 +426,14 @@ impl HnswIndex {
         self.ef_search = ef.max(1);
     }
 
-    /// Reads an index written by [`VectorIndex::save`].
+    /// Reconstructs the index from an already-validated container.
     ///
-    /// Every graph invariant a search relies on is re-validated here so a
+    /// The container stores the neighbor lists *flattened*: one `u32`
+    /// links section plus a `u64` offsets section with one entry per
+    /// list (node-major, then level `0..=levels[node]`) and a final
+    /// end sentinel; the lists are copied into the arena `build` fills.
+    ///
+    /// This is the one place the graph invariants are checked, so a
     /// corrupted file fails the *load* with a structured [`IndexError`]
     /// instead of panicking the first search: `n` and `dim` must be
     /// positive (`build` never produces an empty index), the parameters
@@ -437,21 +442,8 @@ impl HnswIndex {
     /// levels may not exceed `max_level`, no list may be longer than its
     /// cap (the arena has no slot for it), and every edge must point at
     /// an in-range node of sufficient level.
-    pub fn load(path: &Path) -> Result<Self, IndexError> {
-        let (c, metric) = open_index_columns(path, IndexKind::Hnsw)?;
-        Self::from_columns(&c, metric)
-    }
-
-    /// Reconstructs the index from an already-validated container.
-    ///
-    /// The container stores the neighbor lists *flattened*: one `u32`
-    /// links section plus a `u64` offsets section with one entry per
-    /// list (node-major, then level `0..=levels[node]`) and a final
-    /// end sentinel; the lists are copied into the arena `build` fills.
-    /// This is the one place the graph invariants listed on
-    /// [`HnswIndex::load`] are checked.
     pub(crate) fn from_columns(
-        c: &pane_format::Columns,
+        c: &mut pane_format::Columns,
         metric: Metric,
     ) -> Result<Self, IndexError> {
         let data = columnar_matrix(c, section::HNSW_VECTORS)?;
@@ -461,7 +453,9 @@ impl HnswIndex {
                 "hnsw vectors section is {n}×{dim}; outside the valid range"
             ));
         }
-        let &[m, ef_construction, ef_search, entry, max_level] = c.u64s(section::HNSW_META)? else {
+        let [m, ef_construction, ef_search, entry, max_level] =
+            c.take::<u64>(section::HNSW_META)?[..]
+        else {
             return bad("hnsw meta section does not hold 5 words".into());
         };
         for (v, what, min) in [
@@ -488,7 +482,7 @@ impl HnswIndex {
             ));
         }
         let (entry, max_level) = (entry as u32, max_level as u32);
-        let levels = c.u32s(section::HNSW_LEVELS)?;
+        let levels: Vec<u32> = c.take(section::HNSW_LEVELS)?;
         if levels.len() != n {
             return bad(format!(
                 "level array has {} entries, expected {n}",
@@ -507,8 +501,8 @@ impl HnswIndex {
                 "node {node} level {l} exceeds max level {max_level}"
             ));
         }
-        let offsets = c.u64s(section::HNSW_LINK_OFFSETS)?;
-        let flat = c.u32s(section::HNSW_LINKS)?;
+        let offsets: Vec<u64> = c.take(section::HNSW_LINK_OFFSETS)?;
+        let flat: Vec<u32> = c.take(section::HNSW_LINKS)?;
         let lists: usize = levels.iter().map(|&l| l as usize + 1).sum();
         if offsets.len() != lists + 1 || offsets[0] != 0 {
             return bad(format!(
@@ -524,7 +518,7 @@ impl HnswIndex {
                 flat.len()
             ));
         }
-        let mut links = Links::new(levels, m as usize);
+        let mut links = Links::new(&levels, m as usize);
         let mut list = 0usize;
         for (node, &l) in levels.iter().enumerate() {
             for lev in 0..=l as usize {
@@ -567,7 +561,7 @@ impl HnswIndex {
             ef_construction: ef_construction as usize,
             ef_search: ef_search as usize,
             data,
-            levels: levels.to_vec(),
+            levels,
             links,
             entry,
             max_level,
@@ -869,7 +863,7 @@ mod tests {
         let p = dir.join(format!("{}.idx", want.replace(' ', "_")));
         idx.save(&p).unwrap();
         lie(&p);
-        match HnswIndex::load(&p) {
+        match crate::load_index(&p) {
             Err(IndexError::Format(m)) => assert!(m.contains(want), "{want}: {m}"),
             other => panic!("{want}: expected format error, got {other:?}"),
         }

@@ -12,7 +12,7 @@
 //! parameter.
 
 use crate::kmeans::kmeans;
-use crate::persist::{columnar_matrix, columnar_meta, open_index_columns};
+use crate::persist::{columnar_matrix, columnar_meta};
 use crate::VectorIndex;
 use crate::{block_rows, scan::ScanRows, topk, IndexError, IndexKind, Metric, Neighbor};
 use pane_format::{section, Artifact, ColumnData, ColumnSpec};
@@ -145,20 +145,13 @@ impl IvfIndex {
         self.nprobe = nprobe.clamp(1, self.nlist());
     }
 
-    /// Reads an index written by [`VectorIndex::save`].
-    ///
-    /// Fails with a structured [`IndexError`] on any corruption: empty
-    /// dimensions, a zero `nlist`, cell sizes that do not sum to `n`, or
-    /// arrays whose lengths disagree are all load-time errors.
-    pub fn load(path: &Path) -> Result<Self, IndexError> {
-        let (c, metric) = open_index_columns(path, IndexKind::Ivf)?;
-        Self::from_columns(&c, metric)
-    }
-
     /// Reconstructs the index from an already-validated container,
-    /// checking every structural invariant a search relies on.
+    /// checking every structural invariant a search relies on: empty
+    /// dimensions, a zero `nlist`, cell sizes that do not sum to `n`, or
+    /// arrays whose lengths disagree are all structured [`IndexError`]s
+    /// at load time.
     pub(crate) fn from_columns(
-        c: &pane_format::Columns,
+        c: &mut pane_format::Columns,
         metric: Metric,
     ) -> Result<Self, IndexError> {
         let centroids = columnar_matrix(c, section::IVF_CENTROIDS)?;
@@ -176,7 +169,7 @@ impl IvfIndex {
                 centroids.cols()
             )));
         }
-        let meta = c.u64s(section::IVF_META)?;
+        let meta: Vec<u64> = c.take(section::IVF_META)?;
         if meta.len() != 2 || meta[0] as usize != nlist {
             return Err(IndexError::Format(format!(
                 "ivf meta section {meta:?} disagrees with nlist = {nlist}"
@@ -188,7 +181,7 @@ impl IvfIndex {
                 "nprobe {nprobe} outside [1, {nlist}]"
             )));
         }
-        let sizes = c.u32s(section::IVF_SIZES)?;
+        let sizes: Vec<u32> = c.take(section::IVF_SIZES)?;
         if sizes.len() != nlist {
             return Err(IndexError::Format(format!(
                 "cell-size array has {} entries, expected {nlist}",
@@ -197,7 +190,7 @@ impl IvfIndex {
         }
         let mut offsets = Vec::with_capacity(nlist + 1);
         offsets.push(0usize);
-        for &s in sizes.iter() {
+        for &s in &sizes {
             offsets.push(offsets.last().unwrap() + s as usize);
         }
         if *offsets.last().unwrap() != n {
@@ -206,7 +199,7 @@ impl IvfIndex {
                 offsets.last().unwrap()
             )));
         }
-        let ids = c.u32s(section::IVF_IDS)?;
+        let ids: Vec<u32> = c.take(section::IVF_IDS)?;
         if ids.len() != n {
             return Err(IndexError::Format(format!(
                 "id array has {} entries, expected {n}",
@@ -222,7 +215,7 @@ impl IvfIndex {
             centroids,
             cnorms,
             offsets,
-            ids: ids.to_vec(),
+            ids,
             vectors: ScanRows::new(vectors),
         })
     }
@@ -387,7 +380,7 @@ mod tests {
         let check = |idx: &IvfIndex, lie: &dyn Fn(&Path), want: &str| {
             idx.save(&p).unwrap();
             lie(&p);
-            match IvfIndex::load(&p) {
+            match crate::load_index(&p) {
                 Err(IndexError::Format(m)) => assert!(m.contains(want), "{want}: {m}"),
                 other => panic!("{want}: expected format error, got {other:?}"),
             }

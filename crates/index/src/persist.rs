@@ -1,10 +1,12 @@
 //! Index persistence: every index is one `PANECOL1` container.
 //!
 //! Indexes save as `PANECOL1` containers (see `pane-format`): each
-//! structure's arrays become typed, aligned, checksummed sections, the
-//! meta word packs `kind | metric << 8`, and loading is a single bulk
-//! read plus zero-copy views. The container vouches for the *bytes*
-//! (declared-vs-actual length before any allocation, header and
+//! structure's arrays become typed, aligned, checksummed sections, and
+//! the meta word packs `kind | metric << 8`. [`load_index`] is the one
+//! loader: `Columns::open` reads each section once, into the vector the
+//! structure then owns — `from_columns` takes the vectors by value, so a
+//! load holds the file's values once. The container vouches for the
+//! *bytes* (declared-vs-actual length before any allocation, header and
 //! per-section checksums); each structure's `from_columns` then vouches
 //! for the *structure* — shapes that agree, ids in range, a graph whose
 //! entry point reaches its top level — and is the only place those
@@ -18,8 +20,8 @@
 //! is *derived data*, rebuilt deterministically (and thread-invariantly)
 //! from its vectors and build recipe, so there is nothing in such a file
 //! worth a second parser. `pane-format` refuses the magic by name, with
-//! the remedy, before it reads anything else, so every loader here
-//! reports it as an [`IndexError::Format`].
+//! the remedy, before it reads anything else, so [`load_index`] reports
+//! it as an [`IndexError::Format`].
 
 use crate::{
     FlatIndex, HnswIndex, IndexError, IndexKind, IvfIndex, Metric, Neighbor, SqFlatIndex,
@@ -28,10 +30,6 @@ use crate::{
 use pane_format::{Artifact, Columns, FormatError};
 use pane_linalg::DenseMatrix;
 use std::path::Path;
-
-/// Refuse headers implying more than this many `f64`s in one matrix
-/// (~8 GiB) — corrupted dimensions should error, not OOM.
-const MAX_MATRIX_ELEMS: usize = 1 << 30;
 
 impl From<FormatError> for IndexError {
     fn from(e: FormatError) -> Self {
@@ -64,30 +62,11 @@ pub(crate) fn columnar_kind_metric(c: &Columns) -> Result<(IndexKind, Metric), I
     Ok((kind, metric))
 }
 
-/// Opens a `PANECOL1` index container, checking the stored kind.
-pub(crate) fn open_index_columns(
-    path: &Path,
-    expect: IndexKind,
-) -> Result<(Columns, Metric), IndexError> {
-    let c = Columns::open(path)?;
-    let (kind, metric) = columnar_kind_metric(&c)?;
-    if kind != expect {
-        return Err(IndexError::Format(format!(
-            "index kind mismatch: file holds '{kind}', expected '{expect}'"
-        )));
-    }
-    Ok((c, metric))
-}
-
-/// Pulls one f64 section out as an owned matrix (a single `memcpy` from
-/// the zero-copy view — the container already validated lengths against
-/// the real file size, the cap only guards in-memory blowup).
-pub(crate) fn columnar_matrix(c: &Columns, id: u32) -> Result<DenseMatrix, IndexError> {
+/// Takes one f64 section as the matrix that owns its values (no copy;
+/// the container checked its length against the real file size).
+pub(crate) fn columnar_matrix(c: &mut Columns, id: u32) -> Result<DenseMatrix, IndexError> {
     let (rows, cols) = c.dims(id)?;
-    rows.checked_mul(cols)
-        .filter(|&t| t <= MAX_MATRIX_ELEMS)
-        .ok_or_else(|| IndexError::Format(format!("matrix {rows}×{cols} overflows cap")))?;
-    Ok(DenseMatrix::from_vec(rows, cols, c.f64s(id)?.to_vec()))
+    Ok(DenseMatrix::from_vec(rows, cols, c.take(id)?))
 }
 
 /// An index of any kind, loaded from disk. Dispatches [`VectorIndex`]
@@ -169,13 +148,14 @@ impl VectorIndex for AnyIndex {
 /// Loads any index file, dispatching on the kind stored in its
 /// container's meta word.
 pub fn load_index(path: &Path) -> Result<AnyIndex, IndexError> {
-    let c = Columns::open(path)?;
+    let mut c = Columns::open(path)?;
     let (kind, metric) = columnar_kind_metric(&c)?;
+    let c = &mut c;
     Ok(match kind {
-        IndexKind::Flat => AnyIndex::Flat(FlatIndex::from_columns(&c, metric)?),
-        IndexKind::Ivf => AnyIndex::Ivf(IvfIndex::from_columns(&c, metric)?),
-        IndexKind::Hnsw => AnyIndex::Hnsw(HnswIndex::from_columns(&c, metric)?),
-        IndexKind::SqFlat => AnyIndex::SqFlat(SqFlatIndex::from_columns(&c, metric)?),
+        IndexKind::Flat => AnyIndex::Flat(FlatIndex::from_columns(c, metric)?),
+        IndexKind::Ivf => AnyIndex::Ivf(IvfIndex::from_columns(c, metric)?),
+        IndexKind::Hnsw => AnyIndex::Hnsw(HnswIndex::from_columns(c, metric)?),
+        IndexKind::SqFlat => AnyIndex::SqFlat(SqFlatIndex::from_columns(c, metric)?),
     })
 }
 
@@ -199,30 +179,18 @@ mod tests {
         }
     }
 
-    /// The removed stream format is refused by name, with the remedy —
-    /// through the self-describing entry point and every typed loader —
+    /// The removed stream format is refused by name, with the remedy,
     /// and only its first 8 bytes are ever looked at.
     #[test]
     fn removed_stream_format_is_rejected_by_name() {
         let p = tmp("stream.idx");
         std::fs::write(&p, b"PANEIDX1\x02\x00 whatever a pre-columnar build wrote").unwrap();
-        let errors = [
-            load_index(&p).err(),
-            FlatIndex::load(&p).err(),
-            IvfIndex::load(&p).err(),
-            HnswIndex::load(&p).err(),
-            SqFlatIndex::load(&p).err(),
-        ];
-        for e in errors {
-            match e {
-                Some(IndexError::Format(m)) => {
-                    assert!(
-                        m.contains("PANEIDX1") && m.contains("pane index build"),
-                        "{m}"
-                    )
-                }
-                other => panic!("expected the named format error, got {other:?}"),
-            }
+        match load_index(&p) {
+            Err(IndexError::Format(m)) => assert!(
+                m.contains("PANEIDX1") && m.contains("pane index build"),
+                "{m}"
+            ),
+            other => panic!("expected the named format error, got {other:?}"),
         }
     }
 
@@ -233,18 +201,6 @@ mod tests {
         pane_format::write_columns(&p, Artifact::Index, meta, &[]).unwrap();
         match load_index(&p) {
             Err(IndexError::Format(m)) => assert!(m.contains("kind"), "{m}"),
-            other => panic!("expected format error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn kind_mismatch_rejected() {
-        use crate::testutil::clustered_vectors;
-        let p = tmp("flat_as_ivf.idx");
-        let data = clustered_vectors(10, 4, 2, 0.1);
-        FlatIndex::build(&data, Metric::Cosine).save(&p).unwrap();
-        match IvfIndex::load(&p) {
-            Err(IndexError::Format(m)) => assert!(m.contains("mismatch")),
             other => panic!("expected format error, got {other:?}"),
         }
     }
@@ -283,10 +239,49 @@ mod tests {
         bytes[entry + 32..entry + 40].copy_from_slice(&(rows * 4 * 8).to_le_bytes());
         reseal_header(&mut bytes, 1);
         std::fs::write(&p, bytes).unwrap();
-        match FlatIndex::load(&p) {
+        match load_index(&p) {
             Err(IndexError::Format(m)) => assert!(m.contains("sections end at"), "{m}"),
             other => panic!("expected format error, got {other:?}"),
         }
+    }
+
+    /// `load_index` verifies every section of a container, not only the
+    /// ones its structure takes: a flat index carrying one extra section
+    /// loads while intact, and fails with a checksum error once a byte
+    /// of that section's payload is flipped.
+    #[test]
+    fn corrupt_untaken_section_fails_the_load() {
+        use crate::testutil::clustered_vectors;
+        use pane_format::{section, ColumnData, ColumnSpec};
+        let p = tmp("extra_section.idx");
+        let flat = FlatIndex::build(clustered_vectors(10, 4, 2, 0.1), Metric::Cosine);
+        let extra = [7u64; 4];
+        let specs = [
+            ColumnSpec {
+                id: section::INDEX_VECTORS,
+                rows: 10,
+                cols: 4,
+                data: ColumnData::F64(flat.vectors().data()),
+            },
+            ColumnSpec {
+                id: section::RESERVED_PQ_CODES,
+                rows: 4,
+                cols: 1,
+                data: ColumnData::U64(&extra),
+            },
+        ];
+        let meta = columnar_meta(IndexKind::Flat, Metric::Cosine);
+        pane_format::write_columns(&p, Artifact::Index, meta, &specs).unwrap();
+        assert_eq!(load_index(&p).unwrap().len(), 10);
+        // The extra section is the last one: its payload ends the file.
+        let mut bytes = std::fs::read(&p).unwrap();
+        *bytes.last_mut().unwrap() ^= 0x01;
+        std::fs::write(&p, bytes).unwrap();
+        match load_index(&p) {
+            Err(IndexError::Format(m)) => assert!(m.contains("checksum"), "{m}"),
+            other => panic!("expected a checksum error, got {other:?}"),
+        }
+        std::fs::remove_file(&p).ok();
     }
 
     #[test]
@@ -357,7 +352,7 @@ mod tests {
             }],
         )
         .unwrap();
-        match FlatIndex::load(&p) {
+        match load_index(&p) {
             Err(IndexError::Format(m)) => assert!(m.contains("valid range"), "{m}"),
             other => panic!("expected format error, got {other:?}"),
         }

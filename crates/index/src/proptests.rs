@@ -24,9 +24,10 @@ use pane_linalg::{kernels, DenseMatrix};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
-/// One saved fixture per index kind (flat, ivf, hnsw), as raw bytes.
-fn fixture_bytes() -> &'static [Vec<u8>; 3] {
-    static BYTES: OnceLock<[Vec<u8>; 3]> = OnceLock::new();
+/// One saved fixture per index kind (flat, ivf, hnsw, sqflat), as raw
+/// bytes.
+fn fixture_bytes() -> &'static [Vec<u8>; 4] {
+    static BYTES: OnceLock<[Vec<u8>; 4]> = OnceLock::new();
     BYTES.get_or_init(|| {
         let dir = std::env::temp_dir().join(format!("pane_idx_prop_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -48,11 +49,11 @@ fn fixture_bytes() -> &'static [Vec<u8>; 3] {
         HnswIndex::build(&data, Metric::Cosine, &HnswConfig::default())
             .save(&hnsw)
             .unwrap();
-        [
-            std::fs::read(&flat).unwrap(),
-            std::fs::read(&ivf).unwrap(),
-            std::fs::read(&hnsw).unwrap(),
-        ]
+        let sq = dir.join("sq.idx");
+        SqFlatIndex::build(&data, Metric::InnerProduct, SqConfig::default())
+            .save(&sq)
+            .unwrap();
+        [&flat, &ivf, &hnsw, &sq].map(|p| std::fs::read(p).unwrap())
     })
 }
 
@@ -73,7 +74,7 @@ proptest! {
     /// header declares the file's exact length, so a shorter file fails
     /// the declared-vs-actual check (or is too short to hold a header).
     #[test]
-    fn truncation_always_fails_structured(kind in 0usize..3, frac in 0.0f64..1.0) {
+    fn truncation_always_fails_structured(kind in 0usize..4, frac in 0.0f64..1.0) {
         let full = &fixture_bytes()[kind];
         let keep = (frac * (full.len() - 1) as f64) as usize;
         let got = load_mutated("trunc.idx", &full[..keep]);
@@ -92,7 +93,7 @@ proptest! {
     /// file, not a checksum mismatch.
     #[test]
     fn huge_header_word_fails_before_allocating(
-        kind in 0usize..3,
+        kind in 0usize..4,
         section in 0usize..5,
         word in 0usize..6,
         bump in 0u64..1_000_000,
@@ -127,7 +128,7 @@ proptest! {
     /// search (corrupt *values* are legal — corrupt *structure* is not).
     #[test]
     fn byte_mutations_never_panic(
-        kind in 0usize..3,
+        kind in 0usize..4,
         offset_frac in 0.0f64..1.0,
         xor in 1u32..256,
     ) {

@@ -28,7 +28,7 @@
 //! the same build inputs produce bit-identical codes, and the same query
 //! produces identical rankings on every run and thread count.
 
-use crate::persist::{columnar_meta, open_index_columns};
+use crate::persist::columnar_meta;
 use crate::{block_rows, scan, topk, IndexError, IndexKind, Metric, Neighbor, VectorIndex};
 use pane_format::{section, Artifact, ColumnData, ColumnSpec};
 use pane_linalg::{kernels, vecops, DenseMatrix};
@@ -122,15 +122,9 @@ impl SqFlatIndex {
         }
     }
 
-    /// Reads an index written by [`VectorIndex::save`].
-    pub fn load(path: &Path) -> Result<Self, IndexError> {
-        let (c, metric) = open_index_columns(path, IndexKind::SqFlat)?;
-        Self::from_columns(&c, metric)
-    }
-
     /// Reconstructs the index from an already-validated container.
     pub(crate) fn from_columns(
-        c: &pane_format::Columns,
+        c: &mut pane_format::Columns,
         metric: Metric,
     ) -> Result<Self, IndexError> {
         let (n, dim) = c.dims(section::SQ_CODES)?;
@@ -150,7 +144,7 @@ impl SqFlatIndex {
                 "sqflat scales section is {sn}×{sc}, expected {n}×1"
             )));
         }
-        let meta = c.u64s(section::SQ_META)?;
+        let meta: Vec<u64> = c.take(section::SQ_META)?;
         if meta.len() != 1 {
             return Err(IndexError::Format(format!(
                 "sqflat meta section holds {} words, expected 1",
@@ -163,7 +157,7 @@ impl SqFlatIndex {
                 "sqflat rerank {rerank} outside [1, 2^20]"
             )));
         }
-        let scales = c.f64s(section::SQ_SCALES)?;
+        let scales: Vec<f64> = c.take(section::SQ_SCALES)?;
         for (i, &s) in scales.iter().enumerate() {
             if !(s.is_finite() && s >= 0.0) {
                 return Err(IndexError::Format(format!(
@@ -174,8 +168,8 @@ impl SqFlatIndex {
         Ok(Self {
             metric,
             dim,
-            codes: c.i8s(section::SQ_CODES)?.to_vec(),
-            scales: scales.to_vec(),
+            codes: c.take(section::SQ_CODES)?,
+            scales,
             rerank: rerank as usize,
         })
     }
@@ -412,7 +406,9 @@ mod tests {
         let data = clustered_vectors(300, 16, 4, 0.3);
         let idx = SqFlatIndex::build(&data, Metric::InnerProduct, SqConfig { rerank: 3 });
         idx.save(&path).unwrap();
-        let back = SqFlatIndex::load(&path).unwrap();
+        let crate::AnyIndex::SqFlat(back) = crate::load_index(&path).unwrap() else {
+            panic!("an sqflat file loads as sqflat");
+        };
         assert_eq!(back.metric(), Metric::InnerProduct);
         assert_eq!(back.len(), 300);
         assert_eq!(back.dim(), 16);
@@ -462,16 +458,12 @@ mod tests {
             pane_format::write_columns(&path, Artifact::Index, meta_word, &specs).unwrap();
         };
         write(MAX_DIM + 1);
-        match SqFlatIndex::load(&path) {
+        match crate::load_index(&path) {
             Err(IndexError::Format(m)) => assert!(m.contains("exceeds"), "{m}"),
             other => panic!("expected a format error, got {other:?}"),
         }
-        assert!(matches!(
-            crate::load_index(&path),
-            Err(IndexError::Format(_))
-        ));
         write(MAX_DIM);
-        let idx = SqFlatIndex::load(&path).unwrap();
+        let idx = crate::load_index(&path).unwrap();
         let hits = idx.search(&vec![1.0; MAX_DIM], 1);
         assert!((hits[0].score - MAX_DIM as f64).abs() < 1e-6, "{hits:?}");
         std::fs::remove_dir_all(&dir).ok();

@@ -307,32 +307,6 @@ impl CsrBuilder {
     where
         F: FnMut(&mut dyn FnMut(usize, usize, f64)),
     {
-        let result: Result<CsrMatrix, std::convert::Infallible> =
-            Self::try_from_source(rows, cols, rule, |emit| {
-                source(emit);
-                Ok(())
-            });
-        match result {
-            Ok(csr) => csr,
-        }
-    }
-
-    /// Fallible variant of [`Self::from_source`] for sources that parse
-    /// untrusted input as they emit (e.g. the two-pass file loaders in
-    /// `pane-graph`): the source returns `Err` to abort the build, and
-    /// the error propagates out of either pass. The replayability
-    /// contract is unchanged — a source that *succeeds* twice must emit
-    /// the identical sequence both times (a file that changes between
-    /// passes panics like any other non-replayable source).
-    pub fn try_from_source<E, F>(
-        rows: usize,
-        cols: usize,
-        rule: MergeRule,
-        mut source: F,
-    ) -> Result<CsrMatrix, E>
-    where
-        F: FnMut(&mut dyn FnMut(usize, usize, f64)) -> Result<(), E>,
-    {
         assert!(
             rows <= u32::MAX as usize && cols <= u32::MAX as usize,
             "dimensions exceed u32 index space"
@@ -343,7 +317,7 @@ impl CsrBuilder {
             assert!(r < rows, "row {r} out of bounds ({rows})");
             assert!(c < cols, "col {c} out of bounds ({cols})");
             offsets[r + 1] += 1;
-        })?;
+        });
         for i in 0..rows {
             offsets[i + 1] += offsets[i];
         }
@@ -362,14 +336,14 @@ impl CsrBuilder {
             indices[p] = c as u32;
             values[p] = v;
             cursor[r] = p + 1;
-        })?;
+        });
         for r in 0..rows {
             assert!(
                 cursor[r] == offsets[r + 1],
                 "replayable source emitted fewer triplets for row {r} on the second pass"
             );
         }
-        Ok(finalize_rows(rows, cols, &offsets, indices, values, rule))
+        finalize_rows(rows, cols, &offsets, indices, values, rule)
     }
 }
 
@@ -539,39 +513,6 @@ mod tests {
             }
             assert_eq!(b.finish().get(0, 0).to_bits(), want.to_bits());
         }
-    }
-
-    #[test]
-    fn try_from_source_propagates_errors_from_either_pass() {
-        // Error on the first (count) pass.
-        let err: Result<CsrMatrix, &str> =
-            CsrBuilder::try_from_source(2, 2, MergeRule::Sum, |_emit| Err("count pass failed"));
-        assert_eq!(err.unwrap_err(), "count pass failed");
-        // Error on the second (fill) pass, after a clean count pass.
-        let mut calls = 0;
-        let err: Result<CsrMatrix, &str> =
-            CsrBuilder::try_from_source(2, 2, MergeRule::Sum, |emit| {
-                calls += 1;
-                emit(0, 0, 1.0);
-                if calls == 2 {
-                    return Err("fill pass failed");
-                }
-                Ok(())
-            });
-        assert_eq!(err.unwrap_err(), "fill pass failed");
-        // A clean fallible source matches the infallible path exactly.
-        let entries = [(0usize, 1usize, 2.0f64), (1, 0, 3.0), (0, 1, -2.0)];
-        let ok: Result<CsrMatrix, &str> =
-            CsrBuilder::try_from_source(2, 2, MergeRule::Sum, |emit| {
-                for &(r, c, v) in &entries {
-                    emit(r, c, v);
-                }
-                Ok(())
-            });
-        assert_eq!(
-            ok.unwrap(),
-            CsrBuilder::from_source(2, 2, MergeRule::Sum, triplet_source(&entries))
-        );
     }
 
     #[test]

@@ -196,10 +196,13 @@ impl Store {
     /// commit and its WAL truncation) are provably already folded: they
     /// are skipped and the interrupted truncation is completed here.
     ///
-    /// The open takes the store's exclusive OS lock and holds it for the
-    /// handle's lifetime — a second daemon or an offline `pane store
-    /// snapshot` on a live store fails fast instead of corrupting the
-    /// log. The kernel drops the lock on any exit, `kill -9` included.
+    /// The open takes the store's exclusive OS lock once the manifest is
+    /// read, before it reads any artifact, and holds it for the handle's
+    /// lifetime — a second daemon or an offline `pane store snapshot` on
+    /// a live store fails fast, without loading a generation the live
+    /// writer may be replacing, instead of corrupting the log. A refused
+    /// manifest creates no lock file. The kernel drops the lock on any
+    /// exit, `kill -9` included.
     pub fn open(dir: &Path) -> Result<OpenStore, StoreError> {
         let (generation, node_spec, link_spec) = match Manifest::read(dir)? {
             Manifest::Single {
@@ -215,6 +218,7 @@ impl Store {
                 )))
             }
         };
+        let lock = take_lock(dir)?;
         let gdir = gen_dir(dir, generation);
         let mut embedding = pane_core::load_columns(&gdir.join(EMBEDDING_FILE))?;
         let node_base = pane_index::load_index(&gdir.join(NODE_INDEX_FILE))?;
@@ -223,7 +227,6 @@ impl Store {
             .map_err(|m| StoreError::Format(format!("{}: {m}", gdir.display())))?;
         let n = embedding.forward.rows();
         let k2 = embedding.forward.cols();
-        let lock = take_lock(dir)?;
         let mut node_index = DeltaIndex::new(node_base);
         let mut link_index = DeltaIndex::new(link_base);
 
@@ -680,6 +683,25 @@ mod tests {
         }
         drop(first);
         Store::open(&dir).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The lock is taken before any artifact is read: while a live handle
+    /// holds it, a second open reports "in use" even when the generation
+    /// it would load is gone — as after a live writer's snapshot removed
+    /// it — instead of failing on the missing file.
+    #[test]
+    fn second_open_is_refused_before_it_reads_the_generation() {
+        let dir = tmpdir("lock_first");
+        let emb = fixture(30, 4);
+        Store::init(&dir, &emb, &IndexSpec::Flat, &IndexSpec::Flat, 1).unwrap();
+        let first = Store::open(&dir).unwrap();
+        std::fs::remove_file(gen_dir(&dir, 1).join(NODE_INDEX_FILE)).unwrap();
+        match Store::open(&dir) {
+            Err(StoreError::Format(m)) => assert!(m.contains("in use"), "{m}"),
+            other => panic!("expected lock refusal, got {other:?}"),
+        }
+        drop(first);
         std::fs::remove_dir_all(&dir).ok();
     }
 
