@@ -1,11 +1,10 @@
 //! `pane` — command-line interface to the PANE reproduction.
 //!
 //! ```text
-//! pane embed    --edges E.txt [--attrs A.txt] [--labels L.txt] [--undirected]
-//!               [--dim 128] [--alpha 0.5] [--eps 0.015] [--threads 1]
+//! pane embed    GRAPH [--dim 128] [--alpha 0.5] [--eps 0.015] [--threads 1]
 //!               [--seed 0] --output EMB [--text]
 //! pane generate --zoo cora-like [--scale 1.0] [--seed 42] --out-dir DIR
-//! pane stats    --edges E.txt [--attrs A.txt] [--labels L.txt] [--undirected]
+//! pane stats    GRAPH
 //! pane topk     --embedding EMB [--text] --node V [--k 10]
 //!               [--mode attrs|links|similar]
 //! pane index build  --embedding EMB [--text] [--kind flat|ivf|hnsw|sqflat]
@@ -36,20 +35,25 @@
 //!                     [--kind flat|ivf|hnsw|sqflat + build params] [--threads 1]
 //! pane store snapshot --dir DIR [--threads 1]
 //! pane store status   --dir DIR
+//! pane evaluate GRAPH [--dim 64] [--alpha 0.5] [--eps 0.015] [--threads 1] [--seed 0]
+//! pane convert  GRAPH --output G|DIR
+//!
+//! GRAPH: --edges E.txt [--attrs A.txt] [--labels L.txt] [--undirected] | --binary G
 //! ```
 //!
 //! `embed` writes `EMB` as a `PANECOL1` container (`--text`: the
 //! line-oriented text form), the one binary container every reader
-//! takes. A file in a removed stream format — a `PANEEMB1` embedding, a
-//! `PANEIDX1` index — is refused by name, with the remedy, and so is a
-//! store whose manifest names a `PANEEMB1` generation.
+//! takes; `convert` writes a graph as one. A file in a removed stream
+//! format — an embedding, index or graph stream — is refused by name,
+//! with the remedy, and so is a store whose manifest names a `PANEEMB1`
+//! generation.
 
 mod args;
 
 use args::{ArgError, Args};
 use pane_core::{top_k_filter, EmbeddingQuery, Pane, PaneConfig, QuerySpace};
 use pane_datasets::DatasetZoo;
-use pane_graph::io::load_graph;
+use pane_graph::io::{load_graph, load_graph_columns};
 use pane_index::{HnswConfig, IndexSpec, IvfConfig, Neighbor, SqConfig, VectorIndex};
 use pane_linalg::DenseMatrix;
 use std::path::PathBuf;
@@ -92,7 +96,7 @@ fn print_help() {
     println!(
         "pane — scalable attributed network embedding (PANE, VLDB 2020 reproduction)\n\n\
          commands:\n\
-           embed     embed a graph given as text files, write the embedding (PANECOL1 or --text)\n\
+           embed     embed a graph (text files or --binary), write the embedding (PANECOL1 or --text)\n\
            generate  generate a synthetic dataset from the zoo\n\
            stats     print Table-3-style statistics of a graph\n\
            topk      query a saved embedding (top attributes / links / similar nodes)\n\
@@ -103,12 +107,24 @@ fn print_help() {
            bench     drive a live serve/route endpoint with open-loop load (saturation search)\n\
            store     manage durable store directories (init / snapshot / status)\n\
            evaluate  run the three-task quality report on a graph\n\
-           convert   convert a text graph to the fast binary format (or back)\n\n\
+           convert   convert a text graph to a PANECOL1 graph container (--binary: back to text)\n\n\
          run `pane <command>` with no options to see its usage in the error message."
     );
 }
 
+/// The one graph loader: a `PANECOL1` graph container (`--binary`) or the
+/// text triple. The container carries its own undirected bit, so text
+/// options next to `--binary` are an argument error, not ignored.
 fn load_from_args(a: &Args) -> Result<pane_graph::AttributedGraph, Box<dyn std::error::Error>> {
+    if let Some(bin) = a.get("binary") {
+        let text = ["edges", "attrs", "labels"]
+            .into_iter()
+            .find(|k| a.get(k).is_some());
+        if let Some(k) = text.or(a.flag("undirected").then_some("undirected")) {
+            return Err(ArgError(format!("--binary replaces --{k}")).into());
+        }
+        return Ok(load_graph_columns(std::path::Path::new(bin))?);
+    }
     let edges = PathBuf::from(a.require("edges")?);
     let attrs = a.get("attrs").map(PathBuf::from);
     let labels = a.get("labels").map(PathBuf::from);
@@ -134,7 +150,7 @@ fn cmd_embed(raw: Vec<String>) -> CliResult {
     let a = Args::parse(raw, &["undirected", "text"])?;
     reject_positionals(&a)?;
     a.reject_unknown(&[
-        "edges", "attrs", "labels", "dim", "alpha", "eps", "threads", "seed", "output",
+        "edges", "attrs", "labels", "binary", "dim", "alpha", "eps", "threads", "seed", "output",
     ])?;
     let threads = a.get_count("threads", 1)?;
     let g = load_from_args(&a)?;
@@ -205,7 +221,7 @@ fn cmd_generate(raw: Vec<String>) -> CliResult {
 fn cmd_stats(raw: Vec<String>) -> CliResult {
     let a = Args::parse(raw, &["undirected"])?;
     reject_positionals(&a)?;
-    a.reject_unknown(&["edges", "attrs", "labels"])?;
+    a.reject_unknown(&["edges", "attrs", "labels", "binary"])?;
     let g = load_from_args(&a)?;
     let s = g.stats();
     println!("{s}");
@@ -250,11 +266,7 @@ fn cmd_evaluate(raw: Vec<String>) -> CliResult {
         "edges", "attrs", "labels", "dim", "alpha", "eps", "threads", "seed", "binary",
     ])?;
     let threads = a.get_count("threads", 1)?;
-    let g = if let Some(bin) = a.get("binary") {
-        pane_graph::io_binary::load_graph_binary(std::path::Path::new(bin))?
-    } else {
-        load_from_args(&a)?
-    };
+    let g = load_from_args(&a)?;
     eprintln!("loaded graph: {}", g.stats());
     let config = PaneConfig::builder()
         .dimension(a.get_parsed("dim", 64usize)?)
@@ -277,9 +289,12 @@ fn cmd_convert(raw: Vec<String>) -> CliResult {
     reject_positionals(&a)?;
     a.reject_unknown(&["edges", "attrs", "labels", "output", "binary"])?;
     let out = PathBuf::from(a.require("output")?);
-    if let Some(bin) = a.get("binary") {
-        // binary -> text triple (output is a directory)
-        let g = pane_graph::io_binary::load_graph_binary(std::path::Path::new(bin))?;
+    let g = load_from_args(&a)?;
+    if a.get("edges").is_some() {
+        pane_graph::io::save_graph_columns(&g, &out)?;
+        eprintln!("wrote graph container {} ({})", out.display(), g.stats());
+    } else {
+        // container -> text triple (output is a directory)
         std::fs::create_dir_all(&out)?;
         pane_graph::io::save_graph(
             &g,
@@ -288,11 +303,6 @@ fn cmd_convert(raw: Vec<String>) -> CliResult {
             &out.join("labels.txt"),
         )?;
         eprintln!("wrote text graph under {}", out.display());
-    } else {
-        // text -> binary
-        let g = load_from_args(&a)?;
-        pane_graph::io_binary::save_graph_binary(&g, &out)?;
-        eprintln!("wrote binary graph {} ({})", out.display(), g.stats());
     }
     Ok(())
 }

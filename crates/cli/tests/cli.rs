@@ -458,13 +458,49 @@ fn errors_are_reported() {
         );
         assert!(!out.exists(), "{args:?} left {out_s} behind");
     }
+
+    // A graph container carries its own undirected bit, so text graph
+    // options next to `--binary` are refused, not silently dropped.
+    let (edges, attrs) = (dir.join("edges.txt"), dir.join("attrs.txt"));
+    std::fs::write(&edges, "0 1\n1 2\n2 0\n").unwrap();
+    std::fs::write(&attrs, "0 0\n1 1\n2 0\n").unwrap();
+    let graph = dir.join("graph.col");
+    let (ok, _, err) = run(&[
+        "convert",
+        "--edges",
+        edges.to_str().unwrap(),
+        "--attrs",
+        attrs.to_str().unwrap(),
+        "--output",
+        graph.to_str().unwrap(),
+    ]);
+    assert!(ok, "convert failed: {err}");
+    let (edges_s, graph_s) = (edges.to_str().unwrap(), graph.to_str().unwrap());
+    for (command, extra) in [
+        (&["evaluate", "--dim", "8"][..], &["--edges", edges_s][..]),
+        (&["evaluate", "--dim", "8"], &["--undirected"]),
+        (&["stats"], &["--attrs", edges_s]),
+        (&["embed", "--output", out_s], &["--labels", edges_s]),
+        (&["convert", "--output", out_s], &["--undirected"]),
+    ] {
+        let args = [command, &["--binary", graph_s], extra].concat();
+        let (ok, _, err) = run(&args);
+        assert!(!ok, "{args:?} succeeded");
+        assert_eq!(
+            err,
+            format!("error: argument error: --binary replaces {}\n", extra[0]),
+            "{args:?}"
+        );
+        assert!(!out.exists(), "{args:?} left {out_s} behind");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Regression: a corrupt binary graph (absurd declared node count, or a
-/// truncated file) must exit with a clean `error:` message — historically
-/// this path could panic or attempt a multi-GB allocation from the
-/// declared header before reading a single row.
+/// Regression: a bad binary graph (a removed `PANEGRF1` stream declaring
+/// an absurd node count, or a truncated graph container) must exit with a
+/// clean `error:` message — historically this path could panic or attempt
+/// a multi-GB allocation from the declared header before reading a single
+/// row. The removed format is refused by name, with the remedy.
 #[test]
 fn corrupt_binary_graph_is_clean_error() {
     let dir = workdir("corrupt");
@@ -513,6 +549,11 @@ fn corrupt_binary_graph_is_clean_error() {
         ]);
         assert!(!ok, "{bad:?} should fail");
         assert!(err.contains("error:"), "{bad:?} stderr: {err}");
+        assert_eq!(
+            bad == &huge,
+            err.contains("PANEGRF1") && err.contains("pane convert"),
+            "{bad:?} stderr: {err}"
+        );
         assert!(
             !err.to_lowercase().contains("panic"),
             "{bad:?} stderr: {err}"
@@ -623,6 +664,50 @@ fn evaluate_and_convert_commands() {
     assert!(ok, "convert back failed: {err}");
     assert!(back.join("edges.txt").exists());
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The graph container feeds the embed bit for bit: `embed --binary G`
+/// on `convert`'s output writes the same bytes as `embed` on the text
+/// triple it came from, undirected included (the bit rides in `G`).
+#[test]
+fn embed_from_the_graph_container_is_bit_identical() {
+    let dir = workdir("embed_binary");
+    let dir_s = dir.to_str().unwrap();
+    let (ok, _, err) = run(&[
+        "generate",
+        "--zoo",
+        "cora-like",
+        "--scale",
+        "0.06",
+        "--seed",
+        "5",
+        "--out-dir",
+        dir_s,
+    ]);
+    assert!(ok, "generate failed: {err}");
+    let [edges, attrs, labels] =
+        ["edges", "attributes", "labels"].map(|f| format!("{dir_s}/{f}.txt"));
+    let text = ["--edges", &edges, "--attrs", &attrs, "--labels", &labels];
+    let config = ["--dim", "16", "--seed", "3", "--threads", "2", "--output"];
+    for undirected in [&[][..], &["--undirected"]] {
+        let graph = format!("{dir_s}/graph.col");
+        let (ok, _, err) =
+            run(&[&["convert"], &text[..], undirected, &["--output", &graph]].concat());
+        assert!(ok, "convert failed: {err}");
+        let from_text = format!("{dir_s}/text.emb");
+        let (ok, _, err) =
+            run(&[&["embed"], &text[..], undirected, &config, &[&from_text]].concat());
+        assert!(ok, "embed from text failed: {err}");
+        let from_graph = format!("{dir_s}/graph.emb");
+        let (ok, _, err) =
+            run(&[&["embed", "--binary", &graph][..], &config, &[&from_graph]].concat());
+        assert!(ok, "embed --binary failed: {err}");
+        assert!(
+            std::fs::read(&from_text).unwrap() == std::fs::read(&from_graph).unwrap(),
+            "embeddings differ ({undirected:?})"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -9,11 +9,12 @@ use crate::greedy_init::{greedy_init, InitOptions};
 use crate::persist::{load_columns, save_columns, PersistError};
 use crate::{Pane, PaneConfig, PaneEmbedding};
 use pane_graph::gen::{generate_sbm, SbmConfig};
-use pane_graph::DanglingPolicy;
+use pane_graph::io::{load_graph_columns, save_graph_columns, IoError};
+use pane_graph::{AttributedGraph, DanglingPolicy};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
-fn random_graph(seed: u64, nodes: usize) -> pane_graph::AttributedGraph {
+fn random_graph(seed: u64, nodes: usize) -> AttributedGraph {
     generate_sbm(&SbmConfig {
         nodes,
         communities: 3,
@@ -143,11 +144,34 @@ fn scratch_file(name: &str) -> std::path::PathBuf {
     dir.join(name)
 }
 
-/// Writes `bytes` to a scratch file and loads it through `load_columns`.
-fn load_mutated(name: &str, bytes: &[u8]) -> Result<PaneEmbedding, PersistError> {
+/// Writes `bytes` to a scratch file and loads it with `load`.
+fn load_mutated<T, E>(
+    name: &str,
+    bytes: &[u8],
+    load: fn(&std::path::Path) -> Result<T, E>,
+) -> Result<T, E> {
     let p = scratch_file(name);
     std::fs::write(&p, bytes).unwrap();
-    load_columns(&p)
+    load(&p)
+}
+
+/// A multi-label, undirected graph and its saved `PANECOL1` container's
+/// bytes: the same properties through `load_graph_columns`.
+fn graph_fixture() -> &'static (AttributedGraph, Vec<u8>) {
+    static FIXTURE: OnceLock<(AttributedGraph, Vec<u8>)> = OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let g = generate_sbm(&SbmConfig {
+            nodes: 40,
+            attributes: 12,
+            multi_label: true,
+            undirected: true,
+            seed: 5,
+            ..Default::default()
+        });
+        let p = scratch_file("graph.col");
+        save_graph_columns(&g, &p).unwrap();
+        (g, std::fs::read(&p).unwrap())
+    })
 }
 
 proptest! {
@@ -160,7 +184,7 @@ proptest! {
     fn embedding_truncation_always_fails_structured(frac in 0.0f64..1.0) {
         let full = &embedding_fixture().1;
         let keep = (frac * (full.len() - 1) as f64) as usize;
-        match load_mutated("trunc.col", &full[..keep]) {
+        match load_mutated("trunc.col", &full[..keep], load_columns) {
             Err(PersistError::Format(_)) | Err(PersistError::Io(_)) => {}
             Ok(_) => panic!("an embedding container cut at {keep} loaded"),
         }
@@ -176,7 +200,7 @@ proptest! {
         let mut bytes = bytes.clone();
         let at = (offset_frac * (bytes.len() - 1) as f64) as usize;
         bytes[at] ^= xor as u8;
-        if let Ok(back) = load_mutated("bitflip.col", &bytes) {
+        if let Ok(back) = load_mutated("bitflip.col", &bytes, load_columns) {
             for (a, b) in [
                 (&emb.forward, &back.forward),
                 (&emb.backward, &back.backward),
@@ -188,6 +212,39 @@ proptest! {
                 };
                 prop_assert!(bits(a) == bits(b), "flip at byte {at} changed a value");
             }
+        }
+    }
+
+    /// Any strict truncation of a graph container fails the load with a
+    /// structured error.
+    #[test]
+    fn graph_truncation_always_fails_structured(frac in 0.0f64..1.0) {
+        let full = &graph_fixture().1;
+        let keep = (frac * (full.len() - 1) as f64) as usize;
+        match load_mutated("gtrunc.col", &full[..keep], load_graph_columns) {
+            Err(IoError::Format(_)) | Err(IoError::Io(_)) => {}
+            Err(e) => panic!("a graph container cut at {keep}: unexpected error {e}"),
+            Ok(_) => panic!("a graph container cut at {keep} loaded"),
+        }
+    }
+
+    /// A single-byte mutation of a graph container never panics: the load
+    /// fails with a structured error, or — for a flip in section padding —
+    /// yields the saved graph.
+    #[test]
+    fn graph_byte_mutations_never_panic(offset_frac in 0.0f64..1.0, xor in 1u32..256) {
+        let (g, bytes) = graph_fixture();
+        let mut bytes = bytes.clone();
+        let at = (offset_frac * (bytes.len() - 1) as f64) as usize;
+        bytes[at] ^= xor as u8;
+        if let Ok(back) = load_mutated("gbitflip.col", &bytes, load_graph_columns) {
+            prop_assert!(back.adjacency() == g.adjacency(), "flip at byte {at} changed the adjacency");
+            prop_assert!(back.attributes() == g.attributes(), "flip at byte {at} changed the attributes");
+            prop_assert!(back.labels() == g.labels(), "flip at byte {at} changed the labels");
+            prop_assert!(
+                (back.num_labels(), back.is_undirected()) == (g.num_labels(), g.is_undirected()),
+                "flip at byte {at} changed the header"
+            );
         }
     }
 }

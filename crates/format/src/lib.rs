@@ -1,11 +1,11 @@
 //! `PANECOL1` — the one column-oriented artifact container every
-//! generation artifact (embedding columns, index payloads) is stored in.
+//! artifact (embedding columns, index payloads, graphs) is stored in.
 //!
-//! The pre-columnar stream formats, `PANEEMB1` (embeddings) and
-//! `PANEIDX1` (indexes), were decoded value by value through a
-//! `BufReader`, so restart cost scaled with a per-`f64` decode loop.
-//! Both readers are gone; every reader here refuses those two magics by
-//! name, with the remedy, before anything else about the file is read.
+//! The pre-columnar stream formats of embeddings, indexes and graphs
+//! were decoded value by value through a `BufReader`, so load cost
+//! scaled with a per-value decode loop. Their readers are gone; every
+//! reader here refuses those magics (`REMOVED_FORMATS`) by name, with
+//! the remedy, before anything else about the file is read.
 //! `PANECOL1` replaces them with a sectioned, 64-byte-aligned,
 //! per-section-checksummed layout. [`Columns::open`] is its one full
 //! reader: it reads each section once, straight into the `Vec` of the
@@ -56,9 +56,10 @@
 //!
 //! # Section ID registry
 //!
-//! Section IDs are global across artifact kinds (see [`section`]);
-//! `30..40` are reserved for future product-quantization codebooks so
-//! the container never needs a version bump for PQ.
+//! Section IDs are global across artifact kinds (see [`section`]):
+//! `1..10` embeddings, `10..30` indexes, `30..40` reserved for future
+//! product-quantization codebooks (so the container never needs a
+//! version bump for PQ), `40..` graphs.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_op_in_unsafe_fn)]
@@ -75,7 +76,7 @@ pub const MAGIC: &[u8; 8] = b"PANECOL1";
 
 /// Magics of the pre-columnar stream formats, each with the way to get
 /// a `PANECOL1` file instead. Every reader refuses them by name.
-const REMOVED_FORMATS: [(&str, &str); 2] = [
+const REMOVED_FORMATS: [(&str, &str); 3] = [
     (
         "PANEEMB1",
         "re-run `pane embed` to write a PANECOL1 embedding (a store holding one: run \
@@ -86,6 +87,7 @@ const REMOVED_FORMATS: [(&str, &str); 2] = [
         "index files are derived data — regenerate it with `pane index build` (for a \
          store directory, run `pane store snapshot`)",
     ),
+    ("PANEGRF1", "re-run `pane convert` from the text graph"),
 ];
 
 /// Size of the fixed header that precedes the section table.
@@ -98,7 +100,7 @@ pub const TABLE_ENTRY_LEN: usize = 48;
 pub const SECTION_ALIGN: usize = 64;
 
 /// Hard ceiling on the section count — far above any real artifact
-/// (embeddings use 3 sections, the largest index 5), purely a guard
+/// (embeddings use 3 sections, the largest index 5, a graph 9), purely a guard
 /// against corrupt headers driving the table parse.
 pub const MAX_SECTIONS: usize = 64;
 
@@ -145,6 +147,25 @@ pub mod section {
     pub const RESERVED_PQ_CODEBOOK: u32 = 30;
     /// Reserved for PQ codes.
     pub const RESERVED_PQ_CODES: u32 = 31;
+    /// Graph: scalar parameters (`2 × 1`, u64: d, num_labels).
+    pub const GRAPH_META: u32 = 40;
+    /// Graph: adjacency CSR row pointers (`n + 1 × 1`, u64).
+    pub const GRAPH_ADJ_INDPTR: u32 = 41;
+    /// Graph: adjacency CSR column ids (`m × 1`, u32).
+    pub const GRAPH_ADJ_INDICES: u32 = 42;
+    /// Graph: adjacency CSR edge weights (`m × 1`, f64).
+    pub const GRAPH_ADJ_VALUES: u32 = 43;
+    /// Graph: attribute CSR row pointers (`n + 1 × 1`, u64).
+    pub const GRAPH_ATTR_INDPTR: u32 = 44;
+    /// Graph: attribute CSR attribute ids (`|E_R| × 1`, u32).
+    pub const GRAPH_ATTR_INDICES: u32 = 45;
+    /// Graph: attribute CSR weights (`|E_R| × 1`, f64).
+    pub const GRAPH_ATTR_VALUES: u32 = 46;
+    /// Graph: per-node label offsets (`n + 1 × 1`, u64), indexing
+    /// [`GRAPH_LABEL_IDS`].
+    pub const GRAPH_LABEL_OFFSETS: u32 = 47;
+    /// Graph: concatenated label ids (`total × 1`, u32).
+    pub const GRAPH_LABEL_IDS: u32 = 48;
 }
 
 /// What a `PANECOL1` file holds — the coarse artifact kind in the fixed
@@ -156,6 +177,9 @@ pub enum Artifact {
     Embedding,
     /// A vector-index payload.
     Index,
+    /// An attributed graph (CSR adjacency and attributes, labels; `meta`
+    /// bit 0 = undirected).
+    Graph,
 }
 
 impl Artifact {
@@ -164,6 +188,7 @@ impl Artifact {
         match self {
             Artifact::Embedding => 1,
             Artifact::Index => 2,
+            Artifact::Graph => 3,
         }
     }
 
@@ -172,6 +197,7 @@ impl Artifact {
         match tag {
             1 => Some(Artifact::Embedding),
             2 => Some(Artifact::Index),
+            3 => Some(Artifact::Graph),
             _ => None,
         }
     }
@@ -999,7 +1025,7 @@ mod tests {
         ));
     }
 
-    /// The two pre-columnar stream magics are named, with a remedy, by
+    /// The pre-columnar stream magics are named, with a remedy, by
     /// both readers, whether the file is a full-size stream or a 12-byte
     /// stub shorter than a header; a file too short for any magic keeps
     /// its length error.
@@ -1010,6 +1036,7 @@ mod tests {
         for (magic, remedy) in [
             (b"PANEEMB1", "pane embed"),
             (b"PANEIDX1", "pane index build"),
+            (b"PANEGRF1", "pane convert"),
         ] {
             for tail in [&b"junk"[..], &full[..]] {
                 let p = dir.join("removed.bin");

@@ -20,9 +20,15 @@
 //! Untrusted input never panics: malformed lines, out-of-range ids (when
 //! explicit dimensions are given) and invalid weights all surface as
 //! structured [`IoError`]s naming the offending line.
+//!
+//! The binary form is a `PANECOL1` graph container (`pane-format`), for
+//! loading without parsing: [`save_graph_columns`] writes the CSR arrays
+//! and labels as checksummed sections, and [`load_graph_columns`] moves
+//! them into the graph after the checks the container cannot make.
 
 use crate::graph::AttributedGraph;
-use pane_sparse::{CsrBuilder, MergeRule};
+use pane_format::{section, Artifact, ColumnData, ColumnSpec, Columns, FormatError};
+use pane_sparse::{CsrBuilder, CsrMatrix, MergeRule};
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
@@ -36,7 +42,7 @@ pub enum IoError {
     Parse {
         /// Which loader raised the error ("edge", "attribute", "label", …).
         kind: &'static str,
-        /// 1-based line number (0 for binary formats).
+        /// 1-based line number (0 when no line applies).
         line: usize,
         /// Human-readable description.
         message: String,
@@ -53,6 +59,8 @@ pub enum IoError {
         /// The exclusive bound it violated.
         bound: usize,
     },
+    /// A graph container is unreadable or holds an inconsistent graph.
+    Format(String),
 }
 
 impl std::fmt::Display for IoError {
@@ -75,6 +83,7 @@ impl std::fmt::Display for IoError {
                 f,
                 "{kind} id {id} out of range (must be < {bound}), line {line}"
             ),
+            IoError::Format(m) => write!(f, "format error: {m}"),
         }
     }
 }
@@ -84,6 +93,15 @@ impl std::error::Error for IoError {}
 impl From<io::Error> for IoError {
     fn from(e: io::Error) -> Self {
         IoError::Io(e)
+    }
+}
+
+impl From<FormatError> for IoError {
+    fn from(e: FormatError) -> Self {
+        match e {
+            FormatError::Io(e) => IoError::Io(e),
+            FormatError::Format(m) => IoError::Format(m),
+        }
     }
 }
 
@@ -462,6 +480,129 @@ pub fn save_graph(
     Ok(())
 }
 
+/// One `len × 1` section over `values`.
+fn column<'a, T>(id: u32, values: &'a [T], data: fn(&'a [T]) -> ColumnData<'a>) -> ColumnSpec<'a> {
+    ColumnSpec {
+        id,
+        rows: values.len(),
+        cols: 1,
+        data: data(values),
+    }
+}
+
+/// Writes the graph as a `PANECOL1` container: adjacency and attributes
+/// as CSR sections, labels as offsets + ids, `d` and `num_labels` in a
+/// meta section and the undirected bit in the header's `meta` word.
+pub fn save_graph_columns(g: &AttributedGraph, path: &Path) -> Result<(), IoError> {
+    let meta = [g.num_attributes() as u64, g.num_labels() as u64];
+    let (adj_ptr, adj_idx, adj_val) = g.adjacency().raw_parts();
+    let (attr_ptr, attr_idx, attr_val) = g.attributes().raw_parts();
+    let wide = |ptr: &[usize]| -> Vec<u64> { ptr.iter().map(|&p| p as u64).collect() };
+    let (adj_ptr, attr_ptr) = (wide(adj_ptr), wide(attr_ptr));
+    let (mut offsets, mut ids) = (vec![0u64], Vec::new());
+    for ls in g.labels() {
+        ids.extend_from_slice(ls);
+        offsets.push(ids.len() as u64);
+    }
+    pane_format::write_columns(
+        path,
+        Artifact::Graph,
+        u16::from(g.is_undirected()),
+        &[
+            column(section::GRAPH_META, &meta, ColumnData::U64),
+            column(section::GRAPH_ADJ_INDPTR, &adj_ptr, ColumnData::U64),
+            column(section::GRAPH_ADJ_INDICES, adj_idx, ColumnData::U32),
+            column(section::GRAPH_ADJ_VALUES, adj_val, ColumnData::F64),
+            column(section::GRAPH_ATTR_INDPTR, &attr_ptr, ColumnData::U64),
+            column(section::GRAPH_ATTR_INDICES, attr_idx, ColumnData::U32),
+            column(section::GRAPH_ATTR_VALUES, attr_val, ColumnData::F64),
+            column(section::GRAPH_LABEL_OFFSETS, &offsets, ColumnData::U64),
+            column(section::GRAPH_LABEL_IDS, &ids, ColumnData::U32),
+        ],
+    )?;
+    Ok(())
+}
+
+fn corrupt<T>(message: String) -> Result<T, IoError> {
+    Err(IoError::Format(message))
+}
+
+/// Takes an offsets section, each entry converted to `usize` with a check.
+fn take_offsets(c: &mut Columns, id: u32) -> Result<Vec<usize>, IoError> {
+    c.take::<u64>(id)?
+        .into_iter()
+        .map(|p| {
+            usize::try_from(p)
+                .or_else(|_| corrupt(format!("section id {id}: offset {p} overflows usize")))
+        })
+        .collect()
+}
+
+/// Takes one CSR matrix's index and value sections and checks the
+/// matrix as untrusted input: finite, positive weights and every CSR
+/// invariant, in release builds too.
+fn take_csr(
+    c: &mut Columns,
+    indptr: Vec<usize>,
+    [indices, values]: [u32; 2],
+    (rows, cols): (usize, usize),
+    what: &str,
+) -> Result<CsrMatrix, IoError> {
+    let values = c.take::<f64>(values)?;
+    if let Some(w) = values.iter().find(|w| !(w.is_finite() && **w > 0.0)) {
+        return corrupt(format!("{what} value {w} is not finite and positive"));
+    }
+    CsrMatrix::try_from_raw(rows, cols, indptr, c.take(indices)?, values)
+        .or_else(|e| corrupt(format!("corrupt {what} matrix: {e}")))
+}
+
+/// Reads a graph written by [`save_graph_columns`]. `Columns::open`
+/// checks the declared lengths, the layout and every checksum; this
+/// checks what the container cannot, each before anything is sized from
+/// it: `n` is the adjacency row-pointer count − 1 (no stored word), `n`,
+/// `d` and `num_labels` fit `u32`, and both matrices and the label sets
+/// pass the CSR checks.
+pub fn load_graph_columns(path: &Path) -> Result<AttributedGraph, IoError> {
+    let mut c = Columns::open(path)?;
+    if c.artifact() != Artifact::Graph || c.meta() > 1 {
+        return corrupt(format!(
+            "{:?} artifact with meta {:#x} where a graph was expected",
+            c.artifact(),
+            c.meta()
+        ));
+    }
+    let meta = c.take::<u64>(section::GRAPH_META)?;
+    let [d, num_labels] = meta[..] else {
+        return corrupt(format!("graph meta holds {} words, not 2", meta.len()));
+    };
+    let adj_ptr = take_offsets(&mut c, section::GRAPH_ADJ_INDPTR)?;
+    let n = adj_ptr.len().saturating_sub(1);
+    for (v, what) in [(n as u64, "node"), (d, "attribute"), (num_labels, "label")] {
+        if v > u64::from(u32::MAX) {
+            return corrupt(format!("{what} count {v} exceeds the u32 index space"));
+        }
+    }
+    let (d, num_labels) = (d as usize, num_labels as usize);
+    let adj = [section::GRAPH_ADJ_INDICES, section::GRAPH_ADJ_VALUES];
+    let adjacency = take_csr(&mut c, adj_ptr, adj, (n, n), "adjacency")?;
+    let attr_ptr = take_offsets(&mut c, section::GRAPH_ATTR_INDPTR)?;
+    let attr = [section::GRAPH_ATTR_INDICES, section::GRAPH_ATTR_VALUES];
+    let attributes = take_csr(&mut c, attr_ptr, attr, (n, d), "attribute")?;
+    // The label sets are an `n × num_labels` pattern: the CSR check holds
+    // the offsets to the ids and each set to sorted, unique ids below
+    // `num_labels`.
+    let offsets = take_offsets(&mut c, section::GRAPH_LABEL_OFFSETS)?;
+    let ids = c.take::<u32>(section::GRAPH_LABEL_IDS)?;
+    let ones = vec![1.0; ids.len()];
+    let labels = CsrMatrix::try_from_raw(n, num_labels, offsets, ids, ones)
+        .or_else(|e| corrupt(format!("corrupt label sets: {e}")))?;
+    let labels = (0..n).map(|v| labels.row(v).0.to_vec()).collect();
+    let undirected = c.meta() == 1;
+    Ok(AttributedGraph::from_parts(
+        adjacency, attributes, labels, num_labels, undirected,
+    ))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -751,5 +892,196 @@ mod tests {
         assert_eq!(g.num_nodes(), 6);
         assert_eq!(g.num_labels(), 0);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn container(name: &str) -> std::path::PathBuf {
+        let dir = tmpdir("container");
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join(name)
+    }
+
+    /// The sections of a 2-node graph (edge 0→1, attribute 0 on node 0,
+    /// label 0 on node 0), each replaced by the one in `with` of its id:
+    /// the corrupt containers below are written with `write_columns`,
+    /// not by patching byte offsets.
+    fn write_tiny(p: &Path, with: &[ColumnSpec<'_>]) {
+        let (meta, ptr, idx, val) = ([1u64, 1], [0u64, 1, 1], [1u32], [1.0f64]);
+        let (attr_ptr, labels, label_ids) = ([0u64, 1, 1], [0u64, 1, 1], [0u32]);
+        let mut specs = [
+            column(section::GRAPH_META, &meta, ColumnData::U64),
+            column(section::GRAPH_ADJ_INDPTR, &ptr, ColumnData::U64),
+            column(section::GRAPH_ADJ_INDICES, &idx, ColumnData::U32),
+            column(section::GRAPH_ADJ_VALUES, &val, ColumnData::F64),
+            column(section::GRAPH_ATTR_INDPTR, &attr_ptr, ColumnData::U64),
+            column(section::GRAPH_ATTR_INDICES, &[0u32], ColumnData::U32),
+            column(section::GRAPH_ATTR_VALUES, &val, ColumnData::F64),
+            column(section::GRAPH_LABEL_OFFSETS, &labels, ColumnData::U64),
+            column(section::GRAPH_LABEL_IDS, &label_ids, ColumnData::U32),
+        ];
+        for spec in &mut specs {
+            if let Some(w) = with.iter().find(|w| w.id == spec.id) {
+                *spec = *w;
+            }
+        }
+        pane_format::write_columns(p, Artifact::Graph, 0, &specs).unwrap();
+    }
+
+    /// Writes the tiny graph with `with` swapped in; the load must fail
+    /// with a format error naming `needle`.
+    fn assert_refused(p: &Path, with: &[ColumnSpec<'_>], needle: &str) {
+        write_tiny(p, with);
+        match load_graph_columns(p) {
+            Err(e @ IoError::Format(_)) => assert!(e.to_string().contains(needle), "{with:?}: {e}"),
+            other => panic!("{with:?}: expected a format error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn roundtrip_preserves_everything() {
+        let g = crate::gen::generate_sbm(&crate::gen::SbmConfig {
+            nodes: 300,
+            communities: 4,
+            attributes: 24,
+            attrs_per_node: 4.0,
+            multi_label: true,
+            extra_label_prob: 0.3,
+            seed: 7,
+            ..Default::default()
+        });
+        let p = container("g.col");
+        save_graph_columns(&g, &p).unwrap();
+        let g2 = load_graph_columns(&p).unwrap();
+        assert_eq!(g2.adjacency(), g.adjacency());
+        assert_eq!(g2.attributes(), g.attributes());
+        assert_eq!(g2.labels(), g.labels());
+        assert_eq!(g2.num_labels(), g.num_labels());
+        assert_eq!(g2.is_undirected(), g.is_undirected());
+        write_tiny(&p, &[]);
+        let tiny = load_graph_columns(&p).unwrap();
+        assert_eq!((tiny.num_nodes(), tiny.num_attributes()), (2, 1));
+        assert_eq!(tiny.labels(), &[vec![0], vec![]]);
+    }
+
+    #[test]
+    fn roundtrip_weighted_and_undirected() {
+        let mut b = GraphBuilder::new(3, 2).undirected();
+        b.add_weighted_edge(0, 1, 2.5);
+        b.add_edge(1, 2);
+        b.add_attribute(0, 1, 0.75);
+        let g = b.build();
+        let p = container("gw.col");
+        save_graph_columns(&g, &p).unwrap();
+        let g2 = load_graph_columns(&p).unwrap();
+        assert!(g2.is_undirected());
+        assert_eq!(g2.adjacency().get(1, 0), 2.5);
+        assert_eq!(g2.attributes().get(0, 1), 0.75);
+        // The undirected bit is the header's meta word; `d` and
+        // `num_labels` are the meta section.
+        let mut c = Columns::open(&p).unwrap();
+        assert_eq!(c.meta(), 1);
+        assert_eq!(c.take::<u64>(section::GRAPH_META).unwrap(), [2, 0]);
+    }
+
+    /// Regression: non-positive / non-finite stored weights must be a
+    /// format error, not a builder assert downstream.
+    #[test]
+    fn invalid_value_rejected() {
+        let p = container("negval.col");
+        for bad in [-1.0, 0.0, f64::NAN, f64::INFINITY] {
+            for id in [section::GRAPH_ADJ_VALUES, section::GRAPH_ATTR_VALUES] {
+                let bad = [bad];
+                let with = [column(id, &bad, ColumnData::F64)];
+                assert_refused(&p, &with, "finite and positive");
+            }
+        }
+    }
+
+    #[test]
+    fn unsorted_rows_rejected() {
+        let p = container("unsorted.col");
+        let with = [
+            column(section::GRAPH_ADJ_INDPTR, &[0u64, 2, 2], ColumnData::U64),
+            column(section::GRAPH_ADJ_INDICES, &[1u32, 0], ColumnData::U32),
+            column(section::GRAPH_ADJ_VALUES, &[1.0, 1.0], ColumnData::F64),
+        ];
+        assert_refused(&p, &with, "strictly increasing");
+        // A column past `d` is out of bounds: `d` is the meta word.
+        let with = [column(
+            section::GRAPH_ATTR_INDICES,
+            &[1u32],
+            ColumnData::U32,
+        )];
+        assert_refused(&p, &with, "out of bounds");
+    }
+
+    /// A label id ≥ `num_labels`, or label offsets that overrun the ids,
+    /// is refused — and so is a label set that is not sorted and unique.
+    #[test]
+    fn absurd_label_count_rejected() {
+        let p = container("badlabel.col");
+        let with = [column(section::GRAPH_LABEL_IDS, &[1u32], ColumnData::U32)];
+        assert_refused(&p, &with, "corrupt label sets");
+        for offsets in [[0u64, 1 << 50, 1 << 50], [0, 2, 1], [1, 1, 1], [0, 1, 0]] {
+            let with = [column(
+                section::GRAPH_LABEL_OFFSETS,
+                &offsets,
+                ColumnData::U64,
+            )];
+            assert_refused(&p, &with, "corrupt label sets");
+        }
+        for ids in [[1u32, 0], [1, 1]] {
+            let with = [
+                column(section::GRAPH_META, &[1u64, 2], ColumnData::U64),
+                column(section::GRAPH_LABEL_OFFSETS, &[0u64, 2, 2], ColumnData::U64),
+                column(section::GRAPH_LABEL_IDS, &ids, ColumnData::U32),
+            ];
+            assert_refused(&p, &with, "not strictly increasing");
+        }
+    }
+
+    /// A meta word or an offsets section that disagrees with the section
+    /// shapes fails before anything is allocated from it: `n` is the
+    /// adjacency row-pointer count, never a stored word, and a count past
+    /// the u32 index space or an offsets section of the wrong length is
+    /// refused before a row is built.
+    #[test]
+    fn absurd_node_count_rejected_before_allocation() {
+        let p = container("hugen.col");
+        for meta in [[u64::MAX, 1], [1, u64::MAX], [1 << 40, 1], [1, 1 << 32]] {
+            let with = [column(section::GRAPH_META, &meta, ColumnData::U64)];
+            assert_refused(&p, &with, "exceeds the u32 index space");
+        }
+        for meta in [&[1u64][..], &[1, 1, 1]] {
+            let with = [column(section::GRAPH_META, meta, ColumnData::U64)];
+            assert_refused(&p, &with, "graph meta holds");
+        }
+        // Row pointers for 3 nodes next to a 2-node adjacency, label
+        // offsets for 3 or 0 nodes, adjacency row pointers past the ids
+        // and an empty row-pointer section.
+        let with = [column(
+            section::GRAPH_ATTR_INDPTR,
+            &[0u64, 1, 1, 1],
+            ColumnData::U64,
+        )];
+        assert_refused(&p, &with, "indptr length");
+        for offsets in [&[0u64, 1, 1, 1][..], &[]] {
+            let with = [column(
+                section::GRAPH_LABEL_OFFSETS,
+                offsets,
+                ColumnData::U64,
+            )];
+            assert_refused(&p, &with, "corrupt label sets");
+        }
+        for ptr in [&[0u64, 1 << 50, 1 << 50][..], &[]] {
+            let with = [column(section::GRAPH_ADJ_INDPTR, ptr, ColumnData::U64)];
+            assert_refused(&p, &with, "corrupt adjacency");
+        }
+        // An unknown header flag, and another artifact kind.
+        let one = [column(section::GRAPH_META, &[1u64, 1], ColumnData::U64)];
+        for (artifact, meta) in [(Artifact::Graph, 2), (Artifact::Embedding, 0)] {
+            pane_format::write_columns(&p, artifact, meta, &one).unwrap();
+            let err = load_graph_columns(&p).unwrap_err().to_string();
+            assert!(err.contains("where a graph was expected"), "{err}");
+        }
     }
 }

@@ -15,7 +15,7 @@
 //!   pre-processing step that transforms the attribute into a set of binary
 //!   ones");
 //! * [`io`] — plain-text loaders/writers for edge lists, attribute triples
-//!   and label files;
+//!   and label files, and the `PANECOL1` graph container;
 //! * [`walks`] — a Monte-Carlo simulator of the paper's forward/backward
 //!   random walks on the extended graph (§2.2), used as ground truth for
 //!   testing APMI and to reproduce Table 2;
@@ -30,11 +30,9 @@
 pub mod analysis;
 pub mod builder;
 pub mod encode;
-pub mod extended;
 pub mod gen;
 pub mod graph;
 pub mod io;
-pub mod io_binary;
 pub mod toy;
 pub mod walks;
 

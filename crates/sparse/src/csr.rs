@@ -140,6 +140,11 @@ impl CsrMatrix {
         self.values.len()
     }
 
+    /// The raw CSR arrays `(indptr, indices, values)`, borrowed.
+    pub fn raw_parts(&self) -> (&[usize], &[u32], &[f64]) {
+        (&self.indptr, &self.indices, &self.values)
+    }
+
     /// Column indices and values of row `i`.
     #[inline]
     pub fn row(&self, i: usize) -> (&[u32], &[f64]) {
