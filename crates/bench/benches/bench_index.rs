@@ -82,17 +82,26 @@ fn graph_features(n: usize) -> DenseMatrix {
     m
 }
 
+/// `m` with each row L2-normalized (again, for [`graph_features`]): the
+/// rows every index here is built over and queried with, so an
+/// inner-product index ranks by cosine.
+fn unit_rows(mut m: DenseMatrix) -> DenseMatrix {
+    for i in 0..m.rows() {
+        vecops::normalize(m.row_mut(i), 1e-300);
+    }
+    m
+}
+
 fn fixture() -> &'static Fixture {
     FIXTURE.get_or_init(|| {
         let n = nodes_from_env();
-        let data = graph_features(n);
+        let data = unit_rows(graph_features(n));
         let t0 = Instant::now();
-        let flat = FlatIndex::build(&data, Metric::Cosine);
+        let flat = FlatIndex::build(&data, Metric::InnerProduct);
         let t_flat = t0.elapsed().as_secs_f64();
         let t0 = Instant::now();
         let ivf = IvfIndex::build(
             &data,
-            Metric::Cosine,
             &IvfConfig {
                 nlist: 64,
                 nprobe: 8,
@@ -102,10 +111,10 @@ fn fixture() -> &'static Fixture {
         );
         let t_ivf = t0.elapsed().as_secs_f64();
         let t0 = Instant::now();
-        let hnsw = HnswIndex::build(&data, Metric::Cosine, &HnswConfig::default());
+        let hnsw = HnswIndex::build(&data, &HnswConfig::default());
         let t_hnsw = t0.elapsed().as_secs_f64();
         let t0 = Instant::now();
-        let sq = SqFlatIndex::build(&data, Metric::Cosine, SqConfig::default());
+        let sq = SqFlatIndex::build(&data, SqConfig::default());
         let t_sq = t0.elapsed().as_secs_f64();
         eprintln!(
             "index build over n={n}: flat {t_flat:.2}s, ivf {t_ivf:.2}s, hnsw {t_hnsw:.2}s, \
@@ -216,9 +225,9 @@ fn bench_search(c: &mut Criterion) {
     // graph walk and a flat scan of the same rows cross over is what a
     // cost-based index choice per shard would read.
     const SHARD_ROWS: usize = 2_500;
-    let shard = graph_features(SHARD_ROWS);
-    let flat = FlatIndex::build(&shard, Metric::Cosine);
-    let hnsw = HnswIndex::build(&shard, Metric::Cosine, &HnswConfig::default());
+    let shard = unit_rows(graph_features(SHARD_ROWS));
+    let flat = FlatIndex::build(&shard, Metric::InnerProduct);
+    let hnsw = HnswIndex::build(&shard, &HnswConfig::default());
     let queries: Vec<usize> = (0..NUM_QUERIES)
         .map(|i| i * SHARD_ROWS / NUM_QUERIES)
         .collect();
@@ -327,8 +336,9 @@ fn bench_scan_curve(c: &mut Criterion) {
         for v in data.data_mut() {
             *v = sampler.sample(&mut rng);
         }
-        let flat = FlatIndex::build(&data, Metric::Cosine);
-        let sq = SqFlatIndex::build(&data, Metric::Cosine, SqConfig::default());
+        let data = unit_rows(data);
+        let flat = FlatIndex::build(&data, Metric::InnerProduct);
+        let sq = SqFlatIndex::build(&data, SqConfig::default());
         let kinds: [(&str, &dyn VectorIndex); 2] = [("flat", &flat), ("sqflat", &sq)];
         for (name, index) in kinds {
             for per_pass in [1usize, 2, 4, 8] {

@@ -1,7 +1,7 @@
 //! Minimal argument parser (no external dependencies).
 //!
 //! Supports `--flag`, `--key value` and positional arguments; unknown keys
-//! are errors. Deliberately tiny — the CLI has four subcommands with a
+//! are errors. Deliberately tiny — the CLI has twelve subcommands with a
 //! handful of options each.
 
 use std::collections::BTreeMap;

@@ -276,10 +276,8 @@ fn cmd_evaluate(raw: Vec<String>) -> CliResult {
         .seed(a.get_parsed("seed", 0u64)?)
         .try_build()?;
     let card = pane_eval::report_card(&g, &pane_eval::ReportOptions::default(), |residual| {
-        Pane::new(config.clone())
-            .embed(residual)
-            .expect("embedding failed")
-    });
+        Pane::new(config.clone()).embed(residual)
+    })?;
     println!("{card}");
     Ok(())
 }

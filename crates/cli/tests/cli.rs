@@ -301,6 +301,22 @@ fn errors_are_reported() {
     assert!(!ok);
     assert!(err.contains("error"));
 
+    // A graph PANE cannot embed is an error from `evaluate`, not a panic:
+    // edges without attributes, and an empty edge file.
+    let dir = workdir("unembeddable");
+    let (edges, empty) = (dir.join("edges.txt"), dir.join("empty.txt"));
+    std::fs::write(&edges, "0 1\n1 2\n2 0\n").unwrap();
+    std::fs::write(&empty, "").unwrap();
+    for (graph, names) in [(&edges, "no attributes"), (&empty, "no nodes")] {
+        let (ok, _, err) = run(&["evaluate", "--edges", graph.to_str().unwrap()]);
+        assert!(
+            !ok && err.contains("error:") && err.contains(names),
+            "{err}"
+        );
+        assert!(!err.contains("panicked"), "{err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+
     // Files in the removed stream formats are refused by name, with the
     // remedy, before anything is allocated from their headers: a 32-byte
     // PANEEMB1 header declaring 2³³ rows must not reach its 64 GiB

@@ -7,13 +7,13 @@
 //!
 //! * [`QueryBackend::Exact`] — brute-force scans with a bounded-heap
 //!   top-k (`O(n log k)` per query). The default.
-//! * [`QueryBackend::Flat`] / [`QueryBackend::Ivf`] /
-//!   [`QueryBackend::Hnsw`] — serving through `pane-index`: similar-node
-//!   search runs against an index over the `[X_f ‖ X_b]` classifier
-//!   features, link recommendation against a max-inner-product index over
-//!   `X_b` (the Eq. 22 score `X_f[src]·(YᵀY)·X_b[dst]ᵀ` is a dot product
-//!   between a per-query vector `q = X_f[src]·YᵀY` and the stored `X_b`
-//!   rows). `Flat` is exact; `Ivf`/`Hnsw` trade recall for latency.
+//! * [`QueryBackend::Flat`] — serving through `pane-index` flat indexes:
+//!   similar-node search runs against an index over the `[X_f ‖ X_b]`
+//!   classifier features, link recommendation against one over `X_b` (the
+//!   Eq. 22 score `X_f[src]·(YᵀY)·X_b[dst]ᵀ` is a dot product between a
+//!   per-query vector `q = X_f[src]·YᵀY` and the stored `X_b` rows). The
+//!   approximate kinds serve through [`QuerySpace::build_index`], the
+//!   construction behind `pane serve` and the store.
 //!
 //! # Unified score scale
 //!
@@ -37,7 +37,7 @@
 
 use crate::pane::PaneEmbedding;
 use pane_index::topk::select as top_k;
-use pane_index::{AnyIndex, HnswConfig, IndexSpec, IvfConfig, Metric, VectorIndex};
+use pane_index::{AnyIndex, IndexSpec, Metric, VectorIndex};
 use pane_linalg::{vecops, DenseMatrix};
 use pane_parallel::{even_ranges_nonempty, map_blocks};
 use std::borrow::Cow;
@@ -189,19 +189,15 @@ pub enum QueryBackend {
     /// as [`QueryBackend::Exact`], but through the shared-index machinery
     /// a daemon uses (and therefore insert-capable via delta segments).
     Flat,
-    /// Approximate serving through an inverted-file index.
-    Ivf(IvfConfig),
-    /// Approximate serving through an HNSW graph index.
-    Hnsw(HnswConfig),
 }
 
 /// Query interface over an embedding.
 pub struct EmbeddingQuery<'a> {
     emb: &'a PaneEmbedding,
     gram: DenseMatrix,
-    /// Cosine index over `[X_f ‖ X_b]` classifier features (node search).
+    /// Index over the `[X_f ‖ X_b]` classifier features (node search).
     node_index: Option<AnyIndex>,
-    /// Inner-product index over `X_b` (link recommendation).
+    /// Index over `X_b` (link recommendation).
     link_index: Option<AnyIndex>,
 }
 
@@ -212,21 +208,14 @@ impl<'a> EmbeddingQuery<'a> {
         Self::with_backend(emb, &QueryBackend::Exact)
     }
 
-    /// Wraps an embedding, building ANN indexes when `backend` asks for
-    /// them: a max-inner-product index over the classifier features for
+    /// Wraps an embedding, building the flat index pair when `backend`
+    /// asks for it: one over the classifier features for
     /// [`similar_nodes`](Self::similar_nodes) (the unified score
-    /// `cos_f + cos_b` *is* that inner product — see the module docs),
-    /// and a max-inner-product index over `X_b` for
-    /// [`recommend_links`](Self::recommend_links).
+    /// `cos_f + cos_b` *is* their inner product — see the module docs),
+    /// and one over `X_b` for [`recommend_links`](Self::recommend_links).
     pub fn with_backend(emb: &'a PaneEmbedding, backend: &QueryBackend) -> Self {
-        let (spec, threads) = match backend {
-            QueryBackend::Exact => (None, 1),
-            QueryBackend::Flat => (Some(IndexSpec::Flat), 1),
-            QueryBackend::Ivf(cfg) => (Some(IndexSpec::Ivf(*cfg)), cfg.threads),
-            QueryBackend::Hnsw(cfg) => (Some(IndexSpec::Hnsw(*cfg)), 1),
-        };
-        let (node_index, link_index) = spec
-            .map(|spec| build_bases(emb, &spec, &spec, threads))
+        let (node_index, link_index) = (*backend == QueryBackend::Flat)
+            .then(|| build_bases(emb, &IndexSpec::Flat, &IndexSpec::Flat, 1))
             .unzip();
         Self {
             gram: emb.link_gram(),
@@ -234,18 +223,6 @@ impl<'a> EmbeddingQuery<'a> {
             node_index,
             link_index,
         }
-    }
-
-    /// The ANN index serving [`similar_nodes`](Self::similar_nodes), if
-    /// the backend built one.
-    pub fn node_index(&self) -> Option<&AnyIndex> {
-        self.node_index.as_ref()
-    }
-
-    /// The ANN index serving [`recommend_links`](Self::recommend_links),
-    /// if the backend built one.
-    pub fn link_index(&self) -> Option<&AnyIndex> {
-        self.link_index.as_ref()
     }
 
     /// The per-query link vector `q = X_f[src]·YᵀY`, so that the Eq. 22
@@ -341,6 +318,22 @@ mod tests {
     use super::*;
     use crate::{Pane, PaneConfig};
     use pane_graph::gen::{generate_sbm, SbmConfig};
+    use pane_index::{HnswConfig, IvfConfig};
+
+    impl<'a> EmbeddingQuery<'a> {
+        /// Serves both reads through `spec`'s index pair, built by
+        /// [`QuerySpace::build_index`] and read through [`top_k_filter`] —
+        /// the construction `pane serve` and the store use.
+        fn indexed(emb: &'a PaneEmbedding, spec: IndexSpec) -> Self {
+            let (node, link) = build_bases(emb, &spec, &spec, 1);
+            Self {
+                gram: emb.link_gram(),
+                emb,
+                node_index: Some(node),
+                link_index: Some(link),
+            }
+        }
+    }
 
     fn fixture() -> (pane_graph::AttributedGraph, PaneEmbedding) {
         let g = generate_sbm(&SbmConfig {
@@ -509,15 +502,15 @@ mod tests {
 
         let exact = EmbeddingQuery::new(&emb);
         let flat = EmbeddingQuery::with_backend(&emb, &QueryBackend::Flat);
-        let ivf_full = EmbeddingQuery::with_backend(
+        let ivf_full = EmbeddingQuery::indexed(
             &emb,
-            &QueryBackend::Ivf(IvfConfig {
+            IndexSpec::Ivf(IvfConfig {
                 nlist: 4,
                 nprobe: 4,
                 ..Default::default()
             }),
         );
-        let hnsw = EmbeddingQuery::with_backend(&emb, &QueryBackend::Hnsw(HnswConfig::default()));
+        let hnsw = EmbeddingQuery::indexed(&emb, IndexSpec::Hnsw(HnswConfig::default()));
         for v in 0..n {
             let truth = exact.similar_nodes(v, 8);
             // Unified-scale sanity: every score is a sum of two cosines.
@@ -544,17 +537,16 @@ mod tests {
     fn indexed_backends_approximate_exact_serving() {
         let (_, emb) = fixture();
         let exact = EmbeddingQuery::new(&emb);
-        for backend in [
-            QueryBackend::Flat,
-            QueryBackend::Ivf(IvfConfig {
+        for spec in [
+            IndexSpec::Flat,
+            IndexSpec::Ivf(IvfConfig {
                 nlist: 8,
                 nprobe: 8,
                 ..Default::default()
             }),
-            QueryBackend::Hnsw(HnswConfig::default()),
+            IndexSpec::Hnsw(HnswConfig::default()),
         ] {
-            let approx = EmbeddingQuery::with_backend(&emb, &backend);
-            assert!(approx.node_index().is_some() && approx.link_index().is_some());
+            let approx = EmbeddingQuery::indexed(&emb, spec);
             let mut overlap = 0;
             let mut total = 0;
             for v in (0..emb.forward.rows()).step_by(19) {
@@ -572,7 +564,7 @@ mod tests {
             }
             assert!(
                 overlap * 10 >= total * 8,
-                "backend {backend:?}: similar-node overlap too low ({overlap}/{total})"
+                "{spec:?}: similar-node overlap too low ({overlap}/{total})"
             );
         }
     }
@@ -580,7 +572,7 @@ mod tests {
     #[test]
     fn indexed_recommend_respects_exclusions() {
         let (g, emb) = fixture();
-        let q = EmbeddingQuery::with_backend(&emb, &QueryBackend::Hnsw(HnswConfig::default()));
+        let q = EmbeddingQuery::indexed(&emb, IndexSpec::Hnsw(HnswConfig::default()));
         let src = 3;
         let (nbrs, _) = g.out_neighbors(src);
         let rec = q.recommend_links(src, 10, nbrs);

@@ -70,26 +70,31 @@ impl std::fmt::Display for ReportCard {
 }
 
 /// Runs the full report. `embed` is called on each task's residual graph
-/// (twice) and once on the full graph for classification features.
-pub fn report_card<F>(g: &AttributedGraph, opts: &ReportOptions, mut embed: F) -> ReportCard
+/// (twice) and once on the full graph for classification features; its
+/// first error ends the report.
+pub fn report_card<F, E>(
+    g: &AttributedGraph,
+    opts: &ReportOptions,
+    mut embed: F,
+) -> Result<ReportCard, E>
 where
-    F: FnMut(&AttributedGraph) -> PaneEmbedding,
+    F: FnMut(&AttributedGraph) -> Result<PaneEmbedding, E>,
 {
     let t0 = std::time::Instant::now();
 
     let link_split = split_edges(g, opts.link_test_frac, opts.seed);
-    let link_emb = embed(&link_split.residual);
+    let link_emb = embed(&link_split.residual)?;
     let link = evaluate_link_scorer(&PaneScorer::new(&link_emb), &link_split, g.is_undirected());
 
     let attr_split = split_attribute_entries(g, opts.attr_test_frac, opts.seed);
-    let attr_emb = embed(&attr_split.residual);
+    let attr_emb = embed(&attr_split.residual)?;
     let attribute = evaluate_attr_scorer(&PaneScorer::new(&attr_emb), &attr_split);
 
     let labeled = (0..g.num_nodes())
         .filter(|&v| !g.labels_of(v).is_empty())
         .count();
     let classification = if g.num_labels() > 0 && labeled >= 8 {
-        let full_emb = embed(g);
+        let full_emb = embed(g)?;
         let scorer = PaneScorer::new(&full_emb);
         let nc_opts = NodeClassOptions {
             train_frac: opts.class_train_frac,
@@ -103,25 +108,23 @@ where
         None
     };
 
-    ReportCard {
+    Ok(ReportCard {
         link,
         attribute,
         classification,
         embed_secs: t0.elapsed().as_secs_f64(),
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pane_core::{Pane, PaneConfig};
+    use pane_core::{Pane, PaneConfig, PaneError};
     use pane_graph::gen::{generate_sbm, SbmConfig};
 
-    fn embedder() -> impl FnMut(&AttributedGraph) -> PaneEmbedding {
+    fn embedder() -> impl FnMut(&AttributedGraph) -> Result<PaneEmbedding, PaneError> {
         |g: &AttributedGraph| {
-            Pane::new(PaneConfig::builder().dimension(16).seed(1).build())
-                .embed(g)
-                .expect("embed")
+            Pane::new(PaneConfig::builder().dimension(16).seed(1).build()).embed(g)
         }
     }
 
@@ -136,7 +139,7 @@ mod tests {
             seed: 9,
             ..Default::default()
         });
-        let card = report_card(&g, &ReportOptions::default(), embedder());
+        let card = report_card(&g, &ReportOptions::default(), embedder()).unwrap();
         assert!(card.link.auc > 0.7, "link {}", card.link.auc);
         assert!(card.attribute.auc > 0.7, "attr {}", card.attribute.auc);
         let (micro, _) = card.classification.expect("labels present");
@@ -156,7 +159,7 @@ mod tests {
         }
         b.add_attribute(39, 3, 1.0);
         let g = b.build();
-        let card = report_card(&g, &ReportOptions::default(), embedder());
+        let card = report_card(&g, &ReportOptions::default(), embedder()).unwrap();
         assert!(card.classification.is_none());
         assert!(format!("{card}").contains("(no labels)"));
     }

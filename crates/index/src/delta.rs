@@ -7,8 +7,8 @@
 //! needs fresh vectors to be *queryable now* and folded into the optimized
 //! structure *eventually*. [`DeltaIndex`] provides exactly that split:
 //!
-//! * [`insert`](VectorIndex::insert) appends the metric-prepared vector to
-//!   a flat **delta segment** in amortized O(dim);
+//! * [`insert`](VectorIndex::insert) appends the vector to a flat **delta
+//!   segment** in amortized O(dim);
 //! * [`search`](VectorIndex::search) merges the base structure's top-k
 //!   with an exact scan of the delta segment under one total order
 //!   ([`crate::topk::cmp_ranked`]), so a fresh vector is returned by the very
@@ -24,7 +24,7 @@
 //! ids to newly arrived nodes.
 
 use crate::topk::TopK;
-use crate::{scan::ScanRows, AnyIndex, IndexError, IndexKind, Metric, Neighbor, VectorIndex};
+use crate::{scan::ScanRows, AnyIndex, IndexError, IndexKind, Neighbor, VectorIndex};
 use pane_linalg::DenseMatrix;
 use std::path::Path;
 
@@ -33,7 +33,7 @@ use std::path::Path;
 #[derive(Debug, Clone)]
 pub struct DeltaIndex {
     base: AnyIndex,
-    /// Metric-prepared inserted vectors; row `s` has id `base.len() + s`.
+    /// Inserted vectors; row `s` has id `base.len() + s`.
     delta: ScanRows,
 }
 
@@ -79,10 +79,6 @@ impl VectorIndex for DeltaIndex {
         self.base.kind()
     }
 
-    fn metric(&self) -> Metric {
-        self.base.metric()
-    }
-
     fn len(&self) -> usize {
         self.base.len() + self.delta_len()
     }
@@ -92,9 +88,8 @@ impl VectorIndex for DeltaIndex {
     }
 
     /// The base's answers for the block, then **one** pass over the
-    /// delta panel for the whole block. Delta vectors are already
-    /// metric-prepared, so the scan is a raw dot against the prepared
-    /// queries — the same score the base produces for its own vectors.
+    /// delta panel for the whole block, scored by the same dot the base
+    /// uses for its own vectors.
     fn search_block(&self, queries: &[f64], k: usize) -> Vec<Vec<Neighbor>> {
         let base_hits = self.base.search_block(queries, k);
         if self.delta_len() == 0 {
@@ -125,8 +120,7 @@ impl VectorIndex for DeltaIndex {
                 self.dim()
             )));
         }
-        let prepared = self.metric().prepare_query(vector);
-        self.delta.push_row(&prepared);
+        self.delta.push_row(vector);
         Ok(self.len() - 1)
     }
 
@@ -146,8 +140,10 @@ impl VectorIndex for DeltaIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::clustered_vectors;
-    use crate::{FlatIndex, HnswConfig, HnswIndex, IvfConfig, IvfIndex, SqConfig, SqFlatIndex};
+    use crate::testutil::{clustered_vectors, renormalized};
+    use crate::{
+        FlatIndex, HnswConfig, HnswIndex, IvfConfig, IvfIndex, Metric, SqConfig, SqFlatIndex,
+    };
 
     fn split(data: &DenseMatrix, at: usize) -> (DenseMatrix, Vec<Vec<f64>>) {
         let head = data.row_block(0..at);
@@ -159,43 +155,39 @@ mod tests {
     fn delta_over_flat_matches_full_flat_exactly() {
         let data = clustered_vectors(120, 10, 4, 0.2);
         let (head, tail) = split(&data, 100);
-        for metric in [Metric::Cosine, Metric::InnerProduct] {
-            let full = FlatIndex::build(&data, metric);
-            let mut delta = DeltaIndex::new(AnyIndex::Flat(FlatIndex::build(&head, metric)));
-            for (i, v) in tail.iter().enumerate() {
-                assert_eq!(delta.insert(v).unwrap(), 100 + i);
-            }
-            assert_eq!(delta.len(), 120);
-            for v in (0..120).step_by(7) {
-                assert_eq!(
-                    delta.search(data.row(v), 9),
-                    full.search(data.row(v), 9),
-                    "delta-merged search diverged from the flat rebuild at {v}"
-                );
-            }
+        let full = FlatIndex::build(&data, Metric::InnerProduct);
+        let mut delta = DeltaIndex::new(AnyIndex::Flat(FlatIndex::build(
+            &head,
+            Metric::InnerProduct,
+        )));
+        for (i, v) in tail.iter().enumerate() {
+            assert_eq!(delta.insert(v).unwrap(), 100 + i);
+        }
+        assert_eq!(delta.len(), 120);
+        for v in (0..120).step_by(7) {
+            assert_eq!(
+                delta.search(data.row(v), 9),
+                full.search(data.row(v), 9),
+                "delta-merged search diverged from the flat rebuild at {v}"
+            );
         }
     }
 
     #[test]
     fn fresh_vector_is_served_by_next_query_on_every_base() {
-        let data = clustered_vectors(200, 8, 4, 0.15);
+        let data = renormalized(clustered_vectors(200, 8, 4, 0.15));
         let (head, tail) = split(&data, 196);
         let bases = [
-            AnyIndex::Flat(FlatIndex::build(&head, Metric::Cosine)),
+            AnyIndex::Flat(FlatIndex::build(&head, Metric::InnerProduct)),
             AnyIndex::Ivf(IvfIndex::build(
                 &head,
-                Metric::Cosine,
                 &IvfConfig {
                     nlist: 8,
                     nprobe: 8,
                     ..Default::default()
                 },
             )),
-            AnyIndex::Hnsw(HnswIndex::build(
-                &head,
-                Metric::Cosine,
-                &HnswConfig::default(),
-            )),
+            AnyIndex::Hnsw(HnswIndex::build(&head, &HnswConfig::default())),
         ];
         for base in bases {
             let kind = base.kind();
@@ -222,48 +214,52 @@ mod tests {
     fn block_search_with_pending_delta_matches_single_searches() {
         let data = clustered_vectors(230, 32, 4, 0.2);
         let (head, tail) = split(&data, 200);
-        for metric in [Metric::Cosine, Metric::InnerProduct] {
-            let bases = [
-                AnyIndex::Flat(FlatIndex::build(&head, metric)),
-                AnyIndex::Ivf(IvfIndex::build(&head, metric, &IvfConfig::default())),
-                AnyIndex::Hnsw(HnswIndex::build(&head, metric, &HnswConfig::default())),
-                AnyIndex::SqFlat(SqFlatIndex::build(&head, metric, SqConfig::default())),
-            ];
-            for base in bases {
-                let mut idx = DeltaIndex::new(base);
-                for v in &tail {
-                    idx.insert(v).unwrap();
-                }
-                let queries = data.row_block(195..200);
-                let single: Vec<_> = (0..5).map(|i| idx.search(queries.row(i), 12)).collect();
-                assert!(
-                    single.iter().flatten().any(|h| h.index >= 200),
-                    "{}: no delta row among the hits — the test lost its point",
+        let bases = [
+            AnyIndex::Flat(FlatIndex::build(&head, Metric::InnerProduct)),
+            AnyIndex::Ivf(IvfIndex::build(&head, &IvfConfig::default())),
+            AnyIndex::Hnsw(HnswIndex::build(&head, &HnswConfig::default())),
+            AnyIndex::SqFlat(SqFlatIndex::build(&head, SqConfig::default())),
+        ];
+        for base in bases {
+            let mut idx = DeltaIndex::new(base);
+            for v in &tail {
+                idx.insert(v).unwrap();
+            }
+            let queries = data.row_block(195..200);
+            let single: Vec<_> = (0..5).map(|i| idx.search(queries.row(i), 12)).collect();
+            assert!(
+                single.iter().flatten().any(|h| h.index >= 200),
+                "{}: no delta row among the hits — the test lost its point",
+                idx.kind()
+            );
+            for threads in [1, 2] {
+                assert_eq!(
+                    idx.batch_search(&queries, 12, threads),
+                    single,
+                    "{} block diverged from single searches",
                     idx.kind()
                 );
-                for threads in [1, 2] {
-                    assert_eq!(
-                        idx.batch_search(&queries, 12, threads),
-                        single,
-                        "{} block diverged from single searches",
-                        idx.kind()
-                    );
-                }
             }
         }
     }
 
     #[test]
     fn insert_dim_mismatch_is_structured_error() {
-        let data = clustered_vectors(10, 6, 2, 0.2);
-        let mut idx = DeltaIndex::new(AnyIndex::Flat(FlatIndex::build(&data, Metric::Cosine)));
+        let data = renormalized(clustered_vectors(10, 6, 2, 0.2));
+        let mut idx = DeltaIndex::new(AnyIndex::Flat(FlatIndex::build(
+            &data,
+            Metric::InnerProduct,
+        )));
         assert!(matches!(idx.insert(&[1.0, 2.0]), Err(IndexError::Build(_))));
     }
 
     #[test]
     fn save_with_pending_delta_is_refused() {
-        let data = clustered_vectors(10, 6, 2, 0.2);
-        let mut idx = DeltaIndex::new(AnyIndex::Flat(FlatIndex::build(&data, Metric::Cosine)));
+        let data = renormalized(clustered_vectors(10, 6, 2, 0.2));
+        let mut idx = DeltaIndex::new(AnyIndex::Flat(FlatIndex::build(
+            &data,
+            Metric::InnerProduct,
+        )));
         idx.insert(&[0.5; 6]).unwrap();
         let dir = std::env::temp_dir().join(format!("pane_delta_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -275,13 +271,13 @@ mod tests {
 
     #[test]
     fn ivf_and_hnsw_decline_native_insert() {
-        let data = clustered_vectors(30, 6, 2, 0.2);
-        let mut ivf = IvfIndex::build(&data, Metric::Cosine, &IvfConfig::default());
+        let data = renormalized(clustered_vectors(30, 6, 2, 0.2));
+        let mut ivf = IvfIndex::build(&data, &IvfConfig::default());
         assert!(matches!(
             ivf.insert(data.row(0)),
             Err(IndexError::Unsupported(_))
         ));
-        let mut hnsw = HnswIndex::build(&data, Metric::Cosine, &HnswConfig::default());
+        let mut hnsw = HnswIndex::build(&data, &HnswConfig::default());
         assert!(matches!(
             hnsw.insert(data.row(0)),
             Err(IndexError::Unsupported(_))

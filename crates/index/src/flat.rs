@@ -12,23 +12,24 @@ use std::{borrow::Cow, path::Path};
 /// other indexes measure their recall against it.
 #[derive(Debug, Clone)]
 pub struct FlatIndex {
-    metric: Metric,
     data: ScanRows,
 }
 
 impl FlatIndex {
-    /// Indexes the rows of `data` (moved in or copied; normalized if cosine).
+    /// Indexes the rows of `data` as given (moved in or copied). The
+    /// [`Metric`] is ignored; see its docs.
     ///
     /// # Panics
     /// Panics if `data` has no rows or no columns.
-    pub fn build<'a>(data: impl Into<Cow<'a, DenseMatrix>>, metric: Metric) -> Self {
-        let data = metric.prepare(data.into().into_owned());
+    pub fn build<'a>(data: impl Into<Cow<'a, DenseMatrix>>, _: Metric) -> Self {
+        let data = data.into().into_owned();
         assert!(
             data.rows() > 0 && data.cols() > 0,
             "FlatIndex::build: empty data"
         );
-        let data = ScanRows::new(data);
-        Self { metric, data }
+        Self {
+            data: ScanRows::new(data),
+        }
     }
 
     /// Reconstructs the index from an already-validated container.
@@ -36,10 +37,7 @@ impl FlatIndex {
     /// `build` never produces an empty index, so `n = 0` or `dim = 0` is
     /// a structured [`IndexError`] at load time rather than a surprise
     /// for the first search.
-    pub(crate) fn from_columns(
-        c: &mut pane_format::Columns,
-        metric: Metric,
-    ) -> Result<Self, IndexError> {
+    pub(crate) fn from_columns(c: &mut pane_format::Columns) -> Result<Self, IndexError> {
         let data = columnar_matrix(c, section::INDEX_VECTORS)?;
         if data.rows() == 0 || data.cols() == 0 || data.cols() > 1 << 24 {
             return Err(IndexError::Format(format!(
@@ -48,11 +46,12 @@ impl FlatIndex {
                 data.cols()
             )));
         }
-        let data = ScanRows::new(data);
-        Ok(Self { metric, data })
+        Ok(Self {
+            data: ScanRows::new(data),
+        })
     }
 
-    /// The stored (metric-prepared) vectors.
+    /// The stored vectors.
     pub fn vectors(&self) -> &DenseMatrix {
         self.data.matrix()
     }
@@ -61,10 +60,6 @@ impl FlatIndex {
 impl VectorIndex for FlatIndex {
     fn kind(&self) -> IndexKind {
         IndexKind::Flat
-    }
-
-    fn metric(&self) -> Metric {
-        self.metric
     }
 
     fn len(&self) -> usize {
@@ -97,8 +92,7 @@ impl VectorIndex for FlatIndex {
                 self.dim()
             )));
         }
-        let prepared = self.metric.prepare_query(vector);
-        self.data.push_row(&prepared);
+        self.data.push_row(vector);
         Ok(self.len() - 1)
     }
 
@@ -112,7 +106,7 @@ impl VectorIndex for FlatIndex {
         pane_format::write_columns(
             path,
             Artifact::Index,
-            columnar_meta(IndexKind::Flat, self.metric),
+            columnar_meta(IndexKind::Flat),
             &specs,
         )?;
         Ok(())
@@ -122,12 +116,12 @@ impl VectorIndex for FlatIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::clustered_vectors;
+    use crate::testutil::{clustered_vectors, renormalized};
 
     #[test]
-    fn finds_itself_first_under_cosine() {
-        let data = clustered_vectors(120, 16, 4, 0.2);
-        let idx = FlatIndex::build(&data, Metric::Cosine);
+    fn finds_itself_first() {
+        let data = renormalized(clustered_vectors(120, 16, 4, 0.2));
+        let idx = FlatIndex::build(&data, Metric::InnerProduct);
         for v in [0, 17, 119] {
             let hits = idx.search(data.row(v), 5);
             assert_eq!(hits[0].index, v);

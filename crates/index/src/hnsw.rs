@@ -20,7 +20,7 @@
 //! index; the file keeps the packed lists, so the arena is not a format.
 
 use crate::persist::{columnar_matrix, columnar_meta};
-use crate::{block_rows, topk, unit_open, IndexError, IndexKind, Metric, Neighbor, VectorIndex};
+use crate::{block_rows, topk, unit_open, IndexError, IndexKind, Neighbor, VectorIndex};
 use pane_format::{section, Artifact, ColumnData, ColumnSpec};
 use pane_linalg::{kernels, vecops, DenseMatrix};
 use std::cmp::{Ordering, Reverse};
@@ -238,10 +238,9 @@ impl Links {
 /// HNSW graph index. See the module docs.
 #[derive(Debug, Clone)]
 pub struct HnswIndex {
-    metric: Metric,
     ef_construction: usize,
     ef_search: usize,
-    /// Metric-prepared vectors.
+    /// The indexed vectors.
     data: DenseMatrix,
     /// Level of each node.
     levels: Vec<u32>,
@@ -258,16 +257,12 @@ fn bad<T>(message: String) -> Result<T, IndexError> {
 
 impl HnswIndex {
     /// Builds the graph by sequential insertion of the rows of `data`
-    /// (moved in or copied). Bit-identical for a fixed `(data, metric, config)`.
+    /// (moved in or copied). Bit-identical for a fixed `(data, config)`.
     ///
     /// # Panics
     /// Panics if `data` is empty or `config.m < 2` / `ef_construction == 0`.
-    pub fn build<'a>(
-        data: impl Into<Cow<'a, DenseMatrix>>,
-        metric: Metric,
-        config: &HnswConfig,
-    ) -> Self {
-        let data = metric.prepare(data.into().into_owned());
+    pub fn build<'a>(data: impl Into<Cow<'a, DenseMatrix>>, config: &HnswConfig) -> Self {
+        let data = data.into().into_owned();
         assert!(
             data.rows() > 0 && data.cols() > 0,
             "HnswIndex::build: empty data"
@@ -288,7 +283,6 @@ impl HnswIndex {
             })
             .collect();
         let mut index = Self {
-            metric,
             ef_construction: config.ef_construction,
             ef_search: config.ef_search.max(1),
             data,
@@ -442,10 +436,7 @@ impl HnswIndex {
     /// levels may not exceed `max_level`, no list may be longer than its
     /// cap (the arena has no slot for it), and every edge must point at
     /// an in-range node of sufficient level.
-    pub(crate) fn from_columns(
-        c: &mut pane_format::Columns,
-        metric: Metric,
-    ) -> Result<Self, IndexError> {
+    pub(crate) fn from_columns(c: &mut pane_format::Columns) -> Result<Self, IndexError> {
         let data = columnar_matrix(c, section::HNSW_VECTORS)?;
         let (n, dim) = (data.rows(), data.cols());
         if n == 0 || dim == 0 || dim > 1 << 24 {
@@ -557,7 +548,6 @@ impl HnswIndex {
             }
         }
         Ok(Self {
-            metric,
             ef_construction: ef_construction as usize,
             ef_search: ef_search as usize,
             data,
@@ -636,10 +626,6 @@ fn prune(data: &DenseMatrix, links: &mut Links, node: Neighbor, level: usize, sc
 impl VectorIndex for HnswIndex {
     fn kind(&self) -> IndexKind {
         IndexKind::Hnsw
-    }
-
-    fn metric(&self) -> Metric {
-        self.metric
     }
 
     fn len(&self) -> usize {
@@ -725,7 +711,7 @@ impl VectorIndex for HnswIndex {
         pane_format::write_columns(
             path,
             Artifact::Index,
-            columnar_meta(IndexKind::Hnsw, self.metric),
+            columnar_meta(IndexKind::Hnsw),
             &specs,
         )?;
         Ok(())
@@ -735,8 +721,8 @@ impl VectorIndex for HnswIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::clustered_vectors;
-    use crate::FlatIndex;
+    use crate::testutil::{clustered_vectors, renormalized};
+    use crate::{FlatIndex, Metric};
 
     impl HnswIndex {
         /// `node`'s neighbor ids on `level`.
@@ -747,8 +733,8 @@ mod tests {
 
     #[test]
     fn finds_itself_first() {
-        let data = clustered_vectors(250, 12, 5, 0.15);
-        let idx = HnswIndex::build(&data, Metric::Cosine, &HnswConfig::default());
+        let data = renormalized(clustered_vectors(250, 12, 5, 0.15));
+        let idx = HnswIndex::build(&data, &HnswConfig::default());
         for v in (0..250).step_by(23) {
             let hits = idx.search(data.row(v), 3);
             assert_eq!(hits[0].index, v, "node {v} did not find itself");
@@ -757,13 +743,13 @@ mod tests {
 
     #[test]
     fn build_is_deterministic() {
-        let data = clustered_vectors(180, 8, 4, 0.2);
+        let data = renormalized(clustered_vectors(180, 8, 4, 0.2));
         let cfg = HnswConfig {
             seed: 11,
             ..Default::default()
         };
-        let a = HnswIndex::build(&data, Metric::Cosine, &cfg);
-        let b = HnswIndex::build(&data, Metric::Cosine, &cfg);
+        let a = HnswIndex::build(&data, &cfg);
+        let b = HnswIndex::build(&data, &cfg);
         assert_eq!(a.levels, b.levels);
         assert_eq!(a.links.slots, b.links.slots);
         assert_eq!(a.entry, b.entry);
@@ -802,7 +788,7 @@ mod tests {
     /// the walk was rewritten: a change here is a change of the graph.
     #[test]
     fn graph_is_pinned() {
-        let data = clustered_vectors(400, 16, 8, 0.25);
+        let data = renormalized(clustered_vectors(400, 16, 8, 0.25));
         let seeded = HnswConfig {
             m: 8,
             seed: 11,
@@ -816,7 +802,7 @@ mod tests {
             ),
             (seeded, 0x5B5F_F925_3352_D03D, 0x02D9_23ED_D040_8571),
         ] {
-            let idx = HnswIndex::build(&data, Metric::Cosine, &cfg);
+            let idx = HnswIndex::build(&data, &cfg);
             assert_eq!(graph_hash(&idx), graph, "graph changed: {cfg:?}");
             let mut h = 0xCBF2_9CE4_8422_2325;
             for v in (0..400).step_by(8) {
@@ -831,12 +817,12 @@ mod tests {
 
     #[test]
     fn degree_bounds_hold() {
-        let data = clustered_vectors(300, 10, 6, 0.2);
+        let data = renormalized(clustered_vectors(300, 10, 6, 0.2));
         let cfg = HnswConfig {
             m: 8,
             ..Default::default()
         };
-        let idx = HnswIndex::build(&data, Metric::Cosine, &cfg);
+        let idx = HnswIndex::build(&data, &cfg);
         for v in 0..idx.len() {
             for lev in 0..=idx.levels[v] as usize {
                 let nbrs = idx.neighbors(v, lev);
@@ -872,8 +858,8 @@ mod tests {
 
     #[test]
     fn corrupted_neighbor_id_fails_load_cleanly() {
-        let data = clustered_vectors(40, 6, 2, 0.2);
-        let mut idx = HnswIndex::build(&data, Metric::Cosine, &HnswConfig::default());
+        let data = renormalized(clustered_vectors(40, 6, 2, 0.2));
+        let mut idx = HnswIndex::build(&data, &HnswConfig::default());
         assert!(
             !idx.neighbors(0, 0).is_empty(),
             "fixture node 0 has no links"
@@ -886,8 +872,8 @@ mod tests {
     fn entry_below_max_level_fails_load_cleanly() {
         // The descent indexes links[entry][max_level]; a file whose entry
         // point does not reach the claimed max level used to panic there.
-        let data = clustered_vectors(40, 6, 2, 0.2);
-        let mut idx = HnswIndex::build(&data, Metric::Cosine, &HnswConfig::default());
+        let data = renormalized(clustered_vectors(40, 6, 2, 0.2));
+        let mut idx = HnswIndex::build(&data, &HnswConfig::default());
         idx.max_level += 1;
         assert_load_rejects(&idx, &|_| (), "entry point");
     }
@@ -895,8 +881,8 @@ mod tests {
     #[test]
     fn inconsistent_link_lists_fail_load_cleanly() {
         use crate::testutil::patch_section;
-        let data = clustered_vectors(250, 12, 5, 0.15);
-        let idx = HnswIndex::build(&data, Metric::Cosine, &HnswConfig::default());
+        let data = renormalized(clustered_vectors(250, 12, 5, 0.15));
+        let idx = HnswIndex::build(&data, &HnswConfig::default());
         // Offsets that run one id past the links section.
         let last = 8 * idx.levels.iter().map(|&l| l as usize + 1).sum::<usize>();
         assert_load_rejects(
@@ -919,8 +905,8 @@ mod tests {
     #[test]
     fn overlong_list_and_bad_parameters_fail_load_cleanly() {
         use crate::testutil::patch_section;
-        let data = clustered_vectors(250, 12, 5, 0.15);
-        let idx = HnswIndex::build(&data, Metric::Cosine, &HnswConfig::default());
+        let data = renormalized(clustered_vectors(250, 12, 5, 0.15));
+        let idx = HnswIndex::build(&data, &HnswConfig::default());
         let cap = 2 * idx.m();
         let full = (0..250)
             .find(|&v| idx.neighbors(v, 0).len() == cap)
@@ -955,8 +941,8 @@ mod tests {
     /// values the restarted epoch takes next.
     #[test]
     fn epoch_wrap_forgets_every_visit() {
-        let data = clustered_vectors(300, 10, 6, 0.2);
-        let idx = HnswIndex::build(&data, Metric::Cosine, &HnswConfig::default());
+        let data = renormalized(clustered_vectors(300, 10, 6, 0.2));
+        let idx = HnswIndex::build(&data, &HnswConfig::default());
         let mut fresh = Scratch::new(300);
         let mut old = Scratch::new(300);
         old.epoch = u32::MAX - 1;
@@ -980,8 +966,8 @@ mod tests {
     /// one scratch per thread.
     #[test]
     fn pool_under_contention_matches_serial_answers() {
-        let data = clustered_vectors(400, 16, 8, 0.25);
-        let idx = HnswIndex::build(&data, Metric::Cosine, &HnswConfig::default());
+        let data = renormalized(clustered_vectors(400, 16, 8, 0.25));
+        let idx = HnswIndex::build(&data, &HnswConfig::default());
         let serial: Vec<_> = (0..200).map(|v| idx.search(data.row(v), 10)).collect();
         let start = std::sync::Barrier::new(4);
         std::thread::scope(|scope| {
@@ -1001,9 +987,9 @@ mod tests {
 
     #[test]
     fn decent_recall_on_clusters() {
-        let data = clustered_vectors(400, 16, 8, 0.25);
-        let flat = FlatIndex::build(&data, Metric::Cosine);
-        let idx = HnswIndex::build(&data, Metric::Cosine, &HnswConfig::default());
+        let data = renormalized(clustered_vectors(400, 16, 8, 0.25));
+        let flat = FlatIndex::build(&data, Metric::InnerProduct);
+        let idx = HnswIndex::build(&data, &HnswConfig::default());
         let mut hit = 0;
         let mut total = 0;
         for v in (0..400).step_by(7) {

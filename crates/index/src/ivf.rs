@@ -1,6 +1,6 @@
 //! IVF — inverted-file index over a k-means coarse quantizer.
 //!
-//! Build: cluster the (metric-prepared) vectors into `nlist` cells with
+//! Build: cluster the vectors into `nlist` cells with
 //! [`kmeans`], then lay each cell's vectors out
 //! contiguously so a probe streams memory like the flat scan does — just
 //! over `nprobe/nlist` of the data. Search: rank cells by distance from
@@ -14,7 +14,7 @@
 use crate::kmeans::kmeans;
 use crate::persist::{columnar_matrix, columnar_meta};
 use crate::VectorIndex;
-use crate::{block_rows, scan::ScanRows, topk, IndexError, IndexKind, Metric, Neighbor};
+use crate::{block_rows, scan::ScanRows, topk, IndexError, IndexKind, Neighbor};
 use pane_format::{section, Artifact, ColumnData, ColumnSpec};
 use pane_linalg::{vecops, DenseMatrix};
 use std::{borrow::Cow, path::Path};
@@ -49,7 +49,6 @@ impl Default for IvfConfig {
 /// Inverted-file ANN index. See the module docs.
 #[derive(Debug, Clone)]
 pub struct IvfIndex {
-    metric: Metric,
     nprobe: usize,
     /// `nlist × dim` cell centroids.
     centroids: DenseMatrix,
@@ -59,7 +58,7 @@ pub struct IvfIndex {
     offsets: Vec<usize>,
     /// Original row ids, cell-major (ascending id within a cell).
     ids: Vec<u32>,
-    /// Metric-prepared vectors, laid out cell-major.
+    /// The vectors, laid out cell-major.
     vectors: ScanRows,
 }
 
@@ -72,27 +71,23 @@ impl IvfIndex {
     ///
     /// # Panics
     /// Panics if `data` is empty or `config.nlist == 0`.
-    pub fn build<'a>(
-        data: impl Into<Cow<'a, DenseMatrix>>,
-        metric: Metric,
-        config: &IvfConfig,
-    ) -> Self {
-        let prepared = metric.prepare(data.into().into_owned());
+    pub fn build<'a>(data: impl Into<Cow<'a, DenseMatrix>>, config: &IvfConfig) -> Self {
+        let data = data.into();
         assert!(
-            prepared.rows() > 0 && prepared.cols() > 0,
+            data.rows() > 0 && data.cols() > 0,
             "IvfIndex::build: empty data"
         );
         assert!(config.nlist > 0, "IvfIndex::build: nlist must be positive");
         let km = kmeans(
-            &prepared,
+            &data,
             config.nlist,
             config.train_iters.max(1),
             config.seed,
             config.threads,
         );
         let nlist = km.centroids.rows();
-        let n = prepared.rows();
-        let dim = prepared.cols();
+        let n = data.rows();
+        let dim = data.cols();
 
         // Counting sort by cell: offsets, then a stable in-order fill so
         // ids ascend within each cell.
@@ -112,15 +107,14 @@ impl IvfIndex {
             let slot = cursor[a as usize];
             cursor[a as usize] += 1;
             ids[slot] = i as u32;
-            vectors.row_mut(slot).copy_from_slice(prepared.row(i));
+            vectors.row_mut(slot).copy_from_slice(data.row(i));
         }
-        drop(prepared); // before the screen's f32 copy is made
+        drop(data); // before the screen's f32 copy is made
 
         let cnorms = (0..nlist)
             .map(|c| vecops::norm2_sq(km.centroids.row(c)))
             .collect();
         Self {
-            metric,
             nprobe: config.nprobe.clamp(1, nlist),
             centroids: km.centroids,
             cnorms,
@@ -150,10 +144,7 @@ impl IvfIndex {
     /// dimensions, a zero `nlist`, cell sizes that do not sum to `n`, or
     /// arrays whose lengths disagree are all structured [`IndexError`]s
     /// at load time.
-    pub(crate) fn from_columns(
-        c: &mut pane_format::Columns,
-        metric: Metric,
-    ) -> Result<Self, IndexError> {
+    pub(crate) fn from_columns(c: &mut pane_format::Columns) -> Result<Self, IndexError> {
         let centroids = columnar_matrix(c, section::IVF_CENTROIDS)?;
         let vectors = columnar_matrix(c, section::IVF_VECTORS)?;
         let (n, dim) = (vectors.rows(), vectors.cols());
@@ -210,7 +201,6 @@ impl IvfIndex {
             .map(|c| vecops::norm2_sq(centroids.row(c)))
             .collect();
         Ok(Self {
-            metric,
             nprobe,
             centroids,
             cnorms,
@@ -224,10 +214,6 @@ impl IvfIndex {
 impl VectorIndex for IvfIndex {
     fn kind(&self) -> IndexKind {
         IndexKind::Ivf
-    }
-
-    fn metric(&self) -> Metric {
-        self.metric
     }
 
     fn len(&self) -> usize {
@@ -310,12 +296,7 @@ impl VectorIndex for IvfIndex {
                 data: ColumnData::F64(self.vectors.matrix().data()),
             },
         ];
-        pane_format::write_columns(
-            path,
-            Artifact::Index,
-            columnar_meta(IndexKind::Ivf, self.metric),
-            &specs,
-        )?;
+        pane_format::write_columns(path, Artifact::Index, columnar_meta(IndexKind::Ivf), &specs)?;
         Ok(())
     }
 }
@@ -323,16 +304,15 @@ impl VectorIndex for IvfIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::clustered_vectors;
-    use crate::FlatIndex;
+    use crate::testutil::{clustered_vectors, renormalized};
+    use crate::{FlatIndex, Metric};
 
     #[test]
     fn full_probe_matches_flat_exactly() {
-        let data = clustered_vectors(150, 12, 5, 0.15);
-        let flat = FlatIndex::build(&data, Metric::Cosine);
+        let data = renormalized(clustered_vectors(150, 12, 5, 0.15));
+        let flat = FlatIndex::build(&data, Metric::InnerProduct);
         let mut ivf = IvfIndex::build(
             &data,
-            Metric::Cosine,
             &IvfConfig {
                 nlist: 8,
                 ..Default::default()
@@ -348,14 +328,14 @@ mod tests {
 
     #[test]
     fn build_is_thread_invariant() {
-        let data = clustered_vectors(200, 10, 6, 0.2);
+        let data = renormalized(clustered_vectors(200, 10, 6, 0.2));
         let cfg = IvfConfig {
             nlist: 12,
             seed: 3,
             ..Default::default()
         };
-        let a = IvfIndex::build(&data, Metric::Cosine, &cfg);
-        let b = IvfIndex::build(&data, Metric::Cosine, &IvfConfig { threads: 5, ..cfg });
+        let a = IvfIndex::build(&data, &cfg);
+        let b = IvfIndex::build(&data, &IvfConfig { threads: 5, ..cfg });
         assert_eq!(a.ids, b.ids);
         assert_eq!(a.offsets, b.offsets);
         assert_eq!(a.centroids.data(), b.centroids.data());
@@ -370,13 +350,13 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("pane_ivf_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let p = dir.join("lie.idx");
-        let data = clustered_vectors(120, 10, 4, 0.2);
+        let data = renormalized(clustered_vectors(120, 10, 4, 0.2));
         let cfg = IvfConfig {
             nlist: 6,
             nprobe: 3,
             ..Default::default()
         };
-        let idx = IvfIndex::build(&data, Metric::Cosine, &cfg);
+        let idx = IvfIndex::build(&data, &cfg);
         let check = |idx: &IvfIndex, lie: &dyn Fn(&Path), want: &str| {
             idx.save(&p).unwrap();
             lie(&p);
@@ -409,7 +389,7 @@ mod tests {
     #[test]
     fn nprobe_clamps() {
         let data = clustered_vectors(30, 6, 2, 0.2);
-        let mut ivf = IvfIndex::build(&data, Metric::InnerProduct, &IvfConfig::default());
+        let mut ivf = IvfIndex::build(&data, &IvfConfig::default());
         ivf.set_nprobe(0);
         assert_eq!(ivf.nprobe(), 1);
         ivf.set_nprobe(10_000);

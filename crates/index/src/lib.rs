@@ -26,16 +26,14 @@
 //!   nodes are queryable without a rebuild.
 //!
 //! All structures implement [`VectorIndex`] — one required search method,
-//! `search_block` (a block of prepared queries in, hits out), on which
-//! `search` (a block of one) and `batch_search` (the block split over
-//! threads) are written once, plus `insert` / `save` and per-type
-//! `build` / `load` — persist as one
-//! `PANECOL1` container each (see [`persist`]; sections are listed in
-//! `pane_format::section`), and score with a dot product: [`Metric::Cosine`]
-//! L2-normalizes stored and query vectors first (so the dot *is* the
-//! cosine), [`Metric::InnerProduct`] ranks by the raw dot — both what
-//! Eq. 22 link scores and the unified similar-node scale (see
-//! `pane-core`'s `query` module) need.
+//! `search_block` (a block of queries in, hits out), on which `search` (a
+//! block of one) and `batch_search` (the block split over threads) are
+//! written once, plus `insert` / `save` and per-type `build` / `load` —
+//! persist as one `PANECOL1` container each (see [`persist`]; sections are
+//! listed in `pane_format::section`), and score a row one way: the inner
+//! product `kernels::dot(q, row)` of the query with the row as stored.
+//! That is what Eq. 22 link scores and the unified similar-node scale (see
+//! `pane-core`'s `query` module) both need.
 
 pub mod delta;
 pub mod flat;
@@ -59,7 +57,7 @@ pub use persist::{load_index, AnyIndex};
 pub use spec::IndexSpec;
 pub use sq::{SqConfig, SqFlatIndex};
 
-use pane_linalg::{vecops, DenseMatrix};
+use pane_linalg::DenseMatrix;
 use pane_parallel::{even_ranges_nonempty, map_blocks};
 use std::io;
 use std::path::Path;
@@ -83,7 +81,7 @@ pub(crate) fn unit_open(x: u64) -> f64 {
     (((splitmix64(x) >> 11) + 1) as f64) * (1.0 / (1u64 << 53) as f64)
 }
 
-/// The prepared query rows of a [`VectorIndex::search_block`] block;
+/// The query rows of a [`VectorIndex::search_block`] block;
 /// panics if `queries.len()` is not a multiple of `dim`.
 pub(crate) fn block_rows(queries: &[f64], dim: usize) -> std::slice::ChunksExact<'_, f64> {
     assert_eq!(queries.len() % dim, 0, "ragged query block");
@@ -95,59 +93,19 @@ pub(crate) fn block_rows(queries: &[f64], dim: usize) -> std::slice::ChunksExact
 pub struct Neighbor {
     /// Row index of the hit in the indexed matrix.
     pub index: usize,
-    /// Similarity under the index's [`Metric`].
+    /// The inner product of the query with the stored row (with its
+    /// dequantized codes, for sqflat).
     pub score: f64,
 }
 
-/// How vectors are compared.
+/// How vectors are compared: always by inner product, the only score an
+/// index has. The enum is kept only because the frozen `benchmark/`
+/// harness names `Metric::InnerProduct` in [`FlatIndex::build`] and
+/// [`IndexSpec::build`]; both ignore it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Metric {
-    /// Cosine similarity: vectors are L2-normalized at build/query time and
-    /// compared by dot product. Used for similar-node search over the
-    /// `[X_f ‖ X_b]` classifier features.
-    Cosine,
-    /// Raw inner product (maximum-inner-product search). Used for link
-    /// recommendation, where the score is `q · X_b[dst]` (Eq. 22).
+    /// Raw inner product (maximum-inner-product search).
     InnerProduct,
-}
-
-impl Metric {
-    /// Stable on-disk tag.
-    pub fn tag(self) -> u8 {
-        match self {
-            Metric::Cosine => 0,
-            Metric::InnerProduct => 1,
-        }
-    }
-
-    /// Inverse of [`Metric::tag`].
-    pub fn from_tag(tag: u8) -> Option<Self> {
-        match tag {
-            0 => Some(Metric::Cosine),
-            1 => Some(Metric::InnerProduct),
-            _ => None,
-        }
-    }
-
-    /// L2-normalizes each row of `data` in place when the metric is cosine;
-    /// taken by value, so an owned matrix becomes index storage uncopied.
-    pub(crate) fn prepare(self, mut data: DenseMatrix) -> DenseMatrix {
-        if self == Metric::Cosine {
-            for i in 0..data.rows() {
-                vecops::normalize(data.row_mut(i), 1e-300);
-            }
-        }
-        data
-    }
-
-    /// Copies `query`, L2-normalizing it when the metric is cosine.
-    pub(crate) fn prepare_query(self, query: &[f64]) -> Vec<f64> {
-        let mut q = query.to_vec();
-        if self == Metric::Cosine {
-            vecops::normalize(&mut q, 1e-300);
-        }
-        q
-    }
 }
 
 /// Which concrete index a [`VectorIndex`] trait object is.
@@ -239,8 +197,6 @@ impl From<io::Error> for IndexError {
 pub trait VectorIndex: Send + Sync {
     /// Which structure this is.
     fn kind(&self) -> IndexKind;
-    /// Similarity metric the index was built with.
-    fn metric(&self) -> Metric;
     /// Number of indexed vectors.
     fn len(&self) -> usize;
     /// Whether the index is empty.
@@ -252,8 +208,7 @@ pub trait VectorIndex: Send + Sync {
 
     /// The one search primitive: top-`k` neighbors, best first, of every
     /// query in a **block** — `queries` is row-major, `queries.len() /
-    /// dim()` rows, each *already metric-prepared* (cosine-normalized
-    /// exactly once, by the two provided methods below). Single-threaded.
+    /// dim()` rows. Single-threaded.
     /// Each answer is what a block of that query alone gives; structures
     /// whose scans share rows across queries (flat, a [`DeltaIndex`]'s
     /// delta segment) walk them once per block, the others loop.
@@ -273,12 +228,11 @@ pub trait VectorIndex: Send + Sync {
             "{}::search: dim mismatch",
             self.kind()
         );
-        let q = self.metric().prepare_query(query);
-        self.search_block(&q, k).pop().unwrap_or_default()
+        self.search_block(query, k).pop().unwrap_or_default()
     }
 
-    /// Top-`k` neighbors for each query row: the rows are prepared once
-    /// and split into `threads` contiguous blocks, one scoped worker each.
+    /// Top-`k` neighbors for each query row: the rows are split into
+    /// `threads` contiguous blocks, one scoped worker each.
     /// Queries are partitioned, never split, so the result is identical
     /// for every thread count.
     ///
@@ -291,10 +245,9 @@ pub trait VectorIndex: Send + Sync {
             "{}::batch_search: dim mismatch",
             self.kind()
         );
-        let prepared = self.metric().prepare(queries.clone());
         let ranges = even_ranges_nonempty(queries.rows(), threads.max(1));
         let per_block = map_blocks(&ranges, |_, range| {
-            self.search_block(&prepared.data()[range.start * dim..range.end * dim], k)
+            self.search_block(&queries.data()[range.start * dim..range.end * dim], k)
         });
         per_block.into_iter().flatten().collect()
     }
@@ -344,6 +297,17 @@ pub(crate) mod testutil {
                 *slot = centers[c][j] + noise * sampler.sample(&mut rng);
             }
             pane_linalg::vecops::normalize(row, 1e-300);
+        }
+        m
+    }
+
+    /// `m` with each row L2-normalized once more: the rows the pinned
+    /// hashes (`hnsw::tests::graph_is_pinned`,
+    /// `proptests::scan_answers_are_pinned`) were taken over, so their
+    /// ids and score bits hold only over these rows, queried by them.
+    pub fn renormalized(mut m: DenseMatrix) -> DenseMatrix {
+        for i in 0..m.rows() {
+            pane_linalg::vecops::normalize(m.row_mut(i), 1e-300);
         }
         m
     }

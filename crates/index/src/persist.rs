@@ -2,7 +2,8 @@
 //!
 //! Indexes save as `PANECOL1` containers (see `pane-format`): each
 //! structure's arrays become typed, aligned, checksummed sections, and
-//! the meta word packs `kind | metric << 8`. [`load_index`] is the one
+//! the meta word packs `kind | 1 << 8` — the high byte is the metric
+//! tag, and inner product (`1`) is the only one. [`load_index`] is the one
 //! loader: `Columns::open` reads each section once, into the vector the
 //! structure then owns — `from_columns` takes the vectors by value, so a
 //! load holds the file's values once. The container vouches for the
@@ -24,8 +25,7 @@
 //! it as an [`IndexError::Format`].
 
 use crate::{
-    FlatIndex, HnswIndex, IndexError, IndexKind, IvfIndex, Metric, Neighbor, SqFlatIndex,
-    VectorIndex,
+    FlatIndex, HnswIndex, IndexError, IndexKind, IvfIndex, Neighbor, SqFlatIndex, VectorIndex,
 };
 use pane_format::{Artifact, Columns, FormatError};
 use pane_linalg::DenseMatrix;
@@ -40,14 +40,19 @@ impl From<FormatError> for IndexError {
     }
 }
 
-/// Packs `(kind, metric)` into the `PANECOL1` meta word for index
-/// artifacts: low byte = [`IndexKind::tag`], high byte = [`Metric::tag`].
-pub(crate) fn columnar_meta(kind: IndexKind, metric: Metric) -> u16 {
-    kind.tag() as u16 | ((metric.tag() as u16) << 8)
+/// The metric tag every index file carries in its meta word's high byte:
+/// inner product, the one way an index scores a row.
+const INNER_PRODUCT_TAG: u16 = 1;
+
+/// The `PANECOL1` meta word of an index artifact: low byte =
+/// [`IndexKind::tag`], high byte = the inner-product metric tag.
+pub(crate) fn columnar_meta(kind: IndexKind) -> u16 {
+    kind.tag() as u16 | (INNER_PRODUCT_TAG << 8)
 }
 
-/// Unpacks and validates the meta word of an index container.
-pub(crate) fn columnar_kind_metric(c: &Columns) -> Result<(IndexKind, Metric), IndexError> {
+/// Unpacks and validates the meta word of an index container: any metric
+/// tag but inner product is refused by name, before a section is read.
+fn columnar_kind(c: &Columns) -> Result<IndexKind, IndexError> {
     if c.artifact() != Artifact::Index {
         return Err(IndexError::Format(format!(
             "{:?} artifact where an index was expected",
@@ -57,9 +62,13 @@ pub(crate) fn columnar_kind_metric(c: &Columns) -> Result<(IndexKind, Metric), I
     let meta = c.meta();
     let kind = IndexKind::from_tag((meta & 0xFF) as u8)
         .ok_or_else(|| IndexError::Format(format!("unknown index kind tag {}", meta & 0xFF)))?;
-    let metric = Metric::from_tag((meta >> 8) as u8)
-        .ok_or_else(|| IndexError::Format(format!("unknown metric tag {}", meta >> 8)))?;
-    Ok((kind, metric))
+    if meta >> 8 != INNER_PRODUCT_TAG {
+        return Err(IndexError::Format(format!(
+            "unknown metric tag {} (only inner product, tag {INNER_PRODUCT_TAG}, exists)",
+            meta >> 8
+        )));
+    }
+    Ok(kind)
 }
 
 /// Takes one f64 section as the matrix that owns its values (no copy;
@@ -120,9 +129,6 @@ impl VectorIndex for AnyIndex {
     fn kind(&self) -> IndexKind {
         self.inner().kind()
     }
-    fn metric(&self) -> Metric {
-        self.inner().metric()
-    }
     fn len(&self) -> usize {
         self.inner().len()
     }
@@ -149,19 +155,19 @@ impl VectorIndex for AnyIndex {
 /// container's meta word.
 pub fn load_index(path: &Path) -> Result<AnyIndex, IndexError> {
     let mut c = Columns::open(path)?;
-    let (kind, metric) = columnar_kind_metric(&c)?;
     let c = &mut c;
-    Ok(match kind {
-        IndexKind::Flat => AnyIndex::Flat(FlatIndex::from_columns(c, metric)?),
-        IndexKind::Ivf => AnyIndex::Ivf(IvfIndex::from_columns(c, metric)?),
-        IndexKind::Hnsw => AnyIndex::Hnsw(HnswIndex::from_columns(c, metric)?),
-        IndexKind::SqFlat => AnyIndex::SqFlat(SqFlatIndex::from_columns(c, metric)?),
+    Ok(match columnar_kind(c)? {
+        IndexKind::Flat => AnyIndex::Flat(FlatIndex::from_columns(c)?),
+        IndexKind::Ivf => AnyIndex::Ivf(IvfIndex::from_columns(c)?),
+        IndexKind::Hnsw => AnyIndex::Hnsw(HnswIndex::from_columns(c)?),
+        IndexKind::SqFlat => AnyIndex::SqFlat(SqFlatIndex::from_columns(c)?),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Metric;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("pane_index_{}", std::process::id()));
@@ -194,25 +200,31 @@ mod tests {
         }
     }
 
+    /// An unknown kind tag, and a known kind under any metric tag but
+    /// inner product, are each refused by name before a section is read.
     #[test]
     fn unknown_kind_rejected() {
         let p = tmp("bad_kind.idx");
-        let meta = 9 | ((Metric::Cosine.tag() as u16) << 8);
-        pane_format::write_columns(&p, Artifact::Index, meta, &[]).unwrap();
-        match load_index(&p) {
-            Err(IndexError::Format(m)) => assert!(m.contains("kind"), "{m}"),
-            other => panic!("expected format error, got {other:?}"),
+        let flat = IndexKind::Flat.tag() as u16;
+        for (meta, want) in [(9 | (INNER_PRODUCT_TAG << 8), "kind"), (flat, "metric")] {
+            pane_format::write_columns(&p, Artifact::Index, meta, &[]).unwrap();
+            match load_index(&p) {
+                Err(IndexError::Format(m)) => assert!(m.contains(want), "{m}"),
+                other => panic!("expected format error, got {other:?}"),
+            }
         }
     }
 
     #[test]
     fn truncated_payload_rejected() {
-        use crate::testutil::clustered_vectors;
-        let data = clustered_vectors(10, 4, 2, 0.1);
+        use crate::testutil::{clustered_vectors, renormalized};
+        let data = renormalized(clustered_vectors(10, 4, 2, 0.1));
         // The declared-vs-actual length check fires before any section
         // is even read.
         let p = tmp("trunc.idx");
-        FlatIndex::build(&data, Metric::Cosine).save(&p).unwrap();
+        FlatIndex::build(&data, Metric::InnerProduct)
+            .save(&p)
+            .unwrap();
         let bytes = std::fs::read(&p).unwrap();
         std::fs::write(&p, &bytes[..bytes.len() - 7]).unwrap();
         match load_index(&p) {
@@ -228,10 +240,12 @@ mod tests {
         // checksum: the table's layout arithmetic must refuse it — the
         // sections would end past the file — before any payload-sized
         // allocation.
-        use crate::testutil::{clustered_vectors, reseal_header};
+        use crate::testutil::{clustered_vectors, renormalized, reseal_header};
         let p = tmp("absurd.idx");
-        let data = clustered_vectors(10, 4, 2, 0.1);
-        FlatIndex::build(&data, Metric::Cosine).save(&p).unwrap();
+        let data = renormalized(clustered_vectors(10, 4, 2, 0.1));
+        FlatIndex::build(&data, Metric::InnerProduct)
+            .save(&p)
+            .unwrap();
         let mut bytes = std::fs::read(&p).unwrap();
         let entry = pane_format::HEADER_LEN;
         let rows = 1u64 << 27;
@@ -254,7 +268,7 @@ mod tests {
         use crate::testutil::clustered_vectors;
         use pane_format::{section, ColumnData, ColumnSpec};
         let p = tmp("extra_section.idx");
-        let flat = FlatIndex::build(clustered_vectors(10, 4, 2, 0.1), Metric::Cosine);
+        let flat = FlatIndex::build(clustered_vectors(10, 4, 2, 0.1), Metric::InnerProduct);
         let extra = [7u64; 4];
         let specs = [
             ColumnSpec {
@@ -270,7 +284,7 @@ mod tests {
                 data: ColumnData::U64(&extra),
             },
         ];
-        let meta = columnar_meta(IndexKind::Flat, Metric::Cosine);
+        let meta = columnar_meta(IndexKind::Flat);
         pane_format::write_columns(&p, Artifact::Index, meta, &specs).unwrap();
         assert_eq!(load_index(&p).unwrap().len(), 10);
         // The extra section is the last one: its payload ends the file.
@@ -286,19 +300,18 @@ mod tests {
 
     #[test]
     fn load_index_dispatches_every_columnar_kind() {
-        use crate::testutil::clustered_vectors;
+        use crate::testutil::{clustered_vectors, renormalized};
         use crate::{HnswConfig, HnswIndex, IvfConfig, SqConfig, SqFlatIndex};
-        let data = clustered_vectors(60, 8, 3, 0.2);
+        let data = renormalized(clustered_vectors(60, 8, 3, 0.2));
         let dumps: Vec<(&str, Box<dyn VectorIndex>)> = vec![
             (
                 "any_flat.idx",
-                Box::new(FlatIndex::build(&data, Metric::Cosine)),
+                Box::new(FlatIndex::build(&data, Metric::InnerProduct)),
             ),
             (
                 "any_ivf.idx",
                 Box::new(IvfIndex::build(
                     &data,
-                    Metric::Cosine,
                     &IvfConfig {
                         nlist: 4,
                         ..Default::default()
@@ -307,19 +320,11 @@ mod tests {
             ),
             (
                 "any_hnsw.idx",
-                Box::new(HnswIndex::build(
-                    &data,
-                    Metric::Cosine,
-                    &HnswConfig::default(),
-                )),
+                Box::new(HnswIndex::build(&data, &HnswConfig::default())),
             ),
             (
                 "any_sq.idx",
-                Box::new(SqFlatIndex::build(
-                    &data,
-                    Metric::Cosine,
-                    SqConfig::default(),
-                )),
+                Box::new(SqFlatIndex::build(&data, SqConfig::default())),
             ),
         ];
         for (name, idx) in dumps {
@@ -343,7 +348,7 @@ mod tests {
         pane_format::write_columns(
             &p,
             Artifact::Index,
-            columnar_meta(IndexKind::Flat, Metric::Cosine),
+            columnar_meta(IndexKind::Flat),
             &[pane_format::ColumnSpec {
                 id: pane_format::section::INDEX_VECTORS,
                 rows: 0,

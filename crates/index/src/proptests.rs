@@ -15,7 +15,7 @@
 //! count.
 
 use crate::persist::load_index;
-use crate::testutil::{clustered_vectors, reseal_header};
+use crate::testutil::{clustered_vectors, renormalized, reseal_header};
 use crate::{
     topk, DeltaIndex, FlatIndex, HnswConfig, HnswIndex, IndexError, IvfConfig, IvfIndex, Metric,
     SqConfig, SqFlatIndex, VectorIndex,
@@ -32,12 +32,14 @@ fn fixture_bytes() -> &'static [Vec<u8>; 4] {
         let dir = std::env::temp_dir().join(format!("pane_idx_prop_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let data = clustered_vectors(60, 6, 3, 0.2);
+        let unit = renormalized(data.clone());
         let flat = dir.join("flat.idx");
-        FlatIndex::build(&data, Metric::Cosine).save(&flat).unwrap();
+        FlatIndex::build(&unit, Metric::InnerProduct)
+            .save(&flat)
+            .unwrap();
         let ivf = dir.join("ivf.idx");
         IvfIndex::build(
             &data,
-            Metric::InnerProduct,
             &IvfConfig {
                 nlist: 4,
                 ..Default::default()
@@ -46,11 +48,11 @@ fn fixture_bytes() -> &'static [Vec<u8>; 4] {
         .save(&ivf)
         .unwrap();
         let hnsw = dir.join("hnsw.idx");
-        HnswIndex::build(&data, Metric::Cosine, &HnswConfig::default())
+        HnswIndex::build(&unit, &HnswConfig::default())
             .save(&hnsw)
             .unwrap();
         let sq = dir.join("sq.idx");
-        SqFlatIndex::build(&data, Metric::InnerProduct, SqConfig::default())
+        SqFlatIndex::build(&data, SqConfig::default())
             .save(&sq)
             .unwrap();
         [&flat, &ivf, &hnsw, &sq].map(|p| std::fs::read(p).unwrap())
@@ -150,7 +152,7 @@ proptest! {
 /// properties vary query, k, and thread count over it).
 fn scan_fixture() -> &'static DenseMatrix {
     static DATA: OnceLock<DenseMatrix> = OnceLock::new();
-    DATA.get_or_init(|| clustered_vectors(300, 24, 5, 0.2))
+    DATA.get_or_init(|| renormalized(clustered_vectors(300, 24, 5, 0.2)))
 }
 
 /// One prebuilt index per kind over the scan fixture (IVF probes 3 of 8
@@ -161,20 +163,13 @@ fn scan_indexes() -> &'static [Box<dyn VectorIndex>; 5] {
     static IDX: OnceLock<[Box<dyn VectorIndex>; 5]> = OnceLock::new();
     IDX.get_or_init(|| {
         let data = scan_fixture();
-        let hnsw = |rows| {
-            HnswIndex::build(
-                data.row_block(0..rows),
-                Metric::Cosine,
-                &HnswConfig::default(),
-            )
-        };
+        let hnsw = |rows| HnswIndex::build(data.row_block(0..rows), &HnswConfig::default());
         let mut delta = DeltaIndex::new(crate::AnyIndex::Hnsw(hnsw(280)));
         for i in 280..data.rows() {
             delta.insert(data.row(i)).unwrap();
         }
         let mut ivf = IvfIndex::build(
             data,
-            Metric::Cosine,
             &IvfConfig {
                 nlist: 8,
                 ..Default::default()
@@ -182,14 +177,10 @@ fn scan_indexes() -> &'static [Box<dyn VectorIndex>; 5] {
         );
         ivf.set_nprobe(3);
         [
-            Box::new(FlatIndex::build(data, Metric::Cosine)),
+            Box::new(FlatIndex::build(data, Metric::InnerProduct)),
             Box::new(ivf),
             Box::new(hnsw(data.rows())),
-            Box::new(SqFlatIndex::build(
-                data,
-                Metric::Cosine,
-                SqConfig::default(),
-            )),
+            Box::new(SqFlatIndex::build(data, SqConfig::default())),
             Box::new(delta),
         ]
     })
@@ -214,22 +205,13 @@ proptest! {
     fn flat_search_bitwise_equals_kernel_reference(
         qrow in 0usize..300,
         k in 1usize..20,
-        metric_ip in 0usize..2,
     ) {
         let data = scan_fixture();
-        let metric = if metric_ip == 1 { Metric::InnerProduct } else { Metric::Cosine };
-        let idx = FlatIndex::build(data, metric);
-        let got = idx.search(data.row(qrow), k);
-        let q = match metric {
-            Metric::Cosine => {
-                let mut v = data.row(qrow).to_vec();
-                pane_linalg::vecops::normalize(&mut v, 1e-300);
-                v
-            }
-            Metric::InnerProduct => data.row(qrow).to_vec(),
-        };
+        let idx = FlatIndex::build(data, Metric::InnerProduct);
+        let q = data.row(qrow);
+        let got = idx.search(q, k);
         let want = topk::select(
-            (0..idx.len()).map(|i| (i, kernels::dot(&q, idx.vectors().row(i)))),
+            (0..idx.len()).map(|i| (i, kernels::dot(q, idx.vectors().row(i)))),
             k,
         );
         prop_assert!(same_hits(&got, &want));
@@ -258,8 +240,7 @@ proptest! {
     }
 
     /// A delta-wrapped flat index ≡ a flat rebuild over all vectors,
-    /// bitwise — the prepare-once hoist and the fused delta scan change
-    /// nothing observable.
+    /// bitwise — the fused delta scan changes nothing observable.
     #[test]
     fn delta_merge_bitwise_equals_rebuild(
         split in 150usize..290,
@@ -267,10 +248,10 @@ proptest! {
         k in 1usize..15,
     ) {
         let data = scan_fixture();
-        let full = FlatIndex::build(data, Metric::Cosine);
+        let full = FlatIndex::build(data, Metric::InnerProduct);
         let head = data.row_block(0..split);
         let mut delta = DeltaIndex::new(crate::AnyIndex::Flat(
-            FlatIndex::build(&head, Metric::Cosine),
+            FlatIndex::build(&head, Metric::InnerProduct),
         ));
         for i in split..data.rows() {
             delta.insert(data.row(i)).unwrap();
@@ -366,36 +347,32 @@ proptest! {
         pick_k in 0usize..5,
         block in 1usize..6,
         seed in 0u64..1_000_000,
-        metric_ip in 0usize..2,
     ) {
         let dim = [1, 7, 32, 64, 100][pick_dim];
         let k = [0, 1, 10, n, n + 5][pick_k];
-        let metric = if metric_ip == 1 { Metric::InnerProduct } else { Metric::Cosine };
         let data = hostile_rows(n, dim, seed, seed % 3 == 0);
         // Queries: stored rows (their own best matches) and fresh ones.
         let mut queries = hostile_rows(block, dim, seed ^ 0xF00D, false);
         for i in (0..block).step_by(2) {
             queries.row_mut(i).copy_from_slice(data.row((i * 31) % n));
         }
-        let flat = FlatIndex::build(&data, metric);
-        let prepared = metric.prepare(queries.clone());
+        let flat = FlatIndex::build(&data, Metric::InnerProduct);
         let want: Vec<_> = (0..block)
             .map(|i| {
-                let q = prepared.row(i);
+                let q = queries.row(i);
                 topk::select((0..n).map(|r| (r, kernels::dot(q, flat.vectors().row(r)))), k)
             })
             .collect();
         let split = n / 2 + 1;
         let mut delta = DeltaIndex::new(crate::AnyIndex::Flat(FlatIndex::build(
             data.row_block(0..split),
-            metric,
+            Metric::InnerProduct,
         )));
         for r in split..n {
             delta.insert(data.row(r)).unwrap();
         }
         let mut ivf = IvfIndex::build(
             &data,
-            metric,
             &IvfConfig {
                 nlist: 4,
                 seed,
@@ -431,23 +408,23 @@ fn answers_hash(answers: &[Vec<crate::Neighbor>]) -> u64 {
 
 /// The answers of every scanning index, hashed as (id, score bits) and
 /// pinned to a constant taken before the scans were last rewritten:
-/// flat (cosine), IVF (inner product, 4 of 16 cells), sqflat (inner
-/// product) and a flat base under a 200-row delta, at dims 32 and 64
+/// flat over unit rows, IVF (4 of 16 cells) and sqflat over rows scaled
+/// off the unit sphere, and a flat base under a 200-row delta, at dims 32 and 64
 /// over 2 000 rows, for blocks of 1–8 queries at k = 10 and k = 25.
 /// A changed constant is a changed answer, never a test to update.
 #[test]
 fn scan_answers_are_pinned() {
     let mut answers = Vec::new();
     for dim in [32usize, 64] {
-        let cos = clustered_vectors(2000, dim, 12, 0.35);
-        let mut ip = cos.clone();
+        let raw = clustered_vectors(2000, dim, 12, 0.35);
+        let mut ip = raw.clone();
         for i in 0..ip.rows() {
             let w = 1.0 + (i % 7) as f64 * 0.3;
             ip.row_mut(i).iter_mut().for_each(|v| *v *= w);
         }
+        let unit = renormalized(raw);
         let mut ivf = IvfIndex::build(
             &ip,
-            Metric::InnerProduct,
             &IvfConfig {
                 nlist: 16,
                 seed: 5,
@@ -456,24 +433,20 @@ fn scan_answers_are_pinned() {
         );
         ivf.set_nprobe(4);
         let mut delta = DeltaIndex::new(crate::AnyIndex::Flat(FlatIndex::build(
-            cos.row_block(0..1800),
-            Metric::Cosine,
+            unit.row_block(0..1800),
+            Metric::InnerProduct,
         )));
-        for i in 1800..cos.rows() {
-            delta.insert(cos.row(i)).unwrap();
+        for i in 1800..unit.rows() {
+            delta.insert(unit.row(i)).unwrap();
         }
         let indexes: [(Box<dyn VectorIndex>, &DenseMatrix); 4] = [
-            (Box::new(FlatIndex::build(&cos, Metric::Cosine)), &cos),
-            (Box::new(ivf), &ip),
             (
-                Box::new(SqFlatIndex::build(
-                    &ip,
-                    Metric::InnerProduct,
-                    SqConfig::default(),
-                )),
-                &ip,
+                Box::new(FlatIndex::build(&unit, Metric::InnerProduct)),
+                &unit,
             ),
-            (Box::new(delta), &cos),
+            (Box::new(ivf), &ip),
+            (Box::new(SqFlatIndex::build(&ip, SqConfig::default())), &ip),
+            (Box::new(delta), &unit),
         ];
         for (idx, data) in &indexes {
             for block in 1..=8usize {

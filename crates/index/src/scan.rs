@@ -35,7 +35,7 @@ use std::ops::Range;
 pub(crate) const PANEL: usize = 64;
 
 /// The rows of every f64 scan (flat, delta segment, IVF cells): the
-/// metric-prepared rows, their f32 copy for the screen (made on build,
+/// rows as given, their f32 copy for the screen (made on build,
 /// load and insert; never persisted) and the largest row norm.
 #[derive(Debug, Clone)]
 pub(crate) struct ScanRows {
@@ -51,7 +51,7 @@ fn screen_norm(row: &[f64]) -> f64 {
 }
 
 impl ScanRows {
-    /// Takes the prepared rows and derives the screen's fields.
+    /// Takes the rows and derives the screen's fields.
     pub(crate) fn new(rows: DenseMatrix) -> Self {
         let max_norm = (0..rows.rows())
             .map(|i| screen_norm(rows.row(i)))
@@ -64,12 +64,12 @@ impl ScanRows {
         }
     }
 
-    /// The prepared rows.
+    /// The stored rows.
     pub(crate) fn matrix(&self) -> &DenseMatrix {
         &self.rows
     }
 
-    /// Appends one prepared row.
+    /// Appends one row.
     pub(crate) fn push_row(&mut self, row: &[f64]) {
         self.rows.push_row(row);
         self.screen.extend(row.iter().map(|&v| v as f32));
@@ -77,7 +77,7 @@ impl ScanRows {
     }
 
     /// Offers every row of every range, in order, to each query of a
-    /// prepared row-major block: `kernels::dot(query_i, row_r)` to
+    /// row-major block: `kernels::dot(query_i, row_r)` to
     /// `accs[i]` under the id `id_of(r)`, screened (see the module docs).
     pub(crate) fn scan_block(
         &self,

@@ -33,7 +33,8 @@ pub enum IndexSpec {
 impl IndexSpec {
     /// Builds an index of this spec over `data` (using `threads` workers
     /// where the structure supports it; results are thread-invariant). An
-    /// owned `data` moves into the index; a `&DenseMatrix` is copied.
+    /// owned `data` moves into the index; a `&DenseMatrix` is copied. The
+    /// [`Metric`] is ignored; see its docs.
     pub fn build<'a>(
         &self,
         data: impl Into<Cow<'a, DenseMatrix>>,
@@ -42,13 +43,11 @@ impl IndexSpec {
     ) -> AnyIndex {
         match self {
             IndexSpec::Flat => AnyIndex::Flat(FlatIndex::build(data, metric)),
-            IndexSpec::Ivf(cfg) => AnyIndex::Ivf(IvfIndex::build(
-                data,
-                metric,
-                &IvfConfig { threads, ..*cfg },
-            )),
-            IndexSpec::Hnsw(cfg) => AnyIndex::Hnsw(HnswIndex::build(data, metric, cfg)),
-            IndexSpec::SqFlat(cfg) => AnyIndex::SqFlat(SqFlatIndex::build(data, metric, *cfg)),
+            IndexSpec::Ivf(cfg) => {
+                AnyIndex::Ivf(IvfIndex::build(data, &IvfConfig { threads, ..*cfg }))
+            }
+            IndexSpec::Hnsw(cfg) => AnyIndex::Hnsw(HnswIndex::build(data, cfg)),
+            IndexSpec::SqFlat(cfg) => AnyIndex::SqFlat(SqFlatIndex::build(data, *cfg)),
         }
     }
 

@@ -1,6 +1,6 @@
 //! Scalar-quantized flat index — the low-RAM shortlist-and-re-rank baseline.
 //!
-//! [`SqFlatIndex`] stores each metric-prepared vector as `dim` signed
+//! [`SqFlatIndex`] stores each vector as `dim` signed
 //! bytes plus one `f64` scale: `code[j] = round(v[j] / scale · 127)`
 //! with `scale = max|v| / 127`. That is 8× less resident memory than
 //! the `f64` rows a [`crate::FlatIndex`] keeps, while the scan stays a
@@ -29,7 +29,7 @@
 //! produces identical rankings on every run and thread count.
 
 use crate::persist::columnar_meta;
-use crate::{block_rows, scan, topk, IndexError, IndexKind, Metric, Neighbor, VectorIndex};
+use crate::{block_rows, scan, topk, IndexError, IndexKind, Neighbor, VectorIndex};
 use pane_format::{section, Artifact, ColumnData, ColumnSpec};
 use pane_linalg::{kernels, vecops, DenseMatrix};
 use std::{borrow::Cow, path::Path};
@@ -55,7 +55,6 @@ impl Default for SqConfig {
 /// contract.
 #[derive(Debug, Clone)]
 pub struct SqFlatIndex {
-    metric: Metric,
     dim: usize,
     /// Row-major `n × dim` codes.
     codes: Vec<i8>,
@@ -68,7 +67,7 @@ pub struct SqFlatIndex {
 /// products of magnitude ≤ 127² in an `i32`, and `(1 << 17) · 127² < 2³¹`.
 const MAX_DIM: usize = 1 << 17;
 
-/// Quantizes one prepared row: symmetric max-abs scaling to `[-127, 127]`.
+/// Quantizes one row: symmetric max-abs scaling to `[-127, 127]`.
 fn quantize_row(row: &[f64], codes: &mut Vec<i8>) -> f64 {
     let mut maxabs = 0.0f64;
     for &v in row {
@@ -88,34 +87,28 @@ fn quantize_row(row: &[f64], codes: &mut Vec<i8>) -> f64 {
 }
 
 impl SqFlatIndex {
-    /// Quantizes and indexes the rows of `data`, owned or borrowed
-    /// (normalized first if cosine, like every other index).
+    /// Quantizes and indexes the rows of `data`, owned or borrowed.
     ///
     /// # Panics
     /// Panics if `data` has no rows or no columns, or more than `1 << 17`
     /// columns (past that an `i32` code dot can wrap).
-    pub fn build<'a>(
-        data: impl Into<Cow<'a, DenseMatrix>>,
-        metric: Metric,
-        config: SqConfig,
-    ) -> Self {
-        let prepared = metric.prepare(data.into().into_owned());
+    pub fn build<'a>(data: impl Into<Cow<'a, DenseMatrix>>, config: SqConfig) -> Self {
+        let data = data.into();
         assert!(
-            prepared.rows() > 0 && prepared.cols() > 0,
+            data.rows() > 0 && data.cols() > 0,
             "SqFlatIndex::build: empty data"
         );
         assert!(
-            prepared.cols() <= MAX_DIM,
+            data.cols() <= MAX_DIM,
             "SqFlatIndex::build: dim exceeds the i32 code-dot cap"
         );
-        let mut codes = Vec::with_capacity(prepared.rows() * prepared.cols());
-        let mut scales = Vec::with_capacity(prepared.rows());
-        for i in 0..prepared.rows() {
-            scales.push(quantize_row(prepared.row(i), &mut codes));
+        let mut codes = Vec::with_capacity(data.rows() * data.cols());
+        let mut scales = Vec::with_capacity(data.rows());
+        for i in 0..data.rows() {
+            scales.push(quantize_row(data.row(i), &mut codes));
         }
         Self {
-            metric,
-            dim: prepared.cols(),
+            dim: data.cols(),
             codes,
             scales,
             rerank: config.rerank.max(1),
@@ -123,10 +116,7 @@ impl SqFlatIndex {
     }
 
     /// Reconstructs the index from an already-validated container.
-    pub(crate) fn from_columns(
-        c: &mut pane_format::Columns,
-        metric: Metric,
-    ) -> Result<Self, IndexError> {
+    pub(crate) fn from_columns(c: &mut pane_format::Columns) -> Result<Self, IndexError> {
         let (n, dim) = c.dims(section::SQ_CODES)?;
         if n == 0 || dim == 0 {
             return Err(IndexError::Format(format!(
@@ -166,7 +156,6 @@ impl SqFlatIndex {
             }
         }
         Ok(Self {
-            metric,
             dim,
             codes: c.take(section::SQ_CODES)?,
             scales,
@@ -190,7 +179,7 @@ impl SqFlatIndex {
         k.saturating_mul(self.rerank).max(k).min(self.len())
     }
 
-    /// Quantized scan of a block of prepared queries: each one's top
+    /// Quantized scan of a block of queries: each one's top
     /// `shortlist(k)` under the code-domain score, best first, from one
     /// pass over the codes ([`scan::scan_block_i8`], exact integer dots).
     fn scan(&self, queries: &[f64], k: usize) -> Vec<Vec<Neighbor>> {
@@ -213,8 +202,7 @@ impl SqFlatIndex {
     /// full-precision rows instead of dequantized codes.
     ///
     /// `exact` must hold the *same rows in the same order* as the data
-    /// the index was built from (un-prepared: this method applies the
-    /// metric's normalization itself). Recall is then a pure function of
+    /// the index was built from. Recall is then a pure function of
     /// shortlist coverage. The serving tier does not call it (see the
     /// module docs).
     ///
@@ -228,13 +216,11 @@ impl SqFlatIndex {
             (self.len(), self.dim),
             "SqFlatIndex::search_rerank: exact matrix shape mismatch"
         );
-        let q = self.metric.prepare_query(query);
-        let short = self.scan(&q, k).pop().unwrap_or_default();
+        let short = self.scan(query, k).pop().unwrap_or_default();
         topk::select(
-            short.into_iter().map(|cand| {
-                let row = self.metric.prepare_query(exact.row(cand.index));
-                (cand.index, vecops::dot(&q, &row))
-            }),
+            short
+                .into_iter()
+                .map(|cand| (cand.index, vecops::dot(query, exact.row(cand.index)))),
             k,
         )
     }
@@ -250,10 +236,6 @@ impl SqFlatIndex {
 impl VectorIndex for SqFlatIndex {
     fn kind(&self) -> IndexKind {
         IndexKind::SqFlat
-    }
-
-    fn metric(&self) -> Metric {
-        self.metric
     }
 
     fn len(&self) -> usize {
@@ -294,8 +276,7 @@ impl VectorIndex for SqFlatIndex {
                 self.dim
             )));
         }
-        let prepared = self.metric.prepare_query(vector);
-        self.scales.push(quantize_row(&prepared, &mut self.codes));
+        self.scales.push(quantize_row(vector, &mut self.codes));
         Ok(self.len() - 1)
     }
 
@@ -324,7 +305,7 @@ impl VectorIndex for SqFlatIndex {
         pane_format::write_columns(
             path,
             Artifact::Index,
-            columnar_meta(IndexKind::SqFlat, self.metric),
+            columnar_meta(IndexKind::SqFlat),
             &specs,
         )?;
         Ok(())
@@ -334,13 +315,13 @@ impl VectorIndex for SqFlatIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::clustered_vectors;
-    use crate::FlatIndex;
+    use crate::testutil::{clustered_vectors, renormalized};
+    use crate::{FlatIndex, Metric};
 
     #[test]
-    fn finds_itself_first_under_cosine() {
-        let data = clustered_vectors(150, 24, 5, 0.2);
-        let idx = SqFlatIndex::build(&data, Metric::Cosine, SqConfig::default());
+    fn finds_itself_first() {
+        let data = renormalized(clustered_vectors(150, 24, 5, 0.2));
+        let idx = SqFlatIndex::build(&data, SqConfig::default());
         for v in [0, 42, 149] {
             let hits = idx.search(data.row(v), 5);
             assert_eq!(hits[0].index, v, "query {v}");
@@ -354,8 +335,8 @@ mod tests {
 
     #[test]
     fn uses_one_eighth_the_vector_memory() {
-        let data = clustered_vectors(200, 64, 4, 0.2);
-        let idx = SqFlatIndex::build(&data, Metric::Cosine, SqConfig::default());
+        let data = renormalized(clustered_vectors(200, 64, 4, 0.2));
+        let idx = SqFlatIndex::build(&data, SqConfig::default());
         let flat_bytes = 200 * 64 * 8;
         // codes are 1/8 of flat; scales add 8 bytes per row.
         assert_eq!(idx.resident_bytes(), 200 * 64 + 200 * 8);
@@ -364,9 +345,9 @@ mod tests {
 
     #[test]
     fn recall_against_exact_baseline() {
-        let data = clustered_vectors(2000, 32, 8, 0.25);
-        let exact = FlatIndex::build(&data, Metric::Cosine);
-        let idx = SqFlatIndex::build(&data, Metric::Cosine, SqConfig::default());
+        let data = renormalized(clustered_vectors(2000, 32, 8, 0.25));
+        let exact = FlatIndex::build(&data, Metric::InnerProduct);
+        let idx = SqFlatIndex::build(&data, SqConfig::default());
         let k = 10;
         let queries = 50;
         let mut hit_dq = 0usize;
@@ -404,12 +385,11 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("sq.idx");
         let data = clustered_vectors(300, 16, 4, 0.3);
-        let idx = SqFlatIndex::build(&data, Metric::InnerProduct, SqConfig { rerank: 3 });
+        let idx = SqFlatIndex::build(&data, SqConfig { rerank: 3 });
         idx.save(&path).unwrap();
         let crate::AnyIndex::SqFlat(back) = crate::load_index(&path).unwrap() else {
             panic!("an sqflat file loads as sqflat");
         };
-        assert_eq!(back.metric(), Metric::InnerProduct);
         assert_eq!(back.len(), 300);
         assert_eq!(back.dim(), 16);
         assert_eq!(back.codes, idx.codes);
@@ -454,7 +434,7 @@ mod tests {
                     data: ColumnData::U64(&meta),
                 },
             ];
-            let meta_word = columnar_meta(IndexKind::SqFlat, Metric::InnerProduct);
+            let meta_word = columnar_meta(IndexKind::SqFlat);
             pane_format::write_columns(&path, Artifact::Index, meta_word, &specs).unwrap();
         };
         write(MAX_DIM + 1);
@@ -471,8 +451,8 @@ mod tests {
 
     #[test]
     fn insert_then_find_inserted() {
-        let data = clustered_vectors(64, 12, 3, 0.3);
-        let mut idx = SqFlatIndex::build(&data, Metric::Cosine, SqConfig::default());
+        let data = renormalized(clustered_vectors(64, 12, 3, 0.3));
+        let mut idx = SqFlatIndex::build(&data, SqConfig::default());
         let v: Vec<f64> = (0..12).map(|j| (j as f64 + 1.0) * 0.1).collect();
         let id = idx.insert(&v).unwrap();
         assert_eq!(id, 64);
@@ -486,7 +466,7 @@ mod tests {
         for v in data.row_mut(3) {
             *v = 0.0;
         }
-        let idx = SqFlatIndex::build(&data, Metric::InnerProduct, SqConfig::default());
+        let idx = SqFlatIndex::build(&data, SqConfig::default());
         assert_eq!(idx.scales[3], 0.0);
         let hits = idx.search(data.row(0), 5);
         assert!(hits.iter().all(|h| h.score.is_finite()));
@@ -494,9 +474,9 @@ mod tests {
 
     #[test]
     fn deterministic_across_rebuilds() {
-        let data = clustered_vectors(500, 20, 6, 0.25);
-        let a = SqFlatIndex::build(&data, Metric::Cosine, SqConfig::default());
-        let b = SqFlatIndex::build(&data, Metric::Cosine, SqConfig::default());
+        let data = renormalized(clustered_vectors(500, 20, 6, 0.25));
+        let a = SqFlatIndex::build(&data, SqConfig::default());
+        let b = SqFlatIndex::build(&data, SqConfig::default());
         assert_eq!(a.codes, b.codes);
         for q in [1, 250, 499] {
             assert_eq!(a.search(data.row(q), 10), b.search(data.row(q), 10));

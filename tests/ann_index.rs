@@ -9,7 +9,7 @@ use pane_graph::gen::{generate_sbm, SbmConfig};
 use pane_index::{
     load_index, FlatIndex, HnswConfig, HnswIndex, IvfConfig, IvfIndex, Metric, VectorIndex,
 };
-use pane_linalg::DenseMatrix;
+use pane_linalg::{vecops, DenseMatrix};
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
@@ -31,6 +31,19 @@ fn features() -> &'static DenseMatrix {
             .embed(&g)
             .unwrap();
         emb.classifier_feature_matrix()
+    })
+}
+
+/// [`features`] with each row L2-normalized, so an inner-product index
+/// over them ranks by cosine.
+fn unit_features() -> &'static DenseMatrix {
+    static UNIT: OnceLock<DenseMatrix> = OnceLock::new();
+    UNIT.get_or_init(|| {
+        let mut m = features().clone();
+        for i in 0..m.rows() {
+            vecops::normalize(m.row_mut(i), 1e-300);
+        }
+        m
     })
 }
 
@@ -59,11 +72,10 @@ fn recall_at_10(truth: &FlatIndex, approx: &dyn VectorIndex, data: &DenseMatrix)
 
 #[test]
 fn ivf_and_hnsw_reach_recall_090_on_sbm_embedding() {
-    let data = features();
-    let flat = FlatIndex::build(data, Metric::Cosine);
+    let data = unit_features();
+    let flat = FlatIndex::build(data, Metric::InnerProduct);
     let ivf = IvfIndex::build(
         data,
-        Metric::Cosine,
         &IvfConfig {
             nlist: 16,
             nprobe: 8,
@@ -71,7 +83,7 @@ fn ivf_and_hnsw_reach_recall_090_on_sbm_embedding() {
             ..Default::default()
         },
     );
-    let hnsw = HnswIndex::build(data, Metric::Cosine, &HnswConfig::default());
+    let hnsw = HnswIndex::build(data, &HnswConfig::default());
     let r_ivf = recall_at_10(&flat, &ivf, data);
     let r_hnsw = recall_at_10(&flat, &hnsw, data);
     assert!(r_ivf >= 0.9, "IVF recall@10 = {r_ivf:.3} < 0.9");
@@ -80,14 +92,16 @@ fn ivf_and_hnsw_reach_recall_090_on_sbm_embedding() {
 
 #[test]
 fn save_load_roundtrip_returns_identical_results() {
-    let data = features();
+    let (data, unit) = (features(), unit_features());
     let indexes: Vec<(&str, Box<dyn VectorIndex>)> = vec![
-        ("flat", Box::new(FlatIndex::build(data, Metric::Cosine))),
+        (
+            "flat",
+            Box::new(FlatIndex::build(unit, Metric::InnerProduct)),
+        ),
         (
             "ivf",
             Box::new(IvfIndex::build(
                 data,
-                Metric::InnerProduct,
                 &IvfConfig {
                     nlist: 12,
                     nprobe: 4,
@@ -97,11 +111,7 @@ fn save_load_roundtrip_returns_identical_results() {
         ),
         (
             "hnsw",
-            Box::new(HnswIndex::build(
-                data,
-                Metric::Cosine,
-                &HnswConfig::default(),
-            )),
+            Box::new(HnswIndex::build(unit, &HnswConfig::default())),
         ),
     ];
     for (name, index) in &indexes {
@@ -109,7 +119,6 @@ fn save_load_roundtrip_returns_identical_results() {
         index.save(&path).unwrap();
         let loaded = load_index(&path).unwrap();
         assert_eq!(loaded.kind(), index.kind());
-        assert_eq!(loaded.metric(), index.metric());
         assert_eq!(loaded.len(), index.len());
         assert_eq!(loaded.dim(), index.dim());
         for v in (0..data.rows()).step_by(41) {
@@ -122,7 +131,7 @@ fn save_load_roundtrip_returns_identical_results() {
 
 #[test]
 fn index_files_are_bit_identical_across_thread_counts() {
-    let data = features();
+    let data = unit_features();
     let cfg = IvfConfig {
         nlist: 10,
         seed: 5,
@@ -131,10 +140,8 @@ fn index_files_are_bit_identical_across_thread_counts() {
     };
     let p1 = tmp("ivf_t1.idx");
     let p4 = tmp("ivf_t4.idx");
-    IvfIndex::build(data, Metric::Cosine, &cfg)
-        .save(&p1)
-        .unwrap();
-    IvfIndex::build(data, Metric::Cosine, &IvfConfig { threads: 4, ..cfg })
+    IvfIndex::build(data, &cfg).save(&p1).unwrap();
+    IvfIndex::build(data, &IvfConfig { threads: 4, ..cfg })
         .save(&p4)
         .unwrap();
     assert_eq!(
@@ -151,27 +158,19 @@ fn index_files_are_bit_identical_across_thread_counts() {
         seed: 13,
         ..Default::default()
     };
-    HnswIndex::build(data, Metric::Cosine, &hcfg)
-        .save(&h1)
-        .unwrap();
-    HnswIndex::build(data, Metric::Cosine, &hcfg)
-        .save(&h2)
-        .unwrap();
+    HnswIndex::build(data, &hcfg).save(&h1).unwrap();
+    HnswIndex::build(data, &hcfg).save(&h2).unwrap();
     assert_eq!(std::fs::read(&h1).unwrap(), std::fs::read(&h2).unwrap());
 }
 
 #[test]
 fn batch_search_matches_single_queries_for_all_kinds() {
-    let data = features();
+    let data = unit_features();
     let queries = data.row_block(0..24);
     let indexes: Vec<Box<dyn VectorIndex>> = vec![
-        Box::new(FlatIndex::build(data, Metric::Cosine)),
-        Box::new(IvfIndex::build(data, Metric::Cosine, &IvfConfig::default())),
-        Box::new(HnswIndex::build(
-            data,
-            Metric::Cosine,
-            &HnswConfig::default(),
-        )),
+        Box::new(FlatIndex::build(data, Metric::InnerProduct)),
+        Box::new(IvfIndex::build(data, &IvfConfig::default())),
+        Box::new(HnswIndex::build(data, &HnswConfig::default())),
     ];
     for index in &indexes {
         let single: Vec<_> = (0..queries.rows())

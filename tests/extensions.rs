@@ -78,8 +78,9 @@ fn warm_reembed_after_attribute_updates() {
 fn report_card_through_facade() {
     let g = graph();
     let card = report_card(&g, &ReportOptions::default(), |residual| {
-        Pane::new(config()).embed(residual).unwrap()
-    });
+        Pane::new(config()).embed(residual)
+    })
+    .unwrap();
     assert!(card.link.auc > 0.6, "link {}", card.link.auc);
     assert!(card.attribute.auc > 0.6, "attr {}", card.attribute.auc);
     assert!(card.classification.is_some());

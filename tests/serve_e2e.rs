@@ -42,13 +42,9 @@ fn daemon_serves_shared_index_with_incremental_inserts() {
     let emb = Pane::new(cfg()).embed(&g0).unwrap();
     let node_path = dir.join("node.idx");
     let link_path = dir.join("link.idx");
-    HnswIndex::build(
-        emb.classifier_feature_matrix(),
-        Metric::InnerProduct,
-        &HnswConfig::default(),
-    )
-    .save(&node_path)
-    .unwrap();
+    HnswIndex::build(emb.classifier_feature_matrix(), &HnswConfig::default())
+        .save(&node_path)
+        .unwrap();
     FlatIndex::build(&emb.backward, Metric::InnerProduct)
         .save(&link_path)
         .unwrap();
