@@ -23,11 +23,14 @@
 //!
 //! After `t` iterations, `P̂_f^{(t)}` is column-normalized, `P̂_b^{(t)}`
 //! row-normalized, and the SPMI transform of Eqs. (2)–(3) is applied:
-//! `F' = ln(n·P̂_f + 1)`, `B' = ln(d·P̂_b + 1)`.
+//! `F' = ln(n·P̂_f + 1)`, `B' = ln(d·P̂_b + 1)`. A column of the iterate
+//! depends only on the same column of `R`, so the recurrence runs in
+//! attribute column slabs, as Algorithm 6 does ([`mod@crate::papmi`]).
 
 use pane_linalg::{vecops, DenseMatrix};
 use pane_parallel::{even_ranges_nonempty, for_each_row_block};
 use pane_sparse::CsrMatrix;
+use std::{ops::Range, sync::atomic::AtomicUsize, sync::atomic::Ordering, sync::Mutex};
 
 /// The pair of approximate affinity matrices returned by APMI.
 #[derive(Debug, Clone)]
@@ -76,58 +79,94 @@ pub fn apmi(inputs: &ApmiInputs<'_>) -> AffinityPair {
 }
 
 /// Algorithms 2 and 6 share every line: `nb` only sets how many workers
-/// share the rows of each step, never what an entry is computed from.
+/// iterate the column slabs, never what an entry is computed from.
 pub(crate) fn affinity(inputs: &ApmiInputs<'_>, nb: usize) -> AffinityPair {
     inputs.validate();
     let (pf, pb) = propagate(inputs, nb);
     finish(pf, pb, nb)
 }
 
+/// Columns per slab: about four slabs per worker, 8 to 64 columns (a
+/// row's update is not all loop overhead, the buffers stay small).
+pub(crate) fn slab_width(d: usize, nb: usize) -> usize {
+    (d / (4 * nb)).clamp(8, 64).min(d.max(1))
+}
+
 /// The iterative propagation (Lines 2–5 of Algorithm 2 / 2–8 of Algorithm
-/// 6). The forward side is finished before the backward side starts and
-/// both use one scratch matrix, so three `n×d` matrices exist at the peak.
+/// 6) in column slabs of width `W`. Each worker's two `n×W` buffers are
+/// made here, on the calling thread, and serve both sides in turn: the
+/// peak is two `n×d` matrices plus `nb·2·n·W` entries.
 pub(crate) fn propagate(inputs: &ApmiInputs<'_>, nb: usize) -> (DenseMatrix, DenseMatrix) {
-    let mut scratch = DenseMatrix::zeros(inputs.rr.rows(), inputs.rr.cols());
-    let (alpha, t) = (inputs.alpha, inputs.t);
-    let pf = iterate(inputs.p, inputs.rr, alpha, t, nb, &mut scratch);
-    let pb = iterate(inputs.pt, inputs.rc, alpha, t, nb, &mut scratch);
+    let (n, d) = (inputs.rr.rows(), inputs.rr.cols());
+    let w = slab_width(d, nb);
+    let slabs: Vec<_> = (0..d).step_by(w).map(|lo| lo..d.min(lo + w)).collect();
+    let mut buffers: Vec<_> = (0..nb.min(slabs.len()).max(1))
+        .map(|_| (vec![0.0; n * w], vec![0.0; n * w]))
+        .collect();
+    let pf = iterate(inputs, inputs.p, inputs.rr, &slabs, &mut buffers);
+    let pb = iterate(inputs, inputs.pt, inputs.rc, &slabs, &mut buffers);
     (pf, pb)
 }
 
-/// `X^{(ℓ)} = (1-α)·M·X^{(ℓ-1)} + α·R` for `t` steps from `X^{(0)} = R`.
-/// Each step writes the rows of the next iterate into `scratch` (`nb`
-/// workers, a row block each) and swaps; `α·R` is added from the sparse
-/// rows, which for the non-negative `M`, `R` of a graph gives the bits of
-/// adding a dense copy of `R`.
+/// `X^{(ℓ)} = (1-α)·M·X^{(ℓ-1)} + α·R` for `t` steps from `X^{(0)} = R`,
+/// each slab alone from start to end, then copied into the output; one
+/// join. `α·R` is added from the sparse rows, which for the non-negative
+/// `M`, `R` of a graph gives the bits of adding a dense copy of `R`.
 fn iterate(
+    inputs: &ApmiInputs<'_>,
     m: &CsrMatrix,
     r: &CsrMatrix,
-    alpha: f64,
-    t: usize,
-    nb: usize,
-    scratch: &mut DenseMatrix,
+    slabs: &[Range<usize>],
+    buffers: &mut [(Vec<f64>, Vec<f64>)],
 ) -> DenseMatrix {
-    let (n, d) = (r.rows(), r.cols());
-    let mut x = r.to_dense();
-    let ranges = even_ranges_nonempty(n, nb);
-    for _ in 0..t {
-        for_each_row_block(scratch.data_mut(), n, d, &ranges, |_, range, block| {
-            for (i, out) in range.zip(block.chunks_exact_mut(d.max(1))) {
-                out.fill(0.0);
-                let (cols, vals) = m.row(i);
-                for (&c, &v) in cols.iter().zip(vals) {
-                    vecops::axpy(v, x.row(c as usize), out);
-                }
-                vecops::scale(1.0 - alpha, out);
-                let (cols, vals) = r.row(i);
-                for (&c, &v) in cols.iter().zip(vals) {
-                    out[c as usize] += alpha * v;
-                }
+    let (n, d, alpha) = (r.rows(), r.cols(), inputs.alpha);
+    let mut out = DenseMatrix::zeros(n, d);
+    let shared = Mutex::new(out.data_mut());
+    let next_slab = AtomicUsize::new(0);
+    let work = |(x, next): &mut (Vec<f64>, Vec<f64>)| {
+        while let Some(cols) = slabs.get(next_slab.fetch_add(1, Ordering::Relaxed)) {
+            // Row `i` of `R` inside the slab (rows are sorted by column).
+            let r_row = |i| {
+                let (cs, vs) = r.row(i);
+                let lo = cs.partition_point(|&c| (c as usize) < cols.start);
+                let hi = cs.partition_point(|&c| (c as usize) < cols.end);
+                cs[lo..hi]
+                    .iter()
+                    .map(|&c| c as usize - cols.start)
+                    .zip(&vs[lo..hi])
+            };
+            let w = cols.len();
+            let (mut x, mut next) = (&mut x[..n * w], &mut next[..n * w]);
+            x.fill(0.0);
+            for (i, row) in x.chunks_exact_mut(w).enumerate() {
+                r_row(i).for_each(|(c, &v)| row[c] = v);
             }
-        });
-        std::mem::swap(&mut x, scratch);
-    }
-    x
+            for _ in 0..inputs.t {
+                for (i, row) in next.chunks_exact_mut(w).enumerate() {
+                    row.fill(0.0);
+                    let (cs, vs) = m.row(i);
+                    for (&c, &v) in cs.iter().zip(vs) {
+                        vecops::axpy(v, &x[c as usize * w..][..w], row);
+                    }
+                    vecops::scale(1.0 - alpha, row);
+                    r_row(i).for_each(|(c, &v)| row[c] += alpha * v);
+                }
+                std::mem::swap(&mut x, &mut next);
+            }
+            let mut out = shared.lock().expect("pane-core: a slab worker panicked");
+            for (dst, src) in out.chunks_exact_mut(d).zip(x.chunks_exact(w)) {
+                dst[cols.clone()].copy_from_slice(src);
+            }
+        }
+    };
+    let (first, rest) = buffers.split_first_mut().expect("at least one buffer pair");
+    std::thread::scope(|s| {
+        for pair in rest {
+            s.spawn(|| work(pair));
+        }
+        work(first);
+    });
+    out
 }
 
 /// Normalization + SPMI transform (Lines 6–8 of Algorithm 2 / Lines 9–13 of

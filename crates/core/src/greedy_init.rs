@@ -63,15 +63,32 @@ impl<'a> InitState<'a> {
         y: DenseMatrix,
         nb: usize,
     ) -> Self {
+        assert_eq!(xb.shape(), (f.rows(), y.cols()), "X_b shape mismatch");
+        Self::with_xb(f, b, xf, Some(xb), y, nb)
+    }
+
+    /// [`new`](Self::new), or with `xb: None` GreedyInit's `X_b = B'·Y`: the
+    /// product `new` makes for `⟨B'Y, X_b⟩` becomes `X_b`, so two `n×k/2`
+    /// matrices are alive at the peak instead of three.
+    fn with_xb(
+        f: &'a DenseMatrix,
+        b: &'a DenseMatrix,
+        xf: DenseMatrix,
+        xb: Option<DenseMatrix>,
+        y: DenseMatrix,
+        nb: usize,
+    ) -> Self {
         let (n, d, k2) = (f.rows(), f.cols(), y.cols());
         assert_eq!(b.shape(), (n, d), "F'/B' shape mismatch");
         assert_eq!(xf.shape(), (n, k2), "X_f shape mismatch");
-        assert_eq!(xb.shape(), (n, k2), "X_b shape mismatch");
         assert_eq!(y.rows(), d, "Y shape mismatch");
         let energy = f.frob_norm_sq() + b.frob_norm_sq();
-        // ⟨F', X_f·Yᵀ⟩ + ⟨B', X_b·Yᵀ⟩ = ⟨F'Y, X_f⟩ + ⟨B'Y, X_b⟩.
-        let cross = vecops::dot(f.matmul_par(&y, nb).data(), xf.data())
-            + vecops::dot(b.matmul_par(&y, nb).data(), xb.data());
+        // ⟨F', X_f·Yᵀ⟩ + ⟨B', X_b·Yᵀ⟩ = ⟨F'Y, X_f⟩ + ⟨B'Y, X_b⟩, one product
+        // alive at a time.
+        let cross = vecops::dot(f.matmul_par(&y, nb).data(), xf.data());
+        let by = b.matmul_par(&y, nb);
+        let cross = cross + vecops::dot(by.data(), xb.as_ref().unwrap_or(&by).data());
+        let xb = xb.unwrap_or(by);
         let objective = gram_objective(
             energy,
             cross,
@@ -123,8 +140,9 @@ pub fn greedy_init<'a>(
     nb: usize,
 ) -> InitState<'a> {
     let svd = rand_svd_par(f, &opts.svd_config(opts.seed), nb);
-    let xb = b.matmul_par(&svd.v, nb);
-    InitState::new(f, b, svd.u_sigma(), xb, svd.v, nb)
+    let mut xf = svd.u;
+    xf.scale_cols_inplace(&svd.s);
+    InitState::with_xb(f, b, xf, None, svd.v, nb)
 }
 
 /// Algorithm 7 (split–merge, `nb` workers).
@@ -166,8 +184,8 @@ pub fn sm_greedy_init<'a>(
             .map(|(i, (ui, _))| ui.matmul(&w.row_block(i * k2..(i + 1) * k2)))
             .collect::<Vec<_>>(),
     );
-    let xb = b.matmul_par(&merge.v, nb);
-    InitState::new(f, b, xf, xb, merge.v, nb)
+    drop(blocks);
+    InitState::with_xb(f, b, xf, None, merge.v, nb)
 }
 
 #[cfg(test)]

@@ -383,6 +383,15 @@ impl DenseMatrix {
         vecops::scale(a, &mut self.data);
     }
 
+    /// `self[:, j] *= s[j]` for every `j < s.len()`.
+    pub fn scale_cols_inplace(&mut self, s: &[f64]) {
+        for row in self.data.chunks_exact_mut(self.cols.max(1)) {
+            for (v, &sv) in row.iter_mut().zip(s) {
+                *v *= sv;
+            }
+        }
+    }
+
     /// `self - other` as a new matrix.
     pub fn sub(&self, other: &DenseMatrix) -> DenseMatrix {
         assert_eq!(self.shape(), other.shape(), "sub: shape mismatch");

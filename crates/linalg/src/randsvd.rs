@@ -37,12 +37,7 @@ impl Svd {
     /// `U · diag(s)` — the "node side" factor used for `X_f` in GreedyInit.
     pub fn u_sigma(&self) -> DenseMatrix {
         let mut us = self.u.clone();
-        for i in 0..us.rows() {
-            let row = us.row_mut(i);
-            for (j, &sv) in self.s.iter().enumerate() {
-                row[j] *= sv;
-            }
-        }
+        us.scale_cols_inplace(&self.s);
         us
     }
 
