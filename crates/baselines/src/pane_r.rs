@@ -8,7 +8,7 @@
 //! faster at equal time.
 
 use pane_core::{
-    ccd_sweeps, papmi, ApmiInputs, InitState, PaneConfig, PaneEmbedding, PaneError, PaneTimings,
+    ccd_sweeps, graph_affinity, InitState, PaneConfig, PaneEmbedding, PaneError, PaneTimings,
 };
 use pane_graph::AttributedGraph;
 use pane_linalg::DenseMatrix;
@@ -31,33 +31,11 @@ impl PaneR {
     /// Runs APMI + random init + CCD; returns the same embedding type PANE
     /// does, so all scorers apply unchanged.
     pub fn embed(&self, graph: &AttributedGraph) -> Result<PaneEmbedding, PaneError> {
-        if graph.num_nodes() == 0 {
-            return Err(PaneError::EmptyGraph);
-        }
-        if graph.num_attributes() == 0 || graph.num_attribute_entries() == 0 {
-            return Err(PaneError::NoAttributes);
-        }
-        self.config.validate()?;
         let cfg = &self.config;
         let nb = cfg.threads;
-        let t = cfg.iterations();
 
         let t0 = Instant::now();
-        let p = graph.random_walk_matrix(cfg.dangling);
-        let pt = p.transpose();
-        let rr = graph.attr_row_normalized();
-        let rc = graph.attr_col_normalized();
-        let aff = papmi(
-            &ApmiInputs {
-                p: &p,
-                pt: &pt,
-                rr: &rr,
-                rc: &rc,
-                alpha: cfg.alpha,
-                t,
-            },
-            nb,
-        );
+        let aff = graph_affinity(graph, cfg)?;
         let affinity_secs = t0.elapsed().as_secs_f64();
 
         // Random init: Gaussian entries scaled so the initial products have
@@ -85,18 +63,12 @@ impl PaneR {
         ccd_sweeps(&mut state, cfg.sweeps(), nb);
         let ccd_secs = t2.elapsed().as_secs_f64();
 
-        let objective = pane_core::objective(&state);
-        Ok(PaneEmbedding {
-            forward: state.xf,
-            backward: state.xb,
-            attribute: state.y,
-            timings: PaneTimings {
-                affinity_secs,
-                init_secs,
-                ccd_secs,
-            },
-            objective,
-        })
+        let timings = PaneTimings {
+            affinity_secs,
+            init_secs,
+            ccd_secs,
+        };
+        Ok(PaneEmbedding::from_state(state, timings))
     }
 }
 

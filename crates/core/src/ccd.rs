@@ -29,7 +29,8 @@
 //! (`Z_f = [I; 0]` at first): the X phase is the same descent on the `k/2+d`
 //! rows of `Z_f` with `[0; Y]` for `F'Y`, and with `K_f = [X⁰_f|F']ᵀ[X⁰_f|F']`
 //! the Y phase reads `X_fᵀX_f = Z_fᵀK_fZ_f`, `F'ᵀX_f = (K_fZ_f)[k/2..]` (`X_b`
-//! likewise with `B'`). The lift `X⁰_f·Z_f[..k/2] + F'·Z_f[k/2..]` ends it.
+//! likewise with `B'`). The lift `X⁰_f·Z_f[..k/2] + F'·Z_f[k/2..]` ends it,
+//! in place in row blocks, with the bits of two products and an add.
 //!
 //! Further notes:
 //!
@@ -48,6 +49,7 @@
 use crate::greedy_init::InitState;
 use pane_linalg::{vecops, DenseMatrix};
 use pane_parallel::{even_ranges_nonempty, for_each_row_block};
+use std::sync::Mutex;
 
 /// Objective `O = ‖S_f‖² + ‖S_b‖²` (Eq. 4) of `state` as the constructor or
 /// the last [`ccd_sweeps`] left it. `O(1)`: see the module docs for how it
@@ -128,11 +130,50 @@ fn attribute_space_sweeps(state: &mut InitState<'_>, sweeps: usize, nb: usize) {
         let cross = vecops::dot(q.data(), state.y.data());
         state.objective = gram_objective(state.energy, cross, &h, &gram);
     }
-    // One side at a time, so that only one start is alive beside a lift.
-    let starts = [(&mut state.xf, state.f), (&mut state.xb, state.b)];
-    for ((x, a), (_, z)) in starts.into_iter().zip(sides) {
-        *x = x.matmul_par(&z.row_block(0..k2), nb);
-        x.axpy_inplace(1.0, &a.matmul_par(&z.row_block(k2..k2 + d), nb));
+    lift(&mut state.xf, state.f, &sides[0].1, nb);
+    lift(&mut state.xb, state.b, &sides[1].1, nb);
+}
+
+/// Rows per block of [`lift`], whose two temporaries per worker are this × `k/2`.
+const LIFT_ROWS: usize = 64;
+
+/// `X ← X·Z[..k/2] + A·Z[k/2..]` in place, in row blocks on `nb` workers,
+/// with the bits of two `matmul_par` products and an `axpy_inplace` add but
+/// no `n×k/2` matrix besides `X`; temporaries made on the calling thread.
+fn lift(x: &mut DenseMatrix, a: &DenseMatrix, z: &DenseMatrix, nb: usize) {
+    let (n, k2) = x.shape();
+    let (z0, z1) = z.data().split_at(k2 * k2);
+    let ranges = even_ranges_nonempty(n, nb);
+    let temps: Vec<_> = ranges
+        .iter()
+        .map(|_| Mutex::new(vec![0.0; 2 * LIFT_ROWS * k2]))
+        .collect();
+    for_each_row_block(x.data_mut(), n, k2, &ranges, |i, range, block| {
+        let mut temp = temps[i].lock().expect("pane-core: a lift worker panicked");
+        let (t0, t1) = temp.split_at_mut(LIFT_ROWS * k2);
+        for (lo, xs) in range
+            .step_by(LIFT_ROWS)
+            .zip(block.chunks_mut(LIFT_ROWS * k2))
+        {
+            let (t0, t1, rows) = (&mut t0[..xs.len()], &mut t1[..xs.len()], xs.len() / k2);
+            mul_rows(xs, z0, k2, t0);
+            mul_rows(&a.data()[lo * a.cols()..][..rows * a.cols()], z1, k2, t1);
+            vecops::axpy(1.0, t1, t0);
+            xs.copy_from_slice(t0);
+        }
+    });
+}
+
+/// `out = a·b`, all row-major, `b` and `out` `p` wide: per entry the ordered
+/// sum `matmul_par` makes, skipping the same exact zeros of `a`.
+fn mul_rows(a: &[f64], b: &[f64], p: usize, out: &mut [f64]) {
+    for (arow, orow) in a.chunks_exact(b.len() / p).zip(out.chunks_exact_mut(p)) {
+        orow.fill(0.0);
+        for (&al, brow) in arow.iter().zip(b.chunks_exact(p)) {
+            if al != 0.0 {
+                vecops::axpy(al, brow, orow);
+            }
+        }
     }
 }
 
@@ -177,7 +218,7 @@ fn descend_rows(x: &mut DenseMatrix, lin: &DenseMatrix, gram: &DenseMatrix, nb: 
 mod tests {
     use super::*;
     use crate::ccd_oracle::{fresh_residuals, Oracle};
-    use crate::greedy_init::{greedy_init, InitOptions};
+    use crate::greedy_init::{greedy_init, sm_greedy_init, InitOptions};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -360,8 +401,50 @@ mod tests {
             assert!(in_attribute_space(n, d, k2, 6), "{n}x{d}, k/2 = {k2}");
             assert!(!in_attribute_space(n, d, k2, 1), "{n}x{d}: one sweep");
         }
+        // `tests/embed_memory.rs`'s small-`d` shape, at its `t` = 3.
+        assert!(in_attribute_space(3_000, 32, 32, 3));
         assert!(!in_attribute_space(2_000, 1_000, 32, 6));
         assert!(!in_attribute_space(495, 465, 16, 6));
+    }
+
+    /// The in-place lift gives the bits of the two products and the add it
+    /// replaces, from each of the three starts (GreedyInit, SMGreedyInit,
+    /// random), on row counts that are not a multiple of the block, with
+    /// exact zeros in `X` and `A` (the terms both skip).
+    #[test]
+    fn lift_in_place_equals_two_products() {
+        let (k2, d) = (5, 9);
+        let bits = |m: &DenseMatrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for n in [3, LIFT_ROWS + 1, 2 * LIFT_ROWS + 13] {
+            let (mut f, b) = affinities(n, d, n as u64);
+            for v in (0..n).step_by(3) {
+                f.set(v, v % d, 0.0);
+            }
+            let opts = InitOptions {
+                half_dim: k2,
+                power_iters: 2,
+                oversample: 4,
+                seed: 9,
+            };
+            let starts = [
+                greedy_init(&f, &b, &opts, 1).xf,
+                sm_greedy_init(&f, &b, &opts, 3).xf,
+                random_state(&f, &b, k2, 9).xf,
+            ];
+            let z = DenseMatrix::gaussian(k2 + d, k2, &mut StdRng::seed_from_u64(n as u64));
+            for (s, mut x0) in starts.into_iter().enumerate() {
+                for v in (0..n).step_by(4) {
+                    x0.set(v, 1, 0.0);
+                }
+                for nb in [1, 2, 3, 7] {
+                    let mut want = x0.matmul_par(&z.row_block(0..k2), nb);
+                    want.axpy_inplace(1.0, &f.matmul_par(&z.row_block(k2..k2 + d), nb));
+                    let mut got = x0.clone();
+                    lift(&mut got, &f, &z, nb);
+                    assert_eq!(bits(&got), bits(&want), "start {s}, n = {n}, nb = {nb}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -11,12 +11,11 @@
 //! The tests below quantify the trade: warm restarts reach the cold-start
 //! objective with 1–2 sweeps instead of init + t sweeps.
 
-use crate::apmi::ApmiInputs;
-use crate::ccd::{ccd_sweeps, objective};
+use crate::ccd::ccd_sweeps;
 use crate::config::{PaneConfig, PaneError};
 use crate::greedy_init::InitState;
 use crate::pane::{PaneEmbedding, PaneTimings};
-use crate::papmi::papmi;
+use crate::papmi::graph_affinity;
 use pane_graph::AttributedGraph;
 use std::time::Instant;
 
@@ -32,12 +31,6 @@ pub fn reembed_warm(
     sweeps: usize,
 ) -> Result<PaneEmbedding, PaneError> {
     config.validate()?;
-    if graph.num_nodes() == 0 {
-        return Err(PaneError::EmptyGraph);
-    }
-    if graph.num_attributes() == 0 || graph.num_attribute_entries() == 0 {
-        return Err(PaneError::NoAttributes);
-    }
     let k2 = config.half_dim();
     if previous.forward.shape() != (graph.num_nodes(), k2)
         || previous.attribute.shape() != (graph.num_attributes(), k2)
@@ -54,21 +47,7 @@ pub fn reembed_warm(
 
     let nb = config.threads;
     let t0 = Instant::now();
-    let p = graph.random_walk_matrix(config.dangling);
-    let pt = p.transpose();
-    let rr = graph.attr_row_normalized();
-    let rc = graph.attr_col_normalized();
-    let aff = papmi(
-        &ApmiInputs {
-            p: &p,
-            pt: &pt,
-            rr: &rr,
-            rc: &rc,
-            alpha: config.alpha,
-            t: config.iterations(),
-        },
-        nb,
-    );
+    let aff = graph_affinity(graph, config)?;
     let affinity_secs = t0.elapsed().as_secs_f64();
 
     let t1 = Instant::now();
@@ -86,17 +65,12 @@ pub fn reembed_warm(
     ccd_sweeps(&mut state, sweeps, nb);
     let ccd_secs = t2.elapsed().as_secs_f64();
 
-    Ok(PaneEmbedding {
-        objective: objective(&state),
-        forward: state.xf,
-        backward: state.xb,
-        attribute: state.y,
-        timings: PaneTimings {
-            affinity_secs,
-            init_secs,
-            ccd_secs,
-        },
-    })
+    let timings = PaneTimings {
+        affinity_secs,
+        init_secs,
+        ccd_secs,
+    };
+    Ok(PaneEmbedding::from_state(state, timings))
 }
 
 /// Extends an embedding with rows for newly added nodes (zero-initialized —

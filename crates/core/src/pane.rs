@@ -1,11 +1,11 @@
 //! The user-facing PANE pipeline (Algorithm 1 single-threaded, Algorithm 5
 //! parallel — selected by `config.threads`).
 
-use crate::apmi::{AffinityPair, ApmiInputs};
+use crate::apmi::AffinityPair;
 use crate::ccd::ccd_sweeps;
 use crate::config::{InitStrategy, PaneConfig, PaneError};
-use crate::greedy_init::{greedy_init, sm_greedy_init, InitOptions};
-use crate::papmi::papmi;
+use crate::greedy_init::{greedy_init, sm_greedy_init, InitOptions, InitState};
+use crate::papmi::graph_affinity;
 use pane_graph::AttributedGraph;
 use pane_linalg::DenseMatrix;
 use std::time::Instant;
@@ -44,6 +44,17 @@ pub struct PaneEmbedding {
 }
 
 impl PaneEmbedding {
+    /// The embedding CCD left in `state`, with the timings of its run.
+    pub fn from_state(state: InitState<'_>, timings: PaneTimings) -> Self {
+        Self {
+            objective: state.objective,
+            forward: state.xf,
+            backward: state.xb,
+            attribute: state.y,
+            timings,
+        }
+    }
+
     /// Node–attribute affinity score (Eq. 21):
     /// `p(v, r) = X_f[v]·Y[r]ᵀ + X_b[v]·Y[r]ᵀ ≈ F[v,r] + B[v,r]`.
     pub fn attribute_score(&self, v: usize, r: usize) -> f64 {
@@ -161,32 +172,12 @@ impl Pane {
         &self,
         graph: &AttributedGraph,
     ) -> Result<(PaneEmbedding, AffinityPair), PaneError> {
-        if graph.num_nodes() == 0 {
-            return Err(PaneError::EmptyGraph);
-        }
-        if graph.num_attributes() == 0 || graph.num_attribute_entries() == 0 {
-            return Err(PaneError::NoAttributes);
-        }
-        self.config.validate()?;
         let cfg = &self.config;
         let nb = cfg.threads;
-        let t = cfg.iterations();
 
         // Stage 1: affinity approximation (Algorithm 2 or 6).
         let t0 = Instant::now();
-        let p = graph.random_walk_matrix(cfg.dangling);
-        let pt = p.transpose();
-        let rr = graph.attr_row_normalized();
-        let rc = graph.attr_col_normalized();
-        let inputs = ApmiInputs {
-            p: &p,
-            pt: &pt,
-            rr: &rr,
-            rc: &rc,
-            alpha: cfg.alpha,
-            t,
-        };
-        let aff = papmi(&inputs, nb);
+        let aff = graph_affinity(graph, cfg)?;
         let affinity_secs = t0.elapsed().as_secs_f64();
 
         // Stage 2: initialization (Algorithm 3 or 7).
@@ -210,19 +201,12 @@ impl Pane {
         ccd_sweeps(&mut state, cfg.sweeps(), nb);
         let ccd_secs = t2.elapsed().as_secs_f64();
 
-        let objective = crate::ccd::objective(&state);
-        let emb = PaneEmbedding {
-            forward: state.xf,
-            backward: state.xb,
-            attribute: state.y,
-            timings: PaneTimings {
-                affinity_secs,
-                init_secs,
-                ccd_secs,
-            },
-            objective,
+        let timings = PaneTimings {
+            affinity_secs,
+            init_secs,
+            ccd_secs,
         };
-        Ok((emb, aff))
+        Ok((PaneEmbedding::from_state(state, timings), aff))
     }
 }
 

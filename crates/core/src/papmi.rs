@@ -20,10 +20,38 @@
 //! the tests assert bit-equality, across slab layouts too.
 
 use crate::apmi::{affinity, AffinityPair, ApmiInputs};
+use crate::config::{PaneConfig, PaneError};
+use pane_graph::AttributedGraph;
 
 /// Algorithm 6. With `nb == 1` this is [`crate::apmi::apmi`].
 pub fn papmi(inputs: &ApmiInputs<'_>, nb: usize) -> AffinityPair {
     affinity(inputs, nb.max(1))
+}
+
+/// The affinity stage of every embedder: checks `graph` and `config`, builds
+/// `P`, `Pᵀ`, `R_r`, `R_c` and runs [`papmi`], so the four sparse inputs are
+/// dropped before any later stage runs.
+pub fn graph_affinity(
+    graph: &AttributedGraph,
+    config: &PaneConfig,
+) -> Result<AffinityPair, PaneError> {
+    if graph.num_nodes() == 0 {
+        return Err(PaneError::EmptyGraph);
+    }
+    if graph.num_attributes() == 0 || graph.num_attribute_entries() == 0 {
+        return Err(PaneError::NoAttributes);
+    }
+    config.validate()?;
+    let p = graph.random_walk_matrix(config.dangling);
+    let inputs = ApmiInputs {
+        pt: &p.transpose(),
+        p: &p,
+        rr: &graph.attr_row_normalized(),
+        rc: &graph.attr_col_normalized(),
+        alpha: config.alpha,
+        t: config.iterations(),
+    };
+    Ok(papmi(&inputs, config.threads))
 }
 
 #[cfg(test)]
