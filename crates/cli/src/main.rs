@@ -14,11 +14,7 @@
 //! pane index search --index IDX --embedding EMB [--text]
 //!                   (--node V | --nodes V1,V2,…) [--k 10]
 //!                   [--space similar|links] [--nprobe N] [--ef N] [--threads 1]
-//! pane serve        (--store DIR | --embedding EMB [--text]
-//!                    [--node-index IDX --link-index IDX]
-//!                    [--kind flat|ivf|hnsw] [--lists 64] [--nprobe 8]
-//!                    [--m 16] [--efc 100] [--ef 64] [--seed 0])
-//!                   (--stdio | --listen ADDR) [--threads 1]
+//! pane serve        --store DIR (--stdio | --listen ADDR) [--threads 1]
 //!                   [--log-json PATH] [--log-level warn] [--slow-query-ms N]
 //! pane route        --shards ADDR,ADDR,… (--stdio | --listen ADDR)
 //!                   [--connect-timeout-ms 1000] [--request-timeout-ms 10000]
@@ -101,7 +97,7 @@ fn print_help() {
            stats     print Table-3-style statistics of a graph\n\
            topk      query a saved embedding (top attributes / links / similar nodes)\n\
            index     build / search an ANN index over a saved embedding (flat / ivf / hnsw)\n\
-           serve     run the shared-index serving daemon (JSON-lines over TCP or stdio)\n\
+           serve     serve a store directory (made by `store init`) over TCP or stdio (JSON lines)\n\
            route     run the merging query router over shard daemons (same protocol)\n\
            metrics   scrape a live serve/route endpoint's metrics (Prometheus text or JSON)\n\
            bench     drive a live serve/route endpoint with open-loop load (saturation search)\n\
@@ -493,7 +489,7 @@ fn cmd_index_search(raw: Vec<String>) -> CliResult {
 }
 
 /// Parses `--kind` + build parameters into a validated [`IndexSpec`] — the
-/// only flags → recipe code (`index build`, `serve --embedding`, `store init`).
+/// only flags → recipe code (`index build`, `store init`).
 fn spec_from_args(a: &Args) -> Result<IndexSpec, Box<dyn std::error::Error>> {
     let spec = match a.get("kind").unwrap_or("hnsw") {
         "flat" => IndexSpec::Flat,
@@ -570,16 +566,10 @@ fn run_transport<H: pane_serve::LineHandler + 'static>(handler: H, a: &Args) -> 
     }
 }
 
-/// Runs the selected transport over any engine (single or sharded),
-/// instrumented: per-op metrics, the `metrics` protocol op, structured
-/// boot/snapshot events and the slow-query log all come from the
-/// [`pane_serve::ObservedHandler`] wrapper.
-fn run_serve_transport<B: pane_serve::ServeBackend + 'static>(engine: B, a: &Args) -> CliResult {
-    let obs = std::sync::Arc::new(pane_serve::ServeObs::new(tracer_from_args(a)?));
-    run_transport(pane_serve::ObservedHandler::new(engine, obs), a)
-}
-
-/// Serves an engine opened over a store directory (single or sharded).
+/// Serves an engine opened over a store directory (single or sharded) on
+/// the selected transport, instrumented: per-op metrics, the `metrics`
+/// protocol op, structured boot/snapshot events and the slow-query log all
+/// come from the [`pane_serve::ObservedHandler`] wrapper.
 fn serve_store<B: pane_serve::ServeBackend + 'static>(engine: B, a: &Args) -> CliResult {
     let st = engine.status();
     let store = st.store.expect("an engine opened over a store reports it");
@@ -593,26 +583,15 @@ fn serve_store<B: pane_serve::ServeBackend + 'static>(engine: B, a: &Args) -> Cl
         store.generation,
         store.replayed,
     );
-    run_serve_transport(engine, a)
+    let obs = std::sync::Arc::new(pane_serve::ServeObs::new(tracer_from_args(a)?));
+    run_transport(pane_serve::ObservedHandler::new(engine, obs), a)
 }
 
 fn cmd_serve(raw: Vec<String>) -> CliResult {
-    let a = Args::parse(raw, &["text", "stdio"])?;
+    let a = Args::parse(raw, &["stdio"])?;
     reject_positionals(&a)?;
     a.reject_unknown(&[
-        "embedding",
         "store",
-        "node-index",
-        "link-index",
-        "kind",
-        "lists",
-        "nprobe",
-        "iters",
-        "m",
-        "efc",
-        "ef",
-        "rerank",
-        "seed",
         "threads",
         "listen",
         "log-json",
@@ -620,52 +599,14 @@ fn cmd_serve(raw: Vec<String>) -> CliResult {
         "slow-query-ms",
     ])?;
     let threads = a.get_count("threads", 1)?;
-
-    // Durable mode: a store directory (single or sharded) created by
-    // `pane store init`. Inserts are WAL-backed, `snapshot` works, and a
-    // restart replays everything acknowledged since the last snapshot.
-    if let Some(store_dir) = a.get("store") {
-        if a.get("embedding").is_some() || a.get("node-index").is_some() {
-            return Err("--store replaces --embedding/--node-index/--link-index".into());
-        }
-        let dir = std::path::Path::new(store_dir);
-        return match pane_store::ShardedStore::shard_count(dir)? {
-            Some(_) => serve_store(pane_serve::ShardedEngine::open(dir, threads)?, &a),
-            None => serve_store(pane_serve::ServeEngine::open(dir, threads)?, &a),
-        };
+    // A store directory (single or sharded) created by `pane store init`:
+    // inserts are WAL-backed, `snapshot` works, and a restart replays
+    // everything acknowledged since the last snapshot.
+    let dir = std::path::Path::new(a.require("store")?);
+    match pane_store::ShardedStore::shard_count(dir)? {
+        Some(_) => serve_store(pane_serve::ShardedEngine::open(dir, threads)?, &a),
+        None => serve_store(pane_serve::ServeEngine::open(dir, threads)?, &a),
     }
-
-    let emb = load_embedding_from_args(&a)?;
-    let engine = match (a.get("node-index"), a.get("link-index")) {
-        (Some(node), Some(link)) => {
-            // Serve prebuilt index files — the shared-index path: the
-            // daemon loads them once, every client shares the load cost.
-            let node_base = pane_index::load_index(std::path::Path::new(node))?;
-            let link_base = pane_index::load_index(std::path::Path::new(link))?;
-            pane_serve::ServeEngine::new(emb, node_base, link_base, threads)?
-        }
-        (None, None) => {
-            let spec = spec_from_args(&a)?;
-            let t0 = std::time::Instant::now();
-            let engine = pane_serve::ServeEngine::build(emb, &spec, threads);
-            eprintln!(
-                "built {} node+link indexes over {} nodes in {:.2}s",
-                spec.kind_name(),
-                engine.num_nodes(),
-                t0.elapsed().as_secs_f64()
-            );
-            engine
-        }
-        _ => return Err("give both --node-index and --link-index, or neither".into()),
-    };
-    eprintln!(
-        "serving {} nodes (k/2 = {}, {} threads; ephemeral — inserts are lost on exit, \
-         use `pane store init` + `--store` for durability)",
-        engine.num_nodes(),
-        engine.half_dim(),
-        engine.threads()
-    );
-    run_serve_transport(engine, &a)
 }
 
 fn cmd_route(raw: Vec<String>) -> CliResult {

@@ -1,6 +1,6 @@
 //! End-to-end tests of the `pane` binary: generate → stats → embed → topk.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn run(args: &[&str]) -> (bool, String, String) {
@@ -283,6 +283,15 @@ fn errors_are_reported() {
     assert!(!ok);
     assert!(err.contains("--edges"));
 
+    // `serve` serves a store and nothing else: an embedding file is an
+    // unknown option, and the store is required.
+    let (ok, _, err) = run(&["serve", "--embedding", "emb.bin", "--stdio"]);
+    assert!(!ok);
+    assert_eq!(err, "error: argument error: unknown option --embedding\n");
+    let (ok, _, err) = run(&["serve", "--stdio"]);
+    assert!(!ok);
+    assert_eq!(err, "error: argument error: --store is required\n");
+
     // Bad zoo name lists the options.
     let dir = workdir("badzoo");
     let (ok, _, err) = run(&[
@@ -453,7 +462,7 @@ fn errors_are_reported() {
             "--node",
             "0",
         ],
-        &["serve", "--text", "--embedding", tiny_s, "--stdio"],
+        &["serve", "--store", out_s, "--stdio"],
         &[
             "store",
             "init",
@@ -758,22 +767,31 @@ fn serve_fixture(name: &str) -> (PathBuf, PathBuf) {
     (dir, emb)
 }
 
+/// `pane store init` over `emb` into `dir/store` with the given index
+/// flags; returns the store path for `pane serve --store`.
+fn init_store(dir: &Path, emb: &Path, kind: &[&str]) -> String {
+    let store = dir.join("store").to_str().unwrap().to_string();
+    let init = [
+        "store",
+        "init",
+        "--embedding",
+        emb.to_str().unwrap(),
+        "--dir",
+        &store,
+    ];
+    let (ok, _, err) = run(&[&init[..], kind].concat());
+    assert!(ok, "store init failed: {err}");
+    store
+}
+
 #[test]
 fn serve_stdio_session_with_insert_and_compact() {
     use std::io::Write;
     let (dir, emb) = serve_fixture("serve_stdio");
+    let store = init_store(&dir, &emb, &["--kind", "hnsw"]);
 
     let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_pane"))
-        .args([
-            "serve",
-            "--embedding",
-            emb.to_str().unwrap(),
-            "--kind",
-            "hnsw",
-            "--threads",
-            "2",
-            "--stdio",
-        ])
+        .args(["serve", "--store", &store, "--threads", "2", "--stdio"])
         .stdin(std::process::Stdio::piped())
         .stdout(std::process::Stdio::piped())
         .stderr(std::process::Stdio::piped())
@@ -825,38 +843,10 @@ fn serve_tcp_daemon_shares_prebuilt_indexes() {
     let (dir, emb) = serve_fixture("serve_tcp");
 
     // Build the index pair once; the daemon must serve it without rebuilding.
-    let node_idx = dir.join("node.idx");
-    let link_idx = dir.join("link.idx");
-    for (space, path) in [("similar", &node_idx), ("links", &link_idx)] {
-        let (ok, _, err) = run(&[
-            "index",
-            "build",
-            "--embedding",
-            emb.to_str().unwrap(),
-            "--kind",
-            "ivf",
-            "--lists",
-            "8",
-            "--space",
-            space,
-            "--output",
-            path.to_str().unwrap(),
-        ]);
-        assert!(ok, "index build {space} failed: {err}");
-    }
+    let store = init_store(&dir, &emb, &["--kind", "ivf", "--lists", "8"]);
 
     let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_pane"))
-        .args([
-            "serve",
-            "--embedding",
-            emb.to_str().unwrap(),
-            "--node-index",
-            node_idx.to_str().unwrap(),
-            "--link-index",
-            link_idx.to_str().unwrap(),
-            "--listen",
-            "127.0.0.1:0",
-        ])
+        .args(["serve", "--store", &store, "--listen", "127.0.0.1:0"])
         .stdin(std::process::Stdio::null())
         .stdout(std::process::Stdio::null())
         .stderr(std::process::Stdio::piped())
@@ -1265,14 +1255,13 @@ fn serve_metrics_scrape_and_structured_log() {
     use std::io::{BufRead, BufReader, Write};
     let (dir, emb) = serve_fixture("metrics");
     let log = dir.join("serve-log.jsonl");
+    let store = init_store(&dir, &emb, &["--kind", "flat"]);
 
     let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_pane"))
         .args([
             "serve",
-            "--embedding",
-            emb.to_str().unwrap(),
-            "--kind",
-            "flat",
+            "--store",
+            &store,
             "--listen",
             "127.0.0.1:0",
             "--log-json",

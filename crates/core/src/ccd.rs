@@ -47,6 +47,7 @@
 //!   `O(ε·(‖F'‖² + ‖B'‖²))` however small the residual (clamped at 0).
 
 use crate::greedy_init::InitState;
+use pane_linalg::dense::mul_add_rows;
 use pane_linalg::{vecops, DenseMatrix};
 use pane_parallel::{even_ranges_nonempty, for_each_row_block};
 use std::sync::Mutex;
@@ -156,25 +157,14 @@ fn lift(x: &mut DenseMatrix, a: &DenseMatrix, z: &DenseMatrix, nb: usize) {
             .zip(block.chunks_mut(LIFT_ROWS * k2))
         {
             let (t0, t1, rows) = (&mut t0[..xs.len()], &mut t1[..xs.len()], xs.len() / k2);
-            mul_rows(xs, z0, k2, t0);
-            mul_rows(&a.data()[lo * a.cols()..][..rows * a.cols()], z1, k2, t1);
+            t0.fill(0.0);
+            t1.fill(0.0);
+            mul_add_rows(xs, z0, k2, t0);
+            mul_add_rows(&a.data()[lo * a.cols()..][..rows * a.cols()], z1, k2, t1);
             vecops::axpy(1.0, t1, t0);
             xs.copy_from_slice(t0);
         }
     });
-}
-
-/// `out = a·b`, all row-major, `b` and `out` `p` wide: per entry the ordered
-/// sum `matmul_par` makes, skipping the same exact zeros of `a`.
-fn mul_rows(a: &[f64], b: &[f64], p: usize, out: &mut [f64]) {
-    for (arow, orow) in a.chunks_exact(b.len() / p).zip(out.chunks_exact_mut(p)) {
-        orow.fill(0.0);
-        for (&al, brow) in arow.iter().zip(b.chunks_exact(p)) {
-            if al != 0.0 {
-                vecops::axpy(al, brow, orow);
-            }
-        }
-    }
 }
 
 /// `H = X_fᵀX_f + X_bᵀX_b`, the Gram matrix of the Y phase.

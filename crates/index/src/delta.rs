@@ -62,16 +62,6 @@ impl DeltaIndex {
     pub fn delta_len(&self) -> usize {
         self.delta.matrix().rows()
     }
-
-    /// Runtime search knob pass-through (IVF bases only).
-    pub fn set_nprobe(&mut self, nprobe: usize) -> bool {
-        self.base.set_nprobe(nprobe)
-    }
-
-    /// Runtime search knob pass-through (HNSW bases only).
-    pub fn set_ef_search(&mut self, ef: usize) -> bool {
-        self.base.set_ef_search(ef)
-    }
 }
 
 impl VectorIndex for DeltaIndex {

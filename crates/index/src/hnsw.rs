@@ -399,21 +399,6 @@ impl HnswIndex {
         }
     }
 
-    /// Max neighbors per upper-level node.
-    pub fn m(&self) -> usize {
-        self.links.m
-    }
-
-    /// Beam width used during construction.
-    pub fn ef_construction(&self) -> usize {
-        self.ef_construction
-    }
-
-    /// Current search beam width.
-    pub fn ef_search(&self) -> usize {
-        self.ef_search
-    }
-
     /// Sets the search beam width (clamped to at least 1). Larger values
     /// trade latency for recall; `search` always uses `max(ef, k)`.
     pub fn set_ef_search(&mut self, ef: usize) {
@@ -907,7 +892,7 @@ mod tests {
         use crate::testutil::patch_section;
         let data = renormalized(clustered_vectors(250, 12, 5, 0.15));
         let idx = HnswIndex::build(&data, &HnswConfig::default());
-        let cap = 2 * idx.m();
+        let cap = 2 * idx.links.m;
         let full = (0..250)
             .find(|&v| idx.neighbors(v, 0).len() == cap)
             .expect("fixture has a full level-0 list");

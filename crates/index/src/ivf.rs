@@ -129,11 +129,6 @@ impl IvfIndex {
         self.centroids.rows()
     }
 
-    /// Cells probed per query.
-    pub fn nprobe(&self) -> usize {
-        self.nprobe
-    }
-
     /// Sets the number of cells probed per query (clamped to `1..=nlist`).
     pub fn set_nprobe(&mut self, nprobe: usize) {
         self.nprobe = nprobe.clamp(1, self.nlist());
@@ -391,8 +386,8 @@ mod tests {
         let data = clustered_vectors(30, 6, 2, 0.2);
         let mut ivf = IvfIndex::build(&data, &IvfConfig::default());
         ivf.set_nprobe(0);
-        assert_eq!(ivf.nprobe(), 1);
+        assert_eq!(ivf.nprobe, 1);
         ivf.set_nprobe(10_000);
-        assert_eq!(ivf.nprobe(), ivf.nlist());
+        assert_eq!(ivf.nprobe, ivf.nlist());
     }
 }

@@ -75,30 +75,6 @@ impl IndexSpec {
         }
     }
 
-    /// Recovers the spec of an existing index. Parameters an index file
-    /// does not carry (IVF training iterations, seeds) fall back to
-    /// their defaults, so a compaction of a *loaded* index is
-    /// deterministic but not necessarily byte-identical to the original
-    /// build — which is why a store records the full recipe in its
-    /// manifest instead of recovering it this way.
-    pub fn of(index: &AnyIndex) -> IndexSpec {
-        match index {
-            AnyIndex::Flat(_) => IndexSpec::Flat,
-            AnyIndex::Ivf(x) => IndexSpec::Ivf(IvfConfig {
-                nlist: x.nlist(),
-                nprobe: x.nprobe(),
-                ..Default::default()
-            }),
-            AnyIndex::Hnsw(x) => IndexSpec::Hnsw(HnswConfig {
-                m: x.m(),
-                ef_construction: x.ef_construction(),
-                ef_search: x.ef_search(),
-                seed: 0,
-            }),
-            AnyIndex::SqFlat(x) => IndexSpec::SqFlat(SqConfig { rerank: x.rerank() }),
-        }
-    }
-
     /// Short stable name (`flat` / `ivf` / `hnsw` / `sqflat`).
     pub fn kind_name(&self) -> &'static str {
         match self {

@@ -163,11 +163,6 @@ impl SqFlatIndex {
         })
     }
 
-    /// Shortlist multiplier the index was built with.
-    pub fn rerank(&self) -> usize {
-        self.rerank
-    }
-
     /// Code row `i`.
     #[inline]
     fn code_row(&self, i: usize) -> &[i8] {

@@ -32,6 +32,27 @@ use std::fmt;
 /// rows stay in L1. Never changes a bit of any result (see the module docs).
 const PANEL: usize = 4;
 
+/// `out += a·b` over row-major slices: `b` is `m × p` (`m = b.len() / p`),
+/// `a` is `r × m` and `out` is `r × p`. One pass over `b` per `PANEL` rows
+/// of `a`; on a zeroed `out` every entry is the ordered sum of the module
+/// docs, exact zeros of `a` skipped. The worker of
+/// [`DenseMatrix::matmul_par`], public for products over row blocks.
+pub fn mul_add_rows(a: &[f64], b: &[f64], p: usize, out: &mut [f64]) {
+    if p == 0 || b.is_empty() {
+        return;
+    }
+    let m = b.len() / p;
+    for (apanel, opanel) in a.chunks(PANEL * m).zip(out.chunks_mut(PANEL * p)) {
+        for (l, brow) in b.chunks_exact(p).enumerate() {
+            for (arow, orow) in apanel.chunks_exact(m).zip(opanel.chunks_exact_mut(p)) {
+                if arow[l] != 0.0 {
+                    vecops::axpy(arow[l], brow, orow);
+                }
+            }
+        }
+    }
+}
+
 /// A row-major dense `f64` matrix.
 #[derive(Clone, PartialEq)]
 pub struct DenseMatrix {
@@ -163,11 +184,6 @@ impl DenseMatrix {
     #[inline]
     pub fn data_mut(&mut self) -> &mut [f64] {
         &mut self.data
-    }
-
-    /// Consumes the matrix, returning the backing buffer.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
     }
 
     /// Entry `(i, j)`.
@@ -306,17 +322,8 @@ impl DenseMatrix {
         }
         let ranges = even_ranges_nonempty(self.rows, nb);
         for_each_row_block(&mut c.data, self.rows, p, &ranges, |_, range, block| {
-            // One pass over `other` per PANEL rows of `self`.
-            let arows = &self.data[range.start * m..range.end * m];
-            for (apanel, cpanel) in arows.chunks(PANEL * m).zip(block.chunks_mut(PANEL * p)) {
-                for (l, brow) in other.data.chunks_exact(p).enumerate() {
-                    for (arow, crow) in apanel.chunks_exact(m).zip(cpanel.chunks_exact_mut(p)) {
-                        if arow[l] != 0.0 {
-                            vecops::axpy(arow[l], brow, crow);
-                        }
-                    }
-                }
-            }
+            let rows = &self.data[range.start * m..range.end * m];
+            mul_add_rows(rows, &other.data, p, block);
         });
         c
     }

@@ -120,11 +120,6 @@ impl Tracer {
         self
     }
 
-    /// The configured slow-query threshold, if any.
-    pub fn slow_query_threshold(&self) -> Option<Duration> {
-        self.slow_query
-    }
-
     /// Whether events at `level` would be emitted.
     pub fn enabled(&self, level: Level) -> bool {
         match self.max_level {

@@ -13,7 +13,7 @@
 //!
 //! * [`partition::even_ranges`] — the paper's "partition V into nb subsets
 //!   of equal size" (Algorithm 5, lines 1–2);
-//! * [`run_on_blocks`] / [`map_blocks`] — fan a closure out over the blocks;
+//! * [`map_blocks`] — fan a closure out over the blocks, results in block order;
 //! * [`for_each_row_block`] — mutate disjoint *row* blocks of a row-major
 //!   matrix in parallel (the dense products, every PAPMI step and both
 //!   phases of PSVDCCD).
@@ -24,40 +24,15 @@ pub use partition::{block_of, even_ranges, even_ranges_nonempty};
 
 use std::ops::Range;
 
-/// Runs `f(block_index, range)` for every partition block, using one scoped
-/// thread per block when `ranges.len() > 1`.
-///
-/// The closure only borrows its environment immutably, making this suitable
-/// for read-only fan-out such as computing per-block statistics. When a
-/// single block is passed the call is executed inline (no thread spawn), so
-/// `nb = 1` reproduces the single-threaded algorithms exactly — this is the
-/// property behind Lemma 4.1's "same output" guarantee.
-pub fn run_on_blocks<F>(ranges: &[Range<usize>], f: F)
-where
-    F: Fn(usize, Range<usize>) + Sync,
-{
-    if ranges.is_empty() {
-        return;
-    }
-    if ranges.len() == 1 {
-        f(0, ranges[0].clone());
-        return;
-    }
-    std::thread::scope(|s| {
-        for (i, r) in ranges.iter().enumerate() {
-            let f = &f;
-            let r = r.clone();
-            s.spawn(move || f(i, r));
-        }
-    });
-}
-
 /// Runs `f(block_index, range)` on every block and collects the results in
 /// block order.
 ///
 /// This is the "map" side of the paper's split–merge pattern: e.g.
 /// SMGreedyInit (Algorithm 7) computes one `RandSVD` per row block in
 /// parallel and then concatenates the factor matrices on the main thread.
+/// A single block runs inline (no thread spawn), so `nb = 1` reproduces
+/// the single-threaded algorithms exactly — the property behind Lemma
+/// 4.1's "same output" guarantee.
 pub fn map_blocks<T, F>(ranges: &[Range<usize>], f: F) -> Vec<T>
 where
     T: Send,
@@ -132,17 +107,6 @@ pub fn effective_blocks(n: usize, nb: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn run_on_blocks_visits_all() {
-        let ranges = even_ranges(10, 3);
-        let count = AtomicUsize::new(0);
-        run_on_blocks(&ranges, |_, r| {
-            count.fetch_add(r.end - r.start, Ordering::SeqCst);
-        });
-        assert_eq!(count.load(Ordering::SeqCst), 10);
-    }
 
     #[test]
     fn map_blocks_preserves_order() {
@@ -177,7 +141,6 @@ mod tests {
     #[test]
     fn single_block_runs_inline() {
         let ranges = even_ranges(5, 1);
-        run_on_blocks(&ranges, |_, _| {});
         let got = map_blocks(&ranges, |_, r| r.len());
         assert_eq!(got, vec![5]);
     }

@@ -20,15 +20,13 @@
 //!
 //! # Durability
 //!
-//! An engine opened over a **store directory** ([`ServeEngine::open`],
-//! backed by `pane-store`) is restart-safe: [`Store::open`] replays the
-//! insert-ahead log into the delta segments at boot, every
-//! [`ServeEngine::insert`] appends (and syncs) a WAL record *before* the
-//! in-memory insert is acknowledged, and [`ServeEngine::snapshot`]
-//! compacts the grown state into a fresh on-disk generation and
-//! truncates the log. Engines built directly from an embedding
-//! ([`ServeEngine::build`] / [`ServeEngine::new`]) keep the old
-//! ephemeral behavior — inserts live only in memory.
+//! Every engine is opened over a **store directory** ([`ServeEngine::open`],
+//! backed by `pane-store`, created by `pane store init`) and is
+//! restart-safe: [`Store::open`] replays the insert-ahead log into the
+//! delta segments at boot, every [`ServeEngine::insert`] appends (and
+//! syncs) a WAL record *before* the in-memory insert is acknowledged, and
+//! [`ServeEngine::snapshot`] compacts the grown state into a fresh on-disk
+//! generation and truncates the log.
 //!
 //! # Consistency model
 //!
@@ -36,11 +34,11 @@
 //! `reembed_warm`): the caller re-embeds offline and pushes the *new*
 //! nodes' rows. Existing rows are not retouched — the daemon serves the
 //! embedding it loaded plus appended rows (eventual consistency; a full
-//! refresh is a restart with the new embedding file).
+//! refresh is a new store, `pane store init`, from the new embedding).
 
 use crate::obs::{EngineObs, ServeObs};
-use pane_core::{build_bases, check_bases, top_k_filter, PaneEmbedding, QuerySpace};
-use pane_index::{AnyIndex, DeltaIndex, IndexError, IndexSpec, Neighbor, VectorIndex};
+use pane_core::{build_bases, top_k_filter, PaneEmbedding, QuerySpace};
+use pane_index::{DeltaIndex, IndexError, IndexSpec, Neighbor, VectorIndex};
 use pane_linalg::DenseMatrix;
 use pane_obs::Level;
 use pane_store::{OpenStore, Store, StoreError};
@@ -142,7 +140,8 @@ pub struct StatusReport {
     pub node_index: IndexStats,
     /// Link index stats (summed across shards when sharded).
     pub link_index: IndexStats,
-    /// Durability facts, when a store directory backs the engine.
+    /// Durability facts of the store(s) behind the engine: `Some` from
+    /// both engines, since every engine is opened over a store.
     pub store: Option<StoreReport>,
     /// Shard count, when the engine routes across a sharded store.
     pub shards: Option<usize>,
@@ -203,7 +202,7 @@ pub trait ServeBackend: Send + Sync {
     /// number of vectors folded per index.
     fn compact(&mut self) -> usize;
     /// Compacts **and** commits a new durable generation, truncating the
-    /// insert-ahead log. Fails on engines without a store directory.
+    /// insert-ahead log.
     fn snapshot(&mut self) -> Result<SnapshotOutcome, ServeError>;
     /// Point-in-time status (the `stats` response).
     fn status(&self) -> StatusReport;
@@ -277,47 +276,13 @@ pub struct ServeEngine {
     node_spec: IndexSpec,
     link_spec: IndexSpec,
     threads: usize,
-    /// Durable-store handle; `None` for ephemeral (non-durable) engines.
-    store: Option<Store>,
+    /// The store directory the engine was opened over.
+    store: Store,
     /// Instrumentation handles (no-op until [`ServeBackend::attach_obs`]).
     obs: EngineObs,
 }
 
 impl ServeEngine {
-    /// Wraps an embedding and two prebuilt base indexes (ephemeral — no
-    /// store directory; inserts live only in memory).
-    ///
-    /// `node_base` must index the `n × k` classifier features and
-    /// `link_base` the `n × k/2` backward embeddings of `emb`; mismatched
-    /// shapes are rejected here rather than at the first query.
-    pub fn new(
-        emb: PaneEmbedding,
-        node_base: AnyIndex,
-        link_base: AnyIndex,
-        threads: usize,
-    ) -> Result<Self, ServeError> {
-        check_bases(&emb, &node_base, &link_base).map_err(ServeError::BadRequest)?;
-        Ok(Self {
-            gram: emb.link_gram(),
-            node_spec: IndexSpec::of(&node_base),
-            link_spec: IndexSpec::of(&link_base),
-            node_index: DeltaIndex::new(node_base),
-            link_index: DeltaIndex::new(link_base),
-            emb,
-            threads: threads.max(1),
-            store: None,
-            obs: EngineObs::noop(),
-        })
-    }
-
-    /// Builds both base indexes from `emb` according to `spec` (see
-    /// [`build_bases`]), then wraps them in an ephemeral engine.
-    pub fn build(emb: PaneEmbedding, spec: &IndexSpec, threads: usize) -> Self {
-        let threads = threads.max(1);
-        let (node_base, link_base) = build_bases(&emb, spec, spec, threads);
-        Self::new(emb, node_base, link_base, threads).expect("freshly built indexes always match")
-    }
-
     /// Opens a durable engine over a single store directory: loads the
     /// current base generation and replays the insert-ahead log, so every
     /// insert acknowledged before the last shutdown (clean or not) is
@@ -343,7 +308,7 @@ impl ServeEngine {
             link_index,
             emb: embedding,
             threads: threads.max(1),
-            store: Some(store),
+            store,
             obs: EngineObs::noop(),
         }
     }
@@ -355,29 +320,23 @@ impl ServeEngine {
     pub(crate) fn set_engine_obs(&mut self, obs: EngineObs) {
         self.obs = obs;
         self.sync_store_gauges();
-        let mut boot = self
-            .obs
+        self.obs
             .tracer
             .event(Level::Info, "engine.boot")
             .int_field("nodes", self.num_nodes() as u64)
-            .int_field("half_dim", self.half_dim() as u64);
-        if let Some(store) = &self.store {
-            boot = boot
-                .int_field("generation", store.generation())
-                .int_field("wal_records", store.wal_records() as u64)
-                .int_field("replayed", store.replayed() as u64)
-                .int_field("recovered_bytes", store.recovered_bytes());
-        }
-        boot.emit();
+            .int_field("half_dim", self.half_dim() as u64)
+            .int_field("generation", self.store.generation())
+            .int_field("wal_records", self.store.wal_records() as u64)
+            .int_field("replayed", self.store.replayed() as u64)
+            .int_field("recovered_bytes", self.store.recovered_bytes())
+            .emit();
     }
 
     /// Mirrors the store's WAL size and generation into the gauges.
     fn sync_store_gauges(&self) {
-        if let Some(store) = &self.store {
-            self.obs.wal_bytes.set(store.wal_bytes() as i64);
-            self.obs.wal_records.set(store.wal_records() as i64);
-            self.obs.generation.set(store.generation() as i64);
-        }
+        self.obs.wal_bytes.set(self.store.wal_bytes() as i64);
+        self.obs.wal_records.set(self.store.wal_records() as i64);
+        self.obs.generation.set(self.store.generation() as i64);
     }
 
     /// Number of served nodes (loaded + inserted).
@@ -388,11 +347,6 @@ impl ServeEngine {
     /// Per-direction embedding width `k/2`.
     pub fn half_dim(&self) -> usize {
         self.emb.forward.cols()
-    }
-
-    /// Worker threads used for batched searches and compaction builds.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// The index (base + delta) serving `space`.
@@ -427,15 +381,15 @@ impl ServeEngine {
         }
     }
 
-    /// Durability facts, when a store directory backs this engine.
-    pub fn store_report(&self) -> Option<StoreReport> {
-        self.store.as_ref().map(|s| StoreReport {
-            generation: s.generation(),
-            wal_records: s.wal_records(),
-            wal_bytes: s.wal_bytes(),
-            replayed: s.replayed(),
-            artifact_bytes: s.artifact_bytes(),
-        })
+    /// Durability facts of the store behind this engine.
+    pub fn store_report(&self) -> StoreReport {
+        StoreReport {
+            generation: self.store.generation(),
+            wal_records: self.store.wal_records(),
+            wal_bytes: self.store.wal_bytes(),
+            replayed: self.store.replayed(),
+            artifact_bytes: self.store.artifact_bytes(),
+        }
     }
 }
 
@@ -471,10 +425,10 @@ impl ServeBackend for ServeEngine {
     /// Returns the assigned node id (dense, append-ordered — the same id
     /// `grow_embedding` gives the node on the offline side).
     ///
-    /// With a store attached, the row pair is recorded (and synced) in
-    /// the insert-ahead log **before** any in-memory state changes — an
-    /// acknowledged insert survives a hard kill. The very next query can
-    /// return the node; no rebuild happens here.
+    /// The row pair is recorded (and synced) in the insert-ahead log
+    /// **before** any in-memory state changes — an acknowledged insert
+    /// survives a hard kill. The very next query can return the node; no
+    /// rebuild happens here.
     fn insert(&mut self, forward: &[f64], backward: &[f64]) -> Result<usize, ServeError> {
         let k2 = self.half_dim();
         if forward.len() != k2 || backward.len() != k2 {
@@ -490,13 +444,11 @@ impl ServeBackend for ServeEngine {
             ));
         }
         let id = self.num_nodes();
-        if let Some(store) = &mut self.store {
-            let report = store.append(id, forward, backward)?;
-            self.obs.wal_append.observe_duration(report.write);
-            self.obs.wal_fsync.observe_duration(report.sync);
-            self.obs.wal_bytes.set(store.wal_bytes() as i64);
-            self.obs.wal_records.set(store.wal_records() as i64);
-        }
+        let report = self.store.append(id, forward, backward)?;
+        self.obs.wal_append.observe_duration(report.write);
+        self.obs.wal_fsync.observe_duration(report.sync);
+        self.obs.wal_bytes.set(self.store.wal_bytes() as i64);
+        self.obs.wal_records.set(self.store.wal_records() as i64);
         self.obs.inserts.inc();
         self.emb.forward.push_row(forward);
         self.emb.backward.push_row(backward);
@@ -511,9 +463,9 @@ impl ServeBackend for ServeEngine {
     /// (per the engine's recorded specs, deterministic given the store).
     /// Returns the number of vectors folded per index.
     ///
-    /// In-memory only: with a store attached the WAL keeps its records,
-    /// so a restart still replays them over the unchanged on-disk base —
-    /// use [`Self::snapshot`] to make the compaction durable.
+    /// In-memory only: the WAL keeps its records, so a restart still
+    /// replays them over the unchanged on-disk base — use
+    /// [`Self::snapshot`] to make the compaction durable.
     fn compact(&mut self) -> usize {
         let folded = self.node_index.delta_len();
         let (node_base, link_base) =
@@ -530,19 +482,11 @@ impl ServeBackend for ServeEngine {
     /// [`ServeEngine::open`] boots from the new generation with an empty
     /// WAL and identical query results.
     fn snapshot(&mut self) -> Result<SnapshotOutcome, ServeError> {
-        if self.store.is_none() {
-            return Err(ServeError::BadRequest(
-                "this daemon has no store directory (started from a bare embedding); \
-                 start it with `pane serve --store DIR` to enable snapshots"
-                    .into(),
-            ));
-        }
         let started = Instant::now();
         let folded = self.node_index.delta_len();
         let (node_base, link_base) =
             build_bases(&self.emb, &self.node_spec, &self.link_spec, self.threads);
-        let store = self.store.as_mut().expect("checked above");
-        let generation = store.snapshot(&self.emb, &node_base, &link_base)?;
+        let generation = self.store.snapshot(&self.emb, &node_base, &link_base)?;
         self.node_index = DeltaIndex::new(node_base);
         self.link_index = DeltaIndex::new(link_base);
         let dur = started.elapsed();
@@ -566,7 +510,7 @@ impl ServeBackend for ServeEngine {
             threads: self.threads,
             node_index: self.node_stats(),
             link_index: self.link_stats(),
-            store: self.store_report(),
+            store: Some(self.store_report()),
             shards: None,
         }
     }
@@ -579,9 +523,10 @@ impl ServeBackend for ServeEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::store_engine;
     use pane_core::{grow_embedding, reembed_warm, EmbeddingQuery, Pane, PaneConfig, QueryBackend};
     use pane_graph::gen::{generate_sbm, SbmConfig};
-    use pane_index::{HnswConfig, IvfConfig, Metric};
+    use pane_index::{HnswConfig, IvfConfig};
 
     fn fixture() -> PaneEmbedding {
         let g = generate_sbm(&SbmConfig {
@@ -608,7 +553,7 @@ mod tests {
         // trailing single through the block scan.
         let twelve: Vec<usize> = (0..150).step_by(13).collect();
         for (threads, nodes) in [(2, &twelve[..]), (1, &[3, 149, 77, 20, 21, 98, 5][..])] {
-            let engine = ServeEngine::build(emb.clone(), &IndexSpec::Flat, threads);
+            let (engine, _dir) = store_engine(&emb, &IndexSpec::Flat, threads);
             let sim = engine.similar_nodes(nodes, 5).unwrap();
             let links = engine.recommend_links(nodes, 5, &[]).unwrap();
             for (i, &v) in nodes.iter().enumerate() {
@@ -629,8 +574,8 @@ mod tests {
     #[test]
     fn exact_and_ann_engines_share_the_score_scale() {
         let emb = fixture();
-        let flat = ServeEngine::build(emb.clone(), &IndexSpec::Flat, 1);
-        let hnsw = ServeEngine::build(emb, &IndexSpec::Hnsw(HnswConfig::default()), 1);
+        let (flat, _flat_dir) = store_engine(&emb, &IndexSpec::Flat, 1);
+        let (hnsw, _hnsw_dir) = store_engine(&emb, &IndexSpec::Hnsw(HnswConfig::default()), 1);
         let nodes = [0usize, 7, 33];
         let a = flat.similar_nodes(&nodes, 5).unwrap();
         let b = hnsw.similar_nodes(&nodes, 5).unwrap();
@@ -661,8 +606,8 @@ mod tests {
         });
         let cfg = PaneConfig::builder().dimension(16).seed(2).build();
         let old = Pane::new(cfg.clone()).embed(&g0).unwrap();
-        let mut engine = ServeEngine::build(
-            old.clone(),
+        let (mut engine, _dir) = store_engine(
+            &old,
             &IndexSpec::Ivf(IvfConfig {
                 nlist: 8,
                 nprobe: 8,
@@ -718,7 +663,7 @@ mod tests {
     #[test]
     fn bad_requests_are_structured_errors() {
         let emb = fixture();
-        let mut engine = ServeEngine::build(emb, &IndexSpec::Flat, 1);
+        let (mut engine, _dir) = store_engine(&emb, &IndexSpec::Flat, 1);
         assert!(matches!(
             engine.similar_nodes(&[9999], 3),
             Err(ServeError::BadRequest(_))
@@ -736,22 +681,8 @@ mod tests {
             engine.insert(&vec![f64::NAN; k2], &vec![0.0; k2]),
             Err(ServeError::BadRequest(_))
         ));
-        // Ephemeral engines cannot snapshot — the error says what to do.
-        match engine.snapshot() {
-            Err(ServeError::BadRequest(m)) => assert!(m.contains("--store"), "{m}"),
-            other => panic!("expected BadRequest, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn mismatched_prebuilt_indexes_are_rejected() {
-        let emb = fixture();
-        let wrong = IndexSpec::Flat.build(&emb.backward, Metric::InnerProduct, 1);
-        let link = IndexSpec::Flat.build(&emb.backward, Metric::InnerProduct, 1);
-        assert!(matches!(
-            ServeEngine::new(emb, wrong, link, 1),
-            Err(ServeError::BadRequest(_))
-        ));
+        // A refused insert is refused before the log: nothing to replay.
+        assert_eq!(engine.store_report().wal_records, 0);
     }
 
     #[test]
@@ -760,7 +691,7 @@ mod tests {
         // must agree bit-for-bit — same kernels, same unified scale.
         let emb = fixture();
         let q = EmbeddingQuery::with_backend(&emb, &QueryBackend::Flat);
-        let engine = ServeEngine::build(emb.clone(), &IndexSpec::Flat, 3);
+        let (engine, _dir) = store_engine(&emb, &IndexSpec::Flat, 3);
         for v in (0..150).step_by(29) {
             let want: Vec<Hit> = q
                 .similar_nodes(v, 4)
@@ -780,7 +711,7 @@ mod tests {
         // router uses; composing them by hand must reproduce the engine's
         // own similar_nodes / recommend_links bit-for-bit.
         let emb = fixture();
-        let engine = ServeEngine::build(emb, &IndexSpec::Flat, 2);
+        let (engine, _dir) = store_engine(&emb, &IndexSpec::Flat, 2);
         let nodes: Vec<usize> = (0..150).step_by(11).collect();
         let k = 6;
 

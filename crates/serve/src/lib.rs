@@ -17,10 +17,10 @@
 //!   [`pane_index::DeltaIndex`]-wrapped indexes, batched search,
 //!   **incremental inserts** (a freshly arrived node is queryable by the
 //!   next request, no rebuild), a **compaction** command that folds
-//!   deltas into rebuilt bases, and — when opened over a `pane-store`
-//!   directory — **durability**: inserts are recorded in an insert-ahead
-//!   log before they are acknowledged, replayed at boot, and folded into
-//!   a fresh on-disk generation by the `snapshot` request;
+//!   deltas into rebuilt bases, and **durability** — every engine is
+//!   opened over a `pane-store` directory, so inserts are recorded in an
+//!   insert-ahead log before they are acknowledged, replayed at boot, and
+//!   folded into a fresh on-disk generation by the `snapshot` request;
 //! * [`sharded`] — [`ShardedEngine`]: N store shards routed by
 //!   `node_id % N`, per-shard search merged under the shared score
 //!   order (bit-identical to the unsharded exact scan for flat shards);
@@ -87,3 +87,47 @@ pub use server::{
     handle_line, serve_lines, serve_tcp, LineHandler, ObservedHandler, MAX_LINE_BYTES,
 };
 pub use sharded::ShardedEngine;
+
+/// Store-backed engines for the crate's tests: every engine is opened
+/// over a store, so each fixture gets its own `Store::init` directory.
+#[cfg(test)]
+pub(crate) mod testutil {
+    use crate::ServeEngine;
+    use pane_core::PaneEmbedding;
+    use pane_index::IndexSpec;
+    use std::path::PathBuf;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// A directory under the system temp dir, unique within the test
+    /// process and removed when dropped.
+    pub struct TempDir(pub PathBuf);
+
+    impl TempDir {
+        pub fn new() -> Self {
+            static NEXT: AtomicUsize = AtomicUsize::new(0);
+            let n = NEXT.fetch_add(1, Ordering::Relaxed);
+            let dir = std::env::temp_dir().join(format!("pane_serve_{}_{n}", std::process::id()));
+            std::fs::remove_dir_all(&dir).ok();
+            TempDir(dir)
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            std::fs::remove_dir_all(&self.0).ok();
+        }
+    }
+
+    /// An engine over a fresh store of `emb` whose two indexes follow
+    /// `spec`, built and served on `threads` workers. Keep the directory
+    /// alive as long as the engine.
+    pub fn store_engine(
+        emb: &PaneEmbedding,
+        spec: &IndexSpec,
+        threads: usize,
+    ) -> (ServeEngine, TempDir) {
+        let dir = TempDir::new();
+        pane_store::Store::init(&dir.0, emb, spec, spec, threads).unwrap();
+        (ServeEngine::open(&dir.0, threads).unwrap(), dir)
+    }
+}

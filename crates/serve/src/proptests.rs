@@ -12,21 +12,23 @@
 use crate::engine::ServeEngine;
 use crate::protocol::{parse, Json, ParseError};
 use crate::server::{handle_line, serve_lines};
+use crate::testutil::{store_engine, TempDir};
 use pane_core::{Pane, PaneConfig};
 use pane_graph::gen::{generate_sbm, SbmConfig};
 use pane_index::IndexSpec;
 use proptest::prelude::*;
 use std::io::Cursor;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{OnceLock, RwLock};
+use std::sync::RwLock;
 
-/// Shared engine fixture. Proptest runs each case dozens of times, so
-/// the SBM embed happens once; fuzzed inserts that happen to be valid
-/// mutate it, which is part of the point — the loop must stay healthy
-/// on a moving engine.
-fn engine() -> &'static RwLock<ServeEngine> {
-    static ENGINE: OnceLock<RwLock<ServeEngine>> = OnceLock::new();
-    ENGINE.get_or_init(|| {
+thread_local! {
+    /// The engine fixture, one per test (libtest runs each on its own
+    /// thread). Proptest runs each case dozens of times, so the SBM embed
+    /// and the store init happen once; fuzzed inserts that happen to be
+    /// valid mutate it, which is part of the point — the loop must stay
+    /// healthy on a moving engine. The store directory goes with the
+    /// thread.
+    static ENGINE: (RwLock<ServeEngine>, TempDir) = {
         let g = generate_sbm(&SbmConfig {
             nodes: 40,
             communities: 2,
@@ -39,8 +41,9 @@ fn engine() -> &'static RwLock<ServeEngine> {
         let emb = Pane::new(PaneConfig::builder().dimension(8).seed(5).build())
             .embed(&g)
             .unwrap();
-        RwLock::new(ServeEngine::build(emb, &IndexSpec::Flat, 2))
-    })
+        let (engine, dir) = store_engine(&emb, &IndexSpec::Flat, 2);
+        (RwLock::new(engine), dir)
+    };
 }
 
 /// Runs the parser under `catch_unwind`: any outcome but a panic is
@@ -52,7 +55,8 @@ fn parse_structured(input: &str) -> Result<Json, ParseError> {
 /// Runs one line through the request loop and asserts the response is
 /// a parseable object with a boolean `ok` field. Returns (ok, response).
 fn respond_structured(line: &str) -> (bool, String) {
-    let (resp, _shutdown) = catch_unwind(AssertUnwindSafe(|| handle_line(engine(), line)))
+    let (resp, _shutdown) = ENGINE
+        .with(|(engine, _)| catch_unwind(AssertUnwindSafe(|| handle_line(engine, line))))
         .unwrap_or_else(|_| panic!("handle_line panicked on {line:?}"));
     let v = parse(&resp).unwrap_or_else(|e| panic!("unparseable response {resp:?}: {e}"));
     match v.get("ok") {
@@ -166,7 +170,7 @@ proptest! {
         }
         let mut out = Vec::new();
         let finished = catch_unwind(AssertUnwindSafe(|| {
-            serve_lines(engine(), Cursor::new(bytes.clone()), &mut out)
+            ENGINE.with(|(engine, _)| serve_lines(engine, Cursor::new(bytes.clone()), &mut out))
         }))
         .unwrap_or_else(|_| panic!("serve_lines panicked on {bytes:?}"));
         prop_assert!(finished.is_ok(), "session loop errored: {finished:?}");

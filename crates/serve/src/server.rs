@@ -607,11 +607,12 @@ pub fn serve_tcp<H: LineHandler + 'static>(
 mod tests {
     use super::*;
     use crate::engine::ServeEngine;
+    use crate::testutil::{store_engine, TempDir};
     use pane_core::{Pane, PaneConfig};
     use pane_graph::gen::{generate_sbm, SbmConfig};
     use pane_index::IndexSpec;
 
-    fn engine() -> RwLock<ServeEngine> {
+    fn engine() -> (RwLock<ServeEngine>, TempDir) {
         let g = generate_sbm(&SbmConfig {
             nodes: 90,
             communities: 3,
@@ -624,7 +625,8 @@ mod tests {
         let emb = Pane::new(PaneConfig::builder().dimension(8).seed(3).build())
             .embed(&g)
             .unwrap();
-        RwLock::new(ServeEngine::build(emb, &IndexSpec::Flat, 2))
+        let (engine, dir) = store_engine(&emb, &IndexSpec::Flat, 2);
+        (RwLock::new(engine), dir)
     }
 
     fn req(engine: &RwLock<ServeEngine>, line: &str) -> Json {
@@ -634,7 +636,7 @@ mod tests {
 
     #[test]
     fn full_session_over_in_memory_stdio() {
-        let eng = engine();
+        let (eng, _dir) = engine();
         let k2 = read_engine(&eng).half_dim();
         let half: Vec<String> = (0..k2).map(|i| format!("0.{}", i + 1)).collect();
         let vec_json = format!("[{}]", half.join(","));
@@ -674,13 +676,14 @@ mod tests {
                 .as_index(),
             Some(1)
         );
-        // An ephemeral engine reports no store block (nothing durable).
-        assert!(stats.get("store").is_none());
+        // The insert was logged before it was acknowledged.
+        let store = stats.get("store").expect("store block present");
+        assert_eq!(store.get("wal_records").unwrap().as_index(), Some(1));
     }
 
     #[test]
     fn malformed_and_unknown_requests_are_ok_false() {
-        let eng = engine();
+        let (eng, _dir) = engine();
         for bad in [
             "not json",
             r#"{"nodes":[0]}"#,
@@ -688,8 +691,6 @@ mod tests {
             r#"{"op":"similar-nodes","nodes":[9999]}"#,
             r#"{"op":"similar-nodes","nodes":"zero"}"#,
             r#"{"op":"insert","forward":[1],"backward":[]}"#,
-            // Snapshot without a store directory is a clean refusal.
-            r#"{"op":"snapshot"}"#,
         ] {
             let resp = req(&eng, bad);
             assert_eq!(resp.get("ok"), Some(&Json::Bool(false)), "{bad}");
@@ -743,14 +744,15 @@ mod tests {
     fn observed_handler_serves_metrics_and_instrumented_stats() {
         use crate::obs::ServeObs;
         use pane_obs::Tracer;
-        let eng = engine().into_inner().unwrap();
+        let (eng, _dir) = engine();
+        let eng = eng.into_inner().unwrap();
         let handler = ObservedHandler::new(eng, Arc::new(ServeObs::new(Tracer::disabled())));
         let ask = |line: &str| {
             let (resp, _) = handler.handle(line);
             parse(&resp).unwrap()
         };
         // A bare RwLock-backed endpoint refuses the metrics op cleanly.
-        let bare = engine();
+        let (bare, _bare_dir) = engine();
         let (resp, _) = bare.handle(r#"{"op":"metrics"}"#);
         assert_eq!(parse(&resp).unwrap().get("ok"), Some(&Json::Bool(false)));
 
@@ -829,7 +831,7 @@ mod tests {
 
     #[test]
     fn oversized_request_line_is_refused_and_session_ends() {
-        let eng = engine();
+        let (eng, _dir) = engine();
         // A line one byte over the cap, followed by a request that must
         // never be served because the connection is dropped first.
         let mut input = vec![b'x'; MAX_LINE_BYTES + 1];
@@ -852,7 +854,7 @@ mod tests {
 
     #[test]
     fn large_but_legal_lines_and_crlf_are_served() {
-        let eng = engine();
+        let (eng, _dir) = engine();
         // Padded with spaces to well past the default BufReader chunk so
         // the bounded reader's multi-chunk path is exercised.
         let pad = " ".repeat(64 << 10);
@@ -869,7 +871,7 @@ mod tests {
 
     #[test]
     fn invalid_utf8_is_an_error_but_not_fatal() {
-        let eng = engine();
+        let (eng, _dir) = engine();
         let mut input = vec![0xff, 0xfe, b'\n'];
         input.extend_from_slice(b"{\"op\":\"stats\"}\n");
         let mut out = Vec::new();
@@ -897,7 +899,7 @@ mod tests {
 
     #[test]
     fn query_vectors_and_search_ops_reconstruct_similar_nodes() {
-        let eng = engine();
+        let (eng, _dir) = engine();
         let filtered = req(&eng, r#"{"op":"similar-nodes","nodes":[4],"k":3}"#);
         assert_eq!(filtered.get("ok"), Some(&Json::Bool(true)));
         let vecs = req(
@@ -966,7 +968,8 @@ mod tests {
     #[test]
     fn torn_connection_mid_line_leaves_daemon_serving() {
         use std::io::{BufRead, BufReader, Write};
-        let eng = Arc::new(engine());
+        let (eng, _dir) = engine();
+        let eng = Arc::new(eng);
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let server = {
@@ -995,7 +998,8 @@ mod tests {
     #[test]
     fn shutdown_severs_idle_connections() {
         use std::io::{BufRead, BufReader, Write};
-        let eng = Arc::new(engine());
+        let (eng, _dir) = engine();
+        let eng = Arc::new(eng);
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let server = {
@@ -1020,7 +1024,8 @@ mod tests {
     #[test]
     fn tcp_roundtrip_with_clean_shutdown() {
         use std::io::{BufRead, BufReader, Write};
-        let eng = Arc::new(engine());
+        let (eng, _dir) = engine();
+        let eng = Arc::new(eng);
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let server = {

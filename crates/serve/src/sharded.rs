@@ -212,50 +212,25 @@ impl ServeBackend for ShardedEngine {
                 delta: self.shards.iter().map(|s| pick(s).delta).sum(),
             }
         };
-        let store = self.shards[0].store_report().map(|first| StoreReport {
+        let reports: Vec<StoreReport> = self.shards.iter().map(ServeEngine::store_report).collect();
+        let store = StoreReport {
             // The *minimum* across shards: "every shard is at least at
             // this generation". After an interrupted sharded snapshot
             // the shards can straddle two generations; reporting the
             // laggard surfaces the divergence instead of masking it.
-            generation: self
-                .shards
-                .iter()
-                .filter_map(|s| s.store_report())
-                .map(|r| r.generation)
-                .min()
-                .unwrap_or(first.generation),
-            wal_records: self
-                .shards
-                .iter()
-                .filter_map(|s| s.store_report())
-                .map(|r| r.wal_records)
-                .sum(),
-            wal_bytes: self
-                .shards
-                .iter()
-                .filter_map(|s| s.store_report())
-                .map(|r| r.wal_bytes)
-                .sum(),
-            replayed: self
-                .shards
-                .iter()
-                .filter_map(|s| s.store_report())
-                .map(|r| r.replayed)
-                .sum(),
-            artifact_bytes: self
-                .shards
-                .iter()
-                .filter_map(|s| s.store_report())
-                .map(|r| r.artifact_bytes)
-                .sum(),
-        });
+            generation: reports.iter().map(|r| r.generation).min().unwrap_or(0),
+            wal_records: reports.iter().map(|r| r.wal_records).sum(),
+            wal_bytes: reports.iter().map(|r| r.wal_bytes).sum(),
+            replayed: reports.iter().map(|r| r.replayed).sum(),
+            artifact_bytes: reports.iter().map(|r| r.artifact_bytes).sum(),
+        };
         StatusReport {
             nodes: self.num_nodes(),
             half_dim: self.half_dim(),
             threads: self.threads,
             node_index: sum_stats(ServeEngine::node_stats),
             link_index: sum_stats(ServeEngine::link_stats),
-            store,
+            store: Some(store),
             shards: Some(self.shards.len()),
         }
     }
@@ -271,7 +246,7 @@ impl ServeBackend for ShardedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pane_core::{Pane, PaneConfig, PaneEmbedding};
+    use pane_core::{EmbeddingQuery, Pane, PaneConfig, PaneEmbedding, Scored};
     use pane_graph::gen::{generate_sbm, SbmConfig};
     use pane_index::IndexSpec;
 
@@ -300,21 +275,29 @@ mod tests {
     fn sharded_flat_top_k_is_bit_identical_to_unsharded_exact_scan() {
         let emb = fixture(121);
         let root = tmpdir("bitident");
+        let exact = EmbeddingQuery::new(&emb);
+        let nodes: Vec<usize> = (0..121).step_by(7).collect();
+        let want = |query: &dyn Fn(usize) -> Vec<Scored>| -> Vec<Vec<Hit>> {
+            nodes
+                .iter()
+                .map(|&v| query(v).into_iter().map(Hit::from).collect())
+                .collect()
+        };
+        let want_sim = want(&|v| exact.similar_nodes(v, 10));
+        let want_links = want(&|v| exact.recommend_links(v, 8, &[3, 11]));
         for shards in [2usize, 3] {
             std::fs::remove_dir_all(&root).ok();
             ShardedStore::init(&root, &emb, &IndexSpec::Flat, &IndexSpec::Flat, shards, 2).unwrap();
             let sharded = ShardedEngine::open(&root, 2).unwrap();
-            let unsharded = ServeEngine::build(emb.clone(), &IndexSpec::Flat, 2);
             assert_eq!(sharded.num_nodes(), 121);
-            let nodes: Vec<usize> = (0..121).step_by(7).collect();
             assert_eq!(
                 ServeBackend::similar_nodes(&sharded, &nodes, 10).unwrap(),
-                unsharded.similar_nodes(&nodes, 10).unwrap(),
+                want_sim,
                 "{shards}-way similar-nodes diverged from the exact scan"
             );
             assert_eq!(
                 ServeBackend::recommend_links(&sharded, &nodes, 8, &[3, 11]).unwrap(),
-                unsharded.recommend_links(&nodes, 8, &[3, 11]).unwrap(),
+                want_links,
                 "{shards}-way recommend-links diverged from the exact scan"
             );
         }

@@ -138,11 +138,6 @@ impl CsrBuilder {
         self.cols
     }
 
-    /// Merged entries accumulated so far (excludes the pending chunk).
-    pub fn merged_nnz(&self) -> usize {
-        self.acc_rows.len()
-    }
-
     /// Triplets buffered in the pending chunk, not yet merged.
     pub fn pending(&self) -> usize {
         self.chunk.len()

@@ -705,6 +705,35 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Swapped index files keep valid checksums and load, so only
+    /// `check_bases`, the shape check against the embedding, can refuse
+    /// them; its message names both shapes.
+    #[test]
+    fn swapped_index_files_are_refused_by_shape() {
+        let dir = tmpdir("swapped");
+        let emb = fixture(30, 4);
+        Store::init(&dir, &emb, &IndexSpec::Flat, &IndexSpec::Flat, 1).unwrap();
+        let gdir = gen_dir(&dir, 1);
+        let (node, link, spare) = (
+            gdir.join(NODE_INDEX_FILE),
+            gdir.join(LINK_INDEX_FILE),
+            gdir.join("swap.idx"),
+        );
+        std::fs::rename(&node, &spare).unwrap();
+        std::fs::rename(&link, &node).unwrap();
+        std::fs::rename(&spare, &link).unwrap();
+        let (n, k2) = emb.forward.shape();
+        match Store::open(&dir) {
+            Err(StoreError::Format(m)) => assert!(
+                m.contains(&format!("holds {n}×{k2}"))
+                    && m.contains(&format!("implies {n}×{}", 2 * k2)),
+                "{m}"
+            ),
+            other => panic!("expected a shape refusal, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn foreign_wal_is_a_structured_error() {
         let dir = tmpdir("foreign");

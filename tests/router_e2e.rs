@@ -17,7 +17,7 @@
 //! * inserts route to the owner daemon and map back to global ids, and
 //!   `stats` / `snapshot` aggregate across daemons.
 
-use pane_core::{Pane, PaneConfig};
+use pane_core::{EmbeddingQuery, Pane, PaneConfig};
 use pane_graph::gen::{generate_sbm, SbmConfig};
 use pane_index::IndexSpec;
 use pane_loadgen::{
@@ -28,7 +28,7 @@ use pane_serve::{
     serve_tcp, ClientConfig, Hit, Json, LineHandler, Router, ServeBackend, ServeEngine,
     ShardedEngine,
 };
-use pane_store::{shard_dir, shard_of, ShardedStore};
+use pane_store::{shard_dir, shard_of, ShardedStore, Store};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
@@ -192,8 +192,10 @@ fn routed_top_k_is_bit_identical_to_in_process_engines() {
             replies(&RwLock::new(eng)),
         )
     };
-    // Transitivity check against the unsharded exact scan as well.
-    let unsharded = ServeEngine::build(emb, &IndexSpec::Flat, 2);
+    // Transitivity check against an unsharded store as well.
+    let single = tmp_root("bitident_single");
+    Store::init(&single, &emb, &IndexSpec::Flat, &IndexSpec::Flat, 2).unwrap();
+    let unsharded = ServeEngine::open(&single, 2).unwrap();
     assert_eq!(
         pairs(&unsharded.similar_nodes(&nodes, 10).unwrap()),
         pairs(&want_sim)
@@ -253,6 +255,7 @@ fn routed_top_k_is_bit_identical_to_in_process_engines() {
         d.stop();
     }
     std::fs::remove_dir_all(&root).ok();
+    std::fs::remove_dir_all(&single).ok();
 }
 
 #[test]
@@ -269,9 +272,21 @@ fn dead_shard_degrades_reads_and_recovers_after_restart() {
     // Ground truth from the unsharded exact scan: a full-width ranking
     // per query, from which both the healthy and the degraded
     // expectations derive exactly.
-    let unsharded = ServeEngine::build(emb, &IndexSpec::Flat, 2);
-    let healthy = unsharded.similar_nodes(&nodes, k).unwrap();
-    let wide = unsharded.similar_nodes(&nodes, N).unwrap();
+    let exact = EmbeddingQuery::new(&emb);
+    let ranked = |k: usize| -> Vec<Vec<Hit>> {
+        nodes
+            .iter()
+            .map(|&v| {
+                exact
+                    .similar_nodes(v, k)
+                    .into_iter()
+                    .map(Hit::from)
+                    .collect()
+            })
+            .collect()
+    };
+    let healthy = ranked(k);
+    let wide = ranked(N);
     let degraded_want: Vec<Vec<(usize, f64)>> = wide
         .iter()
         .map(|b| {

@@ -2,7 +2,8 @@
 //! subsystem, exercised through the library (the CLI transports are
 //! covered in `crates/cli/tests/cli.rs`).
 //!
-//! One shared index pair is loaded from disk exactly once, batched
+//! One shared index pair is built once by `Store::init` (what `pane store
+//! init` runs) and loaded from disk exactly once by the engine, batched
 //! queries are served over it, a node arriving through `pane-core`'s
 //! incremental path (`grow_embedding` + `reembed_warm`) is inserted and
 //! returned by the *next* query without any index rebuild, and exact vs
@@ -11,9 +12,16 @@
 use pane::prelude::*;
 use pane_core::{grow_embedding, reembed_warm};
 use pane_graph::gen::{generate_sbm, SbmConfig};
-use pane_index::{load_index, Metric, VectorIndex};
 use pane_serve::{serve_lines, Json, ServeEngine};
+use pane_store::Store;
+use std::path::PathBuf;
 use std::sync::RwLock;
+
+fn tmpdir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("pane_serve_e2e_{}_{name}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    dir
+}
 
 fn sbm(nodes: usize, seed: u64) -> AttributedGraph {
     generate_sbm(&SbmConfig {
@@ -33,26 +41,17 @@ fn cfg() -> PaneConfig {
 
 #[test]
 fn daemon_serves_shared_index_with_incremental_inserts() {
-    let dir = std::env::temp_dir().join(format!("pane_serve_e2e_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = tmpdir("shared");
 
     // Offline: embed, build the shared index pair, persist everything —
-    // what `pane embed` + `pane index build` produce for the daemon.
+    // what `pane embed` + `pane store init` produce for the daemon.
     let g0 = sbm(220, 5);
     let emb = Pane::new(cfg()).embed(&g0).unwrap();
-    let node_path = dir.join("node.idx");
-    let link_path = dir.join("link.idx");
-    HnswIndex::build(emb.classifier_feature_matrix(), &HnswConfig::default())
-        .save(&node_path)
-        .unwrap();
-    FlatIndex::build(&emb.backward, Metric::InnerProduct)
-        .save(&link_path)
-        .unwrap();
+    let hnsw = IndexSpec::Hnsw(HnswConfig::default());
+    Store::init(&dir, &emb, &hnsw, &IndexSpec::Flat, 1).unwrap();
 
     // Daemon boot: load the shared indexes once.
-    let node_base = load_index(&node_path).unwrap();
-    let link_base = load_index(&link_path).unwrap();
-    let mut engine = ServeEngine::new(emb.clone(), node_base, link_base, 3).unwrap();
+    let mut engine = ServeEngine::open(&dir, 3).unwrap();
     assert_eq!(engine.num_nodes(), 220);
 
     // Batched queries against the shared structures.
@@ -156,7 +155,9 @@ fn protocol_session_through_the_facade() {
     // through in-memory stdio — no sockets, fully deterministic.
     let g = sbm(100, 9);
     let emb = Pane::new(cfg()).embed(&g).unwrap();
-    let engine = RwLock::new(ServeEngine::build(emb, &IndexSpec::Flat, 2));
+    let dir = tmpdir("facade");
+    Store::init(&dir, &emb, &IndexSpec::Flat, &IndexSpec::Flat, 2).unwrap();
+    let engine = RwLock::new(ServeEngine::open(&dir, 2).unwrap());
     let input = concat!(
         r#"{"op":"similar-nodes","nodes":[0,5],"k":4}"#,
         "\n",
@@ -173,4 +174,6 @@ fn protocol_session_through_the_facade() {
         let v = pane_serve::parse(line).unwrap();
         assert_eq!(v.get("ok"), Some(&Json::Bool(true)), "{line}");
     }
+    drop(engine);
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -9,7 +9,7 @@
 //! root's bytes are pinned at every thread count as well.
 
 use pane::prelude::*;
-use pane_core::{grow_embedding, reembed_warm};
+use pane_core::{grow_embedding, reembed_warm, Scored};
 use pane_graph::gen::{generate_sbm, SbmConfig};
 use pane_loadgen::{
     generate_requests, run, BatchSpec, Endpoint, HandlerEndpoint, Mix, OpKind, RunPlan, Skew,
@@ -119,10 +119,10 @@ fn sharded_top_k_is_bit_identical_to_the_unsharded_exact_scan() {
     let g = sbm(150, 9);
     let emb = Pane::new(cfg()).embed(&g).unwrap();
 
-    // Ground truth: the exact in-process query layer and the unsharded
-    // flat daemon engine (themselves pinned equal in serve's tests).
+    // Ground truth: the exact in-process query layer (pinned equal to a
+    // flat store's engine in serve's tests).
     let exact = EmbeddingQuery::new(&emb);
-    let unsharded = ServeEngine::build(emb.clone(), &IndexSpec::Flat, 2);
+    let hits = |s: Vec<Scored>| -> Vec<Hit> { s.into_iter().map(Hit::from).collect() };
 
     for shards in [2usize, 3] {
         std::fs::remove_dir_all(&root).ok();
@@ -132,28 +132,17 @@ fn sharded_top_k_is_bit_identical_to_the_unsharded_exact_scan() {
         let nodes: Vec<usize> = (0..150).step_by(11).collect();
         let sim = engine.similar_nodes(&nodes, 10).unwrap();
         let links = engine.recommend_links(&nodes, 7, &[2, 40]).unwrap();
-        assert_eq!(
-            sim,
-            unsharded.similar_nodes(&nodes, 10).unwrap(),
-            "{shards}-way similar-nodes diverged from the unsharded engine"
-        );
-        assert_eq!(
-            links,
-            unsharded.recommend_links(&nodes, 7, &[2, 40]).unwrap(),
-            "{shards}-way recommend-links diverged from the unsharded engine"
-        );
-        // And against the original query layer — three implementations,
-        // one answer.
         for (qi, &v) in nodes.iter().enumerate() {
-            let want: Vec<Hit> = exact
-                .similar_nodes(v, 10)
-                .into_iter()
-                .map(|s| Hit {
-                    node: s.index,
-                    score: s.score,
-                })
-                .collect();
-            assert_eq!(sim[qi], want, "query node {v}");
+            assert_eq!(
+                sim[qi],
+                hits(exact.similar_nodes(v, 10)),
+                "{shards}-way similar-nodes diverged at {v}"
+            );
+            assert_eq!(
+                links[qi],
+                hits(exact.recommend_links(v, 7, &[2, 40])),
+                "{shards}-way recommend-links diverged at {v}"
+            );
         }
     }
     std::fs::remove_dir_all(&root).ok();
