@@ -5,15 +5,6 @@
 //!               [--seed 0] --output EMB [--text]
 //! pane generate --zoo cora-like [--scale 1.0] [--seed 42] --out-dir DIR
 //! pane stats    GRAPH
-//! pane topk     --embedding EMB [--text] --node V [--k 10]
-//!               [--mode attrs|links|similar]
-//! pane index build  --embedding EMB [--text] [--kind flat|ivf|hnsw|sqflat]
-//!                   [--space similar|links] [--lists 64] [--nprobe 8]
-//!                   [--m 16] [--efc 100] [--ef 64] [--rerank 4]
-//!                   [--seed 0] [--threads 1] --output IDX
-//! pane index search --index IDX --embedding EMB [--text]
-//!                   (--node V | --nodes V1,V2,…) [--k 10]
-//!                   [--space similar|links] [--nprobe N] [--ef N] [--threads 1]
 //! pane serve        --store DIR (--stdio | --listen ADDR) [--threads 1]
 //!                   [--log-json PATH] [--log-level warn] [--slow-query-ms N]
 //! pane route        --shards ADDR,ADDR,… (--stdio | --listen ADDR)
@@ -28,7 +19,9 @@
 //!                   [--knee] [--knee-factor 2] [--knee-steps 6]
 //!                   [--knee-threshold 0.9]
 //! pane store init     --embedding EMB [--text] --dir DIR [--shards N]
-//!                     [--kind flat|ivf|hnsw|sqflat + build params] [--threads 1]
+//!                     [--kind flat|ivf|hnsw|sqflat] [--lists 64] [--nprobe 8]
+//!                     [--iters 10] [--m 16] [--efc 100] [--ef 64] [--rerank 4]
+//!                     [--seed 0] [--threads 1]
 //! pane store snapshot --dir DIR [--threads 1]
 //! pane store status   --dir DIR
 //! pane evaluate GRAPH [--dim 64] [--alpha 0.5] [--eps 0.015] [--threads 1] [--seed 0]
@@ -47,11 +40,10 @@
 mod args;
 
 use args::{ArgError, Args};
-use pane_core::{top_k_filter, EmbeddingQuery, Pane, PaneConfig, QuerySpace};
+use pane_core::{Pane, PaneConfig};
 use pane_datasets::DatasetZoo;
 use pane_graph::io::{load_graph, load_graph_columns};
-use pane_index::{HnswConfig, IndexSpec, IvfConfig, Neighbor, SqConfig, VectorIndex};
-use pane_linalg::DenseMatrix;
+use pane_index::{HnswConfig, IndexSpec, IvfConfig, SqConfig};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -66,8 +58,6 @@ fn main() -> ExitCode {
         "embed" => cmd_embed(raw),
         "generate" => cmd_generate(raw),
         "stats" => cmd_stats(raw),
-        "topk" => cmd_topk(raw),
-        "index" => cmd_index(raw),
         "serve" => cmd_serve(raw),
         "route" => cmd_route(raw),
         "metrics" => cmd_metrics(raw),
@@ -95,9 +85,7 @@ fn print_help() {
            embed     embed a graph (text files or --binary), write the embedding (PANECOL1 or --text)\n\
            generate  generate a synthetic dataset from the zoo\n\
            stats     print Table-3-style statistics of a graph\n\
-           topk      query a saved embedding (top attributes / links / similar nodes)\n\
-           index     build / search an ANN index over a saved embedding (flat / ivf / hnsw)\n\
-           serve     serve a store directory (made by `store init`) over TCP or stdio (JSON lines)\n\
+           serve     serve a store (made by `store init`) over TCP or stdio: similar nodes, links, attributes\n\
            route     run the merging query router over shard daemons (same protocol)\n\
            metrics   scrape a live serve/route endpoint's metrics (Prometheus text or JSON)\n\
            bench     drive a live serve/route endpoint with open-loop load (saturation search)\n\
@@ -301,31 +289,6 @@ fn cmd_convert(raw: Vec<String>) -> CliResult {
     Ok(())
 }
 
-fn cmd_topk(raw: Vec<String>) -> CliResult {
-    let a = Args::parse(raw, &["text"])?;
-    reject_positionals(&a)?;
-    a.reject_unknown(&["embedding", "node", "k", "mode"])?;
-    let emb = load_embedding_from_args(&a)?;
-    let node: usize = a.get_parsed("node", 0usize)?;
-    if node >= emb.forward.rows() {
-        return Err(format!("node {node} out of range (n = {})", emb.forward.rows()).into());
-    }
-    let k: usize = a.get_parsed("k", 10usize)?;
-    let mode = a.get("mode").unwrap_or("attrs");
-    let q = EmbeddingQuery::new(&emb);
-    let results = match mode {
-        "attrs" => q.top_attributes(node, k),
-        "links" => q.recommend_links(node, k, &[]),
-        "similar" => q.similar_nodes(node, k),
-        other => return Err(format!("unknown mode '{other}' (attrs|links|similar)").into()),
-    };
-    println!("top-{k} {mode} for node {node}:");
-    for s in results {
-        println!("  {} {:.4}", s.index, s.score);
-    }
-    Ok(())
-}
-
 fn load_embedding_from_args(
     a: &Args,
 ) -> Result<pane_core::PaneEmbedding, Box<dyn std::error::Error>> {
@@ -337,159 +300,8 @@ fn load_embedding_from_args(
     })
 }
 
-fn cmd_index(mut raw: Vec<String>) -> CliResult {
-    if raw.is_empty() {
-        return Err("index requires a subcommand: build | search".into());
-    }
-    let sub = raw.remove(0);
-    match sub.as_str() {
-        "build" => cmd_index_build(raw),
-        "search" => cmd_index_search(raw),
-        other => Err(format!("unknown index subcommand '{other}' (build|search)").into()),
-    }
-}
-
-fn space_from_arg(name: &str) -> Result<QuerySpace, ArgError> {
-    QuerySpace::parse(name)
-        .ok_or_else(|| ArgError(format!("unknown space '{name}' (similar|links)")))
-}
-
-fn cmd_index_build(raw: Vec<String>) -> CliResult {
-    let a = Args::parse(raw, &["text"])?;
-    reject_positionals(&a)?;
-    a.reject_unknown(&[
-        "embedding",
-        "kind",
-        "space",
-        "lists",
-        "nprobe",
-        "iters",
-        "m",
-        "efc",
-        "ef",
-        "rerank",
-        "seed",
-        "threads",
-        "output",
-    ])?;
-    let threads = a.get_count("threads", 1)?;
-    let emb = load_embedding_from_args(&a)?;
-    let output = PathBuf::from(a.require("output")?);
-    let space = space_from_arg(a.get("space").unwrap_or("similar"))?;
-    let spec = spec_from_args(&a)?;
-    let t0 = std::time::Instant::now();
-    let index = space.build_index(&emb, &spec, threads);
-    index.save(&output)?;
-    eprintln!(
-        "built {} index over {} {}-space vectors (dim {}) in {:.2}s",
-        spec.kind_name(),
-        index.len(),
-        space.name(),
-        index.dim(),
-        t0.elapsed().as_secs_f64()
-    );
-    eprintln!("wrote {}", output.display());
-    Ok(())
-}
-
-fn cmd_index_search(raw: Vec<String>) -> CliResult {
-    let a = Args::parse(raw, &["text"])?;
-    reject_positionals(&a)?;
-    a.reject_unknown(&[
-        "index",
-        "embedding",
-        "node",
-        "nodes",
-        "k",
-        "space",
-        "nprobe",
-        "ef",
-        "threads",
-    ])?;
-    let threads = a.get_count("threads", 1)?;
-    let mut index = pane_index::load_index(std::path::Path::new(a.require("index")?))?;
-    if let Some(np) = a.get("nprobe") {
-        let np: usize = np.parse().map_err(|e| format!("--nprobe: {e}"))?;
-        if !index.set_nprobe(np) {
-            return Err("--nprobe only applies to ivf indexes".into());
-        }
-    }
-    if let Some(ef) = a.get("ef") {
-        let ef: usize = ef.parse().map_err(|e| format!("--ef: {e}"))?;
-        if !index.set_ef_search(ef) {
-            return Err("--ef only applies to hnsw indexes".into());
-        }
-    }
-    let emb = load_embedding_from_args(&a)?;
-    let n = emb.forward.rows();
-    let nodes: Vec<usize> = match (a.get("node"), a.get("nodes")) {
-        (Some(_), Some(_)) => return Err("give either --node or --nodes, not both".into()),
-        (Some(v), None) => vec![v.parse().map_err(|e| format!("--node: {e}"))?],
-        (None, Some(list)) => list
-            .split(',')
-            .map(|t| {
-                t.trim()
-                    .parse::<usize>()
-                    .map_err(|e| format!("--nodes '{t}': {e}"))
-            })
-            .collect::<Result<_, _>>()?,
-        (None, None) => return Err("--node or --nodes is required".into()),
-    };
-    if let Some(&bad) = nodes.iter().find(|&&v| v >= n) {
-        return Err(format!("node {bad} out of range (n = {n})").into());
-    }
-    let k: usize = a.get_parsed("k", 10usize)?;
-
-    // The index dimensionality tells which query space it was built for
-    // (both spaces serve max-inner-product, so the metric cannot); an
-    // explicit --space overrides the inference, and dim agreement is then
-    // *checked*, catching an index built from a different embedding.
-    let k2 = emb.forward.cols();
-    let space = match a.get("space") {
-        Some(name) => space_from_arg(name)?,
-        None => [QuerySpace::Similar, QuerySpace::Links]
-            .into_iter()
-            .find(|s| s.dim(k2) == index.dim())
-            .ok_or_else(|| {
-                format!(
-                    "embedding/index mismatch: index holds dim {}, embedding implies {} (similar) or {} (links)",
-                    index.dim(),
-                    QuerySpace::Similar.dim(k2),
-                    QuerySpace::Links.dim(k2)
-                )
-            })?,
-    };
-    if index.dim() != space.dim(k2) {
-        return Err(format!(
-            "embedding/index mismatch: {}-space queries have dim {}, index holds dim {}",
-            space.name(),
-            space.dim(k2),
-            index.dim()
-        )
-        .into());
-    }
-    let gram = emb.link_gram();
-    let queries: Vec<Vec<f64>> = nodes
-        .iter()
-        .map(|&v| space.query_vector(&emb, &gram, v))
-        .collect();
-    let (fetch, keep) = top_k_filter(k, &[], |h: &Neighbor| h.index);
-    let batched = index.batch_search(&DenseMatrix::from_rows(&queries), fetch, threads);
-    for (&v, hits) in nodes.iter().zip(batched) {
-        println!(
-            "top-{k} {} for node {v} ({} index):",
-            space.name(),
-            index.kind()
-        );
-        for h in keep(v, hits) {
-            println!("  {} {:.4}", h.index, h.score);
-        }
-    }
-    Ok(())
-}
-
 /// Parses `--kind` + build parameters into a validated [`IndexSpec`] — the
-/// only flags → recipe code (`index build`, `store init`).
+/// only flags → recipe code (`store init`).
 fn spec_from_args(a: &Args) -> Result<IndexSpec, Box<dyn std::error::Error>> {
     let spec = match a.get("kind").unwrap_or("hnsw") {
         "flat" => IndexSpec::Flat,
@@ -544,33 +356,45 @@ fn tracer_from_args(a: &Args) -> Result<pane_obs::Tracer, Box<dyn std::error::Er
     Ok(tracer.with_slow_query(slow))
 }
 
-/// Runs the selected transport over any JSON-lines endpoint — an engine
-/// behind a lock or the query router.
-fn run_transport<H: pane_serve::LineHandler + 'static>(handler: H, a: &Args) -> CliResult {
+/// The transport `--stdio` / `--listen ADDR` selects: `None` for stdio,
+/// else the address. Exactly one must be given.
+fn transport_from_args(a: &Args) -> Result<Option<&str>, Box<dyn std::error::Error>> {
     match (a.flag("stdio"), a.get("listen")) {
-        (true, None) => {
-            let stdin = std::io::stdin();
-            let stdout = std::io::stdout();
-            pane_serve::serve_lines(&handler, stdin.lock(), stdout.lock())?;
-            Ok(())
-        }
-        (false, Some(addr)) => {
-            let listener = std::net::TcpListener::bind(addr)
-                .map_err(|e| format!("cannot listen on {addr}: {e}"))?;
-            // Tests and scripts parse this line to find an OS-assigned port.
-            eprintln!("listening on {}", listener.local_addr()?);
-            pane_serve::serve_tcp(std::sync::Arc::new(handler), listener)?;
-            Ok(())
-        }
+        (true, None) => Ok(None),
+        (false, Some(addr)) => Ok(Some(addr)),
         _ => Err("give exactly one transport: --stdio or --listen ADDR".into()),
     }
+}
+
+/// Runs the selected transport over any JSON-lines endpoint — an engine
+/// behind a lock or the query router.
+fn run_transport<H: pane_serve::LineHandler + 'static>(
+    handler: H,
+    listen: Option<&str>,
+) -> CliResult {
+    let Some(addr) = listen else {
+        let stdin = std::io::stdin();
+        let stdout = std::io::stdout();
+        pane_serve::serve_lines(&handler, stdin.lock(), stdout.lock())?;
+        return Ok(());
+    };
+    let listener =
+        std::net::TcpListener::bind(addr).map_err(|e| format!("cannot listen on {addr}: {e}"))?;
+    // Tests and scripts parse this line to find an OS-assigned port.
+    eprintln!("listening on {}", listener.local_addr()?);
+    pane_serve::serve_tcp(std::sync::Arc::new(handler), listener)?;
+    Ok(())
 }
 
 /// Serves an engine opened over a store directory (single or sharded) on
 /// the selected transport, instrumented: per-op metrics, the `metrics`
 /// protocol op, structured boot/snapshot events and the slow-query log all
 /// come from the [`pane_serve::ObservedHandler`] wrapper.
-fn serve_store<B: pane_serve::ServeBackend + 'static>(engine: B, a: &Args) -> CliResult {
+fn serve_store<B: pane_serve::ServeBackend + 'static>(
+    engine: B,
+    obs: pane_serve::ServeObs,
+    listen: Option<&str>,
+) -> CliResult {
     let st = engine.status();
     let store = st.store.expect("an engine opened over a store reports it");
     eprintln!(
@@ -583,8 +407,8 @@ fn serve_store<B: pane_serve::ServeBackend + 'static>(engine: B, a: &Args) -> Cl
         store.generation,
         store.replayed,
     );
-    let obs = std::sync::Arc::new(pane_serve::ServeObs::new(tracer_from_args(a)?));
-    run_transport(pane_serve::ObservedHandler::new(engine, obs), a)
+    let handler = pane_serve::ObservedHandler::new(engine, std::sync::Arc::new(obs));
+    run_transport(handler, listen)
 }
 
 fn cmd_serve(raw: Vec<String>) -> CliResult {
@@ -603,9 +427,13 @@ fn cmd_serve(raw: Vec<String>) -> CliResult {
     // inserts are WAL-backed, `snapshot` works, and a restart replays
     // everything acknowledged since the last snapshot.
     let dir = std::path::Path::new(a.require("store")?);
+    // Every flag is checked before the store is opened: opening loads the
+    // generation, replays the WAL and takes the store lock.
+    let listen = transport_from_args(&a)?;
+    let obs = pane_serve::ServeObs::new(tracer_from_args(&a)?);
     match pane_store::ShardedStore::shard_count(dir)? {
-        Some(_) => serve_store(pane_serve::ShardedEngine::open(dir, threads)?, &a),
-        None => serve_store(pane_serve::ServeEngine::open(dir, threads)?, &a),
+        Some(_) => serve_store(pane_serve::ShardedEngine::open(dir, threads)?, obs, listen),
+        None => serve_store(pane_serve::ServeEngine::open(dir, threads)?, obs, listen),
     }
 }
 
@@ -641,6 +469,7 @@ fn cmd_route(raw: Vec<String>) -> CliResult {
         probe_interval: ms(a.get_parsed("probe-interval-ms", 2_000u64)?),
         ..Default::default()
     };
+    let listen = transport_from_args(&a)?;
     let obs = std::sync::Arc::new(pane_serve::ServeObs::for_router(tracer_from_args(&a)?));
     let router = pane_serve::Router::connect_with(&addrs, config, obs)?;
     eprintln!(
@@ -648,7 +477,7 @@ fn cmd_route(raw: Vec<String>) -> CliResult {
         router.num_shards(),
         addrs.join(", ")
     );
-    run_transport(router, &a)
+    run_transport(router, listen)
 }
 
 fn cmd_metrics(raw: Vec<String>) -> CliResult {

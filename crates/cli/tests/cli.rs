@@ -1,4 +1,5 @@
-//! End-to-end tests of the `pane` binary: generate → stats → embed → topk.
+//! End-to-end tests of the `pane` binary: generate → stats → embed →
+//! store init → serve.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -82,24 +83,109 @@ fn full_workflow() {
     assert!(std::fs::read(&emb).unwrap().starts_with(b"PANECOL1"));
     assert!(err.contains("objective"), "embed stderr: {err}");
 
-    // topk over the saved embedding
-    for mode in ["attrs", "links", "similar"] {
-        let (ok, out, err) = run(&[
-            "topk",
-            "--embedding",
-            emb.to_str().unwrap(),
-            "--node",
-            "0",
-            "--k",
-            "5",
-            "--mode",
-            mode,
-        ]);
-        assert!(ok, "topk {mode} failed: {err}");
-        assert!(out.lines().count() >= 2, "topk {mode} output: {out}");
+    // The one query path: a store over the saved embedding, then one
+    // served session with all three read ops.
+    let store = init_store(&dir, &emb, &["--kind", "flat"]);
+    let n = pane_core::load_columns(&emb).unwrap().forward.rows();
+    let all = (0..n).map(|v| v.to_string()).collect::<Vec<_>>().join(",");
+    let lines = serve_session(
+        &store,
+        &[
+            r#"{"op":"similar-nodes","nodes":[0],"k":5}"#,
+            r#"{"op":"recommend-links","nodes":[0],"k":5}"#,
+            &format!(r#"{{"op":"top-attributes","nodes":[{all}],"k":5}}"#),
+        ],
+    );
+    for l in &lines {
+        assert!(l.contains("\"ok\":true"), "request failed: {l}");
     }
+    assert_eq!(
+        attribute_bits(&lines[2]),
+        exact_attribute_bits(&pane_core::load_columns(&emb).unwrap(), 0..n, 5),
+        "served top-attributes diverged from EmbeddingQuery::top_attributes"
+    );
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The `(attribute, score bits)` lists of a `top-attributes` reply line.
+fn attribute_bits(line: &str) -> Vec<Vec<(usize, u64)>> {
+    use pane_serve::Json;
+    let resp = pane_serve::parse(line).unwrap();
+    let Some(Json::Arr(lists)) = resp.get("results") else {
+        panic!("no results in {line}");
+    };
+    lists
+        .iter()
+        .map(|list| {
+            let Json::Arr(hits) = list else {
+                panic!("not a list in {line}")
+            };
+            hits.iter()
+                .map(|h| {
+                    let r = h.get("attribute").and_then(Json::as_index).unwrap();
+                    let score = h.get("score").and_then(Json::as_f64).unwrap();
+                    (r, score.to_bits())
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// `EmbeddingQuery::top_attributes` of each node, as `(attribute, score
+/// bits)` lists.
+fn exact_attribute_bits(
+    emb: &pane_core::PaneEmbedding,
+    nodes: impl IntoIterator<Item = usize>,
+    k: usize,
+) -> Vec<Vec<(usize, u64)>> {
+    let q = pane_core::EmbeddingQuery::new(emb);
+    nodes
+        .into_iter()
+        .map(|v| {
+            q.top_attributes(v, k)
+                .iter()
+                .map(|s| (s.index, s.score.to_bits()))
+                .collect()
+        })
+        .collect()
+}
+
+/// One `pane serve --store STORE --stdio` session: sends `requests` and a
+/// `shutdown`, and returns the replies to `requests`.
+fn serve_session(store: &str, requests: &[&str]) -> Vec<String> {
+    use std::io::Write;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_pane"))
+        .args(["serve", "--store", store, "--stdio"])
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn pane serve");
+    let script: String = requests
+        .iter()
+        .chain(&[r#"{"op":"shutdown"}"#])
+        .map(|r| format!("{r}\n"))
+        .collect();
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(script.as_bytes())
+        .unwrap();
+    let out = child.wait_with_output().unwrap();
+    assert!(
+        out.status.success(),
+        "serve failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let mut lines: Vec<String> = String::from_utf8_lossy(&out.stdout)
+        .lines()
+        .map(str::to_string)
+        .collect();
+    assert_eq!(lines.len(), requests.len() + 1, "one reply per request");
+    lines.pop();
+    lines
 }
 
 #[test]
@@ -133,141 +219,17 @@ fn text_embedding_roundtrip() {
     assert!(ok, "text embed failed: {err}");
     let content = std::fs::read_to_string(&emb).unwrap();
     assert!(content.starts_with("# PANE embedding v1"));
-    let (ok, out, err) = run(&[
-        "topk",
-        "--embedding",
-        emb.to_str().unwrap(),
-        "--text",
-        "--node",
-        "1",
-    ]);
-    assert!(ok, "topk over text failed: {err}");
-    assert!(out.contains("top-10 attrs"));
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn index_build_and_search_flow() {
-    let dir = workdir("index");
-    let dir_s = dir.to_str().unwrap();
-    run(&[
-        "generate",
-        "--zoo",
-        "cora-like",
-        "--scale",
-        "0.05",
-        "--seed",
-        "4",
-        "--out-dir",
-        dir_s,
-    ]);
-    let emb = dir.join("emb.bin");
-    let (ok, _, err) = run(&[
-        "embed",
-        "--edges",
-        dir.join("edges.txt").to_str().unwrap(),
-        "--attrs",
-        dir.join("attributes.txt").to_str().unwrap(),
-        "--dim",
-        "16",
-        "--output",
-        emb.to_str().unwrap(),
-    ]);
-    assert!(ok, "embed failed: {err}");
-
-    // Build one index per kind in the similar space, plus an ivf links one.
-    for (kind, space) in [
-        ("flat", "similar"),
-        ("ivf", "similar"),
-        ("hnsw", "similar"),
-        ("ivf", "links"),
-    ] {
-        let idx = dir.join(format!("{kind}_{space}.idx"));
-        let (ok, _, err) = run(&[
-            "index",
-            "build",
-            "--embedding",
-            emb.to_str().unwrap(),
-            "--kind",
-            kind,
-            "--space",
-            space,
-            "--lists",
-            "8",
-            "--output",
-            idx.to_str().unwrap(),
-        ]);
-        assert!(ok, "index build {kind}/{space} failed: {err}");
-        assert!(idx.exists());
-
-        // Single-node search.
-        let (ok, out, err) = run(&[
-            "index",
-            "search",
-            "--index",
-            idx.to_str().unwrap(),
-            "--embedding",
-            emb.to_str().unwrap(),
-            "--node",
-            "0",
-            "--k",
-            "5",
-        ]);
-        assert!(ok, "index search {kind}/{space} failed: {err}");
-        assert!(
-            out.contains(&format!("top-5 {space} for node 0 ({kind} index):")),
-            "unexpected search header for {kind}/{space}: {out}"
-        );
-        assert!(out.lines().count() >= 3, "too few hits: {out}");
-        // The query node itself is never returned.
-        assert!(!out.lines().any(|l| l.trim_start().starts_with("0 ")));
-    }
-
-    // Batched top-k path with a runtime ef override.
-    let idx = dir.join("hnsw_similar.idx");
-    let (ok, out, err) = run(&[
-        "index",
-        "search",
-        "--index",
-        idx.to_str().unwrap(),
-        "--embedding",
-        emb.to_str().unwrap(),
-        "--nodes",
-        "0,3,7",
-        "--k",
-        "4",
-        "--ef",
-        "32",
-        "--threads",
-        "2",
-    ]);
-    assert!(ok, "batched index search failed: {err}");
-    for v in [0, 3, 7] {
-        assert!(
-            out.contains(&format!("for node {v} ")),
-            "missing node {v}: {out}"
-        );
-    }
-
-    // Runtime-knob misuse is a clean error, not a panic.
-    let (ok, _, err) = run(&[
-        "index",
-        "search",
-        "--index",
-        idx.to_str().unwrap(),
-        "--embedding",
-        emb.to_str().unwrap(),
-        "--node",
-        "0",
-        "--nprobe",
-        "4",
-    ]);
-    assert!(!ok);
-    assert!(
-        err.contains("--nprobe only applies to ivf"),
-        "stderr: {err}"
+    let store = init_store(&dir, &emb, &["--text", "--kind", "flat"]);
+    let lines = serve_session(&store, &[r#"{"op":"top-attributes","nodes":[1]}"#]);
+    let loaded = pane_core::load_text(&emb).unwrap();
+    assert_eq!(
+        attribute_bits(&lines[0]),
+        exact_attribute_bits(&loaded, [1], 10)
     );
-
+    assert_eq!(
+        attribute_bits(&lines[0])[0].len(),
+        10.min(loaded.attribute.rows())
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -277,6 +239,20 @@ fn errors_are_reported() {
     let (ok, _, err) = run(&["frobnicate"]);
     assert!(!ok);
     assert!(err.contains("unknown command"));
+    // The offline query commands are gone: `pane serve` is the one
+    // query path.
+    for args in [
+        &["topk", "--node", "0"][..],
+        &["index", "build"],
+        &["index", "search"],
+    ] {
+        let (ok, _, err) = run(args);
+        assert!(!ok, "{args:?} succeeded");
+        assert_eq!(
+            err,
+            format!("error: unknown command '{}' (try `pane help`)\n", args[0])
+        );
+    }
 
     // Missing required option.
     let (ok, _, err) = run(&["embed", "--dim", "8"]);
@@ -329,7 +305,8 @@ fn errors_are_reported() {
     // Files in the removed stream formats are refused by name, with the
     // remedy, before anything is allocated from their headers: a 32-byte
     // PANEEMB1 header declaring 2³³ rows must not reach its 64 GiB
-    // allocation, and a 12-byte PANEIDX1 stub is named too.
+    // allocation, and a 12-byte PANEIDX1 stub as a store's node index is
+    // named too.
     let dir = workdir("badheaders");
     let emb = dir.join("absurd.bin");
     let mut bytes = b"PANEEMB1".to_vec();
@@ -337,63 +314,25 @@ fn errors_are_reported() {
         bytes.extend_from_slice(&dim.to_le_bytes());
     }
     std::fs::write(&emb, bytes).unwrap();
-    let idx = dir.join("stream.idx");
-    std::fs::write(&idx, b"PANEIDX1junk").unwrap();
-    let (emb_s, idx_s) = (emb.to_str().unwrap(), idx.to_str().unwrap());
     let store = dir.join("store");
-    let built = dir.join("built.idx");
-    for (args, names) in [
-        (
-            vec![
-                "store",
-                "init",
-                "--embedding",
-                emb_s,
-                "--dir",
-                store.to_str().unwrap(),
-            ],
-            "PANEEMB1",
-        ),
-        (
-            vec![
-                "index",
-                "build",
-                "--embedding",
-                emb_s,
-                "--output",
-                built.to_str().unwrap(),
-            ],
-            "PANEEMB1",
-        ),
-        (
-            vec![
-                "index",
-                "search",
-                "--index",
-                idx_s,
-                "--embedding",
-                emb_s,
-                "--node",
-                "0",
-            ],
-            "PANEIDX1",
-        ),
-    ] {
-        let (ok, _, err) = run(&args);
-        assert!(!ok, "{args:?} succeeded");
-        assert!(
-            err.starts_with("error:") && err.contains(names),
-            "{args:?}: {err}"
-        );
-        assert!(
-            !err.contains("panicked") && !err.contains("allocation"),
-            "{err}"
-        );
-    }
+    let (ok, _, err) = run(&[
+        "store",
+        "init",
+        "--embedding",
+        emb.to_str().unwrap(),
+        "--dir",
+        store.to_str().unwrap(),
+    ]);
+    assert!(!ok, "a PANEEMB1 file was accepted");
     assert!(
-        !store.exists() && !built.exists(),
-        "a refused input wrote output"
+        err.starts_with("error:") && err.contains("PANEEMB1"),
+        "{err}"
     );
+    assert!(
+        !err.contains("panicked") && !err.contains("allocation"),
+        "{err}"
+    );
+    assert!(!store.exists(), "a refused input wrote output");
 
     // Build parameters no reader accepts are refused where they enter —
     // before a builder can assert on them and before `store init` writes
@@ -432,36 +371,62 @@ fn errors_are_reported() {
             "'rerank' must be at least 1",
         ),
     ] {
-        refused(["index", "build", "--output", out_s], &flags, names);
         refused(init, &flags, names);
     }
     refused(init, &["--shards", "0"], "--shards must be at least 1");
+
+    // `serve` checks every flag before it opens (and locks) a store: a
+    // bad log level, a bad slow-query threshold and a missing transport
+    // are each the one error line, with no `serving …` line before it.
+    let store_s = store.to_str().unwrap();
+    let (ok, _, err) = run(&[
+        "store",
+        "init",
+        "--text",
+        "--embedding",
+        tiny_s,
+        "--kind",
+        "flat",
+        "--dir",
+        store_s,
+    ]);
+    assert!(ok, "store init failed: {err}");
+    for (flags, line) in [
+        (
+            &["--stdio", "--log-level", "bogus"][..],
+            "error: unknown log level 'bogus' (error|warn|info|debug|off)\n",
+        ),
+        (
+            &["--stdio", "--slow-query-ms", "x"],
+            "error: --slow-query-ms: invalid digit found in string\n",
+        ),
+        (
+            &[],
+            "error: give exactly one transport: --stdio or --listen ADDR\n",
+        ),
+    ] {
+        let args = [&["serve", "--store", store_s][..], flags].concat();
+        let (ok, _, err) = run(&args);
+        assert!(!ok, "{args:?} succeeded");
+        assert_eq!(err, line, "{args:?}");
+    }
+
+    // A PANEIDX1 file in a store's generation is refused by name, with
+    // the remedy, when the store is served.
+    std::fs::write(store.join("gen-00001").join("node.idx"), b"PANEIDX1junk").unwrap();
+    let (ok, _, err) = run(&["serve", "--store", store_s, "--stdio"]);
+    assert!(!ok, "a PANEIDX1 node index was served");
+    assert!(
+        err.starts_with("error:") && err.contains("PANEIDX1") && err.contains("pane store init"),
+        "{err}"
+    );
+    assert!(!err.contains("panicked"), "{err}");
 
     // `--threads 0` draws one line from every subcommand that takes it,
     // before any input is read or output written.
     for command in [
         &["embed", "--edges", tiny_s, "--output", out_s][..],
         &["evaluate", "--edges", tiny_s],
-        &[
-            "index",
-            "build",
-            "--text",
-            "--embedding",
-            tiny_s,
-            "--output",
-            out_s,
-        ],
-        &[
-            "index",
-            "search",
-            "--index",
-            out_s,
-            "--text",
-            "--embedding",
-            tiny_s,
-            "--node",
-            "0",
-        ],
         &["serve", "--store", out_s, "--stdio"],
         &[
             "store",
@@ -618,8 +583,15 @@ fn malformed_text_graph_is_clean_error() {
 fn help_prints_commands() {
     let (ok, out, _) = run(&["help"]);
     assert!(ok);
-    for cmd in ["embed", "generate", "stats", "topk"] {
-        assert!(out.contains(cmd), "help missing {cmd}");
+    let listed: Vec<&str> = out
+        .lines()
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    for cmd in ["embed", "generate", "stats", "serve", "store"] {
+        assert!(listed.contains(&cmd), "help missing {cmd}: {out}");
+    }
+    for cmd in ["topk", "index"] {
+        assert!(!listed.contains(&cmd), "help lists {cmd}: {out}");
     }
 }
 
@@ -1104,6 +1076,12 @@ fn route_merges_shard_daemons_through_the_binary() {
     assert!(ok, "sharded init failed: {err}");
 
     let query = r#"{"op":"similar-nodes","nodes":[0,1,5],"k":4}"#;
+    // Attribute inference over every node, against the exact query.
+    let loaded = pane_core::load_columns(&emb).unwrap();
+    let n = loaded.forward.rows();
+    let all = (0..n).map(|v| v.to_string()).collect::<Vec<_>>().join(",");
+    let attrs = format!(r#"{{"op":"top-attributes","nodes":[{all}],"k":6}}"#);
+    let want_attrs = exact_attribute_bits(&loaded, 0..n, 6);
     // The merged result list, stripped of router-only response fields,
     // for comparing the two modes byte-for-byte.
     fn results_fragment(line: &str) -> String {
@@ -1129,7 +1107,7 @@ fn route_merges_shard_daemons_through_the_binary() {
         .stdin
         .take()
         .unwrap()
-        .write_all(format!("{query}\n{{\"op\":\"shutdown\"}}\n").as_bytes())
+        .write_all(format!("{query}\n{attrs}\n{{\"op\":\"shutdown\"}}\n").as_bytes())
         .unwrap();
     let out = child.wait_with_output().unwrap();
     assert!(
@@ -1138,7 +1116,13 @@ fn route_merges_shard_daemons_through_the_binary() {
         String::from_utf8_lossy(&out.stderr)
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
-    let inprocess = results_fragment(stdout.lines().next().expect("one response"));
+    let mut replies = stdout.lines();
+    let inprocess = results_fragment(replies.next().expect("one response"));
+    assert_eq!(
+        attribute_bits(replies.next().expect("two responses")),
+        want_attrs,
+        "sharded top-attributes diverged from EmbeddingQuery::top_attributes"
+    );
 
     // One daemon per shard directory.
     let spawn_daemon = |shard: &str| {
@@ -1209,12 +1193,7 @@ fn route_merges_shard_daemons_through_the_binary() {
     assert!(stats.contains("\"router\":true"), "{stats}");
     assert!(stats.contains("\"shards\":2"), "{stats}");
     assert!(stats.contains("\"degraded\":false"), "{stats}");
-    let n: usize = stats
-        .split("\"nodes\":")
-        .nth(1)
-        .and_then(|s| s.split(|c: char| !c.is_ascii_digit()).next())
-        .and_then(|s| s.parse().ok())
-        .expect("stats carries the node total");
+    assert!(stats.contains(&format!("\"nodes\":{n},")), "{stats}");
 
     let routed = ask(query);
     assert!(routed.contains("\"ok\":true"), "{routed}");
@@ -1222,6 +1201,11 @@ fn route_merges_shard_daemons_through_the_binary() {
         results_fragment(&routed),
         inprocess,
         "daemon-routed results diverged from the in-process merge"
+    );
+    assert_eq!(
+        attribute_bits(&ask(&attrs)),
+        want_attrs,
+        "routed top-attributes diverged from EmbeddingQuery::top_attributes"
     );
 
     // An insert routes to its owner daemon and gets the next global id.
@@ -1231,6 +1215,13 @@ fn route_merges_shard_daemons_through_the_binary() {
     ));
     assert!(resp.contains("\"ok\":true"), "{resp}");
     assert!(resp.contains(&format!("\"id\":{n}")), "{resp}");
+    // Its owner answers attribute inference from the inserted rows.
+    let mut grown = loaded.clone();
+    let row: Vec<f64> = (1..=8).map(|i| i as f64 / 10.0).collect();
+    grown.forward.push_row(&row);
+    grown.backward.push_row(&row);
+    let resp = ask(&format!(r#"{{"op":"top-attributes","nodes":[{n}],"k":6}}"#));
+    assert_eq!(attribute_bits(&resp), exact_attribute_bits(&grown, [n], 6));
 
     let resp = ask(r#"{"op":"shutdown"}"#);
     assert!(resp.contains("\"ok\":true"), "{resp}");

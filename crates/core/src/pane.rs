@@ -63,6 +63,15 @@ impl PaneEmbedding {
             + pane_linalg::vecops::dot(self.backward.row(v), y)
     }
 
+    /// Attribute inference (Table 4, Fig. 5): node `v`'s top-`k` attributes
+    /// by [`Self::attribute_score`], an exact scan over the `d` rows of `Y`
+    /// ranked by `pane_index::topk`. The one scoring loop behind
+    /// `EmbeddingQuery::top_attributes` and the served `top-attributes` op.
+    pub fn top_attributes(&self, v: usize, k: usize) -> Vec<crate::Scored> {
+        let d = self.attribute.rows();
+        pane_index::topk::select((0..d).map(|r| (r, self.attribute_score(v, r))), k)
+    }
+
     /// The Gram matrix `G = YᵀY ∈ R^{k/2×k/2}` used to evaluate link scores
     /// in `O(k²)` rather than `O(dk)` per pair (see [`Self::link_score_with`]).
     pub fn link_gram(&self) -> DenseMatrix {

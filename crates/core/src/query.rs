@@ -12,8 +12,8 @@
 //!   classifier features, link recommendation against one over `X_b` (the
 //!   Eq. 22 score `X_f[src]·(YᵀY)·X_b[dst]ᵀ` is a dot product between a
 //!   per-query vector `q = X_f[src]·YᵀY` and the stored `X_b` rows). The
-//!   approximate kinds serve through [`QuerySpace::build_index`], the
-//!   construction behind `pane serve` and the store.
+//!   approximate kinds serve through [`build_bases`], the construction
+//!   behind `pane serve` and the store.
 //!
 //! # Unified score scale
 //!
@@ -117,11 +117,6 @@ impl QuerySpace {
         }
     }
 
-    /// Builds this space's index over `emb` from a recipe.
-    pub fn build_index(self, emb: &PaneEmbedding, spec: &IndexSpec, threads: usize) -> AnyIndex {
-        spec.build(self.matrix(emb), Metric::InnerProduct, threads)
-    }
-
     /// Whether `index` holds exactly `emb`'s rows of this space; the error
     /// names both shapes.
     fn check_index(self, emb: &PaneEmbedding, index: &AnyIndex) -> Result<(), String> {
@@ -140,16 +135,19 @@ impl QuerySpace {
 
 /// The serving index pair of an embedding, `(similar, links)`, each built
 /// from its recipe — the one construction behind `EmbeddingQuery`, store
-/// generations, engine compactions and `pane index build`.
+/// generations and engine compactions.
 pub fn build_bases(
     emb: &PaneEmbedding,
     node_spec: &IndexSpec,
     link_spec: &IndexSpec,
     threads: usize,
 ) -> (AnyIndex, AnyIndex) {
+    let build = |space: QuerySpace, spec: &IndexSpec| {
+        spec.build(space.matrix(emb), Metric::InnerProduct, threads)
+    };
     (
-        QuerySpace::Similar.build_index(emb, node_spec, threads),
-        QuerySpace::Links.build_index(emb, link_spec, threads),
+        build(QuerySpace::Similar, node_spec),
+        build(QuerySpace::Links, link_spec),
     )
 }
 
@@ -234,17 +232,10 @@ impl<'a> EmbeddingQuery<'a> {
         self.emb.link_query_vector_with(&self.gram, src)
     }
 
-    /// Top-`k` attributes for node `v` by Eq. (21) affinity.
+    /// Top-`k` attributes for node `v` by Eq. (21) affinity
+    /// ([`PaneEmbedding::top_attributes`]).
     pub fn top_attributes(&self, v: usize, k: usize) -> Vec<Scored> {
-        let d = self.emb.attribute.rows();
-        top_k((0..d).map(|r| (r, self.emb.attribute_score(v, r))), k)
-    }
-
-    /// Top-`k` nodes for attribute `r` (reverse attribute inference:
-    /// "which nodes most plausibly carry r?").
-    pub fn top_nodes_for_attribute(&self, r: usize, k: usize) -> Vec<Scored> {
-        let n = self.emb.forward.rows();
-        top_k((0..n).map(|v| (v, self.emb.attribute_score(v, r))), k)
+        self.emb.top_attributes(v, k)
     }
 
     /// Top-`k` link recommendations *from* `src` by Eq. (22), excluding
@@ -322,7 +313,7 @@ mod tests {
 
     impl<'a> EmbeddingQuery<'a> {
         /// Serves both reads through `spec`'s index pair, built by
-        /// [`QuerySpace::build_index`] and read through [`top_k_filter`] —
+        /// [`build_bases`] and read through [`top_k_filter`] —
         /// the construction `pane serve` and the store use.
         fn indexed(emb: &'a PaneEmbedding, spec: IndexSpec) -> Self {
             let (node, link) = build_bases(emb, &spec, &spec, 1);

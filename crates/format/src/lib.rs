@@ -84,8 +84,8 @@ const REMOVED_FORMATS: [(&str, &str); 3] = [
     ),
     (
         "PANEIDX1",
-        "index files are derived data — regenerate it with `pane index build` (for a \
-         store directory, run `pane store snapshot`)",
+        "index files are derived data — rebuild them with `pane store init` from the \
+         embedding (for an existing store directory, run `pane store snapshot`)",
     ),
     ("PANEGRF1", "re-run `pane convert` from the text graph"),
 ];
@@ -1035,7 +1035,7 @@ mod tests {
         let full: Vec<u8> = (0..4096u32).map(|i| (i % 251) as u8).collect();
         for (magic, remedy) in [
             (b"PANEEMB1", "pane embed"),
-            (b"PANEIDX1", "pane index build"),
+            (b"PANEIDX1", "pane store init"),
             (b"PANEGRF1", "pane convert"),
         ] {
             for tail in [&b"junk"[..], &full[..]] {

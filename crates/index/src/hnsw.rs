@@ -399,12 +399,6 @@ impl HnswIndex {
         }
     }
 
-    /// Sets the search beam width (clamped to at least 1). Larger values
-    /// trade latency for recall; `search` always uses `max(ef, k)`.
-    pub fn set_ef_search(&mut self, ef: usize) {
-        self.ef_search = ef.max(1);
-    }
-
     /// Reconstructs the index from an already-validated container.
     ///
     /// The container stores the neighbor lists *flattened*: one `u32`

@@ -101,28 +101,6 @@ impl AnyIndex {
             AnyIndex::SqFlat(x) => x,
         }
     }
-
-    /// Sets the number of probed cells if this is an IVF index (no-op
-    /// otherwise); returns whether it applied.
-    pub fn set_nprobe(&mut self, nprobe: usize) -> bool {
-        if let AnyIndex::Ivf(x) = self {
-            x.set_nprobe(nprobe);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Sets the search beam width if this is an HNSW index (no-op
-    /// otherwise); returns whether it applied.
-    pub fn set_ef_search(&mut self, ef: usize) -> bool {
-        if let AnyIndex::Hnsw(x) = self {
-            x.set_ef_search(ef);
-            true
-        } else {
-            false
-        }
-    }
 }
 
 impl VectorIndex for AnyIndex {
@@ -193,7 +171,7 @@ mod tests {
         std::fs::write(&p, b"PANEIDX1\x02\x00 whatever a pre-columnar build wrote").unwrap();
         match load_index(&p) {
             Err(IndexError::Format(m)) => assert!(
-                m.contains("PANEIDX1") && m.contains("pane index build"),
+                m.contains("PANEIDX1") && m.contains("pane store init"),
                 "{m}"
             ),
             other => panic!("expected the named format error, got {other:?}"),

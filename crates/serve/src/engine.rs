@@ -1,13 +1,14 @@
 //! The serving engine: one shared embedding store + two delta-capable
 //! indexes, answering batched queries and absorbing incremental inserts.
 //!
-//! This is the state behind a `pane serve` daemon. Where the CLI's
-//! `pane index search` reloads the index for every invocation, the engine
-//! loads everything **once** and serves every request from the shared
-//! structures:
+//! This is the state behind a `pane serve` daemon, the one query path:
+//! the engine loads a store generation **once** and answers every read —
+//! similar nodes, link recommendation and attribute inference — from the
+//! shared structures:
 //!
 //! * the **embedding store** (`X_f`, `X_b`, `Y` from `pane-core`) — grown
-//!   in place when nodes arrive;
+//!   in place when nodes arrive, and scanned exactly for attribute
+//!   inference (`d` rows of `Y`, no index);
 //! * the **node index** over the `[X_f ‖ X_b]` classifier features
 //!   (max-inner-product ⇒ the unified `cos_f + cos_b` score);
 //! * the **link index** over `X_b` (max-inner-product ⇒ raw Eq. 22
@@ -37,7 +38,7 @@
 //! refresh is a new store, `pane store init`, from the new embedding).
 
 use crate::obs::{EngineObs, ServeObs};
-use pane_core::{build_bases, top_k_filter, PaneEmbedding, QuerySpace};
+use pane_core::{build_bases, top_k_filter, PaneEmbedding, QuerySpace, Scored};
 use pane_index::{DeltaIndex, IndexError, IndexSpec, Neighbor, VectorIndex};
 use pane_linalg::DenseMatrix;
 use pane_obs::Level;
@@ -177,6 +178,11 @@ pub trait ServeBackend: Send + Sync {
     ) -> Result<Vec<Vec<Hit>>, ServeError> {
         filtered_read(self, QuerySpace::Links, nodes, k, exclude)
     }
+    /// Attribute inference, batched: for each node, its exact top-`k`
+    /// attributes by the Eq. 21 score ([`PaneEmbedding::top_attributes`]
+    /// over the node's loaded or inserted rows), no index involved;
+    /// output order matches `nodes`, attribute ids are global.
+    fn top_attributes(&self, nodes: &[usize], k: usize) -> Result<Vec<Vec<Scored>>, ServeError>;
     /// The raw query vector of each node in `space`: classifier features
     /// for [`QuerySpace::Similar`], `q = X_f·YᵀY` link query vectors for
     /// [`QuerySpace::Links`]. This is the owner-shard half of a
@@ -349,6 +355,11 @@ impl ServeEngine {
         self.emb.forward.cols()
     }
 
+    /// The served embedding (loaded rows plus inserted ones).
+    pub(crate) fn embedding(&self) -> &PaneEmbedding {
+        &self.emb
+    }
+
     /// The index (base + delta) serving `space`.
     pub(crate) fn index(&self, space: QuerySpace) -> &DeltaIndex {
         match space {
@@ -394,6 +405,14 @@ impl ServeEngine {
 }
 
 impl ServeBackend for ServeEngine {
+    fn top_attributes(&self, nodes: &[usize], k: usize) -> Result<Vec<Vec<Scored>>, ServeError> {
+        check_nodes(self.num_nodes(), nodes)?;
+        Ok(nodes
+            .iter()
+            .map(|&v| self.emb.top_attributes(v, k))
+            .collect())
+    }
+
     fn query_vectors(&self, space: QuerySpace, nodes: &[usize]) -> Result<DenseMatrix, ServeError> {
         check_nodes(self.num_nodes(), nodes)?;
         let mut queries = DenseMatrix::zeros(0, space.dim(self.half_dim()));

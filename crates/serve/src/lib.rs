@@ -3,8 +3,9 @@
 //!
 //! PR 2 gave every *caller* an ANN index; this crate gives **traffic** a
 //! daemon: one process loads the embedding store and one index
-//! pair, then answers `similar-nodes` / `recommend-links` requests over a
-//! JSON-lines protocol (TCP or stdio) with batched, parallel search —
+//! pair, then answers `similar-nodes` / `recommend-links` /
+//! `top-attributes` requests over a JSON-lines protocol (TCP or stdio)
+//! with batched, parallel search —
 //! instead of every client paying the load cost per invocation (the
 //! LogBase lesson from PAPERS.md: serving systems live or die by their
 //! ingest and lookup paths, not their batch builders).

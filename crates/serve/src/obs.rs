@@ -36,6 +36,7 @@ const OPS: &[(&str, bool)] = &[
     ("recommend-links", true),
     ("query-vectors", true),
     ("search", true),
+    ("top-attributes", true),
     ("insert", false),
     ("compact", false),
     ("snapshot", false),
@@ -363,14 +364,17 @@ mod tests {
         let obs = ServeObs::new(Tracer::disabled());
         obs.record("similar-nodes", true, Some(4), Duration::from_micros(120));
         obs.record("insert", true, None, Duration::from_micros(80));
+        obs.record("top-attributes", true, Some(2), Duration::from_micros(30));
         obs.record("explode", false, None, Duration::from_micros(10));
-        assert_eq!(obs.requests_total(), 3);
+        assert_eq!(obs.requests_total(), 4);
         let text = obs.registry().render_text();
         assert!(
             text.contains(r#"pane_requests_total{op="similar-nodes"} 1"#),
             "{text}"
         );
         assert!(text.contains(r#"pane_requests_total{op="insert"} 1"#));
+        assert!(text.contains(r#"pane_requests_total{op="top-attributes"} 1"#));
+        assert!(text.contains(r#"pane_request_batch_size_count{op="top-attributes"} 1"#));
         assert!(text.contains(r#"pane_requests_total{op="unknown"} 1"#));
         assert!(text.contains("pane_request_errors_total 1"));
         // Batch sizes only exist for query ops.

@@ -8,6 +8,7 @@
 //! ```text
 //! {"op":"similar-nodes","nodes":[0,1,2],"k":10}
 //! {"op":"recommend-links","nodes":[0],"k":10,"exclude":[4,5]}
+//! {"op":"top-attributes","nodes":[0,1],"k":10}
 //! {"op":"insert","forward":[…k/2 floats…],"backward":[…k/2 floats…]}
 //! {"op":"compact"}
 //! {"op":"snapshot"}
@@ -43,7 +44,10 @@
 //! `[{"node":id,"score":s},…]` array per query node, in request order;
 //! scores are on the unified scale documented in `pane-core`'s `query`
 //! module (`cos_f + cos_b ∈ [-2,2]` for `similar-nodes`, the raw Eq. 22
-//! inner product for `recommend-links`).
+//! inner product for `recommend-links`). `top-attributes` is attribute
+//! inference: one `[{"attribute":r,"score":s},…]` array per node, the
+//! exact top-`k` of the Eq. 21 score `X_f[v]·Y[r] + X_b[v]·Y[r]` over
+//! every attribute (no index).
 
 use std::fmt::Write as _;
 

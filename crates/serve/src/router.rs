@@ -16,6 +16,9 @@
 //!   [`crate::ShardedEngine`] and the unsharded exact scan (query
 //!   vectors and scores cross the wire through the shortest-roundtrip
 //!   `f64` formatter, so no precision is lost);
+//! * **attribute inference** (`top-attributes`) — each node's owner
+//!   daemon answers it, through the same owner fan-out as the
+//!   `query-vectors` phase above, and its lists pass through unchanged;
 //! * **inserts** — the next global id `total` routes to daemon
 //!   `total % N` (the same round-robin id arithmetic the store layer
 //!   enforces), serialized under a router-side counter; the daemon's
@@ -25,9 +28,10 @@
 //!   engine's "every shard is at least at this generation" report).
 //!
 //! **Degradation.** Reads survive dead shards: a down daemon simply
-//! contributes no hits (and owner-less query nodes get empty result
-//! lists), and the response carries `"degraded":true` plus a
-//! `"shards_down":[…]` list instead of failing. Writes do not degrade —
+//! contributes no hits (and the nodes it owns get empty result lists,
+//! `top-attributes` included), and the response carries
+//! `"degraded":true` plus a `"shards_down":[…]` list instead of failing.
+//! Writes do not degrade —
 //! an insert whose owner is down is an error, and an insert whose
 //! outcome is unknown (connection died mid-request) marks the router's
 //! node counter dirty so it resyncs from shard `stats` before the next
@@ -45,7 +49,7 @@ use crate::client::{ClientConfig, ClientError, ShardClient};
 use crate::engine::{check_nodes, Hit, ServeError};
 use crate::obs::ServeObs;
 use crate::protocol::Json;
-use crate::server::{answer, hits_json, metrics_fields, LineHandler, ReadRequest};
+use crate::server::{answer, hits_json, metrics_fields, nodes_and_k, LineHandler, ReadRequest};
 use crate::sharded::merge_shard_hits;
 use pane_core::top_k_filter;
 use pane_obs::{Counter, Gauge, Tracer};
@@ -304,6 +308,7 @@ impl Router {
     fn dispatch(&self, op: &str, req: &Json, raw: &str) -> Result<(Json, bool), RouterError> {
         match op {
             "similar-nodes" | "recommend-links" => self.query(op, req).map(|r| (r, false)),
+            "top-attributes" => self.top_attributes(req).map(|r| (r, false)),
             "insert" => self.insert(raw).map(|r| (r, false)),
             "stats" => self.stats().map(|r| (r, false)),
             "compact" | "snapshot" => self.fan_out_write(op).map(|r| (r, false)),
@@ -320,8 +325,8 @@ impl Router {
                 true,
             )),
             other => Err(ServeError::BadRequest(format!(
-                "unknown op '{other}' (similar-nodes | recommend-links | insert | compact | \
-                 snapshot | stats | metrics | shutdown)"
+                "unknown op '{other}' (similar-nodes | recommend-links | top-attributes | insert | \
+                 compact | snapshot | stats | metrics | shutdown)"
             ))
             .into()),
         }
@@ -356,82 +361,26 @@ impl Router {
         let n = self.inner.clients.len();
         let mut down = BTreeSet::new();
 
-        // Phase 1: owner daemons supply query vectors.
-        let mut by_owner: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, &v) in nodes.iter().enumerate() {
-            by_owner[shard_of(v, n)].push(i);
-        }
-        let owner_vecs = self.fan_out(|s, c| -> Result<Option<Vec<Vec<f64>>>, RouterError> {
-            if by_owner[s].is_empty() {
-                return Ok(None);
-            }
-            let locals: Vec<Json> = by_owner[s]
-                .iter()
-                .map(|&i| Json::num(local_of(nodes[i], n)))
-                .collect();
-            let line = Json::obj(vec![
-                ("op", Json::str("query-vectors")),
-                ("space", Json::str(space.name())),
-                ("nodes", Json::Arr(locals)),
-            ])
-            .to_line();
-            match c.request(&line) {
-                Ok(v) => {
-                    let Some(Json::Arr(rows)) = v.get("vectors") else {
-                        return Err(bad(format!("shard {s}: malformed query-vectors response")));
-                    };
-                    let parsed: Option<Vec<Vec<f64>>> =
-                        rows.iter().map(Json::as_f64_array).collect();
-                    let parsed = parsed.ok_or_else(|| {
-                        bad(format!("shard {s}: malformed query-vectors response"))
-                    })?;
-                    if parsed.len() != by_owner[s].len() {
-                        return Err(bad(format!("shard {s}: query-vectors length mismatch")));
-                    }
-                    Ok(Some(parsed))
-                }
-                // A dead owner degrades its query nodes to empty results.
-                Err(ClientError::Down(_) | ClientError::Io(_)) => Ok(None),
-                Err(e) => Err(bad(format!("shard {s} ({}): {e}", c.addr()))),
-            }
-        });
-        let mut vector_of: Vec<Option<Vec<f64>>> = vec![None; nodes.len()];
-        for (s, r) in owner_vecs.into_iter().enumerate() {
-            match r? {
-                Some(rows) => {
-                    for (&pos, row) in by_owner[s].iter().zip(rows) {
-                        vector_of[pos] = Some(row);
-                    }
-                }
-                None => {
-                    if !by_owner[s].is_empty() {
-                        down.insert(s);
-                    }
-                }
-            }
-        }
-        let live: Vec<usize> = (0..nodes.len())
-            .filter(|&i| vector_of[i].is_some())
-            .collect();
+        // Phase 1: owner daemons supply query vectors, passed on to the
+        // search as they arrived (the daemons check their shape).
+        let owner_rows = self.ask_owners(
+            "query-vectors",
+            ("space", Json::str(space.name())),
+            &nodes,
+            "vectors",
+            &mut down,
+        )?;
+        let (live, rows): (Vec<usize>, Vec<Json>) = owner_rows
+            .into_iter()
+            .enumerate()
+            .filter_map(|(i, row)| Some((i, row?)))
+            .unzip();
         if live.is_empty() {
             let empty = vec![Json::Arr(Vec::new()); nodes.len()];
             return Ok(self.response(op, vec![("results", Json::Arr(empty))], &down));
         }
 
         // Phase 2: every daemon answers an unfiltered local search.
-        let rows: Vec<Json> = live
-            .iter()
-            .map(|&i| {
-                Json::Arr(
-                    vector_of[i]
-                        .as_ref()
-                        .expect("live positions have vectors")
-                        .iter()
-                        .map(|&x| Json::Num(x))
-                        .collect(),
-                )
-            })
-            .collect();
         let search_line = Json::obj(vec![
             ("op", Json::str("search")),
             ("space", Json::str(space.name())),
@@ -465,7 +414,92 @@ impl Router {
                 .flat_map(|batches| batches[qi].iter().copied());
             merged_of[pos] = keep(nodes[pos], merge_shard_hits(candidates, fetch));
         }
-        Ok(self.response(op, vec![("results", hits_json(merged_of))], &down))
+        Ok(self.response(op, vec![("results", hits_json("node", merged_of))], &down))
+    }
+
+    /// `top-attributes`: each node's owner daemon answers it (every shard
+    /// holds the full `Y`, so its attribute lists pass through as is).
+    fn top_attributes(&self, req: &Json) -> Result<Json, RouterError> {
+        let (nodes, k) = nodes_and_k(req)?;
+        check_nodes(self.read_total(), &nodes)?;
+        let mut down = BTreeSet::new();
+        let lists = self.ask_owners(
+            "top-attributes",
+            ("k", Json::num(k)),
+            &nodes,
+            "results",
+            &mut down,
+        )?;
+        let results = lists
+            .into_iter()
+            .map(|list| list.unwrap_or(Json::Arr(Vec::new())))
+            .collect();
+        Ok(self.response(
+            "top-attributes",
+            vec![("results", Json::Arr(results))],
+            &down,
+        ))
+    }
+
+    /// The owner fan-out of a per-node read: one `{"op":op, field,
+    /// "nodes":[local ids]}` request to each node's owner daemon
+    /// (`shard_of`), answered concurrently. Returns each node's entry of
+    /// its owner's `key` array, in `nodes` order. A dead owner degrades
+    /// its nodes to `None` and is added to `down`.
+    fn ask_owners(
+        &self,
+        op: &str,
+        field: (&str, Json),
+        nodes: &[usize],
+        key: &str,
+        down: &mut BTreeSet<usize>,
+    ) -> Result<Vec<Option<Json>>, RouterError> {
+        let n = self.inner.clients.len();
+        let mut by_owner: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for (i, &v) in nodes.iter().enumerate() {
+            by_owner[shard_of(v, n)].push(i);
+        }
+        let answers = self.fan_out(|s, c| -> Result<Option<Vec<Json>>, RouterError> {
+            if by_owner[s].is_empty() {
+                return Ok(None);
+            }
+            let locals = by_owner[s]
+                .iter()
+                .map(|&i| Json::num(local_of(nodes[i], n)))
+                .collect();
+            let line = Json::obj(vec![
+                ("op", Json::str(op)),
+                field.clone(),
+                ("nodes", Json::Arr(locals)),
+            ])
+            .to_line();
+            match c.request(&line) {
+                Ok(v) => match v.get(key) {
+                    Some(Json::Arr(items)) if items.len() == by_owner[s].len() => {
+                        Ok(Some(items.clone()))
+                    }
+                    _ => Err(bad(format!("shard {s}: malformed {op} response"))),
+                },
+                // A dead owner degrades its query nodes to empty results.
+                Err(ClientError::Down(_) | ClientError::Io(_)) => Ok(None),
+                Err(e) => Err(bad(format!("shard {s} ({}): {e}", c.addr()))),
+            }
+        });
+        let mut of_node = vec![None; nodes.len()];
+        for (s, r) in answers.into_iter().enumerate() {
+            match r? {
+                Some(items) => {
+                    for (&pos, item) in by_owner[s].iter().zip(items) {
+                        of_node[pos] = Some(item);
+                    }
+                }
+                None if !by_owner[s].is_empty() => {
+                    down.insert(s);
+                }
+                None => {}
+            }
+        }
+        Ok(of_node)
     }
 
     fn insert(&self, raw: &str) -> Result<Json, RouterError> {

@@ -42,7 +42,9 @@ fn write_engine<B: ServeBackend>(engine: &RwLock<B>) -> RwLockWriteGuard<'_, B> 
     engine.write().unwrap_or_else(|e| e.into_inner())
 }
 
-pub(crate) fn hits_json(batched: Vec<Vec<Hit>>) -> Json {
+/// One `[{"<id_key>":id,"score":s},…]` array per query, in request order:
+/// `node` hits of the node reads, `attribute` hits of `top-attributes`.
+pub(crate) fn hits_json<H: Into<Hit>>(id_key: &str, batched: Vec<Vec<H>>) -> Json {
     Json::Arr(
         batched
             .into_iter()
@@ -50,8 +52,9 @@ pub(crate) fn hits_json(batched: Vec<Vec<Hit>>) -> Json {
                 Json::Arr(
                     hits.into_iter()
                         .map(|h| {
+                            let h: Hit = h.into();
                             Json::obj(vec![
-                                ("node", Json::num(h.node)),
+                                (id_key, Json::num(h.node)),
                                 ("score", Json::Num(h.score)),
                             ])
                         })
@@ -122,10 +125,18 @@ fn optional_index(req: &Json, key: &str, default: usize) -> Result<usize, ServeE
     }
 }
 
-/// A decoded `similar-nodes` / `recommend-links` request. Decoding — the
+/// The `nodes` and `k` (default 10) fields of a read op. Decoding — the
 /// defaults and every error text — is the same for a daemon and the
 /// router; the node ids are checked against the served id space by
 /// `check_nodes` where the read runs.
+pub(crate) fn nodes_and_k(req: &Json) -> Result<(Vec<usize>, usize), ServeError> {
+    Ok((
+        require_index_array(req, "nodes")?,
+        optional_index(req, "k", 10)?,
+    ))
+}
+
+/// A decoded `similar-nodes` / `recommend-links` request.
 pub(crate) struct ReadRequest {
     pub(crate) space: QuerySpace,
     pub(crate) nodes: Vec<usize>,
@@ -140,8 +151,7 @@ impl ReadRequest {
             "similar-nodes" => QuerySpace::Similar,
             _ => QuerySpace::Links,
         };
-        let nodes = require_index_array(req, "nodes")?;
-        let k = optional_index(req, "k", 10)?;
+        let (nodes, k) = nodes_and_k(req)?;
         let exclude = match (space, req.get("exclude")) {
             (QuerySpace::Links, Some(_)) => require_index_array(req, "exclude")?,
             _ => Vec::new(),
@@ -227,7 +237,15 @@ fn dispatch<B: ServeBackend>(
                     QuerySpace::Links => engine.recommend_links(&read.nodes, read.k, &read.exclude),
                 }
             }?;
-            Ok((ok(vec![("results", hits_json(results))]), false))
+            Ok((ok(vec![("results", hits_json("node", results))]), false))
+        }
+        "top-attributes" => {
+            let (nodes, k) = nodes_and_k(req)?;
+            let results = read_engine(engine).top_attributes(&nodes, k)?;
+            Ok((
+                ok(vec![("results", hits_json("attribute", results))]),
+                false,
+            ))
         }
         "insert" => {
             let forward = require_f64_array(req, "forward")?;
@@ -274,7 +292,7 @@ fn dispatch<B: ServeBackend>(
             let fetch = optional_index(req, "k", 10)?;
             let queries = require_f64_matrix(req, "queries")?;
             let results = read_engine(engine).search_raw(space, &queries, fetch)?;
-            Ok((ok(vec![("results", hits_json(results))]), false))
+            Ok((ok(vec![("results", hits_json("node", results))]), false))
         }
         "stats" => {
             let status = read_engine(engine).status();
@@ -295,8 +313,8 @@ fn dispatch<B: ServeBackend>(
         }
         "shutdown" => Ok((ok(vec![]), true)),
         other => Err(ServeError::BadRequest(format!(
-            "unknown op '{other}' (similar-nodes | recommend-links | insert | compact | \
-             snapshot | stats | metrics | query-vectors | search | shutdown)"
+            "unknown op '{other}' (similar-nodes | recommend-links | top-attributes | insert | \
+             compact | snapshot | stats | metrics | query-vectors | search | shutdown)"
         ))),
     }
 }
@@ -691,10 +709,55 @@ mod tests {
             r#"{"op":"similar-nodes","nodes":[9999]}"#,
             r#"{"op":"similar-nodes","nodes":"zero"}"#,
             r#"{"op":"insert","forward":[1],"backward":[]}"#,
+            r#"{"op":"top-attributes","k":3}"#,
+            r#"{"op":"top-attributes","nodes":[]}"#,
+            r#"{"op":"top-attributes","nodes":[0,90]}"#,
+            r#"{"op":"top-attributes","nodes":[0],"k":2.5}"#,
         ] {
             let resp = req(&eng, bad);
             assert_eq!(resp.get("ok"), Some(&Json::Bool(false)), "{bad}");
             assert!(resp.get("error").unwrap().as_str().is_some());
+        }
+    }
+
+    /// A `top-attributes` reply, parsed off the wire, carries the bits of
+    /// `EmbeddingQuery::top_attributes` for every node, in request order.
+    #[test]
+    fn top_attributes_over_the_wire_keep_every_bit() {
+        let (eng, _dir) = engine();
+        let emb = read_engine(&eng).embedding().clone();
+        let n = emb.forward.rows();
+        let nodes: Vec<String> = (0..n).rev().map(|v| v.to_string()).collect();
+        let resp = req(
+            &eng,
+            &format!(
+                r#"{{"op":"top-attributes","nodes":[{}],"k":4}}"#,
+                nodes.join(",")
+            ),
+        );
+        assert_eq!(resp.get("op").unwrap().as_str(), Some("top-attributes"));
+        let Some(Json::Arr(lists)) = resp.get("results") else {
+            panic!("no results: {resp:?}");
+        };
+        let exact = pane_core::EmbeddingQuery::new(&emb);
+        assert_eq!(lists.len(), n);
+        for (list, v) in lists.iter().zip((0..n).rev()) {
+            let Json::Arr(hits) = list else {
+                panic!("not a list: {list:?}")
+            };
+            let got: Vec<(usize, u64)> = hits
+                .iter()
+                .map(|h| {
+                    let r = h.get("attribute").unwrap().as_index().unwrap();
+                    (r, h.get("score").unwrap().as_f64().unwrap().to_bits())
+                })
+                .collect();
+            let want: Vec<(usize, u64)> = exact
+                .top_attributes(v, 4)
+                .iter()
+                .map(|s| (s.index, s.score.to_bits()))
+                .collect();
+            assert_eq!(got, want, "node {v}");
         }
     }
 

@@ -15,6 +15,8 @@
 //!   global id). With exact (flat) shards the merged top-k is therefore
 //!   **bit-identical** to the unsharded exact scan — each global top-k
 //!   member is necessarily inside its own shard's local top-k;
+//! * **attribute inference** — the owner shard answers alone (every
+//!   shard holds the full `Y`, so attribute ids are global);
 //! * **inserts** — the next global id `n` routes to shard `n % N`,
 //!   which WAL-appends and acknowledges; round-robin assignment keeps
 //!   the shards balanced (the invariant `ShardedStore::open` checks);
@@ -32,7 +34,7 @@ use crate::engine::{
     SnapshotOutcome, StatusReport, StoreReport,
 };
 use crate::obs::ServeObs;
-use pane_core::QuerySpace;
+use pane_core::{QuerySpace, Scored};
 use pane_index::{topk, VectorIndex};
 use pane_linalg::DenseMatrix;
 use pane_obs::{latency_buckets, Histogram};
@@ -146,6 +148,20 @@ impl ShardedEngine {
 }
 
 impl ServeBackend for ShardedEngine {
+    /// The owner shard answers each node (every shard holds the full `Y`,
+    /// so attribute ids are global).
+    fn top_attributes(&self, nodes: &[usize], k: usize) -> Result<Vec<Vec<Scored>>, ServeError> {
+        check_nodes(self.num_nodes(), nodes)?;
+        let n_shards = self.shards.len();
+        Ok(nodes
+            .iter()
+            .map(|&v| {
+                let owner = &self.shards[shard_of(v, n_shards)];
+                owner.embedding().top_attributes(local_of(v, n_shards), k)
+            })
+            .collect())
+    }
+
     /// The owner shard supplies each node's vector (every shard holds the
     /// full `Y`, so link query vectors do not depend on the owner).
     fn query_vectors(&self, space: QuerySpace, nodes: &[usize]) -> Result<DenseMatrix, ServeError> {
@@ -301,6 +317,63 @@ mod tests {
                 "{shards}-way recommend-links diverged from the exact scan"
             );
         }
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    /// Attribute inference is served from the embedding, not an index:
+    /// over every node of a zoo graph, `top-attributes` from one engine
+    /// and from two shards — and for a node inserted at runtime, from its
+    /// inserted rows — equals `EmbeddingQuery::top_attributes` bit for bit.
+    #[test]
+    fn served_top_attributes_equal_the_exact_query_bit_for_bit() {
+        let g = pane_datasets::DatasetZoo::CoraLike
+            .generate_scaled(0.05, 3)
+            .graph;
+        let emb = Pane::new(PaneConfig::builder().dimension(16).seed(5).build())
+            .embed(&g)
+            .unwrap();
+        let (n, d) = (emb.forward.rows(), emb.attribute.rows());
+        let bits = |lists: Vec<Vec<Scored>>| -> Vec<Vec<(usize, u64)>> {
+            lists
+                .iter()
+                .map(|l| l.iter().map(|s| (s.index, s.score.to_bits())).collect())
+                .collect()
+        };
+        let exact = EmbeddingQuery::new(&emb);
+        let all: Vec<usize> = (0..n).collect();
+        let root = tmpdir("attrs");
+        ShardedStore::init(&root, &emb, &IndexSpec::Flat, &IndexSpec::Flat, 2, 1).unwrap();
+        let (mut single, _dir) = crate::testutil::store_engine(&emb, &IndexSpec::Flat, 2);
+        let mut sharded = ShardedEngine::open(&root, 2).unwrap();
+        for k in [5, d] {
+            let want = bits(all.iter().map(|&v| exact.top_attributes(v, k)).collect());
+            assert_eq!(
+                bits(single.top_attributes(&all, k).unwrap()),
+                want,
+                "k = {k}"
+            );
+            assert_eq!(
+                bits(sharded.top_attributes(&all, k).unwrap()),
+                want,
+                "k = {k}"
+            );
+        }
+
+        let xf: Vec<f64> = emb.forward.row(3).iter().map(|x| -x).collect();
+        let xb = emb.backward.row(7).to_vec();
+        let mut grown = emb.clone();
+        grown.forward.push_row(&xf);
+        grown.backward.push_row(&xb);
+        let want = bits(vec![EmbeddingQuery::new(&grown).top_attributes(n, 8)]);
+        assert_eq!(single.insert(&xf, &xb).unwrap(), n);
+        assert_eq!(sharded.insert(&xf, &xb).unwrap(), n);
+        assert_eq!(bits(single.top_attributes(&[n], 8).unwrap()), want);
+        assert_eq!(bits(sharded.top_attributes(&[n], 8).unwrap()), want);
+        assert!(matches!(
+            sharded.top_attributes(&[n + 1], 8),
+            Err(ServeError::BadRequest(_))
+        ));
+        drop(sharded);
         std::fs::remove_dir_all(&root).ok();
     }
 

@@ -172,6 +172,12 @@ fn routed_top_k_is_bit_identical_to_in_process_engines() {
             r#"{"op":"recommend-links","nodes":[2,60],"k":3,"exclude":[3,11]}"#,
             true,
         ),
+        (r#"{"op":"top-attributes","k":3}"#, false),
+        (r#"{"op":"top-attributes","nodes":[0,121]}"#, false),
+        (
+            r#"{"op":"top-attributes","nodes":[0,5,120,61],"k":5}"#,
+            true,
+        ),
     ];
     let replies = |h: &dyn LineHandler| -> Vec<String> {
         table
@@ -338,6 +344,21 @@ fn dead_shard_degrades_reads_and_recovers_after_restart() {
                 "node {v}: degraded results must be exact over surviving shards"
             );
         }
+    }
+
+    // Attribute inference asks each node's owner only: the dead owner's
+    // nodes degrade to empty lists, every other node is answered in full.
+    let attrs = ask(&router, &query.replace("similar-nodes", "top-attributes"));
+    assert_eq!(attrs.get("degraded"), Some(&Json::Bool(true)), "{attrs:?}");
+    let Some(Json::Arr(lists)) = attrs.get("results") else {
+        panic!("no results in {attrs:?}");
+    };
+    for (list, &v) in lists.iter().zip(&nodes) {
+        let Json::Arr(hits) = list else {
+            panic!("bad list {list:?}")
+        };
+        let want = if shard_of(v, SHARDS) == DEAD { 0 } else { k };
+        assert_eq!(hits.len(), want, "node {v}");
     }
 
     // An insert whose owner is down is an error (writes never degrade).
