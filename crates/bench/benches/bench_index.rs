@@ -380,10 +380,11 @@ fn bench_kernels(c: &mut Criterion) {
     use std::hint::black_box;
 
     // Compile-time SIMD surface of this run. The committed numbers come
-    // from the shipped baseline-x86-64 build (all three `false`);
-    // RUSTFLAGS="-C target-cpu=native" is value-safe — the fixed-lane
-    // contract pins the summation order at any vector width, and CI
-    // re-runs the bitwise equivalence suites under it.
+    // from a baseline x86-64 build (all three `false`), measured before
+    // the workspace's default target became x86-64-v3 (`avx2=true
+    // fma=true`). Every target is value-safe: the fixed-lane contract pins
+    // the summation order at any vector width, and CI re-runs the bitwise
+    // equivalence suites at the default, the baseline and `native`.
     note(
         "kernel_bench_target_features",
         format!(

@@ -48,6 +48,53 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
+    if let Some(why) = host_refusal(host_has_avx2()) {
+        eprintln!("error: {why}");
+        return ExitCode::FAILURE;
+    }
+    run()
+}
+
+/// Why this build cannot run on a host without AVX2, or `None` when the
+/// host has it. The workspace builds for x86-64-v3 (`.cargo/config.toml`),
+/// whose code dies with `SIGILL` on an older CPU; the message names the
+/// rebuild that runs there. A `&'static str`, so refusing copies nothing:
+/// a copy compiled for v3 may itself use AVX registers.
+#[cfg_attr(
+    not(all(target_arch = "x86_64", target_feature = "avx2")),
+    allow(dead_code)
+)]
+fn host_refusal(has_avx2: bool) -> Option<&'static str> {
+    (!has_avx2).then_some(
+        "this build of pane targets x86-64-v3 and this CPU lacks AVX2; \
+         rebuild it for the baseline with \
+         RUSTFLAGS=\"-C target-cpu=x86-64\" cargo build --release",
+    )
+}
+
+/// Whether the CPU has AVX2 and the OS saves the `ymm` registers, read
+/// from CPUID and XGETBV as the processor manuals prescribe. This is the
+/// one CPU detection in the workspace. The standard library's detection
+/// macro cannot be it: in a build whose target enables AVX2 it folds to
+/// `true` at compile time.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
+fn host_has_avx2() -> bool {
+    use std::arch::x86_64::{__cpuid, __cpuid_count, _xgetbv};
+    let osxsave_avx = 1 << 27 | 1 << 28;
+    if __cpuid(1).ecx & osxsave_avx != osxsave_avx {
+        return false;
+    }
+    // SAFETY: CPUID.1:ECX.OSXSAVE is set: the CPU has XSAVE and the OS
+    // has enabled XGETBV.
+    let ymm_saved = unsafe { _xgetbv(0) } & 0b110 == 0b110;
+    ymm_saved && __cpuid(0).eax >= 7 && __cpuid_count(7, 0).ebx & 1 << 5 != 0
+}
+
+/// Everything `pane` does once the host can run it: one subcommand. Out
+/// of line, so none of its code is scheduled ahead of the host check.
+#[inline(never)]
+fn run() -> ExitCode {
     let mut raw: Vec<String> = std::env::args().skip(1).collect();
     if raw.is_empty() || raw[0] == "--help" || raw[0] == "help" {
         print_help();
@@ -834,6 +881,16 @@ mod tests {
             let found = DatasetZoo::ALL.into_iter().find(|x| x.name() == z.name());
             assert_eq!(found, Some(z));
         }
+    }
+
+    #[test]
+    fn a_host_without_avx2_is_refused_with_the_baseline_rebuild() {
+        assert_eq!(host_refusal(true), None);
+        let why = host_refusal(false).expect("a host without AVX2 is refused");
+        let printed = format!("error: {why}");
+        assert_eq!(printed.lines().count(), 1, "{printed}");
+        assert!(printed.contains("AVX2") && printed.contains("x86-64-v3"));
+        assert!(printed.contains(r#"RUSTFLAGS="-C target-cpu=x86-64""#));
     }
 
     #[test]

@@ -39,7 +39,6 @@ use crate::pane::PaneEmbedding;
 use pane_index::topk::select as top_k;
 use pane_index::{AnyIndex, IndexSpec, Metric, VectorIndex};
 use pane_linalg::{vecops, DenseMatrix};
-use pane_parallel::{even_ranges_nonempty, map_blocks};
 use std::borrow::Cow;
 
 /// A scored item (index + score; larger = better) — `pane-index`'s hit
@@ -228,7 +227,7 @@ impl<'a> EmbeddingQuery<'a> {
     /// max-inner-product index serves directly. Delegates to
     /// [`PaneEmbedding::link_query_vector_with`] (the single shared
     /// kernel) with the query's precomputed Gram matrix.
-    pub fn link_query_vector(&self, src: usize) -> Vec<f64> {
+    fn link_query_vector(&self, src: usize) -> Vec<f64> {
         self.emb.link_query_vector_with(&self.gram, src)
     }
 
@@ -281,26 +280,6 @@ impl<'a> EmbeddingQuery<'a> {
             }),
             k,
         )
-    }
-
-    /// [`similar_nodes`](Self::similar_nodes) for a batch of query nodes,
-    /// fanned out over `threads` scoped workers. Output order matches
-    /// `nodes`, and the result is identical for every thread count.
-    pub fn batch_similar_nodes(
-        &self,
-        nodes: &[usize],
-        k: usize,
-        threads: usize,
-    ) -> Vec<Vec<Scored>> {
-        let ranges = even_ranges_nonempty(nodes.len(), threads.max(1));
-        map_blocks(&ranges, |_, range| {
-            range
-                .map(|i| self.similar_nodes(nodes[i], k))
-                .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect()
     }
 }
 
@@ -571,17 +550,6 @@ mod tests {
         for s in &rec {
             assert_ne!(s.index, src);
             assert!(!nbrs.contains(&(s.index as u32)));
-        }
-    }
-
-    #[test]
-    fn batch_similar_matches_single_across_threads() {
-        let (_, emb) = fixture();
-        let q = EmbeddingQuery::new(&emb);
-        let nodes: Vec<usize> = (0..40).step_by(3).collect();
-        let single: Vec<Vec<Scored>> = nodes.iter().map(|&v| q.similar_nodes(v, 5)).collect();
-        for threads in [1, 4] {
-            assert_eq!(q.batch_similar_nodes(&nodes, 5, threads), single);
         }
     }
 }
