@@ -93,21 +93,26 @@ impl ScanRows {
             .chunks_exact(dim)
             .map(|q| kernels::screen_slack(dim, vecops::norm2(q), self.max_norm))
             .collect();
-        let mut scores = [[0.0f32; 2]; PANEL];
+        let (mut scores, mut bounds) = ([[0.0f32; 2]; PANEL], [0.0f64; PANEL]);
         for range in ranges {
             for start in range.clone().step_by(PANEL) {
                 let panel = start..range.end.min(start + PANEL);
                 let rows32 = &self.screen[panel.start * dim..panel.end * dim];
                 let scores = &mut scores[..panel.len()];
+                let bounds = &mut bounds[..panel.len()];
                 for (i, accs) in accs.chunks_mut(2).enumerate() {
                     let qs = 2 * i * dim..(2 * i + accs.len()) * dim;
                     kernels::dot2xn_f32(&q32[qs], rows32, dim, scores);
                     for (j, acc) in accs.iter_mut().enumerate() {
                         let q = &queries[(2 * i + j) * dim..][..dim];
                         let slack = slack[2 * i + j];
-                        let bound = |r: usize| f64::from(scores[r - start][j]) + slack;
+                        for (b, s) in bounds.iter_mut().zip(&*scores) {
+                            *b = f64::from(s[j]) + slack;
+                        }
                         let exact = |r: usize| kernels::dot(q, self.rows.row(r));
-                        offer(acc, panel.clone(), bound, exact, &id_of);
+                        offer(worst(acc), start, bounds, exact, |r, s| {
+                            acc.push(id_of(r), s)
+                        });
                     }
                 }
             }
@@ -128,47 +133,66 @@ pub(crate) fn scan_block_i8(
 ) {
     assert_eq!(qcodes.len(), accs.len() * dim, "ragged query block");
     let n = codes.len() / dim;
-    let mut raw = [[0i32; 2]; PANEL];
+    let (mut raw, mut scores) = ([[0i32; 2]; PANEL], [0.0f64; PANEL]);
     for start in (0..n).step_by(PANEL) {
         let panel = start..n.min(start + PANEL);
         let rows = &codes[panel.start * dim..panel.end * dim];
         let raw = &mut raw[..panel.len()];
+        let scores = &mut scores[..panel.len()];
         for (i, accs) in accs.chunks_mut(2).enumerate() {
             let qs = 2 * i * dim..(2 * i + accs.len()) * dim;
             kernels::dot2xn_i8(&qcodes[qs], rows, dim, raw);
             for (j, acc) in accs.iter_mut().enumerate() {
-                let score = |r: usize| score_of(2 * i + j, r, raw[r - start][j]);
-                offer(acc, panel.clone(), score, score, |r| r);
+                for ((s, d), r) in scores.iter_mut().zip(&*raw).zip(panel.clone()) {
+                    *s = score_of(2 * i + j, r, d[j]);
+                }
+                let exact = |r: usize| scores[r - start];
+                offer(worst(acc), start, scores, exact, |r, s| acc.push(r, s));
             }
         }
     }
 }
 
-/// The one filter in front of a heap: every row of `panel`, in order,
-/// goes to `push` as `(id(r), exact(r))` unless `bound(r)` — `exact(r)`
-/// or a proved upper bound on it — is strictly below the non-NaN heap
-/// worst read at the start of the panel (a stale worst only lets more
-/// rows through).
+/// A heap's worst score, the bar a row must reach to be kept, once it
+/// is full.
+fn worst(acc: &TopK) -> Option<f64> {
+    acc.threshold().map(|w| w.score)
+}
+
+/// The one filter in front of a heap: of the panel of rows `start..`
+/// with `bounds` — each row's exact score or a proved upper bound on it
+/// — every row goes to `push` as `(r, exact(r))`, in row order, unless
+/// its bound is strictly below `worst`, the non-NaN heap worst read at
+/// the start of the panel (a stale worst only lets more rows through).
+/// With no worst yet every row goes. The test is one `u64` mask over the
+/// panel; only the rows it keeps pay for `exact`.
 #[inline]
 fn offer(
-    acc: &mut TopK,
-    panel: Range<usize>,
-    bound: impl Fn(usize) -> f64,
+    worst: Option<f64>,
+    start: usize,
+    bounds: &[f64],
     exact: impl Fn(usize) -> f64,
-    id: impl Fn(usize) -> usize,
+    mut push: impl FnMut(usize, f64),
 ) {
-    let worst = acc.threshold().map(|w| w.score);
-    for r in panel {
-        if worst.is_some_and(|w| bound(r) < w) {
-            continue;
-        }
-        acc.push(id(r), exact(r));
+    const _: () = assert!(PANEL <= u64::BITS as usize);
+    assert!(bounds.len() <= PANEL, "a panel is at most PANEL rows");
+    // `b < NaN` is false for every `b`: no worst keeps every row.
+    let worst = worst.unwrap_or(f64::NAN);
+    let mut keep = 0u64;
+    for (r, &b) in bounds.iter().enumerate() {
+        keep |= (u64::from(b < worst) ^ 1) << r;
+    }
+    while keep != 0 {
+        let r = start + keep.trailing_zeros() as usize;
+        push(r, exact(r));
+        keep &= keep - 1;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn splat(seed: u64, i: usize) -> f64 {
         let mut z = seed
@@ -270,6 +294,58 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// The filter before the mask, the referee of [`offer`]: a closure
+    /// per row for the bound and one for the exact score.
+    fn offer_per_row(
+        worst: Option<f64>,
+        panel: Range<usize>,
+        bound: impl Fn(usize) -> f64,
+        exact: impl Fn(usize) -> f64,
+        mut push: impl FnMut(usize, f64),
+    ) {
+        for r in panel {
+            if worst.is_some_and(|w| bound(r) < w) {
+                continue;
+            }
+            push(r, exact(r));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// The mask filter pushes the per-row filter's `(row, score)`
+        /// sequence on panels of 1–64 rows: with no worst yet, with
+        /// bounds equal to the worst (scores from a small grid), NaN
+        /// and ±∞ on either side, and a slack of 0 (the code scan),
+        /// finite or `+∞`.
+        #[test]
+        fn mask_filter_pushes_what_the_per_row_filter_pushes(
+            picks in proptest::collection::vec(0usize..10, 1..65),
+            pick_worst in 0usize..11,
+            pick_slack in 0usize..3,
+            start in 0usize..1000,
+        ) {
+            let grid = [-1.0, -0.0, 0.0, 0.5, 1.0, 1.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e-310];
+            let exact: Vec<f64> = picks.iter().map(|&p| grid[p]).collect();
+            let slack = [0.0, 0.5, f64::INFINITY][pick_slack];
+            let bounds: Vec<f64> = exact.iter().map(|e| e + slack).collect();
+            let worst = grid.get(pick_worst).copied();
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            offer(worst, start, &bounds, |r| exact[r - start], |r, s| {
+                got.push((r, s.to_bits()))
+            });
+            offer_per_row(
+                worst,
+                start..start + bounds.len(),
+                |r| bounds[r - start],
+                |r| exact[r - start],
+                |r, s| want.push((r, s.to_bits())),
+            );
+            prop_assert_eq!(got, want, "worst {:?} bounds {:?}", worst, bounds);
         }
     }
 

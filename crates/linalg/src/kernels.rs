@@ -24,7 +24,7 @@
 //! * [`dot1xn`] produces, for every row, *bit-identical* output to
 //!   [`dot`] on that pair — how rows are blocked never changes a score;
 //! * the integer kernel ([`dot2xn_i8`]) is exact: integer addition is
-//!   associative, so any unroll factor — and the SSE2 `pmaddwd` body
+//!   associative, so any unroll factor — and the AVX2 and SSE2 bodies
 //!   x86-64 builds use — yields the same sum.
 //!
 //! Changing [`LANES`] is a format-level break (every stored score
@@ -104,12 +104,19 @@ pub fn dot1xn(q: &[f64], rows: &[f64], dim: usize, out: &mut [f64]) {
 
 /// Two-query f32 panel kernel, the screen in front of the exact scans:
 /// for one or two row-major `queries`, `out[r][i]` is `query_i · row_r`
-/// summed in f32 (four lanes per SSE2 op where f64 has two), each row
-/// chunk loaded once for both. Its scores only decide which rows get an
-/// exact [`dot`]; [`screen_slack`] bounds their error. The body is
-/// compiled for dims 32/64/128/256 (`k/2` and `k` of the `k` ∈ {64, 128,
-/// 256} PANE serves); other dims run it with a runtime dim, ≈2× slower,
-/// still no slower than the f64 scan.
+/// summed in f32 (twice the lanes per vector op of f64), each row chunk
+/// loaded once for both. Its scores only decide which rows get an exact
+/// [`dot`]; [`screen_slack`] bounds their error. The body is compiled
+/// for dims 32/64/128/256 (`k/2` and `k` of the `k` ∈ {64, 128, 256}
+/// PANE serves); other dims run it with a runtime dim, ≈2× slower, still
+/// no slower than the f64 scan.
+///
+/// Every row is summed the same way: lane `j` takes the products at
+/// positions `≡ j (mod 8)` in order, and the lanes fold as `h = lo + hi`,
+/// then `(h0 + h2) + (h1 + h3)`, so a row's score has the same bits alone,
+/// in either slot of a pair and at any position in the panel. AVX2 builds
+/// score dims that are a multiple of 8 four rows per pass; other dims
+/// and targets run one row per pass.
 ///
 /// # Panics
 /// Panics unless `queries.len()` is `dim` or `2 · dim` and
@@ -146,9 +153,22 @@ fn f32_dims<const PAIR: bool>(queries: &[f32], rows: &[f32], dim: usize, out: &m
     }
 }
 
-/// The loop of [`dot2xn_f32`] (`dim > 0`): 8 lanes per query.
+/// The loop of [`dot2xn_f32`] (`dim > 0`): the four-row AVX2 body where
+/// the target has it and `dim` is a multiple of 8, the one-row body
+/// otherwise.
 #[inline(always)]
 fn f32_body<const PAIR: bool>(queries: &[f32], rows: &[f32], dim: usize, out: &mut [[f32; 2]]) {
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
+    if dim.is_multiple_of(LANES) {
+        return avx2::f32_panel::<PAIR>(queries, rows, dim, out);
+    }
+    f32_rowwise::<PAIR>(queries, rows, dim, out)
+}
+
+/// The portable body of [`dot2xn_f32`]: one row per pass, 8 lanes per
+/// query.
+#[inline(always)]
+fn f32_rowwise<const PAIR: bool>(queries: &[f32], rows: &[f32], dim: usize, out: &mut [[f32; 2]]) {
     let q0 = &queries[..dim];
     let q1 = if PAIR { &queries[dim..2 * dim] } else { q0 };
     for (row, o) in rows.chunks_exact(dim).zip(out) {
@@ -231,9 +251,11 @@ pub fn screen_slack(dim: usize, qnorm: f64, max_row_norm: f64) -> f64 {
 /// must lie in `[-127, 127]`. Integer addition is associative, so the
 /// vector body and the scalar loop give the same sum.
 ///
-/// i8 → i32 widening does not vectorize on baseline x86-64, so that
-/// target multiplies through `pmaddwd`. SSE2 is part of the x86-64
-/// baseline: no runtime detection, one body per target.
+/// One body per target, chosen at compile time: AVX2 builds widen with
+/// `vpmovsxbw` and multiply through `vpmaddwd`, four rows per pass;
+/// i8 → i32 widening does not vectorize on
+/// baseline x86-64, so that target multiplies through SSE2's `pmaddwd`,
+/// one row per pass; other targets run the scalar loop.
 ///
 /// # Panics
 /// Panics unless `queries.len()` is `dim` or `2 · dim` and
@@ -246,7 +268,11 @@ pub fn dot2xn_i8(queries: &[i16], rows: &[i8], dim: usize, out: &mut [[i32; 2]])
     }
 }
 
-/// The loop of [`dot2xn_i8`] (`dim > 0`).
+#[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
+use avx2::i8_panel as i8_body;
+
+/// The loop of [`dot2xn_i8`] (`dim > 0`) below AVX2.
+#[cfg(not(all(target_arch = "x86_64", target_feature = "avx2")))]
 fn i8_body<const PAIR: bool>(queries: &[i16], rows: &[i8], dim: usize, out: &mut [[i32; 2]]) {
     let q0 = &queries[..dim];
     let q1 = if PAIR { &queries[dim..2 * dim] } else { q0 };
@@ -334,6 +360,180 @@ pub fn dot_f64_i8(q: &[f64], codes: &[i8]) -> f64 {
     reduce8(acc)
 }
 
+/// The AVX2 bodies of the two panel kernels (x86-64-v3 and up): four rows
+/// per pass, each query chunk loaded once for the four, the sums folded
+/// in registers. Each row's arithmetic is the one-row bodies', so a score
+/// does not depend on where its row falls in a pass.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
+mod avx2 {
+    use super::{dot_i8_scalar, LANES};
+    use core::arch::x86_64::*;
+
+    /// Rows per pass.
+    const ROWS: usize = 4;
+
+    /// [`dot2xn_f32`](super::dot2xn_f32) for `dim % 8 == 0`, `dim > 0`.
+    #[inline(always)]
+    pub(super) fn f32_panel<const PAIR: bool>(
+        queries: &[f32],
+        rows: &[f32],
+        dim: usize,
+        out: &mut [[f32; 2]],
+    ) {
+        let q0 = &queries[..dim];
+        let q1 = if PAIR { &queries[dim..2 * dim] } else { q0 };
+        let (quads, rest) = out.as_chunks_mut::<ROWS>();
+        let split = quads.len() * ROWS * dim;
+        for (block, o) in rows[..split].chunks_exact(ROWS * dim).zip(quads) {
+            *o = f32_rows::<PAIR, ROWS>(q0, q1, block, dim);
+        }
+        for (row, o) in rows[split..].chunks_exact(dim).zip(rest) {
+            *o = f32_rows::<PAIR, 1>(q0, q1, row, dim)[0];
+        }
+    }
+
+    /// The scores of the `R ≤ 4` rows of `rows` (the rest zero): one
+    /// 8-lane accumulator per row and query, lane `j` summing the
+    /// products at positions `≡ j (mod 8)` in order, then [`fold_f32`].
+    #[inline(always)]
+    fn f32_rows<const PAIR: bool, const R: usize>(
+        q0: &[f32],
+        q1: &[f32],
+        rows: &[f32],
+        dim: usize,
+    ) -> [[f32; 2]; ROWS] {
+        assert!(R <= ROWS && dim.is_multiple_of(LANES) && rows.len() == R * dim);
+        assert!(q0.len() == dim && q1.len() == dim);
+        // SAFETY: the `cfg` on this module means AVX2 is enabled. With
+        // `c + 8 <= dim` and `r < R`, each unaligned load reads a query's
+        // `[c..c + 8]` or `rows[r * dim + c..][..8]`, in bounds by the
+        // asserts above.
+        unsafe {
+            let mut acc = [[_mm256_setzero_ps(); 2]; ROWS];
+            for c in (0..dim).step_by(LANES) {
+                let x0 = _mm256_loadu_ps(q0.as_ptr().add(c));
+                let x1 = _mm256_loadu_ps(q1.as_ptr().add(c));
+                for (r, acc) in acc.iter_mut().enumerate().take(R) {
+                    let v = _mm256_loadu_ps(rows.as_ptr().add(r * dim + c));
+                    acc[0] = _mm256_add_ps(acc[0], _mm256_mul_ps(x0, v));
+                    if PAIR {
+                        acc[1] = _mm256_add_ps(acc[1], _mm256_mul_ps(x1, v));
+                    }
+                }
+            }
+            fold_f32(acc)
+        }
+    }
+
+    /// Four rows' accumulator pairs to `[query 0, query 1]` scores, each
+    /// folded as the one-row body folds it: `h = lo + hi`, then `(h0 +
+    /// h2) + (h1 + h3)`.
+    #[inline(always)]
+    fn fold_f32(acc: [[__m256; 2]; ROWS]) -> [[f32; 2]; ROWS] {
+        // SAFETY: the `cfg` on this module means AVX2 is enabled; these
+        // intrinsics touch registers only, and the transmute turns 32
+        // bytes into 32 bytes of f32s, any bit pattern of which is valid.
+        unsafe {
+            // Row `r`'s `h` of query 0 in the low half, of query 1 in the high.
+            let [h0, h1, h2, h3] = acc.map(|[a, b]| {
+                _mm256_add_ps(
+                    _mm256_permute2f128_ps::<0x20>(a, b),
+                    _mm256_permute2f128_ps::<0x31>(a, b),
+                )
+            });
+            // `[a0 + a2, a1 + a3, b0 + b2, b1 + b3]` for rows `a`, `b`.
+            let pairs = |a, b| {
+                _mm256_add_ps(
+                    _mm256_shuffle_ps::<0x44>(a, b),
+                    _mm256_shuffle_ps::<0xEE>(a, b),
+                )
+            };
+            let (t01, t23) = (pairs(h0, h1), pairs(h2, h3));
+            // Rows 0–3 of query 0 in the low half, of query 1 in the high.
+            let s = _mm256_add_ps(
+                _mm256_shuffle_ps::<0x88>(t01, t23),
+                _mm256_shuffle_ps::<0xDD>(t01, t23),
+            );
+            let (lo, hi) = (_mm256_castps256_ps128(s), _mm256_extractf128_ps::<1>(s));
+            let s = _mm256_set_m128(_mm_unpackhi_ps(lo, hi), _mm_unpacklo_ps(lo, hi));
+            std::mem::transmute::<__m256, [[f32; 2]; ROWS]>(s)
+        }
+    }
+
+    /// [`dot2xn_i8`](super::dot2xn_i8), `dim > 0`.
+    pub(super) fn i8_panel<const PAIR: bool>(
+        queries: &[i16],
+        rows: &[i8],
+        dim: usize,
+        out: &mut [[i32; 2]],
+    ) {
+        let q0 = &queries[..dim];
+        let q1 = if PAIR { &queries[dim..2 * dim] } else { q0 };
+        let (quads, rest) = out.as_chunks_mut::<ROWS>();
+        let split = quads.len() * ROWS * dim;
+        for (block, o) in rows[..split].chunks_exact(ROWS * dim).zip(quads) {
+            *o = i8_rows::<PAIR, ROWS>(q0, q1, block, dim);
+        }
+        for (row, o) in rows[split..].chunks_exact(dim).zip(rest) {
+            *o = i8_rows::<PAIR, 1>(q0, q1, row, dim)[0];
+        }
+    }
+
+    /// The exact dots of the `R ≤ 4` code rows of `rows` (the rest
+    /// zero): 16 codes per step widened to `i16` and multiplied into
+    /// eight `i32` lanes per row and query, one `hadd` tree for the sums,
+    /// the last `dim % 16` codes by [`dot_i8_scalar`].
+    #[inline(always)]
+    fn i8_rows<const PAIR: bool, const R: usize>(
+        q0: &[i16],
+        q1: &[i16],
+        rows: &[i8],
+        dim: usize,
+    ) -> [[i32; 2]; ROWS] {
+        assert!(R <= ROWS && rows.len() == R * dim);
+        assert!(q0.len() == dim && q1.len() == dim);
+        let done = dim - dim % 16;
+        // SAFETY: the `cfg` on this module means AVX2 is enabled. With
+        // `c + 16 <= done <= dim` and `r < R`, each unaligned load reads
+        // a query's `[c..c + 16]` or `rows[r * dim + c..][..16]`, in
+        // bounds by the asserts above.
+        let mut sums = unsafe {
+            let mut acc = [[_mm256_setzero_si256(); 2]; ROWS];
+            for c in (0..done).step_by(16) {
+                let x0 = _mm256_loadu_si256(q0.as_ptr().add(c).cast());
+                let x1 = _mm256_loadu_si256(q1.as_ptr().add(c).cast());
+                for (r, acc) in acc.iter_mut().enumerate().take(R) {
+                    let v = _mm_loadu_si128(rows.as_ptr().add(r * dim + c).cast());
+                    let v = _mm256_cvtepi8_epi16(v);
+                    acc[0] = _mm256_add_epi32(acc[0], _mm256_madd_epi16(v, x0));
+                    if PAIR {
+                        acc[1] = _mm256_add_epi32(acc[1], _mm256_madd_epi16(v, x1));
+                    }
+                }
+            }
+            // Each `hadd` adds adjacent lanes within a 128-bit half; two
+            // rounds leave `[r0q0, r0q1, r1q0, r1q1]` per half for rows
+            // 0–1 and 2–3, and adding the halves finishes the sums.
+            let [a, b, c, d] = acc.map(|[x, y]| _mm256_hadd_epi32(x, y));
+            let (ab, cd) = (_mm256_hadd_epi32(a, b), _mm256_hadd_epi32(c, d));
+            let s = _mm256_add_epi32(
+                _mm256_permute2x128_si256::<0x20>(ab, cd),
+                _mm256_permute2x128_si256::<0x31>(ab, cd),
+            );
+            std::mem::transmute::<__m256i, [[i32; 2]; ROWS]>(s)
+        };
+        if done < dim {
+            for (row, o) in rows.chunks_exact(dim).zip(&mut sums) {
+                o[0] += dot_i8_scalar(&q0[done..], &row[done..]);
+                if PAIR {
+                    o[1] += dot_i8_scalar(&q1[done..], &row[done..]);
+                }
+            }
+        }
+        sums
+    }
+}
+
 /// Software prefetch of the cache line holding `data[offset]` (and the
 /// next line, covering 16 doubles) into all cache levels. A hint only:
 /// no-op when the offset is out of range or the target has no stable
@@ -364,6 +564,7 @@ pub fn prefetch_f64(data: &[f64], offset: usize) {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::ops::Range;
 
     /// Straightforward statement of the lane semantics: lane `j` sums the
     /// products at positions `≡ j (mod LANES)`, then the fixed pairwise
@@ -580,6 +781,89 @@ mod tests {
                 let row = &rows[r * dim..(r + 1) * dim];
                 let want = [dot_i8_scalar(&q0, row), dot_i8_scalar(&q1, row)];
                 assert_eq!(out[r], want, "dim {dim} row {r}");
+            }
+        }
+    }
+
+    /// FNV-1a over 32-bit words.
+    fn fnv(h: u64, word: u32) -> u64 {
+        word.to_le_bytes()
+            .iter()
+            .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+    }
+
+    /// Both panel kernels' outputs, hashed over panels of 0–9 and 64 rows
+    /// at dims 1 to 128, a lone query and a pair: every f32 score's bits
+    /// and every i8 dot. The constants were taken on the one-row bodies,
+    /// before the four-row ones: a changed constant is a changed screen,
+    /// never a test to update.
+    #[test]
+    fn panel_kernels_are_pinned() {
+        let mut h = [0xcbf2_9ce4_8422_2325u64; 2];
+        for dim in [1usize, 7, 8, 16, 32, 48, 64, 100, 128] {
+            for n in (0..10).chain([64]) {
+                let q32: Vec<f32> = (0..2 * dim).map(|i| splat(11, i) as f32).collect();
+                let r32: Vec<f32> = (0..n * dim).map(|i| splat(12, i) as f32).collect();
+                let code = |seed: u64, i| (splat(seed, i) * 127.5).clamp(-127.0, 127.0) as i8;
+                let q8: Vec<i16> = (0..2 * dim).map(|i| code(13, i).into()).collect();
+                let r8: Vec<i8> = (0..n * dim).map(|i| code(14, i)).collect();
+                for m in [1, 2] {
+                    let (mut f, mut d) = (vec![[0f32; 2]; n], vec![[0i32; 2]; n]);
+                    dot2xn_f32(&q32[..m * dim], &r32, dim, &mut f);
+                    dot2xn_i8(&q8[..m * dim], &r8, dim, &mut d);
+                    for r in 0..n {
+                        for j in 0..m {
+                            h[0] = fnv(h[0], f[r][j].to_bits());
+                            h[1] = fnv(h[1], d[r][j] as u32);
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(h, [0x47f9_8e48_de29_7589, 0x50f3_6473_6048_5aa2]);
+    }
+
+    /// Every row of a panel of `n` rows (every `n mod 4`, every position
+    /// in a pass) scores what a one-row call gives that row, in both
+    /// kernels, for a lone query and in either slot of a pair; a lone
+    /// query's second slot is zero.
+    #[test]
+    fn panel_rows_score_as_one_row_calls() {
+        for dim in [1usize, 7, 8, 16, 24, 32, 40, 64, 100, 128] {
+            for n in 0..=13 {
+                // Queries `a` and `b` come first, then the `n` rows.
+                let (a, b) = (0..dim, dim..2 * dim);
+                let f: Vec<f32> = (0..(n + 2) * dim).map(|i| splat(21, i) as f32).collect();
+                let c: Vec<i8> = (0..(n + 2) * dim)
+                    .map(|i| (splat(22, i) * 127.9) as i8)
+                    .collect();
+                let w: Vec<i16> = c.iter().map(|&v| v.into()).collect();
+                let row = |r: usize| (2 + r) * dim..(3 + r) * dim;
+                let one = |q: &Range<usize>, r: usize| {
+                    let (mut s, mut d) = ([[0f32; 2]], [[0i32; 2]]);
+                    dot2xn_f32(&f[q.clone()], &f[row(r)], dim, &mut s);
+                    dot2xn_i8(&w[q.clone()], &c[row(r)], dim, &mut d);
+                    assert_eq!(d[0][0], dot_i8_scalar(&w[q.clone()], &c[row(r)]));
+                    (s[0][0].to_bits(), d[0][0])
+                };
+                for slots in [vec![a.clone()], vec![a.clone(), b.clone()], vec![b, a]] {
+                    let q32: Vec<f32> = slots.iter().flat_map(|q| f[q.clone()].to_vec()).collect();
+                    let q8: Vec<i16> = slots.iter().flat_map(|q| w[q.clone()].to_vec()).collect();
+                    let (mut s, mut d) = (vec![[0f32; 2]; n], vec![[0i32; 2]; n]);
+                    dot2xn_f32(&q32, &f[2 * dim..], dim, &mut s);
+                    dot2xn_i8(&q8, &c[2 * dim..], dim, &mut d);
+                    for r in 0..n {
+                        let (mut want32, mut want8) = ([0u32; 2], [0i32; 2]);
+                        for (j, q) in slots.iter().enumerate() {
+                            (want32[j], want8[j]) = one(q, r);
+                        }
+                        assert_eq!(
+                            (s[r].map(f32::to_bits), d[r]),
+                            (want32, want8),
+                            "dim {dim} n {n} row {r} slots {slots:?}"
+                        );
+                    }
+                }
             }
         }
     }
