@@ -27,7 +27,7 @@
 //! depends only on the same column of `R`, so the recurrence runs in
 //! attribute column slabs, as Algorithm 6 does ([`mod@crate::papmi`]).
 
-use pane_linalg::{vecops, DenseMatrix};
+use pane_linalg::{kernels, vecops, DenseMatrix};
 use pane_parallel::{even_ranges_nonempty, for_each_row_block};
 use pane_sparse::CsrMatrix;
 use std::{ops::Range, sync::atomic::AtomicUsize, sync::atomic::Ordering, sync::Mutex};
@@ -143,11 +143,8 @@ fn iterate(
             }
             for _ in 0..inputs.t {
                 for (i, row) in next.chunks_exact_mut(w).enumerate() {
-                    row.fill(0.0);
                     let (cs, vs) = m.row(i);
-                    for (&c, &v) in cs.iter().zip(vs) {
-                        vecops::axpy(v, &x[c as usize * w..][..w], row);
-                    }
+                    kernels::sparse_row_sum(cs, vs, x, w, row);
                     vecops::scale(1.0 - alpha, row);
                     r_row(i).for_each(|(c, &v)| row[c] += alpha * v);
                 }

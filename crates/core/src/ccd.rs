@@ -47,7 +47,7 @@
 //!   `O(ε·(‖F'‖² + ‖B'‖²))` however small the residual (clamped at 0).
 
 use crate::greedy_init::InitState;
-use pane_linalg::dense::mul_add_rows;
+use pane_linalg::kernels::mul_add_rows;
 use pane_linalg::{vecops, DenseMatrix};
 use pane_parallel::{even_ranges_nonempty, for_each_row_block};
 use std::sync::Mutex;

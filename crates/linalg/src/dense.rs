@@ -6,10 +6,10 @@
 //! product kernels are chosen so that the innermost loop is always a
 //! contiguous traversal:
 //!
-//! * [`matmul_par`](DenseMatrix::matmul_par) — `C = A·B`, `PANEL` rows of
-//!   `A` per pass over `B`;
-//! * [`tr_matmul_par`](DenseMatrix::tr_matmul_par) — `C = Aᵀ·B`, `PANEL`
-//!   matching rows of `A` and `B` per pass over `C`;
+//! * [`matmul_par`](DenseMatrix::matmul_par) — `C = A·B`, each worker's
+//!   rows by [`kernels::mul_add_rows`];
+//! * [`tr_matmul_par`](DenseMatrix::tr_matmul_par) — `C = Aᵀ·B`, each
+//!   worker's rows of `C` by [`kernels::tr_mul_add_rows`];
 //! * [`matmul_transb`](DenseMatrix::matmul_transb) — `C = A·Bᵀ` as row·row
 //!   dot products (tests and small reconstructions only).
 //!
@@ -17,41 +17,18 @@
 //! is `((0 + t₀) + t₁) + …` over the inner index in ascending order, one
 //! rounded multiply and one rounded add per term; a term whose factor from
 //! `A` is an exact zero is skipped, which changes no bit for finite
-//! operands and keeps a sparse-in-content `A` at `O(nnz)` axpys. Workers
-//! own disjoint output rows and the panel height only decides which rows
-//! share a pass, so the bits depend on neither the thread count nor `PANEL`.
+//! operands and keeps a sparse-in-content `A` at `O(nnz)` terms. Workers
+//! own disjoint output rows, and the kernels' tiles only decide which
+//! entries share a pass: on AVX2 builds `A·B` holds 4 rows × 8 columns of
+//! `C` in registers and `Aᵀ·B` adds 8 matching rows of `A` and `B` per
+//! pass, on other targets both take 4 rows per pass. So the bits depend on
+//! neither the thread count nor the build target.
 
 use crate::rng::NormalSampler;
-use crate::vecops;
+use crate::{kernels, vecops};
 use pane_parallel::{even_ranges_nonempty, for_each_row_block};
 use rand::Rng;
 use std::fmt;
-
-/// Rows handled per pass by the two panel products: enough to amortize
-/// the pass over the other operand, few enough that the panel's output
-/// rows stay in L1. Never changes a bit of any result (see the module docs).
-const PANEL: usize = 4;
-
-/// `out += a·b` over row-major slices: `b` is `m × p` (`m = b.len() / p`),
-/// `a` is `r × m` and `out` is `r × p`. One pass over `b` per `PANEL` rows
-/// of `a`; on a zeroed `out` every entry is the ordered sum of the module
-/// docs, exact zeros of `a` skipped. The worker of
-/// [`DenseMatrix::matmul_par`], public for products over row blocks.
-pub fn mul_add_rows(a: &[f64], b: &[f64], p: usize, out: &mut [f64]) {
-    if p == 0 || b.is_empty() {
-        return;
-    }
-    let m = b.len() / p;
-    for (apanel, opanel) in a.chunks(PANEL * m).zip(out.chunks_mut(PANEL * p)) {
-        for (l, brow) in b.chunks_exact(p).enumerate() {
-            for (arow, orow) in apanel.chunks_exact(m).zip(opanel.chunks_exact_mut(p)) {
-                if arow[l] != 0.0 {
-                    vecops::axpy(arow[l], brow, orow);
-                }
-            }
-        }
-    }
-}
 
 /// A row-major dense `f64` matrix.
 #[derive(Clone, PartialEq)]
@@ -323,7 +300,7 @@ impl DenseMatrix {
         let ranges = even_ranges_nonempty(self.rows, nb);
         for_each_row_block(&mut c.data, self.rows, p, &ranges, |_, range, block| {
             let rows = &self.data[range.start * m..range.end * m];
-            mul_add_rows(rows, &other.data, p, block);
+            kernels::mul_add_rows(rows, &other.data, p, block);
         });
         c
     }
@@ -360,21 +337,7 @@ impl DenseMatrix {
         }
         let ranges = even_ranges_nonempty(m, nb);
         for_each_row_block(&mut c.data, m, p, &ranges, |_, range, block| {
-            // One pass over this worker's rows of `C` per PANEL matching
-            // rows of `self` and `other`.
-            for (apanel, bpanel) in self
-                .data
-                .chunks(PANEL * m)
-                .zip(other.data.chunks(PANEL * p))
-            {
-                for (l, crow) in range.clone().zip(block.chunks_exact_mut(p)) {
-                    for (arow, brow) in apanel.chunks_exact(m).zip(bpanel.chunks_exact(p)) {
-                        if arow[l] != 0.0 {
-                            vecops::axpy(arow[l], brow, crow);
-                        }
-                    }
-                }
-            }
+            kernels::tr_mul_add_rows(&self.data, m, &other.data, p, range, block);
         });
         c
     }
@@ -620,59 +583,94 @@ mod tests {
     }
 
     /// Gaussian `n × m` matrix with about a third of the entries set to an
-    /// exact zero (which the panel products skip).
+    /// exact zero of either sign (which the panel products skip).
     fn ragged(n: usize, m: usize, rng: &mut StdRng) -> DenseMatrix {
         let mut a = DenseMatrix::gaussian(n, m, rng);
-        a.map_inplace(|v| if v.abs() < 0.43 { 0.0 } else { v });
+        a.map_inplace(|v| {
+            if v.abs() < 0.43 {
+                0.0f64.copysign(v)
+            } else {
+                v
+            }
+        });
         a
     }
 
-    fn bits(m: &DenseMatrix) -> Vec<u64> {
-        m.data().iter().map(|v| v.to_bits()).collect()
+    /// Gaussian `n × m` matrix with about one entry in eight replaced by
+    /// `+∞`, `−∞` or NaN: a term that meets an exact zero of `A` must be
+    /// skipped, not become NaN.
+    fn poisoned(n: usize, m: usize, rng: &mut StdRng) -> DenseMatrix {
+        let mut b = DenseMatrix::gaussian(n, m, rng);
+        b.map_inplace(|v| match (v.abs() * 1e6) as u64 % 24 {
+            0 => f64::INFINITY,
+            1 => f64::NEG_INFINITY,
+            2 => f64::NAN,
+            _ => v,
+        });
+        b
+    }
+
+    /// The bits of every entry, every NaN read as one value (which NaN an
+    /// add of two NaNs returns is not part of the contract).
+    fn bits(data: &[f64]) -> Vec<u64> {
+        data.iter()
+            .map(|v| if v.is_nan() { u64::MAX } else { v.to_bits() })
+            .collect()
+    }
+
+    /// The ordered sum of the module docs as a naive loop: `out[i][j]`
+    /// from `start`, `x(i, l)·y(l, j)` added in ascending `l`, exact zeros
+    /// of `x` skipped.
+    fn ordered(
+        (n, m, p): (usize, usize, usize),
+        x: impl Fn(usize, usize) -> f64,
+        y: impl Fn(usize, usize) -> f64,
+        start: f64,
+    ) -> Vec<f64> {
+        let mut out = vec![start; n * p];
+        for i in 0..n {
+            for j in 0..p {
+                for l in 0..m {
+                    if x(i, l) != 0.0 {
+                        out[i * p + j] += x(i, l) * y(l, j);
+                    }
+                }
+            }
+        }
+        out
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
+        #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// Both panel products equal the naive triple loop (inner index
-        /// ascending, one accumulator per entry) bit for bit: for row
-        /// counts around multiples of the panel height, empty and
-        /// one-row operands, zeros in `A`, and every thread count.
+        /// ascending, one accumulator per entry, exact zeros of `A`
+        /// skipped) bit for bit: row counts across two 8-row passes and
+        /// every tail of the 4- and 8-row tiles, widths across the 16- and
+        /// 8-column chunks and every column tail, empty and one-row
+        /// operands, exact zeros of `A` facing `±∞` and NaN in `B`, and
+        /// every thread count. `mul_add_rows` also adds onto `-0.0`.
         #[test]
         fn prop_panel_products_equal_ordered_triple_loop(
             seed in 0u64..10_000,
-            n in 0usize..14,
+            n in 0usize..21,
             m in 0usize..11,
-            p in 0usize..10,
+            p in 0usize..41,
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
             let a = ragged(n, m, &mut rng);
-            let b = DenseMatrix::gaussian(m, p, &mut rng);
-            let mut want = DenseMatrix::zeros(n, p);
-            for i in 0..n {
-                for j in 0..p {
-                    let mut acc = 0.0;
-                    for l in 0..m {
-                        acc += a.get(i, l) * b.get(l, j);
-                    }
-                    want.set(i, j, acc);
-                }
-            }
-            let bt = DenseMatrix::gaussian(n, p, &mut rng);
-            let mut want_t = DenseMatrix::zeros(m, p);
-            for l in 0..m {
-                for j in 0..p {
-                    let mut acc = 0.0;
-                    for i in 0..n {
-                        acc += a.get(i, l) * bt.get(i, j);
-                    }
-                    want_t.set(l, j, acc);
-                }
-            }
+            let b = poisoned(m, p, &mut rng);
+            let want = ordered((n, m, p), |i, l| a.get(i, l), |l, j| b.get(l, j), 0.0);
+            let bt = poisoned(n, p, &mut rng);
+            let want_t = ordered((m, n, p), |l, i| a.get(i, l), |i, j| bt.get(i, j), 0.0);
             for nb in [1usize, 2, 3, 7] {
-                prop_assert_eq!(bits(&a.matmul_par(&b, nb)), bits(&want), "A·B, nb={}", nb);
-                prop_assert_eq!(bits(&a.tr_matmul_par(&bt, nb)), bits(&want_t), "Aᵀ·B, nb={}", nb);
+                prop_assert_eq!(bits(a.matmul_par(&b, nb).data()), bits(&want), "A·B, nb={}", nb);
+                prop_assert_eq!(bits(a.tr_matmul_par(&bt, nb).data()), bits(&want_t), "Aᵀ·B, nb={}", nb);
             }
+            let mut out = vec![-0.0; n * p];
+            kernels::mul_add_rows(a.data(), b.data(), p, &mut out);
+            let want = ordered((n, m, p), |i, l| a.get(i, l), |l, j| b.get(l, j), -0.0);
+            prop_assert_eq!(bits(&out), bits(&want), "-0.0 + A·B");
         }
 
         #[test]

@@ -1,5 +1,5 @@
-//! SIMD-blocked distance kernels — the innermost loops of every hot scan
-//! path in the serving tier.
+//! SIMD-blocked kernels — the innermost loops of every hot scan path in
+//! the serving tier, and of the embed's dense and sparse products.
 //!
 //! A plain `acc += x[i] * y[i]` dot product is a *serial* dependency
 //! chain: strict IEEE-754 semantics forbid the compiler from reordering
@@ -35,6 +35,14 @@
 //! [`screen_slack`] bounds their error for every summation order, and no
 //! f32 number reaches an answer.
 //!
+//! The product kernels ([`mul_add_rows`], [`tr_mul_add_rows`],
+//! [`sparse_row_sum`]) have a contract of their own: they are
+//! axpy-shaped, and each output entry is its terms added one at a time in
+//! a fixed order (the inner index, or the sparse row's entries), one
+//! rounded multiply and one rounded add per term, however the output is
+//! tiled, so RandSVD, GreedyInit, CCD and PAPMI give the same bits on
+//! every build target.
+//!
 //! The scan sites in `pane-index` (flat/delta full scans, IVF cluster
 //! scans, the sqflat integer scan, HNSW neighbor expansion) and the
 //! exact scans in `pane-core`'s query layer all score through these
@@ -42,6 +50,8 @@
 //! [`vecops::dot`](crate::vecops::dot) — which keeps every
 //! exact-vs-indexed bit-identity contract in the test suite intact by
 //! construction.
+
+use std::ops::Range;
 
 /// Number of independent accumulator lanes in the floating-point
 /// reduction kernels. Fixed at 8 on every platform — see the module
@@ -360,14 +370,200 @@ pub fn dot_f64_i8(q: &[f64], codes: &[i8]) -> f64 {
     reduce8(acc)
 }
 
-/// The AVX2 bodies of the two panel kernels (x86-64-v3 and up): four rows
-/// per pass, each query chunk loaded once for the four, the sums folded
-/// in registers. Each row's arithmetic is the one-row bodies', so a score
-/// does not depend on where its row falls in a pass.
+/// `out += a·b` over row-major slices: `b` is `m × p` (`m = b.len() / p`),
+/// `a` is `rows × m` and `out` is `rows × p`. The worker of
+/// [`DenseMatrix::matmul_par`](crate::DenseMatrix::matmul_par), public for
+/// products over row blocks.
+///
+/// Every entry of `out` gets its terms `a[i][l]·b[l][j]` added one at a
+/// time in ascending `l`, one rounded multiply and one rounded add each,
+/// and a term whose factor from `a` is an exact zero is skipped: on a
+/// zeroed `out` each entry is the ordered sum `((0 + t₀) + t₁) + …`. How
+/// rows and columns are tiled never changes a bit. AVX2 builds keep a
+/// tile of 4 rows × 8 columns of `out` in registers across the whole
+/// inner index; other targets make one pass over `b` per 4 rows of `a`.
+///
+/// # Panics
+/// Panics unless `b.len()` is a multiple of `p`, `out.len() == rows · p`
+/// and `a.len() == rows · m` (with `p == 0`, unless `b` and `out` are
+/// empty).
+pub fn mul_add_rows(a: &[f64], b: &[f64], p: usize, out: &mut [f64]) {
+    let Some(m) = inner_dim(b.len(), p, out.len()) else {
+        return;
+    };
+    assert_eq!(
+        a.len(),
+        out.len() / p * m,
+        "kernels::mul_add_rows: a is not rows × m"
+    );
+    if m > 0 {
+        ab_body(a, b, m, p, out);
+    }
+}
+
+/// `out += a[:, cols]ᵀ·b` over row-major slices: `a` is `n × m`, `b` is
+/// `n × p` (`n = b.len() / p`) and `out` is `cols.len() × p`, its row `r`
+/// the product's row `cols.start + r`. The worker of
+/// [`DenseMatrix::tr_matmul_par`](crate::DenseMatrix::tr_matmul_par).
+///
+/// Every entry gets its terms `a[i][l]·b[i][j]` in ascending `i`, exact
+/// zeros of `a` skipped, as in [`mul_add_rows`]. AVX2 builds take 8
+/// matching rows of `a` and `b` per pass and add their 8 terms to each
+/// 16-column chunk of an `out` row held in registers; other targets make
+/// one pass over `out` per 4 matching rows.
+///
+/// # Panics
+/// Panics unless `b.len()` is a multiple of `p`, `a.len() == n · m`,
+/// `cols.end <= m` and `out.len() == cols.len() · p` (with `p == 0`,
+/// unless `b` and `out` are empty).
+pub fn tr_mul_add_rows(
+    a: &[f64],
+    m: usize,
+    b: &[f64],
+    p: usize,
+    cols: Range<usize>,
+    out: &mut [f64],
+) {
+    let Some(n) = inner_dim(b.len(), p, out.len()) else {
+        return;
+    };
+    assert_eq!(a.len(), n * m, "kernels::tr_mul_add_rows: a is not n × m");
+    assert!(
+        cols.end <= m,
+        "kernels::tr_mul_add_rows: columns out of range"
+    );
+    assert_eq!(
+        out.len(),
+        cols.len() * p,
+        "kernels::tr_mul_add_rows: out is not cols.len() × p"
+    );
+    if !cols.is_empty() {
+        atb_body(a, m, b, p, cols, out);
+    }
+}
+
+/// The rows of a `p`-wide `b` (`None` when `p == 0`, after checking that
+/// `b` and `out` are empty), and checks that `out` is whole rows of `p`.
+fn inner_dim(b: usize, p: usize, out: usize) -> Option<usize> {
+    if p == 0 {
+        assert!(
+            b == 0 && out == 0,
+            "kernels: a product with p == 0 is empty"
+        );
+        return None;
+    }
+    assert!(b.is_multiple_of(p), "kernels: b is not whole rows of p");
+    assert!(out.is_multiple_of(p), "kernels: out is not whole rows of p");
+    Some(b / p)
+}
+
+/// One sparse row times a dense matrix: `out = Σₑ vals[e] · x[cols[e]]`,
+/// where `x` holds rows of `w` entries and row `c` is `x[c·w..][..w]`.
+/// Each entry of `out` starts at `+0` and gets its terms added one at a
+/// time in entry order (no term skipped), one rounded multiply and one
+/// rounded add each: the row of PAPMI's propagation and of `pane-sparse`'s
+/// `CsrMatrix::mul_dense_par`.
+/// AVX2 builds hold 16 columns of `out` in registers across the entries
+/// (4 at a time below that).
+///
+/// # Panics
+/// Panics unless `cols.len() == vals.len()`, `out.len() == w`, `x.len()`
+/// is a multiple of `w` and every column indexes a row of `x` (with
+/// `w == 0`, unless `out` is empty).
+pub fn sparse_row_sum(cols: &[u32], vals: &[f64], x: &[f64], w: usize, out: &mut [f64]) {
+    assert_eq!(
+        cols.len(),
+        vals.len(),
+        "kernels::sparse_row_sum: cols/vals length mismatch"
+    );
+    assert_eq!(out.len(), w, "kernels::sparse_row_sum: out.len() != w");
+    if w == 0 {
+        return;
+    }
+    assert!(
+        x.len().is_multiple_of(w),
+        "kernels::sparse_row_sum: x is not whole rows of w"
+    );
+    sparse_body(cols, vals, x, w, out);
+}
+
+#[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
+use avx2::{mul_add_rows as ab_body, sparse_row_sum as sparse_body, tr_mul_add_rows as atb_body};
+#[cfg(not(all(target_arch = "x86_64", target_feature = "avx2")))]
+use portable::{
+    mul_add_rows as ab_body, sparse_row_sum as sparse_body, tr_mul_add_rows as atb_body,
+};
+
+/// The portable bodies of the three product kernels: the bodies of the
+/// baseline build and of other architectures, and the referees of the
+/// AVX2 bodies in the tests. One `axpy` per term.
+#[cfg(any(test, not(all(target_arch = "x86_64", target_feature = "avx2"))))]
+mod portable {
+    use crate::vecops::axpy;
+    use std::ops::Range;
+
+    /// Rows per pass of [`mul_add_rows`] and [`tr_mul_add_rows`]: enough
+    /// to amortize the pass over the other operand, few enough that the
+    /// pass's output rows stay in L1.
+    const PANEL: usize = 4;
+
+    /// [`mul_add_rows`](super::mul_add_rows), `m, p > 0`, shapes checked:
+    /// one pass over `b` per [`PANEL`] rows of `a`.
+    pub(super) fn mul_add_rows(a: &[f64], b: &[f64], m: usize, p: usize, out: &mut [f64]) {
+        for (apanel, opanel) in a.chunks(PANEL * m).zip(out.chunks_mut(PANEL * p)) {
+            for (l, brow) in b.chunks_exact(p).enumerate() {
+                for (arow, orow) in apanel.chunks_exact(m).zip(opanel.chunks_exact_mut(p)) {
+                    if arow[l] != 0.0 {
+                        axpy(arow[l], brow, orow);
+                    }
+                }
+            }
+        }
+    }
+
+    /// [`tr_mul_add_rows`](super::tr_mul_add_rows), `m, p > 0`, shapes
+    /// checked: one pass over `out` per [`PANEL`] matching rows of `a`
+    /// and `b`.
+    pub(super) fn tr_mul_add_rows(
+        a: &[f64],
+        m: usize,
+        b: &[f64],
+        p: usize,
+        cols: Range<usize>,
+        out: &mut [f64],
+    ) {
+        for (apanel, bpanel) in a.chunks(PANEL * m).zip(b.chunks(PANEL * p)) {
+            for (l, crow) in cols.clone().zip(out.chunks_exact_mut(p)) {
+                for (arow, brow) in apanel.chunks_exact(m).zip(bpanel.chunks_exact(p)) {
+                    if arow[l] != 0.0 {
+                        axpy(arow[l], brow, crow);
+                    }
+                }
+            }
+        }
+    }
+
+    /// [`sparse_row_sum`](super::sparse_row_sum), `w > 0`, shapes checked.
+    pub(super) fn sparse_row_sum(cols: &[u32], vals: &[f64], x: &[f64], w: usize, out: &mut [f64]) {
+        out.fill(0.0);
+        for (&c, &v) in cols.iter().zip(vals) {
+            axpy(v, &x[c as usize * w..][..w], out);
+        }
+    }
+}
+
+/// The AVX2 bodies (x86-64-v3 and up). The two panel kernels score four
+/// rows per pass, each query chunk loaded once for the four, the sums
+/// folded in registers; each row's arithmetic is the one-row bodies', so a
+/// score does not depend on where its row falls in a pass. The three
+/// product kernels hold a tile of the output in registers while its terms
+/// arrive, each entry's terms in the portable bodies' order, with a
+/// separate multiply and add (no FMA), so every entry keeps its bits.
 #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
 mod avx2 {
     use super::{dot_i8_scalar, LANES};
     use core::arch::x86_64::*;
+    use std::ops::Range;
 
     /// Rows per pass.
     const ROWS: usize = 4;
@@ -531,6 +727,284 @@ mod avx2 {
             }
         }
         sums
+    }
+
+    /// Rows of `a` per tile of [`mul_add_rows`]: with 8 columns, the tile
+    /// is 8 `ymm` accumulators, and the two `b` chunks and a broadcast
+    /// leave room in the 16 registers.
+    const AB_ROWS: usize = 4;
+    /// Matching rows of `a` and `b` per pass of [`tr_mul_add_rows`].
+    const ATB_ROWS: usize = 8;
+
+    /// [`mul_add_rows`](super::mul_add_rows), `m, p > 0`, shapes checked:
+    /// panels of 4 rows, then one panel of the 1–3 rows left.
+    pub(super) fn mul_add_rows(a: &[f64], b: &[f64], m: usize, p: usize, out: &mut [f64]) {
+        let rows = out.len() / p;
+        let done = rows - rows % AB_ROWS;
+        for (ap, op) in a
+            .chunks_exact(AB_ROWS * m)
+            .zip(out.chunks_exact_mut(AB_ROWS * p))
+        {
+            ab_panel::<AB_ROWS>(ap, b, m, p, op);
+        }
+        let (a, out) = (&a[done * m..], &mut out[done * p..]);
+        match rows - done {
+            1 => ab_panel::<1>(a, b, m, p, out),
+            2 => ab_panel::<2>(a, b, m, p, out),
+            3 => ab_panel::<3>(a, b, m, p, out),
+            _ => {}
+        }
+    }
+
+    /// `R` rows of `out += a·b`: tiles of 8 columns, then one of 4, then
+    /// the last `p % 4` columns one at a time.
+    #[inline(always)]
+    fn ab_panel<const R: usize>(a: &[f64], b: &[f64], m: usize, p: usize, out: &mut [f64]) {
+        let mut j = 0;
+        while j + 8 <= p {
+            ab_tile::<R, 2>(a, b, m, p, j, out);
+            j += 8;
+        }
+        if j + 4 <= p {
+            ab_tile::<R, 1>(a, b, m, p, j, out);
+            j += 4;
+        }
+        for j in j..p {
+            for (arow, o) in a.chunks_exact(m).zip(out[j..].iter_mut().step_by(p)) {
+                for (l, &x) in arow.iter().enumerate() {
+                    if x != 0.0 {
+                        *o += x * b[l * p + j];
+                    }
+                }
+            }
+        }
+    }
+
+    /// Columns `j..j + 4V` of `R` rows of `out += a·b`, the tile in `R·V`
+    /// registers from the first term to the last; an exact zero of `a`
+    /// skips its row's terms.
+    #[inline(always)]
+    fn ab_tile<const R: usize, const V: usize>(
+        a: &[f64],
+        b: &[f64],
+        m: usize,
+        p: usize,
+        j: usize,
+        out: &mut [f64],
+    ) {
+        assert!(a.len() == R * m && out.len() == R * p && b.len() == m * p && j + 4 * V <= p);
+        // SAFETY: the `cfg` on this module means AVX2 is enabled. With
+        // `r < R`, `v < V` and `l < m`, each unaligned load or store
+        // touches `out[r * p + j + 4v..][..4]` or `b[l * p + j + 4v..][..4]`
+        // and each scalar read is `a[r * m + l]`, in bounds by the assert.
+        unsafe {
+            let (o, bp) = (out.as_mut_ptr().add(j), b.as_ptr().add(j));
+            let mut acc = [[_mm256_setzero_pd(); V]; R];
+            for (r, acc) in acc.iter_mut().enumerate() {
+                for (v, acc) in acc.iter_mut().enumerate() {
+                    *acc = _mm256_loadu_pd(o.add(r * p + 4 * v));
+                }
+            }
+            for l in 0..m {
+                let x: [f64; R] = std::array::from_fn(|r| *a.get_unchecked(r * m + l));
+                let y: [__m256d; V] =
+                    std::array::from_fn(|v| _mm256_loadu_pd(bp.add(l * p + 4 * v)));
+                let term = |acc: &mut [__m256d; V], x: f64| {
+                    let s = _mm256_set1_pd(x);
+                    for (acc, &y) in acc.iter_mut().zip(&y) {
+                        *acc = _mm256_add_pd(*acc, _mm256_mul_pd(s, y));
+                    }
+                };
+                if x.iter().all(|&x| x != 0.0) {
+                    acc.iter_mut().zip(x).for_each(|(acc, x)| term(acc, x));
+                } else {
+                    for (acc, x) in acc.iter_mut().zip(x) {
+                        if x != 0.0 {
+                            term(acc, x);
+                        }
+                    }
+                }
+            }
+            for (r, acc) in acc.iter().enumerate() {
+                for (v, &acc) in acc.iter().enumerate() {
+                    _mm256_storeu_pd(o.add(r * p + 4 * v), acc);
+                }
+            }
+        }
+    }
+
+    /// [`tr_mul_add_rows`](super::tr_mul_add_rows), `m, p > 0`, shapes
+    /// checked, `cols` not empty: passes of 8 matching rows, then one pass
+    /// of the 1–7 rows left.
+    pub(super) fn tr_mul_add_rows(
+        a: &[f64],
+        m: usize,
+        b: &[f64],
+        p: usize,
+        cols: Range<usize>,
+        out: &mut [f64],
+    ) {
+        let n = b.len() / p;
+        let done = n - n % ATB_ROWS;
+        for (ap, bp) in a
+            .chunks_exact(ATB_ROWS * m)
+            .zip(b.chunks_exact(ATB_ROWS * p))
+        {
+            atb_pass::<ATB_ROWS>(ap, m, bp, p, cols.clone(), out);
+        }
+        let (a, b) = (&a[done * m..], &b[done * p..]);
+        match n - done {
+            1 => atb_pass::<1>(a, m, b, p, cols, out),
+            2 => atb_pass::<2>(a, m, b, p, cols, out),
+            3 => atb_pass::<3>(a, m, b, p, cols, out),
+            4 => atb_pass::<4>(a, m, b, p, cols, out),
+            5 => atb_pass::<5>(a, m, b, p, cols, out),
+            6 => atb_pass::<6>(a, m, b, p, cols, out),
+            7 => atb_pass::<7>(a, m, b, p, cols, out),
+            _ => {}
+        }
+    }
+
+    /// The `R` matching rows' terms added to every row of `out`: chunks of
+    /// 16 columns, then one of the 4–12 columns left, then the last `p % 4`
+    /// columns one at a time. A row of `out` whose `R` factors from `a`
+    /// are all zero gets no term and is not touched.
+    #[inline(always)]
+    fn atb_pass<const R: usize>(
+        a: &[f64],
+        m: usize,
+        b: &[f64],
+        p: usize,
+        cols: Range<usize>,
+        out: &mut [f64],
+    ) {
+        assert!(a.len() == R * m && b.len() == R * p && cols.end <= m);
+        for (l, orow) in cols.zip(out.chunks_exact_mut(p)) {
+            let x: [f64; R] = std::array::from_fn(|r| a[r * m + l]);
+            let all = x.iter().all(|&x| x != 0.0);
+            if !all && x.iter().all(|&x| x == 0.0) {
+                continue;
+            }
+            let mut j = 0;
+            while j + 16 <= p {
+                atb_chunk::<R, 4>(&x, all, b, p, j, orow);
+                j += 16;
+            }
+            match (p - j) / 4 {
+                1 => atb_chunk::<R, 1>(&x, all, b, p, j, orow),
+                2 => atb_chunk::<R, 2>(&x, all, b, p, j, orow),
+                3 => atb_chunk::<R, 3>(&x, all, b, p, j, orow),
+                _ => {}
+            }
+            for (j, o) in orow.iter_mut().enumerate().skip(p - p % 4) {
+                for (r, &x) in x.iter().enumerate() {
+                    if x != 0.0 {
+                        *o += x * b[r * p + j];
+                    }
+                }
+            }
+        }
+    }
+
+    /// Columns `j..j + 4V` of one `out` row: loaded once, the `R` terms
+    /// added in row order (exact zeros of `x` skipped unless `all` says
+    /// there are none), stored once.
+    #[inline(always)]
+    fn atb_chunk<const R: usize, const V: usize>(
+        x: &[f64; R],
+        all: bool,
+        b: &[f64],
+        p: usize,
+        j: usize,
+        orow: &mut [f64],
+    ) {
+        assert!(b.len() == R * p && orow.len() == p && j + 4 * V <= p);
+        // SAFETY: the `cfg` on this module means AVX2 is enabled. With
+        // `r < R` and `v < V`, each unaligned load or store touches
+        // `orow[j + 4v..][..4]` or `b[r * p + j + 4v..][..4]`, in bounds by
+        // the assert.
+        unsafe {
+            let (o, bp) = (orow.as_mut_ptr().add(j), b.as_ptr().add(j));
+            let mut acc: [__m256d; V] = std::array::from_fn(|v| _mm256_loadu_pd(o.add(4 * v)));
+            let mut term = |r: usize, x: f64| {
+                let s = _mm256_set1_pd(x);
+                for (v, acc) in acc.iter_mut().enumerate() {
+                    let y = _mm256_loadu_pd(bp.add(r * p + 4 * v));
+                    *acc = _mm256_add_pd(*acc, _mm256_mul_pd(s, y));
+                }
+            };
+            if all {
+                x.iter().enumerate().for_each(|(r, &x)| term(r, x));
+            } else {
+                for (r, &x) in x.iter().enumerate() {
+                    if x != 0.0 {
+                        term(r, x);
+                    }
+                }
+            }
+            for (v, &acc) in acc.iter().enumerate() {
+                _mm256_storeu_pd(o.add(4 * v), acc);
+            }
+        }
+    }
+
+    /// [`sparse_row_sum`](super::sparse_row_sum), `w > 0`, shapes checked:
+    /// chunks of 16 columns, then one of the 4–12 columns left, then the
+    /// last `w % 4` columns.
+    pub(super) fn sparse_row_sum(cols: &[u32], vals: &[f64], x: &[f64], w: usize, out: &mut [f64]) {
+        let mut j = 0;
+        while j + 16 <= w {
+            sparse_chunk::<4>(cols, vals, x, w, j, out);
+            j += 16;
+        }
+        match (w - j) / 4 {
+            1 => sparse_chunk::<1>(cols, vals, x, w, j, out),
+            2 => sparse_chunk::<2>(cols, vals, x, w, j, out),
+            3 => sparse_chunk::<3>(cols, vals, x, w, j, out),
+            _ => {}
+        }
+        let j = w - w % 4;
+        if j < w {
+            let tail = &mut out[j..];
+            tail.fill(0.0);
+            for (&c, &v) in cols.iter().zip(vals) {
+                for (o, &y) in tail.iter_mut().zip(&x[c as usize * w + j..][..w - j]) {
+                    *o += v * y;
+                }
+            }
+        }
+    }
+
+    /// Columns `j..j + 4V` of a sparse row sum, held in `V` registers
+    /// from `+0` through every entry, stored once.
+    #[inline(always)]
+    fn sparse_chunk<const V: usize>(
+        cols: &[u32],
+        vals: &[f64],
+        x: &[f64],
+        w: usize,
+        j: usize,
+        out: &mut [f64],
+    ) {
+        assert!(out.len() == w && j + 4 * V <= w);
+        // SAFETY: the `cfg` on this module means AVX2 is enabled. `row` is
+        // a bounds-checked slice of `w` entries and `out` has `w`, so with
+        // `v < V` each unaligned load or store touches `[j + 4v..][..4]`
+        // of one of them, in bounds by the assert.
+        unsafe {
+            let mut acc = [_mm256_setzero_pd(); V];
+            for (&c, &val) in cols.iter().zip(vals) {
+                let row = &x[c as usize * w..][..w];
+                let s = _mm256_set1_pd(val);
+                for (v, acc) in acc.iter_mut().enumerate() {
+                    let y = _mm256_loadu_pd(row.as_ptr().add(j + 4 * v));
+                    *acc = _mm256_add_pd(*acc, _mm256_mul_pd(s, y));
+                }
+            }
+            for (v, &acc) in acc.iter().enumerate() {
+                _mm256_storeu_pd(out.as_mut_ptr().add(j + 4 * v), acc);
+            }
+        }
     }
 }
 
@@ -895,6 +1369,198 @@ mod tests {
         prefetch_f64(&v, 63);
         prefetch_f64(&v, 64); // out of range: no-op, no panic
         prefetch_f64(&[], 0);
+    }
+
+    /// An entry of a product's `a`: about a third exact zeros of either
+    /// sign, the rest in `[-1, 1)`.
+    fn a_entry(seed: u64, i: usize) -> f64 {
+        let v = splat(seed, i);
+        if v.abs() < 0.33 {
+            0.0f64.copysign(v)
+        } else {
+            v
+        }
+    }
+
+    /// An entry of a product's `b` or `x`: about one in ten `+∞`, `−∞` or
+    /// NaN, which an exact zero of `a` must skip, the rest in `[-1, 1)`.
+    fn b_entry(seed: u64, i: usize) -> f64 {
+        match ((splat(seed ^ 0xB0, i) + 1.0) * 1e6) as u64 % 30 {
+            0 => f64::INFINITY,
+            1 => f64::NEG_INFINITY,
+            2 => f64::NAN,
+            _ => splat(seed, i),
+        }
+    }
+
+    /// A start for `out`: `±0`, or a value the products add onto.
+    fn out_entry(seed: u64, i: usize) -> f64 {
+        match i % 3 {
+            0 => -0.0,
+            1 => 0.0,
+            _ => splat(seed, i),
+        }
+    }
+
+    /// The bits of every entry, every NaN read as one value (which NaN an
+    /// add of two NaNs returns is not part of the contract).
+    fn bits(data: &[f64]) -> Vec<u64> {
+        data.iter()
+            .map(|v| if v.is_nan() { u64::MAX } else { v.to_bits() })
+            .collect()
+    }
+
+    /// `mul_add_rows` equals its portable body at every row count through
+    /// two 4-row tiles (every 1–3-row tail) and every width through five
+    /// 8-column tiles (every 4-column and single-column tail), onto `±0`
+    /// and other starts, with exact zeros of `a` facing `±∞` and NaN in
+    /// `b`. On the baseline build both are the portable body.
+    #[test]
+    fn mul_add_rows_equals_its_portable_body() {
+        for rows in 0..=9 {
+            for m in [1usize, 2, 5, 13] {
+                for p in 1..=40 {
+                    let seed = (rows * 1000 + m * 100 + p) as u64;
+                    let a: Vec<f64> = (0..rows * m).map(|i| a_entry(seed, i)).collect();
+                    let b: Vec<f64> = (0..m * p).map(|i| b_entry(seed, i)).collect();
+                    let start: Vec<f64> = (0..rows * p).map(|i| out_entry(seed, i)).collect();
+                    let (mut got, mut want) = (start.clone(), start);
+                    mul_add_rows(&a, &b, p, &mut got);
+                    portable::mul_add_rows(&a, &b, m, p, &mut want);
+                    assert_eq!(bits(&got), bits(&want), "rows {rows} m {m} p {p}");
+                }
+            }
+        }
+    }
+
+    /// `tr_mul_add_rows` equals its portable body at every row count
+    /// through two 8-row passes (every 1–7-row tail), every width through
+    /// two 16-column chunks (every 4–12-column and single-column tail),
+    /// whole and partial column ranges, with exact zeros of `a` facing
+    /// `±∞` and NaN in `b`.
+    #[test]
+    fn tr_mul_add_rows_equals_its_portable_body() {
+        for n in 0..=17 {
+            for (m, cols) in [(1usize, 0..1), (3, 0..3), (6, 2..5), (7, 6..7)] {
+                for p in 1..=40 {
+                    let seed = (n * 1000 + m * 100 + p) as u64;
+                    let a: Vec<f64> = (0..n * m).map(|i| a_entry(seed, i)).collect();
+                    let b: Vec<f64> = (0..n * p).map(|i| b_entry(seed, i)).collect();
+                    let start: Vec<f64> = (0..cols.len() * p).map(|i| out_entry(seed, i)).collect();
+                    let (mut got, mut want) = (start.clone(), start);
+                    tr_mul_add_rows(&a, m, &b, p, cols.clone(), &mut got);
+                    portable::tr_mul_add_rows(&a, m, &b, p, cols.clone(), &mut want);
+                    assert_eq!(bits(&got), bits(&want), "n {n} cols {cols:?} p {p}");
+                }
+            }
+        }
+    }
+
+    /// `sparse_row_sum` is the ordered entry loop from `+0` (no term
+    /// skipped, so a zero value facing `±∞` gives NaN) and equals its
+    /// portable body: empty rows, one entry, repeated columns, widths
+    /// across the 16- and 4-column chunks and every tail, and an `out`
+    /// that held other values.
+    #[test]
+    fn sparse_row_sum_is_the_ordered_entry_loop() {
+        let rows = 9;
+        for w in [1usize, 2, 3, 4, 5, 8, 12, 16, 17, 20, 31, 64] {
+            let x: Vec<f64> = (0..rows * w).map(|i| b_entry(w as u64, i)).collect();
+            for len in [0usize, 1, 2, 5, 9, 23] {
+                let cols: Vec<u32> = (0..len).map(|e| ((e * 7 + len) % rows) as u32).collect();
+                let vals: Vec<f64> = (0..len).map(|e| a_entry(len as u64, e)).collect();
+                let mut want = vec![0.0f64; w];
+                for (&c, &v) in cols.iter().zip(&vals) {
+                    for (o, &y) in want.iter_mut().zip(&x[c as usize * w..][..w]) {
+                        *o += v * y;
+                    }
+                }
+                let mut got = vec![f64::NAN; w];
+                sparse_row_sum(&cols, &vals, &x, w, &mut got);
+                assert_eq!(bits(&got), bits(&want), "w {w} entries {len}");
+                let mut portable = vec![-1.0; w];
+                portable::sparse_row_sum(&cols, &vals, &x, w, &mut portable);
+                assert_eq!(
+                    bits(&portable),
+                    bits(&want),
+                    "portable, w {w} entries {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a is not rows × m")]
+    fn mul_add_rows_refuses_an_out_longer_than_a() {
+        // `a` is 2 × 3 and `b` 3 × 4, but `out` has 3 rows.
+        mul_add_rows(&[1.0; 6], &[1.0; 12], 4, &mut [0.0; 12]);
+    }
+
+    #[test]
+    #[should_panic(expected = "a is not rows × m")]
+    fn mul_add_rows_refuses_a_ragged_a() {
+        mul_add_rows(&[1.0; 5], &[1.0; 12], 4, &mut [0.0; 8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out is not whole rows of p")]
+    fn mul_add_rows_refuses_a_ragged_out() {
+        mul_add_rows(&[1.0; 6], &[1.0; 12], 4, &mut [0.0; 7]);
+    }
+
+    #[test]
+    #[should_panic(expected = "b is not whole rows of p")]
+    fn mul_add_rows_refuses_a_ragged_b() {
+        mul_add_rows(&[1.0; 6], &[1.0; 11], 4, &mut [0.0; 8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "p == 0")]
+    fn mul_add_rows_refuses_a_zero_width_with_data() {
+        mul_add_rows(&[], &[1.0; 3], 0, &mut []);
+    }
+
+    #[test]
+    #[should_panic(expected = "a is not n × m")]
+    fn tr_mul_add_rows_refuses_a_ragged_a() {
+        // `b` is 4 × 2, so `a` must be 4 × 3.
+        tr_mul_add_rows(&[1.0; 11], 3, &[1.0; 8], 2, 0..3, &mut [0.0; 6]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out is not cols.len() × p")]
+    fn tr_mul_add_rows_refuses_a_short_out() {
+        tr_mul_add_rows(&[1.0; 12], 3, &[1.0; 8], 2, 0..3, &mut [0.0; 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "columns out of range")]
+    fn tr_mul_add_rows_refuses_columns_past_m() {
+        tr_mul_add_rows(&[1.0; 12], 3, &[1.0; 8], 2, 2..4, &mut [0.0; 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out.len() != w")]
+    fn sparse_row_sum_refuses_a_wrong_out() {
+        sparse_row_sum(&[0], &[1.0], &[1.0; 8], 4, &mut [0.0; 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "cols/vals length mismatch")]
+    fn sparse_row_sum_refuses_unpaired_entries() {
+        sparse_row_sum(&[0, 1], &[1.0], &[1.0; 8], 4, &mut [0.0; 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "x is not whole rows of w")]
+    fn sparse_row_sum_refuses_a_ragged_x() {
+        sparse_row_sum(&[0], &[1.0], &[1.0; 7], 4, &mut [0.0; 4]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn sparse_row_sum_refuses_a_column_past_x() {
+        sparse_row_sum(&[2], &[1.0], &[1.0; 32], 16, &mut [0.0; 16]);
     }
 
     proptest! {

@@ -1,6 +1,6 @@
 //! Compressed sparse row matrix and its dense products.
 
-use pane_linalg::DenseMatrix;
+use pane_linalg::{kernels, DenseMatrix};
 use pane_parallel::{even_ranges_nonempty, for_each_row_block};
 
 /// An immutable sparse matrix in CSR format.
@@ -279,13 +279,7 @@ impl CsrMatrix {
         for i in 0..self.rows {
             let (cols, vals) = self.row(i);
             let crow = &mut out.data_mut()[i * p..(i + 1) * p];
-            crow.iter_mut().for_each(|v| *v = 0.0);
-            for (&cidx, &v) in cols.iter().zip(vals) {
-                let brow = b.row(cidx as usize);
-                for (slot, &bv) in crow.iter_mut().zip(brow) {
-                    *slot += v * bv;
-                }
-            }
+            kernels::sparse_row_sum(cols, vals, b.data(), p, crow);
         }
     }
 
@@ -304,12 +298,7 @@ impl CsrMatrix {
             for (bi, i) in range.clone().enumerate() {
                 let (cols, vals) = me.row(i);
                 let crow = &mut block[bi * p..(bi + 1) * p];
-                for (&cidx, &v) in cols.iter().zip(vals) {
-                    let brow = b.row(cidx as usize);
-                    for (slot, &bv) in crow.iter_mut().zip(brow) {
-                        *slot += v * bv;
-                    }
-                }
+                kernels::sparse_row_sum(cols, vals, b.data(), p, crow);
             }
         });
         c
@@ -406,6 +395,46 @@ mod tests {
         assert!(got.max_abs_diff(&want) < 1e-12);
         for nb in [1, 2, 4, 9] {
             assert!(s.mul_dense_par(&b, nb).max_abs_diff(&want) < 1e-12);
+        }
+    }
+
+    /// The per-entry loop both products ran before they called
+    /// `kernels::sparse_row_sum`: each row from `+0`, its entries in order.
+    fn mul_dense_old_loop(s: &CsrMatrix, b: &DenseMatrix) -> Vec<u64> {
+        let p = b.cols();
+        let mut out = vec![0.0f64; s.rows() * p];
+        for i in 0..s.rows() {
+            let (cols, vals) = s.row(i);
+            let crow = &mut out[i * p..(i + 1) * p];
+            for (&cidx, &v) in cols.iter().zip(vals) {
+                for (slot, &bv) in crow.iter_mut().zip(b.row(cidx as usize)) {
+                    *slot += v * bv;
+                }
+            }
+        }
+        out.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Both dense products equal the old loop bit for bit: empty rows,
+    /// rows of one entry, widths across every column chunk and tail, an
+    /// output that held other values, and every block count.
+    #[test]
+    fn mul_dense_equals_the_old_entry_loop() {
+        for (seed, density) in [(11u64, 0.0), (12, 0.05), (13, 0.3), (14, 1.0)] {
+            let s = random_sparse(23, 19, density, seed);
+            for p in [0usize, 1, 3, 4, 5, 8, 12, 16, 17, 20, 33, 64] {
+                let mut rng = StdRng::seed_from_u64(seed ^ p as u64);
+                let b = DenseMatrix::gaussian(19, p, &mut rng);
+                let want = mul_dense_old_loop(&s, &b);
+                let bits =
+                    |m: &DenseMatrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                let mut out = DenseMatrix::gaussian(23, p, &mut rng);
+                s.mul_dense_into(&b, &mut out);
+                assert_eq!(bits(&out), want, "into, density {density} p {p}");
+                for nb in [1, 2, 3, 7] {
+                    assert_eq!(bits(&s.mul_dense_par(&b, nb)), want, "par {nb}, p {p}");
+                }
+            }
         }
     }
 
